@@ -14,6 +14,15 @@ and shared by every trajectory.  Ensembles derive one child stream per
 trajectory from (master_seed, trajectory_index), so results are
 bit-identical for any worker count; trajectories are reduced in index
 order.
+
+Memory model: the strong-error statistics need only |e_k|_H per
+trajectory and step.  run_ensemble therefore walks its trajectories in
+blocks of at most BLOCK_BYTES of (N + 1, J) float64 rows, reduces each
+block to its (B, N + 1) error norms as soon as it finishes and drops the
+block, so an ensemble holds O(M N) floats and pool workers send back only
+norms (and defects, when recorded).  The blocking changes no computed
+float.  The full (M, N + 1, J) states, errors and noise are stored only
+with run_ensemble(..., keep=True).
 """
 
 from __future__ import annotations
@@ -57,26 +66,40 @@ class Trajectory:
     defects: np.ndarray | None = None
 
     def error_h_norms(self) -> np.ndarray:
-        return np.sqrt(np.sum(self.errors * self.errors, axis=-1))
+        return _h_norms(self.errors)
 
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """M trajectories stored as stacked arrays (leading axis = trajectory)."""
+    """M trajectories, leading axis = trajectory.
+
+    norms holds the per-trajectory, per-step |e_k|_H, shape (M, N + 1),
+    read-only.  states, errors and noise, shape (M, N + 1, J) (noise
+    (M, N, J)), are None unless run_ensemble was called with keep=True;
+    defects, shape (M, N), is stored whenever defects were recorded.
+    """
 
     grid: TimeGrid
-    states: np.ndarray
-    errors: np.ndarray
+    norms: np.ndarray
     master_seed: int
     fingerprint: str
+    states: np.ndarray | None = None
+    errors: np.ndarray | None = None
     noise: np.ndarray | None = None
     defects: np.ndarray | None = None
 
+    def __post_init__(self):
+        self.norms.flags.writeable = False
+
     @property
     def size(self) -> int:
-        return self.states.shape[0]
+        return self.norms.shape[0]
 
     def trajectory(self, i: int) -> Trajectory:
+        if self.states is None:
+            raise ValueError(
+                "trajectory arrays were not kept: call run_ensemble(..., keep=True)"
+            )
         return Trajectory(
             self.grid,
             self.states[i],
@@ -86,8 +109,8 @@ class Ensemble:
         )
 
     def error_h_norms(self) -> np.ndarray:
-        """Per-trajectory, per-step |e_k|_H, shape (M, N + 1)."""
-        return np.sqrt(np.sum(self.errors * self.errors, axis=-1))
+        """Per-trajectory, per-step |e_k|_H, shape (M, N + 1), read-only."""
+        return self.norms
 
     def summary_dict(self, include_step_norms: bool = False) -> dict:
         """JSON-serialisable summary: per-trajectory max error, optionally
@@ -120,16 +143,46 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
-def _check_mesh(method: MethodConfig, grid: TimeGrid) -> None:
+# Byte budget of one trajectory block's (B, N + 1, J) float64 rows.  A
+# streamed block holds at most two arrays of this size at once, whatever M
+# is.  Smaller blocks cost more per-step Python calls; the block size
+# changes no computed float.
+BLOCK_BYTES = 8 * 2**20
+
+
+def _check_run(
+    problem: Problem,
+    method: MethodConfig,
+    grid: TimeGrid,
+    theta: np.ndarray,
+    noise: NoiseModel | None = None,
+) -> np.ndarray:
+    """Validate a run's inputs before any work or stream draw; theta as floats."""
     if grid.mesh > method.h_star:
         raise ValueError(f"grid mesh {grid.mesh} exceeds the method's h* = {method.h_star}")
+    theta = np.asarray(theta, dtype=float)
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(
+            f"initial state theta must be finite, entry {bad[0]} is {theta.flat[bad[0]]}"
+        )
+    if noise is not None and noise.dimension != problem.space.dimension:
+        raise ValueError(
+            f"noise dimension {noise.dimension} does not match the problem "
+            f"dimension {problem.space.dimension}"
+        )
+    return theta
+
+
+def _h_norms(errors: np.ndarray) -> np.ndarray:
+    """|e|_H along the last (mode) axis."""
+    return np.sqrt(np.sum(errors * errors, axis=-1))
 
 
 def _advance_block(
     problem: Problem,
     method: MethodConfig,
     grid: TimeGrid,
-    exact: np.ndarray,
     u0: np.ndarray,
     noise_block: np.ndarray | None,
     record_defects: bool,
@@ -150,14 +203,12 @@ def _advance_block(
         t = float(grid.points[k])
         v = step(method, problem, h, t, u)
         if record_defects:
-            gap = exact_flow(problem, h, t, u) - v
-            defects[:, k] = np.sqrt(np.sum(gap * gap, axis=-1))
+            defects[:, k] = _h_norms(exact_flow(problem, h, t, u) - v)
         if noise_block is not None:
             v = v + noise_block[:, k]
         states[:, k + 1] = v
         u = v
-    errors = exact[None, :, :] - states
-    return states, errors, defects
+    return states, defects
 
 
 def run_deterministic(
@@ -168,13 +219,12 @@ def run_deterministic(
     record_defects: bool = False,
 ) -> Trajectory:
     """Noise-free recursion u_(k+1) = psi(h_k, t_k, u_k)."""
-    _check_mesh(method, grid)
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_run(problem, method, grid, theta)
     exact = exact_states(problem, grid, theta)
-    states, errors, defects = _advance_block(
-        problem, method, grid, exact, theta[None, :], None, record_defects
+    states, defects = _advance_block(problem, method, grid, theta[None, :], None, record_defects)
+    return Trajectory(
+        grid, states[0], exact - states[0], None, None if defects is None else defects[0]
     )
-    return Trajectory(grid, states[0], errors[0], None, None if defects is None else defects[0])
 
 
 def _draw_noise(
@@ -201,30 +251,54 @@ def run_randomised(
     perturb_initial: bool = False,
 ) -> Trajectory:
     """Randomised recursion U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k)."""
-    _check_mesh(method, grid)
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_run(problem, method, grid, theta, noise)
     exact = exact_states(problem, grid, theta)
     init, path = _draw_noise(noise, stream, grid, perturb_initial)
     u0 = theta if init is None else theta + init
-    states, errors, defects = _advance_block(
-        problem, method, grid, exact, u0[None, :], path[None, :, :], record_defects
+    states, defects = _advance_block(
+        problem, method, grid, u0[None, :], path[None, :, :], record_defects
     )
-    return Trajectory(grid, states[0], errors[0], path, None if defects is None else defects[0])
+    return Trajectory(
+        grid, states[0], exact - states[0], path, None if defects is None else defects[0]
+    )
 
 
-def _run_chunk(args):
-    (problem, method, noise, grid, theta, exact, indices, master_seed,
-     record_defects, perturb_initial) = args
-    paths = np.empty((len(indices), grid.num_steps, theta.size))
-    u0 = np.empty((len(indices), theta.size))
-    for row, i in enumerate(indices):
+def _run_block(problem, method, noise, grid, theta, exact, block, master_seed,
+               record_defects, perturb_initial, keep):
+    """Error norms and defects of the trajectories in block; with keep, also
+    their states, errors and noise.  Without keep the block's arrays are
+    freed on return."""
+    paths = np.empty((len(block), grid.num_steps, theta.size))
+    u0 = np.empty((len(block), theta.size))
+    for row, i in enumerate(block):
         stream = trajectory_stream(master_seed, i)
         init, paths[row] = _draw_noise(noise, stream, grid, perturb_initial)
         u0[row] = theta if init is None else theta + init
-    states, errors, defects = _advance_block(
-        problem, method, grid, exact, u0, paths, record_defects
+    states, defects = _advance_block(problem, method, grid, u0, paths, record_defects)
+    if keep:
+        errors = exact - states
+        return _h_norms(errors), defects, states, errors, paths
+    del paths  # the norm pass needs only the states
+    return _h_norms(np.subtract(exact, states, out=states)), defects
+
+
+def _run_chunk(args):
+    """One worker's trajectories in blocks of at most BLOCK_BYTES of states,
+    each reduced as soon as it finishes; with keep, a single block."""
+    (problem, method, noise, grid, theta, exact, indices, master_seed,
+     record_defects, perturb_initial, keep) = args
+    row_bytes = (grid.num_steps + 1) * theta.size * 8
+    rows = len(indices) if keep else max(1, BLOCK_BYTES // row_bytes)
+    return _stack(
+        _run_block(problem, method, noise, grid, theta, exact, indices[start:start + rows],
+                   master_seed, record_defects, perturb_initial, keep)
+        for start in range(0, len(indices), rows)
     )
-    return states, errors, paths, defects
+
+
+def _stack(results):
+    """Concatenate per-block result tuples field by field, in index order."""
+    return [None if parts[0] is None else np.concatenate(parts) for parts in zip(*results)]
 
 
 def _fingerprint(*parts) -> str:
@@ -250,19 +324,23 @@ def run_ensemble(
     record_defects: bool = False,
     perturb_initial: bool = False,
     fingerprint: str | None = None,
+    keep: bool = False,
 ) -> Ensemble:
-    """M independent randomised trajectories with per-trajectory substreams."""
+    """M independent randomised trajectories with per-trajectory substreams.
+
+    Only the (M, N + 1) error norms (and the defects, if recorded) are
+    stored; keep=True also stores the full states, errors and noise.
+    """
     if m < 1:
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    _check_mesh(method, grid)
-    theta = np.asarray(theta, dtype=float)
+    theta = _check_run(problem, method, grid, theta, noise)
     exact = exact_states(problem, grid, theta)
     chunks = [idx for idx in np.array_split(np.arange(m), min(workers, m)) if idx.size]
     jobs = [
         (problem, method, noise, grid, theta, exact, idx, master_seed,
-         record_defects, perturb_initial)
+         record_defects, perturb_initial, keep)
         for idx in chunks
     ]
     if workers == 1 or len(jobs) == 1:
@@ -270,13 +348,10 @@ def run_ensemble(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_chunk, jobs))
-    states = np.concatenate([r[0] for r in results])
-    errors = np.concatenate([r[1] for r in results])
-    paths = np.concatenate([r[2] for r in results])
-    defects = np.concatenate([r[3] for r in results]) if record_defects else None
+    norms, defects, *kept = _stack(results)
     if fingerprint is None:
         fingerprint = _fingerprint(problem, method, noise, grid.points, theta, m, master_seed)
-    return Ensemble(grid, states, errors, master_seed, fingerprint, paths, defects)
+    return Ensemble(grid, norms, master_seed, fingerprint, *kept, defects=defects)
 
 
 def measure_truncation_constant(

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from randstep import (
     build_grid,
     centred_gaussian,
+    error_statistics,
     exact_flow,
     exact_method,
     exact_states,
@@ -20,6 +22,7 @@ from randstep import (
     trajectory_stream,
     two_stage,
 )
+from randstep import sampler
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
 
@@ -115,7 +118,7 @@ class TestEnsemble:
         grid = build_grid(1.0, 8)
         method = implicit_euler()
         noise = centred_gaussian(1, p=1.0)
-        ensemble = run_ensemble(problem, method, noise, grid, np.array([1.0]), 1, 99)
+        ensemble = run_ensemble(problem, method, noise, grid, np.array([1.0]), 1, 99, keep=True)
         single = run_randomised(
             problem, method, noise, grid, np.array([1.0]), trajectory_stream(99, 0)
         )
@@ -127,17 +130,21 @@ class TestEnsemble:
         method = implicit_euler()
         noise = centred_gaussian(4, p=1.0)
         theta = np.ones(4)
-        one = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=1)
-        many = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=3)
+        one = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=1, keep=True)
+        many = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=3, keep=True)
         assert np.array_equal(one.states, many.states)
         assert np.array_equal(one.errors, many.errors)
         assert one.fingerprint == many.fingerprint
+        streamed_one = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=1)
+        streamed_many = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=3)
+        assert np.array_equal(streamed_one.error_h_norms(), streamed_many.error_h_norms())
+        assert np.array_equal(streamed_one.error_h_norms(), one.error_h_norms())
 
     def test_zero_amplitude_trajectories_identical(self):
         problem = heat_1d(2)
         grid = build_grid(1.0, 5)
         noise = centred_gaussian(2, c_xi=0.0)
-        ensemble = run_ensemble(problem, implicit_euler(), noise, grid, np.ones(2), 4, 0)
+        ensemble = run_ensemble(problem, implicit_euler(), noise, grid, np.ones(2), 4, 0, keep=True)
         for i in range(1, 4):
             assert np.array_equal(ensemble.states[i], ensemble.states[0])
 
@@ -152,7 +159,9 @@ class TestEnsemble:
         problem = scalar_linear(-0.5)
         grid = build_grid(1.0, 6)
         noise = centred_gaussian(1, p=1.0)
-        ensemble = run_ensemble(problem, implicit_euler(), noise, grid, np.array([1.0]), 3, 21)
+        ensemble = run_ensemble(
+            problem, implicit_euler(), noise, grid, np.array([1.0]), 3, 21, keep=True
+        )
         view = ensemble.trajectory(2)
         assert np.array_equal(view.states, ensemble.states[2])
         assert np.array_equal(view.noise, ensemble.noise[2])
@@ -175,6 +184,83 @@ class TestEnsemble:
         )
 
 
+    def test_streamed_ensemble_keeps_only_norms(self):
+        problem = heat_1d(3)
+        grid = build_grid(1.0, 6)
+        noise = centred_gaussian(3, p=1.0)
+        ensemble = run_ensemble(
+            problem, implicit_euler(), noise, grid, np.ones(3), 5, 2, record_defects=True
+        )
+        assert ensemble.states is None and ensemble.errors is None and ensemble.noise is None
+        assert ensemble.defects.shape == (5, 6)
+        assert ensemble.error_h_norms().shape == (5, 7)
+        assert ensemble.size == 5
+        with pytest.raises(ValueError, match="keep=True"):
+            ensemble.trajectory(0)
+        with pytest.raises(ValueError):
+            ensemble.norms[0, 0] = 1.0
+
+    def test_block_size_does_not_change_norms(self, monkeypatch):
+        problem = heat_1d(5)
+        grid = build_grid(1.0, 9, 1.5)
+        noise = centred_gaussian(5, p=1.0)
+        args = (problem, implicit_euler(), noise, grid, np.ones(5), 7, 41)
+        row_bytes = (grid.num_steps + 1) * 5 * 8
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", row_bytes)
+        one_per_block = run_ensemble(*args, record_defects=True)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 7 * row_bytes)
+        single_block = run_ensemble(*args, record_defects=True)
+        kept = run_ensemble(*args, record_defects=True, keep=True)
+        assert np.array_equal(one_per_block.error_h_norms(), single_block.error_h_norms())
+        assert np.array_equal(
+            one_per_block.error_h_norms(), np.sqrt(np.sum(kept.errors**2, axis=-1))
+        )
+        assert np.array_equal(one_per_block.defects, single_block.defects)
+        assert np.array_equal(one_per_block.defects, kept.defects)
+
+    def test_memory_stays_below_one_stacked_array(self):
+        # not a timing gate: numpy reports its buffers to tracemalloc
+        m, n, j = 400, 256, 32
+        problem = heat_1d(j)
+        grid = build_grid(1.0, n)
+        noise = centred_gaussian(j, p=1.0)
+        theta = np.ones(j)
+        tracemalloc.start()
+        try:
+            ensemble = run_ensemble(problem, implicit_euler(), noise, grid, theta, m, 3)
+            error_statistics(ensemble)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (n + 1) * j * 8
+
+    def test_rejects_noise_dimension_mismatch(self):
+        problem = heat_1d(4)
+        grid = build_grid(1.0, 4)
+        noise = centred_gaussian(3)
+        with pytest.raises(ValueError, match=r"noise dimension 3 .* problem dimension 4"):
+            run_ensemble(problem, implicit_euler(), noise, grid, np.ones(4), 2, 1)
+        with pytest.raises(ValueError, match=r"noise dimension 3 .* problem dimension 4"):
+            run_randomised(
+                problem, implicit_euler(), noise, grid, np.ones(4), trajectory_stream(1, 0)
+            )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_theta(self, bad):
+        problem = heat_1d(4)
+        grid = build_grid(1.0, 4)
+        noise = centred_gaussian(4)
+        theta = np.array([1.0, bad, 1.0, 1.0])
+        with pytest.raises(ValueError, match="theta must be finite, entry 1"):
+            run_ensemble(problem, implicit_euler(), noise, grid, theta, 2, 1)
+        with pytest.raises(ValueError, match="theta must be finite, entry 1"):
+            run_randomised(
+                problem, implicit_euler(), noise, grid, theta, trajectory_stream(1, 0)
+            )
+        with pytest.raises(ValueError, match="theta must be finite, entry 1"):
+            run_deterministic(problem, implicit_euler(), grid, theta)
+
+
 class TestPathwiseGronwallDominance:
     def test_every_trajectory_below_pathwise_bound(self):
         # max_k |e_k| <= (|e_0| + C h^q T + sum_k |xi_k|) e^(L_phi T)
@@ -187,7 +273,8 @@ class TestPathwiseGronwallDominance:
         q = method.order
         l_phi = flow_lipschitz(problem, h_star)
         ensemble = run_ensemble(
-            problem, method, noise, grid, np.array([1.0]), 200, 31, record_defects=True
+            problem, method, noise, grid, np.array([1.0]), 200, 31, record_defects=True,
+            keep=True,
         )
         horizon = grid.horizon
         h = grid.mesh
