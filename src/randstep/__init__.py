@@ -36,6 +36,7 @@ from .integrators import (
     implicit_euler,
     lipschitz_constant,
     step,
+    step_table,
     steklov_average,
     two_stage,
     validate_two_stage,
@@ -45,6 +46,7 @@ from .problems import (
     apply_operator,
     exact_flow,
     flow_lipschitz,
+    flow_table,
     garding_constants,
     heat_1d,
     scalar_linear,

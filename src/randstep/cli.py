@@ -96,6 +96,7 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
                     "maxnorm": more.max_of_norm,
                     "normmax": more.norm_of_max,
                 }
+            del ensemble  # free its norms before the next grid's gather, the memory peak
         extras.append(extra)
         bounds.append(
             analysis.theoretical_bound(

@@ -15,6 +15,11 @@ Because the operator is diagonal, the implicit solve is scalar division;
 no iterative linear solver is involved.  Multistep methods and the
 higher-order variational schemes for time-dependent operators are out of
 scope.
+
+On these linear mode-diagonal problems every step is a per-mode affine
+map v -> a_k * v + c_k; `step_table` builds (a, c) for a whole grid and
+validates it once, `step` is one row of it, and `_factor` is the one
+per-kind formula for a, shared with `lipschitz_constant`.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Problem, exact_flow, vector_field
+from .problems import Problem, _check_steps, flow_table
 
 __all__ = [
     "MethodConfig",
@@ -35,6 +40,7 @@ __all__ = [
     "validate_two_stage",
     "steklov_average",
     "step",
+    "step_table",
     "admissible_max_step",
     "lipschitz_constant",
 ]
@@ -114,43 +120,77 @@ def validate_two_stage(a1: float, a2: float, b1: float, b2: float, tol: float = 
     return 1
 
 
-def steklov_average(problem: Problem, h: float, t: float) -> tuple[float, np.ndarray]:
-    """Exact mean values of alpha and of the forcing over [t, t + h]."""
-    if h <= 0.0:
-        raise ValueError(f"degenerate averaging interval, h = {h}")
-    if t < 0.0 or t + h > problem.horizon + 1e-12:
-        raise ValueError(f"interval [{t}, {t + h}] leaves [0, {problem.horizon}]")
-    alpha_bar = float(problem.alpha_at(t + 0.5 * h))
+def steklov_average(problem: Problem, h, t) -> tuple[float, np.ndarray]:
+    """Exact mean values of alpha and of the forcing over [t, t + h].
+
+    h and t may be vectors of step sizes and start times, shape (N,); the
+    means then have shapes (N,) and (N, J).
+    """
+    h, t = np.asarray(h, dtype=float), np.asarray(t, dtype=float)
+    _check_steps(problem, h, t)
+    alpha_bar = problem.alpha_at(t + 0.5 * h)[()]
     if problem.forcing is None:
-        b_bar = np.zeros(problem.space.dimension)
-    else:
-        b0, b1, b2 = problem.forcing[:, 0], problem.forcing[:, 1], problem.forcing[:, 2]
-        b_bar = b0 + b1 * (t + 0.5 * h) + b2 * (t * t + t * h + h * h / 3.0)
-    return alpha_bar, b_bar
+        return alpha_bar, np.zeros(t.shape + (problem.space.dimension,))
+    b0, b1, b2 = problem.forcing.T
+    t, h = t[..., None], h[..., None]
+    return alpha_bar, b0 + b1 * (t + 0.5 * h) + b2 * (t * t + t * h + h * h / 3.0)
+
+
+def _factor(method: MethodConfig, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
+    """Multiplier a of one step v -> a * v + c on a mode with
+    z0 = h lam alpha at the step's start (for implicit Euler its Steklov
+    mean) and z1 = h lam alpha at the second stage t + b1 h."""
+    if method.kind == EXPLICIT_EULER:
+        return 1.0 - z0
+    if method.kind == TWO_STAGE:
+        return 1.0 - method.a1 * z0 - method.a2 * z1 + method.a2 * method.b2 * z0 * z1
+    if method.kind == IMPLICIT_EULER:
+        if np.any(1.0 + z0 <= 0.0):
+            raise ValueError("implicit solve singular: 1 + h lam alpha <= 0; reduce h below h*")
+        return 1.0 / (1.0 + z0)
+    return np.exp(-z0)
+
+
+def step_table(method: MethodConfig, problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]:
+    """The method's steps [t_k, t_k + h_k] as v -> a[k] * v + c[k], for h_k
+    and t_k of shape (N,); a and c have shape (N, J).
+
+    Validates the whole grid once: steps in (0, h*] inside [0, T], a
+    non-singular implicit solve, and for the explicit kinds no mode
+    amplified (|a| > 1) where the exact flow contracts.
+    """
+    steps, points = np.asarray(steps, dtype=float), np.asarray(points, dtype=float)
+    _check_steps(problem, steps, points)
+    if np.any(steps > method.h_star):
+        raise ValueError(f"step {steps.max()} exceeds the admissible maximum h* = {method.h_star}")
+    if method.kind == EXACT:
+        return flow_table(problem, steps, points)
+    h, lam = steps[:, None], problem.space.eigenvalues
+    if method.kind == IMPLICIT_EULER:
+        alpha_bar, b_bar = steklov_average(problem, steps, points)
+        a = _factor(method, h * lam * alpha_bar[:, None], None)
+        return a, h * b_bar * a
+    mid = points + method.b1 * steps
+    z0 = h * lam * problem.alpha_at(points)[:, None]
+    z1 = h * lam * problem.alpha_at(mid)[:, None]
+    a = _factor(method, z0, z1)
+    unstable = np.argwhere((np.abs(a) > 1.0) & (z0 > 0.0))
+    if unstable.size:
+        k, j = unstable[0]
+        raise ValueError(
+            f"unstable explicit step {k}: mode {j} has h lam alpha = {z0[k, j]:.6g} and factor "
+            f"{a[k, j]:.6g}, |factor| > 1 where the exact flow contracts; reduce the step"
+        )
+    b0 = problem.forcing_at(points)
+    if method.kind == EXPLICIT_EULER:
+        return a, h * b0
+    return a, h * (method.a1 * b0 + method.a2 * (problem.forcing_at(mid) - method.b2 * z1 * b0))
 
 
 def step(method: MethodConfig, problem: Problem, h: float, t: float, v: np.ndarray) -> np.ndarray:
-    """Apply one step of the method; accepts stacked states (..., J)."""
-    if h <= 0.0:
-        raise ValueError(f"step size must be positive, got {h}")
-    if h > method.h_star:
-        raise ValueError(f"step {h} exceeds the admissible maximum h* = {method.h_star}")
-    if t < 0.0 or t + h > problem.horizon + 1e-12:
-        raise ValueError(f"step [{t}, {t + h}] leaves [0, {problem.horizon}]")
-    v = np.asarray(v, dtype=float)
-    if method.kind == EXPLICIT_EULER:
-        return v + h * vector_field(problem, t, v)
-    if method.kind == TWO_STAGE:
-        k1 = vector_field(problem, t, v)
-        k2 = vector_field(problem, t + method.b1 * h, v + method.b2 * h * k1)
-        return v + h * (method.a1 * k1 + method.a2 * k2)
-    if method.kind == IMPLICIT_EULER:
-        alpha_bar, b_bar = steklov_average(problem, h, t)
-        denom = 1.0 + h * problem.space.eigenvalues * alpha_bar
-        if np.any(denom <= 0.0):
-            raise ValueError(f"implicit solve singular at step {h}: reduce h below h*")
-        return (h * b_bar + v) / denom
-    return exact_flow(problem, h, t, v)
+    """Apply one step of the method, one row of `step_table`; v may be stacked (..., J)."""
+    a, c = step_table(method, problem, [h], [t])
+    return a[0] * np.asarray(v, dtype=float) + c[0]
 
 
 def admissible_max_step(kappa: float, l_psi: float) -> float:
@@ -170,19 +210,6 @@ def admissible_max_step(kappa: float, l_psi: float) -> float:
     return (l_psi - 2.0 * kappa) / (2.0 * kappa * l_psi)
 
 
-def _amplification(method: MethodConfig, z: np.ndarray) -> np.ndarray:
-    """|update factor| of one step on a mode with h * lam * alpha = z."""
-    if method.kind == EXPLICIT_EULER:
-        return np.abs(1.0 - z)
-    if method.kind == TWO_STAGE:
-        return np.abs(1.0 - (method.a1 + method.a2) * z + method.a2 * method.b2 * z * z)
-    if method.kind == IMPLICIT_EULER:
-        if np.any(1.0 + z <= 0.0):
-            raise ValueError("implicit factor singular within (0, h*]; reduce h_star")
-        return 1.0 / (1.0 + z)
-    return np.exp(-z)
-
-
 def lipschitz_constant(method: MethodConfig, problem: Problem, h_star: float | None = None) -> float:
     """Smallest L with |psi(h,t,x) - psi(h,t,y)|_H <= (1 + L h)|x - y|_H
     over 0 < h <= h_star, estimated from the mode amplification factors.
@@ -197,10 +224,6 @@ def lipschitz_constant(method: MethodConfig, problem: Problem, h_star: float | N
         raise ValueError("a finite positive h_star is required")
     lam = problem.space.eigenvalues
     lo, hi = problem.alpha_range()
-    rates = np.array([lam[0] * lo, lam[0] * hi, lam[-1] * lo, lam[-1] * hi])
-    hs = h_star * np.linspace(1.0 / 1024, 1.0, 1024)
-    worst = 0.0
-    for rate in rates:
-        growth = (_amplification(method, hs * rate) - 1.0) / hs
-        worst = max(worst, float(growth.max()))
-    return worst
+    hs = h_star * np.linspace(1.0 / 1024, 1.0, 1024)[:, None]
+    z = hs * np.array([lam[0] * lo, lam[0] * hi, lam[-1] * lo, lam[-1] * hi])
+    return max(0.0, float(((np.abs(_factor(method, z, z)) - 1.0) / hs).max()))

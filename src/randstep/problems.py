@@ -10,6 +10,9 @@ per-mode forcing b_j is a polynomial in t of degree <= 2.  Within this
 class every Duhamel and Steklov integral is exact, so the flow map can
 serve as a trustworthy oracle for convergence-rate measurements.
 
+Over a step the flow is the per-mode affine map u -> E_k * u + f_k;
+`flow_table` builds (E, f) for a whole grid and `exact_flow` is one row.
+
 The scalar test problem u' = rate * u (any sign of rate) is included via
 `scalar_linear`; growth corresponds to a negative effective scaling and
 is admitted only for such classical one-dimensional instances.
@@ -30,6 +33,7 @@ __all__ = [
     "heat_1d",
     "scalar_linear",
     "exact_flow",
+    "flow_table",
     "apply_operator",
     "vector_field",
     "garding_constants",
@@ -59,6 +63,8 @@ class Problem:
         if not (math.isfinite(self.horizon) and self.horizon > 0.0):
             raise ValueError(f"horizon must be positive and finite, got {self.horizon}")
         a0, a1 = (float(self.alpha[0]), float(self.alpha[1]))
+        if not (math.isfinite(a0) and math.isfinite(a1)):
+            raise ValueError(f"alpha coefficients must be finite, got {(a0, a1)}")
         object.__setattr__(self, "alpha", (a0, a1))
         lo, hi = self.alpha_range()
         if lo == 0.0 and hi == 0.0:
@@ -88,11 +94,12 @@ class Problem:
         a0, a1 = self.alpha
         return a0 * (t1 - t0) + 0.5 * a1 * (t1 * t1 - t0 * t0)
 
-    def forcing_at(self, t: float) -> np.ndarray:
-        """Per-mode forcing values b_j(t); zero vector if no forcing."""
+    def forcing_at(self, t) -> np.ndarray:
+        """Per-mode forcing values b_j(t), shape t.shape + (J,); zeros if no forcing."""
+        t = np.asarray(t, dtype=float)[..., None]
         if self.forcing is None:
-            return np.zeros(self.space.dimension)
-        b0, b1, b2 = self.forcing[:, 0], self.forcing[:, 1], self.forcing[:, 2]
+            return np.zeros(t.shape[:-1] + (self.space.dimension,))
+        b0, b1, b2 = self.forcing.T
         return b0 + b1 * t + b2 * t * t
 
     @property
@@ -170,12 +177,38 @@ def flow_lipschitz(problem: Problem, h_star: float) -> float:
     return math.expm1(growth * h_star) / h_star
 
 
+def _check_steps(problem: Problem, steps, points) -> None:
+    """Reject any step [t_k, t_k + h_k] that is empty or leaves [0, T]."""
+    steps, points = np.atleast_1d(steps), np.atleast_1d(points)
+    ends = points + steps
+    bad = np.flatnonzero((steps <= 0.0) | (points < 0.0) | (ends > problem.horizon + 1e-12))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"step [{points[k]}, {ends[k]}] is empty or leaves [0, {problem.horizon}]")
+
+
+def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]:
+    """Exact flow over each step [t_k, t_k + h_k] as u -> E[k] * u + f[k], for
+    h_k and t_k of shape (N,); E and f have shape (N, J).
+
+    E = exp(-lam int alpha) is vectorised over steps; f (zero without
+    forcing) comes from the closed-form response integrals.
+    """
+    steps, points = np.asarray(steps, dtype=float), np.asarray(points, dtype=float)
+    _check_steps(problem, steps, points)
+    ends = points + steps
+    decay = np.exp(-problem.space.eigenvalues * problem.alpha_integral(points, ends)[:, None])
+    if problem.forcing is None:
+        return decay, np.zeros_like(decay)
+    return decay, np.array(
+        [_forcing_response(problem, float(t), float(t1)) for t, t1 in zip(points, ends)]
+    )
+
+
 def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarray:
     """Exact solution operator: advance state x at time t by duration h.
 
-    Mode-wise Duhamel formula; the decay factor and, when forcing is
-    present, the response integrals are evaluated in closed form.
-    Accepts stacked states of shape (..., J).
+    One row of `flow_table`.  Accepts stacked states of shape (..., J).
     """
     if h < 0.0:
         raise ValueError(f"negative step {h}")
@@ -187,12 +220,8 @@ def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarra
         raise ValueError("state dimension does not match the problem space")
     if h == 0.0:
         return x.copy()
-    lam = problem.space.eigenvalues
-    decay = np.exp(-lam * problem.alpha_integral(t, t + h))
-    out = decay * x
-    if problem.forcing is not None:
-        out = out + _forcing_response(problem, t, t + h)
-    return out
+    decay, response = flow_table(problem, np.array([h]), np.array([t]))
+    return decay[0] * x + response[0]
 
 
 def _forcing_response(problem: Problem, t: float, t1: float) -> np.ndarray:

@@ -74,6 +74,9 @@ class NoiseModel:
     def __post_init__(self):
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
+        for name in ("p", "c_xi", "s", "bias_coefficient", "rho"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.p < 0.0 and self.p != -0.5:
             raise ValueError("decay order p must be >= 0 (p = -1/2 demonstration mode aside)")
         if self.c_xi < 0.0:
@@ -96,63 +99,21 @@ def centred_gaussian(dimension: int, p: float = 1.0, c_xi: float = 1.0, s: float
     return NoiseModel(dimension, p, c_xi, s)
 
 
-def _bias_vector(model: NoiseModel) -> np.ndarray:
-    vec = np.zeros(model.dimension)
-    if model.kind == BIASED:
-        vec[model.bias_mode] = model.bias_coefficient
-    return vec
-
-
-def noise_path(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray) -> np.ndarray:
-    """All per-step draws xi_k(h_k) of one trajectory, shape (N, J).
-
-    Consumes the stream in a fixed order (shared factor first, then one
-    block per step), so paths are reproducible given the stream state.
-    """
-    steps = np.asarray(steps, dtype=float)
-    if np.any(steps <= 0.0):
-        raise ValueError("step sizes must be positive")
-    n = steps.size
-    j = model.dimension
-    amps = model.c_xi * steps[:, None] ** (model.p + 1.0)
-    root = np.sqrt(model.spectrum)
-    if model.kind == BOUNDED_UNIFORM:
-        z = stream.standard_normal((n, j))
-        direction = z / np.linalg.norm(z, axis=1, keepdims=True)
-        radius = stream.uniform(size=(n, 1)) ** (1.0 / j)
-        return math.sqrt(3.0) * amps * radius * direction * root
-    if model.kind == SHARED_FACTOR:
-        shared = stream.standard_normal(j)
-        z = stream.standard_normal((n, j))
-        mixed = math.sqrt(1.0 - model.rho**2) * z + model.rho * shared
-        return amps * root * mixed
-    z = stream.standard_normal((n, j))
-    out = amps * root * z
-    if model.kind == BIASED:
-        out += steps[:, None] ** (model.p + 1.0) * _bias_vector(model)
-    return out
-
-
-def sample_noise(model: NoiseModel, stream: np.random.Generator, h: float) -> np.ndarray:
-    """Single draw xi(h), shape (J,)."""
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    return noise_path(model, stream, np.array([h]))[0]
-
-
 def sample_path_matrix(
     model: NoiseModel, stream: np.random.Generator, steps: np.ndarray, m: int
 ) -> np.ndarray:
-    """m independent trajectories of per-step draws, shape (m, N, J).
+    """m independent trajectories of per-step draws xi_k(h_k), shape (m, N, J).
 
-    Same law as `noise_path` (in particular the shared factor correlates
-    the steps of each row), drawn in batch for estimator suites.
+    The one sampler of the module.  Consumes the stream in a fixed order
+    (for the shared-factor kind the m shared factors first, then the
+    per-step draws), so draws are reproducible given the stream state; the
+    shared factor correlates the steps of each row.
     """
     steps = np.asarray(steps, dtype=float)
     if np.any(steps <= 0.0):
-        raise ValueError("step sizes must be positive")
+        raise ValueError(f"step sizes must be positive, got {steps}")
     if m < 1:
-        raise ValueError("need at least one trajectory")
+        raise ValueError(f"need at least one trajectory, got m = {m}")
     n, j = steps.size, model.dimension
     amps = model.c_xi * steps[None, :, None] ** (model.p + 1.0)
     root = np.sqrt(model.spectrum)
@@ -167,8 +128,18 @@ def sample_path_matrix(
         return amps * root * (math.sqrt(1.0 - model.rho**2) * z + model.rho * shared)
     out = amps * root * stream.standard_normal((m, n, j))
     if model.kind == BIASED:
-        out += steps[None, :, None] ** (model.p + 1.0) * _bias_vector(model)
+        out[..., model.bias_mode] += steps ** (model.p + 1.0) * model.bias_coefficient
     return out
+
+
+def noise_path(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray) -> np.ndarray:
+    """All per-step draws xi_k(h_k) of one trajectory, shape (N, J)."""
+    return sample_path_matrix(model, stream, steps, 1)[0]
+
+
+def sample_noise(model: NoiseModel, stream: np.random.Generator, h: float) -> np.ndarray:
+    """Single draw xi(h), shape (J,)."""
+    return sample_path_matrix(model, stream, [h], 1)[0, 0]
 
 
 def sample_noise_matrix(model: NoiseModel, stream: np.random.Generator, h: float, m: int) -> np.ndarray:
@@ -177,26 +148,7 @@ def sample_noise_matrix(model: NoiseModel, stream: np.random.Generator, h: float
     Each row is distributed like one per-step draw (for the shared-factor
     kind the shared component is drawn fresh per row).
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
-    if m < 1:
-        raise ValueError("need at least one sample")
-    amp = model.c_xi * h ** (model.p + 1.0)
-    root = np.sqrt(model.spectrum)
-    j = model.dimension
-    if model.kind == BOUNDED_UNIFORM:
-        z = stream.standard_normal((m, j))
-        direction = z / np.linalg.norm(z, axis=1, keepdims=True)
-        radius = stream.uniform(size=(m, 1)) ** (1.0 / j)
-        return math.sqrt(3.0) * amp * radius * direction * root
-    if model.kind == SHARED_FACTOR:
-        shared = stream.standard_normal((m, j))
-        z = stream.standard_normal((m, j))
-        return amp * root * (math.sqrt(1.0 - model.rho**2) * z + model.rho * shared)
-    out = amp * root * stream.standard_normal((m, j))
-    if model.kind == BIASED:
-        out += h ** (model.p + 1.0) * _bias_vector(model)
-    return out
+    return sample_path_matrix(model, stream, [h], m)[:, 0]
 
 
 def _l2_amplitude(model: NoiseModel) -> float:

@@ -9,11 +9,18 @@ and the error sequence is measured against the exact flow,
     e_k = u(t_k) - U_k,
     e_(k+1) = phi(h_k, t_k, u(t_k)) - psi(h_k, t_k, U_k) - xi_k(h_k).
 
-The exact states u(t_k) are computed once per grid from the flow oracle
-and shared by every trajectory.  Ensembles derive one child stream per
-trajectory from (master_seed, trajectory_index), so results are
-bit-identical for any worker count; trajectories are reduced in index
-order.
+On these linear mode-diagonal problems both maps are per-mode affine:
+psi(h_k, t_k, v) = a_k * v + c_k and phi(h_k, t_k, v) = E_k * v + f_k.  A
+run builds the tables (a, c) = integrators.step_table and
+(E, f) = problems.flow_table once, shape (N, J) each, and validates its
+grid there.  The exact states u(t_k), shared by every trajectory, follow
+u_(k+1) = E_k u_k + f_k; each block of trajectories runs
+U_(k+1) = a_k U_k + c_k + xi_k; the one-step defects along a path are
+|(E_k - a_k) U_k + f_k - c_k|_H.
+
+Ensembles derive one child stream per trajectory from
+(master_seed, trajectory_index), so results are bit-identical for any
+worker count; trajectories are reduced in index order.
 
 Memory model: the strong-error statistics need only |e_k|_H per
 trajectory and step.  run_ensemble therefore walks its trajectories in
@@ -34,9 +41,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grids import TimeGrid
-from .integrators import MethodConfig, step
-from .problems import Problem, exact_flow
+from .integrators import MethodConfig, step_table
+from .problems import Problem, flow_table
 from .randomisation import NoiseModel, noise_path
+from .spaces import _check_dimension
 
 __all__ = [
     "Trajectory",
@@ -129,13 +137,10 @@ class Ensemble:
 
 
 def exact_states(problem: Problem, grid: TimeGrid, theta: np.ndarray) -> np.ndarray:
-    """u(t_k) along the grid from the exact-flow oracle, shape (N + 1, J)."""
-    theta = np.asarray(theta, dtype=float)
-    out = np.empty((grid.num_steps + 1, theta.size))
-    out[0] = theta
-    for k in range(grid.num_steps):
-        out[k + 1] = exact_flow(problem, float(grid.steps[k]), float(grid.points[k]), out[k])
-    return out
+    """u(t_k) along the grid from the exact-flow table, shape (N + 1, J)."""
+    theta = _check_state(problem, theta)
+    flow = flow_table(problem, grid.steps, grid.points[:-1])
+    return _advance_block(flow, None, theta[None, :], None)[0][0]
 
 
 def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -150,28 +155,32 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
 BLOCK_BYTES = 8 * 2**20
 
 
-def _check_run(
-    problem: Problem,
-    method: MethodConfig,
-    grid: TimeGrid,
-    theta: np.ndarray,
-    noise: NoiseModel | None = None,
-) -> np.ndarray:
-    """Validate a run's inputs before any work or stream draw; theta as floats."""
-    if grid.mesh > method.h_star:
-        raise ValueError(f"grid mesh {grid.mesh} exceeds the method's h* = {method.h_star}")
-    theta = np.asarray(theta, dtype=float)
+def _check_state(problem: Problem, theta: np.ndarray) -> np.ndarray:
+    """theta as a finite float vector of the problem's dimension."""
+    theta = _check_dimension(theta, problem.space.dimension)
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:
         raise ValueError(
             f"initial state theta must be finite, entry {bad[0]} is {theta.flat[bad[0]]}"
         )
+    return theta
+
+
+def _prepare(problem, method, grid, theta, noise, record_defects):
+    """Validate a run's inputs and build its tables before any stream draw:
+    theta as floats, the method's (a, c), the defect table (E - a, f - c)
+    if defects are recorded (else None), and the exact states."""
+    theta = _check_state(problem, theta)
     if noise is not None and noise.dimension != problem.space.dimension:
         raise ValueError(
             f"noise dimension {noise.dimension} does not match the problem "
             f"dimension {problem.space.dimension}"
         )
-    return theta
+    table = step_table(method, problem, grid.steps, grid.points[:-1])
+    flow = flow_table(problem, grid.steps, grid.points[:-1])
+    gap = (flow[0] - table[0], flow[1] - table[1]) if record_defects else None
+    exact = _advance_block(flow, None, theta[None, :], None)[0][0]
+    return theta, table, gap, exact
 
 
 def _h_norms(errors: np.ndarray) -> np.ndarray:
@@ -179,35 +188,27 @@ def _h_norms(errors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(errors * errors, axis=-1))
 
 
-def _advance_block(
-    problem: Problem,
-    method: MethodConfig,
-    grid: TimeGrid,
-    u0: np.ndarray,
-    noise_block: np.ndarray | None,
-    record_defects: bool,
-):
-    """Run the recursion for a block of trajectories, states shape (B, J).
+def _advance_block(table, gap, u0: np.ndarray, noise_block: np.ndarray | None):
+    """Run u_(k+1) = a[k] * u_k + c[k] (+ noise_block[:, k]) for a block of
+    states u0, shape (B, J), with (a, c) = table; with a defect table gap,
+    also the per-step defects |gap[0][k] * u_k + gap[1][k]|_H, shape (B, N).
 
     All operations are elementwise per trajectory (plus mode-axis norms),
     so splitting a block changes nothing in the computed floats.
     """
-    n = grid.num_steps
-    b = u0.shape[0]
-    states = np.empty((b, n + 1, u0.shape[1]))
+    a, c = table
+    n = a.shape[0]
+    states = np.empty((u0.shape[0], n + 1, u0.shape[1]))
     states[:, 0] = u0
-    defects = np.empty((b, n)) if record_defects else None
-    u = u0
+    defects = None if gap is None else np.empty((u0.shape[0], n))
     for k in range(n):
-        h = float(grid.steps[k])
-        t = float(grid.points[k])
-        v = step(method, problem, h, t, u)
-        if record_defects:
-            defects[:, k] = _h_norms(exact_flow(problem, h, t, u) - v)
+        u, v = states[:, k], states[:, k + 1]
+        if gap is not None:
+            defects[:, k] = _h_norms(gap[0][k] * u + gap[1][k])
+        np.multiply(a[k], u, out=v)
+        v += c[k]
         if noise_block is not None:
-            v = v + noise_block[:, k]
-        states[:, k + 1] = v
-        u = v
+            v += noise_block[:, k]
     return states, defects
 
 
@@ -219,9 +220,8 @@ def run_deterministic(
     record_defects: bool = False,
 ) -> Trajectory:
     """Noise-free recursion u_(k+1) = psi(h_k, t_k, u_k)."""
-    theta = _check_run(problem, method, grid, theta)
-    exact = exact_states(problem, grid, theta)
-    states, defects = _advance_block(problem, method, grid, theta[None, :], None, record_defects)
+    theta, table, gap, exact = _prepare(problem, method, grid, theta, None, record_defects)
+    states, defects = _advance_block(table, gap, theta[None, :], None)
     return Trajectory(
         grid, states[0], exact - states[0], None, None if defects is None else defects[0]
     )
@@ -251,20 +251,17 @@ def run_randomised(
     perturb_initial: bool = False,
 ) -> Trajectory:
     """Randomised recursion U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k)."""
-    theta = _check_run(problem, method, grid, theta, noise)
-    exact = exact_states(problem, grid, theta)
+    theta, table, gap, exact = _prepare(problem, method, grid, theta, noise, record_defects)
     init, path = _draw_noise(noise, stream, grid, perturb_initial)
     u0 = theta if init is None else theta + init
-    states, defects = _advance_block(
-        problem, method, grid, u0[None, :], path[None, :, :], record_defects
-    )
+    states, defects = _advance_block(table, gap, u0[None, :], path[None, :, :])
     return Trajectory(
         grid, states[0], exact - states[0], path, None if defects is None else defects[0]
     )
 
 
-def _run_block(problem, method, noise, grid, theta, exact, block, master_seed,
-               record_defects, perturb_initial, keep):
+def _run_block(table, gap, noise, grid, theta, exact, block, master_seed,
+               perturb_initial, keep):
     """Error norms and defects of the trajectories in block; with keep, also
     their states, errors and noise.  Without keep the block's arrays are
     freed on return."""
@@ -274,7 +271,7 @@ def _run_block(problem, method, noise, grid, theta, exact, block, master_seed,
         stream = trajectory_stream(master_seed, i)
         init, paths[row] = _draw_noise(noise, stream, grid, perturb_initial)
         u0[row] = theta if init is None else theta + init
-    states, defects = _advance_block(problem, method, grid, u0, paths, record_defects)
+    states, defects = _advance_block(table, gap, u0, paths)
     if keep:
         errors = exact - states
         return _h_norms(errors), defects, states, errors, paths
@@ -285,13 +282,13 @@ def _run_block(problem, method, noise, grid, theta, exact, block, master_seed,
 def _run_chunk(args):
     """One worker's trajectories in blocks of at most BLOCK_BYTES of states,
     each reduced as soon as it finishes; with keep, a single block."""
-    (problem, method, noise, grid, theta, exact, indices, master_seed,
-     record_defects, perturb_initial, keep) = args
+    (table, gap, noise, grid, theta, exact, indices, master_seed,
+     perturb_initial, keep) = args
     row_bytes = (grid.num_steps + 1) * theta.size * 8
     rows = len(indices) if keep else max(1, BLOCK_BYTES // row_bytes)
     return _stack(
-        _run_block(problem, method, noise, grid, theta, exact, indices[start:start + rows],
-                   master_seed, record_defects, perturb_initial, keep)
+        _run_block(table, gap, noise, grid, theta, exact, indices[start:start + rows],
+                   master_seed, perturb_initial, keep)
         for start in range(0, len(indices), rows)
     )
 
@@ -335,12 +332,10 @@ def run_ensemble(
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    theta = _check_run(problem, method, grid, theta, noise)
-    exact = exact_states(problem, grid, theta)
+    theta, table, gap, exact = _prepare(problem, method, grid, theta, noise, record_defects)
     chunks = [idx for idx in np.array_split(np.arange(m), min(workers, m)) if idx.size]
     jobs = [
-        (problem, method, noise, grid, theta, exact, idx, master_seed,
-         record_defects, perturb_initial, keep)
+        (table, gap, noise, grid, theta, exact, idx, master_seed, perturb_initial, keep)
         for idx in chunks
     ]
     if workers == 1 or len(jobs) == 1:
@@ -365,13 +360,7 @@ def measure_truncation_constant(
     exact solution states, an empirical stand-in for the truncation
     constant of the method on this problem."""
     q = method.order if order is None else order
-    exact = exact_states(problem, grid, theta)
-    worst = 0.0
-    for k in range(grid.num_steps):
-        h = float(grid.steps[k])
-        t = float(grid.points[k])
-        gap = exact[k + 1] - step(method, problem, h, t, exact[k])
-        defect = float(np.linalg.norm(gap))
-        if defect > 0.0:
-            worst = max(worst, defect / h ** (q + 1.0))
-    return worst
+    _, _, gap, exact = _prepare(problem, method, grid, theta, None, True)
+    defects = _h_norms(gap[0] * exact[:-1] + gap[1])
+    hit = defects > 0.0
+    return float(np.max(defects[hit] / grid.steps[hit] ** (q + 1.0), initial=0.0))

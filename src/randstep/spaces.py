@@ -33,6 +33,9 @@ class SpaceDescriptor:
         eig = np.asarray(self.eigenvalues, dtype=float)
         if eig.ndim != 1 or eig.size == 0:
             raise ValueError("eigenvalues must be a non-empty 1-d array")
+        bad = np.flatnonzero(~np.isfinite(eig))
+        if bad.size:
+            raise ValueError(f"eigenvalues must be finite, entry {bad[0]} is {eig[bad[0]]}")
         if np.any(eig <= 0.0):
             raise ValueError("eigenvalues must be strictly positive")
         if np.any(np.diff(eig) < 0.0):

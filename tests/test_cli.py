@@ -134,6 +134,22 @@ class TestConverge:
         assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
         assert "grid_family" in capsys.readouterr().err
 
+    def test_non_finite_noise_amplitude_exits_one(self, tmp_path, capsys):
+        bad = CONVERGE_CONFIG.replace("c_xi = 0.5", "c_xi = nan")
+        assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        assert "config error in [noise]" in capsys.readouterr().err
+
+    def test_unstable_explicit_step_exits_two(self, tmp_path, capsys):
+        # explicit Euler on heat_1d(64) at h = 1/8: h lam_5 = 3.125 > 2
+        bad = (
+            CONVERGE_CONFIG.replace("dimension = 4", "dimension = 64")
+            .replace("n_values = 4, 8, 16, 32", "n_values = 8")
+            .replace("kind = implicit_euler", "kind = explicit_euler")
+            .replace("kind = centred_gaussian\np = 1.0\nc_xi = 0.5\ns = 1.0", "kind = none")
+        )
+        assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 2
+        assert "unstable" in capsys.readouterr().err
+
     def test_schema_key_aliases(self, tmp_path):
         # T / J / method are accepted alongside horizon / dimension / kind,
         # and explicit eigenvalue lists work

@@ -2,24 +2,31 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from randstep import (
     MethodConfig,
     Problem,
     SpaceDescriptor,
     admissible_max_step,
+    build_grid,
     exact_flow,
     exact_method,
     explicit_euler,
     fit_rate,
     heat_1d,
     implicit_euler,
+    laplacian_1d,
     lipschitz_constant,
+    run_deterministic,
     scalar_linear,
     step,
+    step_table,
     steklov_average,
     two_stage,
     validate_two_stage,
+    vector_field,
 )
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
@@ -230,3 +237,85 @@ class TestMethodConfigValidation:
     def test_negative_two_stage_coefficients(self):
         with pytest.raises(ValueError):
             two_stage(-0.5, 1.5, 1.0, 1.0)
+
+
+def _defining_step(method, problem, h, t, v):
+    """One step of the method from its defining formula (the reference)."""
+    if method.kind == "explicit_euler":
+        return v + h * vector_field(problem, t, v)
+    if method.kind == "two_stage":
+        k1 = vector_field(problem, t, v)
+        k2 = vector_field(problem, t + method.b1 * h, v + method.b2 * h * k1)
+        return v + h * (method.a1 * k1 + method.a2 * k2)
+    if method.kind == "implicit_euler":
+        alpha_bar, b_bar = steklov_average(problem, h, t)
+        return (h * b_bar + v) / (1.0 + h * problem.space.eigenvalues * alpha_bar)
+    return exact_flow(problem, h, t, v)
+
+
+class TestStepTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12),
+        st.sampled_from([1.0, 1.5, 3.0]),
+        st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_rows_match_defining_formulas(self, n, gamma, seed):
+        # affine alpha and forcing on nested grids (N and 2N steps); the
+        # spectrum is scaled so the coarse mesh keeps h lam alpha <= 1.9,
+        # inside the explicit methods' stability region
+        rng = np.random.default_rng(seed)
+        horizon = float(rng.uniform(0.5, 2.0))
+        grids = [build_grid(horizon, n, gamma), build_grid(horizon, 2 * n, gamma)]
+        a0 = float(rng.uniform(0.3, 2.0))
+        a1 = max(float(rng.uniform(-0.2, 1.0)), (0.05 - a0) / horizon)
+        alpha_max = max(a0, a0 + a1 * horizon)
+        dim = int(rng.integers(1, 6))
+        eig = np.sort(rng.uniform(0.01, 1.0, dim)) * 1.9 / (grids[0].mesh * alpha_max)
+        forcing = rng.uniform(-1.0, 1.0, (dim, 3))
+        problem = Problem(SpaceDescriptor(eig), (a0, a1), forcing, horizon)
+        methods = (explicit_euler(), two_stage(*HEUN), two_stage(0.3, 0.7, 0.2, 0.5),
+                   implicit_euler(), exact_method())
+        for grid in grids:
+            for method in methods:
+                a, c = step_table(method, problem, grid.steps, grid.points[:-1])
+                assert a.shape == c.shape == (grid.num_steps, dim)
+                for k in range(grid.num_steps):
+                    h, t = float(grid.steps[k]), float(grid.points[k])
+                    v = rng.standard_normal((2, dim))
+                    want = _defining_step(method, problem, h, t, v)
+                    got = a[k] * v + c[k]
+                    scale = np.max(np.abs(v)) + np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+                    assert np.array_equal(step(method, problem, h, t, v), got)
+
+    def test_rejects_steps_outside_the_interval(self):
+        with pytest.raises(ValueError, match="leaves"):
+            step_table(implicit_euler(), heat_1d(2), np.array([0.5, 0.6]), np.array([0.0, 0.5]))
+
+
+class TestExplicitStability:
+    def test_heat_explicit_euler_unstable_step_raises(self):
+        # h lam_j = j^2 / 8 first exceeds 2 on mode j = 5 (index 4)
+        with pytest.raises(ValueError, match=(
+            r"unstable explicit step 0: mode 4 has h lam alpha = 3\.125 and factor -2\.125"
+        )):
+            run_deterministic(heat_1d(64), explicit_euler(), build_grid(1.0, 8), np.ones(64))
+
+    @pytest.mark.parametrize("z,unstable", [(1.999, False), (2.0, False), (2.001, True)])
+    def test_two_stage_stability_boundary(self, z, unstable):
+        # Heun's factor 1 - z + z^2/2 leaves [-1, 1] just above z = 2
+        problem = Problem(laplacian_1d(1), (z, 0.0), None, 1.0)
+        if unstable:
+            with pytest.raises(ValueError, match="unstable explicit step 0: mode 0"):
+                step(two_stage(*HEUN), problem, 1.0, 0.0, np.array([1.0]))
+        else:
+            out = step(two_stage(*HEUN), problem, 1.0, 0.0, np.array([1.0]))
+            assert abs(out[0]) <= 1.0
+
+    def test_growth_problem_still_runs(self):
+        # u' = u: the factor 1 + h exceeds 1, but so does the exact flow's
+        trajectory = run_deterministic(
+            scalar_linear(1.0), explicit_euler(), build_grid(1.0, 4), np.array([1.0])
+        )
+        assert trajectory.states[-1, 0] == pytest.approx(1.25**4, rel=1e-14)

@@ -86,6 +86,17 @@ class TestExactFlowExamples:
             exact_flow(problem, -0.1, 0.2, np.zeros(2))
 
 
+class TestProblemValidation:
+    @pytest.mark.parametrize("alpha", [(math.nan, 0.0), (1.0, math.inf)])
+    @pytest.mark.parametrize("build", [
+        lambda alpha: Problem(laplacian_1d(3), alpha),
+        lambda alpha: heat_1d(3, alpha=alpha),
+    ])
+    def test_rejects_non_finite_alpha(self, build, alpha):
+        with pytest.raises(ValueError, match="alpha coefficients must be finite"):
+            build(alpha)
+
+
 class TestApplyOperator:
     def test_diagonal_action(self):
         problem = Problem(laplacian_1d(2), (1.0, 0.0), None, 1.0)

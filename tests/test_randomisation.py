@@ -47,6 +47,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             NoiseModel(4, kind="shared_factor", rho=1.5)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("p", math.nan), ("c_xi", math.inf), ("c_xi", math.nan), ("s", math.nan),
+         ("bias_coefficient", math.nan)],
+    )
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            NoiseModel(4, **{field: value})
+
     def test_sde_demonstration_mode(self):
         # p = -1/2 is accepted (diffusion scaling, demonstration only)
         model = NoiseModel(2, p=-0.5)

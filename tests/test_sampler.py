@@ -5,12 +5,15 @@ import numpy as np
 import pytest
 
 from randstep import (
+    Problem,
+    SpaceDescriptor,
     build_grid,
     centred_gaussian,
     error_statistics,
     exact_flow,
     exact_method,
     exact_states,
+    explicit_euler,
     flow_lipschitz,
     heat_1d,
     implicit_euler,
@@ -19,6 +22,7 @@ from randstep import (
     run_ensemble,
     run_randomised,
     scalar_linear,
+    step,
     trajectory_stream,
     two_stage,
 )
@@ -314,3 +318,51 @@ class TestTruncationConstant:
         grid = build_grid(0.5, 64)
         c = measure_truncation_constant(problem, implicit_euler(), grid, np.array([1.0]))
         assert c == pytest.approx(0.5, rel=0.05)
+
+
+def _forced_affine_problem():
+    forcing = np.array([[0.5, -1.0, 0.3], [1.0, 0.2, 0.0], [-0.4, 0.0, 0.8]])
+    return Problem(SpaceDescriptor(np.array([1.0, 3.0, 7.5])), (1.2, 0.4), forcing, 1.0)
+
+
+TABLE_METHODS = [explicit_euler(), two_stage(*HEUN), implicit_euler(), exact_method()]
+TABLE_GRIDS = [build_grid(1.0, 16), build_grid(1.0, 24, 2.0)]
+
+
+class TestTablesAgainstStepLoop:
+    """Table-based truncation constants and defects against a per-step loop
+    of step / exact_flow, the reference."""
+
+    @pytest.mark.parametrize("method", TABLE_METHODS, ids=lambda m: m.kind)
+    def test_truncation_constant(self, method):
+        problem = _forced_affine_problem()
+        theta = np.array([1.0, -0.5, 0.25])
+        q = 1.0
+        for grid in TABLE_GRIDS:
+            exact = exact_states(problem, grid, theta)
+            worst = 0.0
+            for k in range(grid.num_steps):
+                h, t = float(grid.steps[k]), float(grid.points[k])
+                defect = float(np.linalg.norm(exact[k + 1] - step(method, problem, h, t, exact[k])))
+                if defect > 0.0:
+                    worst = max(worst, defect / h ** (q + 1.0))
+            got = measure_truncation_constant(problem, method, grid, theta, q)
+            tol = 1e-13 * np.max(np.abs(exact)) / grid.steps.min() ** (q + 1.0)
+            assert abs(got - worst) <= tol
+
+    @pytest.mark.parametrize("method", TABLE_METHODS, ids=lambda m: m.kind)
+    def test_recorded_defects(self, method):
+        problem = _forced_affine_problem()
+        theta = np.array([1.0, -0.5, 0.25])
+        noise = centred_gaussian(3, p=0.5, c_xi=0.5)
+        for grid in TABLE_GRIDS:
+            trajectory = run_randomised(
+                problem, method, noise, grid, theta, trajectory_stream(5, 0), record_defects=True
+            )
+            states = trajectory.states
+            for k in range(grid.num_steps):
+                h, t = float(grid.steps[k]), float(grid.points[k])
+                gap = exact_flow(problem, h, t, states[k]) - step(method, problem, h, t, states[k])
+                assert abs(trajectory.defects[k] - np.linalg.norm(gap)) <= (
+                    1e-13 * np.max(np.abs(states[k:k + 2]))
+                )

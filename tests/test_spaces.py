@@ -14,6 +14,11 @@ class TestSpaceDescriptor:
         assert np.allclose(space.eigenvalues, [1.0, 4.0, 9.0, 16.0])
         assert space.dimension == 4
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="eigenvalues must be finite, entry 1"):
+            SpaceDescriptor(np.array([1.0, bad]))
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SpaceDescriptor(np.array([0.0, 1.0]))
