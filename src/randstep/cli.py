@@ -51,21 +51,8 @@ def _write_report(cfg: ExperimentConfig, path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n")
 
 
-def _deterministic_stats(problem, method, grid, theta) -> analysis.ErrorStatistics:
-    trajectory = sampler.run_deterministic(problem, method, grid, theta)
-    norms = trajectory.error_h_norms()
-    worst = float(norms.max())
-    return analysis.ErrorStatistics(grid.mesh, 1, 2.0, worst, worst, None)
-
-
 def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     problem, method, theta = cfg.problem, cfg.method, cfg.theta
-    stats, bounds = [], []
-    c_meas = 0.0
-    for grid in cfg.grids:
-        c_meas = max(
-            c_meas, sampler.measure_truncation_constant(problem, method, grid, theta)
-        )
     h_ref = method.h_star if math.isfinite(method.h_star) else max(g.mesh for g in cfg.grids)
     l_psi = lipschitz_constant(method, problem, h_ref)
     if cfg.noise is None:
@@ -78,33 +65,38 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             theory_slope = min(method.order, noise_p + 0.5)
         else:
             theory_slope = min(method.order, noise_p)
-    extras = []
+    stats, extras = [], []
+    c_meas = 0.0
     for grid in cfg.grids:
+        # one build of the grid's tables serves the truncation constant and the run
+        c_grid, run = sampler._converge_grid(
+            problem, method, cfg.noise, grid, theta,
+            cfg.ensemble_size, cfg.seed, workers, cfg.fingerprint,
+        )
+        c_meas = max(c_meas, c_grid)
         extra = {}
         if cfg.noise is None:
-            stats.append(_deterministic_stats(problem, method, grid, theta))
+            worst = float(run.error_h_norms().max())
+            stats.append(analysis.ErrorStatistics(grid.mesh, 1, 2.0, worst, worst, None))
         else:
-            ensemble = sampler.run_ensemble(
-                problem, method, cfg.noise, grid, theta,
-                cfg.ensemble_size, cfg.seed, workers=workers,
-                fingerprint=cfg.fingerprint,
-            )
-            stats.append(analysis.error_statistics(ensemble, cfg.r, cfg.young))
+            stats.append(analysis.error_statistics(run, cfg.r, cfg.young))
             for r_extra in cfg.extra_r:
-                more = analysis.error_statistics(ensemble, r_extra, None)
+                more = analysis.error_statistics(run, r_extra, None)
                 extra[f"{r_extra:g}"] = {
                     "maxnorm": more.max_of_norm,
                     "normmax": more.norm_of_max,
                 }
-            del ensemble  # free its norms before the next grid's gather, the memory peak
+        del run  # free its norms before the next grid's gather, the memory peak
         extras.append(extra)
-        bounds.append(
-            analysis.theoretical_bound(
-                "gelfand_orlicz", grid.mesh,
-                c_phi_psi=c_meas, c_xi=c_xi_amp, lipschitz=l_psi,
-                q=method.order, p=noise_p, horizon=problem.horizon,
-            )
+    # the bounds share the largest truncation constant over all grids
+    bounds = [
+        analysis.theoretical_bound(
+            "gelfand_orlicz", grid.mesh,
+            c_phi_psi=c_meas, c_xi=c_xi_amp, lipschitz=l_psi,
+            q=method.order, p=noise_p, horizon=problem.horizon,
         )
+        for grid in cfg.grids
+    ]
     report = analysis.convergence_report(stats, theory_slope, bounds, cfg.fingerprint)
     payload = report.to_json_dict()
     for entry, extra in zip(payload["series"], extras):

@@ -12,6 +12,13 @@ serve as a trustworthy oracle for convergence-rate measurements.
 
 Over a step the flow is the per-mode affine map u -> E_k * u + f_k;
 `flow_table` builds (E, f) for a whole grid and `exact_flow` is one row.
+Both are array passes over the (N, J) steps and modes, with no loop over
+either.  The forcing response f splits by mask into a series path
+(|gamma| h^2 <= _SERIES_LIMIT, which includes every constant-alpha entry)
+and a completed-square path whose dawsn / erfcx / erf cases are masks
+too; the series path sums the integrals f_k(z) = int_0^1 s^k e^(-z s) ds
+of one stable evaluator, `_poly_exp_sum`, that covers every sign and
+size of z.
 
 The scalar test problem u' = rate * u (any sign of rate) is included via
 `scalar_linear`; growth corresponds to a negative effective scaling and
@@ -200,9 +207,7 @@ def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]
     decay = np.exp(-problem.space.eigenvalues * problem.alpha_integral(points, ends)[:, None])
     if problem.forcing is None:
         return decay, np.zeros_like(decay)
-    return decay, np.array(
-        [_forcing_response(problem, float(t), float(t1)) for t, t1 in zip(points, ends)]
-    )
+    return decay, _forcing_response(problem, points, ends)
 
 
 def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarray:
@@ -224,180 +229,139 @@ def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarra
     return decay[0] * x + response[0]
 
 
-def _forcing_response(problem: Problem, t: float, t1: float) -> np.ndarray:
-    """Per-mode Duhamel integral int_t^t1 exp(-lam int_s^t1 alpha) b(s) ds."""
+def _forcing_response(problem: Problem, t: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Per-mode Duhamel integrals int_t^t1 exp(-lam int_s^t1 alpha) b(s) ds
+    over the steps [t[k], t1[k]], shape (N, J).
+
+    With g(s) = beta s + gamma s^2, beta = lam a0 and gamma = lam a1 / 2
+    per mode, the integral is int_t^t1 exp(g(s) - g(t1)) b(s) ds.  Entries
+    with |gamma| h^2 <= _SERIES_LIMIT (all of them when alpha is constant)
+    take the series path, the others the completed-square path; each path
+    runs once over its masked entries.
+    """
     lam = problem.space.eigenvalues
     a0, a1 = problem.alpha
+    shape = (t.size, lam.size)
+    t, t1 = (np.broadcast_to(s[:, None], shape) for s in (t, t1))
     h = t1 - t
-    if a1 == 0.0:
-        return _response_const_alpha(problem.forcing, lam * a0, t1, h)
-    # quadratic coefficient of the log integrating factor, per mode
-    gamma = 0.5 * lam * a1
-    out = np.empty(lam.size)
-    for j in range(lam.size):
-        if abs(gamma[j]) * h * h <= _SERIES_LIMIT:
-            out[j] = _response_affine_series(problem.forcing[j], lam[j] * a0, gamma[j], t, t1)
-        else:
-            out[j] = _response_affine_erf(problem.forcing[j], lam[j] * a0, gamma[j], t, t1)
+    beta, gamma = (np.broadcast_to(v, shape) for v in (lam * a0, 0.5 * lam * a1))
+    coeffs = [np.broadcast_to(c, shape) for c in problem.forcing.T]
+    series = np.abs(gamma) * h * h <= _SERIES_LIMIT
+    out = np.empty(shape)
+    for mask, path in ((series, _series_response), (~series, _erf_response)):
+        if np.any(mask):
+            out[mask] = path(*(c[mask] for c in coeffs), beta[mask], gamma[mask], t[mask], t1[mask])
     return out
 
 
-def _poly_exp_table(z: np.ndarray, kmax: int) -> np.ndarray:
-    """f_k(z) = int_0^1 sigma^k exp(-z sigma) d sigma for k = 0..kmax.
+def _series_response(c0, c1, c2, beta, gamma, t, t1):
+    """Series path of the response, elementwise over 1-D arrays.
 
-    Series below |z| = 0.5; otherwise closed form for f_0 and the upward
-    recurrence f_k = (k f_(k-1) - e^(-z)) / z, stable for either sign.
+    In u = s - t1, g(s) - g(t1) = B u + gamma u^2 with B = beta + 2 gamma t1.
+    Expanding exp(gamma u^2) to order n and substituting u = -h sigma gives
+
+        h * sum_(m <= n) mu^m / m! * (P0 f_2m - h P1 f_(2m+1) + h^2 P2 f_(2m+2)),
+
+    mu = gamma h^2, P0 + P1 u + P2 u^2 = b(s), and f_k = f_k(B h) from
+    `_poly_exp_sum`.  One order n serves the whole call, taken from the
+    largest |mu| so that mu^(n+1) / n! <= 1e-17; extra terms only shrink
+    the remainder.
     """
-    z = np.atleast_1d(np.asarray(z, dtype=float))
-    out = np.empty((kmax + 1,) + z.shape)
-    small = np.abs(z) < 0.5
-    if np.any(small):
-        zs = z[small]
-        for k in range(kmax + 1):
-            acc = np.zeros_like(zs)
-            term = np.ones_like(zs)
-            for m in range(18):
-                acc += term / (k + m + 1)
-                term *= -zs / (m + 1)
-            out[k][small] = acc
-    if np.any(~small):
-        zb = z[~small]
-        ez = np.exp(-zb)
-        fk = (1.0 - ez) / zb
-        out[0][~small] = fk
-        for k in range(1, kmax + 1):
-            fk = (k * fk - ez) / zb
-            out[k][~small] = fk
-    return out
+    h = t1 - t
+    mu = gamma * h * h
+    eps = float(np.max(np.abs(mu)))
+    n, fac = 0, 1.0
+    while eps ** (n + 1) / fac > 1e-17 and n < 24:
+        n += 1
+        fac *= n
+    p0 = c0 + c1 * t1 + c2 * t1 * t1
+    p1 = -h * (c1 + 2.0 * c2 * t1)
+    p2 = h * h * c2
+
+    def coef(m):
+        return mu**m / math.factorial(m) if 0 <= m <= n else 0.0
+
+    def weight(k):
+        m = k // 2
+        return coef(m) * p1 if k % 2 else coef(m) * p0 + coef(m - 1) * p2
+
+    return h * _poly_exp_sum((beta + 2.0 * gamma * t1) * h, weight, 2 * n + 2)
 
 
-def _response_const_alpha(forcing: np.ndarray, c: np.ndarray, t1: float, h: float) -> np.ndarray:
-    # substitute tau = t1 - s:  int_0^h exp(-c tau) b(t1 - tau) d tau
-    q0 = forcing[:, 0] + forcing[:, 1] * t1 + forcing[:, 2] * t1 * t1
-    q1 = -(forcing[:, 1] + 2.0 * forcing[:, 2] * t1)
-    q2 = forcing[:, 2]
-    f = _poly_exp_table(c * h, 2)
-    return h * (q0 * f[0] + q1 * h * f[1] + q2 * h * h * f[2])
+def _poly_exp_sum(z, weight, kmax: int) -> np.ndarray:
+    """sum_(k <= kmax) weight(k) * f_k(z) elementwise, where
+    f_k(z) = int_0^1 sigma^k exp(-z sigma) d sigma and weight(k) is an
+    array broadcastable to z.
 
-
-def _poly_exp_column(z: float, kmax: int) -> np.ndarray:
-    """f_k(z) = int_0^1 sigma^k exp(-z sigma) d sigma for k = 0..kmax, scalar z.
-
-    Three regimes keep every k stable: the defining series (all terms
-    positive for z <= 0, mildly alternating up to z = 1); for z far above
-    kmax the closed form f_k = (k!/z^(k+1)) (1 - e^(-z) Q_k(z)) with
-    Q_k(z) = sum_(i<=k) z^i/i!, whose subtracted part is small there; and
-    in between the backward recurrence f_(k-1) = (z f_k + e^(-z)) / k,
-    contractive for k > z, seeded well above kmax (forward below the
-    k = z crossover, where forward is the stable direction).
+    f_0 = -expm1(-z) / z; past it one recurrence runs for each entry in
+    its stable direction: upward f_k = (k f_(k-1) - e^(-z)) / z for
+    k <= |z|, where errors shrink by k / |z|, and downward
+    f_(k-1) = (z f_k + e^(-z)) / k for k > |z|, where they shrink by
+    |z| / k, seeded far enough above kmax that the seed error has shrunk
+    by e^-45.  That covers either sign of z, z = 0 (f_k = 1 / (k + 1)) and
+    large z (e^(-z) may underflow to 0).  Entries outside a pass run it
+    on a harmless stand-in z and are masked out of the sum, which is
+    accumulated as the recurrences run: memory stays a few arrays of z's
+    shape, whatever kmax is.
     """
-    out = np.empty(kmax + 1)
-    if z <= 1.0:
-        # series sum_m (-z)^m / (m! (k+m+1)); no cancellation for z <= 0
-        for k in range(kmax + 1):
-            acc, term, m = 0.0, 1.0, 0
-            while True:
-                piece = term / (k + m + 1)
-                acc += piece
-                if abs(piece) <= 1e-18 * abs(acc) and m > abs(z):
-                    break
-                m += 1
-                if m > 800:
-                    break
-                term *= -z / m
-            out[k] = acc
-        return out
-    log_z = math.log(z)
-    if z >= 2.0 * kmax + 40.0:
-        ez = math.exp(-z) if z < 700.0 else 0.0
-        for k in range(kmax + 1):
-            q_tail = 1.0
-            if ez > 0.0:
-                for i in range(k, 0, -1):
-                    q_tail = 1.0 + q_tail * z / i
-            out[k] = math.exp(math.lgamma(k + 1) - (k + 1) * log_z) * (1.0 - ez * q_tail)
-        return out
-    ez = math.exp(-z)
-    split = min(kmax, int(z))
-    fk = (1.0 - ez) / z
-    out[0] = fk
-    for k in range(1, split + 1):
-        fk = (k * fk - ez) / z
-        out[k] = fk
-    if split < kmax:
-        # extend until the accumulated contraction kills the seed error
+    z = np.asarray(z, dtype=float)
+    split = np.minimum(np.floor(np.abs(z)), kmax)  # last k of the upward pass
+    zero = z == 0.0
+    total = weight(0) * np.where(zero, 1.0, -np.expm1(-z) / np.where(zero, 1.0, z))
+    last_up = int(split.max(initial=0.0))
+    if last_up >= 1:
+        zu = np.where(split >= 1.0, z, 1.0)
+        eu = np.exp(-zu)
+        fk = -np.expm1(-zu) / zu
+        for k in range(1, last_up + 1):
+            fk = (k * fk - eu) / zu
+            total += np.where(k <= split, weight(k) * fk, 0.0)
+    down = split < kmax
+    if np.any(down):
+        widest = max(float(np.abs(z[down]).max()), 1.0)
         top, shrink = kmax, 0.0
         while shrink < 45.0:
             top += 1
-            shrink += math.log(top / z)
-        gk = ez / max(top - z, 1.0)  # endpoint-layer estimate of f_top
-        for k in range(top, split, -1):
-            gk = (z * gk + ez) / k
-            if k - 1 <= kmax:
-                out[k - 1] = gk
-    return out
+            shrink += math.log(top / widest)
+        zd = np.where(down, z, 0.0)
+        ed = np.exp(-zd)
+        fk = ed / np.maximum(top - zd, 1.0)  # endpoint-layer estimate of f_top
+        for k in range(top, 1, -1):
+            fk = (zd * fk + ed) / k  # now f_(k-1)
+            if k <= kmax + 1:
+                total += np.where(k - 1 > split, weight(k - 1) * fk, 0.0)
+    return total
 
 
-def _response_affine_series(
-    coeffs: np.ndarray, beta: float, gamma: float, t: float, t1: float
-) -> float:
-    """Series evaluation of the affine-scaling response in u = s - t1.
+def _erf_response(c0, c1, c2, beta, gamma, t, t1):
+    """Completed-square path of the response, elementwise over 1-D arrays
+    with gamma != 0.
 
-    With g(s) - g(t1) = B u + gamma u^2, B = beta + 2 gamma t1, the factor
-    exp(gamma u^2) is expanded to order n with |gamma| Delta^2 <= 1, so the
-    truncation error is below 1 / 25! of the result.
+    c0 e0 + c1 e1 + c2 e2 with e_i = int_t^t1 s^i exp(g(s) - g(t1)) ds.  e0
+    comes from dawsn (gamma > 0) or, for gamma < 0, from erfcx when the
+    vertex of g lies outside the step on either side, else erf; each case
+    is a mask, arranged so every term stays bounded whenever g is
+    increasing on the step (the dissipative case).  e1 and e2 follow by
+    parts.
     """
-    delta = t1 - t
-    eps = abs(gamma) * delta * delta
-    p0 = float(coeffs[0] + coeffs[1] * t1 + coeffs[2] * t1 * t1)
-    p1 = float(coeffs[1] + 2.0 * coeffs[2] * t1)
-    p2 = float(coeffs[2])
-    n = 1
-    fac = 1.0
-    while eps**(n + 1) / fac > 1e-17 and n < 24:
-        n += 1
-        fac *= n
-    kmax = 2 * n + 2
-    q = np.zeros(kmax + 1)
-    weight = 1.0
-    for m in range(n + 1):
-        q[2 * m] += weight * p0
-        q[2 * m + 1] += weight * p1
-        q[2 * m + 2] += weight * p2
-        weight *= gamma / (m + 1)
-    f = _poly_exp_column((beta + 2.0 * gamma * t1) * delta, kmax)
-    k = np.arange(kmax + 1)
-    return float(np.sum(q * (-delta) ** k * delta * f))
-
-
-def _response_affine_erf(
-    coeffs: np.ndarray, beta: float, gamma: float, t: float, t1: float
-) -> float:
-    """int_t^t1 exp(g(s) - g(t1)) b(s) ds with g(s) = beta s + gamma s^2.
-
-    Completed-square evaluation through dawsn (gamma > 0) or erfcx / erf
-    (gamma < 0), arranged so every term stays bounded whenever g is
-    increasing on the step (the dissipative case).
-    """
-    dg = beta * (t - t1) + gamma * (t * t - t1 * t1)  # g(t) - g(t1)
-    expo = math.exp(dg)
-    if gamma > 0.0:
-        sg = math.sqrt(gamma)
-        x_t = sg * t + beta / (2.0 * sg)
-        x_1 = sg * t1 + beta / (2.0 * sg)
-        e0 = (dawsn(x_1) - expo * dawsn(x_t)) / sg
-    else:
-        sd = math.sqrt(-gamma)
-        w_t = sd * t - beta / (2.0 * sd)
-        w_1 = sd * t1 - beta / (2.0 * sd)
-        sqp2 = 0.5 * math.sqrt(math.pi)
-        if w_t >= 0.0:
-            q = sqp2 * (expo * erfcx(w_t) - erfcx(w_1))
-        elif w_1 <= 0.0:
-            q = sqp2 * (erfcx(-w_1) - expo * erfcx(-w_t))
-        else:
-            q = sqp2 * math.exp(w_1 * w_1) * (erf(-w_t) + erf(w_1))
-        e0 = q / sd
+    expo = np.exp(beta * (t - t1) + gamma * (t * t - t1 * t1))  # exp(g(t) - g(t1))
+    root = np.sqrt(np.abs(gamma))
+    shift = beta / (2.0 * root)
+    # gamma > 0: g(s) = (root s + shift)^2 - shift^2
+    x_t, x_1 = root * t + shift, root * t1 + shift
+    # gamma < 0: g(s) = shift^2 - (root s - shift)^2, vertex at w = 0
+    w_t, w_1 = root * t - shift, root * t1 - shift
+    up = gamma > 0.0
+    right = ~up & (w_t >= 0.0)
+    left = ~up & ~right & (w_1 <= 0.0)
+    inside = ~(up | right | left)
+    sqp2 = 0.5 * math.sqrt(math.pi)
+    e0 = np.empty_like(expo)
+    e0[up] = dawsn(x_1[up]) - expo[up] * dawsn(x_t[up])
+    e0[right] = sqp2 * (expo[right] * erfcx(w_t[right]) - erfcx(w_1[right]))
+    e0[left] = sqp2 * (erfcx(-w_1[left]) - expo[left] * erfcx(-w_t[left]))
+    e0[inside] = sqp2 * np.exp(w_1[inside] ** 2) * (erf(-w_t[inside]) + erf(w_1[inside]))
+    e0 /= root
     e1 = (1.0 - expo) / (2.0 * gamma) - beta / (2.0 * gamma) * e0
     e2 = (t1 - t * expo - e0) / (2.0 * gamma) - beta / (2.0 * gamma) * e1
-    return float(coeffs[0] * e0 + coeffs[1] * e1 + coeffs[2] * e2)
+    return c0 * e0 + c1 * e1 + c2 * e2

@@ -44,6 +44,10 @@ _KINDS = (CENTRED_GAUSSIAN, BIASED, SHARED_FACTOR, BOUNDED_UNIFORM)
 
 _PSI2_SAMPLES = 100_000
 _PSI2_SEED = 20_220_457  # fixed internal stream for the cached Orlicz estimate
+# Byte budget of one row block of psi2_amplitude's draws.  The blocks
+# consume the stream in the one-shot order, so the block size changes no
+# computed float.
+_PSI2_BLOCK_BYTES = 4 * 2**20
 
 
 @lru_cache(maxsize=64)
@@ -104,29 +108,44 @@ def sample_path_matrix(
 ) -> np.ndarray:
     """m independent trajectories of per-step draws xi_k(h_k), shape (m, N, J).
 
-    The one sampler of the module.  Consumes the stream in a fixed order
-    (for the shared-factor kind the m shared factors first, then the
-    per-step draws), so draws are reproducible given the stream state; the
-    shared factor correlates the steps of each row.
+    The one sampler of the module.  Consumes the stream in a fixed order,
+    lead normals first, then `_follow_draws` (for the shared-factor kind
+    the m shared factors, then the per-step draws; for the bounded kind
+    the directions, then the radii), so draws are reproducible given the
+    stream state; the shared factor correlates the steps of each row.
     """
     steps = np.asarray(steps, dtype=float)
     if np.any(steps <= 0.0):
         raise ValueError(f"step sizes must be positive, got {steps}")
     if m < 1:
         raise ValueError(f"need at least one trajectory, got m = {m}")
-    n, j = steps.size, model.dimension
+    n = steps.size
+    lead = stream.standard_normal((m, 1 if model.kind == SHARED_FACTOR else n, model.dimension))
+    return _shape_noise(model, steps, lead, _follow_draws(model, stream, m, n))
+
+
+def _follow_draws(model: NoiseModel, stream: np.random.Generator, m: int, n: int):
+    """The draws that follow the lead normals in the stream: the per-step
+    normals of the shared-factor kind (its lead normals are the shared
+    factors), the radii of the bounded kind, else None."""
+    if model.kind == SHARED_FACTOR:
+        return stream.standard_normal((m, n, model.dimension))
+    if model.kind == BOUNDED_UNIFORM:
+        return stream.uniform(size=(m, n, 1))
+    return None
+
+
+def _shape_noise(model: NoiseModel, steps: np.ndarray, lead: np.ndarray, follow) -> np.ndarray:
+    """Noise rows xi_k(h_k) of each kind's law from its raw draws."""
     amps = model.c_xi * steps[None, :, None] ** (model.p + 1.0)
     root = np.sqrt(model.spectrum)
     if model.kind == BOUNDED_UNIFORM:
-        z = stream.standard_normal((m, n, j))
-        direction = z / np.linalg.norm(z, axis=2, keepdims=True)
-        radius = stream.uniform(size=(m, n, 1)) ** (1.0 / j)
+        direction = lead / np.linalg.norm(lead, axis=2, keepdims=True)
+        radius = follow ** (1.0 / model.dimension)
         return math.sqrt(3.0) * amps * radius * direction * root
     if model.kind == SHARED_FACTOR:
-        shared = stream.standard_normal((m, 1, j))
-        z = stream.standard_normal((m, n, j))
-        return amps * root * (math.sqrt(1.0 - model.rho**2) * z + model.rho * shared)
-    out = amps * root * stream.standard_normal((m, n, j))
+        return amps * root * (math.sqrt(1.0 - model.rho**2) * follow + model.rho * lead)
+    out = amps * root * lead
     if model.kind == BIASED:
         out[..., model.bias_mode] += steps ** (model.p + 1.0) * model.bias_coefficient
     return out
@@ -164,15 +183,28 @@ def _l2_amplitude(model: NoiseModel) -> float:
 def psi2_amplitude(model: NoiseModel, samples: int = _PSI2_SAMPLES) -> float:
     """Orlicz (exp(z^2) - 1) norm of |xi(1)|_H, estimated once and cached.
 
-    Uses a fixed internal stream so the cached value is reproducible.
+    Uses a fixed internal stream so the cached value is reproducible.  The
+    draws of sample_noise_matrix(model, stream, 1.0, samples) are made in
+    row blocks of at most _PSI2_BLOCK_BYTES and reduced to their norms
+    block by block; the kinds with follow-up draws take all their lead
+    normals first, as the one-shot draw does.
     """
     from .analysis import orlicz_norm_estimate
 
     if model.c_xi == 0.0 and model.kind != BIASED:
         return 0.0
     stream = np.random.default_rng(np.random.SeedSequence(_PSI2_SEED))
-    draws = sample_noise_matrix(model, stream, 1.0, samples)
-    norms = np.linalg.norm(draws, axis=1)
+    j = model.dimension
+    lead = None
+    if model.kind in (SHARED_FACTOR, BOUNDED_UNIFORM):
+        lead = stream.standard_normal((samples, 1, j))
+    rows = max(1, _PSI2_BLOCK_BYTES // (8 * j))
+    norms = np.empty(samples)
+    for start in range(0, samples, rows):
+        size = min(rows, samples - start)
+        block = stream.standard_normal((size, 1, j)) if lead is None else lead[start:start + size]
+        draws = _shape_noise(model, np.ones(1), block, _follow_draws(model, stream, size, 1))
+        norms[start:start + size] = np.linalg.norm(draws[:, 0], axis=1)
     return orlicz_norm_estimate(norms, "psi2")
 
 

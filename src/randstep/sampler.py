@@ -16,7 +16,9 @@ run builds the tables (a, c) = integrators.step_table and
 grid there.  The exact states u(t_k), shared by every trajectory, follow
 u_(k+1) = E_k u_k + f_k; each block of trajectories runs
 U_(k+1) = a_k U_k + c_k + xi_k; the one-step defects along a path are
-|(E_k - a_k) U_k + f_k - c_k|_H.
+|(E_k - a_k) U_k + f_k - c_k|_H.  A convergence study builds each grid's
+tables once for both its truncation constant and its ensemble
+(`_converge_grid`).
 
 Ensembles derive one child stream per trajectory from
 (master_seed, trajectory_index), so results are bit-identical for any
@@ -27,8 +29,8 @@ trajectory and step.  run_ensemble therefore walks its trajectories in
 blocks of at most BLOCK_BYTES of (N + 1, J) float64 rows, reduces each
 block to its (B, N + 1) error norms as soon as it finishes and drops the
 block, so an ensemble holds O(M N) floats and pool workers send back only
-norms (and defects, when recorded).  The blocking changes no computed
-float.  The full (M, N + 1, J) states, errors and noise are stored only
+norms (and defects, when recorded), copied in index order into one
+preallocated (M, N + 1) array.  The blocking changes no computed float.  The full (M, N + 1, J) states, errors and noise are stored only
 with run_ensemble(..., keep=True).
 """
 
@@ -220,7 +222,12 @@ def run_deterministic(
     record_defects: bool = False,
 ) -> Trajectory:
     """Noise-free recursion u_(k+1) = psi(h_k, t_k, u_k)."""
-    theta, table, gap, exact = _prepare(problem, method, grid, theta, None, record_defects)
+    return _deterministic(_prepare(problem, method, grid, theta, None, record_defects), grid)
+
+
+def _deterministic(prepared, grid: TimeGrid) -> Trajectory:
+    """The noise-free trajectory from a run's `_prepare` build."""
+    theta, table, gap, exact = prepared
     states, defects = _advance_block(table, gap, theta[None, :], None)
     return Trajectory(
         grid, states[0], exact - states[0], None, None if defects is None else defects[0]
@@ -286,16 +293,38 @@ def _run_chunk(args):
      perturb_initial, keep) = args
     row_bytes = (grid.num_steps + 1) * theta.size * 8
     rows = len(indices) if keep else max(1, BLOCK_BYTES // row_bytes)
-    return _stack(
-        _run_block(table, gap, noise, grid, theta, exact, indices[start:start + rows],
-                   master_seed, perturb_initial, keep)
-        for start in range(0, len(indices), rows)
+    return _gather(
+        (
+            _run_block(table, gap, noise, grid, theta, exact, indices[start:start + rows],
+                       master_seed, perturb_initial, keep)
+            for start in range(0, len(indices), rows)
+        ),
+        len(indices),
     )
 
 
-def _stack(results):
-    """Concatenate per-block result tuples field by field, in index order."""
-    return [None if parts[0] is None else np.concatenate(parts) for parts in zip(*results)]
+def _gather(parts, m: int) -> list:
+    """[norms, defects, *kept] of m trajectories from result tuples taken in
+    index order.  Norms and defects are copied into one preallocated array
+    each and every part is freed once copied; the arrays kept with
+    keep=True are concatenated."""
+    norms = defects = None
+    kept, row = [], 0
+    for part in parts:
+        part_norms, part_defects, *part_kept = part
+        if norms is None:
+            norms = np.empty((m,) + part_norms.shape[1:])
+            if part_defects is not None:
+                defects = np.empty((m,) + part_defects.shape[1:])
+        stop = row + len(part_norms)
+        norms[row:stop] = part_norms
+        if defects is not None:
+            defects[row:stop] = part_defects
+        if part_kept:
+            kept.append(part_kept)
+        row = stop
+        del part, part_norms, part_defects
+    return [norms, defects] + [np.concatenate(arrays) for arrays in zip(*kept)]
 
 
 def _fingerprint(*parts) -> str:
@@ -332,20 +361,28 @@ def run_ensemble(
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    theta, table, gap, exact = _prepare(problem, method, grid, theta, noise, record_defects)
+    prepared = _prepare(problem, method, grid, theta, noise, record_defects)
+    if fingerprint is None:
+        fingerprint = _fingerprint(problem, method, noise, grid.points, prepared[0], m, master_seed)
+    return _ensemble(prepared, noise, grid, m, master_seed, workers, perturb_initial,
+                     fingerprint, keep)
+
+
+def _ensemble(prepared, noise, grid, m, master_seed, workers, perturb_initial,
+              fingerprint, keep) -> Ensemble:
+    """The ensemble from a run's `_prepare` build; workers' results are
+    gathered in index order."""
+    theta, table, gap, exact = prepared
     chunks = [idx for idx in np.array_split(np.arange(m), min(workers, m)) if idx.size]
     jobs = [
         (table, gap, noise, grid, theta, exact, idx, master_seed, perturb_initial, keep)
         for idx in chunks
     ]
     if workers == 1 or len(jobs) == 1:
-        results = [_run_chunk(job) for job in jobs]
+        norms, defects, *kept = _gather(map(_run_chunk, jobs), m)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_chunk, jobs))
-    norms, defects, *kept = _stack(results)
-    if fingerprint is None:
-        fingerprint = _fingerprint(problem, method, noise, grid.points, theta, m, master_seed)
+            norms, defects, *kept = _gather(pool.map(_run_chunk, jobs), m)
     return Ensemble(grid, norms, master_seed, fingerprint, *kept, defects=defects)
 
 
@@ -361,6 +398,24 @@ def measure_truncation_constant(
     constant of the method on this problem."""
     q = method.order if order is None else order
     _, _, gap, exact = _prepare(problem, method, grid, theta, None, True)
+    return _truncation_constant(gap, exact, grid.steps, q)
+
+
+def _truncation_constant(gap, exact: np.ndarray, steps: np.ndarray, q: float) -> float:
     defects = _h_norms(gap[0] * exact[:-1] + gap[1])
     hit = defects > 0.0
-    return float(np.max(defects[hit] / grid.steps[hit] ** (q + 1.0), initial=0.0))
+    return float(np.max(defects[hit] / steps[hit] ** (q + 1.0), initial=0.0))
+
+
+def _converge_grid(problem, method, noise, grid, theta, m, master_seed, workers, fingerprint):
+    """One grid of a convergence study from a single build of its tables:
+    the truncation constant of measure_truncation_constant, and the
+    ensemble of run_ensemble (the trajectory of run_deterministic when
+    noise is None)."""
+    theta, table, gap, exact = _prepare(problem, method, grid, theta, noise, True)
+    constant = _truncation_constant(gap, exact, grid.steps, method.order)
+    prepared = (theta, table, None, exact)
+    if noise is None:
+        return constant, _deterministic(prepared, grid)
+    return constant, _ensemble(prepared, noise, grid, m, master_seed, workers, False,
+                               fingerprint, False)

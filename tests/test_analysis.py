@@ -250,6 +250,25 @@ class TestErrorStatistics:
         assert stats.max_of_norm == pytest.approx(stats.norm_of_max, rel=1e-12)
         assert stats.psi2_norm_of_max is None
 
+    @pytest.mark.parametrize("r", [1.0, 2.0, 3.5, 4.0])
+    def test_max_of_norm_matches_per_step_loop(self, r):
+        ensemble = self._ensemble(m=300, seed=5)
+        norms = ensemble.error_h_norms()
+        loop = max(lr_norm_estimate(norms[:, k], r) for k in range(norms.shape[1]))
+        assert error_statistics(ensemble, r, None).max_of_norm == pytest.approx(loop, rel=1e-14)
+
+    def test_max_of_norm_checks_its_samples(self):
+        from randstep.sampler import Ensemble
+
+        ensemble = self._ensemble(m=3)
+        with pytest.raises(ValueError, match="order must be >= 1"):
+            error_statistics(ensemble, 0.5, None)
+        norms = np.array(ensemble.error_h_norms())
+        norms[1, 2] = -1e-3  # not the row maximum, so only the per-step check sees it
+        negative = Ensemble(ensemble.grid, norms, 0, "negative")
+        with pytest.raises(ValueError, match="non-negative"):
+            error_statistics(negative, 2.0, None)
+
     def test_noise_free_matches_deterministic(self):
         problem = heat_1d(3)
         grid = build_grid(1.0, 8)

@@ -212,6 +212,34 @@ seed = 0
         assert main(["converge", "--config", _write(tmp_path, cfg_text)]) == 1
         assert "output" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise_kind", ["centred_gaussian", "none"])
+    def test_builds_each_exact_flow_table_once(self, tmp_path, monkeypatch, noise_kind):
+        from randstep import measure_truncation_constant, sampler
+        from randstep.config import load_config
+
+        cfg_text = CONVERGE_CONFIG.replace("kind = centred_gaussian", f"kind = {noise_kind}")
+        path = _write(tmp_path, cfg_text)
+        built = []
+
+        def counting(problem, steps, points):
+            built.append(len(steps))
+            return flow_table(problem, steps, points)
+
+        flow_table = sampler.flow_table
+        monkeypatch.setattr(sampler, "flow_table", counting)
+        out = tmp_path / "out"
+        assert main(["converge", "--config", path, "--out", str(out)]) == 0
+        assert built == [4, 8, 16, 32]
+        # the shared build gives the constant measure_truncation_constant gives
+        monkeypatch.setattr(sampler, "flow_table", flow_table)
+        cfg = load_config(path)
+        expected = max(
+            measure_truncation_constant(cfg.problem, cfg.method, grid, cfg.theta)
+            for grid in cfg.grids
+        )
+        report = json.loads((out / "report.json").read_text())
+        assert report["measured_c_phi_psi"] == expected
+
 
 class TestBayes:
     def test_sweep_artifacts(self, tmp_path):

@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
 from randstep import (
     Problem,
     SpaceDescriptor,
     apply_operator,
+    build_grid,
     exact_flow,
     flow_lipschitz,
+    flow_table,
     garding_constants,
     heat_1d,
     laplacian_1d,
@@ -214,23 +218,25 @@ class TestVectorField:
 
 
 class TestResponseKernels:
-    """The scalar kernels behind the forcing response, against quadrature."""
+    """The array kernels behind the forcing response, against quadrature."""
 
     def test_poly_exp_column_all_regimes(self):
         from scipy.special import gammainc, gammaln
 
-        from randstep.problems import _poly_exp_column
+        from randstep.problems import _poly_exp_sum
 
-        for z in (-60.0, -5.0, -0.3, 0.0, 0.7, 1.5, 7.0, 15.0, 49.9, 150.0, 5e4):
-            table = _poly_exp_column(z, 30)
-            for k in (0, 1, 2, 7, 19, 30):
+        zs = np.array([-60.0, -5.0, -0.3, 0.0, 0.7, 1.5, 7.0, 15.0, 49.9, 150.0, 5e4])
+        for k in (0, 1, 2, 7, 19, 30):
+            # a unit weight on f_k picks it out of the sum, for every z in one call
+            column = _poly_exp_sum(zs, lambda i, k=k: float(i == k), 30)
+            for z, ours in zip(zs, column):
                 if z > 0:
                     # int_0^1 s^k e^(-z s) ds = lower_gamma(k+1, z) / z^(k+1)
                     ref = gammainc(k + 1, z) * math.exp(gammaln(k + 1) - (k + 1) * math.log(z))
                 else:
                     ref, _ = quad(lambda s: s**k * math.exp(-z * s), 0.0, 1.0,
                                   epsabs=1e-300, epsrel=1e-13, limit=200)
-                assert table[k] == pytest.approx(ref, rel=1e-10, abs=1e-300)
+                assert ours == pytest.approx(ref, rel=1e-10, abs=1e-300)
 
     @pytest.mark.parametrize(
         "beta,gamma,t,t1",
@@ -246,13 +252,12 @@ class TestResponseKernels:
         ],
     )
     def test_affine_response_against_quadrature(self, beta, gamma, t, t1):
-        from randstep.problems import _response_affine_erf, _response_affine_series
+        from randstep.problems import _erf_response, _series_response
 
         coeffs = np.array([0.7, -1.3, 0.4])
         series = abs(gamma) * (t1 - t) ** 2 <= 1.0
-        ours = (_response_affine_series if series else _response_affine_erf)(
-            coeffs, beta, gamma, t, t1
-        )
+        args = [np.array([v]) for v in (*coeffs, beta, gamma, t, t1)]
+        ours = float((_series_response if series else _erf_response)(*args)[0])
 
         def integrand(s):
             g = lambda x: beta * x + gamma * x * x
@@ -260,6 +265,60 @@ class TestResponseKernels:
 
         ref, err = quad(integrand, t, t1, epsabs=1e-14, epsrel=1e-12, limit=200)
         assert ours == pytest.approx(ref, rel=1e-9, abs=1e-13)
+
+
+class TestFlowTableAgainstQuadrature:
+    """Every entry of flow_table's (E, f), against its defining integrals."""
+
+    # quad warns of roundoff where b changes sign; the abs term allows for it
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @settings(max_examples=25, deadline=None)
+    @given(
+        dim=st.integers(1, 128),
+        a0=st.floats(-2.0, 2.0),
+        a1=st.floats(-3.0, 3.0),
+        n=st.integers(1, 4),
+        grading=st.floats(1.0, 3.0),
+        stiffness=st.floats(0.0, 4.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one example per completed-square case, each also spanning the series side
+    @example(dim=40, a0=1.0, a1=2.0, n=1, grading=1.0, stiffness=3.0, seed=1)  # dawsn
+    @example(dim=40, a0=2.0, a1=-1.5, n=2, grading=1.5, stiffness=3.0, seed=2)  # erfcx, alpha > 0
+    @example(dim=40, a0=0.5, a1=-3.0, n=2, grading=1.0, stiffness=2.0, seed=3)  # erfcx, alpha < 0
+    @example(dim=40, a0=0.5, a1=-3.0, n=1, grading=1.0, stiffness=2.0, seed=4)  # erf
+    @example(dim=128, a0=1.0, a1=1.0, n=4, grading=2.0, stiffness=4.0, seed=5)
+    def test_entries_match_quadrature(self, dim, a0, a1, n, grading, stiffness, seed):
+        if a0 == 0.0 and a1 == 0.0:
+            return
+        rng = np.random.default_rng(seed)
+        lam = np.sort(10.0 ** rng.uniform(-1.0, stiffness, dim))
+        low = min(a0, a0 + a1)
+        if low < 0.0:
+            # growing modes: keep exp(lam int |alpha|) well inside float range
+            lam *= min(1.0, 40.0 / (lam[-1] * max(abs(a0), abs(a0 + a1))))
+        forcing = rng.uniform(-1.0, 1.0, (dim, 3))
+        problem = Problem(SpaceDescriptor(lam), (a0, a1), forcing, 1.0)
+        grid = build_grid(1.0, n, grading)
+        decay, response = flow_table(problem, grid.steps, grid.points[:-1])
+
+        def big_a(s):
+            return a0 * s + 0.5 * a1 * s * s
+
+        for k, (t, t1) in enumerate(zip(grid.points[:-1], grid.points[:-1] + grid.steps)):
+            for j in range(dim):
+                assert decay[k, j] == pytest.approx(
+                    math.exp(-lam[j] * (big_a(t1) - big_a(t))), rel=1e-12
+                )
+
+                def integrand(s, j=j, t1=t1):
+                    b = forcing[j, 0] + forcing[j, 1] * s + forcing[j, 2] * s * s
+                    return math.exp(-lam[j] * (big_a(t1) - big_a(s))) * b
+
+                ref, _ = quad(integrand, t, t1, epsabs=0.0, epsrel=1e-12, limit=200)
+                scale, _ = quad(lambda s: abs(integrand(s)), t, t1, epsabs=0.0,
+                                epsrel=1e-12, limit=200)
+                assert response[k, j] == pytest.approx(ref, rel=1e-9, abs=1e-12 * scale)
 
 
 class TestFlowLipschitz:

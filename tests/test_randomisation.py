@@ -192,6 +192,21 @@ class TestOrliczBound:
             psi2_amplitude(model) * 0.25
         )
 
+    @pytest.mark.parametrize("kind", ["centred_gaussian", "biased", "shared_factor",
+                                      "bounded_uniform"])
+    def test_psi2_amplitude_blocks_match_one_shot(self, monkeypatch, kind):
+        from randstep import randomisation
+
+        model = NoiseModel(5, p=1.0, c_xi=0.8, kind=kind, bias_mode=2,
+                           bias_coefficient=0.6, rho=0.3)
+        samples = 3001
+        # about 700 rows a block: five blocks, the last one short
+        monkeypatch.setattr(randomisation, "_PSI2_BLOCK_BYTES", 8 * 5 * 700)
+        stream = np.random.default_rng(np.random.SeedSequence(randomisation._PSI2_SEED))
+        one_shot = np.linalg.norm(sample_noise_matrix(model, stream, 1.0, samples), axis=1)
+        expected = orlicz_norm_estimate(one_shot, "psi2")
+        assert psi2_amplitude.__wrapped__(model, samples) == expected
+
     def test_degenerate_amplitude(self):
         model = centred_gaussian(3, c_xi=0.0)
         assert psi2_amplitude(model) == 0.0

@@ -144,6 +144,16 @@ class TestEnsemble:
         assert np.array_equal(streamed_one.error_h_norms(), streamed_many.error_h_norms())
         assert np.array_equal(streamed_one.error_h_norms(), one.error_h_norms())
 
+    def test_two_worker_gather_matches_one_worker(self):
+        problem = heat_1d(5, forcing=np.tile([0.5, -1.0, 0.25], (5, 1)))
+        grid = build_grid(1.0, 7, 2.0)
+        args = (problem, implicit_euler(), centred_gaussian(5), grid, np.ones(5), 9, 13)
+        one = run_ensemble(*args, workers=1, record_defects=True)
+        two = run_ensemble(*args, workers=2, record_defects=True)
+        assert np.array_equal(one.error_h_norms(), two.error_h_norms())
+        assert np.array_equal(one.defects, two.defects)
+        assert two.defects.shape == (9, 7)
+
     def test_zero_amplitude_trajectories_identical(self):
         problem = heat_1d(2)
         grid = build_grid(1.0, 5)
