@@ -167,8 +167,11 @@ def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
     try:
         n_values = _ints(sec.get("n_values"))
         gamma = sec.getfloat("gamma", 1.0)
-        if not n_values:
-            raise ValueError("n_values must list at least one step count")
+        if len(set(n_values)) < 3:
+            raise ValueError(
+                "n_values must list at least three distinct step counts (a rate fit "
+                f"needs three meshes), got {n_values}"
+            )
         if gamma < 1.0:
             raise ValueError(f"grading exponent must be >= 1, got {gamma}")
         return tuple(build_grid(horizon, n, gamma) for n in n_values)

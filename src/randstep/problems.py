@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import dawsn, erf, erfcx
 
 from .spaces import SpaceDescriptor, laplacian_1d
 
@@ -344,6 +343,10 @@ def _erf_response(c0, c1, c2, beta, gamma, t, t1):
     increasing on the step (the dissipative case).  e1 and e2 follow by
     parts.
     """
+    # imported on first use: loading scipy.special takes about 0.3 s, which
+    # runs that never reach this path should not pay
+    from scipy.special import dawsn, erf, erfcx
+
     expo = np.exp(beta * (t - t1) + gamma * (t * t - t1 * t1))  # exp(g(t) - g(t1))
     root = np.sqrt(np.abs(gamma))
     shift = beta / (2.0 * root)

@@ -2,36 +2,44 @@
 
 The randomised recursion perturbs each step of the underlying method:
 
-    U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k),        U_0 = theta,
+    U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k),        U_0 = theta (+ xi_init).
 
-and the error sequence is measured against the exact flow,
+Its error e_k = u(t_k) - U_k is followed as in the paper's proof: a
+one-step defect along the exact solution, plus the propagated error,
+plus the noise.  On these linear mode-diagonal problems both maps are
+per-mode affine, psi(h_k, t_k, v) = a_k * v + c_k and
+phi(h_k, t_k, v) = E_k * v + f_k.  A run builds, once per grid and
+before any stream draw, the tables (a, c) = integrators.step_table and
+(E, f) = problems.flow_table, shape (N, J) each (validating its grid
+there), the exact states u_(k+1) = E_k u_k + f_k, and the signed defects
 
-    e_k = u(t_k) - U_k,
-    e_(k+1) = phi(h_k, t_k, u(t_k)) - psi(h_k, t_k, U_k) - xi_k(h_k).
+    d_k = psi(h_k, t_k, u_k) - u_(k+1) = a_k u_k + c_k - u_(k+1).
 
-On these linear mode-diagonal problems both maps are per-mode affine:
-psi(h_k, t_k, v) = a_k * v + c_k and phi(h_k, t_k, v) = E_k * v + f_k.  A
-run builds the tables (a, c) = integrators.step_table and
-(E, f) = problems.flow_table once, shape (N, J) each, and validates its
-grid there.  The exact states u(t_k), shared by every trajectory, follow
-u_(k+1) = E_k u_k + f_k; each block of trajectories runs
-U_(k+1) = a_k U_k + c_k + xi_k; the one-step defects along a path are
-|(E_k - a_k) U_k + f_k - c_k|_H.  A convergence study builds each grid's
-tables once for both its truncation constant and its ensemble
-(`_converge_grid`).
+Every run then propagates the deviation r_k = U_k - u(t_k) = -e_k,
+
+    r_(k+1) = a_k r_k + d_k + xi_k,        r_0 = xi_init or 0,
+
+and its states are u + r.  The truncation constant is
+max_k |d_k|_H / h_k^(q+1), and the one-step defect along a realised path
+is |phi(U_k) - psi(U_k)|_H = |(E_k - a_k) r_k - d_k|_H.  A convergence
+study builds each grid's tables once for both its truncation constant
+and its ensemble (`_converge_grid`).
 
 Ensembles derive one child stream per trajectory from
 (master_seed, trajectory_index), so results are bit-identical for any
-worker count; trajectories are reduced in index order.
+worker count; trajectories are reduced in index order.  Row i of an
+ensemble's norms is bitwise
+run_randomised(..., trajectory_stream(master_seed, i)).error_h_norms(),
+the call that gives trajectory i's arrays.
 
-Memory model: the strong-error statistics need only |e_k|_H per
-trajectory and step.  run_ensemble therefore walks its trajectories in
-blocks of at most BLOCK_BYTES of (N + 1, J) float64 rows, reduces each
-block to its (B, N + 1) error norms as soon as it finishes and drops the
-block, so an ensemble holds O(M N) floats and pool workers send back only
-norms (and defects, when recorded), copied in index order into one
-preallocated (M, N + 1) array.  The blocking changes no computed float.  The full (M, N + 1, J) states, errors and noise are stored only
-with run_ensemble(..., keep=True).
+Memory model: the strong-error statistics need only |e_k|_H = |r_k|_H
+per trajectory and step.  run_ensemble therefore walks its trajectories
+in blocks of at most BLOCK_BYTES of (N + 1, J) float64 rows.  A block
+draws its noise, propagates its deviations, frees the noise, squares
+the deviations in place and sums them to (B, N + 1) norms; it is freed
+before the next block is drawn.  An ensemble thus holds O(M N) floats,
+and pool workers send back only norms, copied in index order into one
+preallocated (M, N + 1) array.  The blocking changes no computed float.
 """
 
 from __future__ import annotations
@@ -81,22 +89,18 @@ class Trajectory:
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
-    """M trajectories, leading axis = trajectory.
+    """Error norms of M trajectories, leading axis = trajectory.
 
     norms holds the per-trajectory, per-step |e_k|_H, shape (M, N + 1),
-    read-only.  states, errors and noise, shape (M, N + 1, J) (noise
-    (M, N, J)), are None unless run_ensemble was called with keep=True;
-    defects, shape (M, N), is stored whenever defects were recorded.
+    read-only.  Row i is bitwise
+    run_randomised(..., trajectory_stream(master_seed, i)).error_h_norms();
+    that call gives trajectory i's states, errors, noise and defects.
     """
 
     grid: TimeGrid
     norms: np.ndarray
     master_seed: int
     fingerprint: str
-    states: np.ndarray | None = None
-    errors: np.ndarray | None = None
-    noise: np.ndarray | None = None
-    defects: np.ndarray | None = None
 
     def __post_init__(self):
         self.norms.flags.writeable = False
@@ -104,19 +108,6 @@ class Ensemble:
     @property
     def size(self) -> int:
         return self.norms.shape[0]
-
-    def trajectory(self, i: int) -> Trajectory:
-        if self.states is None:
-            raise ValueError(
-                "trajectory arrays were not kept: call run_ensemble(..., keep=True)"
-            )
-        return Trajectory(
-            self.grid,
-            self.states[i],
-            self.errors[i],
-            None if self.noise is None else self.noise[i],
-            None if self.defects is None else self.defects[i],
-        )
 
     def error_h_norms(self) -> np.ndarray:
         """Per-trajectory, per-step |e_k|_H, shape (M, N + 1), read-only."""
@@ -142,7 +133,7 @@ def exact_states(problem: Problem, grid: TimeGrid, theta: np.ndarray) -> np.ndar
     """u(t_k) along the grid from the exact-flow table, shape (N + 1, J)."""
     theta = _check_state(problem, theta)
     flow = flow_table(problem, grid.steps, grid.points[:-1])
-    return _advance_block(flow, None, theta[None, :], None)[0][0]
+    return _advance_block(flow, theta[None, :], None)[0]
 
 
 def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -168,21 +159,20 @@ def _check_state(problem: Problem, theta: np.ndarray) -> np.ndarray:
     return theta
 
 
-def _prepare(problem, method, grid, theta, noise, record_defects):
+def _prepare(problem, method, grid, theta, noise):
     """Validate a run's inputs and build its tables before any stream draw:
-    theta as floats, the method's (a, c), the defect table (E - a, f - c)
-    if defects are recorded (else None), and the exact states."""
+    theta as floats, the deviation table (a, d), the exact states u and
+    the flow factors E (for path defects)."""
     theta = _check_state(problem, theta)
     if noise is not None and noise.dimension != problem.space.dimension:
         raise ValueError(
             f"noise dimension {noise.dimension} does not match the problem "
             f"dimension {problem.space.dimension}"
         )
-    table = step_table(method, problem, grid.steps, grid.points[:-1])
+    a, c = step_table(method, problem, grid.steps, grid.points[:-1])
     flow = flow_table(problem, grid.steps, grid.points[:-1])
-    gap = (flow[0] - table[0], flow[1] - table[1]) if record_defects else None
-    exact = _advance_block(flow, None, theta[None, :], None)[0][0]
-    return theta, table, gap, exact
+    exact = _advance_block(flow, theta[None, :], None)[0]
+    return theta, (a, a * exact[:-1] + c - exact[1:]), exact, flow[0]
 
 
 def _h_norms(errors: np.ndarray) -> np.ndarray:
@@ -190,28 +180,40 @@ def _h_norms(errors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(errors * errors, axis=-1))
 
 
-def _advance_block(table, gap, u0: np.ndarray, noise_block: np.ndarray | None):
-    """Run u_(k+1) = a[k] * u_k + c[k] (+ noise_block[:, k]) for a block of
-    states u0, shape (B, J), with (a, c) = table; with a defect table gap,
-    also the per-step defects |gap[0][k] * u_k + gap[1][k]|_H, shape (B, N).
+def _advance_block(table, v0: np.ndarray, noise_block: np.ndarray | None) -> np.ndarray:
+    """Run v_(k+1) = a[k] * v_k + b[k] (+ noise_block[:, k]) for a block of
+    starts v0, shape (B, J), with (a, b) = table; returns shape
+    (B, N + 1, J).
 
-    All operations are elementwise per trajectory (plus mode-axis norms),
-    so splitting a block changes nothing in the computed floats.
+    All operations are elementwise per trajectory, so splitting a block
+    changes nothing in the computed floats.
     """
-    a, c = table
+    a, b = table
     n = a.shape[0]
-    states = np.empty((u0.shape[0], n + 1, u0.shape[1]))
-    states[:, 0] = u0
-    defects = None if gap is None else np.empty((u0.shape[0], n))
+    out = np.empty((v0.shape[0], n + 1, v0.shape[1]))
+    out[:, 0] = v0
     for k in range(n):
-        u, v = states[:, k], states[:, k + 1]
-        if gap is not None:
-            defects[:, k] = _h_norms(gap[0][k] * u + gap[1][k])
-        np.multiply(a[k], u, out=v)
-        v += c[k]
+        v = out[:, k + 1]
+        np.multiply(a[k], out[:, k], out=v)
+        v += b[k]
         if noise_block is not None:
             v += noise_block[:, k]
-    return states, defects
+    return out
+
+
+def _trajectory(prepared, grid: TimeGrid, init=None, path=None,
+                record_defects: bool = False) -> Trajectory:
+    """One trajectory from a run's `_prepare` build, its initial
+    perturbation and noise path (None for none): states u + r, errors -r
+    and, if recorded, the path defects |(E - a) r - d|_H."""
+    _, table, exact, flow_factors = prepared
+    r0 = np.zeros(exact.shape[1]) if init is None else init
+    r = _advance_block(table, r0[None, :], None if path is None else path[None])[0]
+    defects = None
+    if record_defects:
+        a, d = table
+        defects = _h_norms((flow_factors - a) * r[:-1] - d)
+    return Trajectory(grid, exact + r, -r, path, defects)
 
 
 def run_deterministic(
@@ -219,19 +221,9 @@ def run_deterministic(
     method: MethodConfig,
     grid: TimeGrid,
     theta: np.ndarray,
-    record_defects: bool = False,
 ) -> Trajectory:
     """Noise-free recursion u_(k+1) = psi(h_k, t_k, u_k)."""
-    return _deterministic(_prepare(problem, method, grid, theta, None, record_defects), grid)
-
-
-def _deterministic(prepared, grid: TimeGrid) -> Trajectory:
-    """The noise-free trajectory from a run's `_prepare` build."""
-    theta, table, gap, exact = prepared
-    states, defects = _advance_block(table, gap, theta[None, :], None)
-    return Trajectory(
-        grid, states[0], exact - states[0], None, None if defects is None else defects[0]
-    )
+    return _trajectory(_prepare(problem, method, grid, theta, None), grid)
 
 
 def _draw_noise(
@@ -258,73 +250,55 @@ def run_randomised(
     perturb_initial: bool = False,
 ) -> Trajectory:
     """Randomised recursion U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k)."""
-    theta, table, gap, exact = _prepare(problem, method, grid, theta, noise, record_defects)
+    prepared = _prepare(problem, method, grid, theta, noise)
     init, path = _draw_noise(noise, stream, grid, perturb_initial)
-    u0 = theta if init is None else theta + init
-    states, defects = _advance_block(table, gap, u0[None, :], path[None, :, :])
-    return Trajectory(
-        grid, states[0], exact - states[0], path, None if defects is None else defects[0]
-    )
+    return _trajectory(prepared, grid, init, path, record_defects)
 
 
-def _run_block(table, gap, noise, grid, theta, exact, block, master_seed,
-               perturb_initial, keep):
-    """Error norms and defects of the trajectories in block; with keep, also
-    their states, errors and noise.  Without keep the block's arrays are
-    freed on return."""
-    paths = np.empty((len(block), grid.num_steps, theta.size))
-    u0 = np.empty((len(block), theta.size))
+def _run_block(table, noise, grid, block, master_seed, perturb_initial):
+    """Error norms |r_k|_H of the trajectories in block, shape (B, N + 1);
+    the block's noise and deviations are freed on return."""
+    j = table[0].shape[1]
+    paths = np.empty((len(block), grid.num_steps, j))
+    r0 = np.zeros((len(block), j))
     for row, i in enumerate(block):
-        stream = trajectory_stream(master_seed, i)
-        init, paths[row] = _draw_noise(noise, stream, grid, perturb_initial)
-        u0[row] = theta if init is None else theta + init
-    states, defects = _advance_block(table, gap, u0, paths)
-    if keep:
-        errors = exact - states
-        return _h_norms(errors), defects, states, errors, paths
-    del paths  # the norm pass needs only the states
-    return _h_norms(np.subtract(exact, states, out=states)), defects
+        init, paths[row] = _draw_noise(noise, trajectory_stream(master_seed, i), grid,
+                                       perturb_initial)
+        if init is not None:
+            r0[row] = init
+    r = _advance_block(table, r0, paths)
+    del paths  # the norm pass needs only the deviations
+    return np.sqrt(np.sum(np.square(r, out=r), axis=-1))
 
 
 def _run_chunk(args):
-    """One worker's trajectories in blocks of at most BLOCK_BYTES of states,
-    each reduced as soon as it finishes; with keep, a single block."""
-    (table, gap, noise, grid, theta, exact, indices, master_seed,
-     perturb_initial, keep) = args
-    row_bytes = (grid.num_steps + 1) * theta.size * 8
-    rows = len(indices) if keep else max(1, BLOCK_BYTES // row_bytes)
+    """One worker's trajectories in blocks of at most BLOCK_BYTES of
+    deviations, each reduced to its norms as soon as it finishes."""
+    table, noise, grid, indices, master_seed, perturb_initial = args
+    row_bytes = (grid.num_steps + 1) * table[0].shape[1] * 8
+    rows = max(1, BLOCK_BYTES // row_bytes)
     return _gather(
         (
-            _run_block(table, gap, noise, grid, theta, exact, indices[start:start + rows],
-                       master_seed, perturb_initial, keep)
+            _run_block(table, noise, grid, indices[start:start + rows], master_seed,
+                       perturb_initial)
             for start in range(0, len(indices), rows)
         ),
         len(indices),
     )
 
 
-def _gather(parts, m: int) -> list:
-    """[norms, defects, *kept] of m trajectories from result tuples taken in
-    index order.  Norms and defects are copied into one preallocated array
-    each and every part is freed once copied; the arrays kept with
-    keep=True are concatenated."""
-    norms = defects = None
-    kept, row = [], 0
+def _gather(parts, m: int) -> np.ndarray:
+    """The (m, N + 1) norms of m trajectories from parts taken in index
+    order, copied into one preallocated array; each part is freed once
+    copied."""
+    norms, row = None, 0
     for part in parts:
-        part_norms, part_defects, *part_kept = part
         if norms is None:
-            norms = np.empty((m,) + part_norms.shape[1:])
-            if part_defects is not None:
-                defects = np.empty((m,) + part_defects.shape[1:])
-        stop = row + len(part_norms)
-        norms[row:stop] = part_norms
-        if defects is not None:
-            defects[row:stop] = part_defects
-        if part_kept:
-            kept.append(part_kept)
-        row = stop
-        del part, part_norms, part_defects
-    return [norms, defects] + [np.concatenate(arrays) for arrays in zip(*kept)]
+            norms = np.empty((m,) + part.shape[1:])
+        norms[row:row + len(part)] = part
+        row += len(part)
+        del part
+    return norms
 
 
 def _fingerprint(*parts) -> str:
@@ -347,43 +321,38 @@ def run_ensemble(
     m: int,
     master_seed: int,
     workers: int = 1,
-    record_defects: bool = False,
     perturb_initial: bool = False,
     fingerprint: str | None = None,
-    keep: bool = False,
 ) -> Ensemble:
     """M independent randomised trajectories with per-trajectory substreams.
 
-    Only the (M, N + 1) error norms (and the defects, if recorded) are
-    stored; keep=True also stores the full states, errors and noise.
+    Only the (M, N + 1) error norms are stored.  Row i is bitwise
+    run_randomised(problem, method, noise, grid, theta,
+    trajectory_stream(master_seed, i), perturb_initial=perturb_initial)
+    .error_h_norms(); that call gives trajectory i's arrays.
     """
     if m < 1:
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    prepared = _prepare(problem, method, grid, theta, noise, record_defects)
+    theta, table, _, _ = _prepare(problem, method, grid, theta, noise)
     if fingerprint is None:
-        fingerprint = _fingerprint(problem, method, noise, grid.points, prepared[0], m, master_seed)
-    return _ensemble(prepared, noise, grid, m, master_seed, workers, perturb_initial,
-                     fingerprint, keep)
+        fingerprint = _fingerprint(problem, method, noise, grid.points, theta, m, master_seed)
+    return _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial, fingerprint)
 
 
-def _ensemble(prepared, noise, grid, m, master_seed, workers, perturb_initial,
-              fingerprint, keep) -> Ensemble:
-    """The ensemble from a run's `_prepare` build; workers' results are
+def _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial,
+              fingerprint) -> Ensemble:
+    """The ensemble on a run's deviation table; workers' norms are
     gathered in index order."""
-    theta, table, gap, exact = prepared
     chunks = [idx for idx in np.array_split(np.arange(m), min(workers, m)) if idx.size]
-    jobs = [
-        (table, gap, noise, grid, theta, exact, idx, master_seed, perturb_initial, keep)
-        for idx in chunks
-    ]
+    jobs = [(table, noise, grid, idx, master_seed, perturb_initial) for idx in chunks]
     if workers == 1 or len(jobs) == 1:
-        norms, defects, *kept = _gather(map(_run_chunk, jobs), m)
+        norms = _gather(map(_run_chunk, jobs), m)
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            norms, defects, *kept = _gather(pool.map(_run_chunk, jobs), m)
-    return Ensemble(grid, norms, master_seed, fingerprint, *kept, defects=defects)
+            norms = _gather(pool.map(_run_chunk, jobs), m)
+    return Ensemble(grid, norms, master_seed, fingerprint)
 
 
 def measure_truncation_constant(
@@ -397,14 +366,14 @@ def measure_truncation_constant(
     exact solution states, an empirical stand-in for the truncation
     constant of the method on this problem."""
     q = method.order if order is None else order
-    _, _, gap, exact = _prepare(problem, method, grid, theta, None, True)
-    return _truncation_constant(gap, exact, grid.steps, q)
+    _, (_, defects), _, _ = _prepare(problem, method, grid, theta, None)
+    return _truncation_constant(defects, grid.steps, q)
 
 
-def _truncation_constant(gap, exact: np.ndarray, steps: np.ndarray, q: float) -> float:
-    defects = _h_norms(gap[0] * exact[:-1] + gap[1])
-    hit = defects > 0.0
-    return float(np.max(defects[hit] / steps[hit] ** (q + 1.0), initial=0.0))
+def _truncation_constant(defects: np.ndarray, steps: np.ndarray, q: float) -> float:
+    norms = _h_norms(defects)
+    hit = norms > 0.0
+    return float(np.max(norms[hit] / steps[hit] ** (q + 1.0), initial=0.0))
 
 
 def _converge_grid(problem, method, noise, grid, theta, m, master_seed, workers, fingerprint):
@@ -412,10 +381,9 @@ def _converge_grid(problem, method, noise, grid, theta, m, master_seed, workers,
     the truncation constant of measure_truncation_constant, and the
     ensemble of run_ensemble (the trajectory of run_deterministic when
     noise is None)."""
-    theta, table, gap, exact = _prepare(problem, method, grid, theta, noise, True)
-    constant = _truncation_constant(gap, exact, grid.steps, method.order)
-    prepared = (theta, table, None, exact)
+    prepared = _prepare(problem, method, grid, theta, noise)
+    table = prepared[1]
+    constant = _truncation_constant(table[1], grid.steps, method.order)
     if noise is None:
-        return constant, _deterministic(prepared, grid)
-    return constant, _ensemble(prepared, noise, grid, m, master_seed, workers, False,
-                               fingerprint, False)
+        return constant, _trajectory(prepared, grid)
+    return constant, _ensemble(table, noise, grid, m, master_seed, workers, False, fingerprint)

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -143,12 +147,21 @@ class TestConverge:
         # explicit Euler on heat_1d(64) at h = 1/8: h lam_5 = 3.125 > 2
         bad = (
             CONVERGE_CONFIG.replace("dimension = 4", "dimension = 64")
-            .replace("n_values = 4, 8, 16, 32", "n_values = 8")
+            .replace("n_values = 4, 8, 16, 32", "n_values = 8, 16, 32")
             .replace("kind = implicit_euler", "kind = explicit_euler")
             .replace("kind = centred_gaussian\np = 1.0\nc_xi = 0.5\ns = 1.0", "kind = none")
         )
         assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 2
         assert "unstable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_values", ["8, 16", "8, 8, 16"])
+    def test_too_few_distinct_step_counts_exit_one(self, tmp_path, capsys, n_values):
+        # a rate fit needs three distinct meshes; no ensemble runs first
+        bad = CONVERGE_CONFIG.replace("n_values = 4, 8, 16, 32", f"n_values = {n_values}")
+        assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error in [grid_family]" in err
+        assert "three distinct step counts" in err
 
     def test_schema_key_aliases(self, tmp_path):
         # T / J / method are accepted alongside horizon / dimension / kind,
@@ -283,3 +296,16 @@ class TestChecks:
         cfg = _write(tmp_path, GRONWALL_CONFIG)
         assert main(["noise-check", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "noise" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # scipy.special is loaded on first use by the affine-alpha flow only
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, randstep.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

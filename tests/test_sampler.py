@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -29,6 +30,17 @@ from randstep import (
 from randstep import sampler
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
+
+
+def _randomised_norms(problem, method, noise, grid, theta, m, master_seed, perturb_initial=False):
+    """The per-index run_randomised norms, the reference for ensemble rows."""
+    return np.stack([
+        run_randomised(
+            problem, method, noise, grid, theta, trajectory_stream(master_seed, i),
+            perturb_initial=perturb_initial,
+        ).error_h_norms()
+        for i in range(m)
+    ])
 
 
 class TestDeterministic:
@@ -122,11 +134,11 @@ class TestEnsemble:
         grid = build_grid(1.0, 8)
         method = implicit_euler()
         noise = centred_gaussian(1, p=1.0)
-        ensemble = run_ensemble(problem, method, noise, grid, np.array([1.0]), 1, 99, keep=True)
+        ensemble = run_ensemble(problem, method, noise, grid, np.array([1.0]), 1, 99)
         single = run_randomised(
             problem, method, noise, grid, np.array([1.0]), trajectory_stream(99, 0)
         )
-        assert np.array_equal(ensemble.states[0], single.states)
+        assert np.array_equal(ensemble.error_h_norms(), np.stack([single.error_h_norms()]))
 
     def test_worker_counts_agree(self):
         problem = heat_1d(4)
@@ -134,33 +146,30 @@ class TestEnsemble:
         method = implicit_euler()
         noise = centred_gaussian(4, p=1.0)
         theta = np.ones(4)
-        one = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=1, keep=True)
-        many = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=3, keep=True)
-        assert np.array_equal(one.states, many.states)
-        assert np.array_equal(one.errors, many.errors)
+        one = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=1)
+        many = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=3)
+        assert np.array_equal(one.error_h_norms(), many.error_h_norms())
         assert one.fingerprint == many.fingerprint
-        streamed_one = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=1)
-        streamed_many = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=3)
-        assert np.array_equal(streamed_one.error_h_norms(), streamed_many.error_h_norms())
-        assert np.array_equal(streamed_one.error_h_norms(), one.error_h_norms())
+        reference = _randomised_norms(problem, method, noise, grid, theta, 10, 5)
+        assert np.array_equal(one.error_h_norms(), reference)
 
     def test_two_worker_gather_matches_one_worker(self):
         problem = heat_1d(5, forcing=np.tile([0.5, -1.0, 0.25], (5, 1)))
         grid = build_grid(1.0, 7, 2.0)
         args = (problem, implicit_euler(), centred_gaussian(5), grid, np.ones(5), 9, 13)
-        one = run_ensemble(*args, workers=1, record_defects=True)
-        two = run_ensemble(*args, workers=2, record_defects=True)
+        one = run_ensemble(*args, workers=1)
+        two = run_ensemble(*args, workers=2)
         assert np.array_equal(one.error_h_norms(), two.error_h_norms())
-        assert np.array_equal(one.defects, two.defects)
-        assert two.defects.shape == (9, 7)
+        assert two.error_h_norms().shape == (9, 8)
 
     def test_zero_amplitude_trajectories_identical(self):
         problem = heat_1d(2)
         grid = build_grid(1.0, 5)
         noise = centred_gaussian(2, c_xi=0.0)
-        ensemble = run_ensemble(problem, implicit_euler(), noise, grid, np.ones(2), 4, 0, keep=True)
+        ensemble = run_ensemble(problem, implicit_euler(), noise, grid, np.ones(2), 4, 0)
+        norms = ensemble.error_h_norms()
         for i in range(1, 4):
-            assert np.array_equal(ensemble.states[i], ensemble.states[0])
+            assert np.array_equal(norms[i], norms[0])
 
     def test_rejects_empty_ensemble(self):
         with pytest.raises(ValueError):
@@ -168,17 +177,6 @@ class TestEnsemble:
                 heat_1d(2), implicit_euler(), centred_gaussian(2), build_grid(1.0, 4),
                 np.ones(2), 0, 1,
             )
-
-    def test_trajectory_view(self):
-        problem = scalar_linear(-0.5)
-        grid = build_grid(1.0, 6)
-        noise = centred_gaussian(1, p=1.0)
-        ensemble = run_ensemble(
-            problem, implicit_euler(), noise, grid, np.array([1.0]), 3, 21, keep=True
-        )
-        view = ensemble.trajectory(2)
-        assert np.array_equal(view.states, ensemble.states[2])
-        assert np.array_equal(view.noise, ensemble.noise[2])
 
     def test_summary_serialisable(self):
         import json
@@ -202,15 +200,12 @@ class TestEnsemble:
         problem = heat_1d(3)
         grid = build_grid(1.0, 6)
         noise = centred_gaussian(3, p=1.0)
-        ensemble = run_ensemble(
-            problem, implicit_euler(), noise, grid, np.ones(3), 5, 2, record_defects=True
-        )
-        assert ensemble.states is None and ensemble.errors is None and ensemble.noise is None
-        assert ensemble.defects.shape == (5, 6)
+        ensemble = run_ensemble(problem, implicit_euler(), noise, grid, np.ones(3), 5, 2)
+        assert [f.name for f in dataclasses.fields(ensemble)] == [
+            "grid", "norms", "master_seed", "fingerprint",
+        ]
         assert ensemble.error_h_norms().shape == (5, 7)
         assert ensemble.size == 5
-        with pytest.raises(ValueError, match="keep=True"):
-            ensemble.trajectory(0)
         with pytest.raises(ValueError):
             ensemble.norms[0, 0] = 1.0
 
@@ -221,16 +216,23 @@ class TestEnsemble:
         args = (problem, implicit_euler(), noise, grid, np.ones(5), 7, 41)
         row_bytes = (grid.num_steps + 1) * 5 * 8
         monkeypatch.setattr(sampler, "BLOCK_BYTES", row_bytes)
-        one_per_block = run_ensemble(*args, record_defects=True)
+        one_per_block = run_ensemble(*args)
         monkeypatch.setattr(sampler, "BLOCK_BYTES", 7 * row_bytes)
-        single_block = run_ensemble(*args, record_defects=True)
-        kept = run_ensemble(*args, record_defects=True, keep=True)
+        single_block = run_ensemble(*args)
         assert np.array_equal(one_per_block.error_h_norms(), single_block.error_h_norms())
-        assert np.array_equal(
-            one_per_block.error_h_norms(), np.sqrt(np.sum(kept.errors**2, axis=-1))
-        )
-        assert np.array_equal(one_per_block.defects, single_block.defects)
-        assert np.array_equal(one_per_block.defects, kept.defects)
+        assert np.array_equal(one_per_block.error_h_norms(), _randomised_norms(*args))
+
+    @pytest.mark.parametrize("perturb_initial", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rows_equal_randomised_runs(self, monkeypatch, workers, perturb_initial):
+        problem = heat_1d(4, forcing=np.tile([0.5, -1.0, 0.25], (4, 1)))
+        grid = build_grid(1.0, 9, 1.5)
+        args = (problem, implicit_euler(), centred_gaussian(4, p=0.5), grid,
+                np.linspace(1.0, 0.25, 4), 6, 17)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", (grid.num_steps + 1) * 4 * 8)
+        ensemble = run_ensemble(*args, workers=workers, perturb_initial=perturb_initial)
+        reference = _randomised_norms(*args, perturb_initial=perturb_initial)
+        assert np.array_equal(ensemble.error_h_norms(), reference)
 
     def test_memory_stays_below_one_stacked_array(self):
         # not a timing gate: numpy reports its buffers to tracemalloc
@@ -286,14 +288,13 @@ class TestPathwiseGronwallDominance:
         noise = centred_gaussian(1, p=1.0, c_xi=1.0)
         q = method.order
         l_phi = flow_lipschitz(problem, h_star)
-        ensemble = run_ensemble(
-            problem, method, noise, grid, np.array([1.0]), 200, 31, record_defects=True,
-            keep=True,
-        )
         horizon = grid.horizon
         h = grid.mesh
-        for i in range(ensemble.size):
-            trajectory = ensemble.trajectory(i)
+        for i in range(200):
+            trajectory = run_randomised(
+                problem, method, noise, grid, np.array([1.0]), trajectory_stream(31, i),
+                record_defects=True,
+            )
             c_run = float(np.max(trajectory.defects / grid.steps ** (q + 1.0)))
             noise_sum = float(np.sum(np.linalg.norm(trajectory.noise, axis=1)))
             bound = (0.0 + c_run * h**q * horizon + noise_sum) * math.exp(l_phi * horizon)
