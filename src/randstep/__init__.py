@@ -57,7 +57,6 @@ from .randomisation import (
     centred_gaussian,
     noise_path,
     psi2_amplitude,
-    sample_noise,
     sample_noise_matrix,
     sample_path_matrix,
     theoretical_noise_norm,

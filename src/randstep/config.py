@@ -290,7 +290,7 @@ def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig
     except OSError as exc:
         raise ConfigError("file", f"cannot read config {path}: {exc}") from exc
     fingerprint = hashlib.sha256(text.encode()).hexdigest()
-    parser = configparser.ConfigParser()
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
     try:
         parser.read_string(text)
     except configparser.Error as exc:

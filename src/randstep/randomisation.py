@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "NoiseModel",
     "centred_gaussian",
-    "sample_noise",
     "sample_noise_matrix",
     "sample_path_matrix",
     "noise_path",
@@ -108,11 +107,13 @@ def sample_path_matrix(
 ) -> np.ndarray:
     """m independent trajectories of per-step draws xi_k(h_k), shape (m, N, J).
 
-    The one sampler of the module.  Consumes the stream in a fixed order,
-    lead normals first, then `_follow_draws` (for the shared-factor kind
-    the m shared factors, then the per-step draws; for the bounded kind
-    the directions, then the radii), so draws are reproducible given the
-    stream state; the shared factor correlates the steps of each row.
+    The sampler of one stream; `_noise_chunks` draws one trajectory per
+    stream and consumes each as this does with m = 1.  Consumes the stream
+    in a fixed order, lead normals first, then `_follow_draws` (for the
+    shared-factor kind the m shared factors, then the per-step draws; for
+    the bounded kind the directions, then the radii), so draws are
+    reproducible given the stream state; the shared factor correlates the
+    steps of each row.
     """
     steps = np.asarray(steps, dtype=float)
     if np.any(steps <= 0.0):
@@ -136,29 +137,57 @@ def _follow_draws(model: NoiseModel, stream: np.random.Generator, m: int, n: int
 
 
 def _shape_noise(model: NoiseModel, steps: np.ndarray, lead: np.ndarray, follow) -> np.ndarray:
-    """Noise rows xi_k(h_k) of each kind's law from its raw draws."""
+    """Noise rows xi_k(h_k) of each kind's law from its raw (m, N, J)
+    draws, shaped in place: the per-step normals (follow for the
+    shared-factor kind, else lead) become the noise and are returned."""
     amps = model.c_xi * steps[None, :, None] ** (model.p + 1.0)
     root = np.sqrt(model.spectrum)
     if model.kind == BOUNDED_UNIFORM:
-        direction = lead / np.linalg.norm(lead, axis=2, keepdims=True)
-        radius = follow ** (1.0 / model.dimension)
-        return math.sqrt(3.0) * amps * radius * direction * root
+        lead /= np.linalg.norm(lead, axis=2, keepdims=True)
+        lead *= math.sqrt(3.0) * amps * follow ** (1.0 / model.dimension)
+        lead *= root
+        return lead
     if model.kind == SHARED_FACTOR:
-        return amps * root * (math.sqrt(1.0 - model.rho**2) * follow + model.rho * lead)
-    out = amps * root * lead
+        follow *= math.sqrt(1.0 - model.rho**2)
+        follow += model.rho * lead
+        follow *= amps * root
+        return follow
+    lead *= amps * root
     if model.kind == BIASED:
-        out[..., model.bias_mode] += steps ** (model.p + 1.0) * model.bias_coefficient
-    return out
+        lead[..., model.bias_mode] += steps ** (model.p + 1.0) * model.bias_coefficient
+    return lead
+
+
+def _noise_chunks(model: NoiseModel, streams: list, steps: np.ndarray, size: int):
+    """Yield (start, chunk): the noise of steps start .. start + S - 1 of
+    one trajectory per stream, chunk shape (B, S, J) with S <= size, drawn
+    into and shaped in one reused buffer.
+
+    Each stream is consumed as noise_path consumes it (chunked normal
+    draws equal one whole-path draw): the shared factor first, then the
+    per-step normals chunk by chunk.  The bounded kind's radii follow all
+    of its normals, so it needs size >= N.
+    """
+    rows, n = len(streams), steps.size
+    factor = None
+    if model.kind == SHARED_FACTOR:
+        factor = np.empty((rows, 1, model.dimension))
+        for row, stream in enumerate(streams):
+            stream.standard_normal(out=factor[row])
+    buf = np.empty((rows, min(size, n), model.dimension))
+    for start in range(0, n, size):
+        chunk = buf[:, :min(size, n - start)]
+        for row, stream in enumerate(streams):
+            stream.standard_normal(out=chunk[row])
+        lead, follow = (factor, chunk) if model.kind == SHARED_FACTOR else (chunk, None)
+        if model.kind == BOUNDED_UNIFORM:
+            follow = np.stack([stream.uniform(size=(n, 1)) for stream in streams])
+        yield start, _shape_noise(model, steps[start:start + chunk.shape[1]], lead, follow)
 
 
 def noise_path(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray) -> np.ndarray:
     """All per-step draws xi_k(h_k) of one trajectory, shape (N, J)."""
     return sample_path_matrix(model, stream, steps, 1)[0]
-
-
-def sample_noise(model: NoiseModel, stream: np.random.Generator, h: float) -> np.ndarray:
-    """Single draw xi(h), shape (J,)."""
-    return sample_path_matrix(model, stream, [h], 1)[0, 0]
 
 
 def sample_noise_matrix(model: NoiseModel, stream: np.random.Generator, h: float, m: int) -> np.ndarray:

@@ -33,18 +33,24 @@ run_randomised(..., trajectory_stream(master_seed, i)).error_h_norms(),
 the call that gives trajectory i's arrays.
 
 Memory model: the strong-error statistics need only |e_k|_H = |r_k|_H
-per trajectory and step.  run_ensemble therefore walks its trajectories
-in blocks of at most BLOCK_BYTES of (N + 1, J) float64 rows.  A block
-draws its noise, propagates its deviations, frees the noise, squares
-the deviations in place and sums them to (B, N + 1) norms; it is freed
-before the next block is drawn.  An ensemble thus holds O(M N) floats,
-and pool workers send back only norms, copied in index order into one
-preallocated (M, N + 1) array.  The blocking changes no computed float.
+per trajectory and step, so an ensemble runs step-major.  A worker takes
+its trajectories in groups of B, holding one generator per trajectory of
+the group and one rolling (B, J) deviation.  It draws each trajectory's
+next S steps into one reused (B, S, J) chunk of at most BLOCK_BYTES
+(chunked draws equal one whole-path draw), shapes the chunk in place,
+advances the deviations step by step and writes each step's squared
+norms into the group's rows of the worker's (rows, N + 1) norms, whose
+square root is taken once at the end.  No (B, N + 1, J) array exists:
+an ensemble holds its O(M N) norms plus one chunk.  With one worker the
+norms are written straight into the ensemble's (M, N + 1) array; pool
+workers send back only their norms, copied in index order into one
+preallocated array.  Neither B nor S changes a computed float.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -53,7 +59,7 @@ import numpy as np
 from .grids import TimeGrid
 from .integrators import MethodConfig, step_table
 from .problems import Problem, flow_table
-from .randomisation import NoiseModel, noise_path
+from .randomisation import BOUNDED_UNIFORM, NoiseModel, _noise_chunks, noise_path
 from .spaces import _check_dimension
 
 __all__ = [
@@ -113,27 +119,11 @@ class Ensemble:
         """Per-trajectory, per-step |e_k|_H, shape (M, N + 1), read-only."""
         return self.norms
 
-    def summary_dict(self, include_step_norms: bool = False) -> dict:
-        """JSON-serialisable summary: per-trajectory max error, optionally
-        the full per-step error norms."""
-        norms = self.error_h_norms()
-        out = {
-            "size": int(self.size),
-            "master_seed": int(self.master_seed),
-            "fingerprint": self.fingerprint,
-            "mesh": self.grid.mesh,
-            "max_errors": [float(v) for v in norms.max(axis=1)],
-        }
-        if include_step_norms:
-            out["step_error_norms"] = [[float(v) for v in row] for row in norms]
-        return out
-
 
 def exact_states(problem: Problem, grid: TimeGrid, theta: np.ndarray) -> np.ndarray:
     """u(t_k) along the grid from the exact-flow table, shape (N + 1, J)."""
     theta = _check_state(problem, theta)
-    flow = flow_table(problem, grid.steps, grid.points[:-1])
-    return _advance_block(flow, theta[None, :], None)[0]
+    return _path(flow_table(problem, grid.steps, grid.points[:-1]), theta)
 
 
 def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
@@ -141,10 +131,14 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
-# Byte budget of one trajectory block's (B, N + 1, J) float64 rows.  A
-# streamed block holds at most two arrays of this size at once, whatever M
-# is.  Smaller blocks cost more per-step Python calls; the block size
-# changes no computed float.
+# Byte budget of one step chunk, the (B, S, J) float64 noise of a group of
+# B trajectories over S steps.  B and S are both about
+# sqrt(BLOCK_BYTES / (8 J)), S at most N; the bounded kind, whose radii
+# follow all of its normals, takes S = N and B to fit.  This caps both the
+# chunk and the B generators a group holds, whatever M and N are (the
+# bounded kind's direction norms briefly take one more chunk).  Smaller
+# chunks cost more per-step Python calls; the chunk shape changes no
+# computed float.
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -171,7 +165,7 @@ def _prepare(problem, method, grid, theta, noise):
         )
     a, c = step_table(method, problem, grid.steps, grid.points[:-1])
     flow = flow_table(problem, grid.steps, grid.points[:-1])
-    exact = _advance_block(flow, theta[None, :], None)[0]
+    exact = _path(flow, theta)
     return theta, (a, a * exact[:-1] + c - exact[1:]), exact, flow[0]
 
 
@@ -180,24 +174,34 @@ def _h_norms(errors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(errors * errors, axis=-1))
 
 
-def _advance_block(table, v0: np.ndarray, noise_block: np.ndarray | None) -> np.ndarray:
-    """Run v_(k+1) = a[k] * v_k + b[k] (+ noise_block[:, k]) for a block of
-    starts v0, shape (B, J), with (a, b) = table; returns shape
-    (B, N + 1, J).
+def _advance(table, v: np.ndarray, start: int = 0, noise: np.ndarray | None = None):
+    """Step the rows of v, shape (B, J), in place by
+    v <- a[k] * v + b[k] (+ noise[:, k - start]), with (a, b) = table,
+    for k from start over the S steps of noise, shape (B, S, J), or to
+    the end of the table; yields k + 1 after each step.
 
-    All operations are elementwise per trajectory, so splitting a block
-    changes nothing in the computed floats.
+    The one recursion of the module.  All operations are elementwise per
+    row, so neither the rows stepped together nor the steps taken per
+    call change a computed float.
     """
     a, b = table
-    n = a.shape[0]
-    out = np.empty((v0.shape[0], n + 1, v0.shape[1]))
-    out[:, 0] = v0
-    for k in range(n):
-        v = out[:, k + 1]
-        np.multiply(a[k], out[:, k], out=v)
+    stop = a.shape[0] if noise is None else start + noise.shape[1]
+    for k in range(start, stop):
+        np.multiply(a[k], v, out=v)
         v += b[k]
-        if noise_block is not None:
-            v += noise_block[:, k]
+        if noise is not None:
+            v += noise[:, k - start]
+        yield k + 1
+
+
+def _path(table, v0: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
+    """v_0..v_N of one run of `_advance` from v0, shape (N + 1, J), with
+    per-step noise of shape (N, J) or None."""
+    v = v0[None].copy()
+    out = np.empty((table[0].shape[0] + 1, v0.shape[0]))
+    out[0] = v0
+    for k in _advance(table, v, 0, None if noise is None else noise[None]):
+        out[k] = v[0]
     return out
 
 
@@ -207,8 +211,7 @@ def _trajectory(prepared, grid: TimeGrid, init=None, path=None,
     perturbation and noise path (None for none): states u + r, errors -r
     and, if recorded, the path defects |(E - a) r - d|_H."""
     _, table, exact, flow_factors = prepared
-    r0 = np.zeros(exact.shape[1]) if init is None else init
-    r = _advance_block(table, r0[None, :], None if path is None else path[None])[0]
+    r = _path(table, np.zeros(exact.shape[1]) if init is None else init, path)
     defects = None
     if record_defects:
         a, d = table
@@ -255,36 +258,41 @@ def run_randomised(
     return _trajectory(prepared, grid, init, path, record_defects)
 
 
-def _run_block(table, noise, grid, block, master_seed, perturb_initial):
-    """Error norms |r_k|_H of the trajectories in block, shape (B, N + 1);
-    the block's noise and deviations are freed on return."""
-    j = table[0].shape[1]
-    paths = np.empty((len(block), grid.num_steps, j))
-    r0 = np.zeros((len(block), j))
-    for row, i in enumerate(block):
-        init, paths[row] = _draw_noise(noise, trajectory_stream(master_seed, i), grid,
-                                       perturb_initial)
-        if init is not None:
-            r0[row] = init
-    r = _advance_block(table, r0, paths)
-    del paths  # the norm pass needs only the deviations
-    return np.sqrt(np.sum(np.square(r, out=r), axis=-1))
+def _chunk_shape(noise: NoiseModel, n: int, rows: int) -> tuple[int, int]:
+    """(B, S): trajectories per group and steps per chunk, from
+    BLOCK_BYTES alone; see its comment."""
+    side = max(1, math.isqrt(BLOCK_BYTES // (8 * noise.dimension)))
+    size = n if noise.kind == BOUNDED_UNIFORM else min(n, side)
+    return max(1, min(rows, side, BLOCK_BYTES // (8 * noise.dimension * size))), size
 
 
-def _run_chunk(args):
-    """One worker's trajectories in blocks of at most BLOCK_BYTES of
-    deviations, each reduced to its norms as soon as it finishes."""
+def _run_group(table, noise, steps, indices, master_seed, perturb_initial, size, norms):
+    """Squared error norms |r_k|_H^2 of the trajectories in indices into
+    norms, shape (B, N + 1): one generator per trajectory, one rolling
+    (B, J) deviation, noise drawn S = size steps at a time.  The generators
+    and the chunk buffer are freed on return."""
+    streams = [trajectory_stream(master_seed, i) for i in indices]
+    r = np.zeros((len(streams), noise.dimension))
+    if perturb_initial:
+        for _, init in _noise_chunks(noise, streams, steps[:1], 1):
+            r[:] = init[:, 0]
+    norms[:, 0] = np.sum(r * r, axis=-1)
+    for start, chunk in _noise_chunks(noise, streams, steps, size):
+        for k in _advance(table, r, start, chunk):
+            norms[:, k] = np.sum(r * r, axis=-1)
+
+
+def _run_worker(args) -> np.ndarray:
+    """One worker's error norms |r_k|_H, shape (len(indices), N + 1),
+    written a group of B trajectories at a time into the one array it
+    returns (the ensemble's own array when there is one worker)."""
     table, noise, grid, indices, master_seed, perturb_initial = args
-    row_bytes = (grid.num_steps + 1) * table[0].shape[1] * 8
-    rows = max(1, BLOCK_BYTES // row_bytes)
-    return _gather(
-        (
-            _run_block(table, noise, grid, indices[start:start + rows], master_seed,
-                       perturb_initial)
-            for start in range(0, len(indices), rows)
-        ),
-        len(indices),
-    )
+    norms = np.empty((len(indices), grid.num_steps + 1))
+    rows, size = _chunk_shape(noise, grid.num_steps, len(indices))
+    for start in range(0, len(indices), rows):
+        _run_group(table, noise, grid.steps, indices[start:start + rows], master_seed,
+                   perturb_initial, size, norms[start:start + rows])
+    return np.sqrt(norms, out=norms)
 
 
 def _gather(parts, m: int) -> np.ndarray:
@@ -348,10 +356,10 @@ def _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial,
     chunks = [idx for idx in np.array_split(np.arange(m), min(workers, m)) if idx.size]
     jobs = [(table, noise, grid, idx, master_seed, perturb_initial) for idx in chunks]
     if workers == 1 or len(jobs) == 1:
-        norms = _gather(map(_run_chunk, jobs), m)
+        norms = _run_worker(jobs[0])
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            norms = _gather(pool.map(_run_chunk, jobs), m)
+            norms = _gather(pool.map(_run_worker, jobs), m)
     return Ensemble(grid, norms, master_seed, fingerprint)
 
 

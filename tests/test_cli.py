@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from randstep.cli import main
+from randstep.config import load_config
 
 CONVERGE_CONFIG = """
 [problem]
@@ -100,6 +101,33 @@ class TestConverge:
         assert main(["converge", "--config", cfg, "--out", str(out2)]) == 0
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind", ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
+    )
+    def test_worker_counts_byte_identical_for_every_noise_kind(self, tmp_path, kind):
+        text = CONVERGE_CONFIG.replace(
+            "kind = centred_gaussian",
+            f"kind = {kind}\nbias_mode = 1\nbias_coefficient = 0.2\nrho = 0.5",
+        )
+        cfg = _write(tmp_path, text)
+        outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+        for workers, out in zip((1, 2), outs):
+            assert main(["converge", "--config", cfg, "--workers", str(workers),
+                         "--out", str(out)]) == 0
+        for name in ("report.json", "series.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+    def test_readme_sample_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = load_config(_write(tmp_path, block))
+        assert cfg.problem.space.dimension == 64
+        assert cfg.theta.shape == (64,)
+        assert [grid.num_steps for grid in cfg.grids] == [8, 16, 32, 64]
+        assert cfg.method.kind == "implicit_euler"
+        assert (cfg.noise.kind, cfg.noise.c_xi) == ("centred_gaussian", 1.0)
+        assert (cfg.ensemble_size, cfg.seed, cfg.r, cfg.young) == (200, 7, 2.0, "psi2")
 
     def test_seed_override_changes_series(self, tmp_path):
         cfg = _write(tmp_path, CONVERGE_CONFIG)

@@ -10,7 +10,6 @@ from randstep import (
     noise_path,
     orlicz_norm_estimate,
     psi2_amplitude,
-    sample_noise,
     sample_noise_matrix,
     sample_path_matrix,
     theoretical_noise_norm,
@@ -63,7 +62,7 @@ class TestValidation:
 
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
-            sample_noise(centred_gaussian(2), _rng(), 0.0)
+            sample_noise_matrix(centred_gaussian(2), _rng(), 0.0, 1)[0]
 
 
 class TestSecondMoment:
@@ -229,5 +228,5 @@ class TestPathDraws:
         assert r0 / r1 == pytest.approx(4.0, rel=0.05)
 
     def test_single_draw_shape(self):
-        draw = sample_noise(centred_gaussian(5), _rng(9), 0.2)
+        draw = sample_noise_matrix(centred_gaussian(5), _rng(9), 0.2, 1)[0]
         assert draw.shape == (5,)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from randstep import (
+    NoiseModel,
     Problem,
     SpaceDescriptor,
     build_grid,
@@ -30,6 +31,7 @@ from randstep import (
 from randstep import sampler
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
+NOISE_KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
 
 
 def _randomised_norms(problem, method, noise, grid, theta, m, master_seed, perturb_initial=False):
@@ -178,24 +180,6 @@ class TestEnsemble:
                 np.ones(2), 0, 1,
             )
 
-    def test_summary_serialisable(self):
-        import json
-
-        problem = scalar_linear(-0.5)
-        grid = build_grid(1.0, 6)
-        noise = centred_gaussian(1, p=1.0)
-        ensemble = run_ensemble(problem, implicit_euler(), noise, grid, np.array([1.0]), 3, 21)
-        summary = ensemble.summary_dict(include_step_norms=True)
-        encoded = json.dumps(summary)
-        decoded = json.loads(encoded)
-        assert decoded["size"] == 3
-        assert len(decoded["max_errors"]) == 3
-        assert len(decoded["step_error_norms"][0]) == grid.num_steps + 1
-        assert decoded["max_errors"][1] == pytest.approx(
-            float(ensemble.error_h_norms()[1].max())
-        )
-
-
     def test_streamed_ensemble_keeps_only_norms(self):
         problem = heat_1d(3)
         grid = build_grid(1.0, 6)
@@ -249,6 +233,47 @@ class TestEnsemble:
         finally:
             tracemalloc.stop()
         assert peak < m * (n + 1) * j * 8
+
+    @pytest.mark.parametrize("side", [1, 4, 64], ids=["S1", "S4", "SN"])
+    @pytest.mark.parametrize("perturb_initial", [False, True])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_step_major_rows_equal_randomised_runs(self, monkeypatch, kind, workers,
+                                                   perturb_initial, side):
+        # BLOCK_BYTES = 8 J side^2 gives chunks of S = min(side, N) steps:
+        # one step, 4 steps (not a divisor of N = 9) and the whole path;
+        # the bounded kind always takes S = N
+        j, m = 4, 6
+        problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
+        grid = build_grid(1.0, 9, 1.5)
+        noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
+        args = (problem, implicit_euler(), noise, grid, np.linspace(1.0, 0.25, j), m, 23)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * j * side**2)
+        size = sampler._chunk_shape(noise, grid.num_steps, m)[1]
+        assert size == (9 if kind == "bounded_uniform" else min(side, 9))
+        ensemble = run_ensemble(*args, workers=workers, perturb_initial=perturb_initial)
+        reference = _randomised_norms(*args, perturb_initial=perturb_initial)
+        assert np.array_equal(ensemble.error_h_norms(), reference)
+
+    def test_memory_is_norms_plus_one_chunk(self):
+        # not a timing gate: numpy reports its buffers to tracemalloc.  The
+        # ensemble holds its (M, N + 1) norms and one (B, S, J) noise chunk
+        # of at most BLOCK_BYTES; the 1 MB margin covers the run's (N, J)
+        # tables (66 KB each here) and one group's generators (B = 181,
+        # about 0.9 KB each).  Blocks of whole (B, N + 1, J) paths would
+        # need about twice BLOCK_BYTES.
+        m, n, j = 400, 256, 32
+        problem = heat_1d(j)
+        noise = centred_gaussian(j, p=1.0)
+        args = (problem, implicit_euler(), noise)
+        run_ensemble(*args, build_grid(1.0, 4), np.ones(j), 2, 3)  # imports outside the trace
+        tracemalloc.start()
+        try:
+            run_ensemble(*args, build_grid(1.0, n), np.ones(j), m, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (n + 1) * 8 + sampler.BLOCK_BYTES + 2**20
 
     def test_rejects_noise_dimension_mismatch(self):
         problem = heat_1d(4)
