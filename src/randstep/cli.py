@@ -37,18 +37,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(cfg: ExperimentConfig, path: Path, columns, rows) -> None:
-    if "csv" not in cfg.formats:
-        return
-    lines = [",".join(columns)]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
-
-
-def _write_report(cfg: ExperimentConfig, path: Path, payload: dict) -> None:
-    if "json" not in cfg.formats:
-        return
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", newline="\n")
+def _write(cfg: ExperimentConfig, out: Path, payload: dict, columns, rows) -> None:
+    """report.json (payload) and series.csv (columns, rows) into out, each
+    when cfg.formats names it."""
+    if "json" in cfg.formats:
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        (out / "report.json").write_text(text, newline="\n")
+    if "csv" in cfg.formats:
+        lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+        (out / "series.csv").write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
@@ -71,7 +68,7 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         # one build of the grid's tables serves the truncation constant and the run
         c_grid, run = sampler._converge_grid(
             problem, method, cfg.noise, grid, theta,
-            cfg.ensemble_size, cfg.seed, workers, cfg.fingerprint,
+            cfg.ensemble_size, cfg.seed, workers,
         )
         c_meas = max(c_meas, c_grid)
         extra = {}
@@ -112,15 +109,14 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             "noise_amplitude": c_xi_amp,
         }
     )
-    _write_report(cfg, out / "report.json", payload)
-    _write_csv(cfg, out / "series.csv", report.columns, report.rows())
+    _write(cfg, out, payload, report.columns, report.rows())
 
 
-def _run_bayes(cfg: ExperimentConfig, out: Path) -> None:
+def _run_bayes(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     model = cfg.bayes_model
     draw = None
     if cfg.bayes_noisy_data:
-        stream = np.random.default_rng(np.random.SeedSequence([cfg.bayes_seed]))
+        stream = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
         draw = stream.standard_normal(model.eigenvalues.size)
     rows = bayes.small_noise_sweep(model, cfg.bayes_delta_grid, draw)
     payload = {
@@ -130,8 +126,7 @@ def _run_bayes(cfg: ExperimentConfig, out: Path) -> None:
         "rows": [list(map(float, row)) for row in rows],
         "biased_limit": [float(v) for v in bayes.biased_limit(model)],
     }
-    _write_report(cfg, out / "report.json", payload)
-    _write_csv(cfg, out / "series.csv", bayes.SWEEP_COLUMNS, rows)
+    _write(cfg, out, payload, bayes.SWEEP_COLUMNS, rows)
 
 
 def _gronwall_trials(rng: np.random.Generator, trials: int) -> list[tuple]:
@@ -186,29 +181,34 @@ def _gronwall_trials(rng: np.random.Generator, trials: int) -> list[tuple]:
     return rows
 
 
-def _run_gronwall_check(cfg: ExperimentConfig, out: Path, seed: int) -> None:
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
-    rows = _gronwall_trials(rng, 1000)
+def _write_check(cfg: ExperimentConfig, out: Path, subcommand: str, columns, rows,
+                 failure: str) -> None:
+    """Write a check's rows (name, value, reference, pass) and the overall
+    pass; then raise EstimationError(failure) if a row failed."""
     ok = all(row[3] for row in rows)
     payload = {
-        "subcommand": "gronwall-check",
+        "subcommand": subcommand,
         "fingerprint": cfg.fingerprint,
-        "columns": ["bound", "trials", "max_ratio", "pass"],
+        "columns": list(columns),
         "rows": [[r[0], r[1], float(r[2]), bool(r[3])] for r in rows],
         "pass": ok,
     }
-    _write_report(cfg, out / "report.json", payload)
-    _write_csv(cfg, out / "series.csv", ("bound", "trials", "max_ratio", "pass"), rows)
+    _write(cfg, out, payload, columns, rows)
     if not ok:
-        raise EstimationError("a realised recursion exceeded its bound")
+        raise EstimationError(failure)
 
 
-def _run_noise_check(cfg: ExperimentConfig, out: Path, seed: int) -> None:
+def _run_gronwall_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
+    _write_check(cfg, out, "gronwall-check", ("bound", "trials", "max_ratio", "pass"),
+                 _gronwall_trials(rng, 1000), "a realised recursion exceeded its bound")
+
+
+def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     noise = cfg.noise
-    rng = np.random.default_rng(np.random.SeedSequence([seed]))
+    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
     m = 100_000
     rows = []
-    ok = True
 
     times = (0.5, 0.25, 0.125)
     for t in times:
@@ -216,7 +216,6 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, seed: int) -> None:
         est = analysis.lr_norm_estimate(np.linalg.norm(draws, axis=1), 2.0)
         target = randomisation.theoretical_noise_norm(noise, t, "l2")
         rel = abs(est - target) / target if target > 0 else 0.0
-        ok &= rel <= 0.02
         rows.append((f"scaling_t={t}", est / t ** (noise.p + 1.0), rel, rel <= 0.02))
 
     pair = randomisation.sample_path_matrix(noise, rng, np.array([0.25, 0.25]), m)
@@ -227,7 +226,6 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, seed: int) -> None:
         corr = 0.0
     expected = noise.rho**2 if noise.kind == "shared_factor" else 0.0
     corr_ok = abs(corr - expected) <= 3.0 / math.sqrt(m)
-    ok &= corr_ok
     rows.append(("step_correlation", corr, expected, corr_ok))
 
     t = 0.25
@@ -242,27 +240,24 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, seed: int) -> None:
         markov = min(1.0, (amp / eps) ** 2)
         slack = 3.0 / math.sqrt(m)
         conc_ok = tail <= markov + slack
-        ok &= conc_ok
         rows.append((f"concentration_eps={factor}x", tail, markov, conc_ok))
 
-    payload = {
-        "subcommand": "noise-check",
-        "fingerprint": cfg.fingerprint,
-        "columns": ["check", "value", "reference", "pass"],
-        "rows": [[r[0], float(r[1]), float(r[2]), bool(r[3])] for r in rows],
-        "pass": bool(ok),
-    }
-    _write_report(cfg, out / "report.json", payload)
-    _write_csv(cfg, out / "series.csv", ("check", "value", "reference", "pass"), rows)
-    if not ok:
-        raise EstimationError("a noise-model check failed its tolerance")
+    _write_check(cfg, out, "noise-check", ("check", "value", "reference", "pass"), rows,
+                 "a noise-model check failed its tolerance")
+
+
+# subcommand -> (what load_config must read, runner(cfg, out, workers))
+SUBCOMMANDS = {
+    "converge": ("converge", _run_converge),
+    "bayes": ("bayes", _run_bayes),
+    "gronwall-check": ("gronwall", _run_gronwall_check),
+    "noise-check": ("noise", _run_noise_check),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="randstep", description=__doc__)
-    parser.add_argument(
-        "subcommand", choices=("converge", "bayes", "gronwall-check", "noise-check")
-    )
+    parser.add_argument("subcommand", choices=tuple(SUBCOMMANDS))
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--workers", type=int, default=1, help="ensemble worker count")
@@ -272,33 +267,18 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    require, run = SUBCOMMANDS[args.subcommand]
     try:
-        require = {
-            "bayes": "bayes",
-            "gronwall-check": "gronwall",
-            "noise-check": "noise",
-        }.get(args.subcommand, "converge")
         cfg = load_config(args.config, require)
         if args.seed is not None:
             if args.seed < 0:
                 raise ConfigError("ensemble", "seed must be non-negative")
-            cfg = dataclasses.replace(cfg, seed=args.seed, bayes_seed=args.seed)
+            cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.workers < 1:
             raise ConfigError("ensemble", "worker count must be >= 1")
-    except ConfigError as exc:
-        print(f"config error in [{exc.section}]: {exc}", file=sys.stderr)
-        return 1
-    out = Path(args.out if args.out is not None else (cfg.out_dir or "out"))
-    try:
+        out = Path(args.out if args.out is not None else (cfg.out_dir or "out"))
         out.mkdir(parents=True, exist_ok=True)
-        if args.subcommand == "converge":
-            _run_converge(cfg, out, args.workers)
-        elif args.subcommand == "bayes":
-            _run_bayes(cfg, out)
-        elif args.subcommand == "gronwall-check":
-            _run_gronwall_check(cfg, out, cfg.seed)
-        else:
-            _run_noise_check(cfg, out, cfg.seed)
+        run(cfg, out, args.workers)
     except ConfigError as exc:
         print(f"config error in [{exc.section}]: {exc}", file=sys.stderr)
         return 1

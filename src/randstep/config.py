@@ -2,8 +2,9 @@
 
 The format is INI-style (configparser).  A converge experiment uses the
 sections [problem], [grid_family], [method], [noise], [ensemble] and
-[analysis]; a bayes experiment uses [bayes].  Validation failures carry
-the offending section name.
+[analysis]; a bayes experiment uses [bayes], whose `seed` key is its
+seed.  Every read and check of a section runs inside `_reading`, so a
+bad value in any section raises a ConfigError that names the section.
 
 Example::
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -70,7 +72,6 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Validated experiment description plus provenance fingerprint."""
 
-    path: str
     fingerprint: str
     problem: Problem | None = None
     theta: np.ndarray | None = None
@@ -87,7 +88,6 @@ class ExperimentConfig:
     bayes_model: DiagonalGaussianModel | None = None
     bayes_delta_grid: np.ndarray | None = None
     bayes_noisy_data: bool = False
-    bayes_seed: int = 0
 
 
 def _floats(raw: str) -> list[float]:
@@ -98,10 +98,25 @@ def _ints(raw: str) -> list[int]:
     return [int(tok) for tok in raw.replace(",", " ").split()]
 
 
-def _section(parser: configparser.ConfigParser, name: str) -> configparser.SectionProxy:
+def _section(parser: configparser.ConfigParser, name: str,
+             required: bool = True) -> configparser.SectionProxy:
+    """parser[name]; an absent optional section reads as empty (all defaults)."""
     if not parser.has_section(name):
-        raise ConfigError(name, f"missing required section [{name}]")
+        if required:
+            raise ConfigError(name, f"missing required section [{name}]")
+        parser.add_section(name)
     return parser[name]
+
+
+@contextmanager
+def _reading(section: str):
+    """Raise any failure of the block as a ConfigError naming section."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise ConfigError(section, str(exc)) from exc
 
 
 def _parse_theta(raw: str, dimension: int) -> np.ndarray:
@@ -119,7 +134,7 @@ def _parse_theta(raw: str, dimension: int) -> np.ndarray:
 
 def _parse_problem(parser) -> tuple[Problem, np.ndarray]:
     sec = _section(parser, "problem")
-    try:
+    with _reading("problem"):
         horizon = sec.getfloat("horizon", fallback=None)
         if horizon is None:
             horizon = sec.getfloat("t", 1.0)
@@ -155,16 +170,12 @@ def _parse_problem(parser) -> tuple[Problem, np.ndarray]:
             forcing = np.tile(coeffs, (space.dimension, 1))
         problem = Problem(space, tuple(alpha_coeffs), forcing, horizon)
         theta = _parse_theta(sec.get("theta", "ones"), space.dimension)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("problem", str(exc)) from exc
     return problem, theta
 
 
 def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
     sec = _section(parser, "grid_family")
-    try:
+    with _reading("grid_family"):
         n_values = _ints(sec.get("n_values"))
         gamma = sec.getfloat("gamma", 1.0)
         if len(set(n_values)) < 3:
@@ -175,15 +186,11 @@ def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
         if gamma < 1.0:
             raise ValueError(f"grading exponent must be >= 1, got {gamma}")
         return tuple(build_grid(horizon, n, gamma) for n in n_values)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("grid_family", str(exc)) from exc
 
 
 def _parse_method(parser) -> MethodConfig:
     sec = _section(parser, "method")
-    try:
+    with _reading("method"):
         kind = sec.get("kind", sec.get("method", "")).strip()
         h_star = sec.getfloat("h_star", math.inf)
         declared = sec.getfloat("declared_order", fallback=None)
@@ -197,15 +204,14 @@ def _parse_method(parser) -> MethodConfig:
         if kind == "implicit_euler":
             return integrators.implicit_euler(h_star, declared)
         raise ValueError(f"unknown method kind {kind!r}")
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("method", str(exc)) from exc
 
 
-def _parse_noise(parser, dimension: int) -> NoiseModel | None:
+def _parse_noise(parser, dimension: int | None = None) -> NoiseModel | None:
+    """The [noise] model of dimension, or of its own `dimension` key."""
     sec = _section(parser, "noise")
-    try:
+    with _reading("noise"):
+        if dimension is None:
+            dimension = sec.getint("dimension", 1)
         kind = sec.get("kind", "centred_gaussian").strip()
         if kind == "none":
             return None
@@ -222,15 +228,11 @@ def _parse_noise(parser, dimension: int) -> NoiseModel | None:
             bias_coefficient=sec.getfloat("bias_coefficient", 0.0),
             rho=sec.getfloat("rho", 0.0),
         )
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("noise", str(exc)) from exc
 
 
 def _parse_bayes(parser) -> tuple[DiagonalGaussianModel, np.ndarray, bool, int]:
     sec = _section(parser, "bayes")
-    try:
+    with _reading("bayes"):
         if sec.get("lambda_values", "").strip():
             lam = np.array(_floats(sec.get("lambda_values")))
         else:
@@ -257,37 +259,33 @@ def _parse_bayes(parser) -> tuple[DiagonalGaussianModel, np.ndarray, bool, int]:
             theta=per_mode("theta", 1.0),
         )
         return model, delta_grid, sec.getboolean("noisy_data", False), sec.getint("seed", 0)
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("bayes", str(exc)) from exc
 
 
-def _parse_seed(parser) -> int:
-    if not parser.has_section("ensemble"):
-        return 0
-    try:
-        seed = parser["ensemble"].getint("seed", 0)
+def _parse_ensemble(parser, required: bool) -> tuple[int, int]:
+    """[ensemble] size m and seed.  A run without an ensemble (required
+    False) reads only the seed, which is 0 when the section is absent."""
+    sec = _section(parser, "ensemble", required)
+    with _reading("ensemble"):
+        m = sec.getint("m", 1) if required else 1
+        seed = sec.getint("seed", 0)
+        if m < 1:
+            raise ValueError(f"ensemble size must be >= 1, got {m}")
         if seed < 0:
             raise ValueError("seed must be non-negative")
-        return seed
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("ensemble", str(exc)) from exc
+    return m, seed
 
 
 def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig:
     """Parse and validate a config file for the given subcommand.
 
     require selects how much of the file must be present: "converge"
-    (all run sections), "noise" (noise model only), "gronwall" (seed
+    (all run sections), "noise" (noise model and seed), "gronwall" (seed
     only), or "bayes".
     """
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ConfigError("file", f"cannot read config {path}: {exc}") from exc
     fingerprint = hashlib.sha256(text.encode()).hexdigest()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
@@ -297,72 +295,47 @@ def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig
         raise ConfigError("file", f"malformed config: {exc}") from exc
 
     if require == "bayes":
-        model, delta_grid, noisy, bseed = _parse_bayes(parser)
+        model, delta_grid, noisy, seed = _parse_bayes(parser)
         return ExperimentConfig(
-            str(path), fingerprint,
-            bayes_model=model, bayes_delta_grid=delta_grid,
-            bayes_noisy_data=noisy, bayes_seed=bseed,
+            fingerprint, seed=seed,
+            bayes_model=model, bayes_delta_grid=delta_grid, bayes_noisy_data=noisy,
         )
-    if require == "gronwall":
-        return ExperimentConfig(str(path), fingerprint, seed=_parse_seed(parser))
-    if require == "noise":
-        if not parser.has_section("noise"):
-            raise ConfigError("noise", "missing required section [noise]")
-        dimension = parser["noise"].getint("dimension", 1)
-        noise = _parse_noise(parser, dimension)
-        if noise is None:
-            raise ConfigError("noise", "noise-check needs a non-degenerate noise kind")
-        return ExperimentConfig(str(path), fingerprint, noise=noise, seed=_parse_seed(parser))
+    if require in ("gronwall", "noise"):
+        noise = None
+        if require == "noise":
+            noise = _parse_noise(parser)
+            if noise is None:
+                raise ConfigError("noise", "noise-check needs a non-degenerate noise kind")
+        return ExperimentConfig(fingerprint, noise=noise, seed=_parse_ensemble(parser, False)[1])
 
     problem, theta = _parse_problem(parser)
     grids = _parse_grids(parser, problem.horizon)
     method = _parse_method(parser)
     noise = _parse_noise(parser, problem.space.dimension)
-    sec = _section(parser, "ensemble")
-    try:
-        m = sec.getint("m", 1)
-        seed = sec.getint("seed", 0)
-        if m < 1:
-            raise ValueError(f"ensemble size must be >= 1, got {m}")
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-    except ConfigError:
-        raise
-    except Exception as exc:
-        raise ConfigError("ensemble", str(exc)) from exc
-    r_values, young = [2.0], "psi2"
-    if parser.has_section("analysis"):
-        try:
-            r_values = _floats(parser["analysis"].get("r", "2.0"))
-            young = parser["analysis"].get("young", "psi2").strip()
-            if young == "none":
-                young = None
-            elif young != "psi2":
-                raise ValueError(f"unsupported young function {young!r}")
-            if not r_values or any(r < 1.0 for r in r_values):
-                raise ValueError("every r must be >= 1")
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError("analysis", str(exc)) from exc
-    formats, out_dir = ("csv", "json"), None
-    if parser.has_section("output"):
-        try:
-            raw = parser["output"].get("formats", "csv, json")
-            formats = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-            if not formats or any(fmt not in ("csv", "json") for fmt in formats):
-                raise ValueError(f"formats must be a subset of csv, json; got {raw!r}")
-            out_dir = parser["output"].get("dir", fallback=None)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise ConfigError("output", str(exc)) from exc
+    m, seed = _parse_ensemble(parser, True)
+    sec = _section(parser, "analysis", False)
+    with _reading("analysis"):
+        r_values = _floats(sec.get("r", "2.0"))
+        young = sec.get("young", "psi2").strip()
+        if young == "none":
+            young = None
+        elif young != "psi2":
+            raise ValueError(f"unsupported young function {young!r}")
+        if not r_values or any(r < 1.0 for r in r_values):
+            raise ValueError("every r must be >= 1")
+    sec = _section(parser, "output", False)
+    with _reading("output"):
+        raw = sec.get("formats", "csv, json")
+        formats = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
+        if not formats or any(fmt not in ("csv", "json") for fmt in formats):
+            raise ValueError(f"formats must be a subset of csv, json; got {raw!r}")
+        out_dir = sec.get("dir", fallback=None)
     for grid in grids:
         if grid.mesh > method.h_star:
             raise ConfigError(
                 "grid_family", f"mesh {grid.mesh} exceeds method h* = {method.h_star}"
             )
     return ExperimentConfig(
-        str(path), fingerprint, problem, theta, grids, method, noise, m, seed,
+        fingerprint, problem, theta, grids, method, noise, m, seed,
         r_values[0], young, tuple(r_values[1:]), formats, out_dir,
     )

@@ -143,8 +143,13 @@ def _shape_noise(model: NoiseModel, steps: np.ndarray, lead: np.ndarray, follow)
     amps = model.c_xi * steps[None, :, None] ** (model.p + 1.0)
     root = np.sqrt(model.spectrum)
     if model.kind == BOUNDED_UNIFORM:
-        lead /= np.linalg.norm(lead, axis=2, keepdims=True)
-        lead *= math.sqrt(3.0) * amps * follow ** (1.0 / model.dimension)
+        # one step at a time: the norms' temporaries are (m, J), not (m, N, J)
+        for k in range(lead.shape[1]):
+            step = lead[:, k]
+            step /= np.linalg.norm(step, axis=1, keepdims=True)
+        follow **= 1.0 / model.dimension
+        follow *= math.sqrt(3.0) * amps
+        lead *= follow
         lead *= root
         return lead
     if model.kind == SHARED_FACTOR:

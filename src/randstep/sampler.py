@@ -49,7 +49,6 @@ preallocated array.  Neither B nor S changes a computed float.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -105,8 +104,6 @@ class Ensemble:
 
     grid: TimeGrid
     norms: np.ndarray
-    master_seed: int
-    fingerprint: str
 
     def __post_init__(self):
         self.norms.flags.writeable = False
@@ -136,9 +133,8 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
 # sqrt(BLOCK_BYTES / (8 J)), S at most N; the bounded kind, whose radii
 # follow all of its normals, takes S = N and B to fit.  This caps both the
 # chunk and the B generators a group holds, whatever M and N are (the
-# bounded kind's direction norms briefly take one more chunk).  Smaller
-# chunks cost more per-step Python calls; the chunk shape changes no
-# computed float.
+# bounded kind adds its (B, N, 1) radii).  Smaller chunks cost more
+# per-step Python calls; the chunk shape changes no computed float.
 BLOCK_BYTES = 8 * 2**20
 
 
@@ -309,17 +305,6 @@ def _gather(parts, m: int) -> np.ndarray:
     return norms
 
 
-def _fingerprint(*parts) -> str:
-    digest = hashlib.sha256()
-    for part in parts:
-        if isinstance(part, np.ndarray):
-            digest.update(np.ascontiguousarray(part).tobytes())
-        else:
-            digest.update(repr(part).encode())
-        digest.update(b"|")
-    return digest.hexdigest()
-
-
 def run_ensemble(
     problem: Problem,
     method: MethodConfig,
@@ -330,7 +315,6 @@ def run_ensemble(
     master_seed: int,
     workers: int = 1,
     perturb_initial: bool = False,
-    fingerprint: str | None = None,
 ) -> Ensemble:
     """M independent randomised trajectories with per-trajectory substreams.
 
@@ -343,14 +327,11 @@ def run_ensemble(
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    theta, table, _, _ = _prepare(problem, method, grid, theta, noise)
-    if fingerprint is None:
-        fingerprint = _fingerprint(problem, method, noise, grid.points, theta, m, master_seed)
-    return _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial, fingerprint)
+    _, table, _, _ = _prepare(problem, method, grid, theta, noise)
+    return _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial)
 
 
-def _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial,
-              fingerprint) -> Ensemble:
+def _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial) -> Ensemble:
     """The ensemble on a run's deviation table; workers' norms are
     gathered in index order."""
     chunks = [idx for idx in np.array_split(np.arange(m), min(workers, m)) if idx.size]
@@ -360,7 +341,7 @@ def _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial,
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             norms = _gather(pool.map(_run_worker, jobs), m)
-    return Ensemble(grid, norms, master_seed, fingerprint)
+    return Ensemble(grid, norms)
 
 
 def measure_truncation_constant(
@@ -384,7 +365,7 @@ def _truncation_constant(defects: np.ndarray, steps: np.ndarray, q: float) -> fl
     return float(np.max(norms[hit] / steps[hit] ** (q + 1.0), initial=0.0))
 
 
-def _converge_grid(problem, method, noise, grid, theta, m, master_seed, workers, fingerprint):
+def _converge_grid(problem, method, noise, grid, theta, m, master_seed, workers):
     """One grid of a convergence study from a single build of its tables:
     the truncation constant of measure_truncation_constant, and the
     ensemble of run_ensemble (the trajectory of run_deterministic when
@@ -394,4 +375,4 @@ def _converge_grid(problem, method, noise, grid, theta, m, master_seed, workers,
     constant = _truncation_constant(table[1], grid.steps, method.order)
     if noise is None:
         return constant, _trajectory(prepared, grid)
-    return constant, _ensemble(table, noise, grid, m, master_seed, workers, False, fingerprint)
+    return constant, _ensemble(table, noise, grid, m, master_seed, workers, False)

@@ -265,7 +265,7 @@ class TestErrorStatistics:
             error_statistics(ensemble, 0.5, None)
         norms = np.array(ensemble.error_h_norms())
         norms[1, 2] = -1e-3  # not the row maximum, so only the per-step check sees it
-        negative = Ensemble(ensemble.grid, norms, 0, "negative")
+        negative = Ensemble(ensemble.grid, norms)
         with pytest.raises(ValueError, match="non-negative"):
             error_statistics(negative, 2.0, None)
 

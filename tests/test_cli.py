@@ -161,6 +161,12 @@ class TestConverge:
         assert main(["converge", "--config", str(tmp_path / "nope.cfg")]) == 1
         assert "config error" in capsys.readouterr().err
 
+    def test_undecodable_config_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"[problem]\ndimension = \xff\n")
+        assert main(["converge", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "config error in [file]" in capsys.readouterr().err
+
     def test_mesh_versus_h_star_validated(self, tmp_path, capsys):
         bad = CONVERGE_CONFIG.replace("kind = implicit_euler", "kind = implicit_euler\nh_star = 0.1")
         assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
@@ -324,6 +330,32 @@ class TestChecks:
         cfg = _write(tmp_path, GRONWALL_CONFIG)
         assert main(["noise-check", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "noise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, old, new, section",
+    [
+        ("converge", CONVERGE_CONFIG, "horizon = 1.0", "horizon = abc", "problem"),
+        ("converge", CONVERGE_CONFIG, "gamma = 1.0", "gamma = abc", "grid_family"),
+        ("converge", CONVERGE_CONFIG, "kind = implicit_euler",
+         "kind = implicit_euler\nh_star = abc", "method"),
+        ("converge", CONVERGE_CONFIG, "p = 1.0", "p = abc", "noise"),
+        ("converge", CONVERGE_CONFIG, "m = 24", "m = abc", "ensemble"),
+        ("converge", CONVERGE_CONFIG, "r = 2", "r = abc", "analysis"),
+        ("converge", CONVERGE_CONFIG + "\n[output]\nformats = csv\n", "formats = csv",
+         "formats = xml", "output"),
+        ("bayes", BAYES_CONFIG, "h = 0.1", "h = abc", "bayes"),
+        ("noise-check", NOISE_CONFIG, "dimension = 6", "dimension = abc", "noise"),
+    ],
+    ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis", "output",
+         "bayes", "noise-check-dimension"],
+)
+def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, text, old,
+                                                new, section):
+    assert text.count(old) == 1
+    bad = _write(tmp_path, text.replace(old, new))
+    assert main([subcommand, "--config", bad, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error in [{section}]" in capsys.readouterr().err
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

@@ -151,7 +151,6 @@ class TestEnsemble:
         one = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=1)
         many = run_ensemble(problem, method, noise, grid, theta, 10, 5, workers=3)
         assert np.array_equal(one.error_h_norms(), many.error_h_norms())
-        assert one.fingerprint == many.fingerprint
         reference = _randomised_norms(problem, method, noise, grid, theta, 10, 5)
         assert np.array_equal(one.error_h_norms(), reference)
 
@@ -185,9 +184,7 @@ class TestEnsemble:
         grid = build_grid(1.0, 6)
         noise = centred_gaussian(3, p=1.0)
         ensemble = run_ensemble(problem, implicit_euler(), noise, grid, np.ones(3), 5, 2)
-        assert [f.name for f in dataclasses.fields(ensemble)] == [
-            "grid", "norms", "master_seed", "fingerprint",
-        ]
+        assert [f.name for f in dataclasses.fields(ensemble)] == ["grid", "norms"]
         assert ensemble.error_h_norms().shape == (5, 7)
         assert ensemble.size == 5
         with pytest.raises(ValueError):
@@ -255,16 +252,20 @@ class TestEnsemble:
         reference = _randomised_norms(*args, perturb_initial=perturb_initial)
         assert np.array_equal(ensemble.error_h_norms(), reference)
 
-    def test_memory_is_norms_plus_one_chunk(self):
+    @pytest.mark.parametrize("kind", ["centred_gaussian", "bounded_uniform"])
+    def test_memory_is_norms_plus_one_chunk(self, kind):
         # not a timing gate: numpy reports its buffers to tracemalloc.  The
         # ensemble holds its (M, N + 1) norms and one (B, S, J) noise chunk
         # of at most BLOCK_BYTES; the 1 MB margin covers the run's (N, J)
         # tables (66 KB each here) and one group's generators (B = 181,
         # about 0.9 KB each).  Blocks of whole (B, N + 1, J) paths would
-        # need about twice BLOCK_BYTES.
+        # need about twice BLOCK_BYTES.  The bounded kind (B = 128, S = N)
+        # also holds its (B, N, 1) radii twice, as drawn per trajectory and
+        # stacked (262 KB each here); its direction norms must take no
+        # second chunk-sized temporary.
         m, n, j = 400, 256, 32
         problem = heat_1d(j)
-        noise = centred_gaussian(j, p=1.0)
+        noise = NoiseModel(j, p=1.0, kind=kind)
         args = (problem, implicit_euler(), noise)
         run_ensemble(*args, build_grid(1.0, 4), np.ones(j), 2, 3)  # imports outside the trace
         tracemalloc.start()
@@ -273,7 +274,9 @@ class TestEnsemble:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < m * (n + 1) * 8 + sampler.BLOCK_BYTES + 2**20
+        rows = sampler._chunk_shape(noise, n, m)[0]
+        radii = 2 * rows * n * 8 if kind == "bounded_uniform" else 0
+        assert peak < m * (n + 1) * 8 + sampler.BLOCK_BYTES + 2**20 + radii
 
     def test_rejects_noise_dimension_mismatch(self):
         problem = heat_1d(4)
