@@ -34,6 +34,10 @@ __all__ = [
 
 BOUND_SETTINGS = ("banach", "gelfand_orlicz", "gelfand_l2_centred")
 
+# Byte budget of one block of error_statistics' per-step powers, whose
+# whole (N + 1, M) array would be as large as the norms.
+_STEP_BLOCK_BYTES = 2**20
+
 
 class EstimationError(RuntimeError):
     """An estimator could not produce a value from the given samples."""
@@ -105,13 +109,21 @@ class ErrorStatistics:
     psi2_norm_of_max: float | None = None
 
 
+def _step_means(norms: np.ndarray, r: float) -> np.ndarray:
+    """mean_i norms[i, k]^r for every step k, by blocks of step columns.
+    With the steps as contiguous rows each mean sums exactly as
+    lr_norm_estimate of that step's column does, whatever the block."""
+    cols = max(1, _STEP_BLOCK_BYTES // (8 * norms.shape[0]))
+    return np.concatenate([
+        np.mean(np.power(norms[:, k:k + cols].T, r, order="C"), axis=1)
+        for k in range(0, norms.shape[1], cols)
+    ])
+
+
 def error_statistics(ensemble: Ensemble, r: float = 2.0, young: str | None = "psi2") -> ErrorStatistics:
     """Both error orderings (and optionally the Orlicz norm of the max)."""
     norms = _check_lr_samples(ensemble.error_h_norms(), r)
-    # every step's L^R norm in one pass; with the steps as contiguous rows
-    # each mean sums exactly as lr_norm_estimate of that step's column does
-    step_means = np.mean(np.power(norms.T, r, order="C"), axis=1)
-    max_of_norm = float(np.max(step_means) ** (1.0 / r))
+    max_of_norm = float(np.max(_step_means(norms, r)) ** (1.0 / r))
     per_traj_max = norms.max(axis=1)
     norm_of_max = lr_norm_estimate(per_traj_max, r)
     psi2 = orlicz_norm_estimate(per_traj_max, "psi2") if young == "psi2" else None

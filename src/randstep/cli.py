@@ -62,15 +62,13 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             theory_slope = min(method.order, noise_p + 0.5)
         else:
             theory_slope = min(method.order, noise_p)
+    # one build of each grid's tables; all ensembles come from one pass
+    constants, runs = sampler._converge(problem, method, cfg.noise, cfg.grids, theta,
+                                        cfg.ensemble_size, cfg.seed, workers)
+    c_meas = max(0.0, *constants)
     stats, extras = [], []
-    c_meas = 0.0
     for grid in cfg.grids:
-        # one build of the grid's tables serves the truncation constant and the run
-        c_grid, run = sampler._converge_grid(
-            problem, method, cfg.noise, grid, theta,
-            cfg.ensemble_size, cfg.seed, workers,
-        )
-        c_meas = max(c_meas, c_grid)
+        run = runs.pop(0)
         extra = {}
         if cfg.noise is None:
             worst = float(run.error_h_norms().max())
@@ -83,7 +81,7 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
                     "maxnorm": more.max_of_norm,
                     "normmax": more.norm_of_max,
                 }
-        del run  # free its norms before the next grid's gather, the memory peak
+        del run  # free its norms before the next grid's statistics
         extras.append(extra)
     # the bounds share the largest truncation constant over all grids
     bounds = [
@@ -272,7 +270,8 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, require)
         if args.seed is not None:
             if args.seed < 0:
-                raise ConfigError("ensemble", "seed must be non-negative")
+                raise ConfigError("bayes" if require == "bayes" else "ensemble",
+                                  "seed must be non-negative")
             cfg = dataclasses.replace(cfg, seed=args.seed)
         if args.workers < 1:
             raise ConfigError("ensemble", "worker count must be >= 1")

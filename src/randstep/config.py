@@ -258,7 +258,10 @@ def _parse_bayes(parser) -> tuple[DiagonalGaussianModel, np.ndarray, bool, int]:
             rand_var=per_mode("gamma1", 1.0),
             theta=per_mode("theta", 1.0),
         )
-        return model, delta_grid, sec.getboolean("noisy_data", False), sec.getint("seed", 0)
+        seed = sec.getint("seed", 0)
+        if seed < 0:
+            raise ValueError("seed must be non-negative")
+        return model, delta_grid, sec.getboolean("noisy_data", False), seed
 
 
 def _parse_ensemble(parser, required: bool) -> tuple[int, int]:

@@ -107,7 +107,7 @@ def sample_path_matrix(
 ) -> np.ndarray:
     """m independent trajectories of per-step draws xi_k(h_k), shape (m, N, J).
 
-    The sampler of one stream; `_noise_chunks` draws one trajectory per
+    The sampler of one stream; `_family_noise` draws one trajectory per
     stream and consumes each as this does with m = 1.  Consumes the stream
     in a fixed order, lead normals first, then `_follow_draws` (for the
     shared-factor kind the m shared factors, then the per-step draws; for
@@ -140,54 +140,76 @@ def _shape_noise(model: NoiseModel, steps: np.ndarray, lead: np.ndarray, follow)
     """Noise rows xi_k(h_k) of each kind's law from its raw (m, N, J)
     draws, shaped in place: the per-step normals (follow for the
     shared-factor kind, else lead) become the noise and are returned."""
-    amps = model.c_xi * steps[None, :, None] ** (model.p + 1.0)
-    root = np.sqrt(model.spectrum)
     if model.kind == BOUNDED_UNIFORM:
         # one step at a time: the norms' temporaries are (m, J), not (m, N, J)
         for k in range(lead.shape[1]):
             step = lead[:, k]
             step /= np.linalg.norm(step, axis=1, keepdims=True)
         follow **= 1.0 / model.dimension
-        follow *= math.sqrt(3.0) * amps
+        follow *= math.sqrt(3.0) * (model.c_xi * steps[None, :, None] ** (model.p + 1.0))
         lead *= follow
-        lead *= root
+        lead *= np.sqrt(model.spectrum)
         return lead
     if model.kind == SHARED_FACTOR:
-        follow *= math.sqrt(1.0 - model.rho**2)
-        follow += model.rho * lead
-        follow *= amps * root
-        return follow
-    lead *= amps * root
-    if model.kind == BIASED:
-        lead[..., model.bias_mode] += steps ** (model.p + 1.0) * model.bias_coefficient
+        lead, follow = follow, lead[:, 0]
+    for _ in _gaussian_steps(model, lead, steps, follow):
+        pass
     return lead
 
 
-def _noise_chunks(model: NoiseModel, streams: list, steps: np.ndarray, size: int):
-    """Yield (start, chunk): the noise of steps start .. start + S - 1 of
-    one trajectory per stream, chunk shape (B, S, J) with S <= size, drawn
-    into and shaped in one reused buffer.
+def _gaussian_steps(model: NoiseModel, normals: np.ndarray, steps: np.ndarray,
+                    factor=None, out=None):
+    """Yield a Gaussian kind's noise xi_k(h_k), shape (B, J), for each
+    step of steps from its raw (B, S, J) normals Z, shaped in place or
+    into out: (sqrt(1 - rho^2) Z_k + rho factor) * scale_k for the
+    shared-factor kind, else Z_k * scale_k (+ h_k^(p+1) b on the biased
+    kind's mode), with scale_k = c_xi h_k^(p+1) sqrt(gamma)."""
+    scale = model.c_xi * steps[:, None] ** (model.p + 1.0) * np.sqrt(model.spectrum)
+    bias = steps ** (model.p + 1.0) * model.bias_coefficient
+    shared = None if factor is None else model.rho * factor
+    for k in range(steps.size):
+        xi = normals[:, k] if out is None else out
+        if model.kind == SHARED_FACTOR:
+            np.multiply(normals[:, k], math.sqrt(1.0 - model.rho**2), out=xi)
+            xi += shared
+            xi *= scale[k]
+        else:
+            np.multiply(normals[:, k], scale[k], out=xi)
+            if model.kind == BIASED:
+                xi[:, model.bias_mode] += bias[k]
+        yield xi
 
-    Each stream is consumed as noise_path consumes it (chunked normal
-    draws equal one whole-path draw): the shared factor first, then the
-    per-step normals chunk by chunk.  The bounded kind's radii follow all
-    of its normals, so it needs size >= N.
+
+def _family_noise(model: NoiseModel, streams: list, grid_steps: list, size: int):
+    """Yield (start, noises) for each chunk of S <= size steps of the
+    longest grid: noises[g] iterates grid g's noise, shape (B, J), for its
+    steps from start inside the chunk.  Each stream is consumed as
+    noise_path(model, stream, grid_steps[g]) consumes it, for every g:
+    the shared factor, then the normals, drawn by chunks into one reused
+    (B, S, J) buffer whose prefixes serve every grid.  A Gaussian kind's
+    steps are shaped from it into one (B, J) scratch, so use each step
+    before taking the next.  The bounded kind's radii follow all of its
+    normals: it takes one grid, size >= N, and shapes its chunk in place.
     """
-    rows, n = len(streams), steps.size
+    rows, n = len(streams), max(steps.size for steps in grid_steps)
     factor = None
     if model.kind == SHARED_FACTOR:
-        factor = np.empty((rows, 1, model.dimension))
+        factor = np.empty((rows, model.dimension))
         for row, stream in enumerate(streams):
             stream.standard_normal(out=factor[row])
     buf = np.empty((rows, min(size, n), model.dimension))
+    scratch = np.empty((rows, model.dimension))
     for start in range(0, n, size):
         chunk = buf[:, :min(size, n - start)]
         for row, stream in enumerate(streams):
             stream.standard_normal(out=chunk[row])
-        lead, follow = (factor, chunk) if model.kind == SHARED_FACTOR else (chunk, None)
         if model.kind == BOUNDED_UNIFORM:
-            follow = np.stack([stream.uniform(size=(n, 1)) for stream in streams])
-        yield start, _shape_noise(model, steps[start:start + chunk.shape[1]], lead, follow)
+            radii = np.stack([stream.uniform(size=(n, 1)) for stream in streams])
+            yield start, [iter(_shape_noise(model, grid_steps[0], chunk, radii).swapaxes(0, 1))]
+        else:
+            stop = start + chunk.shape[1]
+            yield start, [_gaussian_steps(model, chunk, steps[start:stop], factor, scratch)
+                          for steps in grid_steps]
 
 
 def noise_path(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray) -> np.ndarray:

@@ -23,28 +23,30 @@ and its states are u + r.  The truncation constant is
 max_k |d_k|_H / h_k^(q+1), and the one-step defect along a realised path
 is |phi(U_k) - psi(U_k)|_H = |(E_k - a_k) r_k - d_k|_H.  A convergence
 study builds each grid's tables once for both its truncation constant
-and its ensemble (`_converge_grid`).
+and its ensemble (`_converge`).
 
 Ensembles derive one child stream per trajectory from
 (master_seed, trajectory_index), so results are bit-identical for any
-worker count; trajectories are reduced in index order.  Row i of an
-ensemble's norms is bitwise
+worker count.  Row i of an ensemble's norms is bitwise
 run_randomised(..., trajectory_stream(master_seed, i)).error_h_norms(),
 the call that gives trajectory i's arrays.
 
 Memory model: the strong-error statistics need only |e_k|_H = |r_k|_H
-per trajectory and step, so an ensemble runs step-major.  A worker takes
-its trajectories in groups of B, holding one generator per trajectory of
-the group and one rolling (B, J) deviation.  It draws each trajectory's
-next S steps into one reused (B, S, J) chunk of at most BLOCK_BYTES
-(chunked draws equal one whole-path draw), shapes the chunk in place,
-advances the deviations step by step and writes each step's squared
-norms into the group's rows of the worker's (rows, N + 1) norms, whose
-square root is taken once at the end.  No (B, N + 1, J) array exists:
-an ensemble holds its O(M N) norms plus one chunk.  With one worker the
-norms are written straight into the ensemble's (M, N + 1) array; pool
-workers send back only their norms, copied in index order into one
-preallocated array.  Neither B nor S changes a computed float.
+per trajectory and step, so a study's ensembles run step-major in one
+pass over its grids.  Every grid seeds trajectory i from one stream, so
+a grid's raw normals are a prefix of the longest grid's.  The pass takes
+the trajectories in groups of B, with one generator per trajectory and
+one rolling (B, J) deviation per grid.  It draws the longest grid's next
+S steps once into one reused (B, S, J) raw chunk of at most BLOCK_BYTES;
+each grid shapes its prefix step by step into one (B, J) scratch,
+advances its deviation and writes its squared norms into the group's
+rows of its (M, N_g + 1) norms.  A study holds all grids' norms, their
+(a, d) tables and one chunk.  The bounded kind's radii follow all of its
+normals, so each of its grids is a one-grid family with S = N in the
+same pass.  With several workers, all groups of a study run as tasks in
+one pool of forked workers, which write their rows straight into norms
+in anonymous shared mappings made before the fork.  Neither B, S nor
+the task order changes a computed float.
 """
 
 from __future__ import annotations
@@ -52,13 +54,15 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
+from multiprocessing import get_context
 
 import numpy as np
 
 from .grids import TimeGrid
 from .integrators import MethodConfig, step_table
 from .problems import Problem, flow_table
-from .randomisation import BOUNDED_UNIFORM, NoiseModel, _noise_chunks, noise_path
+from .randomisation import BOUNDED_UNIFORM, NoiseModel, _family_noise, noise_path
 from .spaces import _check_dimension
 
 __all__ = [
@@ -128,14 +132,14 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
-# Byte budget of one step chunk, the (B, S, J) float64 noise of a group of
-# B trajectories over S steps.  B and S are both about
-# sqrt(BLOCK_BYTES / (8 J)), S at most N; the bounded kind, whose radii
-# follow all of its normals, takes S = N and B to fit.  This caps both the
-# chunk and the B generators a group holds, whatever M and N are (the
-# bounded kind adds its (B, N, 1) radii).  Smaller chunks cost more
-# per-step Python calls; the chunk shape changes no computed float.
-BLOCK_BYTES = 8 * 2**20
+# Byte budget of one step chunk, the (B, S, J) float64 raw normals of a
+# group of B trajectories over S steps of the longest grid.  B and S are
+# both about sqrt(BLOCK_BYTES / (8 J)), S at most N; the bounded kind,
+# whose radii follow all of its normals, takes S = N and B to fit.  This
+# caps both the chunk and the B generators a group holds (the bounded
+# kind adds its (B, N, 1) radii).  A pass holds all grids' norms beside
+# it, hence the small budget; the chunk shape changes no computed float.
+BLOCK_BYTES = 4 * 2**20
 
 
 def _check_state(problem: Problem, theta: np.ndarray) -> np.ndarray:
@@ -170,23 +174,23 @@ def _h_norms(errors: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(errors * errors, axis=-1))
 
 
-def _advance(table, v: np.ndarray, start: int = 0, noise: np.ndarray | None = None):
+def _advance(table, v: np.ndarray, start: int = 0, noise=None):
     """Step the rows of v, shape (B, J), in place by
-    v <- a[k] * v + b[k] (+ noise[:, k - start]), with (a, b) = table,
-    for k from start over the S steps of noise, shape (B, S, J), or to
-    the end of the table; yields k + 1 after each step.
+    v <- a[k] * v + b[k] (+ xi_k), with (a, b) = table, for k from start,
+    taking xi_k in turn from the iterable noise (arrays that broadcast
+    against v) until it runs out, or without noise to the end of the
+    table; yields k + 1 after each step.
 
     The one recursion of the module.  All operations are elementwise per
     row, so neither the rows stepped together nor the steps taken per
     call change a computed float.
     """
     a, b = table
-    stop = a.shape[0] if noise is None else start + noise.shape[1]
-    for k in range(start, stop):
+    for k, xi in zip(range(start, a.shape[0]), repeat(None) if noise is None else noise):
         np.multiply(a[k], v, out=v)
         v += b[k]
-        if noise is not None:
-            v += noise[:, k - start]
+        if xi is not None:
+            v += xi
         yield k + 1
 
 
@@ -196,7 +200,7 @@ def _path(table, v0: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
     v = v0[None].copy()
     out = np.empty((table[0].shape[0] + 1, v0.shape[0]))
     out[0] = v0
-    for k in _advance(table, v, 0, None if noise is None else noise[None]):
+    for k in _advance(table, v, 0, noise):
         out[k] = v[0]
     return out
 
@@ -225,19 +229,6 @@ def run_deterministic(
     return _trajectory(_prepare(problem, method, grid, theta, None), grid)
 
 
-def _draw_noise(
-    noise: NoiseModel,
-    stream: np.random.Generator,
-    grid: TimeGrid,
-    perturb_initial: bool,
-) -> tuple[np.ndarray | None, np.ndarray]:
-    """All randomness of one trajectory, in a fixed consumption order."""
-    init = None
-    if perturb_initial:
-        init = noise_path(noise, stream, grid.steps[:1])[0]
-    return init, noise_path(noise, stream, grid.steps)
-
-
 def run_randomised(
     problem: Problem,
     method: MethodConfig,
@@ -250,8 +241,9 @@ def run_randomised(
 ) -> Trajectory:
     """Randomised recursion U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k)."""
     prepared = _prepare(problem, method, grid, theta, noise)
-    init, path = _draw_noise(noise, stream, grid, perturb_initial)
-    return _trajectory(prepared, grid, init, path, record_defects)
+    # all of the trajectory's randomness, in a fixed consumption order
+    init = noise_path(noise, stream, grid.steps[:1])[0] if perturb_initial else None
+    return _trajectory(prepared, grid, init, noise_path(noise, stream, grid.steps), record_defects)
 
 
 def _chunk_shape(noise: NoiseModel, n: int, rows: int) -> tuple[int, int]:
@@ -262,47 +254,72 @@ def _chunk_shape(noise: NoiseModel, n: int, rows: int) -> tuple[int, int]:
     return max(1, min(rows, side, BLOCK_BYTES // (8 * noise.dimension * size))), size
 
 
-def _run_group(table, noise, steps, indices, master_seed, perturb_initial, size, norms):
-    """Squared error norms |r_k|_H^2 of the trajectories in indices into
-    norms, shape (B, N + 1): one generator per trajectory, one rolling
-    (B, J) deviation, noise drawn S = size steps at a time.  The generators
-    and the chunk buffer are freed on return."""
-    streams = [trajectory_stream(master_seed, i) for i in indices]
-    r = np.zeros((len(streams), noise.dimension))
+def _run_group(study: tuple, family: list, rows: range, size: int) -> None:
+    """Error norms |r_k|_H of the trajectories in rows into those rows of
+    the norms of family's grids, from one draw, S = size steps at a time,
+    whose prefixes serve every grid; study as `_ensembles` builds it."""
+    noise, master_seed, perturb_initial, grid_steps, tables, grid_norms = study
+    streams = [trajectory_stream(master_seed, i) for i in rows]
+    steps = [grid_steps[g] for g in family]
+    norms = [grid_norms[g][rows.start:rows.stop] for g in family]
+    r = [np.zeros((len(streams), noise.dimension)) for _ in family]
     if perturb_initial:
-        for _, init in _noise_chunks(noise, streams, steps[:1], 1):
-            r[:] = init[:, 0]
-    norms[:, 0] = np.sum(r * r, axis=-1)
-    for start, chunk in _noise_chunks(noise, streams, steps, size):
-        for k in _advance(table, r, start, chunk):
-            norms[:, k] = np.sum(r * r, axis=-1)
+        for _, inits in _family_noise(noise, streams, [s[:1] for s in steps], 1):
+            for v, init in zip(r, inits):
+                v[:] = next(init)
+    square = np.empty_like(r[0])
+    for v, out in zip(r, norms):
+        np.add.reduce(np.multiply(v, v, out=square), axis=-1, out=out[:, 0])
+    for start, noises in _family_noise(noise, streams, steps, size):
+        for g, v, out, xi in zip(family, r, norms, noises):
+            for k in _advance(tables[g], v, start, xi):
+                np.add.reduce(np.multiply(v, v, out=square), axis=-1, out=out[:, k])
+    for out in norms:
+        np.sqrt(out, out=out)
 
 
-def _run_worker(args) -> np.ndarray:
-    """One worker's error norms |r_k|_H, shape (len(indices), N + 1),
-    written a group of B trajectories at a time into the one array it
-    returns (the ensemble's own array when there is one worker)."""
-    table, noise, grid, indices, master_seed, perturb_initial = args
-    norms = np.empty((len(indices), grid.num_steps + 1))
-    rows, size = _chunk_shape(noise, grid.num_steps, len(indices))
-    for start in range(0, len(indices), rows):
-        _run_group(table, noise, grid.steps, indices[start:start + rows], master_seed,
-                   perturb_initial, size, norms[start:start + rows])
-    return np.sqrt(norms, out=norms)
+# The study a pool worker runs, set once in each worker by `_attach`.  The
+# workers are forked, so they inherit it, norms included, unpickled.
+_WORKER_STUDY = None
 
 
-def _gather(parts, m: int) -> np.ndarray:
-    """The (m, N + 1) norms of m trajectories from parts taken in index
-    order, copied into one preallocated array; each part is freed once
-    copied."""
-    norms, row = None, 0
-    for part in parts:
-        if norms is None:
-            norms = np.empty((m,) + part.shape[1:])
-        norms[row:row + len(part)] = part
-        row += len(part)
-        del part
-    return norms
+def _attach(study: tuple) -> None:
+    global _WORKER_STUDY
+    _WORKER_STUDY = study
+
+
+def _run_task(task) -> None:
+    _run_group(_WORKER_STUDY, *task)
+
+
+def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -> list:
+    """The ensembles of M trajectories on each grid from its deviation
+    table, in one pass of tasks, each one group on one family (all grids,
+    or each grid alone for the bounded kind); see the memory model."""
+    every = range(len(grids))
+    families = [[g] for g in every] if noise.kind == BOUNDED_UNIFORM else [list(every)]
+    tasks = []
+    for family in families:
+        rows, size = _chunk_shape(noise, max(grids[g].num_steps for g in family), m)
+        tasks += [(family, range(i, min(i + rows, m)), size) for i in range(0, m, rows)]
+    pooled = workers > 1 and len(tasks) > 1
+    sizes = [m * (grid.num_steps + 1) for grid in grids]
+    if pooled:  # anonymous shared mappings, made before the workers fork
+        import mmap
+
+        norms = [np.frombuffer(mmap.mmap(-1, 8 * size)).reshape(m, -1) for size in sizes]
+    else:
+        norms = [np.empty(size).reshape(m, -1) for size in sizes]
+    study = (noise, master_seed, perturb_initial, [g.steps for g in grids], tables, norms)
+    if pooled:
+        with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+                                 initializer=_attach, initargs=(study,)) as pool:
+            for _ in pool.map(_run_task, tasks):
+                pass
+    else:
+        for task in tasks:
+            _run_group(study, *task)
+    return [Ensemble(grid, out) for grid, out in zip(grids, norms)]
 
 
 def run_ensemble(
@@ -328,20 +345,7 @@ def run_ensemble(
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     _, table, _, _ = _prepare(problem, method, grid, theta, noise)
-    return _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial)
-
-
-def _ensemble(table, noise, grid, m, master_seed, workers, perturb_initial) -> Ensemble:
-    """The ensemble on a run's deviation table; workers' norms are
-    gathered in index order."""
-    chunks = [idx for idx in np.array_split(np.arange(m), min(workers, m)) if idx.size]
-    jobs = [(table, noise, grid, idx, master_seed, perturb_initial) for idx in chunks]
-    if workers == 1 or len(jobs) == 1:
-        norms = _run_worker(jobs[0])
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            norms = _gather(pool.map(_run_worker, jobs), m)
-    return Ensemble(grid, norms)
+    return _ensembles(noise, [grid], [table], m, master_seed, workers, perturb_initial)[0]
 
 
 def measure_truncation_constant(
@@ -365,14 +369,19 @@ def _truncation_constant(defects: np.ndarray, steps: np.ndarray, q: float) -> fl
     return float(np.max(norms[hit] / steps[hit] ** (q + 1.0), initial=0.0))
 
 
-def _converge_grid(problem, method, noise, grid, theta, m, master_seed, workers):
-    """One grid of a convergence study from a single build of its tables:
-    the truncation constant of measure_truncation_constant, and the
-    ensemble of run_ensemble (the trajectory of run_deterministic when
-    noise is None)."""
-    prepared = _prepare(problem, method, grid, theta, noise)
-    table = prepared[1]
-    constant = _truncation_constant(table[1], grid.steps, method.order)
-    if noise is None:
-        return constant, _trajectory(prepared, grid)
-    return constant, _ensemble(table, noise, grid, m, master_seed, workers, False)
+def _converge(problem, method, noise, grids, theta, m, master_seed, workers):
+    """Each grid's truncation constant, as measure_truncation_constant
+    gives it, and its run, as run_ensemble (or, when noise is None,
+    run_deterministic) gives it, from one build of each grid's tables."""
+    constants, tables, runs = [], [], []
+    for grid in grids:
+        prepared = _prepare(problem, method, grid, theta, noise)
+        constants.append(_truncation_constant(prepared[1][1], grid.steps, method.order))
+        if noise is None:
+            runs.append(_trajectory(prepared, grid))
+        else:
+            tables.append(prepared[1])
+        del prepared  # the pass keeps only the (a, d) tables
+    if noise is not None:
+        runs = _ensembles(noise, grids, tables, m, master_seed, workers, False)
+    return constants, runs

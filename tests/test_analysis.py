@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from randstep import (
     theoretical_bound,
     two_stage,
 )
+from randstep import analysis
 
 
 class TestLrNorm:
@@ -256,6 +258,40 @@ class TestErrorStatistics:
         norms = ensemble.error_h_norms()
         loop = max(lr_norm_estimate(norms[:, k], r) for k in range(norms.shape[1]))
         assert error_statistics(ensemble, r, None).max_of_norm == pytest.approx(loop, rel=1e-14)
+
+    @pytest.mark.parametrize("block_columns", [1, 3, None], ids=["1col", "3col", "1MB"])
+    @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (333, 65), (1001, 513), (4000, 257)])
+    def test_blocked_step_means_equal_one_pass(self, monkeypatch, shape, block_columns):
+        # M = 7, 333 and 1001 are not multiples of 8; the 1 MB default
+        # splits (1001, 513) into blocks of 130 columns and a remainder
+        m = shape[0]
+        if block_columns is not None:
+            monkeypatch.setattr(analysis, "_STEP_BLOCK_BYTES", 8 * m * block_columns)
+        norms = np.abs(np.random.default_rng(m).standard_normal(shape))
+        for r in (1.0, 2.0, 3.5):
+            one_pass = np.mean(np.power(norms.T, r, order="C"), axis=1)
+            assert np.array_equal(analysis._step_means(norms, r), one_pass)
+
+    def test_statistics_hold_no_full_size_temporary(self):
+        # not a timing gate: numpy reports its buffers to tracemalloc.  The
+        # (M, N + 1) norms exist before the trace.  error_statistics then
+        # holds the M (N + 1) bytes of its sign check's mask, one block of
+        # powers of at most _STEP_BLOCK_BYTES, and (M,) vectors inside the
+        # 1 MB margin; one pass over all steps would add a second array
+        # the size of the norms (16.4 MB here).
+        from randstep.sampler import Ensemble
+
+        m, n = 4000, 512
+        norms = np.abs(np.random.default_rng(3).standard_normal((m, n + 1)))
+        ensemble = Ensemble(build_grid(1.0, n), norms)
+        error_statistics(self._ensemble(), 2.0, "psi2")  # imports outside the trace
+        tracemalloc.start()
+        try:
+            error_statistics(ensemble, 2.0, "psi2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * (n + 1) + analysis._STEP_BLOCK_BYTES + 2**20
 
     def test_max_of_norm_checks_its_samples(self):
         from randstep.sampler import Ensemble

@@ -41,6 +41,8 @@ r = 2
 young = psi2
 """
 
+NOISE_KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
+
 BAYES_CONFIG = """
 [bayes]
 lambda_values = 1.0
@@ -102,21 +104,28 @@ class TestConverge:
         assert (out1 / "series.csv").read_bytes() == (out2 / "series.csv").read_bytes()
         assert (out1 / "report.json").read_bytes() == (out2 / "report.json").read_bytes()
 
-    @pytest.mark.parametrize(
-        "kind", ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
-    )
-    def test_worker_counts_byte_identical_for_every_noise_kind(self, tmp_path, kind):
-        text = CONVERGE_CONFIG.replace(
-            "kind = centred_gaussian",
-            f"kind = {kind}\nbias_mode = 1\nbias_coefficient = 0.2\nrho = 0.5",
-        )
-        cfg = _write(tmp_path, text)
-        outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
-        for workers, out in zip((1, 2), outs):
-            assert main(["converge", "--config", cfg, "--workers", str(workers),
-                         "--out", str(out)]) == 0
-        for name in ("report.json", "series.csv"):
-            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_worker_counts_byte_identical_for_every_noise_kind(self, tmp_path, monkeypatch,
+                                                               kind):
+        # on a uniform family and a graded one listed out of order; groups
+        # of B = 4 trajectories make six tasks per grid family, so two
+        # workers share the Gaussian kinds' one family and the bounded
+        # kind's set of one-grid families
+        from randstep import sampler
+
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * 4 * 4**2)
+        for family in ("4, 8, 16, 32\ngamma = 1.0", "16, 4, 32, 8\ngamma = 1.5"):
+            text = CONVERGE_CONFIG.replace(
+                "kind = centred_gaussian",
+                f"kind = {kind}\nbias_mode = 1\nbias_coefficient = 0.2\nrho = 0.5",
+            ).replace("4, 8, 16, 32\ngamma = 1.0", family)
+            cfg = _write(tmp_path, text)
+            outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
+            for workers, out in zip((1, 2), outs):
+                assert main(["converge", "--config", cfg, "--workers", str(workers),
+                             "--out", str(out)]) == 0
+            for name in ("report.json", "series.csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
     def test_readme_sample_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -287,6 +296,46 @@ seed = 0
         report = json.loads((out / "report.json").read_text())
         assert report["measured_c_phi_psi"] == expected
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_one_stream_per_trajectory_and_one_pool_per_study(self, tmp_path, monkeypatch,
+                                                               kind):
+        # counts, not times: a Gaussian kind draws each trajectory's noise
+        # once for all G = 4 grids (M = 24 streams), the bounded kind once
+        # per grid (M G streams); with two workers and several groups the
+        # whole study runs in one pool; converge never calls run_ensemble
+        from concurrent.futures import ProcessPoolExecutor
+
+        from randstep import sampler
+
+        text = CONVERGE_CONFIG.replace("kind = centred_gaussian", f"kind = {kind}\nrho = 0.5")
+        cfg = _write(tmp_path, text)
+        streams, pools = [], []
+        trajectory_stream = sampler.trajectory_stream
+
+        def counting_stream(master_seed, index):
+            streams.append(index)
+            return trajectory_stream(master_seed, index)
+
+        class CountingPool(ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                pools.append(1)
+                super().__init__(*args, **kwargs)
+
+        def no_run_ensemble(*args, **kwargs):
+            raise AssertionError("converge called run_ensemble")
+
+        monkeypatch.setattr(sampler, "trajectory_stream", counting_stream)
+        monkeypatch.setattr(sampler, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(sampler, "run_ensemble", no_run_ensemble)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * 4 * 4**2)  # B = 4: six groups
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "w1")]) == 0
+        grids = 4 if kind == "bounded_uniform" else 1
+        assert sorted(streams) == sorted(list(range(24)) * grids)
+        assert pools == []
+        assert main(["converge", "--config", cfg, "--workers", "2",
+                     "--out", str(tmp_path / "w2")]) == 0
+        assert pools == [1]
+
 
 class TestBayes:
     def test_sweep_artifacts(self, tmp_path):
@@ -345,16 +394,30 @@ class TestChecks:
         ("converge", CONVERGE_CONFIG + "\n[output]\nformats = csv\n", "formats = csv",
          "formats = xml", "output"),
         ("bayes", BAYES_CONFIG, "h = 0.1", "h = abc", "bayes"),
+        ("bayes", BAYES_CONFIG + "noisy_data = true\nseed = 3\n", "seed = 3", "seed = -1",
+         "bayes"),
         ("noise-check", NOISE_CONFIG, "dimension = 6", "dimension = abc", "noise"),
     ],
     ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis", "output",
-         "bayes", "noise-check-dimension"],
+         "bayes", "bayes-seed", "noise-check-dimension"],
 )
 def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, text, old,
                                                 new, section):
     assert text.count(old) == 1
     bad = _write(tmp_path, text.replace(old, new))
     assert main([subcommand, "--config", bad, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error in [{section}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, section",
+    [("converge", CONVERGE_CONFIG, "ensemble"), ("bayes", BAYES_CONFIG, "bayes")],
+    ids=["converge", "bayes"],
+)
+def test_negative_seed_override_exits_one_naming_the_seed_section(tmp_path, capsys,
+                                                                 subcommand, text, section):
+    cfg = _write(tmp_path, text)
+    assert main([subcommand, "--config", cfg, "--seed", "-1", "--out", str(tmp_path)]) == 1
     assert f"config error in [{section}]" in capsys.readouterr().err
 
 

@@ -254,29 +254,39 @@ class TestEnsemble:
 
     @pytest.mark.parametrize("kind", ["centred_gaussian", "bounded_uniform"])
     def test_memory_is_norms_plus_one_chunk(self, kind):
-        # not a timing gate: numpy reports its buffers to tracemalloc.  The
-        # ensemble holds its (M, N + 1) norms and one (B, S, J) noise chunk
-        # of at most BLOCK_BYTES; the 1 MB margin covers the run's (N, J)
-        # tables (66 KB each here) and one group's generators (B = 181,
-        # about 0.9 KB each).  Blocks of whole (B, N + 1, J) paths would
-        # need about twice BLOCK_BYTES.  The bounded kind (B = 128, S = N)
-        # also holds its (B, N, 1) radii twice, as drawn per trajectory and
-        # stacked (262 KB each here); its direction norms must take no
-        # second chunk-sized temporary.
-        m, n, j = 400, 256, 32
+        # not a timing gate: numpy reports its buffers to tracemalloc.  A
+        # convergence study's pass holds all three grids' (M, N_g + 1) norms
+        # and one (B, S, J) raw chunk of at most BLOCK_BYTES.  The 1 MB
+        # margin covers each grid's (a, d) tables (229 KB in all here), a
+        # chunk's (S, J) step scales (32 KB), one group's generators
+        # (B = 128, about 0.9 KB each) and its (B, J) deviations (32 KB per
+        # grid).  A second
+        # chunk-sized buffer, such as shaping a grid's prefix out of place,
+        # would need twice BLOCK_BYTES.  The bounded kind runs each grid as
+        # a one-grid family (B N = 16,384 for every grid here) and also
+        # holds its (B, N, 1) radii twice, as drawn per trajectory and
+        # stacked (262 KB each); its direction norms must take no second
+        # chunk-sized temporary.  With one worker the norms are ordinary
+        # arrays, which tracemalloc sees.
+        m, j, n_values = 400, 32, (64, 256, 128)
         problem = heat_1d(j)
         noise = NoiseModel(j, p=1.0, kind=kind)
         args = (problem, implicit_euler(), noise)
-        run_ensemble(*args, build_grid(1.0, 4), np.ones(j), 2, 3)  # imports outside the trace
+        # imports outside the trace
+        sampler._converge(*args, [build_grid(1.0, n) for n in (2, 8, 4)], np.ones(j), 2, 3, 1)
+        grids = [build_grid(1.0, n) for n in n_values]
         tracemalloc.start()
         try:
-            run_ensemble(*args, build_grid(1.0, n), np.ones(j), m, 3)
-            _, peak = tracemalloc.get_traced_memory()
+            _, runs = sampler._converge(*args, grids, np.ones(j), m, 3, 1)
+            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        rows = sampler._chunk_shape(noise, n, m)[0]
-        radii = 2 * rows * n * 8 if kind == "bounded_uniform" else 0
-        assert peak < m * (n + 1) * 8 + sampler.BLOCK_BYTES + 2**20 + radii
+        norms = sum(m * (n + 1) * 8 for n in n_values)
+        assert current >= norms == sum(run.norms.nbytes for run in runs)
+        radii = max(2 * sampler._chunk_shape(noise, n, m)[0] * n * 8 for n in n_values)
+        if kind != "bounded_uniform":
+            radii = 0
+        assert peak < norms + sampler.BLOCK_BYTES + 2**20 + radii
 
     def test_rejects_noise_dimension_mismatch(self):
         problem = heat_1d(4)
@@ -303,6 +313,52 @@ class TestEnsemble:
             )
         with pytest.raises(ValueError, match="theta must be finite, entry 1"):
             run_deterministic(problem, implicit_euler(), grid, theta)
+
+
+FAMILIES = {
+    "uniform": [build_grid(1.0, n) for n in (8, 4, 16)],
+    "graded": [build_grid(1.0, n, 1.5) for n in (8, 4, 16)],
+}
+
+
+class TestFamilyPass:
+    @pytest.mark.parametrize("side", [1, 4, 16], ids=["S1", "S4", "SN"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("family", list(FAMILIES))
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_family_pass_equals_per_grid_runs(self, monkeypatch, kind, family, workers, side):
+        # one pass over grids listed out of order equals, grid by grid, the
+        # per-index run_randomised norms and measure_truncation_constant.
+        # BLOCK_BYTES = 8 J side^2 gives groups of B = side trajectories
+        # and chunks of S = side steps of the longest grid: one step, 4
+        # steps (past the end of the 4-step grid) and the whole path; the
+        # bounded kind always takes S = N of its own grid
+        j, m = 4, 6
+        problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
+        method = implicit_euler()
+        noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
+        theta = np.linspace(1.0, 0.25, j)
+        grids = FAMILIES[family]
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * j * side**2)
+        size = sampler._chunk_shape(noise, 16, m)[1]
+        assert size == (16 if kind == "bounded_uniform" else side)
+        constants, runs = sampler._converge(problem, method, noise, grids, theta, m, 23, workers)
+        assert len(constants) == len(runs) == len(grids)
+        for grid, constant, run in zip(grids, constants, runs):
+            assert run.grid is grid
+            reference = _randomised_norms(problem, method, noise, grid, theta, m, 23)
+            assert np.array_equal(run.error_h_norms(), reference)
+            assert constant == measure_truncation_constant(problem, method, grid, theta)
+
+    def test_noise_free_family_is_deterministic_runs(self):
+        problem = heat_1d(3)
+        method = implicit_euler()
+        theta = np.ones(3)
+        grids = FAMILIES["graded"]
+        constants, runs = sampler._converge(problem, method, None, grids, theta, 5, 1, 1)
+        for grid, constant, run in zip(grids, constants, runs):
+            assert np.array_equal(run.errors, run_deterministic(problem, method, grid, theta).errors)
+            assert constant == measure_truncation_constant(problem, method, grid, theta)
 
 
 class TestPathwiseGronwallDominance:
