@@ -11,11 +11,9 @@ the randomisation mitigates.
 """
 
 from .analysis import (
-    ConvergenceReport,
     ErrorStatistics,
     EstimationError,
     RateFit,
-    convergence_report,
     derived_lipschitz,
     error_statistics,
     fit_rate,

@@ -9,7 +9,7 @@ max_k |e_k|_(L^R) and the stronger "norm of max" | max_k |e_k|_H |_(L^R)
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,7 +19,6 @@ __all__ = [
     "EstimationError",
     "ErrorStatistics",
     "RateFit",
-    "ConvergenceReport",
     "lr_norm_estimate",
     "orlicz_norm_estimate",
     "error_statistics",
@@ -29,7 +28,6 @@ __all__ = [
     "gronwall_nonuniform",
     "derived_lipschitz",
     "theoretical_bound",
-    "convergence_report",
 ]
 
 BOUND_SETTINGS = ("banach", "gelfand_orlicz", "gelfand_l2_centred")
@@ -256,66 +254,3 @@ def theoretical_bound(
         ) * math.exp(2.0 * l_prime * horizon)
         return math.sqrt(val)
     raise ValueError(f"unknown setting {setting!r}, expected one of {BOUND_SETTINGS}")
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    """Per-mesh error series with the fitted rate and theoretical values.
-
-    The fit is computed on the norm-of-max L^R column.
-    """
-
-    stats: tuple[ErrorStatistics, ...]
-    fit: RateFit
-    theory_slope: float | None = None
-    bounds: tuple[float, ...] | None = None
-    fingerprint: str | None = None
-    columns: tuple[str, ...] = field(
-        default=("h", "err_l2_maxnorm", "err_l2_normmax", "err_psi2", "bound"), repr=False
-    )
-
-    def rows(self) -> list[tuple]:
-        out = []
-        for i, st in enumerate(self.stats):
-            bound = None if self.bounds is None else self.bounds[i]
-            out.append((st.mesh, st.max_of_norm, st.norm_of_max, st.psi2_norm_of_max, bound))
-        return out
-
-    def to_json_dict(self) -> dict:
-        series = [
-            {
-                "h": st.mesh,
-                "err_l2_maxnorm": st.max_of_norm,
-                "err_l2_normmax": st.norm_of_max,
-                "err_psi2": st.psi2_norm_of_max,
-                "samples": st.sample_size,
-                "r": st.r,
-            }
-            for st in self.stats
-        ]
-        return {
-            "series": series,
-            "slope": self.fit.slope,
-            "intercept": self.fit.intercept,
-            "r2": self.fit.r_squared,
-            "theory_slope": self.theory_slope,
-            "theory": None if self.bounds is None else list(self.bounds),
-            "fingerprint": self.fingerprint,
-        }
-
-
-def convergence_report(
-    stats: list[ErrorStatistics],
-    theory_slope: float | None = None,
-    bounds: list[float] | None = None,
-    fingerprint: str | None = None,
-) -> ConvergenceReport:
-    points = [(st.mesh, st.norm_of_max) for st in stats]
-    fit = fit_rate(points)
-    return ConvergenceReport(
-        tuple(stats),
-        fit,
-        theory_slope,
-        None if bounds is None else tuple(bounds),
-        fingerprint,
-    )

@@ -28,6 +28,9 @@ from .randomisation import CENTRED_GAUSSIAN
 
 __all__ = ["main"]
 
+# series.csv of converge: one row per grid; the rate is fitted on err_l2_normmax
+CONVERGE_COLUMNS = ("h", "err_l2_maxnorm", "err_l2_normmax", "err_psi2", "bound")
+
 
 def _fmt(value) -> str:
     if value is None:
@@ -66,48 +69,45 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     constants, runs = sampler._converge(problem, method, cfg.noise, cfg.grids, theta,
                                         cfg.ensemble_size, cfg.seed, workers)
     c_meas = max(0.0, *constants)
-    stats, extras = [], []
+    series, rows = [], []
     for grid in cfg.grids:
         run = runs.pop(0)
-        extra = {}
         if cfg.noise is None:
             worst = float(run.error_h_norms().max())
-            stats.append(analysis.ErrorStatistics(grid.mesh, 1, 2.0, worst, worst, None))
+            st = analysis.ErrorStatistics(grid.mesh, 1, 2.0, worst, worst, None)
         else:
-            stats.append(analysis.error_statistics(run, cfg.r, cfg.young))
-            for r_extra in cfg.extra_r:
-                more = analysis.error_statistics(run, r_extra, None)
-                extra[f"{r_extra:g}"] = {
-                    "maxnorm": more.max_of_norm,
-                    "normmax": more.norm_of_max,
-                }
-        del run  # free its norms before the next grid's statistics
-        extras.append(extra)
-    # the bounds share the largest truncation constant over all grids
-    bounds = [
-        analysis.theoretical_bound(
+            st = analysis.error_statistics(run, cfg.r, cfg.young)
+        # the bounds share the largest truncation constant over all grids
+        bound = analysis.theoretical_bound(
             "gelfand_orlicz", grid.mesh,
             c_phi_psi=c_meas, c_xi=c_xi_amp, lipschitz=l_psi,
             q=method.order, p=noise_p, horizon=problem.horizon,
         )
-        for grid in cfg.grids
-    ]
-    report = analysis.convergence_report(stats, theory_slope, bounds, cfg.fingerprint)
-    payload = report.to_json_dict()
-    for entry, extra in zip(payload["series"], extras):
-        if extra:
-            entry["extra_lr"] = extra
-    payload.update(
-        {
-            "subcommand": "converge",
-            "seed": cfg.seed,
-            "ensemble_size": cfg.ensemble_size,
-            "measured_c_phi_psi": c_meas,
-            "lipschitz": l_psi,
-            "noise_amplitude": c_xi_amp,
-        }
-    )
-    _write(cfg, out, payload, report.columns, report.rows())
+        rows.append((st.mesh, st.max_of_norm, st.norm_of_max, st.psi2_norm_of_max, bound))
+        entry = dict(zip(CONVERGE_COLUMNS, rows[-1][:-1]), samples=st.sample_size, r=st.r)
+        if cfg.noise is not None and cfg.extra_r:
+            more = [analysis.error_statistics(run, r, None) for r in cfg.extra_r]
+            entry["extra_lr"] = {f"{m.r:g}": {"maxnorm": m.max_of_norm, "normmax": m.norm_of_max}
+                                 for m in more}
+        del run  # free its norms before the next grid's statistics
+        series.append(entry)
+    fit = analysis.fit_rate([(entry["h"], entry["err_l2_normmax"]) for entry in series])
+    payload = {
+        "subcommand": "converge",
+        "fingerprint": cfg.fingerprint,
+        "seed": cfg.seed,
+        "ensemble_size": cfg.ensemble_size,
+        "series": series,
+        "slope": fit.slope,
+        "intercept": fit.intercept,
+        "r2": fit.r_squared,
+        "theory_slope": theory_slope,
+        "theory": [row[-1] for row in rows],
+        "measured_c_phi_psi": c_meas,
+        "lipschitz": l_psi,
+        "noise_amplitude": c_xi_amp,
+    }
+    _write(cfg, out, payload, CONVERGE_COLUMNS, rows)
 
 
 def _run_bayes(cfg: ExperimentConfig, out: Path, workers: int) -> None:

@@ -8,7 +8,6 @@ from randstep import (
     EstimationError,
     build_grid,
     centred_gaussian,
-    convergence_report,
     derived_lipschitz,
     error_statistics,
     fit_rate,
@@ -339,20 +338,3 @@ class TestHigherOrderRates:
         assert slope3 == pytest.approx(slope2, abs=0.1)
         assert slope3 >= (min(2.0, 3.0) + 1.0) / 3.0 - 0.1  # provable exponent 4/3
 
-
-class TestConvergenceReport:
-    def test_report_roundtrip(self):
-        stats = []
-        for k in range(3, 7):
-            problem = heat_1d(3)
-            grid = build_grid(1.0, 2**k)
-            noise = centred_gaussian(3, p=1.0)
-            ensemble = run_ensemble(problem, implicit_euler(), noise, grid, np.ones(3), 20, 3)
-            stats.append(error_statistics(ensemble, 2.0, None))
-        report = convergence_report(stats, theory_slope=1.0, fingerprint="abc")
-        payload = report.to_json_dict()
-        assert len(payload["series"]) == 4
-        assert payload["fingerprint"] == "abc"
-        assert math.isfinite(payload["slope"])
-        rows = report.rows()
-        assert rows[0][0] == pytest.approx(2.0**-3)

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from randstep import fit_rate
 from randstep.cli import main
 from randstep.config import load_config
 
@@ -335,6 +336,59 @@ seed = 0
         assert main(["converge", "--config", cfg, "--workers", "2",
                      "--out", str(tmp_path / "w2")]) == 0
         assert pools == [1]
+
+
+class TestConvergeReportSchema:
+    TOP_KEYS = {
+        "subcommand", "fingerprint", "seed", "ensemble_size", "series", "slope", "intercept",
+        "r2", "theory_slope", "theory", "measured_c_phi_psi", "lipschitz", "noise_amplitude",
+    }
+    ENTRY_KEYS = {"h", "err_l2_maxnorm", "err_l2_normmax", "err_psi2", "samples", "r"}
+    NOISE_FREE = ("kind = centred_gaussian\np = 1.0\nc_xi = 0.5\ns = 1.0", "kind = none")
+
+    @pytest.mark.parametrize(
+        "r_list, noisy", [("2", True), ("2, 3", True), ("2, 3", False)],
+        ids=["one-order", "extra-orders", "noise-free"],
+    )
+    def test_report_and_series_layout(self, tmp_path, r_list, noisy):
+        text = CONVERGE_CONFIG.replace("r = 2", f"r = {r_list}")
+        if not noisy:
+            text = text.replace(*self.NOISE_FREE)
+        out = tmp_path / "out"
+        assert main(["converge", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        lines = (out / "series.csv").read_text().splitlines()
+        assert set(report) == self.TOP_KEYS
+        assert report["subcommand"] == "converge"
+        assert (report["seed"], report["ensemble_size"]) == (11, 24)
+        assert report["fingerprint"] == load_config(_write(tmp_path, text)).fingerprint
+        series = report["series"]
+        assert [entry["h"] for entry in series] == [0.25, 0.125, 0.0625, 0.03125]
+        extra = noisy and "," in r_list
+        for entry in series:
+            assert set(entry) == self.ENTRY_KEYS | ({"extra_lr"} if extra else set())
+            if extra:
+                assert set(entry["extra_lr"]) == {"3"}
+                assert set(entry["extra_lr"]["3"]) == {"maxnorm", "normmax"}
+            if noisy:
+                assert (entry["samples"], entry["r"]) == (24, 2.0)
+                assert math.isfinite(entry["err_psi2"])
+            else:
+                assert (entry["samples"], entry["r"], entry["err_psi2"]) == (1, 2.0, None)
+        assert lines[0] == "h,err_l2_maxnorm,err_l2_normmax,err_psi2,bound"
+        rows = [line.split(",") for line in lines[1:]]
+        assert len(rows) == len(series)
+        for row, entry in zip(rows, series):
+            psi2 = None if row[3] == "" else float(row[3])
+            assert [float(row[0]), float(row[1]), float(row[2]), psi2] == [
+                entry["h"], entry["err_l2_maxnorm"], entry["err_l2_normmax"], entry["err_psi2"]
+            ]
+        assert report["theory"] == [float(row[4]) for row in rows]
+        fit = fit_rate([(entry["h"], entry["err_l2_normmax"]) for entry in series])
+        assert (report["slope"], report["intercept"], report["r2"]) == (
+            fit.slope, fit.intercept, fit.r_squared
+        )
+        assert math.isfinite(report["slope"])
 
 
 class TestBayes:
