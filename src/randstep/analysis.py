@@ -43,18 +43,23 @@ class EstimationError(RuntimeError):
 
 def lr_norm_estimate(samples: np.ndarray, r: float) -> float:
     """Empirical L^R norm (mean of x^R)^(1/R) of non-negative samples."""
-    samples = _check_lr_samples(samples, r)
+    samples = _checked_samples(samples, r)
     return float(np.mean(samples**r) ** (1.0 / r))
 
 
-def _check_lr_samples(samples: np.ndarray, r: float) -> np.ndarray:
+def _checked_samples(samples: np.ndarray, r: float = 1.0, what: str = "samples") -> np.ndarray:
+    """samples as a float array, checked non-empty, finite and non-negative
+    by one min and one max, which allocate nothing the size of samples."""
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
-        raise ValueError("empty sample")
+        raise ValueError(f"empty {what}")
     if r < 1.0:
         raise ValueError(f"order must be >= 1, got {r}")
-    if np.any(samples < 0.0):
-        raise ValueError("samples must be non-negative")
+    lo, hi = samples.min(), samples.max()
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ValueError(f"{what} must be finite")
+    if lo < 0.0:
+        raise ValueError(f"{what} must be non-negative")
     return samples
 
 
@@ -73,11 +78,7 @@ def orlicz_norm_estimate(samples: np.ndarray, young="psi2", rel_tol: float = 1e-
     power function Psi(z) = z^R.  The objective is strictly decreasing in
     k; the bracket [max(x)/50, 50 max(x)] must straddle the crossing.
     """
-    samples = np.asarray(samples, dtype=float)
-    if samples.size == 0:
-        raise ValueError("empty sample")
-    if np.any(samples < 0.0):
-        raise ValueError("samples must be non-negative")
+    samples = _checked_samples(samples)
     top = float(samples.max())
     if top == 0.0:
         return 0.0
@@ -120,7 +121,8 @@ def _step_means(norms: np.ndarray, r: float) -> np.ndarray:
 
 def error_statistics(ensemble: Ensemble, r: float = 2.0, young: str | None = "psi2") -> ErrorStatistics:
     """Both error orderings (and optionally the Orlicz norm of the max)."""
-    norms = _check_lr_samples(ensemble.error_h_norms(), r)
+    norms = _checked_samples(ensemble.error_h_norms(), r,
+                             f"error norms at h = {ensemble.grid.mesh:g}")
     max_of_norm = float(np.max(_step_means(norms, r)) ** (1.0 / r))
     per_traj_max = norms.max(axis=1)
     norm_of_max = lr_norm_estimate(per_traj_max, r)

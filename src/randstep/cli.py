@@ -40,11 +40,26 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _non_finite(value, key: str = "") -> str | None:
+    """The key path of the first non-finite float in value, else None."""
+    if isinstance(value, dict):
+        items = ((f"{key}.{k}" if key else str(k), v) for k, v in value.items())
+    elif isinstance(value, (list, tuple, np.ndarray)):
+        items = ((f"{key}[{i}]", v) for i, v in enumerate(value))
+    else:
+        return key if isinstance(value, float) and not math.isfinite(value) else None
+    return next(filter(None, (_non_finite(v, k) for k, v in items)), None)
+
+
 def _write(cfg: ExperimentConfig, out: Path, payload: dict, columns, rows) -> None:
     """report.json (payload) and series.csv (columns, rows) into out, each
-    when cfg.formats names it."""
+    when cfg.formats names it; neither if a number in them is not finite."""
+    table = [dict(zip(columns, row)) for row in rows]
+    key = _non_finite({"report.json": payload, "series.csv": table})
+    if key is not None:
+        raise EstimationError(f"non-finite value at {key}; no output written")
     if "json" in cfg.formats:
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
         (out / "report.json").write_text(text, newline="\n")
     if "csv" in cfg.formats:
         lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
@@ -61,10 +76,8 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         noise_p = cfg.noise.p
         norm_kind = "psi2" if cfg.young == "psi2" else "l2"
         c_xi_amp = randomisation.theoretical_noise_norm(cfg.noise, 1.0, norm_kind)
-        if cfg.noise.kind == CENTRED_GAUSSIAN:
-            theory_slope = min(method.order, noise_p + 0.5)
-        else:
-            theory_slope = min(method.order, noise_p)
+        gain = 0.5 if cfg.noise.kind == CENTRED_GAUSSIAN else 0.0  # centred noise: half an order
+        theory_slope = min(method.order, noise_p + gain)
     # one build of each grid's tables; all ensembles come from one pass
     constants, runs = sampler._converge(problem, method, cfg.noise, cfg.grids, theta,
                                         cfg.ensemble_size, cfg.seed, workers)

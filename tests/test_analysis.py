@@ -47,6 +47,11 @@ class TestLrNorm:
         with pytest.raises(ValueError):
             lr_norm_estimate(np.array([-1.0]), 2.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ValueError, match="must be finite"):
+            lr_norm_estimate(np.array([1.0, bad, 2.0]), 2.0)
+
 
 class TestOrliczNorm:
     def test_constant_sample_closed_form(self):
@@ -70,6 +75,12 @@ class TestOrliczNorm:
         sample = np.abs(rng.standard_normal(2000))
         est = orlicz_norm_estimate(sample, 2.0)
         assert est == pytest.approx(lr_norm_estimate(sample, 2.0), rel=1e-5)
+
+    @pytest.mark.parametrize("young", ["psi2", 2.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad, young):
+        with pytest.raises(ValueError, match="must be finite"):
+            orlicz_norm_estimate(np.array([1.0, 2.0, bad]), young)
 
     def test_no_crossing_raises(self):
         # a single spike in a sea of zeros pushes the power-R norm below
@@ -274,10 +285,9 @@ class TestErrorStatistics:
     def test_statistics_hold_no_full_size_temporary(self):
         # not a timing gate: numpy reports its buffers to tracemalloc.  The
         # (M, N + 1) norms exist before the trace.  error_statistics then
-        # holds the M (N + 1) bytes of its sign check's mask, one block of
-        # powers of at most _STEP_BLOCK_BYTES, and (M,) vectors inside the
-        # 1 MB margin; one pass over all steps would add a second array
-        # the size of the norms (16.4 MB here).
+        # holds one block of powers of at most _STEP_BLOCK_BYTES and (M,)
+        # vectors inside the 1 MB margin; one pass over all steps would add
+        # a second array the size of the norms (16.4 MB here).
         from randstep.sampler import Ensemble
 
         m, n = 4000, 512
@@ -290,7 +300,7 @@ class TestErrorStatistics:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < m * (n + 1) + analysis._STEP_BLOCK_BYTES + 2**20
+        assert peak < analysis._STEP_BLOCK_BYTES + 2**20
 
     def test_max_of_norm_checks_its_samples(self):
         from randstep.sampler import Ensemble
@@ -303,6 +313,10 @@ class TestErrorStatistics:
         negative = Ensemble(ensemble.grid, norms)
         with pytest.raises(ValueError, match="non-negative"):
             error_statistics(negative, 2.0, None)
+        norms = norms.copy()
+        norms[1, 2] = math.inf
+        with pytest.raises(ValueError, match="error norms at h = 0.125 must be finite"):
+            error_statistics(Ensemble(ensemble.grid, norms), 2.0, None)
 
     def test_noise_free_matches_deterministic(self):
         problem = heat_1d(3)

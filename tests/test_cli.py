@@ -1,10 +1,12 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from randstep import fit_rate
@@ -338,6 +340,30 @@ seed = 0
         assert pools == [1]
 
 
+    @pytest.mark.parametrize(
+        "young, quantity",
+        [("psi2", "noise amplitude draws"), ("none", "error norms at h = 0.25")],
+    )
+    def test_overflowing_run_exits_two_and_writes_nothing(self, tmp_path, capsys, young,
+                                                           quantity):
+        # c_xi = 1e200 overflows the squared sums behind every norm; the
+        # first estimator to see an inf refuses it, naming what it held
+        workload = Path(__file__).resolve().parents[1] / "perfbench/workloads/ens-wide.ini"
+        text = workload.read_text()
+        for old, new in [("c_xi = 1.0", "c_xi = 1e200"), ("m = 1000", "m = 20"),
+                         ("n_values = 64, 128, 256, 512", "n_values = 4, 8, 16"),
+                         ("young = psi2", f"young = {young}")]:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            code = main(["converge", "--config", _write(tmp_path, text), "--out", str(out)])
+        assert code == 2
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert "run failed" in err and quantity in err and "must be finite" in err
+
+
 class TestConvergeReportSchema:
     TOP_KEYS = {
         "subcommand", "fingerprint", "seed", "ensemble_size", "series", "slope", "intercept",
@@ -433,6 +459,28 @@ class TestChecks:
         cfg = _write(tmp_path, GRONWALL_CONFIG)
         assert main(["noise-check", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "noise" in capsys.readouterr().err
+
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
+    from randstep.analysis import EstimationError
+    from randstep.cli import _write as write_outputs
+
+    cfg = load_config(_write(tmp_path, GRONWALL_CONFIG), "gronwall")
+    assert set(cfg.formats) == {"json", "csv"}
+    out = tmp_path / "out"
+    out.mkdir()
+    cases = [
+        ({"series": [{"h": 0.5}, {"h": bad}]}, [(0.5,)], "report.json.series[1].h"),
+        ({"slope": bad}, [(0.5,)], "report.json.slope"),
+        ({"slope": 1.0}, [(0.5,), (bad,)], "series.csv[1].h"),
+        ({"slope": 1.0}, np.array([[0.5], [bad]]), "series.csv[1].h"),
+    ]
+    for payload, rows, key in cases:
+        with pytest.raises(EstimationError, match=re.escape(f"non-finite value at {key};")):
+            write_outputs(cfg, out, payload, ("h",), rows)
+        assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize(
