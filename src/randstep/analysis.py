@@ -138,7 +138,7 @@ class RateFit:
 
 
 def fit_rate(points) -> RateFit:
-    """Least-squares slope of log(err) against log(h)."""
+    """Least-squares line of log(err) against log(h), in closed form."""
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 3:
         raise ValueError("need at least three (h, err) pairs")
@@ -148,11 +148,13 @@ def fit_rate(points) -> RateFit:
     if np.any(err <= 0.0) or np.any(h <= 0.0):
         raise ValueError("mesh and error values must be positive")
     x, y = np.log(h), np.log(err)
-    slope, intercept = np.polyfit(x, y, 1)
+    dx, dy = x - x.mean(), y - y.mean()
+    slope = float(np.sum(dx * dy) / np.sum(dx * dx))
+    intercept = float(y.mean() - slope * x.mean())
     residual = y - (slope * x + intercept)
-    total = np.sum((y - y.mean()) ** 2)
+    total = np.sum(dy**2)
     r2 = 1.0 if total < 1e-30 else 1.0 - float(np.sum(residual**2)) / float(total)
-    return RateFit(float(slope), float(intercept), r2)
+    return RateFit(slope, intercept, r2)
 
 
 def gronwall_uniform(y0: float, a: float, b: float, p: float, h: float, horizon: float) -> float:
