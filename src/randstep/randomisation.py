@@ -261,8 +261,7 @@ def psi2_amplitude(model: NoiseModel, samples: int = _PSI2_SAMPLES) -> float:
         block = stream.standard_normal((size, 1, j)) if lead is None else lead[start:start + size]
         draws = _shape_noise(model, np.ones(1), block, _follow_draws(model, stream, size, 1))
         norms[start:start + size] = np.linalg.norm(draws[:, 0], axis=1)
-    return orlicz_norm_estimate(_checked_samples(norms, what="noise amplitude draws |xi(1)|_H"),
-                                "psi2")
+    return orlicz_norm_estimate(_checked_samples(norms, what="noise amplitude draws"), "psi2")
 
 
 def theoretical_noise_norm(model: NoiseModel, h: float, norm_kind: str = "l2") -> float:

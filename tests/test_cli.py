@@ -141,6 +141,16 @@ class TestConverge:
         assert (cfg.noise.kind, cfg.noise.c_xi) == ("centred_gaussian", 1.0)
         assert (cfg.ensemble_size, cfg.seed, cfg.r, cfg.young) == (200, 7, 2.0, "psi2")
 
+    def test_readme_library_example_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library example\n", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {"__name__": "__readme__"})
+        printed = capsys.readouterr().out.strip()
+        match = re.fullmatch(r"RateFit\(slope=(\S+), intercept=\S+, r_squared=\S+\)", printed)
+        assert match is not None, printed
+        assert math.isfinite(float(match.group(1)))
+
     def test_seed_override_changes_series(self, tmp_path):
         cfg = _write(tmp_path, CONVERGE_CONFIG)
         out1, out2 = tmp_path / "a", tmp_path / "b"
