@@ -290,7 +290,10 @@ def main(argv=None) -> int:
             raise ConfigError("ensemble", "worker count must be >= 1")
         out = Path(args.out if args.out is not None else (cfg.out_dir or "out"))
         out.mkdir(parents=True, exist_ok=True)
-        run(cfg, out, args.workers)
+        # an overflow or NaN is reported once, by the finiteness check that
+        # names its cause, not also as a numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            run(cfg, out, args.workers)
     except ConfigError as exc:
         print(f"config error in [{exc.section}]: {exc}", file=sys.stderr)
         return 1

@@ -18,7 +18,10 @@ either.  The forcing response f splits by mask into a series path
 and a completed-square path whose dawsn / erfcx / erf cases are masks
 too; the series path sums the integrals f_k(z) = int_0^1 s^k e^(-z s) ds
 of one stable evaluator, `_poly_exp_sum`, that covers every sign and
-size of z.
+size of z.  The completed-square path evaluates its special functions in
+numpy here: `_dawsn` for any real argument, `_erfcx` and `_erf` for
+arguments >= 0 (the only ones it passes), each by series and continued
+fractions without coefficient tables.
 
 The scalar test problem u' = rate * u (any sign of rate) is included via
 `scalar_linear`; growth corresponds to a negative effective scaling and
@@ -337,16 +340,12 @@ def _erf_response(c0, c1, c2, beta, gamma, t, t1):
     with gamma != 0.
 
     c0 e0 + c1 e1 + c2 e2 with e_i = int_t^t1 s^i exp(g(s) - g(t1)) ds.  e0
-    comes from dawsn (gamma > 0) or, for gamma < 0, from erfcx when the
-    vertex of g lies outside the step on either side, else erf; each case
-    is a mask, arranged so every term stays bounded whenever g is
-    increasing on the step (the dissipative case).  e1 and e2 follow by
-    parts.
+    comes from `_dawsn` (gamma > 0) or, for gamma < 0, from `_erfcx` when
+    the vertex of g lies outside the step on either side, else `_erf`;
+    each case is a mask, arranged so every term stays bounded whenever g
+    is increasing on the step (the dissipative case), and every argument
+    of `_erfcx` and `_erf` is >= 0.  e1 and e2 follow by parts.
     """
-    # imported on first use: loading scipy.special takes about 0.3 s, which
-    # runs that never reach this path should not pay
-    from scipy.special import dawsn, erf, erfcx
-
     expo = np.exp(beta * (t - t1) + gamma * (t * t - t1 * t1))  # exp(g(t) - g(t1))
     root = np.sqrt(np.abs(gamma))
     shift = beta / (2.0 * root)
@@ -360,11 +359,100 @@ def _erf_response(c0, c1, c2, beta, gamma, t, t1):
     inside = ~(up | right | left)
     sqp2 = 0.5 * math.sqrt(math.pi)
     e0 = np.empty_like(expo)
-    e0[up] = dawsn(x_1[up]) - expo[up] * dawsn(x_t[up])
-    e0[right] = sqp2 * (expo[right] * erfcx(w_t[right]) - erfcx(w_1[right]))
-    e0[left] = sqp2 * (erfcx(-w_1[left]) - expo[left] * erfcx(-w_t[left]))
-    e0[inside] = sqp2 * np.exp(w_1[inside] ** 2) * (erf(-w_t[inside]) + erf(w_1[inside]))
+    e0[up] = _dawsn(x_1[up]) - expo[up] * _dawsn(x_t[up])
+    e0[right] = sqp2 * (expo[right] * _erfcx(w_t[right]) - _erfcx(w_1[right]))
+    e0[left] = sqp2 * (_erfcx(-w_1[left]) - expo[left] * _erfcx(-w_t[left]))
+    e0[inside] = sqp2 * np.exp(w_1[inside] ** 2) * (_erf(-w_t[inside]) + _erf(w_1[inside]))
     e0 /= root
     e1 = (1.0 - expo) / (2.0 * gamma) - beta / (2.0 * gamma) * e0
     e2 = (t1 - t * expo - e0) / (2.0 * gamma) - beta / (2.0 * gamma) * e1
     return c0 * e0 + c1 * e1 + c2 * e2
+
+
+# below it erf and erfcx take the Taylor series, from it the continued fraction
+_ERF_SWITCH = 1.0
+# below it dawsn takes the Taylor series, from it the asymptotic series, whose
+# smallest term there is about e^(-x^2) = 5e-19 of the sum
+_DAWSN_SWITCH = 6.5
+
+
+def _erf(x):
+    """erf(x) elementwise, for x >= 0 only.
+
+    Below _ERF_SWITCH: e^(-x^2) times `_erf_sum`; from it: 1 - e^(-x^2)
+    erfcx(x) (the clamp only keeps x^2 finite: erf(27) rounds to 1).
+    """
+    return np.piecewise(x, [x < _ERF_SWITCH], [
+        lambda s: np.exp(-s * s) * _erf_sum(s),
+        lambda s: 1.0 - np.exp(-np.minimum(s, 27.0) ** 2) * _erfcx_fraction(s),
+    ])
+
+
+def _erfcx(x):
+    """erfcx(x) = e^(x^2) erfc(x) elementwise, for x >= 0 only.
+
+    Below _ERF_SWITCH: e^(x^2) - `_erf_sum` (erfc >= 0.15 there, so the
+    difference loses under a decimal digit); from it: `_erfcx_fraction`.
+    """
+    return np.piecewise(x, [x < _ERF_SWITCH], [
+        lambda s: np.exp(s * s) - _erf_sum(s),
+        _erfcx_fraction,
+    ])
+
+
+def _dawsn(x):
+    """Dawson's integral e^(-x^2) int_0^x e^(s^2) ds elementwise, for any
+    real x; odd, so the sign of -0.0 survives.
+
+    Below _DAWSN_SWITCH in |x|: x e^(-x^2) sum_n x^(2n) / (n! (2n+1)), whose
+    terms are positive; from it the asymptotic series
+    (1 / (2x)) sum_k (2k-1)!! / (2 x^2)^k.
+    """
+    return np.piecewise(x, [np.abs(x) < _DAWSN_SWITCH], [
+        lambda s: s * np.exp(-s * s) * _power_series(
+            lambda n: 1 / (math.factorial(n) * (2 * n + 1)), s * s),
+        lambda s: 0.5 / s * _power_series(
+            lambda k: math.prod(range(1, 2 * k, 2)) / 2**k, (1.0 / s) ** 2),
+    ])
+
+
+def _erf_sum(x):
+    """(2 / sqrt(pi)) x sum_n (2 x^2)^n / (2n+1)!! = e^(x^2) erf(x), for
+    0 <= x < _ERF_SWITCH; every term is positive."""
+    return (2.0 / math.sqrt(math.pi)) * x * _power_series(
+        lambda n: 2**n / math.prod(range(1, 2 * n + 2, 2)), x * x)
+
+
+def _erfcx_fraction(x):
+    """erfcx(x) for x >= _ERF_SWITCH by Laplace's continued fraction
+
+        1 / sqrt(pi) / (x + (1/2) / (x + 1 / (x + (3/2) / (x + ...)))),
+
+    evaluated backward from a depth set by the smallest x.  Its truncation
+    error falls like exp(-2 sqrt(2 depth) x), so depth (14 / x)^2 + 8
+    keeps it below 1e-16 of the value (checked against mpmath)."""
+    depth = int((14.0 / x.min()) ** 2) + 8
+    f = x
+    for k in range(depth, 0, -1):
+        f = x + 0.5 * k / f
+    return 1.0 / (math.sqrt(math.pi) * f)
+
+
+def _power_series(coeff, y):
+    """sum_n coeff(n) y^n elementwise over y >= 0 by Horner's rule.
+
+    The sum stops after the first term that falls below 1e-17 of the partial
+    sum at the largest y, which needs the most terms; the terms must shrink
+    until then (for an asymptotic series too).
+    """
+    top = float(y.max())
+    coeffs = [coeff(0)]
+    total = term = coeffs[0]
+    while term > 1e-17 * total:
+        coeffs.append(coeff(len(coeffs)))
+        term = coeffs[-1] * top ** (len(coeffs) - 1)
+        total += term
+    s = np.full_like(y, coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        s = c + y * s
+    return s

@@ -533,14 +533,71 @@ def test_negative_seed_override_exits_one_naming_the_seed_section(tmp_path, caps
     assert f"config error in [{section}]" in capsys.readouterr().err
 
 
-def test_cli_import_leaves_scipy_special_unloaded():
-    # scipy.special is loaded on first use by the affine-alpha flow only
+def _subprocess_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, randstep.cli; print('scipy.special' in sys.modules)"
+    return dict(os.environ, PYTHONPATH=path)
+
+
+AFFINE_FORCED_CONFIG = (
+    CONVERGE_CONFIG.replace("dimension = 4", "dimension = 16")
+    .replace("forcing = none", "forcing = 1.0, 0.5, -0.25")
+    .replace("n_values = 4, 8, 16, 32", "n_values = 4, 8, 16")
+    .replace("m = 24", "m = 8")
+)
+
+# runs converge on each config given and reports which evaluators of the
+# forcing response got a non-empty argument and which scipy modules loaded
+SCIPY_PROBE = """
+import json, sys
+import randstep.cli, randstep.problems as problems
+
+reached = set()
+
+def counted(name, evaluate):
+    def wrapper(x):
+        if x.size:
+            reached.add(name)
+        return evaluate(x)
+    return wrapper
+
+for name in ("_dawsn", "_erfcx", "_erf"):
+    setattr(problems, name, counted(name, getattr(problems, name)))
+codes = [randstep.cli.main(["converge", "--config", cfg, "--out", cfg + ".out"])
+         for cfg in sys.argv[1:]]
+print(json.dumps({"codes": codes, "reached": sorted(reached),
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_affine_forced_converge_loads_no_scipy(tmp_path):
+    # alpha = 1 + t takes dawsn; alpha = 1 - 1.01 t vanishes at t = 0.990,
+    # inside the last step of every grid, which takes erf, and the earlier
+    # steps take erfcx
+    configs = [
+        _write(tmp_path, AFFINE_FORCED_CONFIG.replace("alpha = 1.0", f"alpha = {alpha}"),
+               f"{name}.cfg")
+        for name, alpha in (("rising", "1.0, 1.0"), ("falling", "1.0, -1.01"))
+    ]
     result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", SCIPY_PROBE, *map(str, configs)], env=_subprocess_env(),
+        capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert json.loads(result.stdout.splitlines()[-1]) == {
+        "codes": [0, 0], "reached": ["_dawsn", "_erf", "_erfcx"], "scipy": [],
+    }
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_overflowing_noise_fails_with_one_stderr_line(tmp_path, workers):
+    # the amplitude draws overflow; only the finiteness check speaks
+    cfg = _write(tmp_path, CONVERGE_CONFIG.replace("c_xi = 0.5", "c_xi = 1e200"))
+    result = subprocess.run(
+        [sys.executable, "-m", "randstep.cli", "converge", "--config", str(cfg),
+         "--workers", workers, "--out", str(tmp_path / "out")],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("run failed:"), result.stderr
