@@ -25,14 +25,13 @@ from .analysis import (
     theoretical_bound,
 )
 from .bayes import DiagonalGaussianModel, biased_limit, posterior, single_mode_model, small_noise_sweep
-from .grids import TimeGrid, build_grid, power_step_sum
+from .grids import TimeGrid, build_grid
 from .integrators import (
     MethodConfig,
     admissible_max_step,
     exact_method,
     explicit_euler,
     implicit_euler,
-    lipschitz_constant,
     step,
     step_table,
     steklov_average,
@@ -43,7 +42,6 @@ from .problems import (
     Problem,
     apply_operator,
     exact_flow,
-    flow_lipschitz,
     flow_table,
     garding_constants,
     heat_1d,
@@ -69,6 +67,6 @@ from .sampler import (
     run_randomised,
     trajectory_stream,
 )
-from .spaces import SpaceDescriptor, inner_h, laplacian_1d, norm
+from .spaces import SpaceDescriptor, laplacian_1d, norm
 
 __version__ = "0.1.0"

@@ -23,7 +23,6 @@ import numpy as np
 from . import analysis, bayes, randomisation, sampler
 from .analysis import EstimationError
 from .config import ConfigError, ExperimentConfig, load_config
-from .integrators import lipschitz_constant
 from .randomisation import CENTRED_GAUSSIAN
 
 __all__ = ["main"]
@@ -68,8 +67,6 @@ def _write(cfg: ExperimentConfig, out: Path, payload: dict, columns, rows) -> No
 
 def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     problem, method, theta = cfg.problem, cfg.method, cfg.theta
-    h_ref = method.h_star if math.isfinite(method.h_star) else max(g.mesh for g in cfg.grids)
-    l_psi = lipschitz_constant(method, problem, h_ref)
     if cfg.noise is None:
         noise_p, c_xi_amp, theory_slope = 0.0, 0.0, float(method.order)
     else:
@@ -79,9 +76,9 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         gain = 0.5 if cfg.noise.kind == CENTRED_GAUSSIAN else 0.0  # centred noise: half an order
         theory_slope = min(method.order, noise_p + gain)
     # one build of each grid's tables; all ensembles come from one pass
-    constants, runs = sampler._converge(problem, method, cfg.noise, cfg.grids, theta,
-                                        cfg.ensemble_size, cfg.seed, workers)
-    c_meas = max(0.0, *constants)
+    constants, lipschitz, runs = sampler._converge(problem, method, cfg.noise, cfg.grids,
+                                                   theta, cfg.ensemble_size, cfg.seed, workers)
+    c_meas, l_psi = max(0.0, *constants), max(0.0, *lipschitz)
     series, rows = [], []
     for grid in cfg.grids:
         run = runs.pop(0)
@@ -90,7 +87,7 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             st = analysis.ErrorStatistics(grid.mesh, 1, 2.0, worst, worst, None)
         else:
             st = analysis.error_statistics(run, cfg.r, cfg.young)
-        # the bounds share the largest truncation constant over all grids
+        # the bounds share the largest constants C and L over all grids
         bound = analysis.theoretical_bound(
             "gelfand_orlicz", grid.mesh,
             c_phi_psi=c_meas, c_xi=c_xi_amp, lipschitz=l_psi,

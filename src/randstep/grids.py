@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["TimeGrid", "build_grid", "power_step_sum"]
+__all__ = ["TimeGrid", "build_grid"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,13 +74,3 @@ def build_grid(horizon: float, n: int, gamma: float = 1.0) -> TimeGrid:
     points[-1] = horizon
     return TimeGrid(points)
 
-
-def power_step_sum(grid: TimeGrid, tau: float) -> float:
-    """Sum over steps of h_k**(tau + 1).
-
-    Bounded above by mesh**tau * T, since each factor h_k**tau is at
-    most mesh**tau and the remaining factors telescope to T.
-    """
-    if tau < 0.0:
-        raise ValueError(f"exponent must be >= 0, got {tau}")
-    return float(np.sum(grid.steps ** (tau + 1.0)))

@@ -19,7 +19,8 @@ scope.
 On these linear mode-diagonal problems every step is a per-mode affine
 map v -> a_k * v + c_k; `step_table` builds (a, c) for a whole grid and
 validates it once, `step` is one row of it, and `_factor` is the one
-per-kind formula for a, shared with `lipschitz_constant`.
+per-kind formula for a.  A run's Lipschitz constant is read off its
+table (`sampler._lipschitz_constant`).
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "step",
     "step_table",
     "admissible_max_step",
-    "lipschitz_constant",
 ]
 
 EXPLICIT_EULER = "explicit_euler"
@@ -209,21 +209,3 @@ def admissible_max_step(kappa: float, l_psi: float) -> float:
         raise ValueError(f"need L_psi > 2 kappa, got L_psi = {l_psi}, kappa = {kappa}")
     return (l_psi - 2.0 * kappa) / (2.0 * kappa * l_psi)
 
-
-def lipschitz_constant(method: MethodConfig, problem: Problem, h_star: float | None = None) -> float:
-    """Smallest L with |psi(h,t,x) - psi(h,t,y)|_H <= (1 + L h)|x - y|_H
-    over 0 < h <= h_star, estimated from the mode amplification factors.
-
-    The factors are monotone in lam * alpha, so eigenvalue and scaling
-    extremes suffice; the supremum over h is taken on a fine grid.
-    Returns 0 for unconditionally non-expansive configurations.
-    """
-    if h_star is None:
-        h_star = method.h_star
-    if not (0.0 < h_star < math.inf):
-        raise ValueError("a finite positive h_star is required")
-    lam = problem.space.eigenvalues
-    lo, hi = problem.alpha_range()
-    hs = h_star * np.linspace(1.0 / 1024, 1.0, 1024)[:, None]
-    z = hs * np.array([lam[0] * lo, lam[0] * hi, lam[-1] * lo, lam[-1] * hi])
-    return max(0.0, float(((np.abs(_factor(method, z, z)) - 1.0) / hs).max()))

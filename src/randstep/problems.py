@@ -46,7 +46,6 @@ __all__ = [
     "apply_operator",
     "vector_field",
     "garding_constants",
-    "flow_lipschitz",
 ]
 
 # largest |gamma| * (t1 - t)^2 handled by the series expansion of the
@@ -111,10 +110,6 @@ class Problem:
         b0, b1, b2 = self.forcing.T
         return b0 + b1 * t + b2 * t * t
 
-    @property
-    def garding(self) -> tuple[float, float, float]:
-        return garding_constants(self)
-
 
 def heat_1d(
     dimension: int,
@@ -167,23 +162,6 @@ def garding_constants(problem: Problem) -> tuple[float, float, float]:
     mu = min(1.0, beta)
     kappa = (mu - lo) * float(problem.space.eigenvalues[-1])
     return mu, kappa, max(beta, mu)
-
-
-def flow_lipschitz(problem: Problem, h_star: float) -> float:
-    """Smallest L such that |phi(h,t,x)-phi(h,t,y)|_H <= (1+L h)|x-y|_H for h <= h_star.
-
-    The mode-diagonal flow contracts unless some mode grows; the growth
-    rate g = max_j sup_t (-lam_j alpha(t)) gives e^(g h) <= 1 + L h on
-    (0, h_star] with L = (e^(g h_star) - 1) / h_star.
-    """
-    lo, hi = problem.alpha_range()
-    lam = problem.space.eigenvalues
-    growth = max(0.0, max(-lam[0] * lo, -lam[0] * hi, -lam[-1] * lo, -lam[-1] * hi))
-    if growth == 0.0:
-        return 0.0
-    if not (0.0 < h_star < math.inf):
-        raise ValueError("growing flow needs a finite positive maximum step")
-    return math.expm1(growth * h_star) / h_star
 
 
 def _check_steps(problem: Problem, steps, points) -> None:

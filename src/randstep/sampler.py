@@ -19,11 +19,14 @@ Every run then propagates the deviation r_k = U_k - u(t_k) = -e_k,
 
     r_(k+1) = a_k r_k + d_k + xi_k,        r_0 = xi_init or 0,
 
-and its states are u + r.  The truncation constant is
-max_k |d_k|_H / h_k^(q+1), and the one-step defect along a realised path
-is |phi(U_k) - psi(U_k)|_H = |(E_k - a_k) r_k - d_k|_H.  A convergence
-study builds each grid's tables once for both its truncation constant
-and its ensemble (`_converge`).
+and its states are u + r.  Both constants of the error bound are read
+off these tables: the truncation constant max_k |d_k|_H / h_k^(q+1), and
+the Lipschitz constant L = max(0, max_(k,j) (|a_kj| - 1) / h_k), the
+smallest L with |a_kj| <= 1 + L h_k on every step (of E for the flow).
+The one-step defect along a realised path is
+|phi(U_k) - psi(U_k)|_H = |(E_k - a_k) r_k - d_k|_H.  A convergence
+study builds each grid's tables once for both its constants and its
+ensemble (`_converge`).
 
 Ensembles derive one child stream per trajectory from
 (master_seed, trajectory_index), so results are bit-identical for any
@@ -52,10 +55,8 @@ the task order changes a computed float.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -312,6 +313,9 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -
         norms = [np.empty(size).reshape(m, -1) for size in sizes]
     study = (noise, master_seed, perturb_initial, [g.steps for g in grids], tables, norms)
     if pooled:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
         with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
                                  initializer=_attach, initargs=(study,)) as pool:
             for _ in pool.map(_run_task, tasks):
@@ -369,14 +373,22 @@ def _truncation_constant(defects: np.ndarray, steps: np.ndarray, q: float) -> fl
     return float(np.max(norms[hit] / steps[hit] ** (q + 1.0), initial=0.0))
 
 
+def _lipschitz_constant(factors: np.ndarray, steps: np.ndarray) -> float:
+    """Smallest L >= 0 with |factors[k, j]| <= 1 + L steps[k] for every
+    step k and mode j: the per-step growth of an affine table."""
+    return float(np.max((np.abs(factors) - 1.0) / steps[:, None], initial=0.0))
+
+
 def _converge(problem, method, noise, grids, theta, m, master_seed, workers):
     """Each grid's truncation constant, as measure_truncation_constant
-    gives it, and its run, as run_ensemble (or, when noise is None,
-    run_deterministic) gives it, from one build of each grid's tables."""
-    constants, tables, runs = [], [], []
+    gives it, its method Lipschitz constant, and its run, as run_ensemble
+    (or, when noise is None, run_deterministic) gives it, from one build
+    of each grid's tables."""
+    constants, lipschitz, tables, runs = [], [], [], []
     for grid in grids:
         prepared = _prepare(problem, method, grid, theta, noise)
         constants.append(_truncation_constant(prepared[1][1], grid.steps, method.order))
+        lipschitz.append(_lipschitz_constant(prepared[1][0], grid.steps))
         if noise is None:
             runs.append(_trajectory(prepared, grid))
         else:
@@ -384,4 +396,4 @@ def _converge(problem, method, noise, grids, theta, m, master_seed, workers):
         del prepared  # the pass keeps only the (a, d) tables
     if noise is not None:
         runs = _ensembles(noise, grids, tables, m, master_seed, workers, False)
-    return constants, runs
+    return constants, lipschitz, runs

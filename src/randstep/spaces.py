@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["SpaceDescriptor", "laplacian_1d", "norm", "inner_h"]
+__all__ = ["SpaceDescriptor", "laplacian_1d", "norm"]
 
 NORM_KINDS = ("h", "v", "v_dual")
 
@@ -80,12 +80,3 @@ def norm(x: np.ndarray, space: SpaceDescriptor, kind: str = "h") -> float | np.n
     out = np.sqrt(sq)
     return float(out) if out.ndim == 0 else out
 
-
-def inner_h(x: np.ndarray, y: np.ndarray) -> float | np.ndarray:
-    """H inner product sum_j x_j y_j; reduces the last axis."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape[-1] != y.shape[-1]:
-        raise ValueError(f"dimension mismatch: {x.shape[-1]} vs {y.shape[-1]}")
-    out = np.sum(x * y, axis=-1)
-    return float(out) if out.ndim == 0 else out

@@ -281,6 +281,48 @@ seed = 0
         assert main(["converge", "--config", _write(tmp_path, cfg_text)]) == 1
         assert "output" in capsys.readouterr().err
 
+    def test_lipschitz_read_off_the_steps_taken(self, tmp_path):
+        # alpha = 1 - 1.02 t turns negative inside the last step of every
+        # grid, but each step's Steklov mean stays positive: every implicit
+        # solve is sound and no step expands
+        text = (CONVERGE_CONFIG.replace("dimension = 4", "dimension = 16")
+                .replace("alpha = 1.0", "alpha = 1.0, -1.02")
+                .replace("n_values = 4, 8, 16, 32", "n_values = 4, 8, 16"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["lipschitz"] == 0.0
+
+    def test_lipschitz_of_a_growing_problem_is_the_table_reading(self, tmp_path):
+        # implicit Euler on u' = u has factor 1 / (1 - h); the largest step
+        # taken, h = 1/4, sets L = (4/3 - 1) / (1/4) = 4/3, below the 2 a
+        # step of h* = 1/2 would give
+        from randstep import analysis, sampler
+        from randstep.integrators import step_table
+
+        text = (CONVERGE_CONFIG.replace("lambda_spec = laplacian_1d\ndimension = 4",
+                                        "lambda_spec = explicit\nlambda_values = 1")
+                .replace("alpha = 1.0", "alpha = -1")
+                .replace("n_values = 4, 8, 16, 32", "n_values = 4, 8, 16")
+                .replace("kind = implicit_euler", "kind = implicit_euler\nh_star = 0.5"))
+        path = _write(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["converge", "--config", path, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        cfg = load_config(path)
+        tables = [(step_table(cfg.method, cfg.problem, grid.steps, grid.points[:-1])[0], grid)
+                  for grid in cfg.grids]
+        lipschitz = report["lipschitz"]
+        assert lipschitz == max(sampler._lipschitz_constant(a, g.steps) for a, g in tables)
+        assert lipschitz == pytest.approx(4.0 / 3.0, rel=1e-12)
+        for a, grid in tables:
+            assert np.all(np.abs(a) <= 1.0 + lipschitz * grid.steps[:, None])
+        for entry, bound in zip(report["series"], report["theory"]):
+            assert bound == analysis.theoretical_bound(
+                "gelfand_orlicz", entry["h"], c_phi_psi=report["measured_c_phi_psi"],
+                c_xi=report["noise_amplitude"], lipschitz=lipschitz, q=1.0, p=1.0,
+                horizon=1.0,
+            )
+
     @pytest.mark.parametrize("noise_kind", ["centred_gaussian", "none"])
     def test_builds_each_exact_flow_table_once(self, tmp_path, monkeypatch, noise_kind):
         from randstep import measure_truncation_constant, sampler
@@ -316,6 +358,7 @@ seed = 0
         # once for all G = 4 grids (M = 24 streams), the bounded kind once
         # per grid (M G streams); with two workers and several groups the
         # whole study runs in one pool; converge never calls run_ensemble
+        import concurrent.futures
         from concurrent.futures import ProcessPoolExecutor
 
         from randstep import sampler
@@ -338,7 +381,8 @@ seed = 0
             raise AssertionError("converge called run_ensemble")
 
         monkeypatch.setattr(sampler, "trajectory_stream", counting_stream)
-        monkeypatch.setattr(sampler, "ProcessPoolExecutor", CountingPool)
+        # the pooled branch imports the executor when it runs
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(sampler, "run_ensemble", no_run_ensemble)
         monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * 4 * 4**2)  # B = 4: six groups
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "w1")]) == 0
@@ -587,6 +631,16 @@ def test_affine_forced_converge_loads_no_scipy(tmp_path):
     assert json.loads(result.stdout.splitlines()[-1]) == {
         "codes": [0, 0], "reached": ["_dawsn", "_erf", "_erfcx"], "scipy": [],
     }
+
+
+def test_cli_import_loads_no_pool_and_no_scipy():
+    # only a pooled run (--workers > 1) needs the pool modules
+    probe = ("import json, sys, randstep.cli; print(json.dumps(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'scipy'))))")
+    result = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

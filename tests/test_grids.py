@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from randstep import TimeGrid, build_grid, power_step_sum
+from randstep import TimeGrid, build_grid
 
 
 class TestBuildGrid:
@@ -60,44 +58,3 @@ class TestTimeGridInvariants:
         grid = TimeGrid(np.array([0.0, 0.1, 0.4, 1.0]))
         assert grid.mesh == pytest.approx(0.6)
 
-
-class TestPowerStepSum:
-    def test_uniform_attains_bound(self):
-        grid = build_grid(1.0, 4, 1.0)
-        assert power_step_sum(grid, 1.0) == pytest.approx(0.25)
-        assert power_step_sum(grid, 1.0) == pytest.approx(grid.mesh * grid.horizon)
-
-    def test_tau_zero_telescopes(self):
-        grid = build_grid(1.7, 9, 2.3)
-        assert power_step_sum(grid, 0.0) == pytest.approx(1.7, rel=1e-12)
-
-    def test_direct_arithmetic(self):
-        grid = TimeGrid(np.array([0.0, 0.25, 1.0]))
-        assert power_step_sum(grid, 1.0) == pytest.approx(0.625)
-        assert power_step_sum(grid, 1.0) <= 0.75 * 1.0
-
-    def test_negative_tau_rejected(self):
-        with pytest.raises(ValueError):
-            power_step_sum(build_grid(1.0, 4), -0.1)
-
-    def test_bound_over_random_grids(self):
-        # 1000 random grids, four exponents: sum h^(tau+1) <= mesh^tau * T
-        rng = np.random.default_rng(1234)
-        for _ in range(1000):
-            n = int(rng.integers(1, 30))
-            points = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 1.0, n))])
-            grid = TimeGrid(points)
-            for tau in (0.0, 0.5, 1.0, 2.0):
-                assert power_step_sum(grid, tau) <= grid.mesh**tau * grid.horizon + 1e-12
-
-    @settings(max_examples=200)
-    @given(
-        st.integers(min_value=1, max_value=40),
-        st.floats(min_value=0.0, max_value=3.0),
-        st.integers(min_value=0, max_value=2**31 - 1),
-    )
-    def test_bound_property(self, n, tau, seed):
-        rng = np.random.default_rng(seed)
-        points = np.concatenate([[0.0], np.cumsum(rng.uniform(1e-4, 2.0, n))])
-        grid = TimeGrid(points)
-        assert power_step_sum(grid, tau) <= grid.mesh**tau * grid.horizon * (1 + 1e-12) + 1e-12

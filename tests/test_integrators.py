@@ -18,7 +18,6 @@ from randstep import (
     heat_1d,
     implicit_euler,
     laplacian_1d,
-    lipschitz_constant,
     run_deterministic,
     scalar_linear,
     step,
@@ -28,6 +27,7 @@ from randstep import (
     validate_two_stage,
     vector_field,
 )
+from randstep import sampler
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
 
@@ -168,26 +168,43 @@ class TestLipschitzProperties:
             assert lhs <= (1.0 + l_psi * h) * np.linalg.norm(x - y) * (1 + 1e-12)
 
     def test_numeric_constant_implicit_heat(self):
-        assert lipschitz_constant(implicit_euler(), heat_1d(8), 0.5) == 0.0
+        grid = build_grid(1.0, 2)
+        a, _ = step_table(implicit_euler(), heat_1d(8), grid.steps, grid.points[:-1])
+        assert sampler._lipschitz_constant(a, grid.steps) == 0.0
 
     def test_numeric_constant_scalar_growth_explicit(self):
-        # explicit Euler on u' = u: factor 1 + h, so L = 1
-        val = lipschitz_constant(explicit_euler(), scalar_linear(1.0), 0.25)
-        assert val == pytest.approx(1.0, rel=1e-9)
+        # explicit Euler on u' = u: factor 1 + h on every step, so L = 1
+        grid = build_grid(1.0, 4, 2.0)
+        a, _ = step_table(explicit_euler(), scalar_linear(1.0), grid.steps, grid.points[:-1])
+        assert sampler._lipschitz_constant(a, grid.steps) == pytest.approx(1.0, rel=1e-9)
 
-    def test_numeric_constant_covers_step(self):
-        problem = scalar_linear(1.0)
-        h_star = 0.2
-        for method in (explicit_euler(), two_stage(*HEUN), implicit_euler()):
-            l_psi = lipschitz_constant(method, problem, h_star)
-            rng = np.random.default_rng(13)
-            for _ in range(100):
-                x, y = rng.standard_normal((2, 1))
-                h = float(rng.uniform(1e-4, h_star))
-                lhs = np.linalg.norm(
-                    step(method, problem, h, 0.0, x) - step(method, problem, h, 0.0, y)
-                )
-                assert lhs <= (1.0 + l_psi * h) * np.linalg.norm(x - y) * (1 + 1e-10)
+    @pytest.mark.parametrize(
+        "problem",
+        [scalar_linear(1.0), Problem(SpaceDescriptor(np.array([0.5, 2.0])), (1.0, -1.5))],
+        ids=["scalar_growth", "affine_sign_change"],
+    )
+    @pytest.mark.parametrize("method", [explicit_euler(), two_stage(*HEUN), implicit_euler()],
+                             ids=lambda m: m.kind)
+    def test_numeric_constant_covers_step(self, problem, method):
+        # the reading off a grid's table bounds the growth of each of its
+        # steps, and some step attains it; on the affine problem the
+        # two-stage factor differs between a step's start and second stage
+        grid = build_grid(1.0, 6, 1.5)
+        a, _ = step_table(method, problem, grid.steps, grid.points[:-1])
+        l_psi = sampler._lipschitz_constant(a, grid.steps)
+        dimension = problem.space.dimension
+        rng = np.random.default_rng(13)
+        growth = 0.0
+        for h, t in zip(grid.steps, grid.points[:-1]):
+            for _ in range(20):
+                x, y = rng.standard_normal((2, dimension))
+                lhs = np.linalg.norm(step(method, problem, h, t, x) - step(method, problem, h, t, y))
+                assert lhs <= (1.0 + l_psi * h) * np.linalg.norm(x - y) * (1 + 1e-12)
+            factors = np.diag(step(method, problem, h, t, np.eye(dimension))
+                              - step(method, problem, h, t, np.zeros(dimension)))
+            growth = max(growth, float(np.max((np.abs(factors) - 1.0) / h)))
+        assert l_psi > 0.0
+        assert l_psi == pytest.approx(growth, rel=1e-12)
 
 
 class TestLocalTruncationOrder:

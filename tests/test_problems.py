@@ -12,7 +12,6 @@ from randstep import (
     apply_operator,
     build_grid,
     exact_flow,
-    flow_lipschitz,
     flow_table,
     garding_constants,
     heat_1d,
@@ -20,6 +19,7 @@ from randstep import (
     scalar_linear,
     vector_field,
 )
+from randstep import sampler
 
 
 def _reference_flow(problem, h, t, x):
@@ -137,10 +137,6 @@ class TestGardingConstants:
         assert mu > 0.0 and kappa >= mu and beta >= mu
         # the form a(u, u) = -|u|^2 must satisfy a(u,u) >= mu|u|_V^2 - kappa|u|_H^2
         assert -1.0 >= mu - kappa - 1e-15
-
-    def test_property_matches_function(self):
-        problem = heat_1d(4, alpha=(2.0, 0.0))
-        assert problem.garding == garding_constants(problem)
 
 
 class TestFlowProperties:
@@ -322,17 +318,30 @@ class TestFlowTableAgainstQuadrature:
 
 
 class TestFlowLipschitz:
+    """The Lipschitz constant read off a grid's flow table."""
+
     def test_dissipative_is_nonexpansive(self):
-        assert flow_lipschitz(heat_1d(16), 0.5) == 0.0
+        grid = build_grid(1.0, 2)
+        decay, _ = flow_table(heat_1d(16), grid.steps, grid.points[:-1])
+        assert sampler._lipschitz_constant(decay, grid.steps) == 0.0
 
     def test_growth_constant(self):
+        # u' = u grows by e^h over a step; (e^h - 1) / h increases with h,
+        # so the largest step sets L
         problem = scalar_linear(1.0)
-        h_star = 0.2
-        l_phi = flow_lipschitz(problem, h_star)
-        assert l_phi == pytest.approx(math.expm1(h_star) / h_star)
-        for h in np.linspace(1e-3, h_star, 50):
-            assert math.exp(h) <= 1.0 + l_phi * h + 1e-12
+        grid = build_grid(1.0, 5, 2.0)
+        decay, _ = flow_table(problem, grid.steps, grid.points[:-1])
+        l_phi = sampler._lipschitz_constant(decay, grid.steps)
+        assert l_phi == pytest.approx(math.expm1(grid.mesh) / grid.mesh)
+        assert np.all(np.exp(grid.steps) <= 1.0 + l_phi * grid.steps + 1e-12)
 
-    def test_growth_requires_finite_h_star(self):
-        with pytest.raises(ValueError):
-            flow_lipschitz(scalar_linear(1.0), math.inf)
+    def test_reads_growth_only_where_the_flow_grows(self):
+        # alpha = 1 - 2t changes sign at t = 1/2: the first half of the grid
+        # contracts; the last step, where int alpha = -0.109375, grows most,
+        # in the top mode (lam = 9)
+        problem = Problem(laplacian_1d(3), (1.0, -2.0))
+        grid = build_grid(1.0, 8)
+        decay, _ = flow_table(problem, grid.steps, grid.points[:-1])
+        assert sampler._lipschitz_constant(decay[:4], grid.steps[:4]) == 0.0
+        l_phi = sampler._lipschitz_constant(decay, grid.steps)
+        assert l_phi == pytest.approx(math.expm1(9.0 * 0.109375) / 0.125)

@@ -16,7 +16,7 @@ from randstep import (
     exact_method,
     exact_states,
     explicit_euler,
-    flow_lipschitz,
+    flow_table,
     heat_1d,
     implicit_euler,
     measure_truncation_constant,
@@ -25,6 +25,7 @@ from randstep import (
     run_randomised,
     scalar_linear,
     step,
+    step_table,
     trajectory_stream,
     two_stage,
 )
@@ -277,7 +278,7 @@ class TestEnsemble:
         grids = [build_grid(1.0, n) for n in n_values]
         tracemalloc.start()
         try:
-            _, runs = sampler._converge(*args, grids, np.ones(j), m, 3, 1)
+            _, _, runs = sampler._converge(*args, grids, np.ones(j), m, 3, 1)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -315,6 +316,11 @@ class TestEnsemble:
             run_deterministic(problem, implicit_euler(), grid, theta)
 
 
+def _table_lipschitz(method, problem, grid):
+    a, _ = step_table(method, problem, grid.steps, grid.points[:-1])
+    return sampler._lipschitz_constant(a, grid.steps)
+
+
 FAMILIES = {
     "uniform": [build_grid(1.0, n) for n in (8, 4, 16)],
     "graded": [build_grid(1.0, n, 1.5) for n in (8, 4, 16)],
@@ -328,7 +334,8 @@ class TestFamilyPass:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_family_pass_equals_per_grid_runs(self, monkeypatch, kind, family, workers, side):
         # one pass over grids listed out of order equals, grid by grid, the
-        # per-index run_randomised norms and measure_truncation_constant.
+        # per-index run_randomised norms, measure_truncation_constant and
+        # the Lipschitz constant read off the grid's step table.
         # BLOCK_BYTES = 8 J side^2 gives groups of B = side trajectories
         # and chunks of S = side steps of the longest grid: one step, 4
         # steps (past the end of the 4-step grid) and the whole path; the
@@ -342,36 +349,42 @@ class TestFamilyPass:
         monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * j * side**2)
         size = sampler._chunk_shape(noise, 16, m)[1]
         assert size == (16 if kind == "bounded_uniform" else side)
-        constants, runs = sampler._converge(problem, method, noise, grids, theta, m, 23, workers)
-        assert len(constants) == len(runs) == len(grids)
-        for grid, constant, run in zip(grids, constants, runs):
+        constants, lipschitz, runs = sampler._converge(problem, method, noise, grids, theta,
+                                                       m, 23, workers)
+        assert len(constants) == len(lipschitz) == len(runs) == len(grids)
+        for grid, constant, reading, run in zip(grids, constants, lipschitz, runs):
             assert run.grid is grid
             reference = _randomised_norms(problem, method, noise, grid, theta, m, 23)
             assert np.array_equal(run.error_h_norms(), reference)
             assert constant == measure_truncation_constant(problem, method, grid, theta)
+            assert reading == _table_lipschitz(method, problem, grid)
 
     def test_noise_free_family_is_deterministic_runs(self):
         problem = heat_1d(3)
         method = implicit_euler()
         theta = np.ones(3)
         grids = FAMILIES["graded"]
-        constants, runs = sampler._converge(problem, method, None, grids, theta, 5, 1, 1)
-        for grid, constant, run in zip(grids, constants, runs):
+        constants, lipschitz, runs = sampler._converge(problem, method, None, grids, theta,
+                                                       5, 1, 1)
+        for grid, constant, reading, run in zip(grids, constants, lipschitz, runs):
             assert np.array_equal(run.errors, run_deterministic(problem, method, grid, theta).errors)
             assert constant == measure_truncation_constant(problem, method, grid, theta)
+            assert reading == _table_lipschitz(method, problem, grid)
 
 
 class TestPathwiseGronwallDominance:
     def test_every_trajectory_below_pathwise_bound(self):
         # max_k |e_k| <= (|e_0| + C h^q T + sum_k |xi_k|) e^(L_phi T)
-        # with per-run recorded defect and noise-norm constants
+        # with per-run recorded defect and noise-norm constants and the
+        # flow's Lipschitz constant read off the grid's flow table
         problem = scalar_linear(1.0)
-        h_star = 0.25
-        method = two_stage(*HEUN, h_star=h_star)
+        method = two_stage(*HEUN, h_star=0.25)
         grid = build_grid(1.0, 8)
         noise = centred_gaussian(1, p=1.0, c_xi=1.0)
         q = method.order
-        l_phi = flow_lipschitz(problem, h_star)
+        decay, _ = flow_table(problem, grid.steps, grid.points[:-1])
+        l_phi = sampler._lipschitz_constant(decay, grid.steps)
+        assert l_phi == pytest.approx(math.expm1(grid.mesh) / grid.mesh)
         horizon = grid.horizon
         h = grid.mesh
         for i in range(200):
@@ -384,6 +397,29 @@ class TestPathwiseGronwallDominance:
             bound = (0.0 + c_run * h**q * horizon + noise_sum) * math.exp(l_phi * horizon)
             realised = float(trajectory.error_h_norms().max())
             assert realised <= bound * (1 + 1e-12)
+
+    @pytest.mark.parametrize("method", [explicit_euler(), two_stage(*HEUN), implicit_euler()],
+                             ids=lambda m: m.kind)
+    def test_error_recursion_grows_at_most_by_the_table_reading(self, method):
+        # r_(k+1) = a_k r_k + d_k + xi_k with |a_k| <= 1 + L h_k, so
+        # max_k |e_k| <= e^(L T) (sum_k |d_k|_H + sum_k |xi_k|_H) with the
+        # method's L read off its step table; both modes grow, and without
+        # the factor e^(L T) the bound fails
+        problem = Problem(SpaceDescriptor(np.array([1.0, 4.0])), (-0.5, 0.0))
+        grid = build_grid(1.0, 12, 1.5)
+        noise = centred_gaussian(2, p=1.0, c_xi=0.2)
+        theta = np.array([1.0, -0.5])
+        a, c = step_table(method, problem, grid.steps, grid.points[:-1])
+        l_psi = sampler._lipschitz_constant(a, grid.steps)
+        exact = exact_states(problem, grid, theta)
+        defect_sum = float(np.sum(np.linalg.norm(a * exact[:-1] + c - exact[1:], axis=1)))
+        worst = 0.0
+        for i in range(100):
+            trajectory = run_randomised(problem, method, noise, grid, theta,
+                                        trajectory_stream(41, i))
+            noise_sum = float(np.sum(np.linalg.norm(trajectory.noise, axis=1)))
+            worst = max(worst, trajectory.error_h_norms().max() / (defect_sum + noise_sum))
+        assert 1.0 < worst <= math.exp(l_psi * grid.horizon)
 
 
 class TestDiffusionScalingDemonstration:

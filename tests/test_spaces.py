@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from randstep import SpaceDescriptor, inner_h, laplacian_1d, norm
+from randstep import SpaceDescriptor, laplacian_1d, norm
 
 
 class TestSpaceDescriptor:
@@ -70,29 +70,11 @@ class TestNorm:
         assert lo <= mid * (1 + 1e-12)
         assert mid <= hi * (1 + 1e-12)
 
-
-class TestInnerH:
-    def test_orthogonal(self):
-        assert inner_h(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
-
-    def test_direct(self):
-        assert inner_h(np.array([1.0, 2.0]), np.array([3.0, 4.0])) == pytest.approx(11.0)
-
     def test_norm_consistency(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(6)
         space = SpaceDescriptor(np.ones(6))
-        assert inner_h(x, x) == pytest.approx(norm(x, space, "h") ** 2)
-
-    def test_symmetry_bilinearity(self):
-        rng = np.random.default_rng(6)
-        x, y, z = rng.standard_normal((3, 4))
-        assert inner_h(x, y) == pytest.approx(inner_h(y, x))
-        assert inner_h(x + 2.0 * z, y) == pytest.approx(inner_h(x, y) + 2.0 * inner_h(z, y))
-
-    def test_mismatch(self):
-        with pytest.raises(ValueError):
-            inner_h(np.ones(2), np.ones(3))
+        assert float(x @ x) == pytest.approx(norm(x, space, "h") ** 2)
 
     @settings(max_examples=200)
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
@@ -100,6 +82,6 @@ class TestInnerH:
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((2, dim))
         space = SpaceDescriptor(np.ones(dim))
-        lhs = abs(inner_h(x, y))
+        lhs = abs(float(x @ y))
         rhs = norm(x, space, "h") * norm(y, space, "h")
         assert lhs <= rhs * (1 + 1e-12)
