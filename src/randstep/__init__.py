@@ -40,13 +40,11 @@ from .integrators import (
 )
 from .problems import (
     Problem,
-    apply_operator,
     exact_flow,
     flow_table,
     garding_constants,
     heat_1d,
     scalar_linear,
-    vector_field,
 )
 from .randomisation import (
     NoiseModel,

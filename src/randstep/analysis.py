@@ -143,7 +143,8 @@ def fit_rate(points) -> RateFit:
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 3:
         raise ValueError("need at least three (h, err) pairs")
     h, err = points[:, 0], points[:, 1]
-    if np.unique(h).size != h.size:
+    ordered = np.sort(h)  # not np.unique, whose first call imports numpy.ma
+    if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("mesh values must be distinct")
     if np.any(err <= 0.0) or np.any(h <= 0.0):
         raise ValueError("mesh and error values must be positive")

@@ -43,8 +43,6 @@ __all__ = [
     "scalar_linear",
     "exact_flow",
     "flow_table",
-    "apply_operator",
-    "vector_field",
     "garding_constants",
 ]
 
@@ -129,23 +127,6 @@ def scalar_linear(rate: float, horizon: float = 1.0) -> Problem:
     return Problem(SpaceDescriptor(np.array([1.0])), (-float(rate), 0.0), None, horizon)
 
 
-def _check_time(problem: Problem, t: float) -> None:
-    if not (0.0 <= t <= problem.horizon + 1e-12):
-        raise ValueError(f"time {t} outside [0, {problem.horizon}]")
-
-
-def apply_operator(problem: Problem, t: float, x: np.ndarray) -> np.ndarray:
-    """A(t) x in coefficients: mode-wise lam_j * alpha(t) * x_j."""
-    _check_time(problem, t)
-    x = np.asarray(x, dtype=float)
-    return problem.space.eigenvalues * problem.alpha_at(t) * x
-
-
-def vector_field(problem: Problem, t: float, x: np.ndarray) -> np.ndarray:
-    """Right-hand side f(t, x) = b(t) - A(t) x."""
-    return problem.forcing_at(t) - apply_operator(problem, t, x)
-
-
 def garding_constants(problem: Problem) -> tuple[float, float, float]:
     """Constants (mu, kappa, beta) of the coercivity-up-to-shift inequality.
 
@@ -197,7 +178,8 @@ def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarra
     """
     if h < 0.0:
         raise ValueError(f"negative step {h}")
-    _check_time(problem, t)
+    if not (0.0 <= t <= problem.horizon + 1e-12):
+        raise ValueError(f"time {t} outside [0, {problem.horizon}]")
     if t + h > problem.horizon + 1e-12:
         raise ValueError(f"step leaves the time interval: {t} + {h} > {problem.horizon}")
     x = np.asarray(x, dtype=float)

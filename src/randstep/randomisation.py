@@ -11,7 +11,11 @@ to sum to one, so E|xi(h)|_H^2 = c_xi^2 h^(2p+2) holds exactly for the
 centred Gaussian kind.  Variants add a deterministic bias on one mode,
 correlate all steps of a trajectory through a shared Gaussian factor, or
 draw from a bounded (uniform-on-ball) law; all of them keep the
-h^(p+1) decay of the noise amplitude.
+h^(p+1) decay of the noise amplitude.  Every kind draws a fixed number
+of standard normals per step (after the shared-factor kind's factor):
+J, or J + 2 for the bounded kind, whose first J coordinates over their
+norm are uniform in the unit J-ball.  So a stream's draws for a grid are
+a prefix of its draws for any longer grid.
 
 The exponent p = -1/2 (diffusion-like scaling) is accepted for
 demonstration only; no convergence statement attaches to it.
@@ -109,9 +113,8 @@ def sample_path_matrix(
 
     The sampler of one stream; `_family_noise` draws one trajectory per
     stream and consumes each as this does with m = 1.  Consumes the stream
-    in a fixed order, lead normals first, then `_follow_draws` (for the
-    shared-factor kind the m shared factors, then the per-step draws; for
-    the bounded kind the directions, then the radii), so draws are
+    in a fixed order, for the shared-factor kind the m shared factors
+    first, then `_step_normals(model)` normals per step, so draws are
     reproducible given the stream state; the shared factor correlates the
     steps of each row.
     """
@@ -120,58 +123,44 @@ def sample_path_matrix(
         raise ValueError(f"step sizes must be positive, got {steps}")
     if m < 1:
         raise ValueError(f"need at least one trajectory, got m = {m}")
-    n = steps.size
-    lead = stream.standard_normal((m, 1 if model.kind == SHARED_FACTOR else n, model.dimension))
-    return _shape_noise(model, steps, lead, _follow_draws(model, stream, m, n))
-
-
-def _follow_draws(model: NoiseModel, stream: np.random.Generator, m: int, n: int):
-    """The draws that follow the lead normals in the stream: the per-step
-    normals of the shared-factor kind (its lead normals are the shared
-    factors), the radii of the bounded kind, else None."""
-    if model.kind == SHARED_FACTOR:
-        return stream.standard_normal((m, n, model.dimension))
-    if model.kind == BOUNDED_UNIFORM:
-        return stream.uniform(size=(m, n, 1))
-    return None
-
-
-def _shape_noise(model: NoiseModel, steps: np.ndarray, lead: np.ndarray, follow) -> np.ndarray:
-    """Noise rows xi_k(h_k) of each kind's law from its raw (m, N, J)
-    draws, shaped in place: the per-step normals (follow for the
-    shared-factor kind, else lead) become the noise and are returned."""
-    if model.kind == BOUNDED_UNIFORM:
-        # one step at a time: the norms' temporaries are (m, J), not (m, N, J)
-        for k in range(lead.shape[1]):
-            step = lead[:, k]
-            step /= np.linalg.norm(step, axis=1, keepdims=True)
-        follow **= 1.0 / model.dimension
-        follow *= math.sqrt(3.0) * (model.c_xi * steps[None, :, None] ** (model.p + 1.0))
-        lead *= follow
-        lead *= np.sqrt(model.spectrum)
-        return lead
-    if model.kind == SHARED_FACTOR:
-        lead, follow = follow, lead[:, 0]
-    for _ in _gaussian_steps(model, lead, steps, follow):
+    factor = stream.standard_normal((m, model.dimension)) if model.kind == SHARED_FACTOR else None
+    normals = stream.standard_normal((m, steps.size, _step_normals(model)))
+    for _ in _noise_steps(model, normals, steps, factor):
         pass
-    return lead
+    return normals[..., :model.dimension]
 
 
-def _gaussian_steps(model: NoiseModel, normals: np.ndarray, steps: np.ndarray,
-                    factor=None, out=None):
-    """Yield a Gaussian kind's noise xi_k(h_k), shape (B, J), for each
-    step of steps from its raw (B, S, J) normals Z, shaped in place or
-    into out: (sqrt(1 - rho^2) Z_k + rho factor) * scale_k for the
-    shared-factor kind, else Z_k * scale_k (+ h_k^(p+1) b on the biased
-    kind's mode), with scale_k = c_xi h_k^(p+1) sqrt(gamma)."""
+def _step_normals(model: NoiseModel) -> int:
+    """Standard normals drawn per step: J + 2 for the bounded kind, else J."""
+    return model.dimension + 2 if model.kind == BOUNDED_UNIFORM else model.dimension
+
+
+def _noise_steps(model: NoiseModel, normals: np.ndarray, steps: np.ndarray,
+                 factor=None, out=None):
+    """Yield the noise xi_k(h_k), shape (B, J), for each step of steps from
+    its raw (B, S, `_step_normals`) normals Y, shaped in place (into the
+    first J columns) or into out.  With scale_k = c_xi h_k^(p+1) sqrt(gamma):
+    Y_k scale_k (+ h_k^(p+1) b on the biased kind's mode);
+    (sqrt(1 - rho^2) Y_k + rho factor) scale_k for the shared-factor kind;
+    sqrt(3) (Y_k[:J] / |Y_k|) scale_k for the bounded kind.  The first J
+    coordinates of the uniform point Y_k / |Y_k| on the unit sphere of
+    R^(J+2) are uniform in the unit J-ball (Voelker, Gosmann and Stewart,
+    2017), so the bounded kind needs no radius draw."""
     scale = model.c_xi * steps[:, None] ** (model.p + 1.0) * np.sqrt(model.spectrum)
+    if model.kind == BOUNDED_UNIFORM:
+        scale *= math.sqrt(3.0)
     bias = steps ** (model.p + 1.0) * model.bias_coefficient
     shared = None if factor is None else model.rho * factor
+    j = model.dimension
     for k in range(steps.size):
-        xi = normals[:, k] if out is None else out
+        xi = normals[:, k, :j] if out is None else out
         if model.kind == SHARED_FACTOR:
             np.multiply(normals[:, k], math.sqrt(1.0 - model.rho**2), out=xi)
             xi += shared
+            xi *= scale[k]
+        elif model.kind == BOUNDED_UNIFORM:
+            np.divide(normals[:, k, :j], np.linalg.norm(normals[:, k], axis=1, keepdims=True),
+                      out=xi)
             xi *= scale[k]
         else:
             np.multiply(normals[:, k], scale[k], out=xi)
@@ -186,10 +175,9 @@ def _family_noise(model: NoiseModel, streams: list, grid_steps: list, size: int)
     steps from start inside the chunk.  Each stream is consumed as
     noise_path(model, stream, grid_steps[g]) consumes it, for every g:
     the shared factor, then the normals, drawn by chunks into one reused
-    (B, S, J) buffer whose prefixes serve every grid.  A Gaussian kind's
+    (B, S, `_step_normals`) buffer whose prefixes serve every grid.  The
     steps are shaped from it into one (B, J) scratch, so use each step
-    before taking the next.  The bounded kind's radii follow all of its
-    normals: it takes one grid, size >= N, and shapes its chunk in place.
+    before taking the next.
     """
     rows, n = len(streams), max(steps.size for steps in grid_steps)
     factor = None
@@ -197,19 +185,15 @@ def _family_noise(model: NoiseModel, streams: list, grid_steps: list, size: int)
         factor = np.empty((rows, model.dimension))
         for row, stream in enumerate(streams):
             stream.standard_normal(out=factor[row])
-    buf = np.empty((rows, min(size, n), model.dimension))
+    buf = np.empty((rows, min(size, n), _step_normals(model)))
     scratch = np.empty((rows, model.dimension))
     for start in range(0, n, size):
         chunk = buf[:, :min(size, n - start)]
         for row, stream in enumerate(streams):
             stream.standard_normal(out=chunk[row])
-        if model.kind == BOUNDED_UNIFORM:
-            radii = np.stack([stream.uniform(size=(n, 1)) for stream in streams])
-            yield start, [iter(_shape_noise(model, grid_steps[0], chunk, radii).swapaxes(0, 1))]
-        else:
-            stop = start + chunk.shape[1]
-            yield start, [_gaussian_steps(model, chunk, steps[start:stop], factor, scratch)
-                          for steps in grid_steps]
+        stop = start + chunk.shape[1]
+        yield start, [_noise_steps(model, chunk, steps[start:stop], factor, scratch)
+                      for steps in grid_steps]
 
 
 def noise_path(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray) -> np.ndarray:
@@ -242,25 +226,26 @@ def psi2_amplitude(model: NoiseModel, samples: int = _PSI2_SAMPLES) -> float:
     Uses a fixed internal stream so the cached value is reproducible.  The
     draws of sample_noise_matrix(model, stream, 1.0, samples) are made in
     row blocks of at most _PSI2_BLOCK_BYTES and reduced to their norms
-    block by block; the kinds with follow-up draws take all their lead
-    normals first, as the one-shot draw does.
+    block by block; the shared-factor kind takes all its factors first, as
+    the one-shot draw does.
     """
     from .analysis import _checked_samples, orlicz_norm_estimate
 
     if model.c_xi == 0.0 and model.kind != BIASED:
         return 0.0
     stream = np.random.default_rng(np.random.SeedSequence(_PSI2_SEED))
-    j = model.dimension
-    lead = None
-    if model.kind in (SHARED_FACTOR, BOUNDED_UNIFORM):
-        lead = stream.standard_normal((samples, 1, j))
-    rows = max(1, _PSI2_BLOCK_BYTES // (8 * j))
+    factor = None
+    if model.kind == SHARED_FACTOR:
+        factor = stream.standard_normal((samples, model.dimension))
+    width = _step_normals(model)
+    rows = max(1, _PSI2_BLOCK_BYTES // (8 * width))
     norms = np.empty(samples)
     for start in range(0, samples, rows):
-        size = min(rows, samples - start)
-        block = stream.standard_normal((size, 1, j)) if lead is None else lead[start:start + size]
-        draws = _shape_noise(model, np.ones(1), block, _follow_draws(model, stream, size, 1))
-        norms[start:start + size] = np.linalg.norm(draws[:, 0], axis=1)
+        stop = min(start + rows, samples)
+        block = stream.standard_normal((stop - start, 1, width))
+        draws = next(_noise_steps(model, block, np.ones(1),
+                                  None if factor is None else factor[start:stop]))
+        norms[start:stop] = np.linalg.norm(draws, axis=1)
     return orlicz_norm_estimate(_checked_samples(norms, what="noise amplitude draws"), "psi2")
 
 

@@ -36,20 +36,20 @@ the call that gives trajectory i's arrays.
 
 Memory model: the strong-error statistics need only |e_k|_H = |r_k|_H
 per trajectory and step, so a study's ensembles run step-major in one
-pass over its grids.  Every grid seeds trajectory i from one stream, so
-a grid's raw normals are a prefix of the longest grid's.  The pass takes
-the trajectories in groups of B, with one generator per trajectory and
-one rolling (B, J) deviation per grid.  It draws the longest grid's next
-S steps once into one reused (B, S, J) raw chunk of at most BLOCK_BYTES;
-each grid shapes its prefix step by step into one (B, J) scratch,
-advances its deviation and writes its squared norms into the group's
-rows of its (M, N_g + 1) norms.  A study holds all grids' norms, their
-(a, d) tables and one chunk.  The bounded kind's radii follow all of its
-normals, so each of its grids is a one-grid family with S = N in the
-same pass.  With several workers, all groups of a study run as tasks in
-one pool of forked workers, which write their rows straight into norms
-in anonymous shared mappings made before the fork.  Neither B, S nor
-the task order changes a computed float.
+pass over its grids.  Every grid seeds trajectory i from one stream, and
+every noise kind draws a fixed number W of normals per step (J, or J + 2
+for the bounded kind), so a grid's raw normals are a prefix of the
+longest grid's.  The pass takes the trajectories in groups of B, with
+one generator per trajectory and one rolling (B, J) deviation per grid.
+It draws the longest grid's next S steps once into one reused (B, S, W)
+raw chunk of at most BLOCK_BYTES; each grid shapes its prefix step by
+step into one (B, J) scratch, advances its deviation and writes its
+squared norms into the group's rows of its (M, N_g + 1) norms.  A study
+holds all grids' norms, their (a, d) tables and one chunk.  With
+several workers, all groups of a study run as tasks in one pool of
+forked workers, which write their rows straight into norms in anonymous
+shared mappings made before the fork.  Neither B, S nor the task order
+changes a computed float.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 from .grids import TimeGrid
 from .integrators import MethodConfig, step_table
 from .problems import Problem, flow_table
-from .randomisation import BOUNDED_UNIFORM, NoiseModel, _family_noise, noise_path
+from .randomisation import NoiseModel, _family_noise, _step_normals, noise_path
 from .spaces import _check_dimension
 
 __all__ = [
@@ -133,13 +133,12 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
-# Byte budget of one step chunk, the (B, S, J) float64 raw normals of a
-# group of B trajectories over S steps of the longest grid.  B and S are
-# both about sqrt(BLOCK_BYTES / (8 J)), S at most N; the bounded kind,
-# whose radii follow all of its normals, takes S = N and B to fit.  This
-# caps both the chunk and the B generators a group holds (the bounded
-# kind adds its (B, N, 1) radii).  A pass holds all grids' norms beside
-# it, hence the small budget; the chunk shape changes no computed float.
+# Byte budget of one step chunk, the (B, S, W) float64 raw normals of a
+# group of B trajectories over S steps of the longest grid, W normals per
+# step.  B and S are both about sqrt(BLOCK_BYTES / (8 W)), S at most N.
+# This caps both the chunk and the B generators a group holds.  A pass
+# holds all grids' norms beside it, hence the small budget; the chunk
+# shape changes no computed float.
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -250,30 +249,28 @@ def run_randomised(
 def _chunk_shape(noise: NoiseModel, n: int, rows: int) -> tuple[int, int]:
     """(B, S): trajectories per group and steps per chunk, from
     BLOCK_BYTES alone; see its comment."""
-    side = max(1, math.isqrt(BLOCK_BYTES // (8 * noise.dimension)))
-    size = n if noise.kind == BOUNDED_UNIFORM else min(n, side)
-    return max(1, min(rows, side, BLOCK_BYTES // (8 * noise.dimension * size))), size
+    side = max(1, math.isqrt(BLOCK_BYTES // (8 * _step_normals(noise))))
+    return min(rows, side), min(n, side)
 
 
-def _run_group(study: tuple, family: list, rows: range, size: int) -> None:
+def _run_group(study: tuple, rows: range) -> None:
     """Error norms |r_k|_H of the trajectories in rows into those rows of
-    the norms of family's grids, from one draw, S = size steps at a time,
-    whose prefixes serve every grid; study as `_ensembles` builds it."""
-    noise, master_seed, perturb_initial, grid_steps, tables, grid_norms = study
+    every grid's norms, from one draw, S = size steps at a time, whose
+    prefixes serve every grid; study as `_ensembles` builds it."""
+    noise, master_seed, perturb_initial, size, grid_steps, tables, grid_norms = study
     streams = [trajectory_stream(master_seed, i) for i in rows]
-    steps = [grid_steps[g] for g in family]
-    norms = [grid_norms[g][rows.start:rows.stop] for g in family]
-    r = [np.zeros((len(streams), noise.dimension)) for _ in family]
+    norms = [out[rows.start:rows.stop] for out in grid_norms]
+    r = [np.zeros((len(streams), noise.dimension)) for _ in tables]
     if perturb_initial:
-        for _, inits in _family_noise(noise, streams, [s[:1] for s in steps], 1):
+        for _, inits in _family_noise(noise, streams, [s[:1] for s in grid_steps], 1):
             for v, init in zip(r, inits):
                 v[:] = next(init)
     square = np.empty_like(r[0])
     for v, out in zip(r, norms):
         np.add.reduce(np.multiply(v, v, out=square), axis=-1, out=out[:, 0])
-    for start, noises in _family_noise(noise, streams, steps, size):
-        for g, v, out, xi in zip(family, r, norms, noises):
-            for k in _advance(tables[g], v, start, xi):
+    for start, noises in _family_noise(noise, streams, grid_steps, size):
+        for table, v, out, xi in zip(tables, r, norms, noises):
+            for k in _advance(table, v, start, xi):
                 np.add.reduce(np.multiply(v, v, out=square), axis=-1, out=out[:, k])
     for out in norms:
         np.sqrt(out, out=out)
@@ -289,29 +286,25 @@ def _attach(study: tuple) -> None:
     _WORKER_STUDY = study
 
 
-def _run_task(task) -> None:
-    _run_group(_WORKER_STUDY, *task)
+def _run_task(rows: range) -> None:
+    _run_group(_WORKER_STUDY, rows)
 
 
 def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -> list:
     """The ensembles of M trajectories on each grid from its deviation
-    table, in one pass of tasks, each one group on one family (all grids,
-    or each grid alone for the bounded kind); see the memory model."""
-    every = range(len(grids))
-    families = [[g] for g in every] if noise.kind == BOUNDED_UNIFORM else [list(every)]
-    tasks = []
-    for family in families:
-        rows, size = _chunk_shape(noise, max(grids[g].num_steps for g in family), m)
-        tasks += [(family, range(i, min(i + rows, m)), size) for i in range(0, m, rows)]
+    table, in one pass of tasks, each one group on all grids; see the
+    memory model."""
+    rows, size = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)
+    tasks = [range(i, min(i + rows, m)) for i in range(0, m, rows)]
     pooled = workers > 1 and len(tasks) > 1
     sizes = [m * (grid.num_steps + 1) for grid in grids]
     if pooled:  # anonymous shared mappings, made before the workers fork
         import mmap
 
-        norms = [np.frombuffer(mmap.mmap(-1, 8 * size)).reshape(m, -1) for size in sizes]
+        norms = [np.frombuffer(mmap.mmap(-1, 8 * cells)).reshape(m, -1) for cells in sizes]
     else:
-        norms = [np.empty(size).reshape(m, -1) for size in sizes]
-    study = (noise, master_seed, perturb_initial, [g.steps for g in grids], tables, norms)
+        norms = [np.empty(cells).reshape(m, -1) for cells in sizes]
+    study = (noise, master_seed, perturb_initial, size, [g.steps for g in grids], tables, norms)
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
@@ -322,7 +315,7 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -
                 pass
     else:
         for task in tasks:
-            _run_group(study, *task)
+            _run_group(study, task)
     return [Ensemble(grid, out) for grid, out in zip(grids, norms)]
 
 

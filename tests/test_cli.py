@@ -111,12 +111,12 @@ class TestConverge:
     def test_worker_counts_byte_identical_for_every_noise_kind(self, tmp_path, monkeypatch,
                                                                kind):
         # on a uniform family and a graded one listed out of order; groups
-        # of B = 4 trajectories make six tasks per grid family, so two
-        # workers share the Gaussian kinds' one family and the bounded
-        # kind's set of one-grid families
+        # of B = 4 trajectories (every kind, the bounded one drawing J + 2
+        # normals a step) make six tasks on all grids, which two workers
+        # share
         from randstep import sampler
 
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * 4 * 4**2)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * (4 + 2) * 4**2)
         for family in ("4, 8, 16, 32\ngamma = 1.0", "16, 4, 32, 8\ngamma = 1.5"):
             text = CONVERGE_CONFIG.replace(
                 "kind = centred_gaussian",
@@ -354,10 +354,10 @@ seed = 0
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_one_stream_per_trajectory_and_one_pool_per_study(self, tmp_path, monkeypatch,
                                                                kind):
-        # counts, not times: a Gaussian kind draws each trajectory's noise
-        # once for all G = 4 grids (M = 24 streams), the bounded kind once
-        # per grid (M G streams); with two workers and several groups the
-        # whole study runs in one pool; converge never calls run_ensemble
+        # counts, not times: every kind draws each trajectory's noise once
+        # for all G = 4 grids (M = 24 streams); with two workers and
+        # several groups the whole study runs in one pool; converge never
+        # calls run_ensemble
         import concurrent.futures
         from concurrent.futures import ProcessPoolExecutor
 
@@ -384,10 +384,9 @@ seed = 0
         # the pooled branch imports the executor when it runs
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(sampler, "run_ensemble", no_run_ensemble)
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * 4 * 4**2)  # B = 4: six groups
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * (4 + 2) * 4**2)  # B = 4: six groups
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "w1")]) == 0
-        grids = 4 if kind == "bounded_uniform" else 1
-        assert sorted(streams) == sorted(list(range(24)) * grids)
+        assert sorted(streams) == list(range(24))
         assert pools == []
         assert main(["converge", "--config", cfg, "--workers", "2",
                      "--out", str(tmp_path / "w2")]) == 0
@@ -641,6 +640,19 @@ def test_cli_import_loads_no_pool_and_no_scipy():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == []
+
+
+def test_converge_loads_no_numpy_ma(tmp_path):
+    # numpy.ma costs a fresh process about 15 ms to import; the rate fit
+    # checks for distinct meshes without np.unique, which would load it
+    cfg = _write(tmp_path, CONVERGE_CONFIG.replace("m = 24", "m = 8"))
+    probe = ("import json, sys, randstep.cli; "
+             "code = randstep.cli.main(['converge', '--config', sys.argv[1], '--out', sys.argv[2]]); "
+             "print(json.dumps([code, 'numpy.ma' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", probe, cfg, str(tmp_path / "out")],
+                            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout.splitlines()[-1]) == [0, False]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

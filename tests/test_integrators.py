@@ -25,7 +25,6 @@ from randstep import (
     steklov_average,
     two_stage,
     validate_two_stage,
-    vector_field,
 )
 from randstep import sampler
 
@@ -256,13 +255,18 @@ class TestMethodConfigValidation:
             two_stage(-0.5, 1.5, 1.0, 1.0)
 
 
+def _field(problem, t, v):
+    """The right-hand side b(t) - lam alpha(t) v of the problem."""
+    return problem.forcing_at(t) - problem.space.eigenvalues * problem.alpha_at(t) * v
+
+
 def _defining_step(method, problem, h, t, v):
     """One step of the method from its defining formula (the reference)."""
     if method.kind == "explicit_euler":
-        return v + h * vector_field(problem, t, v)
+        return v + h * _field(problem, t, v)
     if method.kind == "two_stage":
-        k1 = vector_field(problem, t, v)
-        k2 = vector_field(problem, t + method.b1 * h, v + method.b2 * h * k1)
+        k1 = _field(problem, t, v)
+        k2 = _field(problem, t + method.b1 * h, v + method.b2 * h * k1)
         return v + h * (method.a1 * k1 + method.a2 * k2)
     if method.kind == "implicit_euler":
         alpha_bar, b_bar = steklov_average(problem, h, t)

@@ -44,6 +44,24 @@ def _src_env():
     return dict(os.environ, PYTHONPATH=path)
 
 
+def _harness():
+    """perfbench/run.py as a module, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
+    run = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(run)
+    return run
+
+
+def _setup_facts(run, config):
+    """The facts the harness's SETUP_PROBE prints for config."""
+    result = subprocess.run(
+        [sys.executable, "-c", run.SETUP_PROBE, str(config)],
+        env=_src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
 def test_traced_cli_writes_spans(tmp_path):
     # traced_cli sizes what sampler.run_ensemble returns by its states,
     # errors, noise and defects, which an Ensemble does not hold, so this
@@ -73,14 +91,26 @@ def test_traced_cli_writes_spans(tmp_path):
 def test_setup_probe_loads_each_workload(workload, m, n_values, j):
     # the harness times SETUP_PROBE, which reads these config fields
     # through randstep.cli.load_config, so they must keep loading
-    spec = importlib.util.spec_from_file_location("perfbench_run", ROOT / "perfbench" / "run.py")
-    run = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(run)
+    facts = _setup_facts(_harness(), ROOT / "perfbench" / "workloads" / f"{workload}.ini")
+    assert (facts["m"], facts["n_values"], facts["j"], facts["seed"]) == (m, n_values, j, 7)
+
+
+@pytest.mark.parametrize(
+    "workload", sorted(path.stem for path in (ROOT / "perfbench" / "workloads").glob("*.ini"))
+)
+def test_workload_matches_its_reference(tmp_path, workload):
+    # the benchmark's check run: converge at the config's committed seed
+    # and worker count, checked by the harness's own output checks and
+    # against perfbench/reference/ to its REFERENCE_RTOL
+    run = _harness()
     config = ROOT / "perfbench" / "workloads" / f"{workload}.ini"
+    facts = _setup_facts(run, config)
+    out = tmp_path / "out"
     result = subprocess.run(
-        [sys.executable, "-c", run.SETUP_PROBE, str(config)],
-        env=_src_env(), capture_output=True, text=True, timeout=120,
+        [sys.executable, "-m", "randstep.cli", "converge", "--config", str(config),
+         "--workers", str(run.WORKLOADS[workload]["workers"]), "--out", str(out)],
+        env=_src_env(), capture_output=True, text=True, timeout=300,
     )
     assert result.returncode == 0, result.stderr
-    facts = json.loads(result.stdout)
-    assert (facts["m"], facts["n_values"], facts["j"], facts["seed"]) == (m, n_values, j, 7)
+    assert run.check_outputs(out, facts, facts["seed"]) == []
+    assert run.compare_reference(out, ROOT / "perfbench" / "reference" / workload) == []

@@ -9,7 +9,6 @@ from scipy.integrate import quad, solve_ivp
 from randstep import (
     Problem,
     SpaceDescriptor,
-    apply_operator,
     build_grid,
     exact_flow,
     flow_table,
@@ -17,7 +16,6 @@ from randstep import (
     heat_1d,
     laplacian_1d,
     scalar_linear,
-    vector_field,
 )
 from randstep import sampler
 
@@ -26,8 +24,14 @@ def _reference_flow(problem, h, t, x):
     """High-order adaptive reference integrator; the independent oracle."""
     if h == 0.0:
         return np.asarray(x, dtype=float)
+    lam = problem.space.eigenvalues
+
+    def field(s, u):
+        s = min(s, problem.horizon)
+        return problem.forcing_at(s) - lam * problem.alpha_at(s) * u
+
     sol = solve_ivp(
-        lambda s, u: vector_field(problem, min(s, problem.horizon), u),
+        field,
         (t, t + h),
         np.asarray(x, dtype=float),
         method="DOP853",
@@ -88,6 +92,9 @@ class TestExactFlowExamples:
             exact_flow(problem, 0.5, 0.8, np.zeros(2))
         with pytest.raises(ValueError):
             exact_flow(problem, -0.1, 0.2, np.zeros(2))
+        for t in (-0.1, 1.5):
+            with pytest.raises(ValueError, match=rf"time {t} outside \[0, 1.0\]"):
+                exact_flow(problem, 0.0, t, np.zeros(2))
 
 
 class TestProblemValidation:
@@ -99,24 +106,6 @@ class TestProblemValidation:
     def test_rejects_non_finite_alpha(self, build, alpha):
         with pytest.raises(ValueError, match="alpha coefficients must be finite"):
             build(alpha)
-
-
-class TestApplyOperator:
-    def test_diagonal_action(self):
-        problem = Problem(laplacian_1d(2), (1.0, 0.0), None, 1.0)
-        assert np.allclose(apply_operator(problem, 0.3, np.array([1.0, 1.0])), [1.0, 4.0])
-
-    def test_time_scaling(self):
-        problem = Problem(SpaceDescriptor(np.array([2.0])), (1.0, 1.0), None, 2.0)
-        assert apply_operator(problem, 1.0, np.array([3.0]))[0] == pytest.approx(12.0)
-
-    def test_linearity_at_zero(self):
-        problem = heat_1d(3)
-        assert np.allclose(apply_operator(problem, 0.5, np.zeros(3)), 0.0)
-
-    def test_time_outside_interval(self):
-        with pytest.raises(ValueError):
-            apply_operator(heat_1d(2), 1.5, np.zeros(2))
 
 
 class TestGardingConstants:
@@ -202,15 +191,6 @@ class TestFlowProperties:
         ours = exact_flow(problem, 0.9, 0.05, np.array([0.3]))
         ref = _reference_flow(problem, 0.9, 0.05, np.array([0.3]))
         assert ours == pytest.approx(ref, rel=1e-8)
-
-
-class TestVectorField:
-    def test_forcing_enters(self):
-        problem = Problem(
-            SpaceDescriptor(np.array([2.0])), (1.0, 0.0), np.array([[1.0, 2.0, 3.0]]), 1.0
-        )
-        out = vector_field(problem, 1.0, np.array([1.0]))
-        assert out[0] == pytest.approx(1.0 + 2.0 + 3.0 - 2.0)
 
 
 class TestResponseKernels:

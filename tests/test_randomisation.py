@@ -102,6 +102,19 @@ class TestSecondMoment:
         est = lr_norm_estimate(_h_norms(draws), 2.0)
         assert est == pytest.approx(theoretical_noise_norm(model, h), rel=0.02)
 
+    @pytest.mark.parametrize("dimension", [1, 3, 8])
+    def test_bounded_uniform_fills_the_ball(self, dimension):
+        # x = xi / (sqrt(3) c_xi h^(p+1) sqrt(gamma)) uniform in the unit
+        # J-ball has |x|^J ~ Uniform(0, 1); the KS test of that law at a
+        # fixed seed has a false-alarm rate of 1e-3 for each J
+        from scipy.stats import kstest
+
+        model = NoiseModel(dimension, p=0.5, c_xi=1.7, s=0.75, kind="bounded_uniform")
+        h = 0.3
+        draws = sample_noise_matrix(model, _rng(48), h, 20_000)
+        x = draws / (math.sqrt(3.0) * model.c_xi * h ** (model.p + 1.0) * np.sqrt(model.spectrum))
+        assert kstest(_h_norms(x) ** dimension, "uniform").pvalue > 1e-3
+
 
 class TestScalingLaw:
     @pytest.mark.parametrize(

@@ -238,17 +238,16 @@ class TestEnsemble:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_step_major_rows_equal_randomised_runs(self, monkeypatch, kind, workers,
                                                    perturb_initial, side):
-        # BLOCK_BYTES = 8 J side^2 gives chunks of S = min(side, N) steps:
-        # one step, 4 steps (not a divisor of N = 9) and the whole path;
-        # the bounded kind always takes S = N
+        # BLOCK_BYTES = 8 (J + 2) side^2 gives every kind (the bounded one
+        # draws J + 2 normals a step) chunks of S = min(side, N) steps:
+        # one step, 4 steps (not a divisor of N = 9) and the whole path
         j, m = 4, 6
         problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
         grid = build_grid(1.0, 9, 1.5)
         noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
         args = (problem, implicit_euler(), noise, grid, np.linspace(1.0, 0.25, j), m, 23)
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * j * side**2)
-        size = sampler._chunk_shape(noise, grid.num_steps, m)[1]
-        assert size == (9 if kind == "bounded_uniform" else min(side, 9))
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * (j + 2) * side**2)
+        assert sampler._chunk_shape(noise, grid.num_steps, m) == (min(side, m), min(side, 9))
         ensemble = run_ensemble(*args, workers=workers, perturb_initial=perturb_initial)
         reference = _randomised_norms(*args, perturb_initial=perturb_initial)
         assert np.array_equal(ensemble.error_h_norms(), reference)
@@ -257,18 +256,15 @@ class TestEnsemble:
     def test_memory_is_norms_plus_one_chunk(self, kind):
         # not a timing gate: numpy reports its buffers to tracemalloc.  A
         # convergence study's pass holds all three grids' (M, N_g + 1) norms
-        # and one (B, S, J) raw chunk of at most BLOCK_BYTES.  The 1 MB
-        # margin covers each grid's (a, d) tables (229 KB in all here), a
-        # chunk's (S, J) step scales (32 KB), one group's generators
-        # (B = 128, about 0.9 KB each) and its (B, J) deviations (32 KB per
-        # grid).  A second
+        # and one (B, S, W) raw chunk of at most BLOCK_BYTES, W = J normals
+        # a step (J + 2 for the bounded kind).  The 1 MB margin covers each
+        # grid's (a, d) tables (229 KB in all here), a chunk's (S, J) step
+        # scales (32 KB), one group's generators (B = 128, about 0.9 KB
+        # each) and its (B, J) deviations (32 KB per grid).  A second
         # chunk-sized buffer, such as shaping a grid's prefix out of place,
-        # would need twice BLOCK_BYTES.  The bounded kind runs each grid as
-        # a one-grid family (B N = 16,384 for every grid here) and also
-        # holds its (B, N, 1) radii twice, as drawn per trajectory and
-        # stacked (262 KB each); its direction norms must take no second
-        # chunk-sized temporary.  With one worker the norms are ordinary
-        # arrays, which tracemalloc sees.
+        # would need twice BLOCK_BYTES; so would a chunk-sized temporary of
+        # the bounded kind's per-step norms.  With one worker the norms are
+        # ordinary arrays, which tracemalloc sees.
         m, j, n_values = 400, 32, (64, 256, 128)
         problem = heat_1d(j)
         noise = NoiseModel(j, p=1.0, kind=kind)
@@ -284,10 +280,7 @@ class TestEnsemble:
             tracemalloc.stop()
         norms = sum(m * (n + 1) * 8 for n in n_values)
         assert current >= norms == sum(run.norms.nbytes for run in runs)
-        radii = max(2 * sampler._chunk_shape(noise, n, m)[0] * n * 8 for n in n_values)
-        if kind != "bounded_uniform":
-            radii = 0
-        assert peak < norms + sampler.BLOCK_BYTES + 2**20 + radii
+        assert peak < norms + sampler.BLOCK_BYTES + 2**20
 
     def test_rejects_noise_dimension_mismatch(self):
         problem = heat_1d(4)
@@ -336,19 +329,18 @@ class TestFamilyPass:
         # one pass over grids listed out of order equals, grid by grid, the
         # per-index run_randomised norms, measure_truncation_constant and
         # the Lipschitz constant read off the grid's step table.
-        # BLOCK_BYTES = 8 J side^2 gives groups of B = side trajectories
-        # and chunks of S = side steps of the longest grid: one step, 4
-        # steps (past the end of the 4-step grid) and the whole path; the
-        # bounded kind always takes S = N of its own grid
+        # BLOCK_BYTES = 8 (J + 2) side^2 gives every kind groups of
+        # B = min(side, M) trajectories and chunks of S = side steps of the
+        # longest grid: one step, 4 steps (past the end of the 4-step grid)
+        # and the whole path
         j, m = 4, 6
         problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
         method = implicit_euler()
         noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
         theta = np.linspace(1.0, 0.25, j)
         grids = FAMILIES[family]
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * j * side**2)
-        size = sampler._chunk_shape(noise, 16, m)[1]
-        assert size == (16 if kind == "bounded_uniform" else side)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * (j + 2) * side**2)
+        assert sampler._chunk_shape(noise, 16, m) == (min(side, m), side)
         constants, lipschitz, runs = sampler._converge(problem, method, noise, grids, theta,
                                                        m, 23, workers)
         assert len(constants) == len(lipschitz) == len(runs) == len(grids)
