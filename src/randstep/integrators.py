@@ -137,18 +137,18 @@ def steklov_average(problem: Problem, h, t) -> tuple[float, np.ndarray]:
 
 
 def _factor(method: MethodConfig, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
-    """Multiplier a of one step v -> a * v + c on a mode with
-    z0 = h lam alpha at the step's start (for implicit Euler its Steklov
-    mean) and z1 = h lam alpha at the second stage t + b1 h."""
+    """Multiplier a of one step v -> a * v + c of an explicit Euler,
+    two-stage or implicit Euler method (the exact method's steps come from
+    `flow_table`) on a mode with z0 = h lam alpha at the step's start (for
+    implicit Euler its Steklov mean) and z1 = h lam alpha at the second
+    stage t + b1 h."""
     if method.kind == EXPLICIT_EULER:
         return 1.0 - z0
     if method.kind == TWO_STAGE:
         return 1.0 - method.a1 * z0 - method.a2 * z1 + method.a2 * method.b2 * z0 * z1
-    if method.kind == IMPLICIT_EULER:
-        if np.any(1.0 + z0 <= 0.0):
-            raise ValueError("implicit solve singular: 1 + h lam alpha <= 0; reduce h below h*")
-        return 1.0 / (1.0 + z0)
-    return np.exp(-z0)
+    if np.any(1.0 + z0 <= 0.0):
+        raise ValueError("implicit solve singular: 1 + h lam alpha <= 0; reduce h below h*")
+    return 1.0 / (1.0 + z0)
 
 
 def step_table(method: MethodConfig, problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]:

@@ -13,15 +13,12 @@ serve as a trustworthy oracle for convergence-rate measurements.
 Over a step the flow is the per-mode affine map u -> E_k * u + f_k;
 `flow_table` builds (E, f) for a whole grid and `exact_flow` is one row.
 Both are array passes over the (N, J) steps and modes, with no loop over
-either.  The forcing response f splits by mask into a series path
-(|gamma| h^2 <= _SERIES_LIMIT, which includes every constant-alpha entry)
-and a completed-square path whose dawsn / erfcx / erf cases are masks
-too; the series path sums the integrals f_k(z) = int_0^1 s^k e^(-z s) ds
-of one stable evaluator, `_poly_exp_sum`, that covers every sign and
-size of z.  The completed-square path evaluates its special functions in
-numpy here: `_dawsn` for any real argument, `_erfcx` and `_erf` for
-arguments >= 0 (the only ones it passes), each by series and continued
-fractions without coefficient tables.
+either.  The forcing response f is one series per entry in the
+integrals f_k(z) = int_0^1 s^k e^(-z s) ds, summed by one stable
+evaluator, `_poly_exp_sum`, that covers every sign and size of z.  Each
+entry takes its own order from a tail bound in both mu = gamma h^2 and
+z; an entry that no order up to _ORDER_CAP reaches is summed over equal
+substeps short enough that |mu| <= 1 on each.
 
 The scalar test problem u' = rate * u (any sign of rate) is included via
 `scalar_linear`; growth corresponds to a negative effective scaling and
@@ -46,10 +43,13 @@ __all__ = [
     "garding_constants",
 ]
 
-# largest |gamma| * (t1 - t)^2 handled by the series expansion of the
-# quadratic exponential factor; beyond it the error-function path takes
-# over (whose conditioning degrades only like (a0/a1)^2 * eps_machine)
-_SERIES_LIMIT = 1.0
+# most orders a series response sums: an entry that needs more is split
+# into substeps with |mu| <= 1, which need at most 19
+_ORDER_CAP = 24
+# _MU_LIMITS[n] is the largest |mu| with |mu|^(n+1) / n! <= 1e-17, and
+# _RHO_LIMITS[n] the largest rho with 2 rho^(n+1) <= 1e-17 (see _series_order)
+_MU_LIMITS = np.array([(1e-17 * math.factorial(n)) ** (1.0 / (n + 1)) for n in range(_ORDER_CAP + 1)])
+_RHO_LIMITS = np.array([5e-18 ** (1.0 / (n + 1)) for n in range(_ORDER_CAP + 1)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,28 +196,80 @@ def _forcing_response(problem: Problem, t: np.ndarray, t1: np.ndarray) -> np.nda
     over the steps [t[k], t1[k]], shape (N, J).
 
     With g(s) = beta s + gamma s^2, beta = lam a0 and gamma = lam a1 / 2
-    per mode, the integral is int_t^t1 exp(g(s) - g(t1)) b(s) ds.  Entries
-    with |gamma| h^2 <= _SERIES_LIMIT (all of them when alpha is constant)
-    take the series path, the others the completed-square path; each path
-    runs once over its masked entries.
+    per mode, the integral is int_t^t1 exp(g(s) - g(t1)) b(s) ds, which
+    `_series_response` sums to the order `_series_order` gives each entry.
+    An entry whose order exceeds _ORDER_CAP is split into ceil(sqrt|mu|)
+    equal substeps, so |mu| <= 1 on each; a substep's response is carried
+    to t1 by the exact decay exp(g(hi) - g(t1)) and the pieces are summed.
+    There is one `_series_response` call per order that occurs.
     """
     lam = problem.space.eigenvalues
     a0, a1 = problem.alpha
-    shape = (t.size, lam.size)
-    t, t1 = (np.broadcast_to(s[:, None], shape) for s in (t, t1))
+    beta, gamma = lam * a0, 0.5 * lam * a1
+    order = _series_order(beta, gamma, t[:, None], t1[:, None]).ravel()
+    # work items: the response over [lo[i], hi[i]] of entry[i] = k J + j,
+    # step k and mode j, carried to the end of step k
+    entry = np.flatnonzero(order <= _ORDER_CAP)
+    step = entry // lam.size
+    lo, hi = t[step], t1[step]
+    whole = np.flatnonzero(order > _ORDER_CAP)
+    order, carry = order[entry], np.ones(0)
+    if whole.size:
+        h = t1 - t
+        k, j = np.divmod(whole, lam.size)
+        pieces = np.ceil(np.sqrt(np.abs(gamma[j]) * h[k] ** 2)).astype(int)
+        sub = np.repeat(whole, pieces)
+        k, j = np.divmod(sub, lam.size)
+        count = np.repeat(pieces, pieces)
+        index = np.arange(sub.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
+        # both ends of the whole step are kept exact
+        sub_lo = t[k] + h[k] * (index / count)
+        sub_hi = t1[k] - h[k] * ((count - 1 - index) / count)
+        order = np.concatenate([order, _series_order(beta[j], gamma[j], sub_lo, sub_hi)])
+        entry, lo, hi = (np.concatenate(v) for v in ((entry, sub), (lo, sub_lo), (hi, sub_hi)))
+        carry = np.exp((sub_hi - t1[k]) * (beta[j] + gamma[j] * (sub_hi + t1[k])))
+    # group the items by order; the stable sort keeps each group in item order
+    order = order.astype(np.uint8)
+    by_order = np.argsort(order, kind="stable")
+    counts = np.bincount(order)
+    ends = np.cumsum(counts)
+    value = np.empty(entry.size)
+    for n in np.flatnonzero(counts):
+        group = by_order[ends[n] - counts[n]:ends[n]]
+        mode = entry[group] % lam.size
+        value[group] = _series_response(*problem.forcing[mode].T, beta[mode], gamma[mode],
+                                        lo[group], hi[group], int(n))
+    value[value.size - carry.size:] *= carry
+    return np.bincount(entry, value, minlength=t.size * lam.size).reshape(t.size, lam.size)
+
+
+def _series_order(beta, gamma, t, t1):
+    """Order n of the series of `_series_response` over [t, t1], elementwise
+    (broadcasting); above _ORDER_CAP where neither bound below reaches
+    1e-17 within it.
+
+    With mu = gamma h^2 and z = (beta + 2 gamma t1) h, term m of the
+    series is tau_m ~ mu^m / m! f_2m(z).  As f_(k+2) <= f_k, and for z > 0
+    also f_(k+2) <= (k+1)(k+2) / z^2 f_k,
+    tau_(m+1) / tau_m <= |mu| / (m+1) min(1, (2m+1)(2m+2) / z^2).  From
+    mu alone the order is the smallest n with |mu|^(n+1) / n! <= 1e-17.
+    Where 4 |mu| <= z every ratio is at most 1/2 and, for m <= _ORDER_CAP,
+    at most rho = 2 (2 _ORDER_CAP + 1) |mu| / z^2, so the tail past n is
+    at most 2 rho^(n+1) of the first term.  Each entry takes the smaller
+    order.  Without the guard the terms of a large-z entry grow again
+    near m = z / 2 (alpha vanishing inside a step), which that bound
+    misses.
+    """
     h = t1 - t
-    beta, gamma = (np.broadcast_to(v, shape) for v in (lam * a0, 0.5 * lam * a1))
-    coeffs = [np.broadcast_to(c, shape) for c in problem.forcing.T]
-    series = np.abs(gamma) * h * h <= _SERIES_LIMIT
-    out = np.empty(shape)
-    for mask, path in ((series, _series_response), (~series, _erf_response)):
-        if np.any(mask):
-            out[mask] = path(*(c[mask] for c in coeffs), beta[mask], gamma[mask], t[mask], t1[mask])
-    return out
+    z = (beta + 2.0 * gamma * t1) * h
+    size, square = np.abs(gamma * h * h), z * z
+    rho = np.divide(2 * (2 * _ORDER_CAP + 1) * size, square, out=np.full_like(size, np.inf),
+                    where=(square > 0.0) & (4.0 * size <= z))
+    return np.minimum(np.searchsorted(_MU_LIMITS, size), np.searchsorted(_RHO_LIMITS, rho))
 
 
-def _series_response(c0, c1, c2, beta, gamma, t, t1):
-    """Series path of the response, elementwise over 1-D arrays.
+def _series_response(c0, c1, c2, beta, gamma, t, t1, n: int):
+    """Series response to order n, elementwise over 1-D arrays.
 
     In u = s - t1, g(s) - g(t1) = B u + gamma u^2 with B = beta + 2 gamma t1.
     Expanding exp(gamma u^2) to order n and substituting u = -h sigma gives
@@ -225,27 +277,20 @@ def _series_response(c0, c1, c2, beta, gamma, t, t1):
         h * sum_(m <= n) mu^m / m! * (P0 f_2m - h P1 f_(2m+1) + h^2 P2 f_(2m+2)),
 
     mu = gamma h^2, P0 + P1 u + P2 u^2 = b(s), and f_k = f_k(B h) from
-    `_poly_exp_sum`.  One order n serves the whole call, taken from the
-    largest |mu| so that mu^(n+1) / n! <= 1e-17; extra terms only shrink
-    the remainder.
+    `_poly_exp_sum`.
     """
     h = t1 - t
     mu = gamma * h * h
-    eps = float(np.max(np.abs(mu)))
-    n, fac = 0, 1.0
-    while eps ** (n + 1) / fac > 1e-17 and n < 24:
-        n += 1
-        fac *= n
     p0 = c0 + c1 * t1 + c2 * t1 * t1
     p1 = -h * (c1 + 2.0 * c2 * t1)
     p2 = h * h * c2
-
-    def coef(m):
-        return mu**m / math.factorial(m) if 0 <= m <= n else 0.0
+    # the trailing 0.0 is the coefficient both past the last term (m = n + 1)
+    # and before the first (m = -1, read as coef[-1])
+    coef = [mu**m / math.factorial(m) for m in range(n + 1)] + [0.0]
 
     def weight(k):
         m = k // 2
-        return coef(m) * p1 if k % 2 else coef(m) * p0 + coef(m - 1) * p2
+        return coef[m] * p1 if k % 2 else coef[m] * p0 + coef[m - 1] * p2
 
     return h * _poly_exp_sum((beta + 2.0 * gamma * t1) * h, weight, 2 * n + 2)
 
@@ -261,10 +306,11 @@ def _poly_exp_sum(z, weight, kmax: int) -> np.ndarray:
     f_(k-1) = (z f_k + e^(-z)) / k for k > |z|, where they shrink by
     |z| / k, seeded far enough above kmax that the seed error has shrunk
     by e^-45.  That covers either sign of z, z = 0 (f_k = 1 / (k + 1)) and
-    large z (e^(-z) may underflow to 0).  Entries outside a pass run it
-    on a harmless stand-in z and are masked out of the sum, which is
-    accumulated as the recurrences run: memory stays a few arrays of z's
-    shape, whatever kmax is.
+    large z (e^(-z) may underflow to 0).  Entries outside the upward pass
+    run it on a harmless stand-in z and are masked out of the sum; the
+    downward pass, whose seed starts past kmax, runs on its own entries
+    only.  The sum is accumulated as the recurrences run: memory stays a
+    few arrays of z's shape, whatever kmax is.
     """
     z = np.asarray(z, dtype=float)
     split = np.minimum(np.floor(np.abs(z)), kmax)  # last k of the upward pass
@@ -278,141 +324,19 @@ def _poly_exp_sum(z, weight, kmax: int) -> np.ndarray:
         for k in range(1, last_up + 1):
             fk = (k * fk - eu) / zu
             total += np.where(k <= split, weight(k) * fk, 0.0)
-    down = split < kmax
-    if np.any(down):
-        widest = max(float(np.abs(z[down]).max()), 1.0)
+    down = np.flatnonzero(split < kmax)
+    if down.size:
+        zd, split = z[down], split[down]
+        widest = max(float(np.abs(zd).max()), 1.0)
         top, shrink = kmax, 0.0
         while shrink < 45.0:
             top += 1
             shrink += math.log(top / widest)
-        zd = np.where(down, z, 0.0)
         ed = np.exp(-zd)
         fk = ed / np.maximum(top - zd, 1.0)  # endpoint-layer estimate of f_top
         for k in range(top, 1, -1):
             fk = (zd * fk + ed) / k  # now f_(k-1)
             if k <= kmax + 1:
-                total += np.where(k - 1 > split, weight(k - 1) * fk, 0.0)
+                term = np.broadcast_to(weight(k - 1), z.shape)[down] * fk
+                total[down] += np.where(k - 1 > split, term, 0.0)
     return total
-
-
-def _erf_response(c0, c1, c2, beta, gamma, t, t1):
-    """Completed-square path of the response, elementwise over 1-D arrays
-    with gamma != 0.
-
-    c0 e0 + c1 e1 + c2 e2 with e_i = int_t^t1 s^i exp(g(s) - g(t1)) ds.  e0
-    comes from `_dawsn` (gamma > 0) or, for gamma < 0, from `_erfcx` when
-    the vertex of g lies outside the step on either side, else `_erf`;
-    each case is a mask, arranged so every term stays bounded whenever g
-    is increasing on the step (the dissipative case), and every argument
-    of `_erfcx` and `_erf` is >= 0.  e1 and e2 follow by parts.
-    """
-    expo = np.exp(beta * (t - t1) + gamma * (t * t - t1 * t1))  # exp(g(t) - g(t1))
-    root = np.sqrt(np.abs(gamma))
-    shift = beta / (2.0 * root)
-    # gamma > 0: g(s) = (root s + shift)^2 - shift^2
-    x_t, x_1 = root * t + shift, root * t1 + shift
-    # gamma < 0: g(s) = shift^2 - (root s - shift)^2, vertex at w = 0
-    w_t, w_1 = root * t - shift, root * t1 - shift
-    up = gamma > 0.0
-    right = ~up & (w_t >= 0.0)
-    left = ~up & ~right & (w_1 <= 0.0)
-    inside = ~(up | right | left)
-    sqp2 = 0.5 * math.sqrt(math.pi)
-    e0 = np.empty_like(expo)
-    e0[up] = _dawsn(x_1[up]) - expo[up] * _dawsn(x_t[up])
-    e0[right] = sqp2 * (expo[right] * _erfcx(w_t[right]) - _erfcx(w_1[right]))
-    e0[left] = sqp2 * (_erfcx(-w_1[left]) - expo[left] * _erfcx(-w_t[left]))
-    e0[inside] = sqp2 * np.exp(w_1[inside] ** 2) * (_erf(-w_t[inside]) + _erf(w_1[inside]))
-    e0 /= root
-    e1 = (1.0 - expo) / (2.0 * gamma) - beta / (2.0 * gamma) * e0
-    e2 = (t1 - t * expo - e0) / (2.0 * gamma) - beta / (2.0 * gamma) * e1
-    return c0 * e0 + c1 * e1 + c2 * e2
-
-
-# below it erf and erfcx take the Taylor series, from it the continued fraction
-_ERF_SWITCH = 1.0
-# below it dawsn takes the Taylor series, from it the asymptotic series, whose
-# smallest term there is about e^(-x^2) = 5e-19 of the sum
-_DAWSN_SWITCH = 6.5
-
-
-def _erf(x):
-    """erf(x) elementwise, for x >= 0 only.
-
-    Below _ERF_SWITCH: e^(-x^2) times `_erf_sum`; from it: 1 - e^(-x^2)
-    erfcx(x) (the clamp only keeps x^2 finite: erf(27) rounds to 1).
-    """
-    return np.piecewise(x, [x < _ERF_SWITCH], [
-        lambda s: np.exp(-s * s) * _erf_sum(s),
-        lambda s: 1.0 - np.exp(-np.minimum(s, 27.0) ** 2) * _erfcx_fraction(s),
-    ])
-
-
-def _erfcx(x):
-    """erfcx(x) = e^(x^2) erfc(x) elementwise, for x >= 0 only.
-
-    Below _ERF_SWITCH: e^(x^2) - `_erf_sum` (erfc >= 0.15 there, so the
-    difference loses under a decimal digit); from it: `_erfcx_fraction`.
-    """
-    return np.piecewise(x, [x < _ERF_SWITCH], [
-        lambda s: np.exp(s * s) - _erf_sum(s),
-        _erfcx_fraction,
-    ])
-
-
-def _dawsn(x):
-    """Dawson's integral e^(-x^2) int_0^x e^(s^2) ds elementwise, for any
-    real x; odd, so the sign of -0.0 survives.
-
-    Below _DAWSN_SWITCH in |x|: x e^(-x^2) sum_n x^(2n) / (n! (2n+1)), whose
-    terms are positive; from it the asymptotic series
-    (1 / (2x)) sum_k (2k-1)!! / (2 x^2)^k.
-    """
-    return np.piecewise(x, [np.abs(x) < _DAWSN_SWITCH], [
-        lambda s: s * np.exp(-s * s) * _power_series(
-            lambda n: 1 / (math.factorial(n) * (2 * n + 1)), s * s),
-        lambda s: 0.5 / s * _power_series(
-            lambda k: math.prod(range(1, 2 * k, 2)) / 2**k, (1.0 / s) ** 2),
-    ])
-
-
-def _erf_sum(x):
-    """(2 / sqrt(pi)) x sum_n (2 x^2)^n / (2n+1)!! = e^(x^2) erf(x), for
-    0 <= x < _ERF_SWITCH; every term is positive."""
-    return (2.0 / math.sqrt(math.pi)) * x * _power_series(
-        lambda n: 2**n / math.prod(range(1, 2 * n + 2, 2)), x * x)
-
-
-def _erfcx_fraction(x):
-    """erfcx(x) for x >= _ERF_SWITCH by Laplace's continued fraction
-
-        1 / sqrt(pi) / (x + (1/2) / (x + 1 / (x + (3/2) / (x + ...)))),
-
-    evaluated backward from a depth set by the smallest x.  Its truncation
-    error falls like exp(-2 sqrt(2 depth) x), so depth (14 / x)^2 + 8
-    keeps it below 1e-16 of the value (checked against mpmath)."""
-    depth = int((14.0 / x.min()) ** 2) + 8
-    f = x
-    for k in range(depth, 0, -1):
-        f = x + 0.5 * k / f
-    return 1.0 / (math.sqrt(math.pi) * f)
-
-
-def _power_series(coeff, y):
-    """sum_n coeff(n) y^n elementwise over y >= 0 by Horner's rule.
-
-    The sum stops after the first term that falls below 1e-17 of the partial
-    sum at the largest y, which needs the most terms; the terms must shrink
-    until then (for an asymptotic series too).
-    """
-    top = float(y.max())
-    coeffs = [coeff(0)]
-    total = term = coeffs[0]
-    while term > 1e-17 * total:
-        coeffs.append(coeff(len(coeffs)))
-        term = coeffs[-1] * top ** (len(coeffs) - 1)
-        total += term
-    s = np.full_like(y, coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        s = c + y * s
-    return s

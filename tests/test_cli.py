@@ -589,34 +589,34 @@ AFFINE_FORCED_CONFIG = (
     .replace("m = 24", "m = 8")
 )
 
-# runs converge on each config given and reports which evaluators of the
-# forcing response got a non-empty argument and which scipy modules loaded
+# runs converge on each config given and reports, per config, its exit code
+# and how many entries of the forcing response were split into substeps
+# (series order above the cap), and which scipy modules loaded
 SCIPY_PROBE = """
 import json, sys
 import randstep.cli, randstep.problems as problems
 
-reached = set()
+order = problems._series_order
+split = []
 
-def counted(name, evaluate):
-    def wrapper(x):
-        if x.size:
-            reached.add(name)
-        return evaluate(x)
-    return wrapper
+def counted(*args):
+    n = order(*args)
+    split[-1] += int((n > problems._ORDER_CAP).sum())
+    return n
 
-for name in ("_dawsn", "_erfcx", "_erf"):
-    setattr(problems, name, counted(name, getattr(problems, name)))
-codes = [randstep.cli.main(["converge", "--config", cfg, "--out", cfg + ".out"])
-         for cfg in sys.argv[1:]]
-print(json.dumps({"codes": codes, "reached": sorted(reached),
+problems._series_order = counted
+codes = []
+for cfg in sys.argv[1:]:
+    split.append(0)
+    codes.append(randstep.cli.main(["converge", "--config", cfg, "--out", cfg + ".out"]))
+print(json.dumps({"codes": codes, "split": split,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
 
 def test_affine_forced_converge_loads_no_scipy(tmp_path):
-    # alpha = 1 + t takes dawsn; alpha = 1 - 1.01 t vanishes at t = 0.990,
-    # inside the last step of every grid, which takes erf, and the earlier
-    # steps take erfcx
+    # alpha = 1 + t and alpha = 1 - 1.01 t (which vanishes at t = 0.990,
+    # inside the last step of every grid) both split entries into substeps
     configs = [
         _write(tmp_path, AFFINE_FORCED_CONFIG.replace("alpha = 1.0", f"alpha = {alpha}"),
                f"{name}.cfg")
@@ -627,9 +627,10 @@ def test_affine_forced_converge_loads_no_scipy(tmp_path):
         capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert json.loads(result.stdout.splitlines()[-1]) == {
-        "codes": [0, 0], "reached": ["_dawsn", "_erf", "_erfcx"], "scipy": [],
-    }
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["codes"] == [0, 0]
+    assert report["scipy"] == []
+    assert all(count > 0 for count in report["split"]), report["split"]
 
 
 def test_cli_import_loads_no_pool_and_no_scipy():

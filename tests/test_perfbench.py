@@ -114,3 +114,15 @@ def test_workload_matches_its_reference(tmp_path, workload):
     assert result.returncode == 0, result.stderr
     assert run.check_outputs(out, facts, facts["seed"]) == []
     assert run.compare_reference(out, ROOT / "perfbench" / "reference" / workload) == []
+
+
+def test_oracle_check_passes():
+    # the closed-form exact states of oracle-affine against a Radau solve of
+    # the same ODE at rtol 1e-9 (perfbench/oracle_check.py)
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "oracle_check.py"),
+         str(ROOT / "perfbench" / "workloads" / "oracle-affine.ini")],
+        env=_src_env(), capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert json.loads(result.stdout.splitlines()[-1])["ok"] is True

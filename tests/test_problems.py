@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -165,7 +166,7 @@ class TestFlowProperties:
             assert np.linalg.norm(ours - ref) <= 1e-8 * (1.0 + np.linalg.norm(ref))
 
     def test_affine_alpha_with_forcing_cross_check(self):
-        # exercises the error-function evaluation path specifically
+        # affine scaling with forcing: the series orders taken from both mu and z
         rng = np.random.default_rng(80)
         for _ in range(30):
             problem = _random_problem(rng, with_forcing=True, affine=True)
@@ -221,19 +222,19 @@ class TestResponseKernels:
             (11.530159118948031, 1.490887634241386e-09, 0.3660163417367126, 1.1719401007607626),
             (25.0, -3e-7, 0.1, 0.9),
             (-4.0, 1e-5, 0.0, 1.0),
-            (8.0, 0.9, 0.2, 1.1),      # just under the series/erf switch
-            (8.0, 4.0, 0.2, 1.1),      # just over it
-            (2000.0, 0.05, 0.0, 0.5),  # stiff mode, slowly varying scaling
-            (-2.0, -6.0, 0.3, 0.8),
+            (8.0, 0.9, 0.2, 1.1),      # |mu| = 0.73: order 17, from mu alone
+            (8.0, 4.0, 0.2, 1.1),      # |mu| = 3.24: no order reaches, two substeps
+            (2000.0, 0.05, 0.0, 0.5),  # stiff mode, slowly varying scaling: order from z
+            (-2.0, -6.0, 0.3, 0.8),    # growth, z < 0: order 22, from mu alone
         ],
     )
     def test_affine_response_against_quadrature(self, beta, gamma, t, t1):
-        from randstep.problems import _erf_response, _series_response
+        from randstep.problems import _forcing_response
 
+        # one mode with lam = 1, so beta = a0 and gamma = a1 / 2
         coeffs = np.array([0.7, -1.3, 0.4])
-        series = abs(gamma) * (t1 - t) ** 2 <= 1.0
-        args = [np.array([v]) for v in (*coeffs, beta, gamma, t, t1)]
-        ours = float((_series_response if series else _erf_response)(*args)[0])
+        problem = Problem(SpaceDescriptor(np.array([1.0])), (beta, 2.0 * gamma), coeffs[None], t1)
+        ours = float(_forcing_response(problem, np.array([t]), np.array([t1]))[0, 0])
 
         def integrand(s):
             g = lambda x: beta * x + gamma * x * x
@@ -241,6 +242,123 @@ class TestResponseKernels:
 
         ref, err = quad(integrand, t, t1, epsabs=1e-14, epsrel=1e-12, limit=200)
         assert ours == pytest.approx(ref, rel=1e-9, abs=1e-13)
+
+
+def _mp_response(lam, alpha, coeffs, t, t1, points):
+    """int_t^t1 exp(-lam int_s^t1 alpha) b(s) ds by mpmath at 40 digits,
+    split at `points` as well as at both ends and close to them, where the
+    integrand has its boundary layers."""
+    with mpmath.workdps(40):
+        a0, a1 = (mpmath.mpf(a) for a in alpha)
+        t, t1 = mpmath.mpf(t), mpmath.mpf(t1)
+
+        def big_a(s):
+            return a0 * s + a1 * s * s / 2
+
+        def integrand(s):
+            b = coeffs[0] + coeffs[1] * s + coeffs[2] * s * s
+            return mpmath.exp(-lam * (big_a(t1) - big_a(s))) * b
+
+        near_ends = [t + d for d in (1e-4, 1e-3, 1e-2)] + [t1 - d for d in (1e-4, 1e-3, 1e-2)]
+        splits = sorted({t, t1, *(mpmath.mpf(p) for p in points), *near_ends})
+        return float(mpmath.quad(integrand, [p for p in splits if t <= p <= t1]))
+
+
+class TestResponseOrders:
+    """The per-entry series order: the z bound's guard and the substeps."""
+
+    COEFFS = (0.7, -1.3, 0.4)
+
+    # alpha = -1 + 2t vanishes at 0.5, inside every step here; at large lam
+    # z = lam alpha(t1) h is large while the series terms grow again near
+    # m = z / 2, which the order from z must not miss (its 4 |mu| <= z guard)
+    @pytest.mark.parametrize("t,t1", [(0.4, 0.6), (0.38, 0.6), (0.42, 0.6), (0.45, 0.55)])
+    @pytest.mark.parametrize("lam", [200.0, 1000.0, 5000.0, 15000.0])
+    def test_scaling_vanishing_inside_the_step(self, lam, t, t1):
+        alpha = (-1.0, 2.0)
+        problem = Problem(SpaceDescriptor(np.array([lam])), alpha, np.array([self.COEFFS]), 1.0)
+        _, response = flow_table(problem, np.array([t1 - t]), np.array([t]))
+        ref = _mp_response(lam, alpha, self.COEFFS, t, t1, [0.5])
+        assert response[0, 0] == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("top", [1, 2, 3])
+    def test_substeps_of_the_top_modes(self, top):
+        # alpha = 1 - t vanishes at the end of the last step, so z = 0 there
+        # and |mu| of the top modes is about 2000: they are split into substeps
+        alpha = (1.0, -1.0)
+        dim = 1024
+        forcing = np.tile(self.COEFFS, (dim, 1))
+        problem = Problem(laplacian_1d(dim), alpha, forcing, 1.0)
+        grid = build_grid(1.0, 32, 2.0)
+        _, response = flow_table(problem, grid.steps, grid.points[:-1])
+        t, t1 = grid.points[-2], grid.points[-1]
+        lam = float(problem.space.eigenvalues[dim - top])
+        ref = _mp_response(lam, alpha, self.COEFFS, t, t1, [])
+        assert response[-1, dim - top] == pytest.approx(ref, rel=1e-9)
+
+    @staticmethod
+    def _entries(seed):
+        """Random (beta, gamma, t, t1) over both signs and many scales, kept
+        where exp(g(s) - g(t1)) stays well inside double range."""
+        rng = np.random.default_rng(seed)
+        size = 20000
+        beta, gamma = (rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3, 4, size)
+                       for _ in range(2))
+        t = rng.uniform(0.0, 1.0, size)
+        t1 = t + 10.0 ** rng.uniform(-3, 0, size)
+        h = t1 - t
+        keep = ((beta + 2.0 * gamma * t1) * h > -300.0) & (np.abs(gamma * h * h) < 300.0)
+        return beta[keep], gamma[keep], t[keep], t1[keep]
+
+    def test_order_from_z_only_under_its_guard(self):
+        from randstep.problems import _MU_LIMITS, _series_order
+
+        beta, gamma, t, t1 = self._entries(11)
+        h = t1 - t
+        mu, z = np.abs(gamma * h * h), (beta + 2.0 * gamma * t1) * h
+        order = _series_order(beta, gamma, t, t1)
+        from_mu = np.searchsorted(_MU_LIMITS, mu)
+        assert (order <= from_mu).all()
+        # outside the guard (and at z = 0) the order is the one from mu
+        unguarded = 4.0 * mu > z
+        assert np.array_equal(order[unguarded], from_mu[unguarded])
+        # inside it the z bound shortens some series
+        assert (order[~unguarded] < from_mu[~unguarded]).any()
+
+    def test_more_terms_change_nothing(self):
+        # with b = 1 the integrand is positive and the integral at least a
+        # fixed fraction of the first term, so a tail under 1e-17 of that
+        # term is below the sum's rounding
+        from randstep.problems import _ORDER_CAP, _series_order, _series_response
+
+        beta, gamma, t, t1 = self._entries(12)
+        order = _series_order(beta, gamma, t, t1)
+        one, zero = np.ones(beta.size), np.zeros(beta.size)
+        for n in range(_ORDER_CAP + 1):
+            group = np.flatnonzero(order == n)
+            if not group.size:
+                continue
+            args = (one[group], zero[group], zero[group], beta[group], gamma[group],
+                    t[group], t1[group])
+            ours, longer = _series_response(*args, n), _series_response(*args, n + 12)
+            assert np.isfinite(ours).all()
+            np.testing.assert_allclose(ours, longer, rtol=1e-15, atol=0.0)
+
+    def test_substeps_reach_the_cap(self):
+        # an entry past the cap is split into ceil(sqrt|mu|) equal substeps;
+        # each has |mu| <= 1 and so an order within the cap
+        from randstep.problems import _ORDER_CAP, _series_order
+
+        beta, gamma, t, t1 = self._entries(13)
+        whole = np.flatnonzero(_series_order(beta, gamma, t, t1) > _ORDER_CAP)
+        assert whole.size
+        for i in whole:
+            h = t1[i] - t[i]
+            pieces = math.ceil(math.sqrt(abs(gamma[i]) * h * h))
+            edges = t[i] + h * np.arange(pieces + 1) / pieces
+            lo, hi = edges[:-1], edges[1:]
+            assert (np.abs(gamma[i]) * (hi - lo) ** 2 <= 1.0 + 1e-12).all()
+            assert (_series_order(beta[i], gamma[i], lo, hi) <= _ORDER_CAP).all()
 
 
 class TestFlowTableAgainstQuadrature:
@@ -258,11 +376,12 @@ class TestFlowTableAgainstQuadrature:
         stiffness=st.floats(0.0, 4.0),
         seed=st.integers(0, 2**32 - 1),
     )
-    # one example per completed-square case, each also spanning the series side
-    @example(dim=40, a0=1.0, a1=2.0, n=1, grading=1.0, stiffness=3.0, seed=1)  # dawsn
-    @example(dim=40, a0=2.0, a1=-1.5, n=2, grading=1.5, stiffness=3.0, seed=2)  # erfcx, alpha > 0
-    @example(dim=40, a0=0.5, a1=-3.0, n=2, grading=1.0, stiffness=2.0, seed=3)  # erfcx, alpha < 0
-    @example(dim=40, a0=0.5, a1=-3.0, n=1, grading=1.0, stiffness=2.0, seed=4)  # erf
+    # one example per regime of the scaling on stiff modes
+    @example(dim=40, a0=1.0, a1=2.0, n=1, grading=1.0, stiffness=3.0, seed=1)  # rising alpha
+    @example(dim=40, a0=2.0, a1=-1.5, n=2, grading=1.5, stiffness=3.0, seed=2)  # falling alpha
+    # 0.5 - 3t vanishes at t = 1/6: alpha vanishing inside a step
+    @example(dim=40, a0=0.5, a1=-3.0, n=2, grading=1.0, stiffness=2.0, seed=3)
+    @example(dim=40, a0=0.5, a1=-3.0, n=1, grading=1.0, stiffness=2.0, seed=4)
     @example(dim=128, a0=1.0, a1=1.0, n=4, grading=2.0, stiffness=4.0, seed=5)
     def test_entries_match_quadrature(self, dim, a0, a1, n, grading, stiffness, seed):
         if a0 == 0.0 and a1 == 0.0:
