@@ -4,6 +4,9 @@ strong-error bounds used to check dominance empirically.
 Two orderings of the error statistic are tracked: the "max of norm"
 max_k |e_k|_(L^R) and the stronger "norm of max" | max_k |e_k|_H |_(L^R)
 (or its Orlicz analogue); the former never exceeds the latter.
+
+Every L^R norm is the one reduction `_lr_norms`, whose one-column case
+is `lr_norm_estimate`.
 """
 
 from __future__ import annotations
@@ -32,8 +35,8 @@ __all__ = [
 
 BOUND_SETTINGS = ("banach", "gelfand_orlicz", "gelfand_l2_centred")
 
-# Byte budget of one block of error_statistics' per-step powers, whose
-# whole (N + 1, M) array would be as large as the norms.
+# Byte budget of one block of _lr_norms' powers, whose whole (K, M)
+# array would be as large as the samples.
 _STEP_BLOCK_BYTES = 2**20
 
 
@@ -44,7 +47,27 @@ class EstimationError(RuntimeError):
 def lr_norm_estimate(samples: np.ndarray, r: float) -> float:
     """Empirical L^R norm (mean of x^R)^(1/R) of non-negative samples."""
     samples = _checked_samples(samples, r)
-    return float(np.mean(samples**r) ** (1.0 / r))
+    return float(_lr_norms(samples.reshape(-1, 1), r)[0])
+
+
+def _lr_norms(samples: np.ndarray, r: float) -> np.ndarray:
+    """(mean_i x_ik^R)^(1/R) for every column k of the finite, non-negative
+    samples x, shape (M, K).  Powers go by blocks of transposed columns, so
+    each mean sums one contiguous row whatever the block; each root is a
+    scalar power (numpy's array power rounds differently).  Only columns
+    whose norm overflowed (above about 1.3e154 at R = 2) are recomputed,
+    as s mean((x / s)^R)^(1/R) with s their largest sample."""
+    cols = max(1, _STEP_BLOCK_BYTES // (8 * samples.shape[0]))
+    with np.errstate(over="ignore"):
+        means = np.concatenate([
+            np.mean(np.power(samples[:, k:k + cols].T, r, order="C"), axis=1)
+            for k in range(0, samples.shape[1], cols)
+        ])
+    norms = np.array([m ** (1.0 / r) for m in means.tolist()])
+    for k in np.flatnonzero(np.isinf(norms)):
+        s = samples[:, k].max()
+        norms[k] = s * np.mean(np.power(samples[:, k] / s, r)) ** (1.0 / r)
+    return norms
 
 
 def _checked_samples(samples: np.ndarray, r: float = 1.0, what: str = "samples") -> np.ndarray:
@@ -53,8 +76,8 @@ def _checked_samples(samples: np.ndarray, r: float = 1.0, what: str = "samples")
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise ValueError(f"empty {what}")
-    if r < 1.0:
-        raise ValueError(f"order must be >= 1, got {r}")
+    if not (1.0 <= r < math.inf):
+        raise ValueError(f"order must be >= 1 and finite, got {r}")
     lo, hi = samples.min(), samples.max()
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError(f"{what} must be finite")
@@ -63,33 +86,35 @@ def _checked_samples(samples: np.ndarray, r: float = 1.0, what: str = "samples")
     return samples
 
 
-def _young_mean(samples: np.ndarray, k: float, young) -> float:
+def _psi2_mean(samples: np.ndarray, k: float) -> float:
     z = samples / k
-    if young == "psi2":
-        with np.errstate(over="ignore"):
-            return float(np.mean(np.expm1(z * z)))
-    return float(np.mean(z ** float(young)))
+    with np.errstate(over="ignore"):
+        return float(np.mean(np.expm1(z * z)))
 
 
 def orlicz_norm_estimate(samples: np.ndarray, young="psi2", rel_tol: float = 1e-6) -> float:
-    """Orlicz norm inf{k > 0 : mean(Psi(x / k)) <= 1} by bisection.
+    """Orlicz norm inf{k > 0 : mean(Psi(x / k)) <= 1}.
 
-    young is "psi2" for Psi(z) = exp(z^2) - 1, or a number R for the
-    power function Psi(z) = z^R.  The objective is strictly decreasing in
-    k; the bracket [max(x)/50, 50 max(x)] must straddle the crossing.
+    young is "psi2" for Psi(z) = exp(z^2) - 1, found by bisection: the
+    objective is strictly decreasing in k, and the bracket
+    [max(x)/50, 50 max(x)] must straddle the crossing.  A number R stands
+    for the power function Psi(z) = z^R, whose Orlicz norm is exactly the
+    L^R norm, so lr_norm_estimate(samples, R) is returned.
     """
+    if young != "psi2":
+        return lr_norm_estimate(samples, float(young))
     samples = _checked_samples(samples)
     top = float(samples.max())
     if top == 0.0:
         return 0.0
     lo, hi = top / 50.0, top * 50.0
-    if _young_mean(samples, lo, young) < 1.0:
+    if _psi2_mean(samples, lo) < 1.0:
         raise EstimationError("Orlicz objective already below 1 at the lower bracket")
-    if _young_mean(samples, hi, young) > 1.0:
+    if _psi2_mean(samples, hi) > 1.0:
         raise EstimationError("Orlicz objective still above 1 at the upper bracket: heavy tail?")
     while (hi - lo) > rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if _young_mean(samples, mid, young) > 1.0:
+        if _psi2_mean(samples, mid) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -108,22 +133,11 @@ class ErrorStatistics:
     psi2_norm_of_max: float | None = None
 
 
-def _step_means(norms: np.ndarray, r: float) -> np.ndarray:
-    """mean_i norms[i, k]^r for every step k, by blocks of step columns.
-    With the steps as contiguous rows each mean sums exactly as
-    lr_norm_estimate of that step's column does, whatever the block."""
-    cols = max(1, _STEP_BLOCK_BYTES // (8 * norms.shape[0]))
-    return np.concatenate([
-        np.mean(np.power(norms[:, k:k + cols].T, r, order="C"), axis=1)
-        for k in range(0, norms.shape[1], cols)
-    ])
-
-
 def error_statistics(ensemble: Ensemble, r: float = 2.0, young: str | None = "psi2") -> ErrorStatistics:
     """Both error orderings (and optionally the Orlicz norm of the max)."""
     norms = _checked_samples(ensemble.error_h_norms(), r,
                              f"error norms at h = {ensemble.grid.mesh:g}")
-    max_of_norm = float(np.max(_step_means(norms, r)) ** (1.0 / r))
+    max_of_norm = float(np.max(_lr_norms(norms, r)))
     per_traj_max = norms.max(axis=1)
     norm_of_max = lr_norm_estimate(per_traj_max, r)
     psi2 = orlicz_norm_estimate(per_traj_max, "psi2") if young == "psi2" else None

@@ -24,6 +24,7 @@ from . import analysis, bayes, randomisation, sampler
 from .analysis import EstimationError
 from .config import ConfigError, ExperimentConfig, load_config
 from .randomisation import CENTRED_GAUSSIAN
+from .spaces import _h_norm
 
 __all__ = ["main"]
 
@@ -221,7 +222,7 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     times = (0.5, 0.25, 0.125)
     for t in times:
         draws = randomisation.sample_noise_matrix(noise, rng, t, m)
-        est = analysis.lr_norm_estimate(np.linalg.norm(draws, axis=1), 2.0)
+        est = analysis.lr_norm_estimate(_h_norm(draws), 2.0)
         target = randomisation.theoretical_noise_norm(noise, t, "l2")
         rel = abs(est - target) / target if target > 0 else 0.0
         rows.append((f"scaling_t={t}", est / t ** (noise.p + 1.0), rel, rel <= 0.02))
@@ -238,7 +239,7 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
     t = 0.25
     draws = randomisation.sample_noise_matrix(noise, rng, t, m)
-    norms = np.linalg.norm(draws, axis=1)
+    norms = _h_norm(draws)
     amp = randomisation.theoretical_noise_norm(noise, t, "l2")
     for factor in (1.0, 2.0, 4.0):
         eps = factor * amp

@@ -132,7 +132,18 @@ def _parse_theta(raw: str, dimension: int) -> np.ndarray:
     return values
 
 
-def _parse_problem(parser) -> tuple[Problem, np.ndarray]:
+def _uncut_rows(cut: str, whole: str) -> str:
+    """whole, the forcing line before the inline-comment rule cut it at
+    " ;", if it holds ";"-separated rows of numbers, else cut."""
+    try:
+        rows = [_floats(part) for part in whole.split(";")]
+    except ValueError:
+        return cut
+    return whole if len(rows) > 1 else cut
+
+
+def _parse_problem(parser, uncut) -> tuple[Problem, np.ndarray]:
+    """[problem]; uncut is the file read without inline comments."""
     sec = _section(parser, "problem")
     with _reading("problem"):
         horizon = sec.getfloat("horizon", fallback=None)
@@ -153,7 +164,8 @@ def _parse_problem(parser) -> tuple[Problem, np.ndarray]:
             alpha_coeffs.append(0.0)
         if len(alpha_coeffs) != 2:
             raise ValueError("alpha takes one (constant) or two (affine) coefficients")
-        forcing_raw = sec.get("forcing", "none").strip()
+        forcing_raw = _uncut_rows(sec.get("forcing", "none").strip(),
+                                  uncut.get("problem", "forcing", fallback="").strip())
         if forcing_raw == "none":
             forcing = None
         elif ";" in forcing_raw:
@@ -178,10 +190,10 @@ def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
     with _reading("grid_family"):
         n_values = _ints(sec.get("n_values"))
         gamma = sec.getfloat("gamma", 1.0)
-        if len(set(n_values)) < 3:
+        if len(set(n_values)) < 3 or len(set(n_values)) < len(n_values):
             raise ValueError(
-                "n_values must list at least three distinct step counts (a rate fit "
-                f"needs three meshes), got {n_values}"
+                "n_values must list at least three distinct step counts, each once (a "
+                f"rate fit needs three distinct meshes), got {n_values}"
             )
         if gamma < 1.0:
             raise ValueError(f"grading exponent must be >= 1, got {gamma}")
@@ -292,8 +304,10 @@ def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig
         raise ConfigError("file", f"cannot read config {path}: {exc}") from exc
     fingerprint = hashlib.sha256(text.encode()).hexdigest()
     parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
+    uncut = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text)
+        uncut.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("file", f"malformed config: {exc}") from exc
 
@@ -311,7 +325,7 @@ def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig
                 raise ConfigError("noise", "noise-check needs a non-degenerate noise kind")
         return ExperimentConfig(fingerprint, noise=noise, seed=_parse_ensemble(parser, False)[1])
 
-    problem, theta = _parse_problem(parser)
+    problem, theta = _parse_problem(parser, uncut)
     grids = _parse_grids(parser, problem.horizon)
     method = _parse_method(parser)
     noise = _parse_noise(parser, problem.space.dimension)
@@ -324,8 +338,8 @@ def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig
             young = None
         elif young != "psi2":
             raise ValueError(f"unsupported young function {young!r}")
-        if not r_values or any(r < 1.0 for r in r_values):
-            raise ValueError("every r must be >= 1")
+        if not r_values or not all(1.0 <= r < math.inf for r in r_values):
+            raise ValueError(f"every r must be >= 1 and finite, got {r_values}")
     sec = _section(parser, "output", False)
     with _reading("output"):
         raw = sec.get("formats", "csv, json")

@@ -29,6 +29,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .spaces import _h_norm
+
 __all__ = [
     "NoiseModel",
     "centred_gaussian",
@@ -245,7 +247,7 @@ def psi2_amplitude(model: NoiseModel, samples: int = _PSI2_SAMPLES) -> float:
         block = stream.standard_normal((stop - start, 1, width))
         draws = next(_noise_steps(model, block, np.ones(1),
                                   None if factor is None else factor[start:stop]))
-        norms[start:stop] = np.linalg.norm(draws, axis=1)
+        _h_norm(draws, norms[start:stop])
     return orlicz_norm_estimate(_checked_samples(norms, what="noise amplitude draws"), "psi2")
 
 

@@ -34,6 +34,8 @@ worker count.  Row i of an ensemble's norms is bitwise
 run_randomised(..., trajectory_stream(master_seed, i)).error_h_norms(),
 the call that gives trajectory i's arrays.
 
+Every |.|_H here is the one reduction `spaces._h_norm`.
+
 Memory model: the strong-error statistics need only |e_k|_H = |r_k|_H
 per trajectory and step, so a study's ensembles run step-major in one
 pass over its grids.  Every grid seeds trajectory i from one stream, and
@@ -44,7 +46,7 @@ one generator per trajectory and one rolling (B, J) deviation per grid.
 It draws the longest grid's next S steps once into one reused (B, S, W)
 raw chunk of at most BLOCK_BYTES; each grid shapes its prefix step by
 step into one (B, J) scratch, advances its deviation and writes its
-squared norms into the group's rows of its (M, N_g + 1) norms.  A study
+norms into the group's rows of its (M, N_g + 1) norms.  A study
 holds all grids' norms, their (a, d) tables and one chunk.  With
 several workers, all groups of a study run as tasks in one pool of
 forked workers, which write their rows straight into norms in anonymous
@@ -64,7 +66,7 @@ from .grids import TimeGrid
 from .integrators import MethodConfig, step_table
 from .problems import Problem, flow_table
 from .randomisation import NoiseModel, _family_noise, _step_normals, noise_path
-from .spaces import _check_dimension
+from .spaces import _check_dimension, _h_norm
 
 __all__ = [
     "Trajectory",
@@ -94,7 +96,7 @@ class Trajectory:
     defects: np.ndarray | None = None
 
     def error_h_norms(self) -> np.ndarray:
-        return _h_norms(self.errors)
+        return _h_norm(self.errors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,11 +171,6 @@ def _prepare(problem, method, grid, theta, noise):
     return theta, (a, a * exact[:-1] + c - exact[1:]), exact, flow[0]
 
 
-def _h_norms(errors: np.ndarray) -> np.ndarray:
-    """|e|_H along the last (mode) axis."""
-    return np.sqrt(np.sum(errors * errors, axis=-1))
-
-
 def _advance(table, v: np.ndarray, start: int = 0, noise=None):
     """Step the rows of v, shape (B, J), in place by
     v <- a[k] * v + b[k] (+ xi_k), with (a, b) = table, for k from start,
@@ -215,7 +212,7 @@ def _trajectory(prepared, grid: TimeGrid, init=None, path=None,
     defects = None
     if record_defects:
         a, d = table
-        defects = _h_norms((flow_factors - a) * r[:-1] - d)
+        defects = _h_norm((flow_factors - a) * r[:-1] - d)
     return Trajectory(grid, exact + r, -r, path, defects)
 
 
@@ -265,15 +262,13 @@ def _run_group(study: tuple, rows: range) -> None:
         for _, inits in _family_noise(noise, streams, [s[:1] for s in grid_steps], 1):
             for v, init in zip(r, inits):
                 v[:] = next(init)
-    square = np.empty_like(r[0])
+    work = np.empty_like(r[0])
     for v, out in zip(r, norms):
-        np.add.reduce(np.multiply(v, v, out=square), axis=-1, out=out[:, 0])
+        _h_norm(v, out[:, 0], work)
     for start, noises in _family_noise(noise, streams, grid_steps, size):
         for table, v, out, xi in zip(tables, r, norms, noises):
             for k in _advance(table, v, start, xi):
-                np.add.reduce(np.multiply(v, v, out=square), axis=-1, out=out[:, k])
-    for out in norms:
-        np.sqrt(out, out=out)
+                _h_norm(v, out[:, k], work)
 
 
 # The study a pool worker runs, set once in each worker by `_attach`.  The
@@ -309,7 +304,7 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
 
-        with ProcessPoolExecutor(workers, mp_context=get_context("fork"),
+        with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=get_context("fork"),
                                  initializer=_attach, initargs=(study,)) as pool:
             for _ in pool.map(_run_task, tasks):
                 pass
@@ -361,7 +356,7 @@ def measure_truncation_constant(
 
 
 def _truncation_constant(defects: np.ndarray, steps: np.ndarray, q: float) -> float:
-    norms = _h_norms(defects)
+    norms = _h_norm(defects)
     hit = norms > 0.0
     return float(np.max(norms[hit] / steps[hit] ** (q + 1.0), initial=0.0))
 

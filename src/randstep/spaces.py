@@ -10,6 +10,8 @@ three norms are realised spectrally:
 
 The default model operator is the Dirichlet Laplacian on (0, pi), whose
 eigenvalues are lam_j = j^2.
+
+Every H-norm in the package is the one reduction `_h_norm`.
 """
 
 from __future__ import annotations
@@ -63,6 +65,24 @@ def _check_dimension(x: np.ndarray, dimension: int) -> np.ndarray:
     return x
 
 
+def _h_norm(x: np.ndarray, out: np.ndarray | None = None,
+            work: np.ndarray | None = None) -> np.ndarray:
+    """|x|_H = sqrt(sum_j x_j^2) of every row of x (its last axis), into out
+    if given; work is optional scratch of x's shape.  Only rows whose sum
+    of squares overflowed (above about 1e154) with finite entries are
+    recomputed, as s sqrt(sum_j (x_j / s)^2) with s their largest |x_j|."""
+    with np.errstate(over="ignore"):
+        norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=work), axis=-1, out=out), out=out)
+    redo = np.isinf(norms)
+    if redo.any():
+        norms = np.asarray(norms)  # a 1-d x gives a scalar
+        top = np.max(np.abs(x), axis=-1)
+        redo &= np.isfinite(top)
+        rows, s = x[redo], top[redo]
+        norms[redo] = s * np.sqrt(np.add.reduce(np.square(rows / s[:, None]), axis=-1))
+    return norms
+
+
 def norm(x: np.ndarray, space: SpaceDescriptor, kind: str = "h") -> float | np.ndarray:
     """Norm of a coefficient vector in H, V or V'.
 
@@ -70,13 +90,12 @@ def norm(x: np.ndarray, space: SpaceDescriptor, kind: str = "h") -> float | np.n
     """
     x = _check_dimension(x, space.dimension)
     if kind == "h":
-        sq = np.sum(x * x, axis=-1)
+        out = _h_norm(x)
     elif kind == "v":
-        sq = np.sum(space.eigenvalues * x * x, axis=-1)
+        out = np.sqrt(np.sum(space.eigenvalues * x * x, axis=-1))
     elif kind == "v_dual":
-        sq = np.sum(x * x / space.eigenvalues, axis=-1)
+        out = np.sqrt(np.sum(x * x / space.eigenvalues, axis=-1))
     else:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
-    out = np.sqrt(sq)
     return float(out) if out.ndim == 0 else out
 

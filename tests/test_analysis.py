@@ -53,6 +53,53 @@ class TestLrNorm:
             lr_norm_estimate(np.array([1.0, bad, 2.0]), 2.0)
 
 
+    @pytest.mark.parametrize("r", [math.inf, math.nan])
+    def test_non_finite_order_rejected(self, r):
+        with pytest.raises(ValueError, match="order must be >= 1 and finite"):
+            lr_norm_estimate(np.ones(4), r)
+
+    def test_huge_samples_do_not_overflow(self):
+        # 1e200^2 overflows; the sample's largest value scales it first
+        assert lr_norm_estimate(np.full(10, 1e200), 2) == 1e200
+        assert orlicz_norm_estimate(np.full(10, 1e200), 2.0) == 1e200
+
+
+class TestLrNorms:
+    """The one L^R reduction: the plain power mean, and rescaled columns
+    where that overflows."""
+
+    @pytest.mark.parametrize("r", [1.0, 2.0, 2.5, 3.0, 4.0])
+    def test_one_column_equals_the_plain_power_mean(self, r):
+        # test_blocked_lr_norms_equal_one_pass checks many columns
+        rng = np.random.default_rng(int(10 * r))
+        for m in (1, 7, 1000, 100_000):
+            sample = np.abs(rng.standard_normal(m)) * 10.0 ** rng.uniform(-5, 5)
+            assert lr_norm_estimate(sample, r) == float(np.mean(sample**r) ** (1.0 / r))
+
+    @pytest.mark.parametrize("r", [2.0, 3.5])
+    def test_only_overflowing_columns_are_rescaled(self, r):
+        rng = np.random.default_rng(8)
+        norms = np.abs(rng.standard_normal((500, 6)))
+        huge = norms.copy()
+        huge[:, [1, 4]] *= 1e200
+        out = analysis._lr_norms(huge, r)
+        plain = analysis._lr_norms(norms, r)
+        assert out[[0, 2, 3, 5]].tolist() == plain[[0, 2, 3, 5]].tolist()
+        assert np.all(np.isfinite(out))
+        assert out[[1, 4]] == pytest.approx(1e200 * plain[[1, 4]], rel=1e-13)
+
+    def test_overflowing_statistics_are_finite(self):
+        from randstep.sampler import Ensemble
+
+        rng = np.random.default_rng(4)
+        norms = np.abs(rng.standard_normal((200, 9)))
+        stats = error_statistics(Ensemble(build_grid(1.0, 8), 1e200 * norms), 2.0, "psi2")
+        small = error_statistics(Ensemble(build_grid(1.0, 8), norms.copy()), 2.0, "psi2")
+        assert stats.max_of_norm == pytest.approx(1e200 * small.max_of_norm, rel=1e-13)
+        assert stats.norm_of_max == pytest.approx(1e200 * small.norm_of_max, rel=1e-13)
+        assert stats.psi2_norm_of_max == pytest.approx(1e200 * small.psi2_norm_of_max, rel=1e-5)
+
+
 class TestOrliczNorm:
     def test_constant_sample_closed_form(self):
         # solves exp(c^2/k^2) = 2  =>  k = c / sqrt(ln 2)
@@ -82,13 +129,15 @@ class TestOrliczNorm:
         with pytest.raises(ValueError, match="must be finite"):
             orlicz_norm_estimate(np.array([1.0, 2.0, bad]), young)
 
-    def test_no_crossing_raises(self):
-        # a single spike in a sea of zeros pushes the power-R norm below
-        # the lower bracket edge
+    def test_power_young_needs_no_bracket(self):
+        # a single spike in a sea of zeros puts the power-R norm below the
+        # psi2 bisection's lower bracket edge; for Psi(z) = z^R the Orlicz
+        # norm is the L^R norm, returned without a bisection
         sample = np.zeros(100_000)
         sample[0] = 1.0
-        with pytest.raises(EstimationError):
-            orlicz_norm_estimate(sample, 2.0)
+        est = orlicz_norm_estimate(sample, 2.0)
+        assert est == lr_norm_estimate(sample, 2.0)
+        assert est == pytest.approx(1.0 / math.sqrt(100_000), rel=1e-15)
 
 
 class TestFitRate:
@@ -271,7 +320,7 @@ class TestErrorStatistics:
 
     @pytest.mark.parametrize("block_columns", [1, 3, None], ids=["1col", "3col", "1MB"])
     @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (333, 65), (1001, 513), (4000, 257)])
-    def test_blocked_step_means_equal_one_pass(self, monkeypatch, shape, block_columns):
+    def test_blocked_lr_norms_equal_one_pass(self, monkeypatch, shape, block_columns):
         # M = 7, 333 and 1001 are not multiples of 8; the 1 MB default
         # splits (1001, 513) into blocks of 130 columns and a remainder
         m = shape[0]
@@ -279,8 +328,8 @@ class TestErrorStatistics:
             monkeypatch.setattr(analysis, "_STEP_BLOCK_BYTES", 8 * m * block_columns)
         norms = np.abs(np.random.default_rng(m).standard_normal(shape))
         for r in (1.0, 2.0, 3.5):
-            one_pass = np.mean(np.power(norms.T, r, order="C"), axis=1)
-            assert np.array_equal(analysis._step_means(norms, r), one_pass)
+            one_pass = [mean ** (1.0 / r) for mean in np.mean(np.power(norms.T, r, order="C"), axis=1)]
+            assert np.array_equal(analysis._lr_norms(norms, r), one_pass)
 
     def test_statistics_hold_no_full_size_temporary(self):
         # not a timing gate: numpy reports its buffers to tracemalloc.  The

@@ -219,6 +219,28 @@ class TestConverge:
         assert "config error in [grid_family]" in err
         assert "three distinct step counts" in err
 
+    def test_repeated_step_count_exits_one_before_any_ensemble(self, tmp_path, capsys,
+                                                                monkeypatch):
+        from randstep import sampler
+
+        def no_converge(*args, **kwargs):
+            raise AssertionError("an ensemble ran")
+
+        monkeypatch.setattr(sampler, "_converge", no_converge)
+        bad = CONVERGE_CONFIG.replace("n_values = 4, 8, 16, 32", "n_values = 4, 8, 16, 16")
+        assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error in [grid_family]" in err and "each once" in err
+
+    @pytest.mark.parametrize("r_list", ["2, inf", "nan", "-inf", "2, 0.5"])
+    def test_non_finite_or_small_r_exits_one(self, tmp_path, capsys, r_list):
+        # x^inf is 0 or inf and its 1/inf-th root is 1: every grid would
+        # report an L^inf norm of 1
+        bad = CONVERGE_CONFIG.replace("r = 2", f"r = {r_list}")
+        assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error in [analysis]" in err and "finite" in err
+
     def test_schema_key_aliases(self, tmp_path):
         # T / J / method are accepted alongside horizon / dimension / kind,
         # and explicit eigenvalue lists work
@@ -261,6 +283,24 @@ seed = 0
         cfg = CONVERGE_CONFIG.replace("forcing = none", "forcing = 1, 0, 0; 0, 1, 0")
         assert main(["converge", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 1
         assert "problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dimension, rows", [(2, [[1.0, 0.0, 0.0], [0.0, 5.0, 0.0]]),
+                                                 (4, None)])
+    def test_spaced_per_mode_forcing(self, tmp_path, capsys, dimension, rows):
+        # " ;" starts an inline comment; a line whose parts all read as
+        # numbers is still rows, which must match the dimension
+        text = (CONVERGE_CONFIG.replace("dimension = 4", f"dimension = {dimension}")
+                .replace("forcing = none", "forcing = 1.0, 0.0, 0.0 ; 0.0, 5.0, 0.0"))
+        cfg = _write(tmp_path, text)
+        if rows is None:
+            assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 1
+            assert "config error in [problem]" in capsys.readouterr().err
+        else:
+            assert load_config(cfg).problem.forcing.tolist() == rows
+
+    def test_forcing_comment_after_semicolon(self, tmp_path):
+        text = CONVERGE_CONFIG.replace("forcing = none", "forcing = 1, 0, 0 ; every mode alike")
+        assert load_config(_write(tmp_path, text)).problem.forcing.tolist() == [[1.0, 0.0, 0.0]] * 4
 
     def test_r_list_reports_extra_orders(self, tmp_path):
         cfg = CONVERGE_CONFIG.replace("r = 2", "r = 2, 3")
@@ -393,21 +433,31 @@ seed = 0
         assert pools == [1]
 
 
+    @staticmethod
+    def _small_ens_wide(*changes) -> str:
+        """perfbench's ens-wide config at M = 20 on n = 4, 8, 16, with the
+        further (old, new) line changes."""
+        workload = Path(__file__).resolve().parents[1] / "perfbench/workloads/ens-wide.ini"
+        text = workload.read_text()
+        for old, new in [("m = 1000", "m = 20"),
+                         ("n_values = 64, 128, 256, 512", "n_values = 4, 8, 16"), *changes]:
+            assert text.count(old) == 1
+            text = text.replace(old, new)
+        return text
+
     @pytest.mark.parametrize(
         "young, quantity",
-        [("psi2", "noise amplitude draws"), ("none", "error norms at h = 0.25")],
+        [("psi2", "noise amplitude draws"), ("none", "error norms at h = 4")],
     )
     def test_overflowing_run_exits_two_and_writes_nothing(self, tmp_path, capsys, young,
                                                            quantity):
-        # c_xi = 1e200 overflows the squared sums behind every norm; the
-        # first estimator to see an inf refuses it, naming what it held
-        workload = Path(__file__).resolve().parents[1] / "perfbench/workloads/ens-wide.ini"
-        text = workload.read_text()
-        for old, new in [("c_xi = 1.0", "c_xi = 1e200"), ("m = 1000", "m = 20"),
-                         ("n_values = 64, 128, 256, 512", "n_values = 4, 8, 16"),
-                         ("young = psi2", f"young = {young}")]:
-            assert text.count(old) == 1
-            text = text.replace(old, new)
+        # c_xi = 1e308 puts some of the amplitude draws c_xi sqrt(gamma_j) Y_j
+        # and, on steps of up to h = 4, every noise scale c_xi h^(p + 1)
+        # beyond the largest double; the first estimator to see an inf
+        # refuses it, naming what it held
+        text = self._small_ens_wide(("c_xi = 1.0", "c_xi = 1e308"),
+                                    ("horizon = 1.0", "horizon = 16.0"),
+                                    ("young = psi2", f"young = {young}"))
         out = tmp_path / "out"
         with np.errstate(over="ignore"):
             code = main(["converge", "--config", _write(tmp_path, text), "--out", str(out)])
@@ -415,6 +465,21 @@ seed = 0
         assert list(out.iterdir()) == []
         err = capsys.readouterr().err
         assert "run failed" in err and quantity in err and "must be finite" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_huge_finite_noise_gives_finite_report(self, tmp_path, workers):
+        # c_xi = 1e200: the squared sums behind the error norms and the
+        # squares behind their L^2 norms overflow, but every number the
+        # report holds is a finite double, and the run gives it
+        text = self._small_ens_wide(("c_xi = 1.0", "c_xi = 1e200"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", _write(tmp_path, text), "--workers", workers,
+                     "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        for entry in report["series"]:
+            for key in ("err_l2_maxnorm", "err_l2_normmax", "err_psi2"):
+                assert 1e190 < entry[key] < 1e200
+        assert report["noise_amplitude"] == pytest.approx(1.4e200, rel=0.1)
 
 
 class TestConvergeReportSchema:
@@ -658,8 +723,9 @@ def test_converge_loads_no_numpy_ma(tmp_path):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_overflowing_noise_fails_with_one_stderr_line(tmp_path, workers):
-    # the amplitude draws overflow; only the finiteness check speaks
-    cfg = _write(tmp_path, CONVERGE_CONFIG.replace("c_xi = 0.5", "c_xi = 1e200"))
+    # some amplitude draws c_xi sqrt(gamma_j) Y_j exceed the largest
+    # double; only the finiteness check speaks
+    cfg = _write(tmp_path, CONVERGE_CONFIG.replace("c_xi = 0.5", "c_xi = 1e308"))
     result = subprocess.run(
         [sys.executable, "-m", "randstep.cli", "converge", "--config", str(cfg),
          "--workers", workers, "--out", str(tmp_path / "out")],

@@ -391,7 +391,10 @@ class TestFlowTableAgainstQuadrature:
         low = min(a0, a0 + a1)
         if low < 0.0:
             # growing modes: keep exp(lam int |alpha|) well inside float range
-            lam *= min(1.0, 40.0 / (lam[-1] * max(abs(a0), abs(a0 + a1))))
+            # (compared, not divided: 40 / top overflows for a subnormal alpha)
+            top = lam[-1] * max(abs(a0), abs(a0 + a1))
+            if top > 40.0:
+                lam *= 40.0 / top
         forcing = rng.uniform(-1.0, 1.0, (dim, 3))
         problem = Problem(SpaceDescriptor(lam), (a0, a1), forcing, 1.0)
         grid = build_grid(1.0, n, grading)

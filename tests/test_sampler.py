@@ -164,6 +164,43 @@ class TestEnsemble:
         assert np.array_equal(one.error_h_norms(), two.error_h_norms())
         assert two.error_h_norms().shape == (9, 8)
 
+    def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch):
+        # the fork context starts every worker at once; B = 16 makes three
+        # tasks of M = 40, so five requested workers start three
+        import concurrent.futures
+        from concurrent.futures import ProcessPoolExecutor
+
+        started = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers, *args, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers, *args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * 4 * 16**2)
+        args = (heat_1d(4), implicit_euler(), centred_gaussian(4), build_grid(1.0, 6),
+                np.ones(4), 40, 5)
+        pooled = run_ensemble(*args, workers=5)
+        assert started == [3]
+        assert np.array_equal(pooled.error_h_norms(), run_ensemble(*args).error_h_norms())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_huge_deviations_give_finite_rows(self, monkeypatch, workers):
+        # deviations of about 1e200: their squared sums overflow, their
+        # norms do not; each row is still the run_randomised row, and
+        # 1e200 times the rows at c_xi = 1 (theta = 0 makes r linear in c_xi)
+        j = 5
+        grid = build_grid(1.0, 9, 1.5)
+        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * j * 4**2)  # groups of B = 4
+        args = (heat_1d(j), implicit_euler(), centred_gaussian(j, c_xi=1e200), grid,
+                np.zeros(j), 10, 3)
+        norms = run_ensemble(*args, workers=workers).error_h_norms()
+        assert np.all(np.isfinite(norms)) and norms[:, 1:].min() > 1e190
+        assert np.array_equal(norms, _randomised_norms(*args))
+        unit = _randomised_norms(*args[:2], centred_gaussian(j), *args[3:])
+        assert norms == pytest.approx(1e200 * unit, rel=1e-13)
+
     def test_zero_amplitude_trajectories_identical(self):
         problem = heat_1d(2)
         grid = build_grid(1.0, 5)

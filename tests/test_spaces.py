@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from randstep import SpaceDescriptor, laplacian_1d, norm
+from randstep.spaces import _h_norm
 
 
 class TestSpaceDescriptor:
@@ -85,3 +86,43 @@ class TestNorm:
         lhs = abs(float(x @ y))
         rhs = norm(x, space, "h") * norm(y, space, "h")
         assert lhs <= rhs * (1 + 1e-12)
+
+
+class TestHNorm:
+    """The one H-norm reduction: the plain sum of squares, and rescaled
+    rows where that overflows."""
+
+    @pytest.mark.parametrize("shape", [(20_000, 128), (362, 8), (128, 64), (5,), (3, 4, 7)])
+    def test_equals_old_expressions_on_finite_data(self, shape):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-100, 100, shape[:-1] + (1,))
+        plain = np.sqrt(np.sum(x * x, axis=-1))
+        assert np.array_equal(_h_norm(x), plain)
+        assert np.array_equal(_h_norm(x), np.linalg.norm(x, axis=-1))
+        if x.ndim == 2:  # strided rows, out and work as the ensemble pass uses them
+            wide = np.empty((shape[0], shape[1] + 3))
+            wide[:, 1:-2] = x
+            out = np.empty((shape[0], 3))
+            work = np.empty(shape)
+            _h_norm(wide[:, 1:-2], out[:, 1], work)
+            assert np.array_equal(out[:, 1], plain)
+
+    def test_only_overflowing_rows_are_rescaled(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((50, 16))
+        x[::3] *= 1e200  # rows of about 4e200, squared sums beyond the largest double
+        x[1] = [np.inf] + [0.0] * 15
+        x[2, 5] = np.nan
+        out = _h_norm(x)
+        with np.errstate(over="ignore"):
+            plain = np.sqrt(np.sum(x * x, axis=-1))
+        kept = np.ones(50, bool)
+        kept[::3] = False
+        assert np.array_equal(out[kept], plain[kept], equal_nan=True)
+        assert out[1] == np.inf and np.isnan(out[2])
+        assert np.array_equal(plain[::3], np.full(17, np.inf))
+        assert out[::3] == pytest.approx(1e200 * _h_norm(x[::3] / 1e200), rel=1e-14)
+
+    def test_overflowing_vector_through_norm(self):
+        space = SpaceDescriptor(np.array([1.0, 1.0]))
+        assert norm(np.array([3e200, 4e200]), space, "h") == pytest.approx(5e200, rel=1e-15)
