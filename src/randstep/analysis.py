@@ -13,10 +13,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .sampler import Ensemble
+if TYPE_CHECKING:
+    from .sampler import Ensemble
 
 __all__ = [
     "EstimationError",

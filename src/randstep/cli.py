@@ -85,7 +85,7 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         run = runs.pop(0)
         if cfg.noise is None:
             worst = float(run.error_h_norms().max())
-            st = analysis.ErrorStatistics(grid.mesh, 1, 2.0, worst, worst, None)
+            st = analysis.ErrorStatistics(grid.mesh, 1, cfg.r, worst, worst, None)
         else:
             st = analysis.error_statistics(run, cfg.r, cfg.young)
         # the bounds share the largest constants C and L over all grids

@@ -49,7 +49,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import integrators
 from .bayes import DiagonalGaussianModel
 from .grids import TimeGrid, build_grid
 from .integrators import MethodConfig
@@ -195,8 +194,6 @@ def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
                 "n_values must list at least three distinct step counts, each once (a "
                 f"rate fit needs three distinct meshes), got {n_values}"
             )
-        if gamma < 1.0:
-            raise ValueError(f"grading exponent must be >= 1, got {gamma}")
         return tuple(build_grid(horizon, n, gamma) for n in n_values)
 
 
@@ -204,18 +201,15 @@ def _parse_method(parser) -> MethodConfig:
     sec = _section(parser, "method")
     with _reading("method"):
         kind = sec.get("kind", sec.get("method", "")).strip()
-        h_star = sec.getfloat("h_star", math.inf)
-        declared = sec.getfloat("declared_order", fallback=None)
+        if kind not in ("explicit_euler", "two_stage", "implicit_euler"):
+            raise ValueError(f"unknown method kind {kind!r}")
+        coeffs = []
         if kind == "two_stage":
             coeffs = _floats(sec.get("coefficients", "0.5, 0.5, 1.0, 1.0"))
             if len(coeffs) != 4:
                 raise ValueError("two_stage needs four coefficients a1, a2, b1, b2")
-            return integrators.two_stage(*coeffs, h_star=h_star)
-        if kind == "explicit_euler":
-            return integrators.explicit_euler(h_star)
-        if kind == "implicit_euler":
-            return integrators.implicit_euler(h_star, declared)
-        raise ValueError(f"unknown method kind {kind!r}")
+        return MethodConfig(kind, *coeffs, h_star=sec.getfloat("h_star", math.inf),
+                            declared_order=sec.getfloat("declared_order", fallback=None))
 
 
 def _parse_noise(parser, dimension: int | None = None) -> NoiseModel | None:

@@ -75,8 +75,8 @@ class MethodConfig:
             raise ValueError(f"unknown method kind {self.kind!r}, expected one of {_KINDS}")
         if not self.h_star > 0.0:
             raise ValueError(f"h_star must be positive, got {self.h_star}")
-        if self.kind == TWO_STAGE and min(self.a1, self.a2, self.b1, self.b2) < 0.0:
-            raise ValueError("two-stage coefficients must be non-negative")
+        if self.kind == TWO_STAGE:
+            validate_two_stage(self.a1, self.a2, self.b1, self.b2)
 
     @property
     def order(self) -> float:
@@ -94,9 +94,7 @@ def explicit_euler(h_star: float = math.inf) -> MethodConfig:
 
 
 def two_stage(a1: float, a2: float, b1: float, b2: float, h_star: float = math.inf) -> MethodConfig:
-    method = MethodConfig(TWO_STAGE, a1=a1, a2=a2, b1=b1, b2=b2, h_star=h_star)
-    validate_two_stage(a1, a2, b1, b2)
-    return method
+    return MethodConfig(TWO_STAGE, a1=a1, a2=a2, b1=b1, b2=b2, h_star=h_star)
 
 
 def implicit_euler(h_star: float = math.inf, declared_order: float | None = None) -> MethodConfig:

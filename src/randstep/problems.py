@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import SpaceDescriptor, laplacian_1d
+from .spaces import SpaceDescriptor, _check_dimension, laplacian_1d
 
 __all__ = [
     "Problem",
@@ -174,18 +174,13 @@ def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]
 def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarray:
     """Exact solution operator: advance state x at time t by duration h.
 
-    One row of `flow_table`.  Accepts stacked states of shape (..., J).
+    One row of `flow_table`, which checks the step.  Accepts stacked
+    states of shape (..., J).
     """
-    if h < 0.0:
-        raise ValueError(f"negative step {h}")
-    if not (0.0 <= t <= problem.horizon + 1e-12):
-        raise ValueError(f"time {t} outside [0, {problem.horizon}]")
-    if t + h > problem.horizon + 1e-12:
-        raise ValueError(f"step leaves the time interval: {t} + {h} > {problem.horizon}")
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != problem.space.dimension:
-        raise ValueError("state dimension does not match the problem space")
+    x = _check_dimension(x, problem.space.dimension)
     if h == 0.0:
+        if not 0.0 <= t <= problem.horizon + 1e-12:
+            raise ValueError(f"time {t} outside [0, {problem.horizon}]")
         return x.copy()
     decay, response = flow_table(problem, np.array([h]), np.array([t]))
     return decay[0] * x + response[0]
@@ -198,36 +193,35 @@ def _forcing_response(problem: Problem, t: np.ndarray, t1: np.ndarray) -> np.nda
     With g(s) = beta s + gamma s^2, beta = lam a0 and gamma = lam a1 / 2
     per mode, the integral is int_t^t1 exp(g(s) - g(t1)) b(s) ds, which
     `_series_response` sums to the order `_series_order` gives each entry.
-    An entry whose order exceeds _ORDER_CAP is split into ceil(sqrt|mu|)
-    equal substeps, so |mu| <= 1 on each; a substep's response is carried
-    to t1 by the exact decay exp(g(hi) - g(t1)) and the pieces are summed.
-    There is one `_series_response` call per order that occurs.
+    Every entry is a list of equal pieces of its step: one, the whole
+    step, if its order is within _ORDER_CAP, else ceil(sqrt|mu|), so
+    |mu| <= 1 on each.  A piece's response is carried to t1 by the exact
+    decay exp(g(hi) - g(t1)) and the pieces are summed.  There is one
+    `_series_response` call per order that occurs.
     """
     lam = problem.space.eigenvalues
     a0, a1 = problem.alpha
     beta, gamma = lam * a0, 0.5 * lam * a1
+    h = t1 - t
     order = _series_order(beta, gamma, t[:, None], t1[:, None]).ravel()
-    # work items: the response over [lo[i], hi[i]] of entry[i] = k J + j,
-    # step k and mode j, carried to the end of step k
-    entry = np.flatnonzero(order <= _ORDER_CAP)
+    pieces = np.ones(order.size, dtype=int)
+    split = np.flatnonzero(order > _ORDER_CAP)
+    k, j = np.divmod(split, lam.size)
+    pieces[split] = np.ceil(np.sqrt(np.abs(gamma[j]) * h[k] ** 2))
+    # work items: piece [lo[i], hi[i]] of entry[i] = k J + j, step k and
+    # mode j, carried to the end of step k
+    entry = np.repeat(np.arange(order.size), pieces)
     step = entry // lam.size
-    lo, hi = t[step], t1[step]
-    whole = np.flatnonzero(order > _ORDER_CAP)
-    order, carry = order[entry], np.ones(0)
-    if whole.size:
-        h = t1 - t
-        k, j = np.divmod(whole, lam.size)
-        pieces = np.ceil(np.sqrt(np.abs(gamma[j]) * h[k] ** 2)).astype(int)
-        sub = np.repeat(whole, pieces)
-        k, j = np.divmod(sub, lam.size)
-        count = np.repeat(pieces, pieces)
-        index = np.arange(sub.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-        # both ends of the whole step are kept exact
-        sub_lo = t[k] + h[k] * (index / count)
-        sub_hi = t1[k] - h[k] * ((count - 1 - index) / count)
-        order = np.concatenate([order, _series_order(beta[j], gamma[j], sub_lo, sub_hi)])
-        entry, lo, hi = (np.concatenate(v) for v in ((entry, sub), (lo, sub_lo), (hi, sub_hi)))
-        carry = np.exp((sub_hi - t1[k]) * (beta[j] + gamma[j] * (sub_hi + t1[k])))
+    lo, hi, order = t[step], t1[step], order[entry]
+    # only the pieces of split entries differ from their whole step
+    sub = np.flatnonzero(order > _ORDER_CAP)
+    k, j = np.divmod(entry[sub], lam.size)
+    count = pieces[entry[sub]]
+    index = sub - (np.cumsum(pieces) - pieces)[entry[sub]]
+    # both ends of the whole step are kept exact
+    lo[sub] = t[k] + h[k] * (index / count)
+    hi[sub] = t1[k] - h[k] * ((count - 1 - index) / count)
+    order[sub] = _series_order(beta[j], gamma[j], lo[sub], hi[sub])
     # group the items by order; the stable sort keeps each group in item order
     order = order.astype(np.uint8)
     by_order = np.argsort(order, kind="stable")
@@ -239,7 +233,7 @@ def _forcing_response(problem: Problem, t: np.ndarray, t1: np.ndarray) -> np.nda
         mode = entry[group] % lam.size
         value[group] = _series_response(*problem.forcing[mode].T, beta[mode], gamma[mode],
                                         lo[group], hi[group], int(n))
-    value[value.size - carry.size:] *= carry
+    value[sub] *= np.exp((hi[sub] - t1[k]) * (beta[j] + gamma[j] * (hi[sub] + t1[k])))
     return np.bincount(entry, value, minlength=t.size * lam.size).reshape(t.size, lam.size)
 
 

@@ -29,6 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import analysis
 from .spaces import _h_norm
 
 __all__ = [
@@ -222,33 +223,32 @@ def _l2_amplitude(model: NoiseModel) -> float:
 
 
 @lru_cache(maxsize=64)
-def psi2_amplitude(model: NoiseModel, samples: int = _PSI2_SAMPLES) -> float:
+def psi2_amplitude(model: NoiseModel) -> float:
     """Orlicz (exp(z^2) - 1) norm of |xi(1)|_H, estimated once and cached.
 
     Uses a fixed internal stream so the cached value is reproducible.  The
-    draws of sample_noise_matrix(model, stream, 1.0, samples) are made in
-    row blocks of at most _PSI2_BLOCK_BYTES and reduced to their norms
-    block by block; the shared-factor kind takes all its factors first, as
-    the one-shot draw does.
+    draws of sample_noise_matrix(model, stream, 1.0, _PSI2_SAMPLES) are
+    made in row blocks of at most _PSI2_BLOCK_BYTES and reduced to their
+    norms block by block; the shared-factor kind takes all its factors
+    first, as the one-shot draw does.
     """
-    from .analysis import _checked_samples, orlicz_norm_estimate
-
     if model.c_xi == 0.0 and model.kind != BIASED:
         return 0.0
     stream = np.random.default_rng(np.random.SeedSequence(_PSI2_SEED))
     factor = None
     if model.kind == SHARED_FACTOR:
-        factor = stream.standard_normal((samples, model.dimension))
+        factor = stream.standard_normal((_PSI2_SAMPLES, model.dimension))
     width = _step_normals(model)
     rows = max(1, _PSI2_BLOCK_BYTES // (8 * width))
-    norms = np.empty(samples)
-    for start in range(0, samples, rows):
-        stop = min(start + rows, samples)
+    norms = np.empty(_PSI2_SAMPLES)
+    for start in range(0, _PSI2_SAMPLES, rows):
+        stop = min(start + rows, _PSI2_SAMPLES)
         block = stream.standard_normal((stop - start, 1, width))
         draws = next(_noise_steps(model, block, np.ones(1),
                                   None if factor is None else factor[start:stop]))
         _h_norm(draws, norms[start:stop])
-    return orlicz_norm_estimate(_checked_samples(norms, what="noise amplitude draws"), "psi2")
+    return analysis.orlicz_norm_estimate(
+        analysis._checked_samples(norms, what="noise amplitude draws"), "psi2")
 
 
 def theoretical_noise_norm(model: NoiseModel, h: float, norm_kind: str = "l2") -> float:

@@ -11,7 +11,9 @@ three norms are realised spectrally:
 The default model operator is the Dirichlet Laplacian on (0, pi), whose
 eigenvalues are lam_j = j^2.
 
-Every H-norm in the package is the one reduction `_h_norm`.
+Every norm of a state vector in the package is the one reduction
+`_h_norm`: the V and V' norms are the H-norms of sqrt(lam) c and
+c / sqrt(lam), so all three share its overflow rule.
 """
 
 from __future__ import annotations
@@ -84,7 +86,7 @@ def _h_norm(x: np.ndarray, out: np.ndarray | None = None,
 
 
 def norm(x: np.ndarray, space: SpaceDescriptor, kind: str = "h") -> float | np.ndarray:
-    """Norm of a coefficient vector in H, V or V'.
+    """Norm of a coefficient vector in H, V or V', each through `_h_norm`.
 
     Accepts stacked inputs of shape (..., J) and reduces the last axis.
     """
@@ -92,9 +94,9 @@ def norm(x: np.ndarray, space: SpaceDescriptor, kind: str = "h") -> float | np.n
     if kind == "h":
         out = _h_norm(x)
     elif kind == "v":
-        out = np.sqrt(np.sum(space.eigenvalues * x * x, axis=-1))
+        out = _h_norm(np.sqrt(space.eigenvalues) * x)
     elif kind == "v_dual":
-        out = np.sqrt(np.sum(x * x / space.eigenvalues, axis=-1))
+        out = _h_norm(x / np.sqrt(space.eigenvalues))
     else:
         raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
     return float(out) if out.ndim == 0 else out

@@ -491,8 +491,8 @@ class TestConvergeReportSchema:
     NOISE_FREE = ("kind = centred_gaussian\np = 1.0\nc_xi = 0.5\ns = 1.0", "kind = none")
 
     @pytest.mark.parametrize(
-        "r_list, noisy", [("2", True), ("2, 3", True), ("2, 3", False)],
-        ids=["one-order", "extra-orders", "noise-free"],
+        "r_list, noisy", [("2", True), ("2, 3", True), ("2, 3", False), ("4, 6", False)],
+        ids=["one-order", "extra-orders", "noise-free", "noise-free-r4"],
     )
     def test_report_and_series_layout(self, tmp_path, r_list, noisy):
         text = CONVERGE_CONFIG.replace("r = 2", f"r = {r_list}")
@@ -518,7 +518,9 @@ class TestConvergeReportSchema:
                 assert (entry["samples"], entry["r"]) == (24, 2.0)
                 assert math.isfinite(entry["err_psi2"])
             else:
-                assert (entry["samples"], entry["r"], entry["err_psi2"]) == (1, 2.0, None)
+                # one deterministic value: every L^R norm is that value
+                r = float(r_list.split(",")[0])
+                assert (entry["samples"], entry["r"], entry["err_psi2"]) == (1, r, None)
         assert lines[0] == "h,err_l2_maxnorm,err_l2_normmax,err_psi2,bound"
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == len(series)
@@ -533,6 +535,15 @@ class TestConvergeReportSchema:
             fit.slope, fit.intercept, fit.r_squared
         )
         assert math.isfinite(report["slope"])
+
+    @pytest.mark.parametrize("kind", ["explicit_euler", "two_stage", "implicit_euler"])
+    def test_declared_order_sets_theory_slope_for_every_kind(self, tmp_path, kind):
+        text = (CONVERGE_CONFIG.replace(*self.NOISE_FREE)
+                .replace("n_values = 4, 8, 16, 32", "n_values = 16, 32, 64, 128")
+                .replace("kind = implicit_euler", f"kind = {kind}\ndeclared_order = 7"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["theory_slope"] == 7.0
 
 
 class TestBayes:

@@ -254,6 +254,11 @@ class TestMethodConfigValidation:
         with pytest.raises(ValueError):
             two_stage(-0.5, 1.5, 1.0, 1.0)
 
+    def test_inconsistent_two_stage_fails_when_built(self):
+        # the constructor checks as two_stage() does, before any .order
+        with pytest.raises(ValueError, match="inconsistent method"):
+            MethodConfig("two_stage", 0.3, 0.3, 1.0, 1.0)
+
 
 def _field(problem, t, v):
     """The right-hand side b(t) - lam alpha(t) v of the problem."""

@@ -89,13 +89,18 @@ class TestExactFlowExamples:
 
     def test_rejects_leaving_interval(self):
         problem = heat_1d(2, horizon=1.0)
-        with pytest.raises(ValueError):
-            exact_flow(problem, 0.5, 0.8, np.zeros(2))
-        with pytest.raises(ValueError):
-            exact_flow(problem, -0.1, 0.2, np.zeros(2))
+        # a nonzero step fails as it fails in flow_table
+        for h, t in ((0.5, 0.8), (-0.1, 0.2), (-1e-9, 0.0), (0.3, -0.1), (0.2, 1.5)):
+            with pytest.raises(ValueError, match=r"is empty or leaves \[0, 1.0\]"):
+                exact_flow(problem, h, t, np.zeros(2))
         for t in (-0.1, 1.5):
             with pytest.raises(ValueError, match=rf"time {t} outside \[0, 1.0\]"):
                 exact_flow(problem, 0.0, t, np.zeros(2))
+
+    @pytest.mark.parametrize("h", [0.0, 0.1])
+    def test_rejects_state_of_wrong_dimension(self, h):
+        with pytest.raises(ValueError, match="coefficient length 3 does not match space dimension 2"):
+            exact_flow(heat_1d(2), h, 0.2, np.zeros(3))
 
 
 class TestProblemValidation:

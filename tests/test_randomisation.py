@@ -213,11 +213,12 @@ class TestOrliczBound:
                            bias_coefficient=0.6, rho=0.3)
         samples = 3001
         # about 700 rows a block: five blocks, the last one short
+        monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", samples)
         monkeypatch.setattr(randomisation, "_PSI2_BLOCK_BYTES", 8 * 5 * 700)
         stream = np.random.default_rng(np.random.SeedSequence(randomisation._PSI2_SEED))
         one_shot = np.linalg.norm(sample_noise_matrix(model, stream, 1.0, samples), axis=1)
         expected = orlicz_norm_estimate(one_shot, "psi2")
-        assert psi2_amplitude.__wrapped__(model, samples) == expected
+        assert psi2_amplitude.__wrapped__(model) == expected
 
     def test_degenerate_amplitude(self):
         model = centred_gaussian(3, c_xi=0.0)

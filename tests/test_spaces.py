@@ -126,3 +126,13 @@ class TestHNorm:
     def test_overflowing_vector_through_norm(self):
         space = SpaceDescriptor(np.array([1.0, 1.0]))
         assert norm(np.array([3e200, 4e200]), space, "h") == pytest.approx(5e200, rel=1e-15)
+
+    @pytest.mark.parametrize("kind, expected", [
+        ("h", math.hypot(1e200, 1.0)),
+        ("v", math.hypot(1e200, 2.0)),
+        ("v_dual", math.hypot(1e200, 0.5)),
+    ], ids=["h", "v", "v_dual"])
+    def test_large_entry_has_finite_norm_of_every_kind(self, kind, expected):
+        # one overflow rule for all three norms: no inf, and no overflow
+        # warning (which the test settings turn into an error)
+        assert norm(np.array([1e200, 1.0]), laplacian_1d(2), kind) == pytest.approx(expected, rel=1e-15)
