@@ -40,6 +40,7 @@ BOUND_SETTINGS = ("banach", "gelfand_orlicz", "gelfand_l2_centred")
 # Byte budget of one block of _lr_norms' powers, whose whole (K, M)
 # array would be as large as the samples.
 _STEP_BLOCK_BYTES = 2**20
+_ORLICZ_REL_TOL = 1e-6
 
 
 class EstimationError(RuntimeError):
@@ -94,14 +95,14 @@ def _psi2_mean(samples: np.ndarray, k: float) -> float:
         return float(np.mean(np.expm1(z * z)))
 
 
-def orlicz_norm_estimate(samples: np.ndarray, young="psi2", rel_tol: float = 1e-6) -> float:
+def orlicz_norm_estimate(samples: np.ndarray, young="psi2") -> float:
     """Orlicz norm inf{k > 0 : mean(Psi(x / k)) <= 1}.
 
-    young is "psi2" for Psi(z) = exp(z^2) - 1, found by bisection: the
-    objective is strictly decreasing in k, and the bracket
-    [max(x)/50, 50 max(x)] must straddle the crossing.  A number R stands
-    for the power function Psi(z) = z^R, whose Orlicz norm is exactly the
-    L^R norm, so lr_norm_estimate(samples, R) is returned.
+    young is "psi2" for Psi(z) = exp(z^2) - 1, found by bisection to a
+    relative width _ORLICZ_REL_TOL (the objective decreases strictly in k,
+    and the bracket [max(x)/50, 50 max(x)] must straddle the crossing).  A
+    number R stands for Psi(z) = z^R, whose Orlicz norm is exactly the L^R
+    norm, so lr_norm_estimate(samples, R) is returned.
     """
     if young != "psi2":
         return lr_norm_estimate(samples, float(young))
@@ -114,7 +115,7 @@ def orlicz_norm_estimate(samples: np.ndarray, young="psi2", rel_tol: float = 1e-
         raise EstimationError("Orlicz objective already below 1 at the lower bracket")
     if _psi2_mean(samples, hi) > 1.0:
         raise EstimationError("Orlicz objective still above 1 at the upper bracket: heavy tail?")
-    while (hi - lo) > rel_tol * hi:
+    while (hi - lo) > _ORLICZ_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if _psi2_mean(samples, mid) > 1.0:
             lo = mid

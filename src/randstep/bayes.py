@@ -63,6 +63,8 @@ class DiagonalGaussianModel:
         for name, arr in arrays.items():
             if arr.size != j:
                 raise ValueError(f"{name} has length {arr.size}, expected {j}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr}")
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if np.any(arrays["eigenvalues"] <= 0.0):
@@ -70,6 +72,9 @@ class DiagonalGaussianModel:
         for name in ("prior_var", "obs_var", "rand_var"):
             if np.any(arrays[name] <= 0.0):
                 raise ValueError(f"{name} must be strictly positive")
+        for name in ("h", "p", "delta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.h > 0.0:
             raise ValueError("h must be positive")
         if self.p < 0.0:

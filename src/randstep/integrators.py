@@ -18,9 +18,10 @@ scope.
 
 On these linear mode-diagonal problems every step is a per-mode affine
 map v -> a_k * v + c_k; `step_table` builds (a, c) for a whole grid and
-validates it once, `step` is one row of it, and `_factor` is the one
-per-kind formula for a.  A run's Lipschitz constant is read off its
-table (`sampler._lipschitz_constant`).
+validates it once, and `step` is one row of it.  Explicit Euler is the
+two-stage member (a1, a2, b1, b2) = (1, 0, 0, 0), so one formula gives
+the tables of both explicit kinds.  A run's Lipschitz constant is read
+off its table (`sampler._lipschitz_constant`).
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ TWO_STAGE = "two_stage"
 IMPLICIT_EULER = "implicit_euler"
 EXACT = "exact"
 _KINDS = (EXPLICIT_EULER, TWO_STAGE, IMPLICIT_EULER, EXACT)
+_TWO_STAGE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,8 @@ class MethodConfig:
             raise ValueError(f"unknown method kind {self.kind!r}, expected one of {_KINDS}")
         if not self.h_star > 0.0:
             raise ValueError(f"h_star must be positive, got {self.h_star}")
+        if self.declared_order is not None and not 0.0 <= self.declared_order < math.inf:
+            raise ValueError(f"declared_order must be finite and >= 0, got {self.declared_order}")
         if self.kind == TWO_STAGE:
             validate_two_stage(self.a1, self.a2, self.b1, self.b2)
 
@@ -106,14 +110,17 @@ def exact_method(h_star: float = math.inf) -> MethodConfig:
     return MethodConfig(EXACT, h_star=h_star)
 
 
-def validate_two_stage(a1: float, a2: float, b1: float, b2: float, tol: float = 1e-12) -> int:
+def validate_two_stage(a1: float, a2: float, b1: float, b2: float) -> int:
     """Order implied by the two-stage coefficients: 2 iff a1+a2 = 1 and
-    a2 b1 = a2 b2 = 1/2, else 1 for any consistent (a1+a2 = 1) choice."""
+    a2 b1 = a2 b2 = 1/2, else 1 for any consistent (a1+a2 = 1) choice,
+    each condition up to _TWO_STAGE_TOL."""
+    if not all(map(math.isfinite, (a1, a2, b1, b2))):
+        raise ValueError(f"coefficients must be finite, got {(a1, a2, b1, b2)}")
     if min(a1, a2, b1, b2) < 0.0:
         raise ValueError("coefficients must be non-negative")
-    if abs(a1 + a2 - 1.0) > tol:
+    if abs(a1 + a2 - 1.0) > _TWO_STAGE_TOL:
         raise ValueError(f"inconsistent method: a1 + a2 = {a1 + a2} != 1")
-    if abs(a2 * b1 - 0.5) <= tol and abs(a2 * b2 - 0.5) <= tol:
+    if abs(a2 * b1 - 0.5) <= _TWO_STAGE_TOL and abs(a2 * b2 - 0.5) <= _TWO_STAGE_TOL:
         return 2
     return 1
 
@@ -134,28 +141,13 @@ def steklov_average(problem: Problem, h, t) -> tuple[float, np.ndarray]:
     return alpha_bar, b0 + b1 * (t + 0.5 * h) + b2 * (t * t + t * h + h * h / 3.0)
 
 
-def _factor(method: MethodConfig, z0: np.ndarray, z1: np.ndarray) -> np.ndarray:
-    """Multiplier a of one step v -> a * v + c of an explicit Euler,
-    two-stage or implicit Euler method (the exact method's steps come from
-    `flow_table`) on a mode with z0 = h lam alpha at the step's start (for
-    implicit Euler its Steklov mean) and z1 = h lam alpha at the second
-    stage t + b1 h."""
-    if method.kind == EXPLICIT_EULER:
-        return 1.0 - z0
-    if method.kind == TWO_STAGE:
-        return 1.0 - method.a1 * z0 - method.a2 * z1 + method.a2 * method.b2 * z0 * z1
-    if np.any(1.0 + z0 <= 0.0):
-        raise ValueError("implicit solve singular: 1 + h lam alpha <= 0; reduce h below h*")
-    return 1.0 / (1.0 + z0)
-
-
 def step_table(method: MethodConfig, problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]:
     """The method's steps [t_k, t_k + h_k] as v -> a[k] * v + c[k], for h_k
     and t_k of shape (N,); a and c have shape (N, J).
 
-    Validates the whole grid once: steps in (0, h*] inside [0, T], a
-    non-singular implicit solve, and for the explicit kinds no mode
-    amplified (|a| > 1) where the exact flow contracts.
+    Validates the whole grid once: finite steps in (0, h*] inside [0, T],
+    a non-singular implicit solve, and for the explicit kinds no mode
+    amplified (|a| > 1, or NaN from an overflow) where the flow contracts.
     """
     steps, points = np.asarray(steps, dtype=float), np.asarray(points, dtype=float)
     _check_steps(problem, steps, points)
@@ -166,13 +158,18 @@ def step_table(method: MethodConfig, problem: Problem, steps, points) -> tuple[n
     h, lam = steps[:, None], problem.space.eigenvalues
     if method.kind == IMPLICIT_EULER:
         alpha_bar, b_bar = steklov_average(problem, steps, points)
-        a = _factor(method, h * lam * alpha_bar[:, None], None)
+        z = h * lam * alpha_bar[:, None]
+        if np.any(1.0 + z <= 0.0):
+            raise ValueError("implicit solve singular: 1 + h lam alpha <= 0; reduce h below h*")
+        a = 1.0 / (1.0 + z)
         return a, h * b_bar * a
-    mid = points + method.b1 * steps
+    a1, a2, b1, b2 = ((method.a1, method.a2, method.b1, method.b2) if method.kind == TWO_STAGE
+                      else (1.0, 0.0, 0.0, 0.0))
+    mid = points + b1 * steps
     z0 = h * lam * problem.alpha_at(points)[:, None]
     z1 = h * lam * problem.alpha_at(mid)[:, None]
-    a = _factor(method, z0, z1)
-    unstable = np.argwhere((np.abs(a) > 1.0) & (z0 > 0.0))
+    a = 1.0 - a1 * z0 - a2 * z1 + a2 * b2 * z0 * z1
+    unstable = np.argwhere(~(np.abs(a) <= 1.0) & (z0 > 0.0))
     if unstable.size:
         k, j = unstable[0]
         raise ValueError(
@@ -180,9 +177,7 @@ def step_table(method: MethodConfig, problem: Problem, steps, points) -> tuple[n
             f"{a[k, j]:.6g}, |factor| > 1 where the exact flow contracts; reduce the step"
         )
     b0 = problem.forcing_at(points)
-    if method.kind == EXPLICIT_EULER:
-        return a, h * b0
-    return a, h * (method.a1 * b0 + method.a2 * (problem.forcing_at(mid) - method.b2 * z1 * b0))
+    return a, h * (a1 * b0 + a2 * (problem.forcing_at(mid) - b2 * z1 * b0))
 
 
 def step(method: MethodConfig, problem: Problem, h: float, t: float, v: np.ndarray) -> np.ndarray:

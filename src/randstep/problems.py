@@ -146,13 +146,15 @@ def garding_constants(problem: Problem) -> tuple[float, float, float]:
 
 
 def _check_steps(problem: Problem, steps, points) -> None:
-    """Reject any step [t_k, t_k + h_k] that is empty or leaves [0, T]."""
+    """Reject any step [t_k, t_k + h_k] that is empty, leaves [0, T] or is
+    not finite (the negated test fails on NaN)."""
     steps, points = np.atleast_1d(steps), np.atleast_1d(points)
     ends = points + steps
-    bad = np.flatnonzero((steps <= 0.0) | (points < 0.0) | (ends > problem.horizon + 1e-12))
+    bad = np.flatnonzero(~((steps > 0.0) & (points >= 0.0) & (ends <= problem.horizon + 1e-12)))
     if bad.size:
         k = bad[0]
-        raise ValueError(f"step [{points[k]}, {ends[k]}] is empty or leaves [0, {problem.horizon}]")
+        fault = f"is empty or leaves [0, {problem.horizon}]" if np.isfinite(ends[k]) else "is not finite"
+        raise ValueError(f"step {k} [{points[k]}, {ends[k]}] {fault}")
 
 
 def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]:

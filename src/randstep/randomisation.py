@@ -122,8 +122,9 @@ def sample_path_matrix(
     steps of each row.
     """
     steps = np.asarray(steps, dtype=float)
-    if np.any(steps <= 0.0):
-        raise ValueError(f"step sizes must be positive, got {steps}")
+    bad = np.flatnonzero(~((steps > 0.0) & (steps < math.inf)))
+    if bad.size:
+        raise ValueError(f"step {bad[0]} has size {steps.flat[bad[0]]}, expected positive and finite")
     if m < 1:
         raise ValueError(f"need at least one trajectory, got m = {m}")
     factor = stream.standard_normal((m, model.dimension)) if model.kind == SHARED_FACTOR else None
@@ -162,8 +163,7 @@ def _noise_steps(model: NoiseModel, normals: np.ndarray, steps: np.ndarray,
             xi += shared
             xi *= scale[k]
         elif model.kind == BOUNDED_UNIFORM:
-            np.divide(normals[:, k, :j], np.linalg.norm(normals[:, k], axis=1, keepdims=True),
-                      out=xi)
+            np.divide(normals[:, k, :j], _h_norm(normals[:, k])[:, None], out=xi)
             xi *= scale[k]
         else:
             np.multiply(normals[:, k], scale[k], out=xi)
@@ -257,8 +257,8 @@ def theoretical_noise_norm(model: NoiseModel, h: float, norm_kind: str = "l2") -
     norm_kind "l2" uses the exact second-moment amplitude of the kind;
     "psi2" uses the cached Orlicz estimate of |xi(1)|_H.
     """
-    if h <= 0.0:
-        raise ValueError(f"step must be positive, got {h}")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step must be positive and finite, got {h}")
     if norm_kind == "l2":
         base = _l2_amplitude(model)
     elif norm_kind == "psi2":

@@ -157,8 +157,8 @@ def _check_state(problem: Problem, theta: np.ndarray) -> np.ndarray:
 
 def _prepare(problem, method, grid, theta, noise):
     """Validate a run's inputs and build its tables before any stream draw:
-    theta as floats, the deviation table (a, d), the exact states u and
-    the flow factors E (for path defects)."""
+    the deviation table (a, d), the exact states u and the flow factors E
+    (for path defects)."""
     theta = _check_state(problem, theta)
     if noise is not None and noise.dimension != problem.space.dimension:
         raise ValueError(
@@ -168,7 +168,7 @@ def _prepare(problem, method, grid, theta, noise):
     a, c = step_table(method, problem, grid.steps, grid.points[:-1])
     flow = flow_table(problem, grid.steps, grid.points[:-1])
     exact = _path(flow, theta)
-    return theta, (a, a * exact[:-1] + c - exact[1:]), exact, flow[0]
+    return (a, a * exact[:-1] + c - exact[1:]), exact, flow[0]
 
 
 def _advance(table, v: np.ndarray, start: int = 0, noise=None):
@@ -207,7 +207,7 @@ def _trajectory(prepared, grid: TimeGrid, init=None, path=None,
     """One trajectory from a run's `_prepare` build, its initial
     perturbation and noise path (None for none): states u + r, errors -r
     and, if recorded, the path defects |(E - a) r - d|_H."""
-    _, table, exact, flow_factors = prepared
+    table, exact, flow_factors = prepared
     r = _path(table, np.zeros(exact.shape[1]) if init is None else init, path)
     defects = None
     if record_defects:
@@ -336,7 +336,7 @@ def run_ensemble(
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    _, table, _, _ = _prepare(problem, method, grid, theta, noise)
+    table, _, _ = _prepare(problem, method, grid, theta, noise)
     return _ensembles(noise, [grid], [table], m, master_seed, workers, perturb_initial)[0]
 
 
@@ -351,7 +351,7 @@ def measure_truncation_constant(
     exact solution states, an empirical stand-in for the truncation
     constant of the method on this problem."""
     q = method.order if order is None else order
-    _, (_, defects), _, _ = _prepare(problem, method, grid, theta, None)
+    (_, defects), _, _ = _prepare(problem, method, grid, theta, None)
     return _truncation_constant(defects, grid.steps, q)
 
 
@@ -375,12 +375,12 @@ def _converge(problem, method, noise, grids, theta, m, master_seed, workers):
     constants, lipschitz, tables, runs = [], [], [], []
     for grid in grids:
         prepared = _prepare(problem, method, grid, theta, noise)
-        constants.append(_truncation_constant(prepared[1][1], grid.steps, method.order))
-        lipschitz.append(_lipschitz_constant(prepared[1][0], grid.steps))
+        constants.append(_truncation_constant(prepared[0][1], grid.steps, method.order))
+        lipschitz.append(_lipschitz_constant(prepared[0][0], grid.steps))
         if noise is None:
             runs.append(_trajectory(prepared, grid))
         else:
-            tables.append(prepared[1])
+            tables.append(prepared[0])
         del prepared  # the pass keeps only the (a, d) tables
     if noise is not None:
         runs = _ensembles(noise, grids, tables, m, master_seed, workers, False)

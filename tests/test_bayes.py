@@ -176,3 +176,14 @@ class TestModelValidation:
         model = single_mode_model(lam=2.0, h=0.25)
         assert model.forward_exact[0] == pytest.approx(math.exp(-0.5))
         assert model.forward_euler[0] == pytest.approx(1.0 / 1.5)
+
+    FIELDS = ("eigenvalues", "h", "p", "delta", "prior_mean", "prior_var", "obs_var",
+              "rand_var", "theta")
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, field, bad):
+        values = {name: getattr(single_mode_model(), name) for name in self.FIELDS}
+        values[field] = bad if np.ndim(values[field]) == 0 else np.array([bad])
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            DiagonalGaussianModel(**values)

@@ -628,9 +628,18 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
         ("bayes", BAYES_CONFIG + "noisy_data = true\nseed = 3\n", "seed = 3", "seed = -1",
          "bayes"),
         ("noise-check", NOISE_CONFIG, "dimension = 6", "dimension = abc", "noise"),
+        ("converge", CONVERGE_CONFIG, "kind = implicit_euler",
+         "kind = two_stage\ncoefficients = nan, 0.5, 1.0, 1.0", "method"),
+        ("converge", CONVERGE_CONFIG, "kind = implicit_euler",
+         "kind = implicit_euler\ndeclared_order = -1", "method"),
+        ("converge", CONVERGE_CONFIG, "kind = implicit_euler",
+         "kind = implicit_euler\ndeclared_order = nan", "method"),
+        ("bayes", BAYES_CONFIG, "p = 0.0", "p = nan", "bayes"),
+        ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0, inf", "bayes"),
     ],
     ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis", "output",
-         "bayes", "bayes-seed", "noise-check-dimension"],
+         "bayes", "bayes-seed", "noise-check-dimension", "method-nan-coefficient",
+         "method-negative-order", "method-nan-order", "bayes-nan-p", "bayes-inf-lambda"],
 )
 def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, text, old,
                                                 new, section):

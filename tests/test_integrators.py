@@ -29,6 +29,7 @@ from randstep import (
 from randstep import sampler
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
+EULER_MEMBER = (1.0, 0.0, 0.0, 0.0)
 
 
 class TestStepExamples:
@@ -116,6 +117,11 @@ class TestSteklovAverage:
         )
         _, b_bar = steklov_average(problem, 1.0, 0.0)
         assert b_bar[0] == pytest.approx(1.0 / 3.0)
+
+    @pytest.mark.parametrize("h, t", [(math.nan, 0.0), (0.1, math.nan), (math.inf, 0.0)])
+    def test_rejects_non_finite_steps(self, h, t):
+        with pytest.raises(ValueError, match=r"step 0 \[.*\] is not finite"):
+            steklov_average(heat_1d(2), h, t)
 
     def test_degenerate_interval(self):
         with pytest.raises(ValueError):
@@ -259,6 +265,21 @@ class TestMethodConfigValidation:
         with pytest.raises(ValueError, match="inconsistent method"):
             MethodConfig("two_stage", 0.3, 0.3, 1.0, 1.0)
 
+    @pytest.mark.parametrize("coefficients", [(math.nan, 0.5, 1.0, 1.0), (0.5, 0.5, math.inf, 1.0),
+                                              (0.5, 0.5, 1.0, -math.inf)])
+    def test_non_finite_two_stage_coefficients(self, coefficients):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            validate_two_stage(*coefficients)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            MethodConfig("two_stage", *coefficients)
+
+    @pytest.mark.parametrize("kind", ["explicit_euler", "two_stage", "implicit_euler"])
+    @pytest.mark.parametrize("order", [-1.0, -1e-300, math.nan, math.inf])
+    def test_declared_order_must_be_finite_and_non_negative(self, kind, order):
+        coefficients = HEUN if kind == "two_stage" else ()
+        with pytest.raises(ValueError, match="declared_order must be finite and >= 0"):
+            MethodConfig(kind, *coefficients, declared_order=order)
+
 
 def _field(problem, t, v):
     """The right-hand side b(t) - lam alpha(t) v of the problem."""
@@ -303,6 +324,10 @@ class TestStepTable:
         methods = (explicit_euler(), two_stage(*HEUN), two_stage(0.3, 0.7, 0.2, 0.5),
                    implicit_euler(), exact_method())
         for grid in grids:
+            # explicit Euler is the two-stage member (1, 0, 0, 0), bit for bit
+            euler, member = (step_table(method, problem, grid.steps, grid.points[:-1])
+                             for method in (explicit_euler(), two_stage(*EULER_MEMBER)))
+            assert all(np.array_equal(x, y) for x, y in zip(euler, member))
             for method in methods:
                 a, c = step_table(method, problem, grid.steps, grid.points[:-1])
                 assert a.shape == c.shape == (grid.num_steps, dim)
@@ -319,14 +344,33 @@ class TestStepTable:
         with pytest.raises(ValueError, match="leaves"):
             step_table(implicit_euler(), heat_1d(2), np.array([0.5, 0.6]), np.array([0.0, 0.5]))
 
+    @pytest.mark.parametrize("method", [explicit_euler(), two_stage(*HEUN), implicit_euler(),
+                                        exact_method()], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("h, t, end", [(math.nan, 0.0, "nan"), (0.1, math.nan, "nan"),
+                                           (math.inf, 0.0, "inf"), (0.1, math.inf, "inf")])
+    def test_rejects_non_finite_steps(self, method, h, t, end):
+        with pytest.raises(ValueError, match=rf"step 1 \[.*, {end}\] is not finite"):
+            step_table(method, heat_1d(2), [0.1, h], [0.0, t])
+
 
 class TestExplicitStability:
     def test_heat_explicit_euler_unstable_step_raises(self):
-        # h lam_j = j^2 / 8 first exceeds 2 on mode j = 5 (index 4)
-        with pytest.raises(ValueError, match=(
-            r"unstable explicit step 0: mode 4 has h lam alpha = 3\.125 and factor -2\.125"
-        )):
-            run_deterministic(heat_1d(64), explicit_euler(), build_grid(1.0, 8), np.ones(64))
+        # h lam_j = j^2 / 8 first exceeds 2 on mode j = 5 (index 4); the
+        # two-stage member (1, 0, 0, 0) is explicit Euler and fails alike
+        for method in (explicit_euler(), two_stage(*EULER_MEMBER)):
+            with pytest.raises(ValueError, match=(
+                r"unstable explicit step 0: mode 4 has h lam alpha = 3\.125 and factor -2\.125"
+            )):
+                run_deterministic(heat_1d(64), method, build_grid(1.0, 8), np.ones(64))
+
+    @pytest.mark.parametrize("method", [explicit_euler(), two_stage(*HEUN)],
+                             ids=["explicit_euler", "heun"])
+    def test_overflowed_factor_is_unstable(self, method):
+        # h lam alpha overflows to inf; Heun's factor is then -inf + inf = NaN
+        problem = Problem(SpaceDescriptor(np.array([1e300])), (1e10, 0.0), None, 1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="unstable explicit step 0: mode 0 has h lam alpha = inf"):
+                step_table(method, problem, [0.5], [0.0])
 
     @pytest.mark.parametrize("z,unstable", [(1.999, False), (2.0, False), (2.001, True)])
     def test_two_stage_stability_boundary(self, z, unstable):

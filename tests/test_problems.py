@@ -97,6 +97,19 @@ class TestExactFlowExamples:
             with pytest.raises(ValueError, match=rf"time {t} outside \[0, 1.0\]"):
                 exact_flow(problem, 0.0, t, np.zeros(2))
 
+    @pytest.mark.parametrize("h, t, end", [(math.nan, 0.0, "nan"), (0.1, math.nan, "nan"),
+                                           (math.inf, 0.0, "inf"), (0.1, -math.inf, "-inf")])
+    def test_rejects_non_finite_steps(self, h, t, end):
+        # every comparison with NaN is false, so the step check is negated
+        problem = heat_1d(2, forcing=np.ones((2, 3)))
+        with pytest.raises(ValueError, match=rf"step 0 \[.*, {end}\] is not finite"):
+            exact_flow(problem, h, t, np.zeros(2))
+        with pytest.raises(ValueError, match=rf"step 1 \[.*, {end}\] is not finite"):
+            flow_table(problem, [0.1, h], [0.0, t])
+        if h == 0.1:
+            with pytest.raises(ValueError, match=rf"time {t} outside \[0, 1.0\]"):
+                exact_flow(problem, 0.0, t, np.zeros(2))
+
     @pytest.mark.parametrize("h", [0.0, 0.1])
     def test_rejects_state_of_wrong_dimension(self, h):
         with pytest.raises(ValueError, match="coefficient length 3 does not match space dimension 2"):

@@ -64,6 +64,15 @@ class TestValidation:
         with pytest.raises(ValueError):
             sample_noise_matrix(centred_gaussian(2), _rng(), 0.0, 1)[0]
 
+    @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_rejects_non_positive_or_non_finite_step(self, h):
+        model = centred_gaussian(2)
+        with pytest.raises(ValueError, match=rf"step 1 has size {h}, expected positive and finite"):
+            sample_path_matrix(model, _rng(), [0.1, h], 1)
+        for norm_kind in ("l2", "psi2"):
+            with pytest.raises(ValueError, match=rf"step must be positive and finite, got {h}"):
+                theoretical_noise_norm(model, h, norm_kind)
+
 
 class TestSecondMoment:
     def test_centred_l2_matches_construction(self):
