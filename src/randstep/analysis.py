@@ -37,9 +37,6 @@ __all__ = [
 
 BOUND_SETTINGS = ("banach", "gelfand_orlicz", "gelfand_l2_centred")
 
-# Byte budget of one block of _lr_norms' powers, whose whole (K, M)
-# array would be as large as the samples.
-_STEP_BLOCK_BYTES = 2**20
 _ORLICZ_REL_TOL = 1e-6
 
 
@@ -55,21 +52,18 @@ def lr_norm_estimate(samples: np.ndarray, r: float) -> float:
 
 def _lr_norms(samples: np.ndarray, r: float) -> np.ndarray:
     """(mean_i x_ik^R)^(1/R) for every column k of the finite, non-negative
-    samples x, shape (M, K).  Powers go by blocks of transposed columns, so
-    each mean sums one contiguous row whatever the block; each root is a
-    scalar power (numpy's array power rounds differently).  Only columns
-    whose norm overflowed (above about 1.3e154 at R = 2) are recomputed,
-    as s mean((x / s)^R)^(1/R) with s their largest sample."""
-    cols = max(1, _STEP_BLOCK_BYTES // (8 * samples.shape[0]))
+    samples x, shape (M, K), one column at a time, so no temporary is
+    larger than a column; each root is a scalar power (numpy's array power
+    rounds differently).  A column whose norm overflowed (above about
+    1.3e154 at R = 2) is recomputed as s mean((x / s)^R)^(1/R) with s its
+    largest sample."""
+    norms = np.empty(samples.shape[1])
     with np.errstate(over="ignore"):
-        means = np.concatenate([
-            np.mean(np.power(samples[:, k:k + cols].T, r, order="C"), axis=1)
-            for k in range(0, samples.shape[1], cols)
-        ])
-    norms = np.array([m ** (1.0 / r) for m in means.tolist()])
-    for k in np.flatnonzero(np.isinf(norms)):
-        s = samples[:, k].max()
-        norms[k] = s * np.mean(np.power(samples[:, k] / s, r)) ** (1.0 / r)
+        for k, x in enumerate(samples.T):
+            norms[k] = float(np.mean(np.power(x, r))) ** (1.0 / r)
+            if math.isinf(norms[k]):
+                s = x.max()
+                norms[k] = s * np.mean(np.power(x / s, r)) ** (1.0 / r)
     return norms
 
 

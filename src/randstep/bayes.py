@@ -138,6 +138,21 @@ def biased_limit(model: DiagonalGaussianModel) -> np.ndarray:
     return model.forward_exact / model.forward_euler * model.theta
 
 
+def _check_delta_grid(delta_grid) -> np.ndarray:
+    """delta_grid as a float array, checked non-empty, finite, non-negative
+    and strictly decreasing."""
+    delta_grid = np.asarray(delta_grid, dtype=float)
+    if delta_grid.size == 0:
+        raise ValueError("empty delta grid")
+    if not np.all(np.isfinite(delta_grid)):
+        raise ValueError(f"delta values must be finite, got {delta_grid}")
+    if np.any(delta_grid < 0.0):
+        raise ValueError("delta values must be >= 0")
+    if np.any(np.diff(delta_grid) >= 0.0):
+        raise ValueError("delta grid must be strictly decreasing")
+    return delta_grid
+
+
 def small_noise_sweep(
     model: DiagonalGaussianModel,
     delta_grid: np.ndarray,
@@ -151,13 +166,7 @@ def small_noise_sweep(
     to theta, of the discretised mean to its biased limit, and the
     smallest randomised posterior variance.
     """
-    delta_grid = np.asarray(delta_grid, dtype=float)
-    if delta_grid.size == 0:
-        raise ValueError("empty delta grid")
-    if np.any(delta_grid < 0.0):
-        raise ValueError("delta values must be >= 0")
-    if np.any(np.diff(delta_grid) >= 0.0):
-        raise ValueError("delta grid must be strictly decreasing")
+    delta_grid = _check_delta_grid(delta_grid)
     if noise_draw is None:
         noise_draw = np.zeros(model.eigenvalues.size)
     noise_draw = np.atleast_1d(np.asarray(noise_draw, dtype=float))

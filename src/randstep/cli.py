@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, bayes, randomisation, sampler
 from .analysis import EstimationError
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, _order_key, load_config
 from .randomisation import CENTRED_GAUSSIAN
 from .spaces import _h_norm
 
@@ -98,8 +98,8 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         entry = dict(zip(CONVERGE_COLUMNS, rows[-1][:-1]), samples=st.sample_size, r=st.r)
         if cfg.noise is not None and cfg.extra_r:
             more = [analysis.error_statistics(run, r, None) for r in cfg.extra_r]
-            entry["extra_lr"] = {f"{m.r:g}": {"maxnorm": m.max_of_norm, "normmax": m.norm_of_max}
-                                 for m in more}
+            entry["extra_lr"] = {_order_key(m.r): {"maxnorm": m.max_of_norm,
+                                                   "normmax": m.norm_of_max} for m in more}
         del run  # free its norms before the next grid's statistics
         series.append(entry)
     fit = analysis.fit_rate([(entry["h"], entry["err_l2_normmax"]) for entry in series])

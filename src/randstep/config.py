@@ -49,12 +49,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import DiagonalGaussianModel
+from .bayes import DiagonalGaussianModel, _check_delta_grid
 from .grids import TimeGrid, build_grid
 from .integrators import MethodConfig
 from .problems import Problem
 from .randomisation import NoiseModel
-from .spaces import SpaceDescriptor, laplacian_1d
+from .spaces import SpaceDescriptor, _check_state, laplacian_1d
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
@@ -95,6 +95,11 @@ def _floats(raw: str) -> list[float]:
 
 def _ints(raw: str) -> list[int]:
     return [int(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _order_key(r: float) -> str:
+    """The report's extra_lr key of an extra order r."""
+    return f"{r:g}"
 
 
 def _section(parser: configparser.ConfigParser, name: str,
@@ -180,7 +185,8 @@ def _parse_problem(parser, uncut) -> tuple[Problem, np.ndarray]:
                 raise ValueError("forcing takes three polynomial coefficients per mode")
             forcing = np.tile(coeffs, (space.dimension, 1))
         problem = Problem(space, tuple(alpha_coeffs), forcing, horizon)
-        theta = _parse_theta(sec.get("theta", "ones"), space.dimension)
+        theta = _check_state(_parse_theta(sec.get("theta", "ones"), space.dimension),
+                             space.dimension)
     return problem, theta
 
 
@@ -252,7 +258,7 @@ def _parse_bayes(parser) -> tuple[DiagonalGaussianModel, np.ndarray, bool, int]:
             vals = _floats(raw)
             return np.full(j, vals[0]) if len(vals) == 1 else np.array(vals)
 
-        delta_grid = np.array(_floats(sec.get("delta_grid", "1 0.1 0.01 0.001")))
+        delta_grid = _check_delta_grid(_floats(sec.get("delta_grid", "1 0.1 0.01 0.001")))
         model = DiagonalGaussianModel(
             lam,
             h=sec.getfloat("h", 0.1),
@@ -334,6 +340,9 @@ def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig
             raise ValueError(f"unsupported young function {young!r}")
         if not r_values or not all(1.0 <= r < math.inf for r in r_values):
             raise ValueError(f"every r must be >= 1 and finite, got {r_values}")
+        keys = [_order_key(r) for r in r_values[1:]]
+        if len(set(keys)) < len(keys):
+            raise ValueError(f"extra orders {r_values[1:]} repeat a report key, got keys {keys}")
     sec = _section(parser, "output", False)
     with _reading("output"):
         raw = sec.get("formats", "csv, json")

@@ -67,8 +67,8 @@ def build_grid(horizon: float, n: int, gamma: float = 1.0) -> TimeGrid:
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
-    if gamma < 1.0:
-        raise ValueError(f"grading exponent must be >= 1, got {gamma}")
+    if not 1.0 <= gamma < math.inf:
+        raise ValueError(f"grading exponent gamma must be >= 1 and finite, got {gamma}")
     k = np.arange(n + 1, dtype=float)
     points = horizon * (k / n) ** gamma
     points[-1] = horizon

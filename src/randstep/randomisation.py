@@ -23,6 +23,7 @@ demonstration only; no convergence statement attaches to it.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -50,10 +51,14 @@ _KINDS = (CENTRED_GAUSSIAN, BIASED, SHARED_FACTOR, BOUNDED_UNIFORM)
 
 _PSI2_SAMPLES = 100_000
 _PSI2_SEED = 20_220_457  # fixed internal stream for the cached Orlicz estimate
-# Byte budget of one row block of psi2_amplitude's draws.  The blocks
-# consume the stream in the one-shot order, so the block size changes no
-# computed float.
-_PSI2_BLOCK_BYTES = 4 * 2**20
+
+# Byte budget of one block of raw normals, the one memory rule for draws:
+# each row block of psi2_amplitude, and an ensemble's (B, S, W) chunk, B
+# and S both about sqrt(BLOCK_BYTES / (8 W)) with W = `_step_normals` and
+# S at most N, which also caps the B generators a group holds.  A pass
+# holds all grids' norms beside it, hence the small budget; no block shape
+# changes a computed float.
+BLOCK_BYTES = 4 * 2**20
 
 
 @lru_cache(maxsize=64)
@@ -139,6 +144,13 @@ def _step_normals(model: NoiseModel) -> int:
     return model.dimension + 2 if model.kind == BOUNDED_UNIFORM else model.dimension
 
 
+def _chunk_shape(model: NoiseModel, n: int, rows: int) -> tuple[int, int]:
+    """(B, S): trajectories per group and steps per chunk of a pass over
+    rows trajectories and n steps, from BLOCK_BYTES alone; see its comment."""
+    side = max(1, math.isqrt(BLOCK_BYTES // (8 * _step_normals(model))))
+    return min(rows, side), min(n, side)
+
+
 def _noise_steps(model: NoiseModel, normals: np.ndarray, steps: np.ndarray,
                  factor=None, out=None):
     """Yield the noise xi_k(h_k), shape (B, J), for each step of steps from
@@ -172,10 +184,10 @@ def _noise_steps(model: NoiseModel, normals: np.ndarray, steps: np.ndarray,
         yield xi
 
 
-def _family_noise(model: NoiseModel, streams: list, grid_steps: list, size: int):
-    """Yield (start, noises) for each chunk of S <= size steps of the
-    longest grid: noises[g] iterates grid g's noise, shape (B, J), for its
-    steps from start inside the chunk.  Each stream is consumed as
+def _family_noise(model: NoiseModel, streams: list, grid_steps: list):
+    """Yield (start, noises) for each chunk of S steps of the longest grid,
+    S from `_chunk_shape`: noises[g] iterates grid g's noise, shape (B, J),
+    for its steps from start inside the chunk.  Each stream is consumed as
     noise_path(model, stream, grid_steps[g]) consumes it, for every g:
     the shared factor, then the normals, drawn by chunks into one reused
     (B, S, `_step_normals`) buffer whose prefixes serve every grid.  The
@@ -183,12 +195,13 @@ def _family_noise(model: NoiseModel, streams: list, grid_steps: list, size: int)
     before taking the next.
     """
     rows, n = len(streams), max(steps.size for steps in grid_steps)
+    size = _chunk_shape(model, n, rows)[1]
     factor = None
     if model.kind == SHARED_FACTOR:
         factor = np.empty((rows, model.dimension))
         for row, stream in enumerate(streams):
             stream.standard_normal(out=factor[row])
-    buf = np.empty((rows, min(size, n), _step_normals(model)))
+    buf = np.empty((rows, size, _step_normals(model)))
     scratch = np.empty((rows, model.dimension))
     for start in range(0, n, size):
         chunk = buf[:, :min(size, n - start)]
@@ -228,25 +241,28 @@ def psi2_amplitude(model: NoiseModel) -> float:
 
     Uses a fixed internal stream so the cached value is reproducible.  The
     draws of sample_noise_matrix(model, stream, 1.0, _PSI2_SAMPLES) are
-    made in row blocks of at most _PSI2_BLOCK_BYTES and reduced to their
-    norms block by block; the shared-factor kind takes all its factors
-    first, as the one-shot draw does.
+    made in row blocks of at most BLOCK_BYTES and reduced to their norms
+    block by block.  The shared-factor kind's factors, which the stream
+    gives first, are drawn in the same blocks from a copy of it, past
+    which the stream is moved by drawing and discarding them.
     """
     if model.c_xi == 0.0 and model.kind != BIASED:
         return 0.0
     stream = np.random.default_rng(np.random.SeedSequence(_PSI2_SEED))
-    factor = None
-    if model.kind == SHARED_FACTOR:
-        factor = stream.standard_normal((_PSI2_SAMPLES, model.dimension))
     width = _step_normals(model)
-    rows = max(1, _PSI2_BLOCK_BYTES // (8 * width))
+    rows = max(1, BLOCK_BYTES // (8 * width))
+    starts = range(0, _PSI2_SAMPLES, rows)
+    factors = None
+    if model.kind == SHARED_FACTOR:
+        factors = copy.deepcopy(stream)
+        for start in starts:
+            stream.standard_normal((min(rows, _PSI2_SAMPLES - start), model.dimension))
     norms = np.empty(_PSI2_SAMPLES)
-    for start in range(0, _PSI2_SAMPLES, rows):
-        stop = min(start + rows, _PSI2_SAMPLES)
-        block = stream.standard_normal((stop - start, 1, width))
-        draws = next(_noise_steps(model, block, np.ones(1),
-                                  None if factor is None else factor[start:stop]))
-        _h_norm(draws, norms[start:stop])
+    for start in starts:
+        count = min(rows, _PSI2_SAMPLES - start)
+        block = stream.standard_normal((count, 1, width))
+        factor = None if factors is None else factors.standard_normal((count, model.dimension))
+        _h_norm(next(_noise_steps(model, block, np.ones(1), factor)), norms[start:start + count])
     return analysis.orlicz_norm_estimate(
         analysis._checked_samples(norms, what="noise amplitude draws"), "psi2")
 

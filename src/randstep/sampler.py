@@ -39,15 +39,15 @@ Every |.|_H here is the one reduction `spaces._h_norm`.
 Memory model: the strong-error statistics need only |e_k|_H = |r_k|_H
 per trajectory and step, so a study's ensembles run step-major in one
 pass over its grids.  Every grid seeds trajectory i from one stream, and
-every noise kind draws a fixed number W of normals per step (J, or J + 2
-for the bounded kind), so a grid's raw normals are a prefix of the
-longest grid's.  The pass takes the trajectories in groups of B, with
-one generator per trajectory and one rolling (B, J) deviation per grid.
-It draws the longest grid's next S steps once into one reused (B, S, W)
-raw chunk of at most BLOCK_BYTES; each grid shapes its prefix step by
-step into one (B, J) scratch, advances its deviation and writes its
-norms into the group's rows of its (M, N_g + 1) norms.  A study
-holds all grids' norms, their (a, d) tables and one chunk.  With
+every noise kind draws a fixed number of normals per step, so a grid's
+raw normals are a prefix of the longest grid's.  The pass takes the
+trajectories in groups of B, with one generator per trajectory and one
+rolling (B, J) deviation per grid.  It draws the longest grid's next S
+steps once into one reused raw chunk of at most
+`randomisation.BLOCK_BYTES`, which alone sets B and S; each grid shapes
+its prefix step by step into one (B, J) scratch, advances its deviation
+and writes its norms into the group's rows of its (M, N_g + 1) norms.  A
+study holds all grids' norms, their (a, d) tables and one chunk.  With
 several workers, all groups of a study run as tasks in one pool of
 forked workers, which write their rows straight into norms in anonymous
 shared mappings made before the fork.  Neither B, S nor the task order
@@ -56,7 +56,6 @@ changes a computed float.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -65,8 +64,8 @@ import numpy as np
 from .grids import TimeGrid
 from .integrators import MethodConfig, step_table
 from .problems import Problem, flow_table
-from .randomisation import NoiseModel, _family_noise, _step_normals, noise_path
-from .spaces import _check_dimension, _h_norm
+from .randomisation import NoiseModel, _chunk_shape, _family_noise, noise_path
+from .spaces import _check_state, _h_norm
 
 __all__ = [
     "Trajectory",
@@ -126,7 +125,7 @@ class Ensemble:
 
 def exact_states(problem: Problem, grid: TimeGrid, theta: np.ndarray) -> np.ndarray:
     """u(t_k) along the grid from the exact-flow table, shape (N + 1, J)."""
-    theta = _check_state(problem, theta)
+    theta = _check_state(theta, problem.space.dimension)
     return _path(flow_table(problem, grid.steps, grid.points[:-1]), theta)
 
 
@@ -135,31 +134,11 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
-# Byte budget of one step chunk, the (B, S, W) float64 raw normals of a
-# group of B trajectories over S steps of the longest grid, W normals per
-# step.  B and S are both about sqrt(BLOCK_BYTES / (8 W)), S at most N.
-# This caps both the chunk and the B generators a group holds.  A pass
-# holds all grids' norms beside it, hence the small budget; the chunk
-# shape changes no computed float.
-BLOCK_BYTES = 4 * 2**20
-
-
-def _check_state(problem: Problem, theta: np.ndarray) -> np.ndarray:
-    """theta as a finite float vector of the problem's dimension."""
-    theta = _check_dimension(theta, problem.space.dimension)
-    bad = np.flatnonzero(~np.isfinite(theta))
-    if bad.size:
-        raise ValueError(
-            f"initial state theta must be finite, entry {bad[0]} is {theta.flat[bad[0]]}"
-        )
-    return theta
-
-
 def _prepare(problem, method, grid, theta, noise):
     """Validate a run's inputs and build its tables before any stream draw:
     the deviation table (a, d), the exact states u and the flow factors E
     (for path defects)."""
-    theta = _check_state(problem, theta)
+    theta = _check_state(theta, problem.space.dimension)
     if noise is not None and noise.dimension != problem.space.dimension:
         raise ValueError(
             f"noise dimension {noise.dimension} does not match the problem "
@@ -243,29 +222,22 @@ def run_randomised(
     return _trajectory(prepared, grid, init, noise_path(noise, stream, grid.steps), record_defects)
 
 
-def _chunk_shape(noise: NoiseModel, n: int, rows: int) -> tuple[int, int]:
-    """(B, S): trajectories per group and steps per chunk, from
-    BLOCK_BYTES alone; see its comment."""
-    side = max(1, math.isqrt(BLOCK_BYTES // (8 * _step_normals(noise))))
-    return min(rows, side), min(n, side)
-
-
 def _run_group(study: tuple, rows: range) -> None:
     """Error norms |r_k|_H of the trajectories in rows into those rows of
-    every grid's norms, from one draw, S = size steps at a time, whose
-    prefixes serve every grid; study as `_ensembles` builds it."""
-    noise, master_seed, perturb_initial, size, grid_steps, tables, grid_norms = study
+    every grid's norms, from one draw, S steps at a time, whose prefixes
+    serve every grid; study as `_ensembles` builds it."""
+    noise, master_seed, perturb_initial, grid_steps, tables, grid_norms = study
     streams = [trajectory_stream(master_seed, i) for i in rows]
     norms = [out[rows.start:rows.stop] for out in grid_norms]
     r = [np.zeros((len(streams), noise.dimension)) for _ in tables]
     if perturb_initial:
-        for _, inits in _family_noise(noise, streams, [s[:1] for s in grid_steps], 1):
+        for _, inits in _family_noise(noise, streams, [s[:1] for s in grid_steps]):
             for v, init in zip(r, inits):
                 v[:] = next(init)
     work = np.empty_like(r[0])
     for v, out in zip(r, norms):
         _h_norm(v, out[:, 0], work)
-    for start, noises in _family_noise(noise, streams, grid_steps, size):
+    for start, noises in _family_noise(noise, streams, grid_steps):
         for table, v, out, xi in zip(tables, r, norms, noises):
             for k in _advance(table, v, start, xi):
                 _h_norm(v, out[:, k], work)
@@ -289,7 +261,7 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -
     """The ensembles of M trajectories on each grid from its deviation
     table, in one pass of tasks, each one group on all grids; see the
     memory model."""
-    rows, size = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)
+    rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
     tasks = [range(i, min(i + rows, m)) for i in range(0, m, rows)]
     pooled = workers > 1 and len(tasks) > 1
     sizes = [m * (grid.num_steps + 1) for grid in grids]
@@ -299,7 +271,7 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -
         norms = [np.frombuffer(mmap.mmap(-1, 8 * cells)).reshape(m, -1) for cells in sizes]
     else:
         norms = [np.empty(cells).reshape(m, -1) for cells in sizes]
-    study = (noise, master_seed, perturb_initial, size, [g.steps for g in grids], tables, norms)
+    study = (noise, master_seed, perturb_initial, [g.steps for g in grids], tables, norms)
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context

@@ -68,6 +68,17 @@ def _check_dimension(x: np.ndarray, dimension: int) -> np.ndarray:
     return x
 
 
+def _check_state(theta: np.ndarray, dimension: int) -> np.ndarray:
+    """theta as a finite float vector of the given dimension."""
+    theta = _check_dimension(theta, dimension)
+    bad = np.flatnonzero(~np.isfinite(theta))
+    if bad.size:
+        raise ValueError(
+            f"initial state theta must be finite, entry {bad[0]} is {theta.flat[bad[0]]}"
+        )
+    return theta
+
+
 def _h_norm(x: np.ndarray, out: np.ndarray | None = None,
             work: np.ndarray | None = None) -> np.ndarray:
     """|x|_H = sqrt(sum_j x_j^2) of every row of x (its last axis), into out

@@ -9,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randstep import fit_rate
+from randstep import fit_rate, single_mode_model, small_noise_sweep
 from randstep.cli import main
-from randstep.config import load_config
+from randstep.config import _floats, load_config
 
 CONVERGE_CONFIG = """
 [problem]
@@ -114,9 +114,9 @@ class TestConverge:
         # of B = 4 trajectories (every kind, the bounded one drawing J + 2
         # normals a step) make six tasks on all grids, which two workers
         # share
-        from randstep import sampler
+        from randstep import randomisation
 
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * (4 + 2) * 4**2)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (4 + 2) * 4**2)
         for family in ("4, 8, 16, 32\ngamma = 1.0", "16, 4, 32, 8\ngamma = 1.5"):
             text = CONVERGE_CONFIG.replace(
                 "kind = centred_gaussian",
@@ -302,6 +302,36 @@ seed = 0
         text = CONVERGE_CONFIG.replace("forcing = none", "forcing = 1, 0, 0 ; every mode alike")
         assert load_config(_write(tmp_path, text)).problem.forcing.tolist() == [[1.0, 0.0, 0.0]] * 4
 
+    def test_extra_orders_with_one_report_key_exit_one(self, tmp_path, capsys):
+        # 4 and 4.0000001 both print as "4": one estimate would be lost
+        bad = CONVERGE_CONFIG.replace("r = 2", "r = 2, 4, 4.0000001")
+        assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error in [analysis]" in err and "repeat a report key" in err
+        # the first order is reported apart from the extra ones
+        same = CONVERGE_CONFIG.replace("r = 2", "r = 2, 2")
+        assert load_config(_write(tmp_path, same)).extra_r == (2.0,)
+
+    def test_explicit_theta_list(self, tmp_path, capsys):
+        text = CONVERGE_CONFIG.replace("theta = power:-2", "theta = 1, 0.5, -0.25, 0.125")
+        assert load_config(_write(tmp_path, text)).theta.tolist() == [1.0, 0.5, -0.25, 0.125]
+        bad = CONVERGE_CONFIG.replace("theta = power:-2", "theta = 1, 0.5, 0.25")
+        assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error in [problem]" in err and "theta has 3 entries, expected 4" in err
+
+    def test_non_finite_theta_exits_one_naming_problem(self, tmp_path, capsys):
+        bad = CONVERGE_CONFIG.replace("theta = power:-2", "theta = 1, 2, inf, 4")
+        assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error in [problem]" in err and "theta must be finite, entry 2 is inf" in err
+
+    def test_nan_grading_exits_one_naming_gamma(self, tmp_path, capsys):
+        bad = CONVERGE_CONFIG.replace("gamma = 1.0", "gamma = nan")
+        assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error in [grid_family]" in err and "gamma" in err
+
     def test_r_list_reports_extra_orders(self, tmp_path):
         cfg = CONVERGE_CONFIG.replace("r = 2", "r = 2, 3")
         out = tmp_path / "out"
@@ -401,7 +431,7 @@ seed = 0
         import concurrent.futures
         from concurrent.futures import ProcessPoolExecutor
 
-        from randstep import sampler
+        from randstep import randomisation, sampler
 
         text = CONVERGE_CONFIG.replace("kind = centred_gaussian", f"kind = {kind}\nrho = 0.5")
         cfg = _write(tmp_path, text)
@@ -424,7 +454,7 @@ seed = 0
         # the pooled branch imports the executor when it runs
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
         monkeypatch.setattr(sampler, "run_ensemble", no_run_ensemble)
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * (4 + 2) * 4**2)  # B = 4: six groups
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (4 + 2) * 4**2)  # B = 4: six groups
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "w1")]) == 0
         assert sorted(streams) == list(range(24))
         assert pools == []
@@ -563,8 +593,36 @@ class TestBayes:
 
     def test_increasing_grid_rejected(self, tmp_path, capsys):
         bad = BAYES_CONFIG.replace("1.0, 0.1, 0.01, 0.0001, 0.0", "0.1, 1.0")
-        assert main(["bayes", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 2
-        assert "run failed" in capsys.readouterr().err
+        assert main(["bayes", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        assert "config error in [bayes]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [("1.0, nan", "delta values must be finite"), ("1.0, -0.5", "delta values must be >= 0"),
+         ("", "empty delta grid")],
+        ids=["nan", "negative", "empty"],
+    )
+    def test_bad_delta_grid_exits_one_with_the_sweep_message(self, tmp_path, capsys, grid,
+                                                             message):
+        bad = BAYES_CONFIG.replace("1.0, 0.1, 0.01, 0.0001, 0.0", grid)
+        assert main(["bayes", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error in [bayes]" in err and message in err
+        with pytest.raises(ValueError, match=message):
+            small_noise_sweep(single_mode_model(), _floats(grid))
+
+    def test_noisy_data_is_reproducible_per_seed(self, tmp_path):
+        def sweep(text, name):
+            out = tmp_path / name
+            assert main(["bayes", "--config", _write(tmp_path, text, f"{name}.cfg"),
+                         "--out", str(out)]) == 0
+            return (out / "series.csv").read_bytes()
+
+        noisy = BAYES_CONFIG + "noisy_data = true\nseed = 3\n"
+        first, again = sweep(noisy, "a"), sweep(noisy, "b")
+        assert first == again
+        assert first != sweep(BAYES_CONFIG, "noiseless")
+        assert first != sweep(noisy.replace("seed = 3", "seed = 4"), "other")
 
 
 class TestChecks:

@@ -38,6 +38,11 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(1.0, 4, 0.5)
 
+    @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+    def test_non_finite_grading_named(self, gamma):
+        with pytest.raises(ValueError, match=f"grading exponent gamma must be >= 1 and finite, got {gamma}"):
+            build_grid(1.0, 4, gamma)
+
     def test_endpoints(self):
         grid = build_grid(3.0, 13, 1.7)
         assert grid.points[0] == 0.0

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -223,11 +224,32 @@ class TestOrliczBound:
         samples = 3001
         # about 700 rows a block: five blocks, the last one short
         monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", samples)
-        monkeypatch.setattr(randomisation, "_PSI2_BLOCK_BYTES", 8 * 5 * 700)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * 5 * 700)
         stream = np.random.default_rng(np.random.SeedSequence(randomisation._PSI2_SEED))
         one_shot = np.linalg.norm(sample_noise_matrix(model, stream, 1.0, samples), axis=1)
         expected = orlicz_norm_estimate(one_shot, "psi2")
         assert psi2_amplitude.__wrapped__(model) == expected
+
+    @pytest.mark.parametrize("kind", ["centred_gaussian", "shared_factor", "bounded_uniform"])
+    def test_psi2_amplitude_memory_is_a_few_blocks(self, monkeypatch, kind):
+        # not a timing gate: numpy reports its buffers to tracemalloc.  At
+        # J = 512 all 20,000 shared factors at once would take 82 MB; the
+        # row blocks hold a block of normals, one of factors and their
+        # rho-weighted copy, a block-sized square inside the norm and the
+        # previous block while the next is drawn, beside the (samples,)
+        # norms in the 1 MB margin
+        from randstep import randomisation
+
+        monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", 20_000)
+        model = NoiseModel(512, p=1.0, kind=kind, rho=0.4)
+        psi2_amplitude.__wrapped__(NoiseModel(2, kind=kind, rho=0.4))  # imports outside the trace
+        tracemalloc.start()
+        try:
+            psi2_amplitude.__wrapped__(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * randomisation.BLOCK_BYTES + 2**20
 
     def test_degenerate_amplitude(self):
         model = centred_gaussian(3, c_xi=0.0)

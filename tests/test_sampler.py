@@ -29,7 +29,7 @@ from randstep import (
     trajectory_stream,
     two_stage,
 )
-from randstep import sampler
+from randstep import randomisation, sampler
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
 NOISE_KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
@@ -178,7 +178,7 @@ class TestEnsemble:
                 super().__init__(max_workers, *args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * 4 * 16**2)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * 4 * 16**2)
         args = (heat_1d(4), implicit_euler(), centred_gaussian(4), build_grid(1.0, 6),
                 np.ones(4), 40, 5)
         pooled = run_ensemble(*args, workers=5)
@@ -192,7 +192,7 @@ class TestEnsemble:
         # 1e200 times the rows at c_xi = 1 (theta = 0 makes r linear in c_xi)
         j = 5
         grid = build_grid(1.0, 9, 1.5)
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * j * 4**2)  # groups of B = 4
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * j * 4**2)  # groups of B = 4
         args = (heat_1d(j), implicit_euler(), centred_gaussian(j, c_xi=1e200), grid,
                 np.zeros(j), 10, 3)
         norms = run_ensemble(*args, workers=workers).error_h_norms()
@@ -234,9 +234,9 @@ class TestEnsemble:
         noise = centred_gaussian(5, p=1.0)
         args = (problem, implicit_euler(), noise, grid, np.ones(5), 7, 41)
         row_bytes = (grid.num_steps + 1) * 5 * 8
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", row_bytes)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", row_bytes)
         one_per_block = run_ensemble(*args)
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 7 * row_bytes)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 7 * row_bytes)
         single_block = run_ensemble(*args)
         assert np.array_equal(one_per_block.error_h_norms(), single_block.error_h_norms())
         assert np.array_equal(one_per_block.error_h_norms(), _randomised_norms(*args))
@@ -248,7 +248,7 @@ class TestEnsemble:
         grid = build_grid(1.0, 9, 1.5)
         args = (problem, implicit_euler(), centred_gaussian(4, p=0.5), grid,
                 np.linspace(1.0, 0.25, 4), 6, 17)
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", (grid.num_steps + 1) * 4 * 8)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", (grid.num_steps + 1) * 4 * 8)
         ensemble = run_ensemble(*args, workers=workers, perturb_initial=perturb_initial)
         reference = _randomised_norms(*args, perturb_initial=perturb_initial)
         assert np.array_equal(ensemble.error_h_norms(), reference)
@@ -283,8 +283,8 @@ class TestEnsemble:
         grid = build_grid(1.0, 9, 1.5)
         noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
         args = (problem, implicit_euler(), noise, grid, np.linspace(1.0, 0.25, j), m, 23)
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * (j + 2) * side**2)
-        assert sampler._chunk_shape(noise, grid.num_steps, m) == (min(side, m), min(side, 9))
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (j + 2) * side**2)
+        assert randomisation._chunk_shape(noise, grid.num_steps, m) == (min(side, m), min(side, 9))
         ensemble = run_ensemble(*args, workers=workers, perturb_initial=perturb_initial)
         reference = _randomised_norms(*args, perturb_initial=perturb_initial)
         assert np.array_equal(ensemble.error_h_norms(), reference)
@@ -317,7 +317,7 @@ class TestEnsemble:
             tracemalloc.stop()
         norms = sum(m * (n + 1) * 8 for n in n_values)
         assert current >= norms == sum(run.norms.nbytes for run in runs)
-        assert peak < norms + sampler.BLOCK_BYTES + 2**20
+        assert peak < norms + randomisation.BLOCK_BYTES + 2**20
 
     def test_rejects_noise_dimension_mismatch(self):
         problem = heat_1d(4)
@@ -376,8 +376,8 @@ class TestFamilyPass:
         noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
         theta = np.linspace(1.0, 0.25, j)
         grids = FAMILIES[family]
-        monkeypatch.setattr(sampler, "BLOCK_BYTES", 8 * (j + 2) * side**2)
-        assert sampler._chunk_shape(noise, 16, m) == (min(side, m), side)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (j + 2) * side**2)
+        assert randomisation._chunk_shape(noise, 16, m) == (min(side, m), side)
         constants, lipschitz, runs = sampler._converge(problem, method, noise, grids, theta,
                                                        m, 23, workers)
         assert len(constants) == len(lipschitz) == len(runs) == len(grids)
