@@ -23,7 +23,7 @@ import numpy as np
 from . import analysis, bayes, randomisation, sampler
 from .analysis import EstimationError
 from .config import ConfigError, ExperimentConfig, _order_key, load_config
-from .randomisation import CENTRED_GAUSSIAN
+from .randomisation import BOUNDED_UNIFORM, CENTRED_GAUSSIAN
 from .spaces import _h_norm
 
 __all__ = ["main"]
@@ -74,7 +74,8 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         noise_p = cfg.noise.p
         norm_kind = "psi2" if cfg.young == "psi2" else "l2"
         c_xi_amp = randomisation.theoretical_noise_norm(cfg.noise, 1.0, norm_kind)
-        gain = 0.5 if cfg.noise.kind == CENTRED_GAUSSIAN else 0.0  # centred noise: half an order
+        # mean-zero noise, independent across steps, gains half an order
+        gain = 0.5 if cfg.noise.kind in (CENTRED_GAUSSIAN, BOUNDED_UNIFORM) else 0.0
         theory_slope = min(method.order, noise_p + gain)
     # one build of each grid's tables; all ensembles come from one pass
     constants, lipschitz, runs = sampler._converge(problem, method, cfg.noise, cfg.grids,

@@ -21,8 +21,9 @@ z; an entry that no order up to _ORDER_CAP reaches is summed over equal
 substeps short enough that |mu| <= 1 on each.
 
 The scalar test problem u' = rate * u (any sign of rate) is included via
-`scalar_linear`; growth corresponds to a negative effective scaling and
-is admitted only for such classical one-dimensional instances.
+`scalar_linear`; growth corresponds to a negative effective scaling.
+`Problem`, and so a config, admits any alpha that does not vanish
+identically, growth included; only `heat_1d` requires alpha > 0 on [0, T].
 """
 
 from __future__ import annotations

@@ -11,11 +11,18 @@ to sum to one, so E|xi(h)|_H^2 = c_xi^2 h^(2p+2) holds exactly for the
 centred Gaussian kind.  Variants add a deterministic bias on one mode,
 correlate all steps of a trajectory through a shared Gaussian factor, or
 draw from a bounded (uniform-on-ball) law; all of them keep the
-h^(p+1) decay of the noise amplitude.  Every kind draws a fixed number
-of standard normals per step (after the shared-factor kind's factor):
-J, or J + 2 for the bounded kind, whose first J coordinates over their
-norm are uniform in the unit J-ball.  So a stream's draws for a grid are
-a prefix of its draws for any longer grid.
+h^(p+1) decay of the noise amplitude.
+
+Every kind's law is one split, xi_k(h_k) = U_k scale_k (+ offset_k on
+the biased kind's mode).  The unit draw U_k (`_unit`) takes no step
+size.  From the step's raw normals Y_k it is Y_k (J normals);
+sqrt(1 - rho^2) Y_k + rho F, with the shared factor F drawn first; or,
+for the bounded kind, Y_k[:J] / |Y_k| from J + 2 normals, uniform in the
+unit J-ball (Voelker, Gosmann and Stewart, 2017), so no radius is drawn.
+`_step_scales` gives scale_k = c_xi h_k^(p+1) sqrt(gamma), times sqrt(3)
+for the bounded kind, and offset_k = h_k^(p+1) b.  So a stream's draws
+for a grid are a prefix of its draws for any longer grid, and a family
+of grids shapes each raw step once.
 
 The exponent p = -1/2 (diffusion-like scaling) is accepted for
 demonstration only; no convergence statement attaches to it.
@@ -132,10 +139,13 @@ def sample_path_matrix(
         raise ValueError(f"step {bad[0]} has size {steps.flat[bad[0]]}, expected positive and finite")
     if m < 1:
         raise ValueError(f"need at least one trajectory, got m = {m}")
-    factor = stream.standard_normal((m, model.dimension)) if model.kind == SHARED_FACTOR else None
+    shared = (model.rho * stream.standard_normal((m, model.dimension))
+              if model.kind == SHARED_FACTOR else None)
     normals = stream.standard_normal((m, steps.size, _step_normals(model)))
-    for _ in _noise_steps(model, normals, steps, factor):
-        pass
+    scales = _step_scales(model, steps)
+    for k in range(steps.size):
+        xi = normals[:, k, :model.dimension]
+        _noise(model, _unit(model, normals[:, k], shared, xi), scales, k, xi)
     return normals[..., :model.dimension]
 
 
@@ -151,65 +161,53 @@ def _chunk_shape(model: NoiseModel, n: int, rows: int) -> tuple[int, int]:
     return min(rows, side), min(n, side)
 
 
-def _noise_steps(model: NoiseModel, normals: np.ndarray, steps: np.ndarray,
-                 factor=None, out=None):
-    """Yield the noise xi_k(h_k), shape (B, J), for each step of steps from
-    its raw (B, S, `_step_normals`) normals Y, shaped in place (into the
-    first J columns) or into out.  With scale_k = c_xi h_k^(p+1) sqrt(gamma):
-    Y_k scale_k (+ h_k^(p+1) b on the biased kind's mode);
-    (sqrt(1 - rho^2) Y_k + rho factor) scale_k for the shared-factor kind;
-    sqrt(3) (Y_k[:J] / |Y_k|) scale_k for the bounded kind.  The first J
-    coordinates of the uniform point Y_k / |Y_k| on the unit sphere of
-    R^(J+2) are uniform in the unit J-ball (Voelker, Gosmann and Stewart,
-    2017), so the bounded kind needs no radius draw."""
+def _unit(model: NoiseModel, normals: np.ndarray, shared, out) -> np.ndarray:
+    """The unit draw U_k, shape (B, J), from the step's raw normals, shape
+    (B, `_step_normals`), into out (the centred and biased kinds return
+    the normals); shared = rho F is the shared-factor kind's term."""
+    if model.kind == SHARED_FACTOR:
+        out = np.multiply(normals, math.sqrt(1.0 - model.rho**2), out=out)
+        return np.add(out, shared, out=out)
+    if model.kind == BOUNDED_UNIFORM:
+        return np.divide(normals[:, :model.dimension], _h_norm(normals)[:, None], out=out)
+    return normals
+
+
+def _step_scales(model: NoiseModel, steps: np.ndarray) -> tuple:
+    """The scales, shape (N, J), and offsets, shape (N,), of the steps."""
     scale = model.c_xi * steps[:, None] ** (model.p + 1.0) * np.sqrt(model.spectrum)
     if model.kind == BOUNDED_UNIFORM:
         scale *= math.sqrt(3.0)
-    bias = steps ** (model.p + 1.0) * model.bias_coefficient
-    shared = None if factor is None else model.rho * factor
-    j = model.dimension
-    for k in range(steps.size):
-        xi = normals[:, k, :j] if out is None else out
-        if model.kind == SHARED_FACTOR:
-            np.multiply(normals[:, k], math.sqrt(1.0 - model.rho**2), out=xi)
-            xi += shared
-            xi *= scale[k]
-        elif model.kind == BOUNDED_UNIFORM:
-            np.divide(normals[:, k, :j], _h_norm(normals[:, k])[:, None], out=xi)
-            xi *= scale[k]
-        else:
-            np.multiply(normals[:, k], scale[k], out=xi)
-            if model.kind == BIASED:
-                xi[:, model.bias_mode] += bias[k]
-        yield xi
+    return scale, steps ** (model.p + 1.0) * model.bias_coefficient
 
 
-def _family_noise(model: NoiseModel, streams: list, grid_steps: list):
-    """Yield (start, noises) for each chunk of S steps of the longest grid,
-    S from `_chunk_shape`: noises[g] iterates grid g's noise, shape (B, J),
-    for its steps from start inside the chunk.  Each stream is consumed as
-    noise_path(model, stream, grid_steps[g]) consumes it, for every g:
-    the shared factor, then the normals, drawn by chunks into one reused
-    (B, S, `_step_normals`) buffer whose prefixes serve every grid.  The
-    steps are shaped from it into one (B, J) scratch, so use each step
-    before taking the next.
+def _noise(model: NoiseModel, unit: np.ndarray, scales: tuple, k: int, out) -> np.ndarray:
+    """xi_k, shape (B, J), into out, from U_k and the `_step_scales` tables."""
+    scale, offset = scales
+    xi = np.multiply(unit, scale[k], out=out)
+    if model.kind == BIASED:
+        xi[:, model.bias_mode] += offset[k]
+    return xi
+
+
+def _family_noise(model: NoiseModel, streams: list, n: int):
+    """Yield the unit draws U_k, shape (B, J), of n raw steps, one row per
+    stream, each consumed as noise_path(model, stream, steps) consumes it
+    for any n steps: the shared factor, then the normals, drawn S steps
+    at a time (`_chunk_shape`) into one reused (B, S, `_step_normals`)
+    chunk.  A unit is a view of it or of one (B, J) scratch: use it first.
     """
-    rows, n = len(streams), max(steps.size for steps in grid_steps)
-    size = _chunk_shape(model, n, rows)[1]
-    factor = None
-    if model.kind == SHARED_FACTOR:
-        factor = np.empty((rows, model.dimension))
-        for row, stream in enumerate(streams):
-            stream.standard_normal(out=factor[row])
-    buf = np.empty((rows, size, _step_normals(model)))
-    scratch = np.empty((rows, model.dimension))
+    size = _chunk_shape(model, n, len(streams))[1]
+    shared = (model.rho * np.array([stream.standard_normal(model.dimension) for stream in streams])
+              if model.kind == SHARED_FACTOR else None)
+    buf = np.empty((len(streams), size, _step_normals(model)))
+    scratch = np.empty((len(streams), model.dimension))
     for start in range(0, n, size):
         chunk = buf[:, :min(size, n - start)]
         for row, stream in enumerate(streams):
             stream.standard_normal(out=chunk[row])
-        stop = start + chunk.shape[1]
-        yield start, [_noise_steps(model, chunk, steps[start:stop], factor, scratch)
-                      for steps in grid_steps]
+        for k in range(chunk.shape[1]):
+            yield _unit(model, chunk[:, k], shared, scratch)
 
 
 def noise_path(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray) -> np.ndarray:
@@ -249,20 +247,24 @@ def psi2_amplitude(model: NoiseModel) -> float:
     if model.c_xi == 0.0 and model.kind != BIASED:
         return 0.0
     stream = np.random.default_rng(np.random.SeedSequence(_PSI2_SEED))
-    width = _step_normals(model)
-    rows = max(1, BLOCK_BYTES // (8 * width))
-    starts = range(0, _PSI2_SAMPLES, rows)
-    factors = None
+    size = max(1, BLOCK_BYTES // (8 * _step_normals(model)))
+    counts = [min(size, _PSI2_SAMPLES - start) for start in range(0, _PSI2_SAMPLES, size)]
+    normals, work = np.empty((size, _step_normals(model))), np.empty((size, model.dimension))
+    factors = shared = None
     if model.kind == SHARED_FACTOR:
-        factors = copy.deepcopy(stream)
-        for start in starts:
-            stream.standard_normal((min(rows, _PSI2_SAMPLES - start), model.dimension))
-    norms = np.empty(_PSI2_SAMPLES)
-    for start in starts:
-        count = min(rows, _PSI2_SAMPLES - start)
-        block = stream.standard_normal((count, 1, width))
-        factor = None if factors is None else factors.standard_normal((count, model.dimension))
-        _h_norm(next(_noise_steps(model, block, np.ones(1), factor)), norms[start:start + count])
+        factors, shared = copy.deepcopy(stream), np.empty_like(work)
+        for count in counts:
+            stream.standard_normal(out=shared[:count])
+    scales, norms = _step_scales(model, np.ones(1)), np.empty(_PSI2_SAMPLES)
+    for start, count in zip(range(0, _PSI2_SAMPLES, size), counts):
+        y, term = stream.standard_normal(out=normals[:count]), None
+        if factors is not None:
+            term = factors.standard_normal(out=shared[:count])
+            term *= model.rho
+        xi = y[:, :model.dimension]
+        _noise(model, _unit(model, y, term, xi), scales, 0, xi)
+        _h_norm(xi, norms[start:start + count], work[:count])
+    del normals, work, shared  # the estimate needs only the norms
     return analysis.orlicz_norm_estimate(
         analysis._checked_samples(norms, what="noise amplitude draws"), "psi2")
 

@@ -38,16 +38,16 @@ Every |.|_H here is the one reduction `spaces._h_norm`.
 
 Memory model: the strong-error statistics need only |e_k|_H = |r_k|_H
 per trajectory and step, so a study's ensembles run step-major in one
-pass over its grids.  Every grid seeds trajectory i from one stream, and
-every noise kind draws a fixed number of normals per step, so a grid's
-raw normals are a prefix of the longest grid's.  The pass takes the
-trajectories in groups of B, with one generator per trajectory and one
-rolling (B, J) deviation per grid.  It draws the longest grid's next S
-steps once into one reused raw chunk of at most
-`randomisation.BLOCK_BYTES`, which alone sets B and S; each grid shapes
-its prefix step by step into one (B, J) scratch, advances its deviation
-and writes its norms into the group's rows of its (M, N_g + 1) norms.  A
-study holds all grids' norms, their (a, d) tables and one chunk.  With
+pass over its grids.  Every grid seeds trajectory i from one stream, so
+a grid's raw normals are a prefix of the longest grid's.  The pass takes
+the trajectories in groups of B, with one generator per trajectory and
+one rolling (B, J) deviation per grid.  It draws the longest grid's
+steps, S at a time, into one reused raw chunk of at most
+`randomisation.BLOCK_BYTES`, which alone sets B and S, and shapes each
+raw step's unit draw once.  Each grid that has the step scales the unit
+by its scale table into one (B, J) scratch, advances its deviation and
+writes the norm into the group's rows of its (M, N_g + 1) norms.  A study
+holds all grids' norms, their (a, d) and scale tables and one chunk.  With
 several workers, all groups of a study run as tasks in one pool of
 forked workers, which write their rows straight into norms in anonymous
 shared mappings made before the fork.  Neither B, S nor the task order
@@ -57,14 +57,14 @@ changes a computed float.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
 from .grids import TimeGrid
 from .integrators import MethodConfig, step_table
 from .problems import Problem, flow_table
-from .randomisation import NoiseModel, _chunk_shape, _family_noise, noise_path
+from .randomisation import (NoiseModel, _chunk_shape, _family_noise, _noise, _step_scales,
+                            noise_path)
 from .spaces import _check_state, _h_norm
 
 __all__ = [
@@ -150,34 +150,28 @@ def _prepare(problem, method, grid, theta, noise):
     return (a, a * exact[:-1] + c - exact[1:]), exact, flow[0]
 
 
-def _advance(table, v: np.ndarray, start: int = 0, noise=None):
-    """Step the rows of v, shape (B, J), in place by
-    v <- a[k] * v + b[k] (+ xi_k), with (a, b) = table, for k from start,
-    taking xi_k in turn from the iterable noise (arrays that broadcast
-    against v) until it runs out, or without noise to the end of the
-    table; yields k + 1 after each step.
+def _step(table, k: int, v: np.ndarray, xi=None) -> None:
+    """Step v in place by v <- a[k] * v + b[k] (+ xi), with (a, b) = table.
 
     The one recursion of the module.  All operations are elementwise per
-    row, so neither the rows stepped together nor the steps taken per
-    call change a computed float.
+    row of v, so neither the rows stepped together nor the order in which
+    grids take their steps changes a computed float.
     """
     a, b = table
-    for k, xi in zip(range(start, a.shape[0]), repeat(None) if noise is None else noise):
-        np.multiply(a[k], v, out=v)
-        v += b[k]
-        if xi is not None:
-            v += xi
-        yield k + 1
+    np.multiply(a[k], v, out=v)
+    v += b[k]
+    if xi is not None:
+        v += xi
 
 
 def _path(table, v0: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
-    """v_0..v_N of one run of `_advance` from v0, shape (N + 1, J), with
-    per-step noise of shape (N, J) or None."""
-    v = v0[None].copy()
+    """v_0..v_N of `_step` from v0, shape (N + 1, J), with per-step noise
+    of shape (N, J) or None."""
     out = np.empty((table[0].shape[0] + 1, v0.shape[0]))
     out[0] = v0
-    for k in _advance(table, v, 0, noise):
-        out[k] = v[0]
+    for k in range(table[0].shape[0]):
+        out[k + 1] = out[k]
+        _step(table, k, out[k + 1], None if noise is None else noise[k])
     return out
 
 
@@ -224,23 +218,25 @@ def run_randomised(
 
 def _run_group(study: tuple, rows: range) -> None:
     """Error norms |r_k|_H of the trajectories in rows into those rows of
-    every grid's norms, from one draw, S steps at a time, whose prefixes
-    serve every grid; study as `_ensembles` builds it."""
-    noise, master_seed, perturb_initial, grid_steps, tables, grid_norms = study
+    every grid's norms, from one unit draw per raw step that each grid
+    with that step scales; study as `_ensembles` builds it."""
+    noise, master_seed, perturb_initial, tables, scales, grid_norms = study
     streams = [trajectory_stream(master_seed, i) for i in rows]
-    norms = [out[rows.start:rows.stop] for out in grid_norms]
-    r = [np.zeros((len(streams), noise.dimension)) for _ in tables]
-    if perturb_initial:
-        for _, inits in _family_noise(noise, streams, [s[:1] for s in grid_steps]):
-            for v, init in zip(r, inits):
-                v[:] = next(init)
-    work = np.empty_like(r[0])
-    for v, out in zip(r, norms):
+    grids = [(table, scale, np.zeros((len(streams), noise.dimension)), out[rows.start:rows.stop])
+             for table, scale, out in zip(tables, scales, grid_norms)]
+    # xi_k until the step has added it, then the squares of the norm
+    work = np.empty((len(streams), noise.dimension))
+    init = next(_family_noise(noise, streams, 1)) if perturb_initial else None
+    for _, scale, v, out in grids:
+        if init is not None:
+            _noise(noise, init, scale, 0, v)
         _h_norm(v, out[:, 0], work)
-    for start, noises in _family_noise(noise, streams, grid_steps):
-        for table, v, out, xi in zip(tables, r, norms, noises):
-            for k in _advance(table, v, start, xi):
-                _h_norm(v, out[:, k], work)
+    n = max(table[0].shape[0] for table in tables)
+    for k, unit in enumerate(_family_noise(noise, streams, n)):
+        for table, scale, v, out in grids:
+            if k < table[0].shape[0]:
+                _step(table, k, v, _noise(noise, unit, scale, k, work))
+                _h_norm(v, out[:, k + 1], work)
 
 
 # The study a pool worker runs, set once in each worker by `_attach`.  The
@@ -271,7 +267,8 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -
         norms = [np.frombuffer(mmap.mmap(-1, 8 * cells)).reshape(m, -1) for cells in sizes]
     else:
         norms = [np.empty(cells).reshape(m, -1) for cells in sizes]
-    study = (noise, master_seed, perturb_initial, [g.steps for g in grids], tables, norms)
+    scales = [_step_scales(noise, grid.steps) for grid in grids]
+    study = (noise, master_seed, perturb_initial, tables, scales, norms)
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context

@@ -575,6 +575,22 @@ class TestConvergeReportSchema:
         assert main(["converge", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["theory_slope"] == 7.0
 
+    @pytest.mark.parametrize("kind, slope", [("centred_gaussian", 1.5), ("bounded_uniform", 1.5),
+                                             ("biased", 1.0), ("shared_factor", 1.0)])
+    def test_theory_slope_of_each_noise_kind(self, tmp_path, kind, slope):
+        # Heun (q = 2) with p = 1: min(q, p + 1/2) for noise that is mean-zero
+        # and independent across steps, min(q, p) for the biased and the
+        # shared-factor kind
+        heun = "kind = two_stage\ncoefficients = 0.5, 0.5, 1.0, 1.0"
+        noise = f"kind = {kind}\nbias_mode = 1\nbias_coefficient = 0.2\nrho = 0.5"
+        text = (CONVERGE_CONFIG.replace("kind = centred_gaussian", noise)
+                .replace("kind = implicit_euler", heun)
+                .replace("n_values = 4, 8, 16, 32", "n_values = 80, 160, 320")
+                .replace("m = 24", "m = 4"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        assert json.loads((out / "report.json").read_text())["theory_slope"] == slope
+
 
 class TestBayes:
     def test_sweep_artifacts(self, tmp_path):
@@ -635,6 +651,21 @@ class TestChecks:
         assert {row[0] for row in report["rows"]} == {"uniform", "special", "nonuniform"}
         assert all(row[2] <= 1.0 + 1e-12 for row in report["rows"])
 
+    def test_failed_gronwall_check_exits_two_and_still_writes_its_report(self, tmp_path,
+                                                                        monkeypatch, capsys):
+        from randstep import cli
+
+        rows = [("uniform", 1000, 0.5, True), ("special", 1000, 1.25, False)]
+        monkeypatch.setattr(cli, "_gronwall_trials", lambda rng, trials: rows)
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, GRONWALL_CONFIG)
+        assert main(["gronwall-check", "--config", cfg, "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["pass"] is False
+        assert report["rows"] == [list(row) for row in rows]
+        assert (out / "series.csv").exists()
+        assert "run failed: a realised recursion exceeded its bound" in capsys.readouterr().err
+
     def test_noise_check_passes(self, tmp_path):
         cfg = _write(tmp_path, NOISE_CONFIG)
         out = tmp_path / "out"
@@ -694,16 +725,33 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
          "kind = implicit_euler\ndeclared_order = nan", "method"),
         ("bayes", BAYES_CONFIG, "p = 0.0", "p = nan", "bayes"),
         ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0, inf", "bayes"),
+        ("converge", CONVERGE_CONFIG, "lambda_spec = laplacian_1d", "lambda_spec = bogus",
+         "problem"),
+        ("converge", CONVERGE_CONFIG, "alpha = 1.0", "alpha = 1.0, 0.5, 0.25", "problem"),
+        ("converge", CONVERGE_CONFIG, "forcing = none", "forcing = 1.0, 0.5", "problem"),
+        ("converge", CONVERGE_CONFIG, "kind = implicit_euler", "kind = bogus", "method"),
+        ("converge", CONVERGE_CONFIG, "kind = implicit_euler",
+         "kind = two_stage\ncoefficients = 0.5, 0.5, 1.0", "method"),
+        ("converge", CONVERGE_CONFIG, "p = 1.0", "p = -1", "noise"),
+        ("converge", CONVERGE_CONFIG, "young = psi2", "young = foo", "analysis"),
+        ("converge", CONVERGE_CONFIG, "[problem]", "stray = 1\n[problem]", "file"),
+        ("noise-check", NOISE_CONFIG, "kind = centred_gaussian", "kind = none", "noise"),
+        # a valid config with a bad option: the worker count is the ensemble's
+        ("converge --workers 0", CONVERGE_CONFIG, "m = 24", "m = 24", "ensemble"),
     ],
     ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis", "output",
          "bayes", "bayes-seed", "noise-check-dimension", "method-nan-coefficient",
-         "method-negative-order", "method-nan-order", "bayes-nan-p", "bayes-inf-lambda"],
+         "method-negative-order", "method-nan-order", "bayes-nan-p", "bayes-inf-lambda",
+         "problem-unknown-lambda-spec", "problem-three-alpha", "problem-two-forcing",
+         "method-unknown-kind", "method-three-coefficients", "noise-negative-p",
+         "analysis-unknown-young", "line-before-first-section", "noise-check-kind-none",
+         "workers-zero"],
 )
 def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, text, old,
                                                 new, section):
     assert text.count(old) == 1
     bad = _write(tmp_path, text.replace(old, new))
-    assert main([subcommand, "--config", bad, "--out", str(tmp_path / "out")]) == 1
+    assert main([*subcommand.split(), "--config", bad, "--out", str(tmp_path / "out")]) == 1
     assert f"config error in [{section}]" in capsys.readouterr().err
 
 

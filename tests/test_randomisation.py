@@ -234,9 +234,8 @@ class TestOrliczBound:
     def test_psi2_amplitude_memory_is_a_few_blocks(self, monkeypatch, kind):
         # not a timing gate: numpy reports its buffers to tracemalloc.  At
         # J = 512 all 20,000 shared factors at once would take 82 MB; the
-        # row blocks hold a block of normals, one of factors and their
-        # rho-weighted copy, a block-sized square inside the norm and the
-        # previous block while the next is drawn, beside the (samples,)
+        # row blocks reuse one block each of normals, of rho-weighted
+        # factors and of squares inside the norm, beside the (samples,)
         # norms in the 1 MB margin
         from randstep import randomisation
 

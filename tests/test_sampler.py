@@ -295,10 +295,11 @@ class TestEnsemble:
         # convergence study's pass holds all three grids' (M, N_g + 1) norms
         # and one (B, S, W) raw chunk of at most BLOCK_BYTES, W = J normals
         # a step (J + 2 for the bounded kind).  The 1 MB margin covers each
-        # grid's (a, d) tables (229 KB in all here), a chunk's (S, J) step
-        # scales (32 KB), one group's generators (B = 128, about 0.9 KB
-        # each) and its (B, J) deviations (32 KB per grid).  A second
-        # chunk-sized buffer, such as shaping a grid's prefix out of place,
+        # grid's (a, d) tables (229 KB in all here), each grid's (N_g, J)
+        # scale table (115 KB in all), one group's generators (B = 128,
+        # about 0.9 KB each), its (B, J) deviations (32 KB per grid) and
+        # two (B, J) scratch arrays, for the unit draws and xi_k.  A second
+        # chunk-sized buffer, such as shaping the raw chunk out of place,
         # would need twice BLOCK_BYTES; so would a chunk-sized temporary of
         # the bounded kind's per-step norms.  With one worker the norms are
         # ordinary arrays, which tracemalloc sees.
