@@ -12,7 +12,6 @@ names the failing section), 2 runtime or estimation failure.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -23,7 +22,7 @@ import numpy as np
 from . import analysis, bayes, randomisation, sampler
 from .analysis import EstimationError
 from .config import ConfigError, ExperimentConfig, _order_key, load_config
-from .randomisation import BOUNDED_UNIFORM, CENTRED_GAUSSIAN
+from .randomisation import BOUNDED_UNIFORM, CENTRED_GAUSSIAN, SHARED_FACTOR
 from .spaces import _h_norm
 
 __all__ = ["main"]
@@ -230,13 +229,12 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
     pair = randomisation.sample_path_matrix(noise, rng, np.array([0.25, 0.25]), m)
     first, second = pair[:, 0, 0], pair[:, 1, 0]
+    # draws with no spread (zero amplitude) have no correlation to check
     if first.std() > 0 and second.std() > 0:
         corr = float(np.corrcoef(first, second)[0, 1])
-    else:
-        corr = 0.0
-    expected = noise.rho**2 if noise.kind == "shared_factor" else 0.0
-    corr_ok = abs(corr - expected) <= 3.0 / math.sqrt(m)
-    rows.append(("step_correlation", corr, expected, corr_ok))
+        expected = noise.rho**2 if noise.kind == SHARED_FACTOR else 0.0
+        corr_ok = abs(corr - expected) <= 3.0 / math.sqrt(m)
+        rows.append(("step_correlation", corr, expected, corr_ok))
 
     t = 0.25
     draws = randomisation.sample_noise_matrix(noise, rng, t, m)
@@ -279,12 +277,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     require, run = SUBCOMMANDS[args.subcommand]
     try:
-        cfg = load_config(args.config, require)
-        if args.seed is not None:
-            if args.seed < 0:
-                raise ConfigError("bayes" if require == "bayes" else "ensemble",
-                                  "seed must be non-negative")
-            cfg = dataclasses.replace(cfg, seed=args.seed)
+        cfg = load_config(args.config, require, args.seed)
         if args.workers < 1:
             raise ConfigError("ensemble", "worker count must be >= 1")
         out = Path(args.out if args.out is not None else (cfg.out_dir or "out"))

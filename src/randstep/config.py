@@ -242,7 +242,15 @@ def _parse_noise(parser, dimension: int | None = None) -> NoiseModel | None:
         )
 
 
-def _parse_bayes(parser) -> tuple[DiagonalGaussianModel, np.ndarray, bool, int]:
+def _seed(sec: configparser.SectionProxy, override: int | None) -> int:
+    """The section's seed, or override in its place; each must be >= 0."""
+    seed = sec.getint("seed", 0)
+    if seed < 0 or (override is not None and override < 0):
+        raise ValueError("seed must be non-negative")
+    return seed if override is None else override
+
+
+def _parse_bayes(parser, seed) -> tuple[DiagonalGaussianModel, np.ndarray, bool, int]:
     sec = _section(parser, "bayes")
     with _reading("bayes"):
         if sec.get("lambda_values", "").strip():
@@ -270,32 +278,29 @@ def _parse_bayes(parser) -> tuple[DiagonalGaussianModel, np.ndarray, bool, int]:
             rand_var=per_mode("gamma1", 1.0),
             theta=per_mode("theta", 1.0),
         )
-        seed = sec.getint("seed", 0)
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-        return model, delta_grid, sec.getboolean("noisy_data", False), seed
+        return model, delta_grid, sec.getboolean("noisy_data", False), _seed(sec, seed)
 
 
-def _parse_ensemble(parser, required: bool) -> tuple[int, int]:
-    """[ensemble] size m and seed.  A run without an ensemble (required
-    False) reads only the seed, which is 0 when the section is absent."""
+def _parse_ensemble(parser, required: bool, seed) -> tuple[int, int]:
+    """[ensemble] size m and seed (or the seed override).  A run without
+    an ensemble (required False) reads only the seed, which is 0 when the
+    section is absent."""
     sec = _section(parser, "ensemble", required)
     with _reading("ensemble"):
         m = sec.getint("m", 1) if required else 1
-        seed = sec.getint("seed", 0)
         if m < 1:
             raise ValueError(f"ensemble size must be >= 1, got {m}")
-        if seed < 0:
-            raise ValueError("seed must be non-negative")
-    return m, seed
+        return m, _seed(sec, seed)
 
 
-def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig:
+def load_config(path: str | Path, require: str = "converge",
+                seed: int | None = None) -> ExperimentConfig:
     """Parse and validate a config file for the given subcommand.
 
     require selects how much of the file must be present: "converge"
     (all run sections), "noise" (noise model and seed), "gronwall" (seed
-    only), or "bayes".
+    only), or "bayes".  seed, if given, replaces the file's seed (in
+    [bayes] for bayes, else in [ensemble]) after both pass the same check.
     """
     path = Path(path)
     try:
@@ -312,7 +317,7 @@ def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig
         raise ConfigError("file", f"malformed config: {exc}") from exc
 
     if require == "bayes":
-        model, delta_grid, noisy, seed = _parse_bayes(parser)
+        model, delta_grid, noisy, seed = _parse_bayes(parser, seed)
         return ExperimentConfig(
             fingerprint, seed=seed,
             bayes_model=model, bayes_delta_grid=delta_grid, bayes_noisy_data=noisy,
@@ -323,13 +328,13 @@ def load_config(path: str | Path, require: str = "converge") -> ExperimentConfig
             noise = _parse_noise(parser)
             if noise is None:
                 raise ConfigError("noise", "noise-check needs a non-degenerate noise kind")
-        return ExperimentConfig(fingerprint, noise=noise, seed=_parse_ensemble(parser, False)[1])
+        return ExperimentConfig(fingerprint, noise=noise, seed=_parse_ensemble(parser, False, seed)[1])
 
     problem, theta = _parse_problem(parser, uncut)
     grids = _parse_grids(parser, problem.horizon)
     method = _parse_method(parser)
     noise = _parse_noise(parser, problem.space.dimension)
-    m, seed = _parse_ensemble(parser, True)
+    m, seed = _parse_ensemble(parser, True, seed)
     sec = _section(parser, "analysis", False)
     with _reading("analysis"):
         r_values = _floats(sec.get("r", "2.0"))

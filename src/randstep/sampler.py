@@ -2,7 +2,7 @@
 
 The randomised recursion perturbs each step of the underlying method:
 
-    U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k),        U_0 = theta (+ xi_init).
+    U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k),        U_0 = theta.
 
 Its error e_k = u(t_k) - U_k is followed as in the paper's proof: a
 one-step defect along the exact solution, plus the propagated error,
@@ -17,7 +17,7 @@ there), the exact states u_(k+1) = E_k u_k + f_k, and the signed defects
 
 Every run then propagates the deviation r_k = U_k - u(t_k) = -e_k,
 
-    r_(k+1) = a_k r_k + d_k + xi_k,        r_0 = xi_init or 0,
+    r_(k+1) = a_k r_k + d_k + xi_k,        r_0 = 0,
 
 and its states are u + r.  Both constants of the error bound are read
 off these tables: the truncation constant max_k |d_k|_H / h_k^(q+1), and
@@ -134,6 +134,11 @@ def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
+def _check_noise(noise) -> None:
+    if noise is None:
+        raise ValueError("a randomised run needs a noise model; run_deterministic is noise-free")
+
+
 def _prepare(problem, method, grid, theta, noise):
     """Validate a run's inputs and build its tables before any stream draw:
     the deviation table (a, d), the exact states u and the flow factors E
@@ -175,13 +180,11 @@ def _path(table, v0: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _trajectory(prepared, grid: TimeGrid, init=None, path=None,
-                record_defects: bool = False) -> Trajectory:
-    """One trajectory from a run's `_prepare` build, its initial
-    perturbation and noise path (None for none): states u + r, errors -r
-    and, if recorded, the path defects |(E - a) r - d|_H."""
+def _trajectory(prepared, grid: TimeGrid, path=None, record_defects: bool = False) -> Trajectory:
+    """One trajectory from a `_prepare` build and noise path (None for
+    none): states u + r, errors -r and, if kept, defects |(E - a) r - d|_H."""
     table, exact, flow_factors = prepared
-    r = _path(table, np.zeros(exact.shape[1]) if init is None else init, path)
+    r = _path(table, np.zeros(exact.shape[1]), path)
     defects = None
     if record_defects:
         a, d = table
@@ -207,30 +210,26 @@ def run_randomised(
     theta: np.ndarray,
     stream: np.random.Generator,
     record_defects: bool = False,
-    perturb_initial: bool = False,
 ) -> Trajectory:
-    """Randomised recursion U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k)."""
+    """Randomised recursion U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k), U_0 = theta;
+    noise must not be None (run_deterministic is the noise-free run)."""
+    _check_noise(noise)
     prepared = _prepare(problem, method, grid, theta, noise)
-    # all of the trajectory's randomness, in a fixed consumption order
-    init = noise_path(noise, stream, grid.steps[:1])[0] if perturb_initial else None
-    return _trajectory(prepared, grid, init, noise_path(noise, stream, grid.steps), record_defects)
+    return _trajectory(prepared, grid, noise_path(noise, stream, grid.steps), record_defects)
 
 
 def _run_group(study: tuple, rows: range) -> None:
     """Error norms |r_k|_H of the trajectories in rows into those rows of
     every grid's norms, from one unit draw per raw step that each grid
     with that step scales; study as `_ensembles` builds it."""
-    noise, master_seed, perturb_initial, tables, scales, grid_norms = study
+    noise, master_seed, tables, scales, grid_norms = study
     streams = [trajectory_stream(master_seed, i) for i in rows]
     grids = [(table, scale, np.zeros((len(streams), noise.dimension)), out[rows.start:rows.stop])
              for table, scale, out in zip(tables, scales, grid_norms)]
     # xi_k until the step has added it, then the squares of the norm
     work = np.empty((len(streams), noise.dimension))
-    init = next(_family_noise(noise, streams, 1)) if perturb_initial else None
-    for _, scale, v, out in grids:
-        if init is not None:
-            _noise(noise, init, scale, 0, v)
-        _h_norm(v, out[:, 0], work)
+    for _, _, _, out in grids:
+        out[:, 0] = 0.0  # r_0 = 0
     n = max(table[0].shape[0] for table in tables)
     for k, unit in enumerate(_family_noise(noise, streams, n)):
         for table, scale, v, out in grids:
@@ -253,7 +252,7 @@ def _run_task(rows: range) -> None:
     _run_group(_WORKER_STUDY, rows)
 
 
-def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -> list:
+def _ensembles(noise, grids, tables, m, master_seed, workers) -> list:
     """The ensembles of M trajectories on each grid from its deviation
     table, in one pass of tasks, each one group on all grids; see the
     memory model."""
@@ -268,7 +267,7 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, perturb_initial) -
     else:
         norms = [np.empty(cells).reshape(m, -1) for cells in sizes]
     scales = [_step_scales(noise, grid.steps) for grid in grids]
-    study = (noise, master_seed, perturb_initial, tables, scales, norms)
+    study = (noise, master_seed, tables, scales, norms)
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
@@ -292,21 +291,21 @@ def run_ensemble(
     m: int,
     master_seed: int,
     workers: int = 1,
-    perturb_initial: bool = False,
 ) -> Ensemble:
-    """M independent randomised trajectories with per-trajectory substreams.
+    """M independent randomised trajectories, U_0 = theta, with per-trajectory substreams.
 
     Only the (M, N + 1) error norms are stored.  Row i is bitwise
     run_randomised(problem, method, noise, grid, theta,
-    trajectory_stream(master_seed, i), perturb_initial=perturb_initial)
-    .error_h_norms(); that call gives trajectory i's arrays.
+    trajectory_stream(master_seed, i)).error_h_norms(); that call gives
+    trajectory i's arrays.  noise must not be None, as in run_randomised.
     """
+    _check_noise(noise)
     if m < 1:
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     table, _, _ = _prepare(problem, method, grid, theta, noise)
-    return _ensembles(noise, [grid], [table], m, master_seed, workers, perturb_initial)[0]
+    return _ensembles(noise, [grid], [table], m, master_seed, workers)[0]
 
 
 def measure_truncation_constant(
@@ -352,5 +351,5 @@ def _converge(problem, method, noise, grids, theta, m, master_seed, workers):
             tables.append(prepared[0])
         del prepared  # the pass keeps only the (a, d) tables
     if noise is not None:
-        runs = _ensembles(noise, grids, tables, m, master_seed, workers, False)
+        runs = _ensembles(noise, grids, tables, m, master_seed, workers)
     return constants, lipschitz, runs

@@ -241,13 +241,15 @@ class TestConverge:
         err = capsys.readouterr().err
         assert "config error in [analysis]" in err and "finite" in err
 
-    def test_schema_key_aliases(self, tmp_path):
+    @pytest.mark.parametrize("spectrum", ["lambda_spec = explicit\nlambda_values = 1.0, 4.0",
+                                          "lambda_spec = laplacian_1d\nJ = 2"],
+                             ids=["explicit", "laplacian-J"])
+    def test_schema_key_aliases(self, tmp_path, spectrum):
         # T / J / method are accepted alongside horizon / dimension / kind,
         # and explicit eigenvalue lists work
-        aliased = """
+        aliased = f"""
 [problem]
-lambda_spec = explicit
-lambda_values = 1.0, 4.0
+{spectrum}
 alpha = 1.0
 theta = ones
 T = 1.0
@@ -270,6 +272,9 @@ seed = 0
         assert main(["converge", "--config", _write(tmp_path, aliased), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["theory_slope"] == 1.0
+        cfg = load_config(_write(tmp_path, aliased))
+        assert cfg.problem.space.eigenvalues.tolist() == [1.0, 4.0]
+        assert cfg.problem.horizon == 1.0 and cfg.method.kind == "explicit_euler"
 
     def test_per_mode_forcing(self, tmp_path):
         cfg = CONVERGE_CONFIG.replace(
@@ -607,6 +612,19 @@ class TestBayes:
         report = json.loads((out / "report.json").read_text())
         assert report["biased_limit"][0] == pytest.approx(1.1 * math.exp(-0.1), rel=1e-14)
 
+    def test_dimension_alone_loads_laplacian_eigenvalues_and_defaults(self, tmp_path):
+        path = _write(tmp_path, "[bayes]\ndimension = 3\n")
+        cfg = load_config(path, "bayes")
+        model = cfg.bayes_model
+        assert model.eigenvalues.tolist() == [1.0, 4.0, 9.0]
+        assert (model.h, model.p, model.delta) == (0.1, 0.0, 1.0)
+        assert cfg.bayes_delta_grid.tolist() == [1.0, 0.1, 0.01, 0.001]
+        assert model.prior_mean.tolist() == [0.0] * 3
+        for per_mode in (model.prior_var, model.obs_var, model.rand_var, model.theta):
+            assert per_mode.tolist() == [1.0] * 3
+        assert (cfg.seed, cfg.bayes_noisy_data) == (0, False)
+        assert load_config(path, "bayes", seed=4).seed == 4
+
     def test_increasing_grid_rejected(self, tmp_path, capsys):
         bad = BAYES_CONFIG.replace("1.0, 0.1, 0.01, 0.0001, 0.0", "0.1, 1.0")
         assert main(["bayes", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
@@ -673,6 +691,18 @@ class TestChecks:
         report = json.loads((out / "report.json").read_text())
         assert report["pass"] is True
 
+    @pytest.mark.parametrize("kind", ["centred_gaussian", "shared_factor\nrho = 0.5"])
+    def test_zero_amplitude_noise_check_passes_without_a_correlation_row(self, tmp_path, kind):
+        # all-zero draws have no spread, so no step correlation to check
+        text = NOISE_CONFIG.replace("c_xi = 1.0", "c_xi = 0.0")
+        cfg = _write(tmp_path, text.replace("kind = centred_gaussian", f"kind = {kind}"))
+        out = tmp_path / "out"
+        assert main(["noise-check", "--config", cfg, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["pass"] is True
+        assert [row[0] for row in report["rows"]] == [
+            "scaling_t=0.5", "scaling_t=0.25", "scaling_t=0.125"]
+
     def test_noise_check_requires_noise_section(self, tmp_path, capsys):
         cfg = _write(tmp_path, GRONWALL_CONFIG)
         assert main(["noise-check", "--config", cfg, "--out", str(tmp_path)]) == 1
@@ -738,6 +768,17 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
         ("noise-check", NOISE_CONFIG, "kind = centred_gaussian", "kind = none", "noise"),
         # a valid config with a bad option: the worker count is the ensemble's
         ("converge --workers 0", CONVERGE_CONFIG, "m = 24", "m = 24", "ensemble"),
+        ("converge", CONVERGE_CONFIG, "m = 24", "m = 0", "ensemble"),
+        ("converge", CONVERGE_CONFIG, "seed = 11", "seed = -1", "ensemble"),
+        ("converge", CONVERGE_CONFIG, "horizon = 1.0", "horizon = inf", "problem"),
+        ("converge", CONVERGE_CONFIG, "alpha = 1.0", "alpha = 0.0", "problem"),
+        ("converge", CONVERGE_CONFIG, "forcing = none", "forcing = nan, 0, 0", "problem"),
+        ("converge", CONVERGE_CONFIG, "dimension = 4", "dimension = 0", "problem"),
+        ("converge", CONVERGE_CONFIG, "lambda_spec = laplacian_1d",
+         "lambda_spec = explicit\nlambda_values =", "problem"),
+        ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0, -1.0", "bayes"),
+        ("bayes", BAYES_CONFIG, "h = 0.1", "h = 0", "bayes"),
+        ("bayes", BAYES_CONFIG, "p = 0.0", "p = -1", "bayes"),
     ],
     ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis", "output",
          "bayes", "bayes-seed", "noise-check-dimension", "method-nan-coefficient",
@@ -745,7 +786,10 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
          "problem-unknown-lambda-spec", "problem-three-alpha", "problem-two-forcing",
          "method-unknown-kind", "method-three-coefficients", "noise-negative-p",
          "analysis-unknown-young", "line-before-first-section", "noise-check-kind-none",
-         "workers-zero"],
+         "workers-zero", "ensemble-m-zero", "ensemble-negative-seed", "problem-inf-horizon",
+         "problem-zero-alpha", "problem-nan-forcing", "problem-zero-dimension",
+         "problem-empty-lambda-values", "bayes-negative-lambda", "bayes-zero-h",
+         "bayes-negative-p"],
 )
 def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, text, old,
                                                 new, section):

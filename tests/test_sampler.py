@@ -35,12 +35,11 @@ HEUN = (0.5, 0.5, 1.0, 1.0)
 NOISE_KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
 
 
-def _randomised_norms(problem, method, noise, grid, theta, m, master_seed, perturb_initial=False):
+def _randomised_norms(problem, method, noise, grid, theta, m, master_seed):
     """The per-index run_randomised norms, the reference for ensemble rows."""
     return np.stack([
         run_randomised(
             problem, method, noise, grid, theta, trajectory_stream(master_seed, i),
-            perturb_initial=perturb_initial,
         ).error_h_norms()
         for i in range(m)
     ])
@@ -119,16 +118,6 @@ class TestRandomised:
         b = run_randomised(problem, method, noise, grid, np.array([1.0]), trajectory_stream(7, 3))
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.noise, b.noise)
-
-    def test_perturbed_initial_state(self):
-        problem = heat_1d(2)
-        grid = build_grid(1.0, 4)
-        noise = centred_gaussian(2, p=1.0)
-        trajectory = run_randomised(
-            problem, exact_method(), noise, grid, np.ones(2), trajectory_stream(11, 0),
-            perturb_initial=True,
-        )
-        assert np.linalg.norm(trajectory.errors[0]) > 0.0
 
 
 class TestEnsemble:
@@ -241,16 +230,15 @@ class TestEnsemble:
         assert np.array_equal(one_per_block.error_h_norms(), single_block.error_h_norms())
         assert np.array_equal(one_per_block.error_h_norms(), _randomised_norms(*args))
 
-    @pytest.mark.parametrize("perturb_initial", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_rows_equal_randomised_runs(self, monkeypatch, workers, perturb_initial):
+    def test_rows_equal_randomised_runs(self, monkeypatch, workers):
         problem = heat_1d(4, forcing=np.tile([0.5, -1.0, 0.25], (4, 1)))
         grid = build_grid(1.0, 9, 1.5)
         args = (problem, implicit_euler(), centred_gaussian(4, p=0.5), grid,
                 np.linspace(1.0, 0.25, 4), 6, 17)
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", (grid.num_steps + 1) * 4 * 8)
-        ensemble = run_ensemble(*args, workers=workers, perturb_initial=perturb_initial)
-        reference = _randomised_norms(*args, perturb_initial=perturb_initial)
+        ensemble = run_ensemble(*args, workers=workers)
+        reference = _randomised_norms(*args)
         assert np.array_equal(ensemble.error_h_norms(), reference)
 
     def test_memory_stays_below_one_stacked_array(self):
@@ -270,11 +258,9 @@ class TestEnsemble:
         assert peak < m * (n + 1) * j * 8
 
     @pytest.mark.parametrize("side", [1, 4, 64], ids=["S1", "S4", "SN"])
-    @pytest.mark.parametrize("perturb_initial", [False, True])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", NOISE_KINDS)
-    def test_step_major_rows_equal_randomised_runs(self, monkeypatch, kind, workers,
-                                                   perturb_initial, side):
+    def test_step_major_rows_equal_randomised_runs(self, monkeypatch, kind, workers, side):
         # BLOCK_BYTES = 8 (J + 2) side^2 gives every kind (the bounded one
         # draws J + 2 normals a step) chunks of S = min(side, N) steps:
         # one step, 4 steps (not a divisor of N = 9) and the whole path
@@ -285,8 +271,8 @@ class TestEnsemble:
         args = (problem, implicit_euler(), noise, grid, np.linspace(1.0, 0.25, j), m, 23)
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (j + 2) * side**2)
         assert randomisation._chunk_shape(noise, grid.num_steps, m) == (min(side, m), min(side, 9))
-        ensemble = run_ensemble(*args, workers=workers, perturb_initial=perturb_initial)
-        reference = _randomised_norms(*args, perturb_initial=perturb_initial)
+        ensemble = run_ensemble(*args, workers=workers)
+        reference = _randomised_norms(*args)
         assert np.array_equal(ensemble.error_h_norms(), reference)
 
     @pytest.mark.parametrize("kind", ["centred_gaussian", "bounded_uniform"])
@@ -329,6 +315,17 @@ class TestEnsemble:
         with pytest.raises(ValueError, match=r"noise dimension 3 .* problem dimension 4"):
             run_randomised(
                 problem, implicit_euler(), noise, grid, np.ones(4), trajectory_stream(1, 0)
+            )
+
+    def test_randomised_runs_refuse_missing_noise_model(self):
+        problem = heat_1d(4)
+        grid = build_grid(1.0, 4)
+        match = "randomised run needs a noise model; run_deterministic is noise-free"
+        with pytest.raises(ValueError, match=match):
+            run_ensemble(problem, implicit_euler(), None, grid, np.ones(4), 2, 1)
+        with pytest.raises(ValueError, match=match):
+            run_randomised(
+                problem, implicit_euler(), None, grid, np.ones(4), trajectory_stream(1, 0)
             )
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
