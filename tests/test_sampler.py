@@ -119,6 +119,23 @@ class TestRandomised:
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.noise, b.noise)
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_every_kind_starts_at_theta(self, kind):
+        # U_0 = theta and r_0 = 0; with the exact method every later error is
+        # the noise alone, so it is non-zero from the first step on
+        j = 4
+        problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
+        grid = build_grid(1.0, 5)
+        noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
+        theta = np.linspace(1.0, 0.25, j)
+        trajectory = run_randomised(
+            problem, exact_method(), noise, grid, theta, trajectory_stream(5, 0)
+        )
+        assert np.array_equal(trajectory.states[0], theta)
+        assert np.all(trajectory.errors[0] == 0.0)
+        norms = trajectory.error_h_norms()
+        assert norms[0] == 0.0 and np.all(norms[1:] > 0.0)
+
 
 class TestEnsemble:
     def test_m1_equals_single_run(self):
@@ -240,6 +257,22 @@ class TestEnsemble:
         ensemble = run_ensemble(*args, workers=workers)
         reference = _randomised_norms(*args)
         assert np.array_equal(ensemble.error_h_norms(), reference)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_first_norm_column_is_zero(self, kind, workers):
+        # every row starts at theta, so its r_0 norm is exactly 0.0
+        j, m = 4, 5
+        problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
+        grid = build_grid(1.0, 5)
+        noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
+        ensemble = run_ensemble(
+            problem, exact_method(), noise, grid, np.linspace(1.0, 0.25, j), m, 9,
+            workers=workers,
+        )
+        norms = ensemble.error_h_norms()
+        assert norms.shape == (m, grid.num_steps + 1)
+        assert np.all(norms[:, 0] == 0.0) and np.all(norms[:, 1:] > 0.0)
 
     def test_memory_stays_below_one_stacked_array(self):
         # not a timing gate: numpy reports its buffers to tracemalloc
