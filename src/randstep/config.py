@@ -89,6 +89,17 @@ class ExperimentConfig:
     bayes_noisy_data: bool = False
 
 
+# every key that some subcommand reads, per section, so that one file may
+# serve several subcommands; any other section or key fails at load
+_KEYS = {name: set(keys.split()) for name, keys in [
+    ("problem", "lambda_spec dimension j lambda_values alpha forcing theta horizon t"),
+    ("grid_family", "n_values gamma"), ("ensemble", "m seed"), ("analysis", "r young"),
+    ("method", "kind method coefficients h_star declared_order"), ("output", "formats dir"),
+    ("noise", "dimension kind p c_xi s bias_mode bias_coefficient rho"),
+    ("bayes", "lambda_values dimension delta_grid h p m0 gamma0 gamma_obs gamma1 theta noisy_data seed"),
+]}
+
+
 def _floats(raw: str) -> list[float]:
     return [float(tok) for tok in raw.replace(",", " ").split()]
 
@@ -315,6 +326,11 @@ def load_config(path: str | Path, require: str = "converge",
         uncut.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("file", f"malformed config: {exc}") from exc
+    for name in parser.sections():
+        unknown = sorted(set(parser[name]) - _KEYS.get(name, set()))
+        if name not in _KEYS or unknown:
+            what = f"key {unknown[0]!r} in" if name in _KEYS else "section"
+            raise ConfigError(name, f"unknown {what} [{name}]")
 
     if require == "bayes":
         model, delta_grid, noisy, seed = _parse_bayes(parser, seed)

@@ -13,12 +13,12 @@ serve as a trustworthy oracle for convergence-rate measurements.
 Over a step the flow is the per-mode affine map u -> E_k * u + f_k;
 `flow_table` builds (E, f) for a whole grid and `exact_flow` is one row.
 Both are array passes over the (N, J) steps and modes, with no loop over
-either.  The forcing response f is one series per entry in the
-integrals f_k(z) = int_0^1 s^k e^(-z s) ds, summed by one stable
+either.  The forcing response f is one series per (step, mode) entry in
+the integrals f_k(z) = int_0^1 s^k e^(-z s) ds, summed by one stable
 evaluator, `_poly_exp_sum`, that covers every sign and size of z.  Each
 entry takes its own order from a tail bound in both mu = gamma h^2 and
-z; an entry that no order up to _ORDER_CAP reaches is summed over equal
-substeps short enough that |mu| <= 1 on each.
+z; an entry that no order up to _ORDER_CAP reaches is the sum of the
+same response over equal substeps with |mu| <= 1, one recursive call.
 
 The scalar test problem u' = rate * u (any sign of rate) is included via
 `scalar_linear`; growth corresponds to a negative effective scaling.
@@ -44,8 +44,8 @@ __all__ = [
     "garding_constants",
 ]
 
-# most orders a series response sums: an entry that needs more is split
-# into substeps with |mu| <= 1, which need at most 19
+# highest order a series response sums: an entry that needs more is split
+# into substeps with |mu| <= 1, whose order is at most 19, so they split no further
 _ORDER_CAP = 24
 # _MU_LIMITS[n] is the largest |mu| with |mu|^(n+1) / n! <= 1e-17, and
 # _RHO_LIMITS[n] the largest rho with 2 rho^(n+1) <= 1e-17 (see _series_order)
@@ -171,7 +171,8 @@ def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]
     decay = np.exp(-problem.space.eigenvalues * problem.alpha_integral(points, ends)[:, None])
     if problem.forcing is None:
         return decay, np.zeros_like(decay)
-    return decay, _forcing_response(problem, points, ends)
+    k, j = np.divmod(np.arange(decay.size), decay.shape[1])  # flat entry k J + j
+    return decay, _forcing_response(problem, j, points[k], ends[k]).reshape(decay.shape)
 
 
 def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarray:
@@ -189,55 +190,40 @@ def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarra
     return decay[0] * x + response[0]
 
 
-def _forcing_response(problem: Problem, t: np.ndarray, t1: np.ndarray) -> np.ndarray:
-    """Per-mode Duhamel integrals int_t^t1 exp(-lam int_s^t1 alpha) b(s) ds
-    over the steps [t[k], t1[k]], shape (N, J).
+def _forcing_response(problem: Problem, j: np.ndarray, t: np.ndarray, t1: np.ndarray) -> np.ndarray:
+    """Duhamel integrals int_t^t1 exp(-lam_j int_s^t1 alpha) b_j(s) ds of
+    the flat entries (mode j[i], step [t[i], t1[i]]), shape j.shape.
 
-    With g(s) = beta s + gamma s^2, beta = lam a0 and gamma = lam a1 / 2
-    per mode, the integral is int_t^t1 exp(g(s) - g(t1)) b(s) ds, which
-    `_series_response` sums to the order `_series_order` gives each entry.
-    Every entry is a list of equal pieces of its step: one, the whole
-    step, if its order is within _ORDER_CAP, else ceil(sqrt|mu|), so
-    |mu| <= 1 on each.  A piece's response is carried to t1 by the exact
-    decay exp(g(hi) - g(t1)) and the pieces are summed.  There is one
-    `_series_response` call per order that occurs.
+    With g(s) = beta s + gamma s^2, beta = lam a0 and gamma = lam a1 / 2,
+    the integral is int_t^t1 exp(g(s) - g(t1)) b(s) ds, which
+    `_series_response` sums to the order `_series_order` gives each entry,
+    one call per order.  An entry past _ORDER_CAP is the sum of the same
+    integral over ceil(sqrt|mu|) equal substeps, each carried to t1 by the
+    exact decay exp(g(hi) - g(t1)).  On a substep |mu| <= 1, so its order
+    is at most 19 and the recursive call for the substeps splits none.
     """
-    lam = problem.space.eigenvalues
+    lam = problem.space.eigenvalues[j]
     a0, a1 = problem.alpha
     beta, gamma = lam * a0, 0.5 * lam * a1
     h = t1 - t
-    order = _series_order(beta, gamma, t[:, None], t1[:, None]).ravel()
-    pieces = np.ones(order.size, dtype=int)
+    order = _series_order(beta, gamma, t, t1)
+    value = np.empty(j.size)
+    for n in np.flatnonzero(np.isin(np.arange(_ORDER_CAP + 1), order)):  # not np.unique: numpy.ma
+        group = np.flatnonzero(order == n)
+        value[group] = _series_response(*problem.forcing[j[group]].T, beta[group], gamma[group],
+                                        t[group], t1[group], int(n))
     split = np.flatnonzero(order > _ORDER_CAP)
-    k, j = np.divmod(split, lam.size)
-    pieces[split] = np.ceil(np.sqrt(np.abs(gamma[j]) * h[k] ** 2))
-    # work items: piece [lo[i], hi[i]] of entry[i] = k J + j, step k and
-    # mode j, carried to the end of step k
-    entry = np.repeat(np.arange(order.size), pieces)
-    step = entry // lam.size
-    lo, hi, order = t[step], t1[step], order[entry]
-    # only the pieces of split entries differ from their whole step
-    sub = np.flatnonzero(order > _ORDER_CAP)
-    k, j = np.divmod(entry[sub], lam.size)
-    count = pieces[entry[sub]]
-    index = sub - (np.cumsum(pieces) - pieces)[entry[sub]]
-    # both ends of the whole step are kept exact
-    lo[sub] = t[k] + h[k] * (index / count)
-    hi[sub] = t1[k] - h[k] * ((count - 1 - index) / count)
-    order[sub] = _series_order(beta[j], gamma[j], lo[sub], hi[sub])
-    # group the items by order; the stable sort keeps each group in item order
-    order = order.astype(np.uint8)
-    by_order = np.argsort(order, kind="stable")
-    counts = np.bincount(order)
-    ends = np.cumsum(counts)
-    value = np.empty(entry.size)
-    for n in np.flatnonzero(counts):
-        group = by_order[ends[n] - counts[n]:ends[n]]
-        mode = entry[group] % lam.size
-        value[group] = _series_response(*problem.forcing[mode].T, beta[mode], gamma[mode],
-                                        lo[group], hi[group], int(n))
-    value[sub] *= np.exp((hi[sub] - t1[k]) * (beta[j] + gamma[j] * (hi[sub] + t1[k])))
-    return np.bincount(entry, value, minlength=t.size * lam.size).reshape(t.size, lam.size)
+    if split.size:
+        count = np.ceil(np.sqrt(np.abs(gamma[split]) * h[split] ** 2)).astype(int)
+        first, entry = np.cumsum(count) - count, np.repeat(split, count)
+        index = np.arange(entry.size) - np.repeat(first, count)
+        count = np.repeat(count, count)
+        # both ends of the whole step are kept exact
+        lo = t[entry] + h[entry] * (index / count)
+        hi = t1[entry] - h[entry] * ((count - 1 - index) / count)
+        carry = np.exp((hi - t1[entry]) * (beta[entry] + gamma[entry] * (hi + t1[entry])))
+        value[split] = np.add.reduceat(_forcing_response(problem, j[entry], lo, hi) * carry, first)
+    return value
 
 
 def _series_order(beta, gamma, t, t1):

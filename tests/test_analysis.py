@@ -182,6 +182,18 @@ class TestGronwallUniform:
         with pytest.raises(ValueError):
             gronwall_uniform(0.0, 1.0, 1.0, 2.0, 0.3, 1.0)
 
+    @pytest.mark.parametrize("args, match", [
+        ((-1.0, 1.0, 1.0, 2.0, 0.1, 1.0), "y0, A, B must be non-negative"),
+        ((0.0, -1.0, 1.0, 2.0, 0.1, 1.0), "y0, A, B must be non-negative"),
+        ((0.0, 1.0, -1.0, 2.0, 0.1, 1.0), "y0, A, B must be non-negative"),
+        ((0.0, 1.0, 1.0, 0.5, 0.1, 1.0), "exponent p must be >= 1, got 0.5"),
+        ((0.0, 1.0, 1.0, 2.0, 0.0, 1.0), "h and T must be positive"),
+        ((0.0, 1.0, 1.0, 2.0, 0.1, -1.0), "h and T must be positive"),
+    ])
+    def test_rejects_bad_inputs(self, args, match):
+        with pytest.raises(ValueError, match=match):
+            gronwall_uniform(*args)
+
     def test_zero_rate_bound_dominates_recursion(self):
         # telescoping oracle: y_k <= k B h^p <= B T h^(p-1)
         h, horizon, b, p = 0.05, 1.0, 0.7, 2.0
@@ -204,6 +216,11 @@ class TestGronwallSpecial:
     def test_zero_increments(self):
         assert np.allclose(gronwall_special(2.5, np.zeros(5)), 2.5)
 
+    @pytest.mark.parametrize("c, g", [(-1.0, [0.1, 0.1]), (1.0, [0.1, -0.1])])
+    def test_rejects_negative_inputs(self, c, g):
+        with pytest.raises(ValueError, match="c and the g sequence must be non-negative"):
+            gronwall_special(c, np.array(g))
+
 
 class TestGronwallNonuniform:
     def test_zero_rate_reduces_to_sum(self):
@@ -217,6 +234,16 @@ class TestGronwallNonuniform:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gronwall_nonuniform(1.0, 1.0, np.ones(3), np.ones(2))
+
+    @pytest.mark.parametrize("y0, a, h_seq, b_seq", [
+        (-1.0, 1.0, [0.5, 0.5], [0.1, 0.1]),
+        (1.0, -1.0, [0.5, 0.5], [0.1, 0.1]),
+        (1.0, 1.0, [0.5, -0.5], [0.1, 0.1]),
+        (1.0, 1.0, [0.5, 0.5], [0.1, -0.1]),
+    ])
+    def test_rejects_negative_inputs(self, y0, a, h_seq, b_seq):
+        with pytest.raises(ValueError, match="all inputs must be non-negative"):
+            gronwall_nonuniform(y0, a, np.array(h_seq), np.array(b_seq))
 
     def test_random_recursions_dominated(self):
         rng = np.random.default_rng(104)
@@ -244,6 +271,10 @@ class TestDerivedLipschitz:
     def test_general_polynomial(self):
         l = 2.5
         assert derived_lipschitz(l) == pytest.approx(3.0 * l * l + 6.0 * l + 2.0, rel=1e-12)
+
+    def test_rejects_negative(self):
+        with pytest.raises(ValueError, match="Lipschitz constant must be >= 0, got -1"):
+            derived_lipschitz(-1.0)
 
 
 class TestTheoreticalBound:
@@ -292,6 +323,19 @@ class TestTheoreticalBound:
             theoretical_bound(
                 "weak", 0.1, c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=1.0, p=1.0, horizon=1.0
             )
+
+    @pytest.mark.parametrize("h, change, match", [
+        (0.0, {}, "mesh width must be positive, got 0.0"),
+        (-0.1, {}, "mesh width must be positive, got -0.1"),
+        (0.1, {"c_phi_psi": -1.0}, "bound constants must be non-negative"),
+        (0.1, {"c_xi": -1.0}, "bound constants must be non-negative"),
+        (0.1, {"e0": -1.0}, "bound constants must be non-negative"),
+        (0.1, {"lipschitz": -1.0}, "bound constants must be non-negative"),
+    ])
+    def test_rejects_bad_mesh_and_constants(self, h, change, match):
+        args = dict(c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=1.0, p=1.0, horizon=1.0)
+        with pytest.raises(ValueError, match=match):
+            theoretical_bound("banach", h, **{**args, **change})
 
 
 class TestErrorStatistics:

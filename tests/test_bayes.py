@@ -67,6 +67,13 @@ class TestPosteriorExamples:
         with pytest.raises(ValueError):
             posterior(model, np.zeros(2), "exact")
 
+    def test_degenerate_denominator(self):
+        # exp(-h lam) = exp(-1000) underflows to 0, so at delta = 0 the
+        # exact variant's denominator delta gamma_obs + g^2 gamma0 is 0
+        model = single_mode_model(lam=1e4, delta=0.0)
+        with pytest.raises(ValueError, match="degenerate posterior denominator"):
+            posterior(model, np.array([0.0]), "exact")
+
 
 class TestQuadratureOracle:
     def test_exact_variant_matches_density_quadrature(self):
@@ -164,6 +171,10 @@ class TestModelValidation:
             single_mode_model(prior_var=0.0)
         with pytest.raises(ValueError):
             single_mode_model(obs_var=-1.0)
+
+    def test_delta_non_negative(self):
+        with pytest.raises(ValueError, match="delta must be >= 0"):
+            single_mode_model(delta=-0.1)
 
     def test_shapes_checked(self):
         with pytest.raises(ValueError):

@@ -779,6 +779,9 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
         ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0, -1.0", "bayes"),
         ("bayes", BAYES_CONFIG, "h = 0.1", "h = 0", "bayes"),
         ("bayes", BAYES_CONFIG, "p = 0.0", "p = -1", "bayes"),
+        ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "cxi = 50.0", "noise"),
+        ("converge", CONVERGE_CONFIG, "young = psi2", "young = psi2\n\n[anlysis]\nyoung = none",
+         "anlysis"),
     ],
     ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis", "output",
          "bayes", "bayes-seed", "noise-check-dimension", "method-nan-coefficient",
@@ -789,7 +792,7 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
          "workers-zero", "ensemble-m-zero", "ensemble-negative-seed", "problem-inf-horizon",
          "problem-zero-alpha", "problem-nan-forcing", "problem-zero-dimension",
          "problem-empty-lambda-values", "bayes-negative-lambda", "bayes-zero-h",
-         "bayes-negative-p"],
+         "bayes-negative-p", "noise-unknown-key", "unknown-section"],
 )
 def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, text, old,
                                                 new, section):
@@ -797,6 +800,19 @@ def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, te
     bad = _write(tmp_path, text.replace(old, new))
     assert main([*subcommand.split(), "--config", bad, "--out", str(tmp_path / "out")]) == 1
     assert f"config error in [{section}]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("c_xi = 0.5", "cxi = 50.0", "[noise]: unknown key 'cxi' in [noise]"),
+     ("[analysis]", "[anlysis]", "[anlysis]: unknown section [anlysis]")],
+    ids=["key", "section"],
+)
+def test_unknown_key_or_section_is_named(tmp_path, capsys, old, new, message):
+    # one table of the keys that any subcommand reads; anything else fails
+    bad = _write(tmp_path, CONVERGE_CONFIG.replace(old, new))
+    assert main(["converge", "--config", bad, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error in {message}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -826,7 +842,8 @@ AFFINE_FORCED_CONFIG = (
 
 # runs converge on each config given and reports, per config, its exit code
 # and how many entries of the forcing response were split into substeps
-# (series order above the cap), and which scipy modules loaded
+# (series order above the cap), which scipy modules loaded and whether
+# numpy.ma did
 SCIPY_PROBE = """
 import json, sys
 import randstep.cli, randstep.problems as problems
@@ -844,7 +861,7 @@ codes = []
 for cfg in sys.argv[1:]:
     split.append(0)
     codes.append(randstep.cli.main(["converge", "--config", cfg, "--out", cfg + ".out"]))
-print(json.dumps({"codes": codes, "split": split,
+print(json.dumps({"codes": codes, "split": split, "numpy.ma": "numpy.ma" in sys.modules,
                   "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy")}))
 """
 
@@ -865,6 +882,7 @@ def test_affine_forced_converge_loads_no_scipy(tmp_path):
     report = json.loads(result.stdout.splitlines()[-1])
     assert report["codes"] == [0, 0]
     assert report["scipy"] == []
+    assert not report["numpy.ma"]
     assert all(count > 0 for count in report["split"]), report["split"]
 
 

@@ -59,6 +59,14 @@ class TestTimeGridInvariants:
         with pytest.raises(ValueError):
             TimeGrid(np.array([0.1, 0.5, 1.0]))
 
+    @pytest.mark.parametrize("points, match", [
+        ([0.0], "grid needs at least two points"),
+        ([0.0, float("nan"), 1.0], "grid points must be finite"),
+    ])
+    def test_rejects_short_or_non_finite(self, points, match):
+        with pytest.raises(ValueError, match=match):
+            TimeGrid(np.array(points))
+
     def test_mesh_is_max_step(self):
         grid = TimeGrid(np.array([0.0, 0.1, 0.4, 1.0]))
         assert grid.mesh == pytest.approx(0.6)

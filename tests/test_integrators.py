@@ -97,6 +97,7 @@ class TestValidateTwoStage:
         assert explicit_euler().order == 1
         assert implicit_euler().order == 1
         assert implicit_euler(declared_order=0.0).order == 0.0
+        assert exact_method().order == math.inf
 
 
 class TestSteklovAverage:
@@ -138,6 +139,8 @@ class TestAdmissibleMaxStep:
     def test_boundary_rejected(self):
         with pytest.raises(ValueError):
             admissible_max_step(1.0, 2.0)
+        with pytest.raises(ValueError, match="kappa must be >= 0, got -1"):
+            admissible_max_step(-1.0, 1.0)
 
     def test_round_trip_with_lipschitz(self):
         # h* = (L - 2k)/(2kL) inverts to L = 1/((2k)^(-1) - h*)

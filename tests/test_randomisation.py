@@ -65,6 +65,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             sample_noise_matrix(centred_gaussian(2), _rng(), 0.0, 1)[0]
 
+    def test_rejects_no_trajectories(self):
+        with pytest.raises(ValueError, match="need at least one trajectory, got m = 0"):
+            sample_path_matrix(centred_gaussian(2), _rng(), [0.1, 0.1], 0)
+
     @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_rejects_non_positive_or_non_finite_step(self, h):
         model = centred_gaussian(2)

@@ -222,6 +222,11 @@ class TestEnsemble:
                 heat_1d(2), implicit_euler(), centred_gaussian(2), build_grid(1.0, 4),
                 np.ones(2), 0, 1,
             )
+        with pytest.raises(ValueError, match="worker count must be >= 1, got 0"):
+            run_ensemble(
+                heat_1d(2), implicit_euler(), centred_gaussian(2), build_grid(1.0, 4),
+                np.ones(2), 4, 1, workers=0,
+            )
 
     def test_streamed_ensemble_keeps_only_norms(self):
         problem = heat_1d(3)
