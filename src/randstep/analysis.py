@@ -107,6 +107,8 @@ def orlicz_norm_estimate(samples: np.ndarray, young="psi2") -> float:
     # this brackets the crossing for any finite samples: at top / 50 the top
     # sample gives expm1(2500) = inf > 1, at 50 top each term is <= expm1(1 / 2500) < 1
     lo, hi = top / 50.0, top * 50.0
+    if not math.isfinite(hi):  # the norm is positively homogeneous
+        return top * orlicz_norm_estimate(samples / top)
     while (hi - lo) > _ORLICZ_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if _psi2_mean(samples, mid) > 1.0:

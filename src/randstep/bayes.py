@@ -2,7 +2,8 @@
 recovering an initial state from a noisy observation of the evolved state.
 
 Everything is diagonal in the operator eigenbasis, so the three posterior
-variants reduce to scalar conjugate formulas per mode:
+variants reduce to scalar conjugate formulas per mode; g and gt are row 0
+of `flow_table` and `step_table` on the one step [0, h] of u' + A u = 0:
 
     exact forward map      g_j    = exp(-h lam_j)
     implicit Euler map     gt_j   = (1 + h lam_j)^(-1)
@@ -21,6 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
+
+from .integrators import implicit_euler, step_table
+from .problems import Problem, flow_table
+from .spaces import SpaceDescriptor, _h_norm
 
 __all__ = [
     "DiagonalGaussianModel",
@@ -55,23 +60,6 @@ class DiagonalGaussianModel:
     theta: np.ndarray
 
     def __post_init__(self):
-        arrays = {}
-        for name in ("eigenvalues", "prior_mean", "prior_var", "obs_var", "rand_var", "theta"):
-            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            arrays[name] = arr
-        j = arrays["eigenvalues"].size
-        for name, arr in arrays.items():
-            if arr.size != j:
-                raise ValueError(f"{name} has length {arr.size}, expected {j}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite, got {arr}")
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if np.any(arrays["eigenvalues"] <= 0.0):
-            raise ValueError("eigenvalues must be positive")
-        for name in ("prior_var", "obs_var", "rand_var"):
-            if np.any(arrays[name] <= 0.0):
-                raise ValueError(f"{name} must be strictly positive")
         for name in ("h", "p", "delta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -81,14 +69,27 @@ class DiagonalGaussianModel:
             raise ValueError("p must be >= 0")
         if self.delta < 0.0:
             raise ValueError("delta must be >= 0")
+        # the one step [0, h] of u' + A u = 0, whose tables are the forward maps
+        space = SpaceDescriptor(np.atleast_1d(np.asarray(self.eigenvalues, dtype=float)))
+        object.__setattr__(self, "_step", Problem(space, horizon=self.h))
+        for name in ("eigenvalues", "prior_mean", "prior_var", "obs_var", "rand_var", "theta"):
+            arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
+            if arr.size != space.dimension:
+                raise ValueError(f"{name} has length {arr.size}, expected {space.dimension}")
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite, got {arr}")
+            if name in ("prior_var", "obs_var", "rand_var") and np.any(arr <= 0.0):
+                raise ValueError(f"{name} must be strictly positive")
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
 
     @property
     def forward_exact(self) -> np.ndarray:
-        return np.exp(-self.h * self.eigenvalues)
+        return flow_table(self._step, [self.h], [0.0])[0][0]
 
     @property
     def forward_euler(self) -> np.ndarray:
-        return 1.0 / (1.0 + self.h * self.eigenvalues)
+        return step_table(implicit_euler(), self._step, [self.h], [0.0])[0][0]
 
 
 def single_mode_model(
@@ -102,11 +103,7 @@ def single_mode_model(
     prior_mean: float = 0.0,
     theta: float = 1.0,
 ) -> DiagonalGaussianModel:
-    return DiagonalGaussianModel(
-        np.array([lam]), h, p, delta,
-        np.array([prior_mean]), np.array([prior_var]),
-        np.array([obs_var]), np.array([rand_var]), np.array([theta]),
-    )
+    return DiagonalGaussianModel(lam, h, p, delta, prior_mean, prior_var, obs_var, rand_var, theta)
 
 
 def posterior(
@@ -167,9 +164,10 @@ def small_noise_sweep(
     smallest randomised posterior variance.
     """
     delta_grid = _check_delta_grid(delta_grid)
-    if noise_draw is None:
-        noise_draw = np.zeros(model.eigenvalues.size)
-    noise_draw = np.atleast_1d(np.asarray(noise_draw, dtype=float))
+    j = model.eigenvalues.size
+    noise_draw = np.zeros(j) if noise_draw is None else np.atleast_1d(np.asarray(noise_draw, dtype=float))
+    if noise_draw.size != j:
+        raise ValueError(f"noise draw length {noise_draw.size} does not match {j} modes")
     g = model.forward_exact
     tilde_target = biased_limit(model)
     rows = np.empty((delta_grid.size, len(SWEEP_COLUMNS)))
@@ -181,8 +179,8 @@ def small_noise_sweep(
         _, var_hat = posterior(snapshot, y, "randomised")
         rows[i] = (
             delta,
-            np.linalg.norm(mean_exact - model.theta),
-            np.linalg.norm(mean_tilde - tilde_target),
+            _h_norm(mean_exact - model.theta),
+            _h_norm(mean_tilde - tilde_target),
             var_hat.min(),
         )
     return rows

@@ -230,11 +230,14 @@ def _parse_method(parser) -> MethodConfig:
 
 
 def _parse_noise(parser, dimension: int | None = None) -> NoiseModel | None:
-    """The [noise] model of dimension, or of its own `dimension` key."""
+    """The [noise] model of dimension, or of its own `dimension` key,
+    which must then agree with dimension if both are given."""
     sec = _section(parser, "noise")
     with _reading("noise"):
-        if dimension is None:
-            dimension = sec.getint("dimension", 1)
+        own = sec.getint("dimension", dimension or 1)
+        if dimension is not None and own != dimension:
+            raise ValueError(f"dimension {own} does not match the problem's {dimension}")
+        dimension = own
         kind = sec.get("kind", "centred_gaussian").strip()
         if kind == "none":
             return None

@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problems import Problem, _check_steps, flow_table
+from .spaces import _check_dimension
 
 __all__ = [
     "MethodConfig",
@@ -182,8 +183,9 @@ def step_table(method: MethodConfig, problem: Problem, steps, points) -> tuple[n
 
 def step(method: MethodConfig, problem: Problem, h: float, t: float, v: np.ndarray) -> np.ndarray:
     """Apply one step of the method, one row of `step_table`; v may be stacked (..., J)."""
+    v = _check_dimension(v, problem.space.dimension)
     a, c = step_table(method, problem, [h], [t])
-    return a[0] * np.asarray(v, dtype=float) + c[0]
+    return a[0] * v + c[0]
 
 
 def admissible_max_step(kappa: float, l_psi: float) -> float:

@@ -13,8 +13,7 @@ eigenvalues are lam_j = j^2.
 
 Every norm of a state vector in the package is the one reduction
 `_h_norm`: the V and V' norms are the H-norms of sqrt(lam) c and
-c / sqrt(lam), so all three share its overflow rule.  Only `bayes` keeps
-two 1-D numpy `linalg.norm` calls, which round differently (BLAS `dot`).
+c / sqrt(lam), so all three share its overflow rule.
 """
 
 from __future__ import annotations

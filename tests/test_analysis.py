@@ -117,6 +117,13 @@ class TestOrliczNorm:
     def test_all_zero(self):
         assert orlicz_norm_estimate(np.zeros(10), "psi2") == 0.0
 
+    def test_finite_where_the_bracket_overflows(self):
+        # 50 max(x) overflows above about 3.6e306; the norm is positively
+        # homogeneous, so it is ten times that of the samples over ten
+        est = orlicz_norm_estimate(np.array([1e307, 5e306]), "psi2")
+        small = orlicz_norm_estimate(np.array([1e306, 5e305]), "psi2")
+        assert est == pytest.approx(10.0 * small, rel=1e-12)
+
     def test_power_young_matches_lr(self):
         rng = np.random.default_rng(102)
         sample = np.abs(rng.standard_normal(2000))

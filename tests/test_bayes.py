@@ -31,6 +31,12 @@ def _quadrature_posterior(y, g, delta, obs_var, m0, prior_var):
     return mean, second / z - mean * mean
 
 
+def _model(lam, h=0.1):
+    """A model on the eigenvalues lam with unit variances and theta."""
+    ones = np.ones(np.size(lam))
+    return DiagonalGaussianModel(lam, h, 0.0, 1.0, 0.0 * ones, ones, ones, ones, ones)
+
+
 class TestPosteriorExamples:
     def test_exact_noiseless_recovers_truth(self):
         model = single_mode_model(delta=0.0)
@@ -155,6 +161,13 @@ class TestSmallNoiseSweep:
         b = small_noise_sweep(model, np.array([1.0, 0.5]), draw)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_noise_draw_length_checked(self, length):
+        # a draw of the wrong length is refused, not broadcast over the modes
+        model = _model(np.array([1.0, 4.0, 9.0]))
+        with pytest.raises(ValueError, match=f"noise draw length {length} does not match 3 modes"):
+            small_noise_sweep(model, np.array([1.0, 0.1]), np.ones(length))
+
     def test_grid_validation(self):
         model = single_mode_model()
         with pytest.raises(ValueError):
@@ -187,6 +200,26 @@ class TestModelValidation:
         model = single_mode_model(lam=2.0, h=0.25)
         assert model.forward_exact[0] == pytest.approx(math.exp(-0.5))
         assert model.forward_euler[0] == pytest.approx(1.0 / 1.5)
+
+    def test_forward_maps_are_the_closed_forms_bit_for_bit(self):
+        # the forward maps are row 0 of flow_table and of implicit Euler's
+        # step_table on [0, h]; the closed forms are the reference
+        rng = np.random.default_rng(22)
+        for _ in range(2000):
+            j = int(rng.integers(1, 64))
+            lam = np.sort(10.0 ** rng.uniform(-3.0, 6.0, j))
+            h = float(10.0 ** rng.uniform(-4.0, 1.0))
+            model = _model(lam, h)
+            assert np.array_equal(model.forward_exact, np.exp(-h * lam))
+            assert np.array_equal(model.forward_euler, 1.0 / (1.0 + h * lam))
+
+    @pytest.mark.parametrize("lam, message", [([4.0, 1.0], "non-decreasing"),
+                                              ([1.0, 0.0], "strictly positive"),
+                                              ([[1.0, 4.0]], "a non-empty 1-d array")])
+    def test_eigenvalues_follow_the_space_rule(self, lam, message):
+        # the spectrum is a SpaceDescriptor, with its checks and messages
+        with pytest.raises(ValueError, match=f"eigenvalues must be {message}"):
+            _model(np.array(lam))
 
     FIELDS = ("eigenvalues", "h", "p", "delta", "prior_mean", "prior_var", "obs_var",
               "rand_var", "theta")

@@ -782,6 +782,8 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
         ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "cxi = 50.0", "noise"),
         ("converge", CONVERGE_CONFIG, "young = psi2", "young = psi2\n\n[anlysis]\nyoung = none",
          "anlysis"),
+        ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "c_xi = 0.5\ndimension = 5", "noise"),
+        ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 4.0, 1.0", "bayes"),
     ],
     ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis", "output",
          "bayes", "bayes-seed", "noise-check-dimension", "method-nan-coefficient",
@@ -792,7 +794,8 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
          "workers-zero", "ensemble-m-zero", "ensemble-negative-seed", "problem-inf-horizon",
          "problem-zero-alpha", "problem-nan-forcing", "problem-zero-dimension",
          "problem-empty-lambda-values", "bayes-negative-lambda", "bayes-zero-h",
-         "bayes-negative-p", "noise-unknown-key", "unknown-section"],
+         "bayes-negative-p", "noise-unknown-key", "unknown-section", "noise-dimension-mismatch",
+         "bayes-decreasing-lambda"],
 )
 def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, text, old,
                                                 new, section):

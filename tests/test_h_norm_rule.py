@@ -1,6 +1,6 @@
-"""Every H-norm of a state in the package is `spaces._h_norm`; only
-`bayes` keeps `np.linalg.norm`, whose 1-D calls go through BLAS `dot`
-and round differently in the last bit."""
+"""Every H-norm of a state in the package is `spaces._h_norm`: no module
+calls `np.linalg.norm`, whose 1-D calls go through BLAS `dot` and round
+differently in the last bit."""
 
 import ast
 from pathlib import Path
@@ -22,5 +22,5 @@ def _linalg_norm_callers() -> set[str]:
     return callers
 
 
-def test_only_bayes_calls_linalg_norm():
-    assert _linalg_norm_callers() <= {"bayes"}
+def test_no_module_calls_linalg_norm():
+    assert _linalg_norm_callers() == set()

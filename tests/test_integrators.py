@@ -62,6 +62,12 @@ class TestStepExamples:
         with pytest.raises(ValueError):
             step(implicit_euler(), problem, 0.5, 0.8, np.zeros(2))
 
+    @pytest.mark.parametrize("length", [1, 2, 4])
+    def test_state_length_checked(self, length):
+        # refused as exact_flow refuses it, not broadcast over the modes
+        with pytest.raises(ValueError, match=f"length {length} does not match space dimension 3"):
+            step(implicit_euler(), heat_1d(3), 0.1, 0.0, np.ones(length))
+
     def test_implicit_singularity_detected(self):
         problem = scalar_linear(1.0)  # factor 1/(1 - h)
         with pytest.raises(ValueError):
