@@ -12,6 +12,7 @@ is `lr_norm_estimate`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -99,6 +100,8 @@ def orlicz_norm_estimate(samples: np.ndarray, young="psi2") -> float:
     norm, so lr_norm_estimate(samples, R) is returned.
     """
     if young != "psi2":
+        if not isinstance(young, numbers.Real):
+            raise ValueError(f"unsupported young function {young!r}, expected 'psi2' or an order R >= 1")
         return lr_norm_estimate(samples, float(young))
     samples = _checked_samples(samples)
     top = float(samples.max())
@@ -132,6 +135,8 @@ class ErrorStatistics:
 
 def error_statistics(ensemble: Ensemble, r: float = 2.0, young: str | None = "psi2") -> ErrorStatistics:
     """Both error orderings (and optionally the Orlicz norm of the max)."""
+    if young not in ("psi2", None):
+        raise ValueError(f"unsupported young function {young!r}, expected 'psi2' or None")
     norms = _checked_samples(ensemble.error_h_norms(), r,
                              f"error norms at h = {ensemble.grid.mesh:g}")
     max_of_norm = float(np.max(_lr_norms(norms, r)))

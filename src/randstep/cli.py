@@ -23,7 +23,6 @@ from . import analysis, bayes, randomisation, sampler
 from .analysis import EstimationError
 from .config import ConfigError, ExperimentConfig, _order_key, load_config
 from .randomisation import BOUNDED_UNIFORM, CENTRED_GAUSSIAN, SHARED_FACTOR
-from .spaces import _h_norm
 
 __all__ = ["main"]
 
@@ -221,14 +220,14 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
 
     times = (0.5, 0.25, 0.125)
     for t in times:
-        draws = randomisation.sample_noise_matrix(noise, rng, t, m)
-        est = analysis.lr_norm_estimate(_h_norm(draws), 2.0)
+        est = analysis.lr_norm_estimate(randomisation._draw_norms(noise, rng, t, m), 2.0)
         target = randomisation.theoretical_noise_norm(noise, t, "l2")
         rel = abs(est - target) / target if target > 0 else 0.0
         rows.append((f"scaling_t={t}", est / t ** (noise.p + 1.0), rel, rel <= 0.02))
 
-    pair = randomisation.sample_path_matrix(noise, rng, np.array([0.25, 0.25]), m)
-    first, second = pair[:, 0, 0], pair[:, 1, 0]
+    # mode 0 of both steps, copied out of each block's reused buffer
+    blocks = randomisation._row_blocks(noise, rng, np.array([0.25, 0.25]), m)
+    first, second = np.concatenate([block[:, :, 0].copy() for _, block in blocks]).T
     # draws with no spread (zero amplitude) have no correlation to check
     if first.std() > 0 and second.std() > 0:
         corr = float(np.corrcoef(first, second)[0, 1])
@@ -237,8 +236,7 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         rows.append(("step_correlation", corr, expected, corr_ok))
 
     t = 0.25
-    draws = randomisation.sample_noise_matrix(noise, rng, t, m)
-    norms = _h_norm(draws)
+    norms = randomisation._draw_norms(noise, rng, t, m)
     amp = randomisation.theoretical_noise_norm(noise, t, "l2")
     for factor in (1.0, 2.0, 4.0):
         eps = factor * amp

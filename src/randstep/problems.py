@@ -99,6 +99,8 @@ class Problem:
 
     def alpha_integral(self, t0: float, t1: float) -> float:
         a0, a1 = self.alpha
+        if a1 == 0.0:  # else 0 * inf = NaN once t1 * t1 overflows, above about 1.34e154
+            return a0 * (t1 - t0)
         return a0 * (t1 - t0) + 0.5 * a1 * (t1 * t1 - t0 * t0)
 
     def forcing_at(self, t) -> np.ndarray:

@@ -24,6 +24,10 @@ for the bounded kind, and offset_k = h_k^(p+1) b.  So a stream's draws
 for a grid are a prefix of its draws for any longer grid, and a family
 of grids shapes each raw step once.
 
+One stream's draws (`sample_path_matrix`, `psi2_amplitude`, noise-check)
+are read by `_row_blocks`, an ensemble's by `_family_noise`, each in
+blocks of at most BLOCK_BYTES of raw normals.
+
 The exponent p = -1/2 (diffusion-like scaling) is accepted for
 demonstration only; no convergence statement attaches to it.
 """
@@ -60,11 +64,12 @@ _PSI2_SAMPLES = 100_000
 _PSI2_SEED = 20_220_457  # fixed internal stream for the cached Orlicz estimate
 
 # Byte budget of one block of raw normals, the one memory rule for draws:
-# each row block of psi2_amplitude, and an ensemble's (B, S, W) chunk, B
-# and S both about sqrt(BLOCK_BYTES / (8 W)) with W = `_step_normals` and
-# S at most N, which also caps the B generators a group holds.  A pass
-# holds all grids' norms beside it, hence the small budget; no block shape
-# changes a computed float.
+# each row block of `_row_blocks` (sample_path_matrix, psi2_amplitude and
+# noise-check), and an ensemble's (B, S, W) chunk, B and S both about
+# sqrt(BLOCK_BYTES / (8 W)) with W = `_step_normals` and S at most N,
+# which also caps the B generators a group holds.  A pass holds all
+# grids' norms beside it, hence the small budget; no block shape changes
+# a computed float.
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -121,32 +126,46 @@ def centred_gaussian(dimension: int, p: float = 1.0, c_xi: float = 1.0, s: float
     return NoiseModel(dimension, p, c_xi, s)
 
 
-def sample_path_matrix(
-    model: NoiseModel, stream: np.random.Generator, steps: np.ndarray, m: int
-) -> np.ndarray:
-    """m independent trajectories of per-step draws xi_k(h_k), shape (m, N, J).
+def sample_path_matrix(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray, m: int) -> np.ndarray:
+    """m independent trajectories of per-step draws xi_k(h_k), shape (m, N, J),
+    filled from `_row_blocks`; `_family_noise` draws one trajectory per
+    stream and consumes each as this does with m = 1."""
+    out = None
+    for start, block in _row_blocks(model, stream, steps, m):
+        out = np.empty((m,) + block.shape[1:]) if out is None else out
+        out[start:start + len(block)] = block
+    return out
 
-    The sampler of one stream; `_family_noise` draws one trajectory per
-    stream and consumes each as this does with m = 1.  Consumes the stream
-    in a fixed order, for the shared-factor kind the m shared factors
-    first, then `_step_normals(model)` normals per step, so draws are
-    reproducible given the stream state; the shared factor correlates the
-    steps of each row.
-    """
+
+def _row_blocks(model: NoiseModel, stream: np.random.Generator, steps, m: int):
+    """Yield (start, xi): the draws xi_k(h_k) of rows start.. of m, shape
+    (count, N, J), at most BLOCK_BYTES of raw normals (or one row) each.
+    The one reader of one stream: the shared-factor kind's m factors
+    first (read in these blocks from a copy of the stream, which skips
+    them by discarding them), then `_step_normals` normals per step, row
+    by row.  xi views a reused buffer: use it before the next block."""
     steps = np.asarray(steps, dtype=float)
     bad = np.flatnonzero(~((steps > 0.0) & (steps < math.inf)))
     if bad.size:
         raise ValueError(f"step {bad[0]} has size {steps.flat[bad[0]]}, expected positive and finite")
     if m < 1:
         raise ValueError(f"need at least one trajectory, got m = {m}")
-    shared = (model.rho * stream.standard_normal((m, model.dimension))
-              if model.kind == SHARED_FACTOR else None)
-    normals = stream.standard_normal((m, steps.size, _step_normals(model)))
+    size = min(m, max(1, BLOCK_BYTES // (8 * max(1, steps.size) * _step_normals(model))))
+    buf, factors, shared = np.empty((size, steps.size, _step_normals(model))), None, None
+    if model.kind == SHARED_FACTOR:
+        factors, shared = copy.deepcopy(stream), np.empty((size, model.dimension))
+        for start in range(0, m, size):
+            stream.standard_normal(out=shared[:min(size, m - start)])
     scales = _step_scales(model, steps)
-    for k in range(steps.size):
-        xi = normals[:, k, :model.dimension]
-        _noise(model, _unit(model, normals[:, k], shared, xi), scales, k, xi)
-    return normals[..., :model.dimension]
+    for start in range(0, m, size):
+        normals, term = stream.standard_normal(out=buf[:min(size, m - start)]), None
+        if factors is not None:
+            term = factors.standard_normal(out=shared[:len(normals)])
+            term *= model.rho
+        for k in range(steps.size):
+            xi = normals[:, k, :model.dimension]
+            _noise(model, _unit(model, normals[:, k], term, xi), scales, k, xi)
+        yield start, normals[..., :model.dimension]
 
 
 def _step_normals(model: NoiseModel) -> int:
@@ -216,11 +235,8 @@ def noise_path(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray
 
 
 def sample_noise_matrix(model: NoiseModel, stream: np.random.Generator, h: float, m: int) -> np.ndarray:
-    """m independent draws of xi(h), shape (m, J); estimator utility.
-
-    Each row is distributed like one per-step draw (for the shared-factor
-    kind the shared component is drawn fresh per row).
-    """
+    """m independent draws of xi(h), shape (m, J), each distributed like one
+    per-step draw (the shared-factor kind's factor is drawn fresh per row)."""
     return sample_path_matrix(model, stream, [h], m)[:, 0]
 
 
@@ -233,40 +249,27 @@ def _l2_amplitude(model: NoiseModel) -> float:
     return model.c_xi
 
 
+def _draw_norms(model: NoiseModel, stream: np.random.Generator, h: float, m: int) -> np.ndarray:
+    """|xi(h)|_H of sample_noise_matrix(model, stream, h, m), shape (m,),
+    reduced block by block (`_row_blocks`) through one reused scratch."""
+    norms, work = np.empty(m), None
+    for start, block in _row_blocks(model, stream, [h], m):
+        xi = block[:, 0]
+        work = np.empty(xi.shape) if work is None else work  # the first block is the largest
+        _h_norm(xi, norms[start:start + len(xi)], work[:len(xi)])
+    return norms
+
+
 @lru_cache(maxsize=64)
 def psi2_amplitude(model: NoiseModel) -> float:
-    """Orlicz (exp(z^2) - 1) norm of |xi(1)|_H, estimated once and cached.
-
-    Uses a fixed internal stream so the cached value is reproducible.  The
-    draws of sample_noise_matrix(model, stream, 1.0, _PSI2_SAMPLES) are
-    made in row blocks of at most BLOCK_BYTES and reduced to their norms
-    block by block.  The shared-factor kind's factors, which the stream
-    gives first, are drawn in the same blocks from a copy of it, past
-    which the stream is moved by drawing and discarding them.
-    """
+    """Orlicz (exp(z^2) - 1) norm of |xi(1)|_H, estimated once and cached
+    from the `_draw_norms` of _PSI2_SAMPLES draws of a fixed internal
+    stream, so the cached value is reproducible."""
     if model.c_xi == 0.0 and model.kind != BIASED:
         return 0.0
     stream = np.random.default_rng(np.random.SeedSequence(_PSI2_SEED))
-    size = max(1, BLOCK_BYTES // (8 * _step_normals(model)))
-    counts = [min(size, _PSI2_SAMPLES - start) for start in range(0, _PSI2_SAMPLES, size)]
-    normals, work = np.empty((size, _step_normals(model))), np.empty((size, model.dimension))
-    factors = shared = None
-    if model.kind == SHARED_FACTOR:
-        factors, shared = copy.deepcopy(stream), np.empty_like(work)
-        for count in counts:
-            stream.standard_normal(out=shared[:count])
-    scales, norms = _step_scales(model, np.ones(1)), np.empty(_PSI2_SAMPLES)
-    for start, count in zip(range(0, _PSI2_SAMPLES, size), counts):
-        y, term = stream.standard_normal(out=normals[:count]), None
-        if factors is not None:
-            term = factors.standard_normal(out=shared[:count])
-            term *= model.rho
-        xi = y[:, :model.dimension]
-        _noise(model, _unit(model, y, term, xi), scales, 0, xi)
-        _h_norm(xi, norms[start:start + count], work[:count])
-    del normals, work, shared  # the estimate needs only the norms
-    return analysis.orlicz_norm_estimate(
-        analysis._checked_samples(norms, what="noise amplitude draws"), "psi2")
+    return analysis.orlicz_norm_estimate(analysis._checked_samples(
+        _draw_norms(model, stream, 1.0, _PSI2_SAMPLES), what="noise amplitude draws"), "psi2")
 
 
 def theoretical_noise_norm(model: NoiseModel, h: float, norm_kind: str = "l2") -> float:

@@ -136,6 +136,11 @@ class TestOrliczNorm:
         with pytest.raises(ValueError, match="must be finite"):
             orlicz_norm_estimate(np.array([1.0, 2.0, bad]), young)
 
+    @pytest.mark.parametrize("young", ["psi1", "Psi2", "2", None])
+    def test_unsupported_young_rejected(self, young):
+        with pytest.raises(ValueError, match=f"young function {young!r}, expected 'psi2' or an order R >= 1"):
+            orlicz_norm_estimate(np.array([1.0, 2.0]), young)
+
     def test_power_young_needs_no_bracket(self):
         # a single spike in a sea of zeros puts the power-R norm below the
         # psi2 bisection's lower bracket edge; for Psi(z) = z^R the Orlicz
@@ -404,6 +409,9 @@ class TestErrorStatistics:
         ensemble = self._ensemble(m=3)
         with pytest.raises(ValueError, match="order must be >= 1"):
             error_statistics(ensemble, 0.5, None)
+        for young in ("psi1", "Psi2", "none"):
+            with pytest.raises(ValueError, match=f"young function '{young}', expected 'psi2' or None"):
+                error_statistics(ensemble, 2.0, young)
         norms = np.array(ensemble.error_h_norms())
         norms[1, 2] = -1e-3  # not the row maximum, so only the per-step check sees it
         negative = Ensemble(ensemble.grid, norms)

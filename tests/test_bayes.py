@@ -201,6 +201,12 @@ class TestModelValidation:
         assert model.forward_exact[0] == pytest.approx(math.exp(-0.5))
         assert model.forward_euler[0] == pytest.approx(1.0 / 1.5)
 
+    def test_forward_exact_on_a_huge_step(self):
+        # h * h overflows past about 1.34e154; the constant alpha's
+        # integral has no h^2 term, so exp(-h lam) underflows to 0, not NaN
+        assert single_mode_model(h=1e160).forward_exact.tolist() == [0.0]
+        assert single_mode_model(h=1e150).forward_exact.tolist() == [0.0]
+
     def test_forward_maps_are_the_closed_forms_bit_for_bit(self):
         # the forward maps are row 0 of flow_table and of implicit Euler's
         # step_table on [0, h]; the closed forms are the reference

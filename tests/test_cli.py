@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -501,6 +502,17 @@ seed = 0
         err = capsys.readouterr().err
         assert "run failed" in err and quantity in err and "must be finite" in err
 
+    @pytest.mark.parametrize("horizon", ["1e150", "1e160"])
+    def test_noise_free_run_on_a_huge_horizon_exits_zero(self, tmp_path, horizon):
+        # past about 1.34e154 the squared step ends overflow; a constant
+        # alpha's integral has no such term, so every step decays to 0
+        text = CONVERGE_CONFIG.replace("horizon = 1.0", f"horizon = {horizon}").replace(
+            "kind = centred_gaussian", "kind = none")
+        out = tmp_path / "out"
+        assert main(["converge", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert all(math.isfinite(entry["err_l2_maxnorm"]) for entry in report["series"])
+
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_huge_finite_noise_gives_finite_report(self, tmp_path, workers):
         # c_xi = 1e200: the squared sums behind the error norms and the
@@ -702,6 +714,47 @@ class TestChecks:
         assert report["pass"] is True
         assert [row[0] for row in report["rows"]] == [
             "scaling_t=0.5", "scaling_t=0.25", "scaling_t=0.125"]
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_noise_check_output_does_not_depend_on_the_block_size(self, tmp_path, monkeypatch,
+                                                                   kind):
+        # blocks of 2,000 rows of one step and 1,000 of two (fewer for the
+        # bounded kind's J + 2 normals a step); a row kept as a view of the
+        # reused block buffer would read a later block's draws
+        from randstep import randomisation
+
+        text = NOISE_CONFIG.replace("kind = centred_gaussian",
+                                    f"kind = {kind}\nbias_coefficient = 0.5\nrho = 0.5")
+        cfg = _write(tmp_path, text)
+        assert main(["noise-check", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * 2 * 6 * 1000)
+        assert main(["noise-check", "--config", cfg, "--out", str(tmp_path / "many")]) == 0
+        for name in ("report.json", "series.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "many" / name).read_bytes()
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_noise_check_memory_is_a_few_blocks(self, tmp_path, kind):
+        # not a timing gate: numpy reports its buffers to tracemalloc.  At
+        # J = 64 one check's 100,000 draws take 51 MB at once.  In row
+        # blocks a check holds at most three blocks (raw normals, squares
+        # for the norms, and the shared factors or the bounded kind's
+        # squares for its unit draw) beside O(m) floats: the norms and the
+        # correlation row's two columns
+        from randstep import randomisation
+
+        text = NOISE_CONFIG.replace("kind = centred_gaussian",
+                                    f"kind = {kind}\nbias_coefficient = 0.5\nrho = 0.5")
+        # the first run at J = 6 makes the imports outside the trace
+        assert main(["noise-check", "--config", _write(tmp_path, text), "--out",
+                     str(tmp_path / "small")]) == 0
+        cfg = _write(tmp_path, text.replace("dimension = 6", "dimension = 64"))
+        tracemalloc.start()
+        try:
+            assert main(["noise-check", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * randomisation.BLOCK_BYTES + 40 * 100_000
 
     def test_noise_check_requires_noise_section(self, tmp_path, capsys):
         cfg = _write(tmp_path, GRONWALL_CONFIG)

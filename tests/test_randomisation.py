@@ -25,6 +25,34 @@ def _h_norms(draws):
     return np.linalg.norm(draws, axis=-1)
 
 
+KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
+
+
+def _one_shot_reference(model, stream, steps, m):
+    """The draws xi_k(h_k) of m rows, shape (m, N, J), read from the stream
+    in one go by the stated layout and unit law: the shared-factor kind's
+    m factors F, then the raw normals Y, J + 2 a step for the bounded kind
+    and J for the others; U = Y, sqrt(1 - rho^2) Y + rho F or Y[:J] / |Y|;
+    xi = U c_xi h^(p+1) sqrt(gamma) (times sqrt(3) if bounded), plus
+    h^(p+1) b on the biased kind's mode."""
+    steps, j = np.asarray(steps, dtype=float), model.dimension
+    factors = stream.standard_normal((m, j)) if model.kind == "shared_factor" else None
+    y = stream.standard_normal((m, steps.size, j + 2 if model.kind == "bounded_uniform" else j))
+    if model.kind == "shared_factor":
+        unit = math.sqrt(1.0 - model.rho**2) * y + (model.rho * factors)[:, None, :]
+    elif model.kind == "bounded_uniform":
+        unit = y[..., :j] / np.sqrt(np.sum(y * y, axis=-1))[..., None]
+    else:
+        unit = y
+    scale = model.c_xi * steps[:, None] ** (model.p + 1.0) * np.sqrt(model.spectrum)
+    if model.kind == "bounded_uniform":
+        scale = scale * math.sqrt(3.0)
+    xi = unit * scale
+    if model.kind == "biased":
+        xi[..., model.bias_mode] += steps ** (model.p + 1.0) * model.bias_coefficient
+    return xi
+
+
 class TestValidation:
     def test_spectrum_normalised(self):
         for dim, s in ((1, 1.0), (7, 0.75), (64, 1.5)):
@@ -218,8 +246,7 @@ class TestOrliczBound:
             psi2_amplitude(model) * 0.25
         )
 
-    @pytest.mark.parametrize("kind", ["centred_gaussian", "biased", "shared_factor",
-                                      "bounded_uniform"])
+    @pytest.mark.parametrize("kind", KINDS)
     def test_psi2_amplitude_blocks_match_one_shot(self, monkeypatch, kind):
         from randstep import randomisation
 
@@ -230,8 +257,8 @@ class TestOrliczBound:
         monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", samples)
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * 5 * 700)
         stream = np.random.default_rng(np.random.SeedSequence(randomisation._PSI2_SEED))
-        one_shot = np.linalg.norm(sample_noise_matrix(model, stream, 1.0, samples), axis=1)
-        expected = orlicz_norm_estimate(one_shot, "psi2")
+        xi = _one_shot_reference(model, stream, [1.0], samples)[:, 0]
+        expected = orlicz_norm_estimate(np.sqrt(np.sum(xi * xi, axis=-1)), "psi2")
         assert psi2_amplitude.__wrapped__(model) == expected
 
     @pytest.mark.parametrize("kind", ["centred_gaussian", "shared_factor", "bounded_uniform"])
@@ -258,6 +285,35 @@ class TestOrliczBound:
         model = centred_gaussian(3, c_xi=0.0)
         assert psi2_amplitude(model) == 0.0
         assert theoretical_noise_norm(model, 0.3, "l2") == 0.0
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("m", [4, 23])
+    def test_blocks_match_one_shot_reference(self, monkeypatch, kind, n, m):
+        from randstep import randomisation
+
+        model = NoiseModel(3, p=1.0, c_xi=0.8, kind=kind, bias_mode=1,
+                           bias_coefficient=0.6, rho=0.3)
+        steps = [0.5, 0.25][:n]
+        # blocks of 5 rows of n steps of raw normals: one short block at
+        # m = 4, four full ones and a short one at m = 23
+        width = 5 if kind == "bounded_uniform" else 3
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * n * width * 5 + 7)
+        stream, reference = _rng(12), _rng(12)
+        expected = _one_shot_reference(model, reference, steps, m)
+        blocks = [(start, xi.copy()) for start, xi in
+                  randomisation._row_blocks(model, stream, steps, m)]
+        assert [start for start, _ in blocks] == list(range(0, m, 5))
+        assert [len(xi) for _, xi in blocks] == [min(5, m - start) for start in range(0, m, 5)]
+        assert np.array_equal(np.concatenate([xi for _, xi in blocks]), expected)
+        # the reader leaves the stream where the one-shot read does
+        assert np.array_equal(stream.standard_normal(4), reference.standard_normal(4))
+        assert np.array_equal(sample_path_matrix(model, _rng(12), steps, m), expected)
+        if n == 1:
+            norms = randomisation._draw_norms(model, _rng(12), steps[0], m)
+            assert np.array_equal(norms, np.sqrt(np.sum(expected[:, 0] ** 2, axis=-1)))
 
 
 class TestPathDraws:
