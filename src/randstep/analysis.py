@@ -12,7 +12,6 @@ is `lr_norm_estimate`.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -90,19 +89,16 @@ def _psi2_mean(samples: np.ndarray, k: float) -> float:
         return float(np.mean(np.expm1(z * z)))
 
 
-def orlicz_norm_estimate(samples: np.ndarray, young="psi2") -> float:
+def orlicz_norm_estimate(samples: np.ndarray, young: str = "psi2") -> float:
     """Orlicz norm inf{k > 0 : mean(Psi(x / k)) <= 1}.
 
     young is "psi2" for Psi(z) = exp(z^2) - 1, found by bisection to a
     relative width _ORLICZ_REL_TOL (the objective decreases strictly in k,
-    and the bracket [max(x)/50, 50 max(x)] straddles the crossing).  A
-    number R stands for Psi(z) = z^R, whose Orlicz norm is exactly the L^R
-    norm, so lr_norm_estimate(samples, R) is returned.
+    and the bracket [max(x)/50, 50 max(x)] straddles the crossing).  The
+    Orlicz norm of Psi(z) = z^R is the L^R norm, `lr_norm_estimate`.
     """
     if young != "psi2":
-        if not isinstance(young, numbers.Real):
-            raise ValueError(f"unsupported young function {young!r}, expected 'psi2' or an order R >= 1")
-        return lr_norm_estimate(samples, float(young))
+        raise ValueError(f"unsupported young function {young!r}, expected 'psi2'")
     samples = _checked_samples(samples)
     top = float(samples.max())
     if top == 0.0:

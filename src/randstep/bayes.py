@@ -19,6 +19,7 @@ collapse onto the biased point.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -69,6 +70,12 @@ class DiagonalGaussianModel:
             raise ValueError("p must be >= 0")
         if self.delta < 0.0:
             raise ValueError("delta must be >= 0")
+        try:  # math.pow raises where numpy's power would give inf
+            inflation = math.pow(self.h, 2.0 * self.p + 2.0)
+        except OverflowError:
+            raise ValueError(f"the inflation factor h^(2p + 2) overflows at h = {self.h}, "
+                             f"p = {self.p}") from None
+        object.__setattr__(self, "_inflation", inflation)
         # the one step [0, h] of u' + A u = 0, whose tables are the forward maps
         space = SpaceDescriptor(np.atleast_1d(np.asarray(self.eigenvalues, dtype=float)))
         object.__setattr__(self, "_step", Problem(space, horizon=self.h))
@@ -116,9 +123,7 @@ def posterior(
     if y.size != model.eigenvalues.size:
         raise ValueError(f"data length {y.size} does not match {model.eigenvalues.size} modes")
     g = model.forward_exact if variant == "exact" else model.forward_euler
-    inflation = 0.0
-    if variant == "randomised":
-        inflation = model.h ** (2.0 * model.p + 2.0) * model.rand_var
+    inflation = model._inflation * model.rand_var if variant == "randomised" else 0.0
     denom = model.delta * model.obs_var + inflation + g * model.prior_var * g
     if np.any(denom <= 0.0):
         raise ValueError("degenerate posterior denominator")

@@ -123,6 +123,13 @@ def _section(parser: configparser.ConfigParser, name: str,
     return parser[name]
 
 
+def _aliased(sec: configparser.SectionProxy, key: str, alias: str) -> str:
+    """key, or alias if only the alias is given; both at once is refused."""
+    if key in sec and alias in sec:
+        raise ValueError(f"{key!r} and its alias {alias!r} are both given")
+    return alias if alias in sec else key
+
+
 @contextmanager
 def _reading(section: str):
     """Raise any failure of the block as a ConfigError naming section."""
@@ -161,15 +168,10 @@ def _parse_problem(parser, uncut) -> tuple[Problem, np.ndarray]:
     """[problem]; uncut is the file read without inline comments."""
     sec = _section(parser, "problem")
     with _reading("problem"):
-        horizon = sec.getfloat("horizon", fallback=None)
-        if horizon is None:
-            horizon = sec.getfloat("t", 1.0)
+        horizon = sec.getfloat(_aliased(sec, "horizon", "t"), 1.0)
         family = sec.get("lambda_spec", "laplacian_1d").strip()
         if family == "laplacian_1d":
-            dimension = sec.getint("dimension", fallback=None)
-            if dimension is None:
-                dimension = sec.getint("j")
-            space = laplacian_1d(dimension)
+            space = laplacian_1d(sec.getint(_aliased(sec, "dimension", "j")))
         elif family == "explicit":
             space = SpaceDescriptor(np.array(_floats(sec.get("lambda_values"))))
         else:
@@ -217,7 +219,7 @@ def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
 def _parse_method(parser) -> MethodConfig:
     sec = _section(parser, "method")
     with _reading("method"):
-        kind = sec.get("kind", sec.get("method", "")).strip()
+        kind = sec.get(_aliased(sec, "kind", "method"), "").strip()
         if kind not in ("explicit_euler", "two_stage", "implicit_euler"):
             raise ValueError(f"unknown method kind {kind!r}")
         coeffs = []

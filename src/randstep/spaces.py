@@ -2,18 +2,13 @@
 
 State vectors are plain float arrays of coefficients in the orthonormal
 H-eigenbasis of the spatial operator.  With eigenvalues lam_j > 0, the
-three norms are realised spectrally:
+triple is carried by the eigenvalues alone (V and V' weight mode j by
+lam_j and 1 / lam_j).  The default model operator is the Dirichlet
+Laplacian on (0, pi), whose eigenvalues are lam_j = j^2.
 
-    H:  (sum c_j^2)^(1/2)
-    V:  (sum lam_j c_j^2)^(1/2)
-    V': (sum c_j^2 / lam_j)^(1/2)
-
-The default model operator is the Dirichlet Laplacian on (0, pi), whose
-eigenvalues are lam_j = j^2.
-
-Every norm of a state vector in the package is the one reduction
-`_h_norm`: the V and V' norms are the H-norms of sqrt(lam) c and
-c / sqrt(lam), so all three share its overflow rule.
+Every norm the package reports is the H-norm (sum c_j^2)^(1/2), and
+every norm of a state vector is the one reduction `_h_norm`; `norm` is
+its public, dimension-checked form.
 """
 
 from __future__ import annotations
@@ -23,8 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["SpaceDescriptor", "laplacian_1d", "norm"]
-
-NORM_KINDS = ("h", "v", "v_dual")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +89,11 @@ def _h_norm(x: np.ndarray, out: np.ndarray | None = None,
     return norms
 
 
-def norm(x: np.ndarray, space: SpaceDescriptor, kind: str = "h") -> float | np.ndarray:
-    """Norm of a coefficient vector in H, V or V', each through `_h_norm`.
+def norm(x: np.ndarray, space: SpaceDescriptor) -> float | np.ndarray:
+    """H-norm of a coefficient vector of space, through `_h_norm`.
 
     Accepts stacked inputs of shape (..., J) and reduces the last axis.
     """
-    x = _check_dimension(x, space.dimension)
-    if kind == "h":
-        out = _h_norm(x)
-    elif kind == "v":
-        out = _h_norm(np.sqrt(space.eigenvalues) * x)
-    elif kind == "v_dual":
-        out = _h_norm(x / np.sqrt(space.eigenvalues))
-    else:
-        raise ValueError(f"unknown norm kind {kind!r}, expected one of {NORM_KINDS}")
+    out = _h_norm(_check_dimension(x, space.dimension))
     return float(out) if out.ndim == 0 else out
 

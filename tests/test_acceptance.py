@@ -234,6 +234,7 @@ def test_criterion_9_bayes_limits():
 
 def test_criterion_10_reproducibility(tmp_path):
     from randstep.cli import main
+    from randstep.randomisation import _chunk_shape
 
     config = tmp_path / "exp.cfg"
     config.write_text(
@@ -242,9 +243,11 @@ def test_criterion_10_reproducibility(tmp_path):
         "[grid_family]\nn_values = 8, 16, 32\ngamma = 1.0\n\n"
         "[method]\nkind = implicit_euler\n\n"
         "[noise]\nkind = centred_gaussian\np = 1.0\nc_xi = 1.0\n\n"
-        "[ensemble]\nm = 32\nseed = 2024\n\n"
+        "[ensemble]\nm = 600\nseed = 2024\n\n"
         "[analysis]\nr = 2\nyoung = psi2\n"
     )
+    # the pool forks only for a run of several groups of trajectories
+    assert _chunk_shape(rs.centred_gaussian(8, 1.0, 1.0), 32, 600)[0] < 600
     outs = {}
     for workers in (1, 8):
         out = tmp_path / f"w{workers}"

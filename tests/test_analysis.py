@@ -61,7 +61,6 @@ class TestLrNorm:
     def test_huge_samples_do_not_overflow(self):
         # 1e200^2 overflows; the sample's largest value scales it first
         assert lr_norm_estimate(np.full(10, 1e200), 2) == 1e200
-        assert orlicz_norm_estimate(np.full(10, 1e200), 2.0) == 1e200
 
 
 class TestLrNorms:
@@ -124,32 +123,17 @@ class TestOrliczNorm:
         small = orlicz_norm_estimate(np.array([1e306, 5e305]), "psi2")
         assert est == pytest.approx(10.0 * small, rel=1e-12)
 
-    def test_power_young_matches_lr(self):
-        rng = np.random.default_rng(102)
-        sample = np.abs(rng.standard_normal(2000))
-        est = orlicz_norm_estimate(sample, 2.0)
-        assert est == pytest.approx(lr_norm_estimate(sample, 2.0), rel=1e-5)
-
-    @pytest.mark.parametrize("young", ["psi2", 2.0])
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-    def test_non_finite_sample_rejected(self, bad, young):
+    def test_non_finite_sample_rejected(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
-            orlicz_norm_estimate(np.array([1.0, 2.0, bad]), young)
+            orlicz_norm_estimate(np.array([1.0, 2.0, bad]), "psi2")
 
-    @pytest.mark.parametrize("young", ["psi1", "Psi2", "2", None])
+    @pytest.mark.parametrize("young", ["psi1", "Psi2", "2", None, 2.0, 1])
     def test_unsupported_young_rejected(self, young):
-        with pytest.raises(ValueError, match=f"young function {young!r}, expected 'psi2' or an order R >= 1"):
+        # the Orlicz norm of z^R is the L^R norm, whose one entry point is
+        # lr_norm_estimate; an order is refused here, not forwarded
+        with pytest.raises(ValueError, match=f"young function {young!r}, expected 'psi2'$"):
             orlicz_norm_estimate(np.array([1.0, 2.0]), young)
-
-    def test_power_young_needs_no_bracket(self):
-        # a single spike in a sea of zeros puts the power-R norm below the
-        # psi2 bisection's lower bracket edge; for Psi(z) = z^R the Orlicz
-        # norm is the L^R norm, returned without a bisection
-        sample = np.zeros(100_000)
-        sample[0] = 1.0
-        est = orlicz_norm_estimate(sample, 2.0)
-        assert est == lr_norm_estimate(sample, 2.0)
-        assert est == pytest.approx(1.0 / math.sqrt(100_000), rel=1e-15)
 
 
 class TestFitRate:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,10 @@ from scipy.integrate import quad
 
 from randstep import (
     DiagonalGaussianModel,
+    Problem,
+    SpaceDescriptor,
     biased_limit,
+    flow_table,
     posterior,
     single_mode_model,
     small_noise_sweep,
@@ -202,10 +206,18 @@ class TestModelValidation:
         assert model.forward_euler[0] == pytest.approx(1.0 / 1.5)
 
     def test_forward_exact_on_a_huge_step(self):
-        # h * h overflows past about 1.34e154; the constant alpha's
-        # integral has no h^2 term, so exp(-h lam) underflows to 0, not NaN
-        assert single_mode_model(h=1e160).forward_exact.tolist() == [0.0]
+        # the constant alpha's integral has no h^2 term, so exp(-h lam)
+        # underflows to 0, not NaN; a model's h^(2p+2) overflows first
         assert single_mode_model(h=1e150).forward_exact.tolist() == [0.0]
+        step = Problem(SpaceDescriptor(np.array([1.0])), horizon=1e160)
+        assert flow_table(step, [1e160], [0.0])[0].tolist() == [[0.0]]
+
+    @pytest.mark.parametrize("h, p", [(1e160, 0.0), (1e80, 1.5), (10.0, 400.0)])
+    def test_overflowing_inflation_factor_is_refused(self, h, p):
+        # math.pow raises OverflowError past the largest double; the model
+        # names h and p instead
+        with pytest.raises(ValueError, match=re.escape(f"h^(2p + 2) overflows at h = {h}, p = {p}")):
+            single_mode_model(h=h, p=p)
 
     def test_forward_maps_are_the_closed_forms_bit_for_bit(self):
         # the forward maps are row 0 of flow_table and of implicit Euler's

@@ -242,6 +242,21 @@ class TestConverge:
         err = capsys.readouterr().err
         assert "config error in [analysis]" in err and "finite" in err
 
+    @pytest.mark.parametrize("line, alias_line, section", [
+        ("dimension = 4", "J = 8", "problem"),
+        ("horizon = 1.0", "T = 2.0", "problem"),
+        ("kind = implicit_euler", "method = explicit_euler", "method"),
+    ], ids=["dimension-J", "horizon-T", "kind-method"])
+    def test_key_and_its_alias_together_exit_one(self, tmp_path, capsys, line, alias_line,
+                                                 section):
+        # neither value wins silently
+        assert CONVERGE_CONFIG.count(line) == 1
+        bad = _write(tmp_path, CONVERGE_CONFIG.replace(line, f"{line}\n{alias_line}"))
+        assert main(["converge", "--config", bad, "--out", str(tmp_path / "out")]) == 1
+        key, alias = line.split()[0], alias_line.split()[0].lower()  # configparser lowercases keys
+        assert (f"config error in [{section}]: {key!r} and its alias {alias!r} are both given"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("spectrum", ["lambda_spec = explicit\nlambda_values = 1.0, 4.0",
                                           "lambda_spec = laplacian_1d\nJ = 2"],
                              ids=["explicit", "laplacian-J"])
@@ -837,6 +852,7 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
          "anlysis"),
         ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "c_xi = 0.5\ndimension = 5", "noise"),
         ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 4.0, 1.0", "bayes"),
+        ("bayes", BAYES_CONFIG, "h = 0.1", "h = 1e160", "bayes"),
     ],
     ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis", "output",
          "bayes", "bayes-seed", "noise-check-dimension", "method-nan-coefficient",
@@ -848,7 +864,7 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
          "problem-zero-alpha", "problem-nan-forcing", "problem-zero-dimension",
          "problem-empty-lambda-values", "bayes-negative-lambda", "bayes-zero-h",
          "bayes-negative-p", "noise-unknown-key", "unknown-section", "noise-dimension-mismatch",
-         "bayes-decreasing-lambda"],
+         "bayes-decreasing-lambda", "bayes-overflowing-inflation"],
 )
 def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, text, old,
                                                 new, section):

@@ -15,8 +15,10 @@ from randstep import (
     flow_table,
     garding_constants,
     heat_1d,
+    implicit_euler,
     laplacian_1d,
     scalar_linear,
+    step,
 )
 from randstep import sampler
 
@@ -69,10 +71,34 @@ class TestExactFlowExamples:
         out = exact_flow(problem, 0.1, 0.0, np.array([1.0]))
         assert out[0] == pytest.approx(math.exp(-0.1), abs=1e-15)
 
-    def test_identity_at_zero_step(self):
+    def test_refuses_zero_step_as_flow_table_and_step_do(self):
+        # an empty step is refused by each entry point with flow_table's message
         problem = heat_1d(4)
         x = np.array([1.0, -2.0, 0.5, 3.0])
-        assert np.array_equal(exact_flow(problem, 0.0, 0.3, x), x)
+        message = r"^step 0 \[0.3, 0.3\] is empty or leaves \[0, 1.0\]$"
+        for call in (lambda: exact_flow(problem, 0.0, 0.3, x),
+                     lambda: flow_table(problem, [0.0], [0.3]),
+                     lambda: step(implicit_euler(), problem, 0.0, 0.3, x)):
+            with pytest.raises(ValueError, match=message):
+                call()
+
+    def test_is_one_row_of_flow_table_bit_for_bit(self):
+        # alpha = 1 - t vanishes at T, so the high modes of the last steps
+        # split into substeps; each row of the grid's table is exact_flow
+        # over that one step, applied to x
+        from randstep.problems import _ORDER_CAP, _series_order
+
+        forcing = np.random.default_rng(81).uniform(-1.0, 1.0, (64, 3))
+        problem = Problem(laplacian_1d(64), (1.0, -1.0), forcing, 1.0)
+        grid = build_grid(1.0, 16, 1.5)
+        points = grid.points[:-1]
+        decay, response = flow_table(problem, grid.steps, points)
+        lam = problem.space.eigenvalues
+        orders = _series_order(lam, -0.5 * lam, points[:, None], (points + grid.steps)[:, None])
+        assert np.any(orders > _ORDER_CAP) and np.any(orders <= _ORDER_CAP)
+        x = np.random.default_rng(82).standard_normal((3, 64))
+        for k, (h, t) in enumerate(zip(grid.steps, points)):
+            assert np.array_equal(exact_flow(problem, h, t, x), decay[k] * x + response[k])
 
     def test_modewise_decay(self):
         problem = Problem(laplacian_1d(2), (1.0, 0.0), None, 1.0)
@@ -89,13 +115,11 @@ class TestExactFlowExamples:
 
     def test_rejects_leaving_interval(self):
         problem = heat_1d(2, horizon=1.0)
-        # a nonzero step fails as it fails in flow_table
-        for h, t in ((0.5, 0.8), (-0.1, 0.2), (-1e-9, 0.0), (0.3, -0.1), (0.2, 1.5)):
+        # every step, the empty one too, fails as it fails in flow_table
+        for h, t in ((0.5, 0.8), (-0.1, 0.2), (-1e-9, 0.0), (0.3, -0.1), (0.2, 1.5),
+                     (0.0, -0.1), (0.0, 1.5)):
             with pytest.raises(ValueError, match=r"is empty or leaves \[0, 1.0\]"):
                 exact_flow(problem, h, t, np.zeros(2))
-        for t in (-0.1, 1.5):
-            with pytest.raises(ValueError, match=rf"time {t} outside \[0, 1.0\]"):
-                exact_flow(problem, 0.0, t, np.zeros(2))
 
     @pytest.mark.parametrize("h, t, end", [(math.nan, 0.0, "nan"), (0.1, math.nan, "nan"),
                                            (math.inf, 0.0, "inf"), (0.1, -math.inf, "-inf")])
@@ -107,7 +131,7 @@ class TestExactFlowExamples:
         with pytest.raises(ValueError, match=rf"step 1 \[.*, {end}\] is not finite"):
             flow_table(problem, [0.1, h], [0.0, t])
         if h == 0.1:
-            with pytest.raises(ValueError, match=rf"time {t} outside \[0, 1.0\]"):
+            with pytest.raises(ValueError, match=rf"step 0 \[{t}, {t}\] is not finite"):
                 exact_flow(problem, 0.0, t, np.zeros(2))
 
     @pytest.mark.parametrize("h", [0.0, 0.1])

@@ -32,50 +32,25 @@ class TestSpaceDescriptor:
 class TestNorm:
     def test_pythagorean(self):
         space = SpaceDescriptor(np.array([1.0, 1.0]))
-        assert norm(np.array([3.0, 4.0]), space, "h") == pytest.approx(5.0)
-
-    def test_v_weighting(self):
-        space = SpaceDescriptor(np.array([1.0, 4.0]))
-        assert norm(np.array([3.0, 4.0]), space, "v") == pytest.approx(math.sqrt(73.0))
-
-    def test_dual_weighting(self):
-        space = SpaceDescriptor(np.array([1.0, 4.0]))
-        assert norm(np.array([3.0, 4.0]), space, "v_dual") == pytest.approx(math.sqrt(9.0 + 4.0))
+        assert norm(np.array([3.0, 4.0]), space) == pytest.approx(5.0)
 
     def test_zero_vector(self):
-        space = laplacian_1d(3)
-        for kind in ("h", "v", "v_dual"):
-            assert norm(np.zeros(3), space, kind) == 0.0
+        assert norm(np.zeros(3), laplacian_1d(3)) == 0.0
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            norm(np.ones(3), laplacian_1d(2), "h")
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            norm(np.ones(2), laplacian_1d(2), "w")
+            norm(np.ones(3), laplacian_1d(2))
 
     def test_stacked_input(self):
         space = laplacian_1d(2)
-        stacked = norm(np.array([[3.0, 0.0], [0.0, 4.0]]), space, "h")
+        stacked = norm(np.array([[3.0, 0.0], [0.0, 4.0]]), space)
         assert np.allclose(stacked, [3.0, 4.0])
-
-    @settings(max_examples=200)
-    @given(st.integers(min_value=1, max_value=16), st.integers(min_value=0, max_value=2**31 - 1))
-    def test_norm_ordering(self, dim, seed):
-        # with lam_min >= 1: |x|_V' <= |x|_H <= |x|_V
-        rng = np.random.default_rng(seed)
-        space = SpaceDescriptor(np.sort(rng.uniform(1.0, 50.0, dim)))
-        x = rng.standard_normal(dim)
-        lo, mid, hi = norm(x, space, "v_dual"), norm(x, space, "h"), norm(x, space, "v")
-        assert lo <= mid * (1 + 1e-12)
-        assert mid <= hi * (1 + 1e-12)
 
     def test_norm_consistency(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(6)
         space = SpaceDescriptor(np.ones(6))
-        assert float(x @ x) == pytest.approx(norm(x, space, "h") ** 2)
+        assert float(x @ x) == pytest.approx(norm(x, space) ** 2)
 
     @settings(max_examples=200)
     @given(st.integers(min_value=1, max_value=12), st.integers(min_value=0, max_value=2**31 - 1))
@@ -84,7 +59,7 @@ class TestNorm:
         x, y = rng.standard_normal((2, dim))
         space = SpaceDescriptor(np.ones(dim))
         lhs = abs(float(x @ y))
-        rhs = norm(x, space, "h") * norm(y, space, "h")
+        rhs = norm(x, space) * norm(y, space)
         assert lhs <= rhs * (1 + 1e-12)
 
 
@@ -125,14 +100,9 @@ class TestHNorm:
 
     def test_overflowing_vector_through_norm(self):
         space = SpaceDescriptor(np.array([1.0, 1.0]))
-        assert norm(np.array([3e200, 4e200]), space, "h") == pytest.approx(5e200, rel=1e-15)
+        assert norm(np.array([3e200, 4e200]), space) == pytest.approx(5e200, rel=1e-15)
 
-    @pytest.mark.parametrize("kind, expected", [
-        ("h", math.hypot(1e200, 1.0)),
-        ("v", math.hypot(1e200, 2.0)),
-        ("v_dual", math.hypot(1e200, 0.5)),
-    ], ids=["h", "v", "v_dual"])
-    def test_large_entry_has_finite_norm_of_every_kind(self, kind, expected):
-        # one overflow rule for all three norms: no inf, and no overflow
-        # warning (which the test settings turn into an error)
-        assert norm(np.array([1e200, 1.0]), laplacian_1d(2), kind) == pytest.approx(expected, rel=1e-15)
+    def test_large_entry_has_finite_norm(self):
+        # no inf, and no overflow warning (which the test settings turn
+        # into an error)
+        assert norm(np.array([1e200, 1.0]), laplacian_1d(2)) == pytest.approx(math.hypot(1e200, 1.0), rel=1e-15)
