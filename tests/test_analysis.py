@@ -62,6 +62,14 @@ class TestLrNorm:
         # 1e200^2 overflows; the sample's largest value scales it first
         assert lr_norm_estimate(np.full(10, 1e200), 2) == 1e200
 
+    def test_single_spike(self):
+        # one spike in a sea of zeros: the L^R norm is m^(-1/R), below the
+        # sample's largest value by far
+        sample = np.zeros(100_000)
+        sample[0] = 1.0
+        assert lr_norm_estimate(sample, 2.0) == pytest.approx(1.0 / math.sqrt(100_000), rel=1e-15)
+        assert lr_norm_estimate(sample, 4.0) == pytest.approx(100_000 ** -0.25, rel=1e-15)
+
 
 class TestLrNorms:
     """The one L^R reduction: the plain power mean, and rescaled columns
@@ -115,6 +123,19 @@ class TestOrliczNorm:
 
     def test_all_zero(self):
         assert orlicz_norm_estimate(np.zeros(10), "psi2") == 0.0
+
+    def test_single_spike_closed_form(self):
+        # mean(Psi(x / k)) = expm1(1 / k^2) / m = 1  =>  k = 1 / sqrt(ln(m + 1))
+        m = 100_000
+        sample = np.zeros(m)
+        sample[0] = 1.0
+        est = orlicz_norm_estimate(sample, "psi2")
+        assert est == pytest.approx(1.0 / math.sqrt(math.log(m + 1.0)), rel=1e-5)
+
+    def test_huge_constant_sample_closed_form(self):
+        # 1e200^2 would overflow; the bisection only squares x / k
+        est = orlicz_norm_estimate(np.full(10, 1e200), "psi2")
+        assert est == pytest.approx(1e200 / math.sqrt(math.log(2.0)), rel=1e-5)
 
     def test_finite_where_the_bracket_overflows(self):
         # 50 max(x) overflows above about 3.6e306; the norm is positively
