@@ -5,8 +5,9 @@ Two orderings of the error statistic are tracked: the "max of norm"
 max_k |e_k|_(L^R) and the stronger "norm of max" | max_k |e_k|_H |_(L^R)
 (or its Orlicz analogue); the former never exceeds the latter.
 
-Every L^R norm is the one reduction `_lr_norms`, whose one-column case
-is `lr_norm_estimate`.
+Every L^R norm is the one root `_lr_root`: of the reduction `_lr_norms`,
+whose one-column case is `lr_norm_estimate`, or of the per-task partials
+a study's ensemble pass keeps (`_pooled_lr_norms`).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:
-    from .sampler import Ensemble
+    from .sampler import Ensemble, ReducedEnsemble
 
 __all__ = [
     "EstimationError",
@@ -50,21 +51,40 @@ def lr_norm_estimate(samples: np.ndarray, r: float) -> float:
     return float(_lr_norms(samples.reshape(-1, 1), r)[0])
 
 
+def _lr_root(total: float, m: int, r: float, scale: float = 1.0) -> float:
+    """scale (total / m)^(1/R): the L^R norm of m samples x from total, the
+    sum of (x / scale)^R.  The one statement of the root, a scalar power
+    (numpy's array power rounds differently)."""
+    return scale * float(total / m) ** (1.0 / r)
+
+
 def _lr_norms(samples: np.ndarray, r: float) -> np.ndarray:
     """(mean_i x_ik^R)^(1/R) for every column k of the finite, non-negative
     samples x, shape (M, K), one column at a time, so no temporary is
-    larger than a column; each root is a scalar power (numpy's array power
-    rounds differently).  A column whose norm overflowed (above about
+    larger than a column.  A column whose norm overflowed (above about
     1.3e154 at R = 2) is recomputed as s mean((x / s)^R)^(1/R) with s its
     largest sample."""
     norms = np.empty(samples.shape[1])
+    m = samples.shape[0]
     with np.errstate(over="ignore"):
         for k, x in enumerate(samples.T):
-            norms[k] = float(np.mean(np.power(x, r))) ** (1.0 / r)
+            norms[k] = _lr_root(np.add.reduce(np.power(x, r)), m, r)
             if math.isinf(norms[k]):
                 s = x.max()
-                norms[k] = s * np.mean(np.power(x / s, r)) ** (1.0 / r)
+                norms[k] = _lr_root(np.add.reduce(np.power(x / s, r)), m, r, s)
     return norms
+
+
+def _pooled_lr_norms(tops: np.ndarray, sums: np.ndarray, m: int, r: float) -> np.ndarray:
+    """The `_lr_norms` of m finite, non-negative samples per column from
+    partials of disjoint groups of them, shape (G, K) each: tops, each
+    group's largest sample, and sums, its sum of (x / top)^R.  Each column
+    is rescaled to its largest sample s, so nothing overflows, summed in
+    group order and reported as s mean((x / s)^R)^(1/R)."""
+    top = tops.max(axis=0)
+    ratio = np.divide(tops, top, out=np.zeros_like(tops), where=top > 0.0)
+    totals = np.add.reduce(np.power(ratio, r) * sums, axis=0)
+    return np.array([_lr_root(total, m, r, s) for total, s in zip(totals.tolist(), top.tolist())])
 
 
 def _checked_samples(samples: np.ndarray, r: float = 1.0, what: str = "samples") -> np.ndarray:
@@ -129,14 +149,24 @@ class ErrorStatistics:
     psi2_norm_of_max: float | None = None
 
 
-def error_statistics(ensemble: Ensemble, r: float = 2.0, young: str | None = "psi2") -> ErrorStatistics:
-    """Both error orderings (and optionally the Orlicz norm of the max)."""
+def error_statistics(ensemble: Ensemble | ReducedEnsemble, r: float = 2.0,
+                     young: str | None = "psi2") -> ErrorStatistics:
+    """Both error orderings (and optionally the Orlicz norm of the max)
+    from the per-step L^R norms and the per-trajectory maxima: of an
+    Ensemble's checked norms (`_lr_norms`), or of a ReducedEnsemble, whose
+    maxima are checked (any NaN or inf of a norm reaches them) and whose
+    per-task partials at order r give the per-step norms
+    (`_pooled_lr_norms`)."""
     if young not in ("psi2", None):
         raise ValueError(f"unsupported young function {young!r}, expected 'psi2' or None")
-    norms = _checked_samples(ensemble.error_h_norms(), r,
-                             f"error norms at h = {ensemble.grid.mesh:g}")
-    max_of_norm = float(np.max(_lr_norms(norms, r)))
-    per_traj_max = norms.max(axis=1)
+    what = f"error norms at h = {ensemble.grid.mesh:g}"
+    if hasattr(ensemble, "maxima"):
+        per_traj_max = _checked_samples(ensemble.maxima, r, what)
+        per_step = _pooled_lr_norms(ensemble.tops, ensemble.sums[r], ensemble.size, r)
+    else:
+        norms = _checked_samples(ensemble.error_h_norms(), r, what)
+        per_step, per_traj_max = _lr_norms(norms, r), norms.max(axis=1)
+    max_of_norm = float(np.max(per_step))
     norm_of_max = lr_norm_estimate(per_traj_max, r)
     psi2 = orlicz_norm_estimate(per_traj_max, "psi2") if young == "psi2" else None
     return ErrorStatistics(ensemble.grid.mesh, ensemble.size, r, max_of_norm, norm_of_max, psi2)

@@ -75,13 +75,14 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         # mean-zero noise, independent across steps, gains half an order
         gain = 0.5 if cfg.noise.kind in (CENTRED_GAUSSIAN, BOUNDED_UNIFORM) else 0.0
         theory_slope = min(method.order, noise_p + gain)
-    # one build of each grid's tables; all ensembles come from one pass
+    # one build of each grid's tables; all ensembles come from one pass,
+    # which reduces them to the statistics' inputs at every reported order
     constants, lipschitz, runs = sampler._converge(problem, method, cfg.noise, cfg.grids,
-                                                   theta, cfg.ensemble_size, cfg.seed, workers)
+                                                   theta, cfg.ensemble_size, cfg.seed, workers,
+                                                   (cfg.r, *cfg.extra_r))
     c_meas, l_psi = max(0.0, *constants), max(0.0, *lipschitz)
     series, rows = [], []
-    for grid in cfg.grids:
-        run = runs.pop(0)
+    for grid, run in zip(cfg.grids, runs):
         if cfg.noise is None:
             worst = float(run.error_h_norms().max())
             st = analysis.ErrorStatistics(grid.mesh, 1, cfg.r, worst, worst, None)
@@ -99,7 +100,6 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             more = [analysis.error_statistics(run, r, None) for r in cfg.extra_r]
             entry["extra_lr"] = {_order_key(m.r): {"maxnorm": m.max_of_norm,
                                                    "normmax": m.norm_of_max} for m in more}
-        del run  # free its norms before the next grid's statistics
         series.append(entry)
     fit = analysis.fit_rate([(entry["h"], entry["err_l2_normmax"]) for entry in series])
     payload = {

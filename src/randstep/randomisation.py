@@ -67,9 +67,10 @@ _PSI2_SEED = 20_220_457  # fixed internal stream for the cached Orlicz estimate
 # each row block of `_row_blocks` (sample_path_matrix, psi2_amplitude and
 # noise-check), and an ensemble's (B, S, W) chunk, B and S both about
 # sqrt(BLOCK_BYTES / (8 W)) with W = `_step_normals` and S at most N,
-# which also caps the B generators a group holds.  A pass holds all
-# grids' norms beside it, hence the small budget; no block shape changes
-# a computed float.
+# which also caps the B generators a group holds.  A `run_ensemble` pass
+# holds its (M, N + 1) norms beside it, hence the small budget.  No block
+# shape changes a drawn value or a norm; B groups the per-step partials
+# a study's pass sums (see sampler's memory model).
 BLOCK_BYTES = 4 * 2**20
 
 

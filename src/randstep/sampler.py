@@ -46,16 +46,27 @@ steps, S at a time, into one reused raw chunk of at most
 `randomisation.BLOCK_BYTES`, which alone sets B and S, and shapes each
 raw step's unit draw once.  Each grid that has the step scales the unit
 by its scale table into one (B, J) scratch, advances its deviation and
-writes the norm into the group's rows of its (M, N_g + 1) norms.  A study
-holds all grids' norms, their (a, d) and scale tables and one chunk.  With
-several workers, all groups of a study run as tasks in one pool of
-forked workers, which write their rows straight into norms in anonymous
-shared mappings made before the fork.  Neither B, S nor the task order
-changes a computed float.
+writes the norm into its contiguous block of the next D steps' norms,
+(D, B) with D = S // G for G grids, so the blocks hold one chunk's steps
+of norms in all.  A full block, or the grid's last, is kept:
+`run_ensemble` copies it into the group's rows of the (M, N + 1) norms.
+A convergence study keeps only what its report reads
+(`ReducedEnsemble`): the rows' maxima of an (M,) array per grid and, per
+order R, the task's partials of each step, sum_i (x_i / s_g)^R with s_g
+the group's largest norm.  So a study holds (M,) maxima and
+(tasks, N_g + 1) partials per grid, the (a, d) and scale tables, one
+chunk and blocks of at most S B norms.  With several workers, all groups
+of a study run as tasks in one pool of forked workers, which write their
+rows straight into these arrays in anonymous shared mappings made before
+the fork.  Neither S nor the task order changes a computed float.  B sets
+the tasks, so a study's per-step L^R norms, summed from the partials in
+task order, depend on B in the last bits, but never on the worker count;
+the norms and maxima do not depend on B.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,6 +132,31 @@ class Ensemble:
     def error_h_norms(self) -> np.ndarray:
         """Per-trajectory, per-step |e_k|_H, shape (M, N + 1), read-only."""
         return self.norms
+
+
+@dataclass(frozen=True, eq=False)
+class ReducedEnsemble:
+    """M trajectories' error norms reduced in their pass to what
+    analysis.error_statistics reads, for the L^R orders R in sums.
+
+    maxima holds max_k |e_k|_H per trajectory, shape (M,), bitwise the row
+    maxima of the Ensemble's norms.  For task g of the pass, tops[g, k] is
+    s_g, the largest |e_k|_H of its trajectories, and sums[R][g, k] their
+    sum of (|e_k|_H / s_g)^R, shape (tasks, N + 1) each.
+    """
+
+    grid: TimeGrid
+    maxima: np.ndarray
+    tops: np.ndarray
+    sums: dict
+
+    def __post_init__(self):
+        for array in (self.maxima, self.tops, *self.sums.values()):
+            array.flags.writeable = False
+
+    @property
+    def size(self) -> int:
+        return self.maxima.shape[0]
 
 
 def exact_states(problem: Problem, grid: TimeGrid, theta: np.ndarray) -> np.ndarray:
@@ -218,28 +254,59 @@ def run_randomised(
     return _trajectory(prepared, grid, noise_path(noise, stream, grid.steps), record_defects)
 
 
-def _run_group(study: tuple, rows: range) -> None:
-    """Error norms |r_k|_H of the trajectories in rows into those rows of
-    every grid's norms, from one unit draw per raw step that each grid
-    with that step scales; study as `_ensembles` builds it."""
-    noise, master_seed, tables, scales, grid_norms = study
-    streams = [trajectory_stream(master_seed, i) for i in rows]
-    grids = [(table, scale, np.zeros((len(streams), noise.dimension)), out[rows.start:rows.stop])
-             for table, scale, out in zip(tables, scales, grid_norms)]
+def _run_group(study: tuple, task: tuple) -> None:
+    """Trajectories task = (index, rows) on every grid, from one unit draw
+    per raw step that each grid with that step scales; study as
+    `_ensembles` builds it.  Each grid writes its norms |r_k|_H into its
+    block of the next steps, which its sink keeps once full or at the
+    grid's last step."""
+    noise, master_seed, tables, scales, sinks = study
+    streams = [trajectory_stream(master_seed, i) for i in task[1]]
+    n = max(table[0].shape[0] for table in tables)
+    # the grids' blocks hold one chunk's steps of norms in all
+    depth = max(1, _chunk_shape(noise, n, len(streams))[1] // len(tables))
+    grids = [(table, scale, np.zeros((len(streams), noise.dimension)),
+              np.empty((min(depth, table[0].shape[0]), len(streams))), sink)
+             for table, scale, sink in zip(tables, scales, sinks)]
     # xi_k until the step has added it, then the squares of the norm
     work = np.empty((len(streams), noise.dimension))
-    for _, _, _, out in grids:
-        out[:, 0] = 0.0  # r_0 = 0
-    n = max(table[0].shape[0] for table in tables)
     for k, unit in enumerate(_family_noise(noise, streams, n)):
-        for table, scale, v, out in grids:
+        i = k % depth
+        for table, scale, v, block, (keep, out) in grids:
             if k < table[0].shape[0]:
                 _step(table, k, v, _noise(noise, unit, scale, k, work))
-                _h_norm(v, out[:, k + 1], work)
+                _h_norm(v, block[i], work)
+                if i + 1 == len(block) or k + 1 == table[0].shape[0]:
+                    keep(out, task, k - i, block[:i + 1])
+
+
+def _keep_norms(norms: np.ndarray, task: tuple, start: int, block: np.ndarray) -> None:
+    """Copy a block's step norms, shape (s, B), of steps start + 1.., into
+    the group's rows of the grid's (M, N + 1) norms."""
+    rows = task[1]
+    norms[rows.start:rows.stop, start + 1:start + 1 + len(block)] = block.T
+
+
+def _keep_reduced(sink: tuple, task: tuple, start: int, block: np.ndarray) -> None:
+    """Fold a block's step norms, shape (s, B), of steps start + 1.., into
+    the group's rows of the per-trajectory maxima and the task's row of
+    per-step partials: each step's largest norm s_g and, per order R,
+    sum_i (x_i / s_g)^R, which cannot overflow.  Overwrites block."""
+    maxima, tops, sums, orders = sink
+    index, rows = task
+    steps = slice(start + 1, start + 1 + len(block))
+    mine = maxima[rows.start:rows.stop]
+    np.maximum(mine, block.max(axis=0), out=mine)
+    top = np.max(block, axis=1, out=tops[index, steps])
+    # a non-finite norm gives NaN partials; the maxima carry it to the check
+    with np.errstate(invalid="ignore"):
+        block /= np.where(top > 0.0, top, 1.0)[:, None]
+        for r, out in zip(orders, sums):
+            np.add.reduce(np.power(block, r), axis=1, out=out[index, steps])
 
 
 # The study a pool worker runs, set once in each worker by `_attach`.  The
-# workers are forked, so they inherit it, norms included, unpickled.
+# workers are forked, so they inherit it, sinks included, unpickled.
 _WORKER_STUDY = None
 
 
@@ -248,26 +315,27 @@ def _attach(study: tuple) -> None:
     _WORKER_STUDY = study
 
 
-def _run_task(rows: range) -> None:
-    _run_group(_WORKER_STUDY, rows)
+def _run_task(task: tuple) -> None:
+    _run_group(_WORKER_STUDY, task)
 
 
-def _ensembles(noise, grids, tables, m, master_seed, workers) -> list:
+def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None) -> list:
     """The ensembles of M trajectories on each grid from its deviation
-    table, in one pass of tasks, each one group on all grids; see the
-    memory model."""
+    table, in one pass of tasks, each one group on all grids: an Ensemble
+    of each grid's norms, or, given the L^R orders, a ReducedEnsemble;
+    see the memory model."""
     rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
-    tasks = [range(i, min(i + rows, m)) for i in range(0, m, rows)]
+    tasks = list(enumerate(range(i, min(i + rows, m)) for i in range(0, m, rows)))
     pooled = workers > 1 and len(tasks) > 1
-    sizes = [m * (grid.num_steps + 1) for grid in grids]
-    if pooled:  # anonymous shared mappings, made before the workers fork
-        import mmap
-
-        norms = [np.frombuffer(mmap.mmap(-1, 8 * cells)).reshape(m, -1) for cells in sizes]
+    zeros = _shared_zeros if pooled else np.zeros
+    if orders is None:
+        sinks = [(_keep_norms, zeros((m, grid.num_steps + 1))) for grid in grids]
     else:
-        norms = [np.empty(cells).reshape(m, -1) for cells in sizes]
+        sinks = [(_keep_reduced, (zeros((m,)), zeros((len(tasks), grid.num_steps + 1)),
+                                  zeros((len(orders), len(tasks), grid.num_steps + 1)), orders))
+                 for grid in grids]
     scales = [_step_scales(noise, grid.steps) for grid in grids]
-    study = (noise, master_seed, tables, scales, norms)
+    study = (noise, master_seed, tables, scales, sinks)
     if pooled:
         from concurrent.futures import ProcessPoolExecutor
         from multiprocessing import get_context
@@ -279,7 +347,18 @@ def _ensembles(noise, grids, tables, m, master_seed, workers) -> list:
     else:
         for task in tasks:
             _run_group(study, task)
-    return [Ensemble(grid, out) for grid, out in zip(grids, norms)]
+    if orders is None:
+        return [Ensemble(grid, out) for grid, (_, out) in zip(grids, sinks)]
+    return [ReducedEnsemble(grid, maxima, tops, dict(zip(orders, sums)))
+            for grid, (_, (maxima, tops, sums, _)) in zip(grids, sinks)]
+
+
+def _shared_zeros(shape) -> np.ndarray:
+    """A float array of zeros in an anonymous shared mapping, made before
+    the pool forks, so that its workers write into it."""
+    import mmap
+
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
 
 
 def run_ensemble(
@@ -335,11 +414,12 @@ def _lipschitz_constant(factors: np.ndarray, steps: np.ndarray) -> float:
     return float(np.max((np.abs(factors) - 1.0) / steps[:, None], initial=0.0))
 
 
-def _converge(problem, method, noise, grids, theta, m, master_seed, workers):
+def _converge(problem, method, noise, grids, theta, m, master_seed, workers, orders):
     """Each grid's truncation constant, as measure_truncation_constant
-    gives it, its method Lipschitz constant, and its run, as run_ensemble
-    (or, when noise is None, run_deterministic) gives it, from one build
-    of each grid's tables."""
+    gives it, its method Lipschitz constant, and its run, from one build
+    of each grid's tables: the ReducedEnsemble of the run_ensemble
+    trajectories for the L^R orders, or, when noise is None, the
+    run_deterministic trajectory."""
     constants, lipschitz, tables, runs = [], [], [], []
     for grid in grids:
         prepared = _prepare(problem, method, grid, theta, noise)
@@ -351,5 +431,5 @@ def _converge(problem, method, noise, grids, theta, m, master_seed, workers):
             tables.append(prepared[0])
         del prepared  # the pass keeps only the (a, d) tables
     if noise is not None:
-        runs = _ensembles(noise, grids, tables, m, master_seed, workers)
+        runs = _ensembles(noise, grids, tables, m, master_seed, workers, orders)
     return constants, lipschitz, runs

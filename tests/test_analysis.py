@@ -438,6 +438,78 @@ class TestErrorStatistics:
         assert stats.norm_of_max == pytest.approx(worst, rel=1e-12)
 
 
+def _reduced(grid, norms, orders, group, chunk=3):
+    """The ReducedEnsemble a pass in groups of `group` trajectories and
+    chunks of `chunk` steps keeps of norms (whose first column, r_0, is
+    zero), folded by the pass's own sink."""
+    from randstep.sampler import ReducedEnsemble, _keep_reduced
+
+    m, width = norms.shape
+    tasks = list(enumerate(range(i, min(i + group, m)) for i in range(0, m, group)))
+    sink = (np.zeros(m), np.zeros((len(tasks), width)),
+            np.zeros((len(orders), len(tasks), width)), orders)
+    for task in tasks:
+        rows = task[1]
+        for start in range(0, width - 1, chunk):
+            block = norms[rows.start:rows.stop, start + 1:start + 1 + chunk].T.copy()
+            _keep_reduced(sink, task, start, block)
+    return ReducedEnsemble(grid, sink[0], sink[1], dict(zip(orders, sink[2])))
+
+
+class TestReducedStatistics:
+    """error_statistics of a ReducedEnsemble: the maxima bit for bit, the
+    per-step L^R norms to rounding, of the Ensemble of the same norms."""
+
+    @staticmethod
+    def _norms(scale=1.0, m=200, n=8):
+        norms = np.abs(np.random.default_rng(4).standard_normal((m, n + 1)))
+        norms[:, 0] = 0.0
+        return scale * norms
+
+    @pytest.mark.parametrize("group", [1, 7, 200])
+    def test_reduced_statistics_equal_the_ensembles(self, group):
+        from randstep.sampler import Ensemble
+
+        grid, norms = build_grid(1.0, 8), self._norms()
+        reduced = _reduced(grid, norms, (2.0, 3.5), group)
+        assert np.array_equal(reduced.maxima, norms.max(axis=1))
+        for r in (2.0, 3.5):
+            per_step = analysis._pooled_lr_norms(reduced.tops, reduced.sums[r], 200, r)
+            assert per_step == pytest.approx(analysis._lr_norms(norms, r), rel=1e-13, abs=0.0)
+            got = error_statistics(reduced, r, "psi2")
+            want = error_statistics(Ensemble(grid, norms.copy()), r, "psi2")
+            assert got.max_of_norm == pytest.approx(want.max_of_norm, rel=1e-13)
+            assert (got.norm_of_max, got.psi2_norm_of_max) == (want.norm_of_max,
+                                                               want.psi2_norm_of_max)
+            assert (got.mesh, got.sample_size, got.r) == (want.mesh, want.sample_size, want.r)
+
+    def test_overflowing_statistics_are_finite(self):
+        # 1e200^R overflows; each step reports s mean((x / s)^R)^(1/R) with
+        # s its largest norm, as `_lr_norms` does for a column that overflowed
+        grid = build_grid(1.0, 8)
+        huge, small = (_reduced(grid, self._norms(scale), (2.0, 4.0), 7) for scale in (1e200, 1.0))
+        for r in (2.0, 4.0):
+            per_step = analysis._pooled_lr_norms(huge.tops, huge.sums[r], 200, r)
+            assert per_step == pytest.approx(analysis._lr_norms(self._norms(1e200), r),
+                                             rel=1e-13, abs=0.0)
+        stats = error_statistics(huge, 2.0, "psi2")
+        unit = error_statistics(small, 2.0, "psi2")
+        assert stats.max_of_norm == pytest.approx(1e200 * unit.max_of_norm, rel=1e-13)
+        assert stats.norm_of_max == pytest.approx(1e200 * unit.norm_of_max, rel=1e-13)
+        assert stats.psi2_norm_of_max == pytest.approx(1e200 * unit.psi2_norm_of_max, rel=1e-5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_norm_is_refused_by_its_maxima(self, bad):
+        # the sink folds it quietly (a RuntimeWarning fails this test) and
+        # the maxima carry it to the check
+        norms = self._norms()
+        norms[3, 4] = bad
+        reduced = _reduced(build_grid(1.0, 8), norms, (2.0,), 7)
+        assert not math.isfinite(reduced.maxima[3])
+        with pytest.raises(ValueError, match="error norms at h = 0.125 must be finite"):
+            error_statistics(reduced, 2.0, None)
+
+
 class TestHigherOrderRates:
     def test_l3_rate_for_gaussian_noise_matches_l2_order(self):
         # For centred Gaussian perturbations the noise-dominated error is

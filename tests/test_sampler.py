@@ -29,7 +29,7 @@ from randstep import (
     trajectory_stream,
     two_stage,
 )
-from randstep import randomisation, sampler
+from randstep import analysis, randomisation, sampler
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
 NOISE_KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
@@ -317,33 +317,40 @@ class TestEnsemble:
     @pytest.mark.parametrize("kind", ["centred_gaussian", "bounded_uniform"])
     def test_memory_is_norms_plus_one_chunk(self, kind):
         # not a timing gate: numpy reports its buffers to tracemalloc.  A
-        # convergence study's pass holds all three grids' (M, N_g + 1) norms
-        # and one (B, S, W) raw chunk of at most BLOCK_BYTES, W = J normals
-        # a step (J + 2 for the bounded kind).  The 1 MB margin covers each
-        # grid's (a, d) tables (229 KB in all here), each grid's (N_g, J)
-        # scale table (115 KB in all), one group's generators (B = 128,
-        # about 0.9 KB each), its (B, J) deviations (32 KB per grid) and
-        # two (B, J) scratch arrays, for the unit draws and xi_k.  A second
+        # convergence study's pass holds no (M, N_g + 1) norms: per grid it
+        # keeps (M,) maxima and, per order, (tasks, N_g + 1) partials and
+        # step maxima, beside one (B, S, W) raw chunk of at most
+        # BLOCK_BYTES, W = J normals a step (J + 2 for the bounded kind).
+        # The 1 MB margin covers each grid's (a, d) tables (229 KB in all
+        # here), each grid's (N_g, J) scale table (115 KB in all), one
+        # group's generators (B = 128, about 0.9 KB each), its (B, J)
+        # deviations (32 KB per grid), two (B, J) scratch arrays, for the
+        # unit draws and xi_k, the grids' blocks of step norms (S B floats
+        # in all, 128 KB) and the power of a full one (43 KB).  A second
         # chunk-sized buffer, such as shaping the raw chunk out of place,
         # would need twice BLOCK_BYTES; so would a chunk-sized temporary of
-        # the bounded kind's per-step norms.  With one worker the norms are
-        # ordinary arrays, which tracemalloc sees.
-        m, j, n_values = 400, 32, (64, 256, 128)
+        # the bounded kind's per-step norms.  With one worker the kept
+        # arrays are ordinary arrays, which tracemalloc sees.
+        m, j, n_values, orders = 400, 32, (64, 256, 128), (2.0, 4.0)
         problem = heat_1d(j)
         noise = NoiseModel(j, p=1.0, kind=kind)
         args = (problem, implicit_euler(), noise)
         # imports outside the trace
-        sampler._converge(*args, [build_grid(1.0, n) for n in (2, 8, 4)], np.ones(j), 2, 3, 1)
+        sampler._converge(*args, [build_grid(1.0, n) for n in (2, 8, 4)], np.ones(j), 2, 3, 1,
+                          orders)
         grids = [build_grid(1.0, n) for n in n_values]
         tracemalloc.start()
         try:
-            _, _, runs = sampler._converge(*args, grids, np.ones(j), m, 3, 1)
+            _, _, runs = sampler._converge(*args, grids, np.ones(j), m, 3, 1, orders)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        norms = sum(m * (n + 1) * 8 for n in n_values)
-        assert current >= norms == sum(run.norms.nbytes for run in runs)
-        assert peak < norms + randomisation.BLOCK_BYTES + 2**20
+        tasks = -(-m // randomisation._chunk_shape(noise, max(n_values), m)[0])
+        kept = sum(8 * (m + (1 + len(orders)) * tasks * (n + 1)) for n in n_values)
+        assert kept == sum(run.maxima.nbytes + run.tops.nbytes
+                           + sum(s.nbytes for s in run.sums.values()) for run in runs)
+        assert current >= kept
+        assert peak < kept + randomisation.BLOCK_BYTES + 2**20
 
     def test_rejects_noise_dimension_mismatch(self):
         problem = heat_1d(4)
@@ -394,19 +401,28 @@ FAMILIES = {
 }
 
 
+def _step_lr_norms(run, r):
+    """The per-step L^R norms error_statistics reads from a ReducedEnsemble."""
+    return analysis._pooled_lr_norms(run.tops, run.sums[r], run.size, r)
+
+
+ORDERS = (2.0, 3.5, 4.0)
+
+
 class TestFamilyPass:
     @pytest.mark.parametrize("side", [1, 4, 16], ids=["S1", "S4", "SN"])
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("family", list(FAMILIES))
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_family_pass_equals_per_grid_runs(self, monkeypatch, kind, family, workers, side):
-        # one pass over grids listed out of order equals, grid by grid, the
-        # per-index run_randomised norms, measure_truncation_constant and
-        # the Lipschitz constant read off the grid's step table.
-        # BLOCK_BYTES = 8 (J + 2) side^2 gives every kind groups of
-        # B = min(side, M) trajectories and chunks of S = side steps of the
-        # longest grid: one step, 4 steps (past the end of the 4-step grid)
-        # and the whole path
+        # one pass over grids listed out of order gives, grid by grid, the
+        # per-trajectory maxima of the per-index run_randomised norms bit
+        # for bit, their per-step L^R norms (`_lr_norms`) to rounding,
+        # measure_truncation_constant and the Lipschitz constant read off
+        # the grid's step table.  BLOCK_BYTES = 8 (J + 2) side^2 gives
+        # every kind groups of B = min(side, M) trajectories and chunks of
+        # S = side steps of the longest grid: one step, 4 steps (past the
+        # end of the 4-step grid) and the whole path
         j, m = 4, 6
         problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
         method = implicit_euler()
@@ -416,14 +432,36 @@ class TestFamilyPass:
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (j + 2) * side**2)
         assert randomisation._chunk_shape(noise, 16, m) == (min(side, m), side)
         constants, lipschitz, runs = sampler._converge(problem, method, noise, grids, theta,
-                                                       m, 23, workers)
+                                                       m, 23, workers, ORDERS)
         assert len(constants) == len(lipschitz) == len(runs) == len(grids)
         for grid, constant, reading, run in zip(grids, constants, lipschitz, runs):
-            assert run.grid is grid
+            assert run.grid is grid and run.size == m
             reference = _randomised_norms(problem, method, noise, grid, theta, m, 23)
-            assert np.array_equal(run.error_h_norms(), reference)
+            assert np.array_equal(run.maxima, reference.max(axis=1))
+            for r in ORDERS:
+                assert _step_lr_norms(run, r) == pytest.approx(
+                    analysis._lr_norms(reference, r), rel=1e-13, abs=0.0)
             assert constant == measure_truncation_constant(problem, method, grid, theta)
             assert reading == _table_lipschitz(method, problem, grid)
+
+    @pytest.mark.parametrize("workers", [2, 5])
+    def test_reduction_is_the_same_for_any_worker_count(self, monkeypatch, workers):
+        # B = 3 gives eleven tasks of M = 32, each writing its own rows of
+        # the shared maxima and partials (five workers outnumber the
+        # cores of a small machine); the partials are summed in task
+        # order, so any worker count gives the one-worker bytes
+        j, m = 4, 32
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * j * 3**2)
+        noise = NoiseModel(j, p=0.5, kind="shared_factor", rho=0.6)
+        args = (heat_1d(j), implicit_euler(), noise, FAMILIES["graded"], np.ones(j), m, 5)
+        one, many = (sampler._converge(*args, count, ORDERS)[2] for count in (1, workers))
+        for a, b in zip(one, many):
+            assert a.tops.shape == (11, a.grid.num_steps + 1)
+            assert a.maxima.tobytes() == b.maxima.tobytes()
+            for r in ORDERS:
+                assert _step_lr_norms(a, r).tobytes() == _step_lr_norms(b, r).tobytes()
+                stats = [error_statistics(run, r, "psi2") for run in (a, b)]
+                assert stats[0] == stats[1]
 
     def test_noise_free_family_is_deterministic_runs(self):
         problem = heat_1d(3)
@@ -431,7 +469,7 @@ class TestFamilyPass:
         theta = np.ones(3)
         grids = FAMILIES["graded"]
         constants, lipschitz, runs = sampler._converge(problem, method, None, grids, theta,
-                                                       5, 1, 1)
+                                                       5, 1, 1, ORDERS)
         for grid, constant, reading, run in zip(grids, constants, lipschitz, runs):
             assert np.array_equal(run.errors, run_deterministic(problem, method, grid, theta).errors)
             assert constant == measure_truncation_constant(problem, method, grid, theta)
