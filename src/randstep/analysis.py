@@ -103,10 +103,12 @@ def _checked_samples(samples: np.ndarray, r: float = 1.0, what: str = "samples")
     return samples
 
 
-def _psi2_mean(samples: np.ndarray, k: float) -> float:
-    z = samples / k
+def _psi2_mean(samples: np.ndarray, k: float, z: np.ndarray) -> float:
+    """mean(expm1((x / k)^2)) through z, scratch of samples' shape that
+    does not alias it: the same operations as on fresh temporaries."""
+    np.divide(samples, k, out=z)
     with np.errstate(over="ignore"):
-        return float(np.mean(np.expm1(z * z)))
+        return float(np.mean(np.expm1(np.multiply(z, z, out=z), out=z)))
 
 
 def orlicz_norm_estimate(samples: np.ndarray, young: str = "psi2") -> float:
@@ -128,9 +130,10 @@ def orlicz_norm_estimate(samples: np.ndarray, young: str = "psi2") -> float:
     lo, hi = top / 50.0, top * 50.0
     if not math.isfinite(hi):  # the norm is positively homogeneous
         return top * orlicz_norm_estimate(samples / top)
+    z = np.empty_like(samples)  # one scratch for every step, laid out as x / k would be
     while (hi - lo) > _ORLICZ_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
-        if _psi2_mean(samples, mid) > 1.0:
+        if _psi2_mean(samples, mid, z) > 1.0:
             lo = mid
         else:
             hi = mid

@@ -226,8 +226,10 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         rows.append((f"scaling_t={t}", est / t ** (noise.p + 1.0), rel, rel <= 0.02))
 
     # mode 0 of both steps, copied out of each block's reused buffer
-    blocks = randomisation._row_blocks(noise, rng, np.array([0.25, 0.25]), m)
-    first, second = np.concatenate([block[:, :, 0].copy() for _, block in blocks]).T
+    pair = np.empty((m, 2))
+    for start, block in randomisation._row_blocks(noise, rng, np.array([0.25, 0.25]), m):
+        pair[start:start + len(block)] = block[:, :, 0]
+    first, second = pair.T
     # draws with no spread (zero amplitude) have no correlation to check
     if first.std() > 0 and second.std() > 0:
         corr = float(np.corrcoef(first, second)[0, 1])

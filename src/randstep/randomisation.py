@@ -25,8 +25,9 @@ for a grid are a prefix of its draws for any longer grid, and a family
 of grids shapes each raw step once.
 
 One stream's draws (`sample_path_matrix`, `psi2_amplitude`, noise-check)
-are read by `_row_blocks`, an ensemble's by `_family_noise`, each in
-blocks of at most BLOCK_BYTES of raw normals.
+are read by `_row_blocks`, whose at most three blocks held at once share
+one BLOCK_BYTES; an ensemble's by `_family_noise`, in chunks of at most
+BLOCK_BYTES of raw normals.
 
 The exponent p = -1/2 (diffusion-like scaling) is accepted for
 demonstration only; no convergence statement attaches to it.
@@ -63,14 +64,17 @@ _KINDS = (CENTRED_GAUSSIAN, BIASED, SHARED_FACTOR, BOUNDED_UNIFORM)
 _PSI2_SAMPLES = 100_000
 _PSI2_SEED = 20_220_457  # fixed internal stream for the cached Orlicz estimate
 
-# Byte budget of one block of raw normals, the one memory rule for draws:
-# each row block of `_row_blocks` (sample_path_matrix, psi2_amplitude and
-# noise-check), and an ensemble's (B, S, W) chunk, B and S both about
-# sqrt(BLOCK_BYTES / (8 W)) with W = `_step_normals` and S at most N,
-# which also caps the B generators a group holds.  A `run_ensemble` pass
-# holds its (M, N + 1) norms beside it, hence the small budget.  No block
-# shape changes a drawn value or a norm; B groups the per-step partials
-# a study's pass sums (see sampler's memory model).
+# Byte budget of a draw's working set, the one memory rule for draws.  A
+# `_row_blocks` reader (sample_path_matrix, psi2_amplitude, noise-check)
+# holds at most three blocks of its rows: raw normals, the shared factors
+# or the bounded kind's squares, and a reducer's squares (`_draw_norms`),
+# so each takes at most a quarter of it.  An ensemble's (B, S, W) chunk of
+# raw normals takes it whole, B and S both about sqrt(BLOCK_BYTES / (8 W))
+# with W = `_step_normals` and S at most N, which also caps the B
+# generators a group holds.  A `run_ensemble` pass holds its (M, N + 1)
+# norms beside it, hence the small budget.  No block shape changes a
+# drawn value or a norm; B groups the per-step partials a study's pass
+# sums (see sampler's memory model).
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -140,7 +144,8 @@ def sample_path_matrix(model: NoiseModel, stream: np.random.Generator, steps: np
 
 def _row_blocks(model: NoiseModel, stream: np.random.Generator, steps, m: int):
     """Yield (start, xi): the draws xi_k(h_k) of rows start.. of m, shape
-    (count, N, J), at most BLOCK_BYTES of raw normals (or one row) each.
+    (count, N, J), at most a quarter of BLOCK_BYTES of raw normals (or one
+    row) each, so a reader's blocks fit in BLOCK_BYTES together.
     The one reader of one stream: the shared-factor kind's m factors
     first (read in these blocks from a copy of the stream, which skips
     them by discarding them), then `_step_normals` normals per step, row
@@ -151,7 +156,7 @@ def _row_blocks(model: NoiseModel, stream: np.random.Generator, steps, m: int):
         raise ValueError(f"step {bad[0]} has size {steps.flat[bad[0]]}, expected positive and finite")
     if m < 1:
         raise ValueError(f"need at least one trajectory, got m = {m}")
-    size = min(m, max(1, BLOCK_BYTES // (8 * max(1, steps.size) * _step_normals(model))))
+    size = min(m, max(1, (BLOCK_BYTES // 4) // (8 * max(1, steps.size) * _step_normals(model))))
     buf, factors, shared = np.empty((size, steps.size, _step_normals(model))), None, None
     if model.kind == SHARED_FACTOR:
         factors, shared = copy.deepcopy(stream), np.empty((size, model.dimension))

@@ -25,6 +25,12 @@ from randstep import (
 from randstep import analysis
 
 
+def _spike(m: int) -> np.ndarray:
+    sample = np.zeros(m)
+    sample[0] = 1.0
+    return sample
+
+
 class TestLrNorm:
     def test_constant_sample(self):
         assert lr_norm_estimate(np.array([2.0, 2.0, 2.0]), 2.0) == pytest.approx(2.0)
@@ -65,8 +71,7 @@ class TestLrNorm:
     def test_single_spike(self):
         # one spike in a sea of zeros: the L^R norm is m^(-1/R), below the
         # sample's largest value by far
-        sample = np.zeros(100_000)
-        sample[0] = 1.0
+        sample = _spike(100_000)
         assert lr_norm_estimate(sample, 2.0) == pytest.approx(1.0 / math.sqrt(100_000), rel=1e-15)
         assert lr_norm_estimate(sample, 4.0) == pytest.approx(100_000 ** -0.25, rel=1e-15)
 
@@ -107,7 +112,51 @@ class TestLrNorms:
         assert stats.psi2_norm_of_max == pytest.approx(1e200 * small.psi2_norm_of_max, rel=1e-5)
 
 
+def _reference_orlicz(samples: np.ndarray) -> float:
+    """The psi2 bisection with three fresh temporaries a step."""
+    top = float(samples.max())
+    lo, hi = top / 50.0, top * 50.0
+    if not math.isfinite(hi):
+        return top * _reference_orlicz(samples / top)
+    while (hi - lo) > analysis._ORLICZ_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        z = samples / mid
+        with np.errstate(over="ignore"):
+            mean = float(np.mean(np.expm1(z * z)))
+        if mean > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 class TestOrliczNorm:
+    @pytest.mark.parametrize("sample", [
+        np.abs(np.random.default_rng(31).standard_normal(10_000)),
+        _spike(1_000),
+        np.array([2.5]),
+        np.full(10, 4e306),  # 50 max(x) overflows: the homogeneity path
+    ], ids=["random", "spike", "m=1", "huge-constant"])
+    def test_in_place_bisection_equals_fresh_temporaries(self, sample):
+        kept = sample.copy()
+        assert orlicz_norm_estimate(sample, "psi2") == _reference_orlicz(sample)
+        assert np.array_equal(sample, kept)
+
+    def test_bisection_memory_is_one_scratch(self):
+        # not a timing gate: numpy reports its buffers to tracemalloc.  The
+        # bisection reuses one (m,) scratch; three fresh temporaries a step
+        # would peak at about 3 * 8 m bytes
+        m = 10**6
+        sample = np.abs(np.random.default_rng(32).standard_normal(m))
+        orlicz_norm_estimate(sample[:10], "psi2")  # imports outside the trace
+        tracemalloc.start()
+        try:
+            orlicz_norm_estimate(sample, "psi2")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * m
+
     def test_constant_sample_closed_form(self):
         # solves exp(c^2/k^2) = 2  =>  k = c / sqrt(ln 2)
         c = 3.7
@@ -127,9 +176,7 @@ class TestOrliczNorm:
     def test_single_spike_closed_form(self):
         # mean(Psi(x / k)) = expm1(1 / k^2) / m = 1  =>  k = 1 / sqrt(ln(m + 1))
         m = 100_000
-        sample = np.zeros(m)
-        sample[0] = 1.0
-        est = orlicz_norm_estimate(sample, "psi2")
+        est = orlicz_norm_estimate(_spike(m), "psi2")
         assert est == pytest.approx(1.0 / math.sqrt(math.log(m + 1.0)), rel=1e-5)
 
     def test_huge_constant_sample_closed_form(self):

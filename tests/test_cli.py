@@ -733,9 +733,10 @@ class TestChecks:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_noise_check_output_does_not_depend_on_the_block_size(self, tmp_path, monkeypatch,
                                                                    kind):
-        # blocks of 2,000 rows of one step and 1,000 of two (fewer for the
-        # bounded kind's J + 2 normals a step); a row kept as a view of the
-        # reused block buffer would read a later block's draws
+        # blocks of 500 rows of one step and 250 of two, a quarter of the
+        # budget (fewer for the bounded kind's J + 2 normals a step); a row
+        # kept as a view of the reused block buffer would read a later
+        # block's draws
         from randstep import randomisation
 
         text = NOISE_CONFIG.replace("kind = centred_gaussian",
@@ -753,8 +754,8 @@ class TestChecks:
         # J = 64 one check's 100,000 draws take 51 MB at once.  In row
         # blocks a check holds at most three blocks (raw normals, squares
         # for the norms, and the shared factors or the bounded kind's
-        # squares for its unit draw) beside O(m) floats: the norms and the
-        # correlation row's two columns
+        # squares for its unit draw), which share one BLOCK_BYTES, beside
+        # O(m) floats: the norms and the correlation row's one (m, 2) array
         from randstep import randomisation
 
         text = NOISE_CONFIG.replace("kind = centred_gaussian",
@@ -769,7 +770,7 @@ class TestChecks:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3 * randomisation.BLOCK_BYTES + 40 * 100_000
+        assert peak < randomisation.BLOCK_BYTES + 40 * 100_000
 
     def test_noise_check_requires_noise_section(self, tmp_path, capsys):
         cfg = _write(tmp_path, GRONWALL_CONFIG)

@@ -253,9 +253,10 @@ class TestOrliczBound:
         model = NoiseModel(5, p=1.0, c_xi=0.8, kind=kind, bias_mode=2,
                            bias_coefficient=0.6, rho=0.3)
         samples = 3001
-        # about 700 rows a block: five blocks, the last one short
+        # about 700 rows a block (a reader's rows take a quarter of the
+        # budget): five blocks, the last one short
         monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", samples)
-        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * 5 * 700)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 4 * 8 * 5 * 700)
         stream = np.random.default_rng(np.random.SeedSequence(randomisation._PSI2_SEED))
         xi = _one_shot_reference(model, stream, [1.0], samples)[:, 0]
         expected = orlicz_norm_estimate(np.sqrt(np.sum(xi * xi, axis=-1)), "psi2")
@@ -266,8 +267,9 @@ class TestOrliczBound:
         # not a timing gate: numpy reports its buffers to tracemalloc.  At
         # J = 512 all 20,000 shared factors at once would take 82 MB; the
         # row blocks reuse one block each of normals, of rho-weighted
-        # factors and of squares inside the norm, beside the (samples,)
-        # norms in the 1 MB margin
+        # factors (or the bounded kind's squares) and of squares inside the
+        # norm, which share one BLOCK_BYTES, beside the (samples,) norms and
+        # the bisection's one (samples,) scratch in the 1 MB margin
         from randstep import randomisation
 
         monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", 20_000)
@@ -279,7 +281,7 @@ class TestOrliczBound:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 4 * randomisation.BLOCK_BYTES + 2**20
+        assert peak < randomisation.BLOCK_BYTES + 2**20
 
     def test_degenerate_amplitude(self):
         model = centred_gaussian(3, c_xi=0.0)
@@ -297,10 +299,11 @@ class TestRowBlocks:
         model = NoiseModel(3, p=1.0, c_xi=0.8, kind=kind, bias_mode=1,
                            bias_coefficient=0.6, rho=0.3)
         steps = [0.5, 0.25][:n]
-        # blocks of 5 rows of n steps of raw normals: one short block at
-        # m = 4, four full ones and a short one at m = 23
+        # blocks of 5 rows of n steps of raw normals, a quarter of the
+        # budget: one short block at m = 4, four full ones and a short one
+        # at m = 23
         width = 5 if kind == "bounded_uniform" else 3
-        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * n * width * 5 + 7)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 4 * 8 * n * width * 5 + 7)
         stream, reference = _rng(12), _rng(12)
         expected = _one_shot_reference(model, reference, steps, m)
         blocks = [(start, xi.copy()) for start, xi in
