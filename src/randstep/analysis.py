@@ -284,13 +284,19 @@ def theoretical_bound(
                           root is returned to stay comparable with the
                           other settings.  Requires h <= min(1, h*).
     """
+    # a NaN passes every sign check, so finiteness is checked first
+    if not math.isfinite(h):
+        raise ValueError(f"mesh width must be finite, got {h}")
     if h <= 0.0:
         raise ValueError(f"mesh width must be positive, got {h}")
-    if min(c_phi_psi, c_xi, e0) < 0.0 or lipschitz < 0.0:
+    constants = (c_phi_psi, c_xi, e0, lipschitz)
+    if not all(map(math.isfinite, constants)):
+        raise ValueError("bound constants must be finite")
+    if min(constants) < 0.0:
         raise ValueError("bound constants must be non-negative")
     if setting in ("banach", "gelfand_orlicz"):
-        return (e0 + c_phi_psi * h**q * horizon + c_xi * h**p * horizon) * math.exp(
-            lipschitz * horizon
+        return (e0 + c_phi_psi * h**q * horizon + c_xi * h**p * horizon) * _growth(
+            "exp(L T)", lipschitz * horizon, lipschitz, horizon
         )
     if setting == "gelfand_l2_centred":
         if h > 1.0 or (h_star is not None and h > h_star):
@@ -300,6 +306,15 @@ def theoretical_bound(
             e0**2
             + 4.0 * c_phi_psi**2 * h ** (2.0 * q) * horizon
             + c_xi**2 * horizon * h ** (2.0 * p + 1.0) * (1.0 + kappa_bdg**2 * (1.0 + l_prime))
-        ) * math.exp(2.0 * l_prime * horizon)
+        ) * _growth("exp(2 L' T)", 2.0 * l_prime * horizon, lipschitz, horizon)
         return math.sqrt(val)
     raise ValueError(f"unknown setting {setting!r}, expected one of {BOUND_SETTINGS}")
+
+
+def _growth(factor: str, exponent: float, lipschitz: float, horizon: float) -> float:
+    """The bound's growth factor e^exponent, refused where it overflows."""
+    try:  # math.exp raises where numpy's exp would give inf
+        return math.exp(exponent)
+    except OverflowError:
+        raise ValueError(f"the growth factor {factor} of the bound overflows at "
+                         f"L = {lipschitz}, T = {horizon}") from None

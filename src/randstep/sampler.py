@@ -23,10 +23,8 @@ and its states are u + r.  Both constants of the error bound are read
 off these tables: the truncation constant max_k |d_k|_H / h_k^(q+1), and
 the Lipschitz constant L = max(0, max_(k,j) (|a_kj| - 1) / h_k), the
 smallest L with |a_kj| <= 1 + L h_k on every step (of E for the flow).
-The one-step defect along a realised path is
-|phi(U_k) - psi(U_k)|_H = |(E_k - a_k) r_k - d_k|_H.  A convergence
-study builds each grid's tables once for both its constants and its
-ensemble (`_converge`).
+A convergence study builds each grid's tables once for both its
+constants and its ensemble (`_converge`).
 
 Ensembles derive one child stream per trajectory from
 (master_seed, trajectory_index), so results are bit-identical for any
@@ -92,18 +90,13 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class Trajectory:
-    """States U_0..U_N, errors e_k = u(t_k) - U_k, and optional records.
-
-    noise holds the drawn perturbations xi_k (shape (N, J)); defects the
-    one-step method defects |phi(h_k, t_k, U_k) - psi(h_k, t_k, U_k)|_H
-    along the realised path (shape (N,)).
-    """
+    """States U_0..U_N, errors e_k = u(t_k) - U_k and, for a randomised
+    run, the drawn perturbations xi_k (noise, shape (N, J))."""
 
     grid: TimeGrid
     states: np.ndarray
     errors: np.ndarray
     noise: np.ndarray | None = None
-    defects: np.ndarray | None = None
 
     def error_h_norms(self) -> np.ndarray:
         return _h_norm(self.errors)
@@ -116,7 +109,7 @@ class Ensemble:
     norms holds the per-trajectory, per-step |e_k|_H, shape (M, N + 1),
     read-only.  Row i is bitwise
     run_randomised(..., trajectory_stream(master_seed, i)).error_h_norms();
-    that call gives trajectory i's states, errors, noise and defects.
+    that call gives trajectory i's states, errors and noise.
     """
 
     grid: TimeGrid
@@ -177,8 +170,7 @@ def _check_noise(noise) -> None:
 
 def _prepare(problem, method, grid, theta, noise):
     """Validate a run's inputs and build its tables before any stream draw:
-    the deviation table (a, d), the exact states u and the flow factors E
-    (for path defects)."""
+    the deviation table (a, d) and the exact states u."""
     theta = _check_state(theta, problem.space.dimension)
     if noise is not None and noise.dimension != problem.space.dimension:
         raise ValueError(
@@ -186,9 +178,8 @@ def _prepare(problem, method, grid, theta, noise):
             f"dimension {problem.space.dimension}"
         )
     a, c = step_table(method, problem, grid.steps, grid.points[:-1])
-    flow = flow_table(problem, grid.steps, grid.points[:-1])
-    exact = _path(flow, theta)
-    return (a, a * exact[:-1] + c - exact[1:]), exact, flow[0]
+    exact = _path(flow_table(problem, grid.steps, grid.points[:-1]), theta)
+    return (a, a * exact[:-1] + c - exact[1:]), exact
 
 
 def _step(table, k: int, v: np.ndarray, xi=None) -> None:
@@ -216,16 +207,11 @@ def _path(table, v0: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _trajectory(prepared, grid: TimeGrid, path=None, record_defects: bool = False) -> Trajectory:
+def _trajectory(table, exact, grid: TimeGrid, path=None) -> Trajectory:
     """One trajectory from a `_prepare` build and noise path (None for
-    none): states u + r, errors -r and, if kept, defects |(E - a) r - d|_H."""
-    table, exact, flow_factors = prepared
+    none): states u + r and errors -r."""
     r = _path(table, np.zeros(exact.shape[1]), path)
-    defects = None
-    if record_defects:
-        a, d = table
-        defects = _h_norm((flow_factors - a) * r[:-1] - d)
-    return Trajectory(grid, exact + r, -r, path, defects)
+    return Trajectory(grid, exact + r, -r, path)
 
 
 def run_deterministic(
@@ -235,7 +221,7 @@ def run_deterministic(
     theta: np.ndarray,
 ) -> Trajectory:
     """Noise-free recursion u_(k+1) = psi(h_k, t_k, u_k)."""
-    return _trajectory(_prepare(problem, method, grid, theta, None), grid)
+    return _trajectory(*_prepare(problem, method, grid, theta, None), grid)
 
 
 def run_randomised(
@@ -245,13 +231,12 @@ def run_randomised(
     grid: TimeGrid,
     theta: np.ndarray,
     stream: np.random.Generator,
-    record_defects: bool = False,
 ) -> Trajectory:
     """Randomised recursion U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k), U_0 = theta;
     noise must not be None (run_deterministic is the noise-free run)."""
     _check_noise(noise)
-    prepared = _prepare(problem, method, grid, theta, noise)
-    return _trajectory(prepared, grid, noise_path(noise, stream, grid.steps), record_defects)
+    table, exact = _prepare(problem, method, grid, theta, noise)
+    return _trajectory(table, exact, grid, noise_path(noise, stream, grid.steps))
 
 
 def _run_group(study: tuple, task: tuple) -> None:
@@ -383,7 +368,7 @@ def run_ensemble(
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
-    table, _, _ = _prepare(problem, method, grid, theta, noise)
+    table, _ = _prepare(problem, method, grid, theta, noise)
     return _ensembles(noise, [grid], [table], m, master_seed, workers)[0]
 
 
@@ -396,9 +381,12 @@ def measure_truncation_constant(
 ) -> float:
     """Largest one-step defect ratio |phi - psi|_H / h^(q+1) along the
     exact solution states, an empirical stand-in for the truncation
-    constant of the method on this problem."""
+    constant of the method on this problem; order defaults to the
+    method's."""
+    if order is not None and not 0.0 <= order < math.inf:
+        raise ValueError(f"order must be finite and >= 0, got {order}")
     q = method.order if order is None else order
-    (_, defects), _, _ = _prepare(problem, method, grid, theta, None)
+    (_, defects), _ = _prepare(problem, method, grid, theta, None)
     return _truncation_constant(defects, grid.steps, q)
 
 
@@ -422,14 +410,15 @@ def _converge(problem, method, noise, grids, theta, m, master_seed, workers, ord
     run_deterministic trajectory."""
     constants, lipschitz, tables, runs = [], [], [], []
     for grid in grids:
-        prepared = _prepare(problem, method, grid, theta, noise)
-        constants.append(_truncation_constant(prepared[0][1], grid.steps, method.order))
-        lipschitz.append(_lipschitz_constant(prepared[0][0], grid.steps))
+        table, exact = _prepare(problem, method, grid, theta, noise)
+        factors, defects = table
+        constants.append(_truncation_constant(defects, grid.steps, method.order))
+        lipschitz.append(_lipschitz_constant(factors, grid.steps))
         if noise is None:
-            runs.append(_trajectory(prepared, grid))
+            runs.append(_trajectory(table, exact, grid))
         else:
-            tables.append(prepared[0])
-        del prepared  # the pass keeps only the (a, d) tables
+            tables.append(table)
+        del exact  # the pass keeps only the (a, d) tables
     if noise is not None:
         runs = _ensembles(noise, grids, tables, m, master_seed, workers, orders)
     return constants, lipschitz, runs

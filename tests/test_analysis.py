@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -395,11 +396,37 @@ class TestTheoreticalBound:
         (0.1, {"c_xi": -1.0}, "bound constants must be non-negative"),
         (0.1, {"e0": -1.0}, "bound constants must be non-negative"),
         (0.1, {"lipschitz": -1.0}, "bound constants must be non-negative"),
+        # NaN passes every sign check
+        (math.nan, {}, "mesh width must be finite, got nan"),
+        (math.inf, {}, "mesh width must be finite, got inf"),
+        (0.1, {"c_phi_psi": math.nan}, "bound constants must be finite"),
+        (0.1, {"c_xi": math.nan}, "bound constants must be finite"),
+        (0.1, {"e0": math.nan}, "bound constants must be finite"),
+        (0.1, {"lipschitz": math.nan}, "bound constants must be finite"),
+        (0.1, {"c_xi": math.inf}, "bound constants must be finite"),
     ])
     def test_rejects_bad_mesh_and_constants(self, h, change, match):
         args = dict(c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=1.0, p=1.0, horizon=1.0)
         with pytest.raises(ValueError, match=match):
             theoretical_bound("banach", h, **{**args, **change})
+
+    @pytest.mark.parametrize("setting, lipschitz, factor", [
+        ("banach", 720.0, "exp(L T)"),
+        ("gelfand_orlicz", 720.0, "exp(L T)"),
+        # L' = 3 L^2 + 6 L + 2 = 371 at L = 10, so exp(2 L' T) overflows
+        ("gelfand_l2_centred", 10.0, "exp(2 L' T)"),
+    ])
+    def test_overflowing_growth_factor_is_refused(self, setting, lipschitz, factor):
+        # math.exp raises a bare OverflowError past about exp(709.78)
+        with pytest.raises(ValueError, match=re.escape(
+                f"the growth factor {factor} of the bound overflows at "
+                f"L = {lipschitz}, T = 1.0")):
+            theoretical_bound(setting, 0.01, c_phi_psi=1.0, c_xi=1.0, lipschitz=lipschitz,
+                              q=1.0, p=1.0, horizon=1.0)
+        # just below the overflow the bound is finite
+        assert math.isfinite(theoretical_bound(setting, 0.01, c_phi_psi=1.0, c_xi=1.0,
+                                               lipschitz=lipschitz / 2.0, q=1.0, p=1.0,
+                                               horizon=1.0))
 
 
 class TestErrorStatistics:

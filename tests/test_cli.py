@@ -517,6 +517,37 @@ seed = 0
         err = capsys.readouterr().err
         assert "run failed" in err and quantity in err and "must be finite" in err
 
+    def test_overflowing_growth_factor_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # explicit Euler on u' = 720 u: the states stay finite from
+        # theta = 1e-300, but the bound's growth factor exp(L T) with the
+        # table's L = 720 does not fit a double
+        text = """
+[problem]
+lambda_spec = explicit
+lambda_values = 1.0
+alpha = -720.0
+theta = 1e-300
+forcing = none
+
+[grid_family]
+n_values = 64, 128, 256
+
+[method]
+kind = explicit_euler
+
+[noise]
+kind = none
+
+[ensemble]
+m = 1
+seed = 1
+"""
+        out = tmp_path / "out"
+        assert main(["converge", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        assert ("run failed: the growth factor exp(L T) of the bound overflows at L = 720.0, "
+                "T = 1.0" in capsys.readouterr().err)
+
     @pytest.mark.parametrize("horizon", ["1e150", "1e160"])
     def test_noise_free_run_on_a_huge_horizon_exits_zero(self, tmp_path, horizon):
         # past about 1.34e154 the squared step ends overflow; a constant

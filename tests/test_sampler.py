@@ -110,6 +110,14 @@ class TestRandomised:
         assert np.allclose(trajectory.errors[1], -trajectory.noise[0], atol=1e-15)
         assert np.all(trajectory.errors[0] == 0.0)
 
+    def test_trajectory_keeps_states_errors_and_noise(self):
+        grid = build_grid(1.0, 6)
+        trajectory = run_randomised(heat_1d(3), implicit_euler(), centred_gaussian(3, p=1.0),
+                                    grid, np.ones(3), trajectory_stream(2, 0))
+        assert [f.name for f in dataclasses.fields(trajectory)] == [
+            "grid", "states", "errors", "noise"]
+        assert trajectory.noise.shape == (6, 3)
+
     def test_fixed_seed_bitwise_identical(self):
         problem = scalar_linear(1.0)
         grid = build_grid(1.0, 16)
@@ -479,8 +487,9 @@ class TestFamilyPass:
 class TestPathwiseGronwallDominance:
     def test_every_trajectory_below_pathwise_bound(self):
         # max_k |e_k| <= (|e_0| + C h^q T + sum_k |xi_k|) e^(L_phi T)
-        # with per-run recorded defect and noise-norm constants and the
-        # flow's Lipschitz constant read off the grid's flow table
+        # with per-run constants from the one-step defects
+        # |phi(U_k) - psi(U_k)|_H along the realised path and its noise
+        # norms, and the flow's Lipschitz constant read off its table
         problem = scalar_linear(1.0)
         method = two_stage(*HEUN, h_star=0.25)
         grid = build_grid(1.0, 8)
@@ -494,9 +503,12 @@ class TestPathwiseGronwallDominance:
         for i in range(200):
             trajectory = run_randomised(
                 problem, method, noise, grid, np.array([1.0]), trajectory_stream(31, i),
-                record_defects=True,
             )
-            c_run = float(np.max(trajectory.defects / grid.steps ** (q + 1.0)))
+            c_run = max(
+                float(np.linalg.norm(exact_flow(problem, h_k, t_k, u_k)
+                                     - step(method, problem, h_k, t_k, u_k))) / h_k ** (q + 1.0)
+                for h_k, t_k, u_k in zip(grid.steps, grid.points, trajectory.states)
+            )
             noise_sum = float(np.sum(np.linalg.norm(trajectory.noise, axis=1)))
             bound = (0.0 + c_run * h**q * horizon + noise_sum) * math.exp(l_phi * horizon)
             realised = float(trajectory.error_h_norms().max())
@@ -554,6 +566,13 @@ class TestTruncationConstant:
         c = measure_truncation_constant(problem, implicit_euler(), grid, np.array([1.0]))
         assert c == pytest.approx(0.5, rel=0.05)
 
+    @pytest.mark.parametrize("order", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_order(self, order):
+        # NaN passes a sign check; an unchecked NaN order returned NaN
+        with pytest.raises(ValueError, match=f"order must be finite and >= 0, got {order}"):
+            measure_truncation_constant(scalar_linear(-1.0), implicit_euler(), build_grid(1.0, 4),
+                                        np.array([1.0]), order)
+
 
 def _forced_affine_problem():
     forcing = np.array([[0.5, -1.0, 0.3], [1.0, 0.2, 0.0], [-0.4, 0.0, 0.8]])
@@ -565,8 +584,8 @@ TABLE_GRIDS = [build_grid(1.0, 16), build_grid(1.0, 24, 2.0)]
 
 
 class TestTablesAgainstStepLoop:
-    """Table-based truncation constants and defects against a per-step loop
-    of step / exact_flow, the reference."""
+    """Table-based truncation constants against a per-step loop of
+    step / exact_flow, the reference."""
 
     @pytest.mark.parametrize("method", TABLE_METHODS, ids=lambda m: m.kind)
     def test_truncation_constant(self, method):
@@ -584,20 +603,3 @@ class TestTablesAgainstStepLoop:
             got = measure_truncation_constant(problem, method, grid, theta, q)
             tol = 1e-13 * np.max(np.abs(exact)) / grid.steps.min() ** (q + 1.0)
             assert abs(got - worst) <= tol
-
-    @pytest.mark.parametrize("method", TABLE_METHODS, ids=lambda m: m.kind)
-    def test_recorded_defects(self, method):
-        problem = _forced_affine_problem()
-        theta = np.array([1.0, -0.5, 0.25])
-        noise = centred_gaussian(3, p=0.5, c_xi=0.5)
-        for grid in TABLE_GRIDS:
-            trajectory = run_randomised(
-                problem, method, noise, grid, theta, trajectory_stream(5, 0), record_defects=True
-            )
-            states = trajectory.states
-            for k in range(grid.num_steps):
-                h, t = float(grid.steps[k]), float(grid.points[k])
-                gap = exact_flow(problem, h, t, states[k]) - step(method, problem, h, t, states[k])
-                assert abs(trajectory.defects[k] - np.linalg.norm(gap)) <= (
-                    1e-13 * np.max(np.abs(states[k:k + 2]))
-                )
