@@ -14,7 +14,6 @@ from .analysis import (
     ErrorStatistics,
     EstimationError,
     RateFit,
-    derived_lipschitz,
     error_statistics,
     fit_rate,
     gronwall_nonuniform,
@@ -28,7 +27,6 @@ from .bayes import DiagonalGaussianModel, biased_limit, posterior, single_mode_m
 from .grids import TimeGrid, build_grid
 from .integrators import (
     MethodConfig,
-    admissible_max_step,
     exact_method,
     explicit_euler,
     implicit_euler,
@@ -42,7 +40,6 @@ from .problems import (
     Problem,
     exact_flow,
     flow_table,
-    garding_constants,
     heat_1d,
     scalar_linear,
 )

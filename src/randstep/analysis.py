@@ -1,5 +1,6 @@
-"""Estimators, rate fitting, discrete Gronwall bounds, and the closed-form
-strong-error bounds used to check dominance empirically.
+"""Estimators, rate fitting, discrete Gronwall bounds, and the paper's
+closed-form strong-error bound, against which dominance is checked
+empirically.
 
 Two orderings of the error statistic are tracked: the "max of norm"
 max_k |e_k|_(L^R) and the stronger "norm of max" | max_k |e_k|_H |_(L^R)
@@ -32,11 +33,8 @@ __all__ = [
     "gronwall_uniform",
     "gronwall_special",
     "gronwall_nonuniform",
-    "derived_lipschitz",
     "theoretical_bound",
 ]
-
-BOUND_SETTINGS = ("banach", "gelfand_orlicz", "gelfand_l2_centred")
 
 _ORLICZ_REL_TOL = 1e-6
 
@@ -212,6 +210,9 @@ def gronwall_uniform(y0: float, a: float, b: float, p: float, h: float, horizon:
     i.e. the bound degenerates to y_0 + B T h^(p-1), which is what the
     telescoped recursion supports.
     """
+    # a NaN passes every sign check, so finiteness is checked first
+    if not all(map(math.isfinite, (y0, a, b, p, h, horizon))):
+        raise ValueError("y0, A, B, p, h and T must be finite")
     if min(y0, a, b) < 0.0:
         raise ValueError("y0, A, B must be non-negative")
     if p < 1.0:
@@ -234,6 +235,8 @@ def gronwall_special(c: float, g: np.ndarray) -> np.ndarray:
     of the result bounds y_(k+1).
     """
     g = np.asarray(g, dtype=float)
+    if not (math.isfinite(c) and np.all(np.isfinite(g))):
+        raise ValueError("c and the g sequence must be finite")
     if c < 0.0 or np.any(g < 0.0):
         raise ValueError("c and the g sequence must be non-negative")
     return c * np.exp(np.cumsum(g))
@@ -246,75 +249,49 @@ def gronwall_nonuniform(y0: float, a: float, h_seq: np.ndarray, b_seq: np.ndarra
     b_seq = np.asarray(b_seq, dtype=float)
     if h_seq.shape != b_seq.shape:
         raise ValueError("step and increment sequences must have equal length")
+    if not (math.isfinite(y0) and math.isfinite(a) and np.all(np.isfinite(h_seq))
+            and np.all(np.isfinite(b_seq))):
+        raise ValueError("all inputs must be finite")
     if y0 < 0.0 or a < 0.0 or np.any(h_seq < 0.0) or np.any(b_seq < 0.0):
         raise ValueError("all inputs must be non-negative")
     return (y0 + b_seq.sum()) * np.exp(a * np.cumsum(h_seq))
 
 
-def derived_lipschitz(l_psi: float) -> float:
-    """3 L^2 + 6 L + 2, the non-constant coefficients of (1 + 2x)(1 + L x)^2
-    summed: the one-step growth constant of the squared-error recursion."""
-    if l_psi < 0.0:
-        raise ValueError(f"Lipschitz constant must be >= 0, got {l_psi}")
-    return 3.0 * l_psi * l_psi + 6.0 * l_psi + 2.0
-
-
-def theoretical_bound(
-    setting: str,
-    h: float,
-    *,
-    c_phi_psi: float,
-    c_xi: float,
-    lipschitz: float,
-    q: float,
-    p: float,
-    horizon: float,
-    e0: float = 0.0,
-    kappa_bdg: float = 2.0,
-    h_star: float | None = None,
-) -> float:
-    """Closed-form strong-error bound at mesh width h.
-
-    "banach":             (e0 + C h^q T + C_xi h^p T) exp(L T) with the
-                          flow Lipschitz constant L.
-    "gelfand_orlicz":     the same shape with the method Lipschitz
-                          constant and the sup truncation constant.
-    "gelfand_l2_centred": the centred-independent L2 bound; its closed
-                          form bounds the squared norm, so the square
-                          root is returned to stay comparable with the
-                          other settings.  Requires h <= min(1, h*).
+def theoretical_bound(h: float, *, c_phi_psi: float, c_xi: float, lipschitz: float,
+                      q: float, p: float, horizon: float) -> float:
+    """The strong-error bound (C h^q T + C_xi h^p T) exp(L T) at mesh width
+    h: C the sup truncation constant of the method, of order q, C_xi the
+    noise amplitude, of order p, and L the method's Lipschitz constant.
+    Every run starts from U_0 = theta, so there is no initial-error term.
+    A bound that does not fit a double is refused, naming what overflowed.
     """
     # a NaN passes every sign check, so finiteness is checked first
-    if not math.isfinite(h):
-        raise ValueError(f"mesh width must be finite, got {h}")
+    for name, value in (("mesh width", h), ("order q", q), ("order p", p), ("horizon", horizon)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if h <= 0.0:
         raise ValueError(f"mesh width must be positive, got {h}")
-    constants = (c_phi_psi, c_xi, e0, lipschitz)
+    constants = (c_phi_psi, c_xi, lipschitz)
     if not all(map(math.isfinite, constants)):
         raise ValueError("bound constants must be finite")
     if min(constants) < 0.0:
         raise ValueError("bound constants must be non-negative")
-    if setting in ("banach", "gelfand_orlicz"):
-        return (e0 + c_phi_psi * h**q * horizon + c_xi * h**p * horizon) * _growth(
-            "exp(L T)", lipschitz * horizon, lipschitz, horizon
-        )
-    if setting == "gelfand_l2_centred":
-        if h > 1.0 or (h_star is not None and h > h_star):
-            raise ValueError(f"mesh {h} outside the admissible range h <= min(1, h*)")
-        l_prime = derived_lipschitz(lipschitz)
-        val = 2.0 * (
-            e0**2
-            + 4.0 * c_phi_psi**2 * h ** (2.0 * q) * horizon
-            + c_xi**2 * horizon * h ** (2.0 * p + 1.0) * (1.0 + kappa_bdg**2 * (1.0 + l_prime))
-        ) * _growth("exp(2 L' T)", 2.0 * l_prime * horizon, lipschitz, horizon)
-        return math.sqrt(val)
-    raise ValueError(f"unknown setting {setting!r}, expected one of {BOUND_SETTINGS}")
-
-
-def _growth(factor: str, exponent: float, lipschitz: float, horizon: float) -> float:
-    """The bound's growth factor e^exponent, refused where it overflows."""
-    try:  # math.exp raises where numpy's exp would give inf
-        return math.exp(exponent)
+    try:  # a float power raises where numpy's would give inf
+        terms = c_phi_psi * h**q * horizon + c_xi * h**p * horizon
     except OverflowError:
-        raise ValueError(f"the growth factor {factor} of the bound overflows at "
+        raise ValueError(f"the power h^q or h^p of the bound overflows at h = {h}, "
+                         f"q = {q}, p = {p}") from None
+    bound = terms * _growth(lipschitz, horizon)
+    if not math.isfinite(bound):
+        raise ValueError(f"the bound overflows at h = {h}, C = {c_phi_psi}, C_xi = {c_xi}, "
+                         f"L = {lipschitz}, T = {horizon}")
+    return bound
+
+
+def _growth(lipschitz: float, horizon: float) -> float:
+    """The bound's growth factor exp(L T), refused where it overflows."""
+    try:  # math.exp raises where numpy's exp would give inf
+        return math.exp(lipschitz * horizon)
+    except OverflowError:
+        raise ValueError(f"the growth factor exp(L T) of the bound overflows at "
                          f"L = {lipschitz}, T = {horizon}") from None

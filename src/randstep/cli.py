@@ -90,8 +90,7 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
             st = analysis.error_statistics(run, cfg.r, cfg.young)
         # the bounds share the largest constants C and L over all grids
         bound = analysis.theoretical_bound(
-            "gelfand_orlicz", grid.mesh,
-            c_phi_psi=c_meas, c_xi=c_xi_amp, lipschitz=l_psi,
+            grid.mesh, c_phi_psi=c_meas, c_xi=c_xi_amp, lipschitz=l_psi,
             q=method.order, p=noise_p, horizon=problem.horizon,
         )
         rows.append((st.mesh, st.max_of_norm, st.norm_of_max, st.psi2_norm_of_max, bound))

@@ -44,7 +44,6 @@ __all__ = [
     "steklov_average",
     "step",
     "step_table",
-    "admissible_max_step",
 ]
 
 EXPLICIT_EULER = "explicit_euler"
@@ -186,21 +185,3 @@ def step(method: MethodConfig, problem: Problem, h: float, t: float, v: np.ndarr
     v = _check_dimension(v, problem.space.dimension)
     a, c = step_table(method, problem, [h], [t])
     return a[0] * v + c[0]
-
-
-def admissible_max_step(kappa: float, l_psi: float) -> float:
-    """Largest step keeping implicit Euler (1 + L_psi h)-Lipschitz.
-
-    With coercivity shift kappa the contraction estimate is
-    |psi(x) - psi(y)|^2 <= (1 - 2 h kappa)^(-1) |x - y|^2, so for
-    kappa = 0 there is no constraint (returns inf) and for kappa > 0
-    the step must satisfy h* = (L_psi - 2 kappa) / (2 kappa L_psi).
-    """
-    if kappa < 0.0:
-        raise ValueError(f"kappa must be >= 0, got {kappa}")
-    if kappa == 0.0:
-        return math.inf
-    if l_psi <= 2.0 * kappa:
-        raise ValueError(f"need L_psi > 2 kappa, got L_psi = {l_psi}, kappa = {kappa}")
-    return (l_psi - 2.0 * kappa) / (2.0 * kappa * l_psi)
-

@@ -41,7 +41,6 @@ __all__ = [
     "scalar_linear",
     "exact_flow",
     "flow_table",
-    "garding_constants",
 ]
 
 # highest order a series response sums: an entry that needs more is split
@@ -128,24 +127,6 @@ def heat_1d(
 def scalar_linear(rate: float, horizon: float = 1.0) -> Problem:
     """Classical scalar test problem u' = rate * u (rate of either sign)."""
     return Problem(SpaceDescriptor(np.array([1.0])), (-float(rate), 0.0), None, horizon)
-
-
-def garding_constants(problem: Problem) -> tuple[float, float, float]:
-    """Constants (mu, kappa, beta) of the coercivity-up-to-shift inequality.
-
-    The discrete bilinear form is a(t, u, v) = alpha(t) * <u, v>_V, so for
-    alpha_min > 0 the inequality holds with mu = alpha_min and kappa = 0,
-    and beta = alpha_max bounds the form.  For instances whose scaling dips
-    to zero or below (the classical growth problems), coercivity is rescued
-    by a kappa-shift through |u|_V^2 <= lam_max |u|_H^2.
-    """
-    lo, hi = problem.alpha_range()
-    if lo > 0.0:
-        return lo, 0.0, hi
-    beta = max(abs(lo), abs(hi))
-    mu = min(1.0, beta)
-    kappa = (mu - lo) * float(problem.space.eigenvalues[-1])
-    return mu, kappa, max(beta, mu)
 
 
 def _check_steps(problem: Problem, steps, points) -> None:

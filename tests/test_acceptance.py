@@ -172,7 +172,7 @@ def test_criterion_7_orlicz_bound_dominance():
         ensemble = rs.run_ensemble(problem, method, noise, grid, theta, 400, 13)
         stats = rs.error_statistics(ensemble, 2.0, "psi2")
         bound = rs.theoretical_bound(
-            "gelfand_orlicz", grid.mesh, c_phi_psi=c_meas, c_xi=amp,
+            grid.mesh, c_phi_psi=c_meas, c_xi=amp,
             lipschitz=0.0, q=1.0, p=1.0, horizon=problem.horizon,
         )
         ratios.append(stats.psi2_norm_of_max / bound)

@@ -9,7 +9,6 @@ from randstep import (
     EstimationError,
     build_grid,
     centred_gaussian,
-    derived_lipschitz,
     error_statistics,
     fit_rate,
     gronwall_nonuniform,
@@ -254,6 +253,13 @@ class TestGronwallUniform:
         ((0.0, 1.0, 1.0, 0.5, 0.1, 1.0), "exponent p must be >= 1, got 0.5"),
         ((0.0, 1.0, 1.0, 2.0, 0.0, 1.0), "h and T must be positive"),
         ((0.0, 1.0, 1.0, 2.0, 0.1, -1.0), "h and T must be positive"),
+        # a NaN passes every sign check and gives a NaN bound; B = inf gives inf
+        ((math.nan, 1.0, 1.0, 2.0, 0.1, 1.0), "y0, A, B, p, h and T must be finite"),
+        ((0.0, math.nan, 1.0, 2.0, 0.1, 1.0), "y0, A, B, p, h and T must be finite"),
+        ((0.0, 1.0, math.inf, 2.0, 0.1, 1.0), "y0, A, B, p, h and T must be finite"),
+        ((0.0, 1.0, 1.0, math.nan, 0.1, 1.0), "y0, A, B, p, h and T must be finite"),
+        ((0.0, 1.0, 1.0, 2.0, math.nan, 1.0), "y0, A, B, p, h and T must be finite"),
+        ((0.0, 1.0, 1.0, 2.0, 0.1, math.inf), "y0, A, B, p, h and T must be finite"),
     ])
     def test_rejects_bad_inputs(self, args, match):
         with pytest.raises(ValueError, match=match):
@@ -286,6 +292,14 @@ class TestGronwallSpecial:
         with pytest.raises(ValueError, match="c and the g sequence must be non-negative"):
             gronwall_special(c, np.array(g))
 
+    @pytest.mark.parametrize("c, g", [
+        (math.nan, [0.1, 0.1]), (math.inf, [0.1, 0.1]),
+        (1.0, [0.1, math.nan]), (1.0, [math.inf, 0.1]),
+    ])
+    def test_rejects_non_finite_inputs(self, c, g):
+        with pytest.raises(ValueError, match="c and the g sequence must be finite"):
+            gronwall_special(c, np.array(g))
+
 
 class TestGronwallNonuniform:
     def test_zero_rate_reduces_to_sum(self):
@@ -310,6 +324,17 @@ class TestGronwallNonuniform:
         with pytest.raises(ValueError, match="all inputs must be non-negative"):
             gronwall_nonuniform(y0, a, np.array(h_seq), np.array(b_seq))
 
+    @pytest.mark.parametrize("y0, a, h_seq, b_seq", [
+        (math.nan, 1.0, [0.5, 0.5], [0.1, 0.1]),
+        (1.0, math.inf, [0.5, 0.5], [0.1, 0.1]),
+        (1.0, math.nan, [0.5, 0.5], [0.1, 0.1]),
+        (1.0, 1.0, [0.5, math.nan], [0.1, 0.1]),
+        (1.0, 1.0, [0.5, 0.5], [math.inf, 0.1]),
+    ])
+    def test_rejects_non_finite_inputs(self, y0, a, h_seq, b_seq):
+        with pytest.raises(ValueError, match="all inputs must be finite"):
+            gronwall_nonuniform(y0, a, np.array(h_seq), np.array(b_seq))
+
     def test_random_recursions_dominated(self):
         rng = np.random.default_rng(104)
         for _ in range(200):
@@ -325,108 +350,68 @@ class TestGronwallNonuniform:
                 assert y <= bounds[k] * (1 + 1e-12) + 1e-300
 
 
-class TestDerivedLipschitz:
-    def test_unit_case(self):
-        # (1 + 2x)(1 + x)^2 = 1 + 4x + 5x^2 + 2x^3  =>  4 + 5 + 2 = 11
-        assert derived_lipschitz(1.0) == pytest.approx(11.0, rel=1e-12)
-
-    def test_zero_case(self):
-        assert derived_lipschitz(0.0) == pytest.approx(2.0)
-
-    def test_general_polynomial(self):
-        l = 2.5
-        assert derived_lipschitz(l) == pytest.approx(3.0 * l * l + 6.0 * l + 2.0, rel=1e-12)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="Lipschitz constant must be >= 0, got -1"):
-            derived_lipschitz(-1.0)
-
-
 class TestTheoreticalBound:
-    def test_banach_example(self):
-        val = theoretical_bound(
-            "banach", 0.1, c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=1.0, p=1.0, horizon=1.0
-        )
-        assert val == pytest.approx(0.2, rel=1e-12)
-
     def test_gelfand_orlicz_example(self):
         val = theoretical_bound(
-            "gelfand_orlicz", 0.1, c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=1.0, p=1.0,
-            horizon=1.0,
+            0.1, c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=1.0, p=1.0, horizon=1.0,
         )
         assert val == pytest.approx(0.2, rel=1e-12)
-
-    def test_gelfand_l2_formula(self):
-        # direct evaluation of the closed form (returned as a sqrt)
-        h, q, p, horizon, kappa = 0.1, 1.0, 1.0, 1.0, 2.0
-        l_prime = 11.0
-        expected = math.sqrt(
-            2.0
-            * (0.25 + 4.0 * h ** (2 * q) * horizon + horizon * h ** (2 * p + 1) * (1 + kappa**2 * 12.0))
-            * math.exp(2.0 * l_prime * horizon)
-        )
-        val = theoretical_bound(
-            "gelfand_l2_centred", h, c_phi_psi=1.0, c_xi=1.0, lipschitz=1.0, q=q, p=p,
-            horizon=horizon, e0=0.5, kappa_bdg=kappa,
-        )
-        assert val == pytest.approx(expected, rel=1e-12)
-
-    def test_l2_mesh_range_enforced(self):
-        with pytest.raises(ValueError):
-            theoretical_bound(
-                "gelfand_l2_centred", 1.5, c_phi_psi=1.0, c_xi=1.0, lipschitz=1.0, q=1.0,
-                p=1.0, horizon=1.0,
-            )
-        with pytest.raises(ValueError):
-            theoretical_bound(
-                "gelfand_l2_centred", 0.5, c_phi_psi=1.0, c_xi=1.0, lipschitz=1.0, q=1.0,
-                p=1.0, horizon=1.0, h_star=0.25,
-            )
-
-    def test_unknown_setting(self):
-        with pytest.raises(ValueError):
-            theoretical_bound(
-                "weak", 0.1, c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=1.0, p=1.0, horizon=1.0
-            )
 
     @pytest.mark.parametrize("h, change, match", [
         (0.0, {}, "mesh width must be positive, got 0.0"),
         (-0.1, {}, "mesh width must be positive, got -0.1"),
         (0.1, {"c_phi_psi": -1.0}, "bound constants must be non-negative"),
         (0.1, {"c_xi": -1.0}, "bound constants must be non-negative"),
-        (0.1, {"e0": -1.0}, "bound constants must be non-negative"),
         (0.1, {"lipschitz": -1.0}, "bound constants must be non-negative"),
         # NaN passes every sign check
         (math.nan, {}, "mesh width must be finite, got nan"),
         (math.inf, {}, "mesh width must be finite, got inf"),
         (0.1, {"c_phi_psi": math.nan}, "bound constants must be finite"),
         (0.1, {"c_xi": math.nan}, "bound constants must be finite"),
-        (0.1, {"e0": math.nan}, "bound constants must be finite"),
         (0.1, {"lipschitz": math.nan}, "bound constants must be finite"),
         (0.1, {"c_xi": math.inf}, "bound constants must be finite"),
+        # at h = 1 a NaN order would still give a finite bound
+        (1.0, {"q": math.nan}, "order q must be finite, got nan"),
+        (0.1, {"p": math.inf}, "order p must be finite, got inf"),
+        (0.1, {"horizon": math.nan}, "horizon must be finite, got nan"),
+        (0.1, {"horizon": -math.inf}, "horizon must be finite, got -inf"),
     ])
     def test_rejects_bad_mesh_and_constants(self, h, change, match):
         args = dict(c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=1.0, p=1.0, horizon=1.0)
         with pytest.raises(ValueError, match=match):
-            theoretical_bound("banach", h, **{**args, **change})
+            theoretical_bound(h, **{**args, **change})
 
-    @pytest.mark.parametrize("setting, lipschitz, factor", [
-        ("banach", 720.0, "exp(L T)"),
-        ("gelfand_orlicz", 720.0, "exp(L T)"),
-        # L' = 3 L^2 + 6 L + 2 = 371 at L = 10, so exp(2 L' T) overflows
-        ("gelfand_l2_centred", 10.0, "exp(2 L' T)"),
-    ])
-    def test_overflowing_growth_factor_is_refused(self, setting, lipschitz, factor):
+    def test_overflowing_growth_factor_is_refused(self):
         # math.exp raises a bare OverflowError past about exp(709.78)
         with pytest.raises(ValueError, match=re.escape(
-                f"the growth factor {factor} of the bound overflows at "
-                f"L = {lipschitz}, T = 1.0")):
-            theoretical_bound(setting, 0.01, c_phi_psi=1.0, c_xi=1.0, lipschitz=lipschitz,
+                "the growth factor exp(L T) of the bound overflows at L = 720.0, T = 1.0")):
+            theoretical_bound(0.01, c_phi_psi=1.0, c_xi=1.0, lipschitz=720.0,
                               q=1.0, p=1.0, horizon=1.0)
         # just below the overflow the bound is finite
-        assert math.isfinite(theoretical_bound(setting, 0.01, c_phi_psi=1.0, c_xi=1.0,
-                                               lipschitz=lipschitz / 2.0, q=1.0, p=1.0,
-                                               horizon=1.0))
+        assert math.isfinite(theoretical_bound(0.01, c_phi_psi=1.0, c_xi=1.0, lipschitz=360.0,
+                                               q=1.0, p=1.0, horizon=1.0))
+
+    @pytest.mark.parametrize("h, q, p", [
+        (4.0, 600.0, 1.0),  # 4^600 = 2^1200
+        (1e-10, 1.0, -40.0),  # 1e400
+    ])
+    def test_overflowing_power_is_refused(self, h, q, p):
+        # a float power raises a bare OverflowError past about 1.8e308
+        with pytest.raises(ValueError, match=re.escape(
+                f"the power h^q or h^p of the bound overflows at h = {h}, q = {q}, p = {p}")):
+            theoretical_bound(h, c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=q, p=p, horizon=1.0)
+
+    @pytest.mark.parametrize("change", [
+        {"c_phi_psi": 1e300, "horizon": 1e10},  # the terms overflow
+        {"c_phi_psi": 1e300, "lipschitz": 100.0},  # the terms times exp(L T) overflow
+        {"lipschitz": 1e300, "horizon": 1e10},  # L T overflows, so exp(L T) is inf
+    ])
+    def test_overflowing_bound_is_refused(self, change):
+        args = {**dict(c_phi_psi=1.0, c_xi=1.0, lipschitz=0.0, q=1.0, p=1.0, horizon=1.0), **change}
+        with pytest.raises(ValueError, match=re.escape(
+                f"the bound overflows at h = 0.5, C = {args['c_phi_psi']}, C_xi = 1.0, "
+                f"L = {args['lipschitz']}, T = {args['horizon']}")):
+            theoretical_bound(0.5, **args)
 
 
 class TestErrorStatistics:

@@ -409,7 +409,7 @@ seed = 0
             assert np.all(np.abs(a) <= 1.0 + lipschitz * grid.steps[:, None])
         for entry, bound in zip(report["series"], report["theory"]):
             assert bound == analysis.theoretical_bound(
-                "gelfand_orlicz", entry["h"], c_phi_psi=report["measured_c_phi_psi"],
+                entry["h"], c_phi_psi=report["measured_c_phi_psi"],
                 c_xi=report["noise_amplitude"], lipschitz=lipschitz, q=1.0, p=1.0,
                 horizon=1.0,
             )
@@ -547,6 +547,20 @@ seed = 1
         assert list(out.iterdir()) == []
         assert ("run failed: the growth factor exp(L T) of the bound overflows at L = 720.0, "
                 "T = 1.0" in capsys.readouterr().err)
+
+    def test_overflowing_power_of_the_bound_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        # a declared order of 600 on a step of h = 16 / 4 = 4: h^q = 2^1200
+        # does not fit a double, and Python's float power raises
+        text = (CONVERGE_CONFIG.replace("horizon = 1.0", "horizon = 16.0")
+                .replace("n_values = 4, 8, 16, 32", "n_values = 4, 8, 16")
+                .replace("kind = implicit_euler", "kind = implicit_euler\ndeclared_order = 600"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", _write(tmp_path, text), "--out", str(out)]) == 2
+        assert list(out.iterdir()) == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert ("run failed: the power h^q or h^p of the bound overflows at h = 4.0, q = 600.0, "
+                "p = 1.0" in err)
 
     @pytest.mark.parametrize("horizon", ["1e150", "1e160"])
     def test_noise_free_run_on_a_huge_horizon_exits_zero(self, tmp_path, horizon):

@@ -9,7 +9,6 @@ from randstep import (
     MethodConfig,
     Problem,
     SpaceDescriptor,
-    admissible_max_step,
     build_grid,
     exact_flow,
     exact_method,
@@ -135,26 +134,6 @@ class TestSteklovAverage:
             steklov_average(heat_1d(1), 0.0, 0.2)
 
 
-class TestAdmissibleMaxStep:
-    def test_formula(self):
-        assert admissible_max_step(1.0, 4.0) == pytest.approx(0.25)
-
-    def test_no_constraint_for_zero_kappa(self):
-        assert admissible_max_step(0.0, 1.0) == math.inf
-
-    def test_boundary_rejected(self):
-        with pytest.raises(ValueError):
-            admissible_max_step(1.0, 2.0)
-        with pytest.raises(ValueError, match="kappa must be >= 0, got -1"):
-            admissible_max_step(-1.0, 1.0)
-
-    def test_round_trip_with_lipschitz(self):
-        # h* = (L - 2k)/(2kL) inverts to L = 1/((2k)^(-1) - h*)
-        kappa, l_psi = 2.0, 8.0
-        h_star = admissible_max_step(kappa, l_psi)
-        assert 1.0 / (1.0 / (2.0 * kappa) - h_star) == pytest.approx(l_psi)
-
-
 class TestLipschitzProperties:
     def test_implicit_nonexpansive_on_heat(self):
         problem = heat_1d(16)
@@ -168,10 +147,10 @@ class TestLipschitzProperties:
             assert np.linalg.norm(dx) <= np.linalg.norm(x - y) * (1 + 1e-12)
 
     def test_implicit_growth_bounded_by_kappa_rate(self):
-        # u' = u has Gaarding shift kappa = 2; with L = 8, h* = 0.125
+        # u' = u has Gaarding shift kappa = 2; implicit Euler is (1 + L h)-Lipschitz
+        # for h <= h* = (L - 2 kappa) / (2 kappa L), which is 4 / 32 at L = 8
         problem = scalar_linear(1.0)
-        kappa, l_psi = 2.0, 8.0
-        h_star = admissible_max_step(kappa, l_psi)
+        l_psi, h_star = 8.0, 0.125
         method = implicit_euler(h_star=h_star)
         rng = np.random.default_rng(12)
         for _ in range(300):

@@ -13,7 +13,6 @@ from randstep import (
     build_grid,
     exact_flow,
     flow_table,
-    garding_constants,
     heat_1d,
     implicit_euler,
     laplacian_1d,
@@ -158,26 +157,6 @@ class TestProblemValidation:
         # alpha = 1 - t reaches 0 at T = 1; Problem itself admits it
         with pytest.raises(ValueError, match="strictly positive time scaling"):
             heat_1d(3, alpha=(1.0, -1.0))
-
-
-class TestGardingConstants:
-    def test_heat_model(self):
-        assert garding_constants(heat_1d(8)) == (1.0, 0.0, 1.0)
-
-    def test_affine_scaling(self):
-        problem = Problem(laplacian_1d(4), (1.0, 0.5), None, 1.0)
-        assert garding_constants(problem) == (1.0, 0.0, 1.5)
-
-    def test_constant_scaling(self):
-        problem = Problem(laplacian_1d(4), (3.0, 0.0), None, 1.0)
-        mu, kappa, beta = garding_constants(problem)
-        assert (mu, kappa, beta) == (3.0, 0.0, 3.0)
-
-    def test_growth_problem_has_positive_shift(self):
-        mu, kappa, beta = garding_constants(scalar_linear(1.0))
-        assert mu > 0.0 and kappa >= mu and beta >= mu
-        # the form a(u, u) = -|u|^2 must satisfy a(u,u) >= mu|u|_V^2 - kappa|u|_H^2
-        assert -1.0 >= mu - kappa - 1e-15
 
 
 class TestFlowProperties:
