@@ -208,7 +208,8 @@ def gronwall_uniform(y0: float, a: float, b: float, p: float, h: float, horizon:
 
     At A = 0 the prefactor A^(-1)(e^(A T) - 1) is taken as its limit T,
     i.e. the bound degenerates to y_0 + B T h^(p-1), which is what the
-    telescoped recursion supports.
+    telescoped recursion supports.  A bound that does not fit a double is
+    refused, naming what overflowed.
     """
     # a NaN passes every sign check, so finiteness is checked first
     if not all(map(math.isfinite, (y0, a, b, p, h, horizon))):
@@ -222,29 +223,41 @@ def gronwall_uniform(y0: float, a: float, b: float, p: float, h: float, horizon:
     n = horizon / h
     if abs(n - round(n)) > 1e-9 * max(1.0, n):
         raise ValueError(f"h = {h} does not divide the horizon {horizon}")
+    try:  # a float power raises where numpy's would give inf
+        power = h ** (p - 1.0)
+    except OverflowError:
+        raise ValueError(f"the power h^(p - 1) of the bound overflows at h = {h}, "
+                         f"p = {p}") from None
     if a == 0.0:
-        return y0 + b * horizon * h ** (p - 1.0)
-    grow = math.exp(a * horizon)
-    return grow * y0 + (b / a) * (grow - 1.0) * h ** (p - 1.0)
+        bound = y0 + b * horizon * power
+    else:  # expm1 keeps the prefactor's limit T where e^(A T) - 1 would cancel to 0
+        bound = _growth(a, horizon, "A") * y0 + b * (math.expm1(a * horizon) / a) * power
+    if not math.isfinite(bound):
+        raise ValueError(f"the bound overflows at y0 = {y0}, A = {a}, B = {b}, p = {p}, "
+                         f"h = {h}, T = {horizon}")
+    return bound
 
 
 def gronwall_special(c: float, g: np.ndarray) -> np.ndarray:
     """Bounds c * exp(prefix sums of g) for y_(k+1) <= c + sum_(j<=k) g_j y_j.
 
     Requires y_0 <= c for the recursion hypothesis to propagate; entry k
-    of the result bounds y_(k+1).
+    of the result bounds y_(k+1).  Bounds that do not fit a double are
+    refused, naming the first.
     """
     g = np.asarray(g, dtype=float)
     if not (math.isfinite(c) and np.all(np.isfinite(g))):
         raise ValueError("c and the g sequence must be finite")
     if c < 0.0 or np.any(g < 0.0):
         raise ValueError("c and the g sequence must be non-negative")
-    return c * np.exp(np.cumsum(g))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+        return _finite_bounds(c * np.exp(np.cumsum(g)), "c exp(g_0 + ... + g_k)")
 
 
 def gronwall_nonuniform(y0: float, a: float, h_seq: np.ndarray, b_seq: np.ndarray) -> np.ndarray:
     """Bounds (y_0 + sum_l b_l) exp(A sum_(j<=k) h_j), entry k bounding y_(k+1),
-    for the recursion y_(k+1) <= (1 + A h_k) y_k + b_k."""
+    for the recursion y_(k+1) <= (1 + A h_k) y_k + b_k.  Bounds that do not
+    fit a double are refused, naming the first."""
     h_seq = np.asarray(h_seq, dtype=float)
     b_seq = np.asarray(b_seq, dtype=float)
     if h_seq.shape != b_seq.shape:
@@ -254,7 +267,18 @@ def gronwall_nonuniform(y0: float, a: float, h_seq: np.ndarray, b_seq: np.ndarra
         raise ValueError("all inputs must be finite")
     if y0 < 0.0 or a < 0.0 or np.any(h_seq < 0.0) or np.any(b_seq < 0.0):
         raise ValueError("all inputs must be non-negative")
-    return (y0 + b_seq.sum()) * np.exp(a * np.cumsum(h_seq))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by name below
+        return _finite_bounds((y0 + b_seq.sum()) * np.exp(a * np.cumsum(h_seq)),
+                              "(y_0 + sum_l b_l) exp(A sum_(j<=k) h_j)")
+
+
+def _finite_bounds(bounds: np.ndarray, what: str) -> np.ndarray:
+    """bounds, refused at the first entry k that overflowed (to inf, or to
+    NaN as 0 * inf)."""
+    bad = np.flatnonzero(~np.isfinite(bounds))
+    if bad.size:
+        raise ValueError(f"the bound {what} overflows at k = {bad[0]}")
+    return bounds
 
 
 def theoretical_bound(h: float, *, c_phi_psi: float, c_xi: float, lipschitz: float,
@@ -281,17 +305,18 @@ def theoretical_bound(h: float, *, c_phi_psi: float, c_xi: float, lipschitz: flo
     except OverflowError:
         raise ValueError(f"the power h^q or h^p of the bound overflows at h = {h}, "
                          f"q = {q}, p = {p}") from None
-    bound = terms * _growth(lipschitz, horizon)
+    bound = terms * _growth(lipschitz, horizon, "L")
     if not math.isfinite(bound):
         raise ValueError(f"the bound overflows at h = {h}, C = {c_phi_psi}, C_xi = {c_xi}, "
                          f"L = {lipschitz}, T = {horizon}")
     return bound
 
 
-def _growth(lipschitz: float, horizon: float) -> float:
-    """The bound's growth factor exp(L T), refused where it overflows."""
+def _growth(rate: float, horizon: float, name: str) -> float:
+    """A bound's growth factor exp(rate T), rate named name, refused where
+    it overflows."""
     try:  # math.exp raises where numpy's exp would give inf
-        return math.exp(lipschitz * horizon)
+        return math.exp(rate * horizon)
     except OverflowError:
-        raise ValueError(f"the growth factor exp(L T) of the bound overflows at "
-                         f"L = {lipschitz}, T = {horizon}") from None
+        raise ValueError(f"the growth factor exp({name} T) of the bound overflows at "
+                         f"{name} = {rate}, T = {horizon}") from None

@@ -13,11 +13,12 @@ serve as a trustworthy oracle for convergence-rate measurements.
 Over a step the flow is the per-mode affine map u -> E_k * u + f_k;
 `flow_table` builds (E, f) for a whole grid and `exact_flow` is one row.
 Both are array passes over the (N, J) steps and modes, with no loop over
-either.  The forcing response f is one series per (step, mode) entry in
-the integrals f_k(z) = int_0^1 s^k e^(-z s) ds, summed by one stable
-evaluator, `_poly_exp_sum`, that covers every sign and size of z.  Each
-entry takes its own order from a tail bound in both mu = gamma h^2 and
-z; an entry that no order up to _ORDER_CAP reaches is the sum of the
+a mode; f is taken in blocks of whole steps that fit `randomisation`'s
+byte budget.  The forcing response f is one series per (step, mode)
+entry in the integrals f_k(z) = int_0^1 s^k e^(-z s) ds, summed by one
+stable evaluator, `_poly_exp_sum`, that covers every sign and size of z.
+Each entry takes its own order from a tail bound in both mu = gamma h^2
+and z; an entry that no order up to _ORDER_CAP reaches is the sum of the
 same response over equal substeps with |mu| <= 1, one recursive call.
 
 The scalar test problem u' = rate * u (any sign of rate) is included via
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import randomisation
 from .spaces import SpaceDescriptor, _check_dimension, laplacian_1d
 
 __all__ = [
@@ -146,7 +148,11 @@ def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]
     h_k and t_k of shape (N,); E and f have shape (N, J).
 
     E = exp(-lam int alpha) is vectorised over steps; f (zero without
-    forcing) comes from the closed-form response integrals.
+    forcing) comes from the closed-form response integrals, taken over
+    blocks of whole steps of at most randomisation.BLOCK_BYTES / 256 flat
+    entries (or one step), so the response's few dozen flat temporaries
+    fit in BLOCK_BYTES beside E and f.  An entry split into substeps (see
+    `_forcing_response`) adds temporaries of its substeps' count.
     """
     steps, points = np.asarray(steps, dtype=float), np.asarray(points, dtype=float)
     _check_steps(problem, steps, points)
@@ -154,8 +160,13 @@ def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]
     decay = np.exp(-problem.space.eigenvalues * problem.alpha_integral(points, ends)[:, None])
     if problem.forcing is None:
         return decay, np.zeros_like(decay)
-    k, j = np.divmod(np.arange(decay.size), decay.shape[1])  # flat entry k J + j
-    return decay, _forcing_response(problem, j, points[k], ends[k]).reshape(decay.shape)
+    response, width = np.empty_like(decay), decay.shape[1]
+    count = max(1, randomisation.BLOCK_BYTES // (8 * 32 * width))
+    for start in range(0, len(steps), count):
+        rows = response[start:start + count]
+        k, j = np.divmod(np.arange(rows.size) + start * width, width)  # flat entry k J + j
+        rows[:] = _forcing_response(problem, j, points[k], ends[k]).reshape(rows.shape)
+    return decay, response
 
 
 def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarray:

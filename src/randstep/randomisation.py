@@ -26,8 +26,8 @@ of grids shapes each raw step once.
 
 One stream's draws (`sample_path_matrix`, `psi2_amplitude`, noise-check)
 are read by `_row_blocks`, whose at most three blocks held at once share
-one BLOCK_BYTES; an ensemble's by `_family_noise`, in chunks of at most
-BLOCK_BYTES of raw normals.
+one BLOCK_BYTES; an ensemble's by `_family_noise`, in chunks of at most a
+quarter of BLOCK_BYTES of raw normals.
 
 The exponent p = -1/2 (diffusion-like scaling) is accepted for
 demonstration only; no convergence statement attaches to it.
@@ -68,13 +68,17 @@ _PSI2_SEED = 20_220_457  # fixed internal stream for the cached Orlicz estimate
 # `_row_blocks` reader (sample_path_matrix, psi2_amplitude, noise-check)
 # holds at most three blocks of its rows: raw normals, the shared factors
 # or the bounded kind's squares, and a reducer's squares (`_draw_norms`),
-# so each takes at most a quarter of it.  An ensemble's (B, S, W) chunk of
-# raw normals takes it whole, B and S both about sqrt(BLOCK_BYTES / (8 W))
-# with W = `_step_normals` and S at most N, which also caps the B
-# generators a group holds.  A `run_ensemble` pass holds its (M, N + 1)
-# norms beside it, hence the small budget.  No block shape changes a
-# drawn value or a norm; B groups the per-step partials a study's pass
-# sums (see sampler's memory model).
+# so each takes at most a quarter of it.  So does an ensemble's (B, S, W)
+# chunk of raw normals, W = `_step_normals`: B is at most `_side`, about
+# sqrt(BLOCK_BYTES / (8 W)), which also caps the B generators a group
+# holds, and S, at most N, fills a quarter of BLOCK_BYTES with B rows.
+# The pass's norm blocks hold at most `_side` B norms, BLOCK_BYTES / W
+# bytes, so with W >= 4 its chunk, (B, J) scratch and norm blocks fit in
+# it together.  `problems.flow_table` takes its forcing response in blocks of
+# whole steps of at most BLOCK_BYTES / 256 flat entries.  A `run_ensemble`
+# pass holds its (M, N + 1) norms beside these, hence the small budget.
+# No block shape changes a drawn value or a norm; B groups the per-step
+# partials a study's pass sums (see sampler's memory model).
 BLOCK_BYTES = 4 * 2**20
 
 
@@ -181,9 +185,18 @@ def _step_normals(model: NoiseModel) -> int:
 
 def _chunk_shape(model: NoiseModel, n: int, rows: int) -> tuple[int, int]:
     """(B, S): trajectories per group and steps per chunk of a pass over
-    rows trajectories and n steps, from BLOCK_BYTES alone; see its comment."""
-    side = max(1, math.isqrt(BLOCK_BYTES // (8 * _step_normals(model))))
-    return min(rows, side), min(n, side)
+    rows trajectories and n steps, from BLOCK_BYTES alone; see its comment.
+    B = min(rows, `_side`) fixes the task split, and
+    S = min(n, max(1, (BLOCK_BYTES / 4) / (8 B W))) keeps the (B, S, W)
+    chunk within a quarter of BLOCK_BYTES (or one step)."""
+    size = min(rows, _side(model))
+    return size, min(n, max(1, (BLOCK_BYTES // 4) // (8 * size * _step_normals(model))))
+
+
+def _side(model: NoiseModel) -> int:
+    """max(1, isqrt(BLOCK_BYTES / (8 W))): the most trajectories a group
+    takes, and the steps of norms a pass's blocks hold in all."""
+    return max(1, math.isqrt(BLOCK_BYTES // (8 * _step_normals(model))))
 
 
 def _unit(model: NoiseModel, normals: np.ndarray, shared, out) -> np.ndarray:

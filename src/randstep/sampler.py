@@ -40,26 +40,29 @@ pass over its grids.  Every grid seeds trajectory i from one stream, so
 a grid's raw normals are a prefix of the longest grid's.  The pass takes
 the trajectories in groups of B, with one generator per trajectory and
 one rolling (B, J) deviation per grid.  It draws the longest grid's
-steps, S at a time, into one reused raw chunk of at most
-`randomisation.BLOCK_BYTES`, which alone sets B and S, and shapes each
-raw step's unit draw once.  Each grid that has the step scales the unit
-by its scale table into one (B, J) scratch, advances its deviation and
-writes the norm into its contiguous block of the next D steps' norms,
-(D, B) with D = S // G for G grids, so the blocks hold one chunk's steps
-of norms in all.  A full block, or the grid's last, is kept:
-`run_ensemble` copies it into the group's rows of the (M, N + 1) norms.
-A convergence study keeps only what its report reads
-(`ReducedEnsemble`): the rows' maxima of an (M,) array per grid and, per
-order R, the task's partials of each step, sum_i (x_i / s_g)^R with s_g
-the group's largest norm.  So a study holds (M,) maxima and
-(tasks, N_g + 1) partials per grid, the (a, d) and scale tables, one
-chunk and blocks of at most S B norms.  With several workers, all groups
-of a study run as tasks in one pool of forked workers, which write their
-rows straight into these arrays in anonymous shared mappings made before
-the fork.  Neither S nor the task order changes a computed float.  B sets
-the tasks, so a study's per-step L^R norms, summed from the partials in
-task order, depend on B in the last bits, but never on the worker count;
-the norms and maxima do not depend on B.
+steps, S at a time, into one reused raw chunk of at most a quarter of
+`randomisation.BLOCK_BYTES`, which alone sets B and S (`_chunk_shape`),
+and shapes each raw step's unit draw once.  Each grid that has the step
+scales the unit by its scale table into one (B, J) scratch, advances its
+deviation and writes the norm into its contiguous block of the next D
+steps' norms, (D, B) with D = min(N, side) // G for G grids and
+side >= B the group size's bound (`randomisation._side`).  So the blocks
+hold at most side B norms in all, BLOCK_BYTES / W bytes, and with W >= 4
+the chunk, the scratch and the blocks fit in one BLOCK_BYTES together.
+A full block, or the grid's last, is kept: `run_ensemble` copies it into
+the group's rows of the (M, N + 1) norms.  A convergence study keeps
+only what its report reads (`ReducedEnsemble`): the rows' maxima of an
+(M,) array per grid and, per order R, the task's partials of each step,
+sum_i (x_i / s_g)^R with s_g the group's largest norm.  So a study
+holds (M,) maxima and (tasks, N_g + 1) partials per grid, the (a, d) and
+scale tables, one chunk and blocks of at most side B norms.  With
+several workers, all groups of a study run as tasks in one pool of
+forked workers, which write their rows straight into these arrays in
+anonymous shared mappings made before the fork.  Neither S, D nor the
+task order changes a computed float.  B sets the tasks, so a study's
+per-step L^R norms, summed from the partials in task order, depend on B
+in the last bits, but never on the worker count; the norms and maxima do
+not depend on B.
 """
 
 from __future__ import annotations
@@ -72,8 +75,8 @@ import numpy as np
 from .grids import TimeGrid
 from .integrators import MethodConfig, step_table
 from .problems import Problem, flow_table
-from .randomisation import (NoiseModel, _chunk_shape, _family_noise, _noise, _step_scales,
-                            noise_path)
+from .randomisation import (NoiseModel, _chunk_shape, _family_noise, _noise, _side,
+                            _step_scales, noise_path)
 from .spaces import _check_state, _h_norm
 
 __all__ = [
@@ -248,8 +251,9 @@ def _run_group(study: tuple, task: tuple) -> None:
     noise, master_seed, tables, scales, sinks = study
     streams = [trajectory_stream(master_seed, i) for i in task[1]]
     n = max(table[0].shape[0] for table in tables)
-    # the grids' blocks hold one chunk's steps of norms in all
-    depth = max(1, _chunk_shape(noise, n, len(streams))[1] // len(tables))
+    # the grids' blocks hold min(n, side) steps of norms in all, not the
+    # chunk's S: a keep costs about as much for 5 steps as for 22
+    depth = max(1, min(n, _side(noise)) // len(tables))
     grids = [(table, scale, np.zeros((len(streams), noise.dimension)),
               np.empty((min(depth, table[0].shape[0]), len(streams))), sink)
              for table, scale, sink in zip(tables, scales, sinks)]

@@ -265,6 +265,29 @@ class TestGronwallUniform:
         with pytest.raises(ValueError, match=match):
             gronwall_uniform(*args)
 
+    @pytest.mark.parametrize("args, match", [
+        # math.exp and a float power raise a bare OverflowError past about
+        # 1.8e308; a product of finite factors gives inf
+        ((0.0, 1000.0, 1.0, 2.0, 0.1, 1.0),
+         "the growth factor exp(A T) of the bound overflows at A = 1000.0, T = 1.0"),
+        ((0.0, 0.0, 1.0, 400.0, 1e10, 1e10),
+         "the power h^(p - 1) of the bound overflows at h = 10000000000.0, p = 400.0"),
+        ((1e308, 1.0, 0.0, 2.0, 0.1, 1.0),
+         "the bound overflows at y0 = 1e+308, A = 1.0, B = 0.0, p = 2.0, h = 0.1, T = 1.0"),
+        ((0.0, 0.0, 1e300, 2.0, 1e-5, 1e10),
+         "the bound overflows at y0 = 0.0, A = 0.0, B = 1e+300, p = 2.0, h = 1e-05, "
+         "T = 10000000000.0"),
+    ])
+    def test_overflowing_bound_is_refused_by_name(self, args, match):
+        with pytest.raises(ValueError, match=re.escape(match)):
+            gronwall_uniform(*args)
+
+    @pytest.mark.parametrize("a", [1e-20, 1e-320])
+    def test_tiny_rate_keeps_the_zero_rate_limit(self, a):
+        # e^(A T) - 1 cancels to 0 at A T below the unit roundoff (and B / A
+        # overflows at A = 1e-320), while the bound tends to y_0 + B T h^(p-1)
+        assert gronwall_uniform(0.0, a, 1.0, 2.0, 0.1, 1.0) == pytest.approx(0.1, rel=1e-15)
+
     def test_zero_rate_bound_dominates_recursion(self):
         # telescoping oracle: y_k <= k B h^p <= B T h^(p-1)
         h, horizon, b, p = 0.05, 1.0, 0.7, 2.0
@@ -300,6 +323,17 @@ class TestGronwallSpecial:
         with pytest.raises(ValueError, match="c and the g sequence must be finite"):
             gronwall_special(c, np.array(g))
 
+    @pytest.mark.parametrize("c, g, k", [
+        (1.0, [400.0, 400.0], 1),  # exp(800) overflows
+        (1e300, [0.0, 100.0], 1),  # a finite exp(100), times c
+        (0.0, [800.0, 0.0], 0),  # 0 * inf is NaN
+    ])
+    def test_overflowing_bound_is_refused_by_name(self, c, g, k):
+        # numpy gives inf (or NaN) with a RuntimeWarning, not an error
+        with pytest.raises(ValueError, match=re.escape(
+                f"the bound c exp(g_0 + ... + g_k) overflows at k = {k}")):
+            gronwall_special(c, np.array(g))
+
 
 class TestGronwallNonuniform:
     def test_zero_rate_reduces_to_sum(self):
@@ -333,6 +367,17 @@ class TestGronwallNonuniform:
     ])
     def test_rejects_non_finite_inputs(self, y0, a, h_seq, b_seq):
         with pytest.raises(ValueError, match="all inputs must be finite"):
+            gronwall_nonuniform(y0, a, np.array(h_seq), np.array(b_seq))
+
+    @pytest.mark.parametrize("y0, a, h_seq, b_seq, k", [
+        (1.0, 1000.0, [1.0, 1.0], [1.0, 1.0], 0),  # exp(1000) overflows
+        (1.0, 500.0, [1.0, 1.0], [1.0, 1.0], 1),  # exp(1000) at the second step
+        (1.0, 0.0, [1.0, 1.0], [1e308, 1e308], 0),  # the sum of b overflows
+    ])
+    def test_overflowing_bound_is_refused_by_name(self, y0, a, h_seq, b_seq, k):
+        # numpy gives inf with a RuntimeWarning, not an error
+        with pytest.raises(ValueError, match=re.escape(
+                f"the bound (y_0 + sum_l b_l) exp(A sum_(j<=k) h_j) overflows at k = {k}")):
             gronwall_nonuniform(y0, a, np.array(h_seq), np.array(b_seq))
 
     def test_random_recursions_dominated(self):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,7 +20,7 @@ from randstep import (
     scalar_linear,
     step,
 )
-from randstep import sampler
+from randstep import randomisation, sampler
 
 
 def _reference_flow(problem, h, t, x):
@@ -224,6 +225,27 @@ class TestFlowProperties:
         assert ours == pytest.approx(ref, rel=1e-8)
 
 
+class TestFlowTableMemory:
+    def test_forcing_response_fits_the_block_budget(self):
+        # not a timing gate: numpy reports its buffers to tracemalloc.  The
+        # response is taken over blocks of whole steps of at most
+        # BLOCK_BYTES / 256 flat entries, so its temporaries fit in
+        # BLOCK_BYTES beside the (N, J) tables E and f; on this grid the
+        # flat evaluation's peak is about 12.8 MB
+        dim = 1024
+        problem = heat_1d(dim, alpha=(1.0, 1.0), forcing=np.tile((1.0, 0.5, -0.25), (dim, 1)))
+        grid = build_grid(1.0, 64, 2.0)
+        flow_table(problem, grid.steps[:2], grid.points[:2])  # imports outside the trace
+        tracemalloc.start()
+        try:
+            decay, response = flow_table(problem, grid.steps, grid.points[:-1])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert response.any()
+        assert peak < randomisation.BLOCK_BYTES + decay.nbytes + response.nbytes
+
+
 class TestResponseKernels:
     """The array kernels behind the forcing response, against quadrature."""
 
@@ -323,6 +345,24 @@ class TestResponseOrders:
         lam = float(problem.space.eigenvalues[dim - top])
         ref = _mp_response(lam, alpha, self.COEFFS, t, t1, [])
         assert response[-1, dim - top] == pytest.approx(ref, rel=1e-9)
+
+    # alpha = 1 - t splits the J = 1024 grid's top modes into substeps;
+    # alpha = -1 + 2t vanishes inside the steps around t = 0.5
+    @pytest.mark.parametrize("dim,alpha,n", [(1024, (1.0, -1.0), 32), (128, (-1.0, 2.0), 64)],
+                             ids=["substeps", "vanishing"])
+    def test_step_blocks_equal_one_block(self, monkeypatch, dim, alpha, n):
+        # blocks of whole steps change no entry: only the downward
+        # recurrence's seed depends on a block (its widest |z|), and the
+        # seed error has shrunk past the last bit by the entries read
+        problem = Problem(laplacian_1d(dim), alpha, np.tile(self.COEFFS, (dim, 1)), 1.0)
+        grid = build_grid(1.0, n, 2.0)
+        tables = {}
+        for budget in (1, 2**62):  # one step per block; one block
+            monkeypatch.setattr(randomisation, "BLOCK_BYTES", budget)
+            tables[budget] = flow_table(problem, grid.steps, grid.points[:-1])
+        for one, whole in zip(tables[1], tables[2**62]):
+            assert np.isfinite(whole).all()
+            assert one.tobytes() == whole.tobytes()
 
     def test_substeps_end_to_end_against_radau(self):
         # oracle-affine's problem with alpha = 1 - t, which vanishes at T, on

@@ -34,6 +34,12 @@ from randstep import analysis, randomisation, sampler
 HEUN = (0.5, 0.5, 1.0, 1.0)
 NOISE_KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
 
+# (units, (B, S)) by the longest grid's N, for M = 6 trajectories: a
+# BLOCK_BYTES of 8 W units gives groups of B = min(isqrt(units), M) and
+# chunks of S = min(N, max(1, units // (4 B))) steps
+CHUNK_SHAPES = {n: [(1, (1, 1)), (16, (4, 1)), (100, (6, 4)), (400, (6, n))] for n in (9, 16)}
+CHUNK_IDS = ["S1", "B4-S1", "S4", "SN"]
+
 
 def _randomised_norms(problem, method, noise, grid, theta, m, master_seed):
     """The per-index run_randomised norms, the reference for ensemble rows."""
@@ -304,20 +310,24 @@ class TestEnsemble:
             tracemalloc.stop()
         assert peak < m * (n + 1) * j * 8
 
-    @pytest.mark.parametrize("side", [1, 4, 64], ids=["S1", "S4", "SN"])
+    @pytest.mark.parametrize("units,shape", CHUNK_SHAPES[9], ids=CHUNK_IDS)
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("kind", NOISE_KINDS)
-    def test_step_major_rows_equal_randomised_runs(self, monkeypatch, kind, workers, side):
-        # BLOCK_BYTES = 8 (J + 2) side^2 gives every kind (the bounded one
-        # draws J + 2 normals a step) chunks of S = min(side, N) steps:
-        # one step, 4 steps (not a divisor of N = 9) and the whole path
+    def test_step_major_rows_equal_randomised_runs(self, monkeypatch, kind, workers, units,
+                                                   shape):
+        # BLOCK_BYTES = 8 W units gives every kind (W normals a step: J, or
+        # J + 2 for the bounded kind) groups of B = min(isqrt(units), M) and
+        # chunks of S = min(N, max(1, units // (4 B))) steps: one step, with
+        # B = 1 and with B = 4 (not a divisor of M = 6), 4 steps (not a
+        # divisor of N = 9) and the whole path
         j, m = 4, 6
         problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
         grid = build_grid(1.0, 9, 1.5)
         noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
         args = (problem, implicit_euler(), noise, grid, np.linspace(1.0, 0.25, j), m, 23)
-        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (j + 2) * side**2)
-        assert randomisation._chunk_shape(noise, grid.num_steps, m) == (min(side, m), min(side, 9))
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES",
+                            8 * randomisation._step_normals(noise) * units)
+        assert randomisation._chunk_shape(noise, grid.num_steps, m) == shape
         ensemble = run_ensemble(*args, workers=workers)
         reference = _randomised_norms(*args)
         assert np.array_equal(ensemble.error_h_norms(), reference)
@@ -327,16 +337,17 @@ class TestEnsemble:
         # not a timing gate: numpy reports its buffers to tracemalloc.  A
         # convergence study's pass holds no (M, N_g + 1) norms: per grid it
         # keeps (M,) maxima and, per order, (tasks, N_g + 1) partials and
-        # step maxima, beside one (B, S, W) raw chunk of at most
-        # BLOCK_BYTES, W = J normals a step (J + 2 for the bounded kind).
+        # step maxima, beside one (B, S, W) raw chunk of at most a quarter
+        # of BLOCK_BYTES, W = J normals a step (J + 2 for the bounded kind).
         # The 1 MB margin covers each grid's (a, d) tables (229 KB in all
         # here), each grid's (N_g, J) scale table (115 KB in all), one
         # group's generators (B = 128, about 0.9 KB each), its (B, J)
         # deviations (32 KB per grid), two (B, J) scratch arrays, for the
-        # unit draws and xi_k, the grids' blocks of step norms (S B floats
-        # in all, 128 KB) and the power of a full one (43 KB).  A second
-        # chunk-sized buffer, such as shaping the raw chunk out of place,
-        # would need twice BLOCK_BYTES; so would a chunk-sized temporary of
+        # unit draws and xi_k, the grids' blocks of step norms (side B
+        # floats in all, side = B = 128 here, 128 KB) and the power of a
+        # full one (43 KB): about 0.83 MB traced beside the chunk.  A
+        # second chunk-sized buffer, such as shaping the raw chunk out of
+        # place, would pass the margin; so would a chunk-sized temporary of
         # the bounded kind's per-step norms.  With one worker the kept
         # arrays are ordinary arrays, which tracemalloc sees.
         m, j, n_values, orders = 400, 32, (64, 256, 128), (2.0, 4.0)
@@ -358,7 +369,7 @@ class TestEnsemble:
         assert kept == sum(run.maxima.nbytes + run.tops.nbytes
                            + sum(s.nbytes for s in run.sums.values()) for run in runs)
         assert current >= kept
-        assert peak < kept + randomisation.BLOCK_BYTES + 2**20
+        assert peak < kept + randomisation.BLOCK_BYTES // 4 + 2**20
 
     def test_rejects_noise_dimension_mismatch(self):
         problem = heat_1d(4)
@@ -418,27 +429,30 @@ ORDERS = (2.0, 3.5, 4.0)
 
 
 class TestFamilyPass:
-    @pytest.mark.parametrize("side", [1, 4, 16], ids=["S1", "S4", "SN"])
+    @pytest.mark.parametrize("units,shape", CHUNK_SHAPES[16], ids=CHUNK_IDS)
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("family", list(FAMILIES))
     @pytest.mark.parametrize("kind", NOISE_KINDS)
-    def test_family_pass_equals_per_grid_runs(self, monkeypatch, kind, family, workers, side):
+    def test_family_pass_equals_per_grid_runs(self, monkeypatch, kind, family, workers, units,
+                                              shape):
         # one pass over grids listed out of order gives, grid by grid, the
         # per-trajectory maxima of the per-index run_randomised norms bit
         # for bit, their per-step L^R norms (`_lr_norms`) to rounding,
         # measure_truncation_constant and the Lipschitz constant read off
-        # the grid's step table.  BLOCK_BYTES = 8 (J + 2) side^2 gives
-        # every kind groups of B = min(side, M) trajectories and chunks of
-        # S = side steps of the longest grid: one step, 4 steps (past the
-        # end of the 4-step grid) and the whole path
+        # the grid's step table.  BLOCK_BYTES = 8 W units gives every kind
+        # groups of B trajectories and chunks of S steps of the longest
+        # grid as in test_step_major_rows_equal_randomised_runs: one step
+        # (B = 1 and B = 4), 4 steps (past the end of the 4-step grid) and
+        # the whole path
         j, m = 4, 6
         problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
         method = implicit_euler()
         noise = NoiseModel(j, p=0.5, kind=kind, bias_mode=2, bias_coefficient=0.3, rho=0.6)
         theta = np.linspace(1.0, 0.25, j)
         grids = FAMILIES[family]
-        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (j + 2) * side**2)
-        assert randomisation._chunk_shape(noise, 16, m) == (min(side, m), side)
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES",
+                            8 * randomisation._step_normals(noise) * units)
+        assert randomisation._chunk_shape(noise, 16, m) == shape
         constants, lipschitz, runs = sampler._converge(problem, method, noise, grids, theta,
                                                        m, 23, workers, ORDERS)
         assert len(constants) == len(lipschitz) == len(runs) == len(grids)
