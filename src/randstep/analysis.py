@@ -6,9 +6,9 @@ Two orderings of the error statistic are tracked: the "max of norm"
 max_k |e_k|_(L^R) and the stronger "norm of max" | max_k |e_k|_H |_(L^R)
 (or its Orlicz analogue); the former never exceeds the latter.
 
-Every L^R norm is the one root `_lr_root`: of the reduction `_lr_norms`,
-whose one-column case is `lr_norm_estimate`, or of the per-task partials
-a study's ensemble pass keeps (`_pooled_lr_norms`).
+Every L^R norm is the one root `_lr_root`: of held samples, one column
+at a time (`lr_norm_estimate`), or of the per-task partials a study's
+ensemble pass keeps (`_pooled_lr_norms`).
 """
 
 from __future__ import annotations
@@ -44,9 +44,19 @@ class EstimationError(RuntimeError):
 
 
 def lr_norm_estimate(samples: np.ndarray, r: float) -> float:
-    """Empirical L^R norm (mean of x^R)^(1/R) of non-negative samples."""
-    samples = _checked_samples(samples, r)
-    return float(_lr_norms(samples.reshape(-1, 1), r)[0])
+    """Empirical L^R norm (mean of x^R)^(1/R) of non-negative samples.
+
+    A sum of x^R that overflowed (above about 1.3e154 at R = 2) or fell
+    below the normal range (its mean subnormal or 0) is recomputed as
+    s mean((x / s)^R)^(1/R) with s the largest sample."""
+    x = _checked_samples(samples, r).reshape(-1)
+    with np.errstate(over="ignore"):
+        total = np.add.reduce(np.power(x, r))
+        if math.isinf(total) or total < x.size * np.finfo(float).tiny:
+            s = float(x.max())
+            if s > 0.0:
+                return _lr_root(np.add.reduce(np.power(x / s, r)), x.size, r, s)
+    return _lr_root(total, x.size, r)
 
 
 def _lr_root(total: float, m: int, r: float, scale: float = 1.0) -> float:
@@ -56,25 +66,8 @@ def _lr_root(total: float, m: int, r: float, scale: float = 1.0) -> float:
     return scale * float(total / m) ** (1.0 / r)
 
 
-def _lr_norms(samples: np.ndarray, r: float) -> np.ndarray:
-    """(mean_i x_ik^R)^(1/R) for every column k of the finite, non-negative
-    samples x, shape (M, K), one column at a time, so no temporary is
-    larger than a column.  A column whose norm overflowed (above about
-    1.3e154 at R = 2) is recomputed as s mean((x / s)^R)^(1/R) with s its
-    largest sample."""
-    norms = np.empty(samples.shape[1])
-    m = samples.shape[0]
-    with np.errstate(over="ignore"):
-        for k, x in enumerate(samples.T):
-            norms[k] = _lr_root(np.add.reduce(np.power(x, r)), m, r)
-            if math.isinf(norms[k]):
-                s = x.max()
-                norms[k] = _lr_root(np.add.reduce(np.power(x / s, r)), m, r, s)
-    return norms
-
-
 def _pooled_lr_norms(tops: np.ndarray, sums: np.ndarray, m: int, r: float) -> np.ndarray:
-    """The `_lr_norms` of m finite, non-negative samples per column from
+    """The L^R norms of m finite, non-negative samples per column from
     partials of disjoint groups of them, shape (G, K) each: tops, each
     group's largest sample, and sums, its sum of (x / top)^R.  Each column
     is rescaled to its largest sample s, so nothing overflows, summed in
@@ -154,19 +147,23 @@ def error_statistics(ensemble: Ensemble | ReducedEnsemble, r: float = 2.0,
                      young: str | None = "psi2") -> ErrorStatistics:
     """Both error orderings (and optionally the Orlicz norm of the max)
     from the per-step L^R norms and the per-trajectory maxima: of an
-    Ensemble's checked norms (`_lr_norms`), or of a ReducedEnsemble, whose
-    maxima are checked (any NaN or inf of a norm reaches them) and whose
-    per-task partials at order r give the per-step norms
-    (`_pooled_lr_norms`)."""
+    Ensemble's checked norms, each step's norm `lr_norm_estimate` of its
+    column, or of a ReducedEnsemble, whose maxima are checked (any NaN or
+    inf of a norm reaches them) and whose per-task partials at order r, if
+    its pass kept that order, give the per-step norms (`_pooled_lr_norms`)."""
     if young not in ("psi2", None):
         raise ValueError(f"unsupported young function {young!r}, expected 'psi2' or None")
     what = f"error norms at h = {ensemble.grid.mesh:g}"
     if hasattr(ensemble, "maxima"):
         per_traj_max = _checked_samples(ensemble.maxima, r, what)
+        if r not in ensemble.sums:
+            raise ValueError(f"order {r} was not kept by the pass, which kept orders "
+                             f"{tuple(ensemble.sums)}")
         per_step = _pooled_lr_norms(ensemble.tops, ensemble.sums[r], ensemble.size, r)
     else:
         norms = _checked_samples(ensemble.error_h_norms(), r, what)
-        per_step, per_traj_max = _lr_norms(norms, r), norms.max(axis=1)
+        per_step = [lr_norm_estimate(x, r) for x in norms.T]
+        per_traj_max = norms.max(axis=1)
     max_of_norm = float(np.max(per_step))
     norm_of_max = lr_norm_estimate(per_traj_max, r)
     psi2 = orlicz_norm_estimate(per_traj_max, "psi2") if young == "psi2" else None

@@ -19,7 +19,8 @@ entry in the integrals f_k(z) = int_0^1 s^k e^(-z s) ds, summed by one
 stable evaluator, `_poly_exp_sum`, that covers every sign and size of z.
 Each entry takes its own order from a tail bound in both mu = gamma h^2
 and z; an entry that no order up to _ORDER_CAP reaches is the sum of the
-same response over equal substeps with |mu| <= 1, one recursive call.
+same response over equal substeps with |mu| <= 1, by a recursive call
+per group of split entries whose substeps fit a quarter of a full block.
 
 The scalar test problem u' = rate * u (any sign of rate) is included via
 `scalar_linear`; growth corresponds to a negative effective scaling.
@@ -150,9 +151,9 @@ def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]
     E = exp(-lam int alpha) is vectorised over steps; f (zero without
     forcing) comes from the closed-form response integrals, taken over
     blocks of whole steps of at most randomisation.BLOCK_BYTES / 256 flat
-    entries (or one step), so the response's few dozen flat temporaries
-    fit in BLOCK_BYTES beside E and f.  An entry split into substeps (see
-    `_forcing_response`) adds temporaries of its substeps' count.
+    entries (or one step), so the response's few dozen flat temporaries,
+    those of the substeps included (see `_forcing_response`), fit in
+    BLOCK_BYTES beside E and f.
     """
     steps, points = np.asarray(steps, dtype=float), np.asarray(points, dtype=float)
     _check_steps(problem, steps, points)
@@ -165,7 +166,8 @@ def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]
     for start in range(0, len(steps), count):
         rows = response[start:start + count]
         k, j = np.divmod(np.arange(rows.size) + start * width, width)  # flat entry k J + j
-        rows[:] = _forcing_response(problem, j, points[k], ends[k]).reshape(rows.shape)
+        rows[:] = _forcing_response(problem, j, points[k], ends[k],
+                                    count * width).reshape(rows.shape)
     return decay, response
 
 
@@ -180,7 +182,8 @@ def exact_flow(problem: Problem, h: float, t: float, x: np.ndarray) -> np.ndarra
     return decay[0] * x + response[0]
 
 
-def _forcing_response(problem: Problem, j: np.ndarray, t: np.ndarray, t1: np.ndarray) -> np.ndarray:
+def _forcing_response(problem: Problem, j: np.ndarray, t: np.ndarray, t1: np.ndarray,
+                      room: int) -> np.ndarray:
     """Duhamel integrals int_t^t1 exp(-lam_j int_s^t1 alpha) b_j(s) ds of
     the flat entries (mode j[i], step [t[i], t1[i]]), shape j.shape.
 
@@ -191,6 +194,9 @@ def _forcing_response(problem: Problem, j: np.ndarray, t: np.ndarray, t1: np.nda
     integral over ceil(sqrt|mu|) equal substeps, each carried to t1 by the
     exact decay exp(g(hi) - g(t1)).  On a substep |mu| <= 1, so its order
     is at most 19 and the recursive call for the substeps splits none.
+    The split entries take that call in groups of whole entries of at most
+    room / 4 substeps (or one entry), room the entries of a full block of
+    `flow_table`, so the substeps' temporaries fit beside the block's.
     """
     lam = problem.space.eigenvalues[j]
     a0, a1 = problem.alpha
@@ -203,16 +209,21 @@ def _forcing_response(problem: Problem, j: np.ndarray, t: np.ndarray, t1: np.nda
         value[group] = _series_response(*problem.forcing[j[group]].T, beta[group], gamma[group],
                                         t[group], t1[group], int(n))
     split = np.flatnonzero(order > _ORDER_CAP)
-    if split.size:
-        count = np.ceil(np.sqrt(np.abs(gamma[split]) * h[split] ** 2)).astype(int)
-        first, entry = np.cumsum(count) - count, np.repeat(split, count)
+    counts = np.ceil(np.sqrt(np.abs(gamma[split]) * h[split] ** 2)).astype(int)
+    bounds, stop = np.cumsum(counts), 0
+    while stop < split.size:  # whole entries of at most room / 4 substeps, or one entry
+        start, below = stop, bounds[stop] - counts[stop] + room // 4
+        stop = max(start + 1, int(np.searchsorted(bounds, below, "right")))
+        group, count = split[start:stop], counts[start:stop]
+        first, entry = np.cumsum(count) - count, np.repeat(group, count)
         index = np.arange(entry.size) - np.repeat(first, count)
         count = np.repeat(count, count)
         # both ends of the whole step are kept exact
         lo = t[entry] + h[entry] * (index / count)
         hi = t1[entry] - h[entry] * ((count - 1 - index) / count)
         carry = np.exp((hi - t1[entry]) * (beta[entry] + gamma[entry] * (hi + t1[entry])))
-        value[split] = np.add.reduceat(_forcing_response(problem, j[entry], lo, hi) * carry, first)
+        response = _forcing_response(problem, j[entry], lo, hi, room)
+        value[group] = np.add.reduceat(response * carry, first)
     return value
 
 

@@ -25,6 +25,11 @@ from randstep import (
 from randstep import analysis
 
 
+def _column_norms(norms: np.ndarray, r: float) -> np.ndarray:
+    """lr_norm_estimate of each column of norms: each step's L^R norm."""
+    return np.array([lr_norm_estimate(x, r) for x in norms.T])
+
+
 def _spike(m: int) -> np.ndarray:
     sample = np.zeros(m)
     sample[0] = 1.0
@@ -68,6 +73,27 @@ class TestLrNorm:
         # 1e200^2 overflows; the sample's largest value scales it first
         assert lr_norm_estimate(np.full(10, 1e200), 2) == 1e200
 
+    @pytest.mark.parametrize("value,r", [(1e-170, 2.0), (3e-160, 2.0), (0.5, 2000.0)])
+    def test_tiny_samples_do_not_underflow(self, value, r):
+        # 1e-170^2 underflows to 0, 3e-160^2 to a subnormal that keeps a few
+        # digits, and 0.5^2000 to 0; the sample's largest value scales each
+        # first, so a constant sample is its own norm
+        out = lr_norm_estimate(np.full(10, value), r)
+        assert type(out) is float and out == value
+
+    def test_tiny_spike_is_rescaled(self):
+        # a spike of 1e-170 among zeros: m^(-1/R) of the spike, not 0
+        assert lr_norm_estimate(1e-170 * _spike(1000), 2.0) == pytest.approx(
+            1e-170 / math.sqrt(1000), rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-170, 0.0])
+    def test_every_path_returns_a_python_float(self, scale):
+        # the plain sum, the rescaled sum past overflow and below underflow,
+        # and all zeros, which stay the plain sum: each scales with x
+        out = lr_norm_estimate(scale * np.arange(1.0, 5.0), 2.0)
+        unit = lr_norm_estimate(np.arange(1.0, 5.0), 2.0)
+        assert type(out) is float and out == pytest.approx(scale * unit, rel=1e-15, abs=0.0)
+
     def test_single_spike(self):
         # one spike in a sea of zeros: the L^R norm is m^(-1/R), below the
         # sample's largest value by far
@@ -77,8 +103,8 @@ class TestLrNorm:
 
 
 class TestLrNorms:
-    """The one L^R reduction: the plain power mean, and rescaled columns
-    where that overflows."""
+    """The one L^R estimator of held samples: the plain power mean, and
+    the rescaled one where that overflows, taken of each column."""
 
     @pytest.mark.parametrize("r", [1.0, 2.0, 2.5, 3.0, 4.0])
     def test_one_column_equals_the_plain_power_mean(self, r):
@@ -94,8 +120,8 @@ class TestLrNorms:
         norms = np.abs(rng.standard_normal((500, 6)))
         huge = norms.copy()
         huge[:, [1, 4]] *= 1e200
-        out = analysis._lr_norms(huge, r)
-        plain = analysis._lr_norms(norms, r)
+        out = _column_norms(huge, r)
+        plain = _column_norms(norms, r)
         assert out[[0, 2, 3, 5]].tolist() == plain[[0, 2, 3, 5]].tolist()
         assert np.all(np.isfinite(out))
         assert out[[1, 4]] == pytest.approx(1e200 * plain[[1, 4]], rel=1e-13)
@@ -481,7 +507,7 @@ class TestErrorStatistics:
         ensemble = self._ensemble(m=300, seed=5)
         norms = ensemble.error_h_norms()
         loop = max(lr_norm_estimate(norms[:, k], r) for k in range(norms.shape[1]))
-        assert error_statistics(ensemble, r, None).max_of_norm == pytest.approx(loop, rel=1e-14)
+        assert error_statistics(ensemble, r, None).max_of_norm == loop
 
     @pytest.mark.parametrize("shape", [(1, 1), (7, 5), (333, 65), (1001, 513), (4000, 257)])
     def test_blocked_lr_norms_equal_one_pass(self, shape):
@@ -490,7 +516,7 @@ class TestErrorStatistics:
         norms = np.abs(np.random.default_rng(m).standard_normal(shape))
         for r in (1.0, 2.0, 3.5):
             one_pass = [mean ** (1.0 / r) for mean in np.mean(np.power(norms.T, r, order="C"), axis=1)]
-            assert np.array_equal(analysis._lr_norms(norms, r), one_pass)
+            assert np.array_equal(_column_norms(norms, r), one_pass)
 
     def test_statistics_hold_no_full_size_temporary(self):
         # not a timing gate: numpy reports its buffers to tracemalloc.  The
@@ -579,7 +605,7 @@ class TestReducedStatistics:
         assert np.array_equal(reduced.maxima, norms.max(axis=1))
         for r in (2.0, 3.5):
             per_step = analysis._pooled_lr_norms(reduced.tops, reduced.sums[r], 200, r)
-            assert per_step == pytest.approx(analysis._lr_norms(norms, r), rel=1e-13, abs=0.0)
+            assert per_step == pytest.approx(_column_norms(norms, r), rel=1e-13, abs=0.0)
             got = error_statistics(reduced, r, "psi2")
             want = error_statistics(Ensemble(grid, norms.copy()), r, "psi2")
             assert got.max_of_norm == pytest.approx(want.max_of_norm, rel=1e-13)
@@ -589,12 +615,12 @@ class TestReducedStatistics:
 
     def test_overflowing_statistics_are_finite(self):
         # 1e200^R overflows; each step reports s mean((x / s)^R)^(1/R) with
-        # s its largest norm, as `_lr_norms` does for a column that overflowed
+        # s its largest norm, as `lr_norm_estimate` does for a column that overflowed
         grid = build_grid(1.0, 8)
         huge, small = (_reduced(grid, self._norms(scale), (2.0, 4.0), 7) for scale in (1e200, 1.0))
         for r in (2.0, 4.0):
             per_step = analysis._pooled_lr_norms(huge.tops, huge.sums[r], 200, r)
-            assert per_step == pytest.approx(analysis._lr_norms(self._norms(1e200), r),
+            assert per_step == pytest.approx(_column_norms(self._norms(1e200), r),
                                              rel=1e-13, abs=0.0)
         stats = error_statistics(huge, 2.0, "psi2")
         unit = error_statistics(small, 2.0, "psi2")
@@ -612,6 +638,12 @@ class TestReducedStatistics:
         assert not math.isfinite(reduced.maxima[3])
         with pytest.raises(ValueError, match="error norms at h = 0.125 must be finite"):
             error_statistics(reduced, 2.0, None)
+
+    def test_order_the_pass_did_not_keep_is_refused_by_name(self):
+        reduced = _reduced(build_grid(1.0, 8), self._norms(), (2.0,), 7)
+        with pytest.raises(ValueError, match=re.escape(
+                "order 3.0 was not kept by the pass, which kept orders (2.0,)")):
+            error_statistics(reduced, 3.0, None)
 
 
 class TestHigherOrderRates:

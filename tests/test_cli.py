@@ -361,6 +361,21 @@ seed = 0
         entry = report["series"][0]
         assert entry["extra_lr"]["3"]["normmax"] >= entry["err_l2_normmax"]
 
+    def test_high_order_norm_of_max_does_not_underflow(self, tmp_path):
+        # norms near 0.05 to the power 400 underflow to 0, so the plain sum
+        # of x^R reported normmax = 0.0 on every grid; rescaled by the
+        # largest sample it dominates maxnorm, as norm of max must
+        cfg = (CONVERGE_CONFIG.replace("r = 2", "r = 2, 400").replace("m = 24", "m = 50")
+               .replace("n_values = 4, 8, 16, 32", "n_values = 8, 16, 32")
+               .replace("seed = 11", "seed = 1"))
+        out = tmp_path / "out"
+        assert main(["converge", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
+        series = json.loads((out / "report.json").read_text())["series"]
+        assert len(series) == 3
+        for entry in series:
+            extra = entry["extra_lr"]["400"]
+            assert extra["normmax"] >= extra["maxnorm"] > 0.0
+
     def test_output_section_controls_formats_and_dir(self, tmp_path):
         cfg_text = CONVERGE_CONFIG + f"\n[output]\nformats = json\ndir = {tmp_path / 'fromcfg'}\n"
         assert main(["converge", "--config", _write(tmp_path, cfg_text)]) == 0

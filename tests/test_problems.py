@@ -226,15 +226,11 @@ class TestFlowProperties:
 
 
 class TestFlowTableMemory:
-    def test_forcing_response_fits_the_block_budget(self):
-        # not a timing gate: numpy reports its buffers to tracemalloc.  The
-        # response is taken over blocks of whole steps of at most
-        # BLOCK_BYTES / 256 flat entries, so its temporaries fit in
-        # BLOCK_BYTES beside the (N, J) tables E and f; on this grid the
-        # flat evaluation's peak is about 12.8 MB
-        dim = 1024
-        problem = heat_1d(dim, alpha=(1.0, 1.0), forcing=np.tile((1.0, 0.5, -0.25), (dim, 1)))
-        grid = build_grid(1.0, 64, 2.0)
+    # not timing gates: numpy reports its buffers to tracemalloc
+    FORCING = (1.0, 0.5, -0.25)
+
+    @staticmethod
+    def _peak(problem, grid):
         flow_table(problem, grid.steps[:2], grid.points[:2])  # imports outside the trace
         tracemalloc.start()
         try:
@@ -243,7 +239,27 @@ class TestFlowTableMemory:
         finally:
             tracemalloc.stop()
         assert response.any()
-        assert peak < randomisation.BLOCK_BYTES + decay.nbytes + response.nbytes
+        return peak, randomisation.BLOCK_BYTES + decay.nbytes + response.nbytes
+
+    def test_forcing_response_fits_the_block_budget(self):
+        # the response is taken over blocks of whole steps of at most
+        # BLOCK_BYTES / 256 flat entries, so its temporaries fit in
+        # BLOCK_BYTES beside the (N, J) tables E and f; on this grid the
+        # flat evaluation's peak is about 12.8 MB
+        dim = 1024
+        problem = heat_1d(dim, alpha=(1.0, 1.0), forcing=np.tile(self.FORCING, (dim, 1)))
+        peak, budget = self._peak(problem, build_grid(1.0, 64, 2.0))
+        assert peak < budget
+
+    def test_substeps_fit_the_block_budget(self):
+        # alpha = 1 - t splits the top modes of the late steps into up to
+        # about 45 substeps each, 46,523 in all; in groups of whole entries
+        # of at most a quarter of a full block's entries their temporaries
+        # fit beside the block's (about 11 MB when all were expanded at once)
+        dim = 1024
+        problem = Problem(laplacian_1d(dim), (1.0, -1.0), np.tile(self.FORCING, (dim, 1)), 1.0)
+        peak, budget = self._peak(problem, build_grid(1.0, 32, 2.0))
+        assert peak < budget
 
 
 class TestResponseKernels:
@@ -351,9 +367,11 @@ class TestResponseOrders:
     @pytest.mark.parametrize("dim,alpha,n", [(1024, (1.0, -1.0), 32), (128, (-1.0, 2.0), 64)],
                              ids=["substeps", "vanishing"])
     def test_step_blocks_equal_one_block(self, monkeypatch, dim, alpha, n):
-        # blocks of whole steps change no entry: only the downward
-        # recurrence's seed depends on a block (its widest |z|), and the
-        # seed error has shrunk past the last bit by the entries read
+        # blocks of whole steps, and with them the groups of split entries
+        # whose substeps are taken together, change no entry: only the
+        # downward recurrence's seed depends on a block or a group (its
+        # widest |z|), and the seed error has shrunk past the last bit by
+        # the entries read
         problem = Problem(laplacian_1d(dim), alpha, np.tile(self.COEFFS, (dim, 1)), 1.0)
         grid = build_grid(1.0, n, 2.0)
         tables = {}

@@ -19,6 +19,7 @@ from randstep import (
     flow_table,
     heat_1d,
     implicit_euler,
+    lr_norm_estimate,
     measure_truncation_constant,
     run_deterministic,
     run_ensemble,
@@ -437,13 +438,14 @@ class TestFamilyPass:
                                               shape):
         # one pass over grids listed out of order gives, grid by grid, the
         # per-trajectory maxima of the per-index run_randomised norms bit
-        # for bit, their per-step L^R norms (`_lr_norms`) to rounding,
-        # measure_truncation_constant and the Lipschitz constant read off
-        # the grid's step table.  BLOCK_BYTES = 8 W units gives every kind
-        # groups of B trajectories and chunks of S steps of the longest
-        # grid as in test_step_major_rows_equal_randomised_runs: one step
-        # (B = 1 and B = 4), 4 steps (past the end of the 4-step grid) and
-        # the whole path
+        # for bit, their per-step L^R norms (`lr_norm_estimate` of each
+        # step's column) to rounding, measure_truncation_constant and the
+        # Lipschitz constant read off the grid's step table.
+        # BLOCK_BYTES = 8 W units gives every kind groups of B trajectories
+        # and chunks of S steps of the longest grid as in
+        # test_step_major_rows_equal_randomised_runs: one step (B = 1 and
+        # B = 4), 4 steps (past the end of the 4-step grid) and the whole
+        # path
         j, m = 4, 6
         problem = heat_1d(j, forcing=np.tile([0.5, -1.0, 0.25], (j, 1)))
         method = implicit_euler()
@@ -462,7 +464,7 @@ class TestFamilyPass:
             assert np.array_equal(run.maxima, reference.max(axis=1))
             for r in ORDERS:
                 assert _step_lr_norms(run, r) == pytest.approx(
-                    analysis._lr_norms(reference, r), rel=1e-13, abs=0.0)
+                    [lr_norm_estimate(x, r) for x in reference.T], rel=1e-13, abs=0.0)
             assert constant == measure_truncation_constant(problem, method, grid, theta)
             assert reading == _table_lipschitz(method, problem, grid)
 
