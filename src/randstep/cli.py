@@ -14,8 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
+
+# randstep calls no BLAS routine, so OpenBLAS's thread pool only spins; numpy
+# reads this when it loads, and a value the caller set wins
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 
@@ -231,7 +236,11 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     first, second = pair.T
     # draws with no spread (zero amplitude) have no correlation to check
     if first.std() > 0 and second.std() > 0:
-        corr = float(np.corrcoef(first, second)[0, 1])
+        # Pearson's r from sums of centred products, not np.corrcoef's BLAS dot
+        first -= first.mean()
+        second -= second.mean()
+        corr = float(np.add.reduce(first * second) / math.sqrt(np.add.reduce(first * first))
+                     / math.sqrt(np.add.reduce(second * second)))
         expected = noise.rho**2 if noise.kind == SHARED_FACTOR else 0.0
         corr_ok = abs(corr - expected) <= 3.0 / math.sqrt(m)
         rows.append(("step_correlation", corr, expected, corr_ok))

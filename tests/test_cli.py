@@ -1029,6 +1029,41 @@ def test_cli_import_loads_no_pool_and_no_scipy():
     assert json.loads(result.stdout) == []
 
 
+# the CLI module's BLAS default: the variable numpy's OpenBLAS read at
+# import, and the process's thread count (one, with no idle OpenBLAS pool)
+BLAS_PROBE = """
+import json, os, sys, randstep.cli
+threads = None
+if sys.platform.startswith("linux"):
+    with open("/proc/self/status") as status:
+        threads = next(int(line.split()[1]) for line in status if line.startswith("Threads:"))
+print(json.dumps([os.environ["OPENBLAS_NUM_THREADS"], threads]))
+"""
+
+
+def _blas_probe(**variables) -> list:
+    # a caller's OMP_ or GOTO_NUM_THREADS would also cap OpenBLAS's pool
+    env = {k: v for k, v in _subprocess_env().items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    result = subprocess.run([sys.executable, "-c", BLAS_PROBE], env=dict(env, **variables),
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+def test_cli_import_starts_openblas_with_one_thread():
+    value, threads = _blas_probe()
+    assert value == "1"
+    if sys.platform.startswith("linux"):
+        assert threads == 1
+    else:
+        pytest.skip("the thread count is read from /proc/self/status, on Linux only")
+
+
+def test_cli_import_keeps_the_callers_openblas_threads():
+    assert _blas_probe(OPENBLAS_NUM_THREADS="3")[0] == "3"
+
+
 def test_converge_loads_no_numpy_ma(tmp_path):
     # numpy.ma costs a fresh process about 15 ms to import; the rate fit
     # checks for distinct meshes without np.unique, which would load it
