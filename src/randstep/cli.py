@@ -1,4 +1,4 @@
-"""Experiment runner: converge / bayes / gronwall-check / noise-check.
+"""Experiment runner: converge / bayes / noise-check.
 
 Each run reads one config file, executes the requested study, and writes
 `report.json` plus `series.csv` into the output directory.  CSV floats
@@ -141,81 +141,6 @@ def _run_bayes(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     _write(cfg, out, payload, bayes.SWEEP_COLUMNS, rows)
 
 
-def _gronwall_trials(rng: np.random.Generator, trials: int) -> list[tuple]:
-    """Simulate each bound's hypothesis recursion and record the worst
-    realised-to-bound ratio; a ratio above 1 falsifies dominance."""
-    rows = []
-
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, 41))
-        horizon = float(rng.uniform(0.1, 2.0))
-        h = horizon / n
-        a = float(rng.uniform(0.0, 3.0)) if rng.uniform() < 0.9 else 0.0
-        b = float(rng.uniform(0.0, 2.0))
-        p = float(rng.choice([1.0, 1.5, 2.0]))
-        y = float(rng.uniform(0.0, 2.0))
-        y0 = y
-        bound = analysis.gronwall_uniform(y0, a, b, p, h, horizon)
-        for _ in range(n):
-            y = (1.0 + a * h) * y + float(rng.uniform()) * b * h**p
-            worst = max(worst, y / bound if bound > 0 else 0.0)
-    rows.append(("uniform", trials, worst, worst <= 1.0 + 1e-12))
-
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, 41))
-        c = float(rng.uniform(0.0, 2.0))
-        g = rng.uniform(0.0, 0.5, size=n)
-        bounds = analysis.gronwall_special(c, g)
-        ys = [float(rng.uniform(0.0, 1.0)) * c]
-        for k in range(n):
-            acc = c + sum(g[j] * ys[j] for j in range(k + 1))
-            ys.append(float(rng.uniform()) * acc)
-            if bounds[k] > 0:
-                worst = max(worst, ys[-1] / bounds[k])
-    rows.append(("special", trials, worst, worst <= 1.0 + 1e-12))
-
-    worst = 0.0
-    for _ in range(trials):
-        n = int(rng.integers(1, 41))
-        a = float(rng.uniform(0.0, 3.0))
-        h_seq = rng.uniform(0.0, 0.3, size=n)
-        b_seq = rng.uniform(0.0, 0.5, size=n)
-        y0 = float(rng.uniform(0.0, 2.0))
-        bounds = analysis.gronwall_nonuniform(y0, a, h_seq, b_seq)
-        y = y0
-        for k in range(n):
-            y = (1.0 + a * h_seq[k]) * y + float(rng.uniform()) * b_seq[k]
-            if bounds[k] > 0:
-                worst = max(worst, y / bounds[k])
-    rows.append(("nonuniform", trials, worst, worst <= 1.0 + 1e-12))
-    return rows
-
-
-def _write_check(cfg: ExperimentConfig, out: Path, subcommand: str, columns, rows,
-                 failure: str) -> None:
-    """Write a check's rows (name, value, reference, pass) and the overall
-    pass; then raise EstimationError(failure) if a row failed."""
-    ok = all(row[3] for row in rows)
-    payload = {
-        "subcommand": subcommand,
-        "fingerprint": cfg.fingerprint,
-        "columns": list(columns),
-        "rows": [[r[0], r[1], float(r[2]), bool(r[3])] for r in rows],
-        "pass": ok,
-    }
-    _write(cfg, out, payload, columns, rows)
-    if not ok:
-        raise EstimationError(failure)
-
-
-def _run_gronwall_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
-    rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
-    _write_check(cfg, out, "gronwall-check", ("bound", "trials", "max_ratio", "pass"),
-                 _gronwall_trials(rng, 1000), "a realised recursion exceeded its bound")
-
-
 def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     noise = cfg.noise
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed]))
@@ -258,15 +183,25 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         conc_ok = tail <= markov + slack
         rows.append((f"concentration_eps={factor}x", tail, markov, conc_ok))
 
-    _write_check(cfg, out, "noise-check", ("check", "value", "reference", "pass"), rows,
-                 "a noise-model check failed its tolerance")
+    # every row is written, then a failed row fails the run
+    columns = ("check", "value", "reference", "pass")
+    ok = all(row[3] for row in rows)
+    payload = {
+        "subcommand": "noise-check",
+        "fingerprint": cfg.fingerprint,
+        "columns": list(columns),
+        "rows": [[r[0], r[1], float(r[2]), bool(r[3])] for r in rows],
+        "pass": ok,
+    }
+    _write(cfg, out, payload, columns, rows)
+    if not ok:
+        raise EstimationError("a noise-model check failed its tolerance")
 
 
 # subcommand -> (what load_config must read, runner(cfg, out, workers))
 SUBCOMMANDS = {
     "converge": ("converge", _run_converge),
     "bayes": ("bayes", _run_bayes),
-    "gronwall-check": ("gronwall", _run_gronwall_check),
     "noise-check": ("noise", _run_noise_check),
 }
 

@@ -314,10 +314,13 @@ def load_config(path: str | Path, require: str = "converge",
     """Parse and validate a config file for the given subcommand.
 
     require selects how much of the file must be present: "converge"
-    (all run sections), "noise" (noise model and seed), "gronwall" (seed
-    only), or "bayes".  seed, if given, replaces the file's seed (in
-    [bayes] for bayes, else in [ensemble]) after both pass the same check.
+    (all run sections), "noise" (noise model and seed), or "bayes"; any
+    other value is a ValueError.  seed, if given, replaces the file's seed
+    (in [bayes] for bayes, else in [ensemble]) after both pass the same check.
     """
+    if require not in ("converge", "noise", "bayes"):
+        raise ValueError(f"unknown requirement {require!r}, "
+                         "expected one of converge, noise, bayes")
     path = Path(path)
     try:
         text = path.read_text()
@@ -343,12 +346,10 @@ def load_config(path: str | Path, require: str = "converge",
             fingerprint, seed=seed,
             bayes_model=model, bayes_delta_grid=delta_grid, bayes_noisy_data=noisy,
         )
-    if require in ("gronwall", "noise"):
-        noise = None
-        if require == "noise":
-            noise = _parse_noise(parser)
-            if noise is None:
-                raise ConfigError("noise", "noise-check needs a non-degenerate noise kind")
+    if require == "noise":
+        noise = _parse_noise(parser)
+        if noise is None:
+            raise ConfigError("noise", "noise-check needs a non-degenerate noise kind")
         return ExperimentConfig(fingerprint, noise=noise, seed=_parse_ensemble(parser, False, seed)[1])
 
     problem, theta = _parse_problem(parser, uncut)

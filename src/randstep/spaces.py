@@ -75,15 +75,15 @@ def _h_norm(x: np.ndarray, out: np.ndarray | None = None,
             work: np.ndarray | None = None) -> np.ndarray:
     """|x|_H = sqrt(sum_j x_j^2) of every row of x (its last axis), into out
     if given; work is optional scratch of x's shape.  Only rows whose sum
-    of squares overflowed (above about 1e154) with finite entries are
+    of squares left the normal range (a norm above about 1e154 or below
+    2^-511, about 1.5e-154) with finite entries, not all zero, are
     recomputed, as s sqrt(sum_j (x_j / s)^2) with s their largest |x_j|."""
     with np.errstate(over="ignore"):
         norms = np.sqrt(np.add.reduce(np.multiply(x, x, out=work), axis=-1, out=out), out=out)
-    redo = np.isinf(norms)
-    if redo.any():
+    if not (norms.min(initial=np.inf) >= 2.0**-511 and norms.max(initial=0.0) < np.inf):
         norms = np.asarray(norms)  # a 1-d x gives a scalar
         top = np.max(np.abs(x), axis=-1)
-        redo &= np.isfinite(top)
+        redo = (np.isinf(norms) | (norms < 2.0**-511)) & np.isfinite(top) & (top > 0.0)
         rows, s = x[redo], top[redo]
         norms[redo] = s * np.sqrt(np.add.reduce(np.square(rows / s[:, None]), axis=-1))
     return norms

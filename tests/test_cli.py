@@ -71,7 +71,7 @@ c_xi = 1.0
 seed = 3
 """
 
-GRONWALL_CONFIG = """
+SEED_ONLY_CONFIG = """
 [ensemble]
 seed = 5
 """
@@ -747,30 +747,6 @@ class TestBayes:
 
 
 class TestChecks:
-    def test_gronwall_check_passes(self, tmp_path):
-        cfg = _write(tmp_path, GRONWALL_CONFIG)
-        out = tmp_path / "out"
-        assert main(["gronwall-check", "--config", cfg, "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        assert report["pass"] is True
-        assert {row[0] for row in report["rows"]} == {"uniform", "special", "nonuniform"}
-        assert all(row[2] <= 1.0 + 1e-12 for row in report["rows"])
-
-    def test_failed_gronwall_check_exits_two_and_still_writes_its_report(self, tmp_path,
-                                                                        monkeypatch, capsys):
-        from randstep import cli
-
-        rows = [("uniform", 1000, 0.5, True), ("special", 1000, 1.25, False)]
-        monkeypatch.setattr(cli, "_gronwall_trials", lambda rng, trials: rows)
-        out = tmp_path / "out"
-        cfg = _write(tmp_path, GRONWALL_CONFIG)
-        assert main(["gronwall-check", "--config", cfg, "--out", str(out)]) == 2
-        report = json.loads((out / "report.json").read_text())
-        assert report["pass"] is False
-        assert report["rows"] == [list(row) for row in rows]
-        assert (out / "series.csv").exists()
-        assert "run failed: a realised recursion exceeded its bound" in capsys.readouterr().err
-
     def test_noise_check_passes(self, tmp_path):
         cfg = _write(tmp_path, NOISE_CONFIG)
         out = tmp_path / "out"
@@ -832,11 +808,58 @@ class TestChecks:
             tracemalloc.stop()
         assert peak < randomisation.BLOCK_BYTES + 40 * 100_000
 
+    def test_failed_noise_check_exits_two_and_still_writes_its_report(self, tmp_path,
+                                                                      monkeypatch, capsys):
+        # a reference amplitude twice the true one puts every scaling row
+        # about 50% off its 2% tolerance; the concentration rows, against
+        # eps = 2, 4 and 8 times the true amplitude, still pass
+        from randstep import randomisation
+
+        true_norm = randomisation.theoretical_noise_norm
+        monkeypatch.setattr(randomisation, "theoretical_noise_norm",
+                            lambda *args: 2.0 * true_norm(*args))
+        out = tmp_path / "out"
+        cfg = _write(tmp_path, NOISE_CONFIG)
+        assert main(["noise-check", "--config", cfg, "--out", str(out)]) == 2
+        report = json.loads((out / "report.json").read_text())
+        assert report["pass"] is False
+        failed = [row for row in report["rows"] if row[3] is False]
+        assert [row[0] for row in failed] == ["scaling_t=0.5", "scaling_t=0.25", "scaling_t=0.125"]
+        assert all(row[2] > 0.02 for row in failed)
+        assert (out / "series.csv").exists()
+        assert "run failed: a noise-model check failed its tolerance" in capsys.readouterr().err
+
     def test_noise_check_requires_noise_section(self, tmp_path, capsys):
-        cfg = _write(tmp_path, GRONWALL_CONFIG)
+        cfg = _write(tmp_path, SEED_ONLY_CONFIG)
         assert main(["noise-check", "--config", cfg, "--out", str(tmp_path)]) == 1
         assert "noise" in capsys.readouterr().err
 
+    def test_gronwall_check_is_not_a_subcommand(self, tmp_path, capsys):
+        # criterion 06 checks the Gronwall bounds; argparse refuses the name
+        cfg = _write(tmp_path, SEED_ONLY_CONFIG)
+        with pytest.raises(SystemExit) as exc:
+            main(["gronwall-check", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "invalid choice: 'gronwall-check'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def test_readme_synopsis_lists_every_subcommand():
+    from randstep import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = re.search(r"^randstep \{([^}]*)\} --config FILE$", readme, re.MULTILINE)
+    assert synopsis is not None
+    assert tuple(synopsis.group(1).split(",")) == tuple(cli.SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("require", ["gronwall", "check", ""])
+def test_load_config_refuses_an_unknown_requirement_by_name(tmp_path, require):
+    # not a fall-through to converge's "missing required section [problem]"
+    cfg = _write(tmp_path, NOISE_CONFIG)
+    message = f"unknown requirement {require!r}, expected one of converge, noise, bayes"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_config(cfg, require)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -844,7 +867,7 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
     from randstep.analysis import EstimationError
     from randstep.cli import _write as write_outputs
 
-    cfg = load_config(_write(tmp_path, GRONWALL_CONFIG), "gronwall")
+    cfg = load_config(_write(tmp_path, NOISE_CONFIG), "noise")
     assert set(cfg.formats) == {"json", "csv"}
     out = tmp_path / "out"
     out.mkdir()

@@ -65,7 +65,7 @@ class TestNorm:
 
 class TestHNorm:
     """The one H-norm reduction: the plain sum of squares, and rescaled
-    rows where that overflows."""
+    rows where that overflows or underflows."""
 
     @pytest.mark.parametrize("shape", [(20_000, 128), (362, 8), (128, 64), (5,), (3, 4, 7)])
     def test_equals_old_expressions_on_finite_data(self, shape):
@@ -101,6 +101,23 @@ class TestHNorm:
     def test_overflowing_vector_through_norm(self):
         space = SpaceDescriptor(np.array([1.0, 1.0]))
         assert norm(np.array([3e200, 4e200]), space) == pytest.approx(5e200, rel=1e-15)
+
+    @pytest.mark.parametrize("entry, expected", [(1e-170, 2e-170), (3e-160, 6e-160)])
+    def test_underflowing_rows_are_rescaled(self, entry, expected):
+        # four equal entries: the sum of squares, 4e-340 or 3.6e-319, flushes
+        # to zero or keeps few digits as a subnormal; rescaled, it is exact
+        assert _h_norm(np.full((1, 4), entry)).tolist() == [expected]
+        assert norm(np.full(4, entry), laplacian_1d(4)) == expected
+        x = np.zeros((5, 4))
+        x[1] = entry
+        x[2] = [np.nan, entry, 0.0, 0.0]
+        x[3] = [np.inf, entry, 0.0, 0.0]
+        x[4] = [1.0, entry, 0.0, 0.0]
+        # an all-zero row stays 0 (no 0 / 0, whose warning the test settings
+        # turn into an error); NaN and inf rows are kept as they are
+        out = _h_norm(x)
+        assert out[0] == 0.0 and out[1] == expected and out[4] == 1.0
+        assert np.isnan(out[2]) and out[3] == np.inf
 
     def test_large_entry_has_finite_norm(self):
         # no inf, and no overflow warning (which the test settings turn
