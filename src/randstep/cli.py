@@ -54,19 +54,17 @@ def _non_finite(value, key: str = "") -> str | None:
     return next(filter(None, (_non_finite(v, k) for k, v in items)), None)
 
 
-def _write(cfg: ExperimentConfig, out: Path, payload: dict, columns, rows) -> None:
-    """report.json (payload) and series.csv (columns, rows) into out, each
-    when cfg.formats names it; neither if a number in them is not finite."""
+def _write(out: Path, payload: dict, columns, rows) -> None:
+    """report.json (payload) and series.csv (columns, rows) into out;
+    neither if a number in them is not finite."""
     table = [dict(zip(columns, row)) for row in rows]
     key = _non_finite({"report.json": payload, "series.csv": table})
     if key is not None:
         raise EstimationError(f"non-finite value at {key}; no output written")
-    if "json" in cfg.formats:
-        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
-        (out / "report.json").write_text(text, newline="\n")
-    if "csv" in cfg.formats:
-        lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
-        (out / "series.csv").write_text("\n".join(lines) + "\n", newline="\n")
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    (out / "report.json").write_text(text, newline="\n")
+    lines = [",".join(columns)] + [",".join(_fmt(v) for v in row) for row in rows]
+    (out / "series.csv").write_text("\n".join(lines) + "\n", newline="\n")
 
 
 def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
@@ -121,7 +119,7 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         "lipschitz": l_psi,
         "noise_amplitude": c_xi_amp,
     }
-    _write(cfg, out, payload, CONVERGE_COLUMNS, rows)
+    _write(out, payload, CONVERGE_COLUMNS, rows)
 
 
 def _run_bayes(cfg: ExperimentConfig, out: Path, workers: int) -> None:
@@ -138,7 +136,7 @@ def _run_bayes(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         "rows": [list(map(float, row)) for row in rows],
         "biased_limit": [float(v) for v in bayes.biased_limit(model)],
     }
-    _write(cfg, out, payload, bayes.SWEEP_COLUMNS, rows)
+    _write(out, payload, bayes.SWEEP_COLUMNS, rows)
 
 
 def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
@@ -193,7 +191,7 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         "rows": [[r[0], r[1], float(r[2]), bool(r[3])] for r in rows],
         "pass": ok,
     }
-    _write(cfg, out, payload, columns, rows)
+    _write(out, payload, columns, rows)
     if not ok:
         raise EstimationError("a noise-model check failed its tolerance")
 
@@ -212,7 +210,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--workers", type=int, default=1, help="ensemble worker count")
-    parser.add_argument("--out", default=None, help="output directory (default: config [output] dir or ./out)")
+    parser.add_argument("--out", default="out", help="output directory (default: ./out)")
     return parser
 
 
@@ -223,7 +221,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config, require, args.seed)
         if args.workers < 1:
             raise ConfigError("ensemble", "worker count must be >= 1")
-        out = Path(args.out if args.out is not None else (cfg.out_dir or "out"))
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         # an overflow or NaN is reported once, by the finiteness check that
         # names its cause, not also as a numpy warning

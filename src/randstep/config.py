@@ -2,9 +2,13 @@
 
 The format is INI-style (configparser).  A converge experiment uses the
 sections [problem], [grid_family], [method], [noise], [ensemble] and
-[analysis]; a bayes experiment uses [bayes], whose `seed` key is its
-seed.  Every read and check of a section runs inside `_reading`, so a
-bad value in any section raises a ConfigError that names the section.
+[analysis]; noise-check uses [problem] (for J), [noise] and the
+[ensemble] seed; bayes uses [bayes] and the [ensemble] seed.  Each
+setting has one key in one section.  A key that no subcommand reads, or
+that only another kind reads (say `rho` beside a noise kind other than
+shared_factor), is refused.  Every read and check of a section runs
+inside `_reading`, so a bad value in any section raises a ConfigError
+that names the section.
 
 Example::
 
@@ -53,7 +57,7 @@ from .bayes import DiagonalGaussianModel, _check_delta_grid
 from .grids import TimeGrid, build_grid
 from .integrators import MethodConfig
 from .problems import Problem
-from .randomisation import NoiseModel
+from .randomisation import BIASED, SHARED_FACTOR, NoiseModel
 from .spaces import SpaceDescriptor, _check_state, laplacian_1d
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
@@ -82,8 +86,6 @@ class ExperimentConfig:
     r: float = 2.0
     young: str | None = "psi2"
     extra_r: tuple[float, ...] = ()
-    formats: tuple[str, ...] = ("csv", "json")
-    out_dir: str | None = None
     bayes_model: DiagonalGaussianModel | None = None
     bayes_delta_grid: np.ndarray | None = None
     bayes_noisy_data: bool = False
@@ -92,11 +94,11 @@ class ExperimentConfig:
 # every key that some subcommand reads, per section, so that one file may
 # serve several subcommands; any other section or key fails at load
 _KEYS = {name: set(keys.split()) for name, keys in [
-    ("problem", "lambda_spec dimension j lambda_values alpha forcing theta horizon t"),
+    ("problem", "lambda_spec dimension lambda_values alpha forcing theta horizon"),
     ("grid_family", "n_values gamma"), ("ensemble", "m seed"), ("analysis", "r young"),
-    ("method", "kind method coefficients h_star declared_order"), ("output", "formats dir"),
-    ("noise", "dimension kind p c_xi s bias_mode bias_coefficient rho"),
-    ("bayes", "lambda_values dimension delta_grid h p m0 gamma0 gamma_obs gamma1 theta noisy_data seed"),
+    ("method", "kind coefficients h_star declared_order"),
+    ("noise", "kind p c_xi s bias_mode bias_coefficient rho"),
+    ("bayes", "lambda_values dimension delta_grid h p m0 gamma0 gamma_obs gamma1 theta noisy_data"),
 ]}
 
 
@@ -123,11 +125,11 @@ def _section(parser: configparser.ConfigParser, name: str,
     return parser[name]
 
 
-def _aliased(sec: configparser.SectionProxy, key: str, alias: str) -> str:
-    """key, or alias if only the alias is given; both at once is refused."""
-    if key in sec and alias in sec:
-        raise ValueError(f"{key!r} and its alias {alias!r} are both given")
-    return alias if alias in sec else key
+def _refuse(sec: configparser.SectionProxy, keys, choice: str) -> None:
+    """Refuse the first of keys given in sec: choice does not read it."""
+    given = [key for key in keys if key in sec]
+    if given:
+        raise ValueError(f"key {given[0]!r} does not apply to {choice}")
 
 
 @contextmanager
@@ -168,12 +170,14 @@ def _parse_problem(parser, uncut) -> tuple[Problem, np.ndarray]:
     """[problem]; uncut is the file read without inline comments."""
     sec = _section(parser, "problem")
     with _reading("problem"):
-        horizon = sec.getfloat(_aliased(sec, "horizon", "t"), 1.0)
+        horizon = sec.getfloat("horizon", 1.0)
         family = sec.get("lambda_spec", "laplacian_1d").strip()
         if family == "laplacian_1d":
-            space = laplacian_1d(sec.getint(_aliased(sec, "dimension", "j")))
+            _refuse(sec, ["lambda_values"], f"lambda_spec {family}")
+            space = laplacian_1d(sec.getint("dimension", 0))
         elif family == "explicit":
-            space = SpaceDescriptor(np.array(_floats(sec.get("lambda_values"))))
+            _refuse(sec, ["dimension"], f"lambda_spec {family}")
+            space = SpaceDescriptor(np.array(_floats(sec.get("lambda_values", ""))))
         else:
             raise ValueError(f"unknown lambda_spec {family!r}")
         alpha_coeffs = _floats(sec.get("alpha", "1.0"))
@@ -206,7 +210,7 @@ def _parse_problem(parser, uncut) -> tuple[Problem, np.ndarray]:
 def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
     sec = _section(parser, "grid_family")
     with _reading("grid_family"):
-        n_values = _ints(sec.get("n_values"))
+        n_values = _ints(sec.get("n_values", ""))
         gamma = sec.getfloat("gamma", 1.0)
         if len(set(n_values)) < 3 or len(set(n_values)) < len(n_values):
             raise ValueError(
@@ -219,7 +223,7 @@ def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
 def _parse_method(parser) -> MethodConfig:
     sec = _section(parser, "method")
     with _reading("method"):
-        kind = sec.get(_aliased(sec, "kind", "method"), "").strip()
+        kind = sec.get("kind", "").strip()
         if kind not in ("explicit_euler", "two_stage", "implicit_euler"):
             raise ValueError(f"unknown method kind {kind!r}")
         coeffs = []
@@ -227,26 +231,24 @@ def _parse_method(parser) -> MethodConfig:
             coeffs = _floats(sec.get("coefficients", "0.5, 0.5, 1.0, 1.0"))
             if len(coeffs) != 4:
                 raise ValueError("two_stage needs four coefficients a1, a2, b1, b2")
+        else:
+            _refuse(sec, ["coefficients"], f"kind {kind}")
         return MethodConfig(kind, *coeffs, h_star=sec.getfloat("h_star", math.inf),
                             declared_order=sec.getfloat("declared_order", fallback=None))
 
 
-def _parse_noise(parser, dimension: int | None = None) -> NoiseModel | None:
-    """The [noise] model of dimension, or of its own `dimension` key,
-    which must then agree with dimension if both are given."""
+def _parse_noise(parser, dimension: int) -> NoiseModel | None:
+    """The [noise] model on the problem's dimension; None for kind none,
+    which turns noise off whatever the other keys say."""
     sec = _section(parser, "noise")
     with _reading("noise"):
-        own = sec.getint("dimension", dimension or 1)
-        if dimension is not None and own != dimension:
-            raise ValueError(f"dimension {own} does not match the problem's {dimension}")
-        dimension = own
         kind = sec.get("kind", "centred_gaussian").strip()
         if kind == "none":
             return None
         p = sec.getfloat("p", 1.0)
         if p < 0.0:
             raise ValueError("configured decay order p must be >= 0")
-        return NoiseModel(
+        model = NoiseModel(
             dimension,
             p=p,
             c_xi=sec.getfloat("c_xi", 1.0),
@@ -256,20 +258,16 @@ def _parse_noise(parser, dimension: int | None = None) -> NoiseModel | None:
             bias_coefficient=sec.getfloat("bias_coefficient", 0.0),
             rho=sec.getfloat("rho", 0.0),
         )
+        readers = {"rho": SHARED_FACTOR, "bias_mode": BIASED, "bias_coefficient": BIASED}
+        _refuse(sec, [key for key, reader in readers.items() if reader != kind], f"kind {kind}")
+        return model
 
 
-def _seed(sec: configparser.SectionProxy, override: int | None) -> int:
-    """The section's seed, or override in its place; each must be >= 0."""
-    seed = sec.getint("seed", 0)
-    if seed < 0 or (override is not None and override < 0):
-        raise ValueError("seed must be non-negative")
-    return seed if override is None else override
-
-
-def _parse_bayes(parser, seed) -> tuple[DiagonalGaussianModel, np.ndarray, bool, int]:
+def _parse_bayes(parser) -> tuple[DiagonalGaussianModel, np.ndarray, bool]:
     sec = _section(parser, "bayes")
     with _reading("bayes"):
-        if sec.get("lambda_values", "").strip():
+        if "lambda_values" in sec:
+            _refuse(sec, ["dimension"], "explicit lambda_values")
             lam = np.array(_floats(sec.get("lambda_values")))
         else:
             lam = laplacian_1d(sec.getint("dimension", 1)).eigenvalues
@@ -294,7 +292,7 @@ def _parse_bayes(parser, seed) -> tuple[DiagonalGaussianModel, np.ndarray, bool,
             rand_var=per_mode("gamma1", 1.0),
             theta=per_mode("theta", 1.0),
         )
-        return model, delta_grid, sec.getboolean("noisy_data", False), _seed(sec, seed)
+        return model, delta_grid, sec.getboolean("noisy_data", False)
 
 
 def _parse_ensemble(parser, required: bool, seed) -> tuple[int, int]:
@@ -306,7 +304,10 @@ def _parse_ensemble(parser, required: bool, seed) -> tuple[int, int]:
         m = sec.getint("m", 1) if required else 1
         if m < 1:
             raise ValueError(f"ensemble size must be >= 1, got {m}")
-        return m, _seed(sec, seed)
+        own = sec.getint("seed", 0)
+        if own < 0 or (seed is not None and seed < 0):
+            raise ValueError("seed must be non-negative")
+        return m, own if seed is None else seed
 
 
 def load_config(path: str | Path, require: str = "converge",
@@ -314,9 +315,9 @@ def load_config(path: str | Path, require: str = "converge",
     """Parse and validate a config file for the given subcommand.
 
     require selects how much of the file must be present: "converge"
-    (all run sections), "noise" (noise model and seed), or "bayes"; any
-    other value is a ValueError.  seed, if given, replaces the file's seed
-    (in [bayes] for bayes, else in [ensemble]) after both pass the same check.
+    (all run sections), "noise" (the problem, its noise model and the
+    seed), or "bayes"; any other value is a ValueError.  seed, if given,
+    replaces the file's [ensemble] seed after both pass the same check.
     """
     if require not in ("converge", "noise", "bayes"):
         raise ValueError(f"unknown requirement {require!r}, "
@@ -341,21 +342,20 @@ def load_config(path: str | Path, require: str = "converge",
             raise ConfigError(name, f"unknown {what} [{name}]")
 
     if require == "bayes":
-        model, delta_grid, noisy, seed = _parse_bayes(parser, seed)
+        model, delta_grid, noisy = _parse_bayes(parser)
         return ExperimentConfig(
-            fingerprint, seed=seed,
+            fingerprint, seed=_parse_ensemble(parser, False, seed)[1],
             bayes_model=model, bayes_delta_grid=delta_grid, bayes_noisy_data=noisy,
         )
+    problem, theta = _parse_problem(parser, uncut)
+    noise = _parse_noise(parser, problem.space.dimension)
     if require == "noise":
-        noise = _parse_noise(parser)
         if noise is None:
             raise ConfigError("noise", "noise-check needs a non-degenerate noise kind")
         return ExperimentConfig(fingerprint, noise=noise, seed=_parse_ensemble(parser, False, seed)[1])
 
-    problem, theta = _parse_problem(parser, uncut)
     grids = _parse_grids(parser, problem.horizon)
     method = _parse_method(parser)
-    noise = _parse_noise(parser, problem.space.dimension)
     m, seed = _parse_ensemble(parser, True, seed)
     sec = _section(parser, "analysis", False)
     with _reading("analysis"):
@@ -370,13 +370,6 @@ def load_config(path: str | Path, require: str = "converge",
         keys = [_order_key(r) for r in r_values[1:]]
         if len(set(keys)) < len(keys):
             raise ValueError(f"extra orders {r_values[1:]} repeat a report key, got keys {keys}")
-    sec = _section(parser, "output", False)
-    with _reading("output"):
-        raw = sec.get("formats", "csv, json")
-        formats = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-        if not formats or any(fmt not in ("csv", "json") for fmt in formats):
-            raise ValueError(f"formats must be a subset of csv, json; got {raw!r}")
-        out_dir = sec.get("dir", fallback=None)
     for grid in grids:
         if grid.mesh > method.h_star:
             raise ConfigError(
@@ -384,5 +377,5 @@ def load_config(path: str | Path, require: str = "converge",
             )
     return ExperimentConfig(
         fingerprint, problem, theta, grids, method, noise, m, seed,
-        r_values[0], young, tuple(r_values[1:]), formats, out_dir,
+        r_values[0], young, tuple(r_values[1:]),
     )

@@ -134,10 +134,12 @@ def scalar_linear(rate: float, horizon: float = 1.0) -> Problem:
 
 def _check_steps(problem: Problem, steps, points) -> None:
     """Reject any step [t_k, t_k + h_k] that is empty, leaves [0, T] or is
-    not finite (the negated test fails on NaN)."""
+    not finite (the negated test fails on NaN).  An end may pass T by a
+    relative 1e-12, far above the rounding of t_k + h_k on a grid of [0, T]."""
     steps, points = np.atleast_1d(steps), np.atleast_1d(points)
     ends = points + steps
-    bad = np.flatnonzero(~((steps > 0.0) & (points >= 0.0) & (ends <= problem.horizon + 1e-12)))
+    bad = np.flatnonzero(~((steps > 0.0) & (points >= 0.0)
+                           & (ends <= problem.horizon * (1.0 + 1e-12))))
     if bad.size:
         k = bad[0]
         fault = f"is empty or leaves [0, {problem.horizon}]" if np.isfinite(ends[k]) else "is not finite"

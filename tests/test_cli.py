@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from randstep import fit_rate, single_mode_model, small_noise_sweep
+from randstep import NoiseModel, fit_rate, lr_norm_estimate, randomisation, single_mode_model
+from randstep import small_noise_sweep
 from randstep.cli import main
 from randstep.config import _floats, load_config
 
@@ -47,6 +48,16 @@ young = psi2
 
 NOISE_KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
 
+# the keys that each noise kind alone reads; another kind refuses them
+KIND_KEYS = {"centred_gaussian": "", "biased": "\nbias_mode = 1\nbias_coefficient = 0.2",
+             "shared_factor": "\nrho = 0.5", "bounded_uniform": ""}
+
+
+def _noise_kind(kind):
+    """The [noise] lines of kind and of the keys it alone reads."""
+    return f"kind = {kind}{KIND_KEYS[kind]}"
+
+
 BAYES_CONFIG = """
 [bayes]
 lambda_values = 1.0
@@ -61,8 +72,10 @@ theta = 1.0
 """
 
 NOISE_CONFIG = """
-[noise]
+[problem]
 dimension = 6
+
+[noise]
 kind = centred_gaussian
 p = 1.0
 c_xi = 1.0
@@ -119,10 +132,8 @@ class TestConverge:
 
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (4 + 2) * 4**2)
         for family in ("4, 8, 16, 32\ngamma = 1.0", "16, 4, 32, 8\ngamma = 1.5"):
-            text = CONVERGE_CONFIG.replace(
-                "kind = centred_gaussian",
-                f"kind = {kind}\nbias_mode = 1\nbias_coefficient = 0.2\nrho = 0.5",
-            ).replace("4, 8, 16, 32\ngamma = 1.0", family)
+            text = CONVERGE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind)).replace(
+                "4, 8, 16, 32\ngamma = 1.0", family)
             cfg = _write(tmp_path, text)
             outs = [tmp_path / f"w{workers}" for workers in (1, 2)]
             for workers, out in zip((1, 2), outs):
@@ -242,40 +253,21 @@ class TestConverge:
         err = capsys.readouterr().err
         assert "config error in [analysis]" in err and "finite" in err
 
-    @pytest.mark.parametrize("line, alias_line, section", [
-        ("dimension = 4", "J = 8", "problem"),
-        ("horizon = 1.0", "T = 2.0", "problem"),
-        ("kind = implicit_euler", "method = explicit_euler", "method"),
-    ], ids=["dimension-J", "horizon-T", "kind-method"])
-    def test_key_and_its_alias_together_exit_one(self, tmp_path, capsys, line, alias_line,
-                                                 section):
-        # neither value wins silently
-        assert CONVERGE_CONFIG.count(line) == 1
-        bad = _write(tmp_path, CONVERGE_CONFIG.replace(line, f"{line}\n{alias_line}"))
-        assert main(["converge", "--config", bad, "--out", str(tmp_path / "out")]) == 1
-        key, alias = line.split()[0], alias_line.split()[0].lower()  # configparser lowercases keys
-        assert (f"config error in [{section}]: {key!r} and its alias {alias!r} are both given"
-                in capsys.readouterr().err)
-
-    @pytest.mark.parametrize("spectrum", ["lambda_spec = explicit\nlambda_values = 1.0, 4.0",
-                                          "lambda_spec = laplacian_1d\nJ = 2"],
-                             ids=["explicit", "laplacian-J"])
-    def test_schema_key_aliases(self, tmp_path, spectrum):
-        # T / J / method are accepted alongside horizon / dimension / kind,
-        # and explicit eigenvalue lists work
-        aliased = f"""
+    def test_explicit_eigenvalues(self, tmp_path):
+        text = """
 [problem]
-{spectrum}
+lambda_spec = explicit
+lambda_values = 1.0, 4.0
 alpha = 1.0
 theta = ones
-T = 1.0
+horizon = 1.0
 
 [grid_family]
 n_values = 4, 8, 16
 gamma = 1.0
 
 [method]
-method = explicit_euler
+kind = explicit_euler
 
 [noise]
 kind = none
@@ -285,10 +277,10 @@ m = 1
 seed = 0
 """
         out = tmp_path / "out"
-        assert main(["converge", "--config", _write(tmp_path, aliased), "--out", str(out)]) == 0
+        assert main(["converge", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
         report = json.loads((out / "report.json").read_text())
         assert report["theory_slope"] == 1.0
-        cfg = load_config(_write(tmp_path, aliased))
+        cfg = load_config(_write(tmp_path, text))
         assert cfg.problem.space.eigenvalues.tolist() == [1.0, 4.0]
         assert cfg.problem.horizon == 1.0 and cfg.method.kind == "explicit_euler"
 
@@ -376,16 +368,11 @@ seed = 0
             extra = entry["extra_lr"]["400"]
             assert extra["normmax"] >= extra["maxnorm"] > 0.0
 
-    def test_output_section_controls_formats_and_dir(self, tmp_path):
-        cfg_text = CONVERGE_CONFIG + f"\n[output]\nformats = json\ndir = {tmp_path / 'fromcfg'}\n"
-        assert main(["converge", "--config", _write(tmp_path, cfg_text)]) == 0
-        assert (tmp_path / "fromcfg" / "report.json").exists()
-        assert not (tmp_path / "fromcfg" / "series.csv").exists()
-
-    def test_bad_output_format_rejected(self, tmp_path, capsys):
-        cfg_text = CONVERGE_CONFIG + "\n[output]\nformats = parquet\n"
-        assert main(["converge", "--config", _write(tmp_path, cfg_text)]) == 1
-        assert "output" in capsys.readouterr().err
+    def test_default_out_dir_gets_both_files(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(["converge", "--config", _write(tmp_path, CONVERGE_CONFIG)]) == 0
+        assert sorted(path.name for path in (tmp_path / "out").iterdir()) == [
+            "report.json", "series.csv"]
 
     def test_lipschitz_read_off_the_steps_taken(self, tmp_path):
         # alpha = 1 - 1.02 t turns negative inside the last step of every
@@ -469,7 +456,7 @@ seed = 0
 
         from randstep import randomisation, sampler
 
-        text = CONVERGE_CONFIG.replace("kind = centred_gaussian", f"kind = {kind}\nrho = 0.5")
+        text = CONVERGE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
         cfg = _write(tmp_path, text)
         streams, pools = [], []
         trajectory_stream = sampler.trajectory_stream
@@ -674,8 +661,7 @@ class TestConvergeReportSchema:
         # and independent across steps, min(q, p) for the biased and the
         # shared-factor kind
         heun = "kind = two_stage\ncoefficients = 0.5, 0.5, 1.0, 1.0"
-        noise = f"kind = {kind}\nbias_mode = 1\nbias_coefficient = 0.2\nrho = 0.5"
-        text = (CONVERGE_CONFIG.replace("kind = centred_gaussian", noise)
+        text = (CONVERGE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
                 .replace("kind = implicit_euler", heun)
                 .replace("n_values = 4, 8, 16, 32", "n_values = 80, 160, 320")
                 .replace("m = 24", "m = 4"))
@@ -739,7 +725,7 @@ class TestBayes:
                          "--out", str(out)]) == 0
             return (out / "series.csv").read_bytes()
 
-        noisy = BAYES_CONFIG + "noisy_data = true\nseed = 3\n"
+        noisy = BAYES_CONFIG + "noisy_data = true\n\n[ensemble]\nseed = 3\n"
         first, again = sweep(noisy, "a"), sweep(noisy, "b")
         assert first == again
         assert first != sweep(BAYES_CONFIG, "noiseless")
@@ -775,8 +761,7 @@ class TestChecks:
         # block's draws
         from randstep import randomisation
 
-        text = NOISE_CONFIG.replace("kind = centred_gaussian",
-                                    f"kind = {kind}\nbias_coefficient = 0.5\nrho = 0.5")
+        text = NOISE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
         cfg = _write(tmp_path, text)
         assert main(["noise-check", "--config", cfg, "--out", str(tmp_path / "one")]) == 0
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * 2 * 6 * 1000)
@@ -794,8 +779,7 @@ class TestChecks:
         # O(m) floats: the norms and the correlation row's one (m, 2) array
         from randstep import randomisation
 
-        text = NOISE_CONFIG.replace("kind = centred_gaussian",
-                                    f"kind = {kind}\nbias_coefficient = 0.5\nrho = 0.5")
+        text = NOISE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
         # the first run at J = 6 makes the imports outside the trace
         assert main(["noise-check", "--config", _write(tmp_path, text), "--out",
                      str(tmp_path / "small")]) == 0
@@ -830,9 +814,26 @@ class TestChecks:
         assert "run failed: a noise-model check failed its tolerance" in capsys.readouterr().err
 
     def test_noise_check_requires_noise_section(self, tmp_path, capsys):
-        cfg = _write(tmp_path, SEED_ONLY_CONFIG)
+        cfg = _write(tmp_path, "[problem]\ndimension = 6\n" + SEED_ONLY_CONFIG)
         assert main(["noise-check", "--config", cfg, "--out", str(tmp_path)]) == 1
-        assert "noise" in capsys.readouterr().err
+        assert "config error in [noise]: missing required section [noise]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, model", [
+        ("ens-wide", NoiseModel(64, p=1.0, c_xi=1.0, s=1.0)),
+        ("ens-many-w2", NoiseModel(8, p=1.0, c_xi=1.0, s=1.0, kind="shared_factor", rho=0.5)),
+        ("oracle-affine", NoiseModel(128, p=1.0, c_xi=1.0, s=1.0)),
+    ])
+    def test_noise_check_on_a_converge_config_draws_the_problem_dimension(self, tmp_path,
+                                                                         name, model):
+        # the workload's J from [problem], not a default of 1: the first
+        # scaling row is the library's draw of the J-mode model at seed 7
+        config = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / f"{name}.ini"
+        out = tmp_path / "out"
+        assert main(["noise-check", "--config", str(config), "--out", str(out)]) == 0
+        row = json.loads((out / "report.json").read_text())["rows"][0]
+        rng = np.random.default_rng(np.random.SeedSequence([7]))
+        norms = randomisation._draw_norms(model, rng, 0.5, 100_000)
+        assert row[:2] == ["scaling_t=0.5", lr_norm_estimate(norms, 2.0) / 0.5**2]
 
     def test_gronwall_check_is_not_a_subcommand(self, tmp_path, capsys):
         # criterion 06 checks the Gronwall bounds; argparse refuses the name
@@ -867,8 +868,6 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
     from randstep.analysis import EstimationError
     from randstep.cli import _write as write_outputs
 
-    cfg = load_config(_write(tmp_path, NOISE_CONFIG), "noise")
-    assert set(cfg.formats) == {"json", "csv"}
     out = tmp_path / "out"
     out.mkdir()
     cases = [
@@ -879,7 +878,7 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
     ]
     for payload, rows, key in cases:
         with pytest.raises(EstimationError, match=re.escape(f"non-finite value at {key};")):
-            write_outputs(cfg, out, payload, ("h",), rows)
+            write_outputs(out, payload, ("h",), rows)
         assert list(out.iterdir()) == []
 
 
@@ -893,12 +892,10 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
         ("converge", CONVERGE_CONFIG, "p = 1.0", "p = abc", "noise"),
         ("converge", CONVERGE_CONFIG, "m = 24", "m = abc", "ensemble"),
         ("converge", CONVERGE_CONFIG, "r = 2", "r = abc", "analysis"),
-        ("converge", CONVERGE_CONFIG + "\n[output]\nformats = csv\n", "formats = csv",
-         "formats = xml", "output"),
         ("bayes", BAYES_CONFIG, "h = 0.1", "h = abc", "bayes"),
-        ("bayes", BAYES_CONFIG + "noisy_data = true\nseed = 3\n", "seed = 3", "seed = -1",
-         "bayes"),
-        ("noise-check", NOISE_CONFIG, "dimension = 6", "dimension = abc", "noise"),
+        ("bayes", BAYES_CONFIG + "noisy_data = true\n\n[ensemble]\nseed = 3\n", "seed = 3",
+         "seed = -1", "ensemble"),
+        ("noise-check", NOISE_CONFIG, "dimension = 6", "dimension = abc", "problem"),
         ("converge", CONVERGE_CONFIG, "kind = implicit_euler",
          "kind = two_stage\ncoefficients = nan, 0.5, 1.0, 1.0", "method"),
         ("converge", CONVERGE_CONFIG, "kind = implicit_euler",
@@ -934,11 +931,10 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
         ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "cxi = 50.0", "noise"),
         ("converge", CONVERGE_CONFIG, "young = psi2", "young = psi2\n\n[anlysis]\nyoung = none",
          "anlysis"),
-        ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "c_xi = 0.5\ndimension = 5", "noise"),
         ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 4.0, 1.0", "bayes"),
         ("bayes", BAYES_CONFIG, "h = 0.1", "h = 1e160", "bayes"),
     ],
-    ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis", "output",
+    ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis",
          "bayes", "bayes-seed", "noise-check-dimension", "method-nan-coefficient",
          "method-negative-order", "method-nan-order", "bayes-nan-p", "bayes-inf-lambda",
          "problem-unknown-lambda-spec", "problem-three-alpha", "problem-two-forcing",
@@ -947,7 +943,7 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
          "workers-zero", "ensemble-m-zero", "ensemble-negative-seed", "problem-inf-horizon",
          "problem-zero-alpha", "problem-nan-forcing", "problem-zero-dimension",
          "problem-empty-lambda-values", "bayes-negative-lambda", "bayes-zero-h",
-         "bayes-negative-p", "noise-unknown-key", "unknown-section", "noise-dimension-mismatch",
+         "bayes-negative-p", "noise-unknown-key", "unknown-section",
          "bayes-decreasing-lambda", "bayes-overflowing-inflation"],
 )
 def test_bad_value_exits_one_naming_its_section(tmp_path, capsys, subcommand, text, old,
@@ -972,15 +968,102 @@ def test_unknown_key_or_section_is_named(tmp_path, capsys, old, new, message):
 
 
 @pytest.mark.parametrize(
-    "subcommand, text, section",
-    [("converge", CONVERGE_CONFIG, "ensemble"), ("bayes", BAYES_CONFIG, "bayes")],
-    ids=["converge", "bayes"],
+    "subcommand, text",
+    [("converge", CONVERGE_CONFIG), ("bayes", BAYES_CONFIG), ("noise-check", NOISE_CONFIG)],
+    ids=["converge", "bayes", "noise-check"],
 )
 def test_negative_seed_override_exits_one_naming_the_seed_section(tmp_path, capsys,
-                                                                 subcommand, text, section):
+                                                                 subcommand, text):
+    # every subcommand reads its seed from [ensemble]
     cfg = _write(tmp_path, text)
     assert main([subcommand, "--config", cfg, "--seed", "-1", "--out", str(tmp_path)]) == 1
-    assert f"config error in [{section}]" in capsys.readouterr().err
+    assert "config error in [ensemble]: seed must be non-negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, old, new, message",
+    [("converge", CONVERGE_CONFIG, "dimension = 4", "J = 4", "[problem]: unknown key 'j'"),
+     ("converge", CONVERGE_CONFIG, "horizon = 1.0", "T = 1.0", "[problem]: unknown key 't'"),
+     ("converge", CONVERGE_CONFIG, "kind = implicit_euler", "method = implicit_euler",
+      "[method]: unknown key 'method'"),
+     ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "c_xi = 0.5\ndimension = 4",
+      "[noise]: unknown key 'dimension'"),
+     ("noise-check", NOISE_CONFIG, "[problem]\ndimension = 6\n\n[noise]",
+      "[noise]\ndimension = 6", "[noise]: unknown key 'dimension'"),
+     ("converge", CONVERGE_CONFIG, "young = psi2", "young = psi2\n\n[output]\nformats = csv",
+      "[output]: unknown section [output]"),
+     ("converge", CONVERGE_CONFIG, "young = psi2", "young = psi2\n\n[output]\ndir = elsewhere",
+      "[output]: unknown section [output]"),
+     ("bayes", BAYES_CONFIG, "h = 0.1", "h = 0.1\nseed = 3", "[bayes]: unknown key 'seed'")],
+    ids=["problem-j", "problem-t", "method-method", "noise-dimension", "noise-check-dimension",
+         "output-formats", "output-dir", "bayes-seed"],
+)
+def test_removed_key_exits_one_as_unknown(tmp_path, capsys, subcommand, text, old, new,
+                                          message):
+    # each setting has one key in one section; the old second homes fail
+    assert text.count(old) == 1
+    bad = _write(tmp_path, text.replace(old, new))
+    assert main([subcommand, "--config", bad, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error in {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, old, new, message",
+    [("converge", CONVERGE_CONFIG, "kind = implicit_euler",
+      "kind = implicit_euler\ncoefficients = 0.5, 0.5, 1.0, 1.0",
+      "[method]: key 'coefficients' does not apply to kind implicit_euler"),
+     ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "c_xi = 0.5\nrho = 0.9\nbias_mode = 7",
+      "[noise]: key 'rho' does not apply to kind centred_gaussian"),
+     ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "c_xi = 0.5\nbias_coefficient = 0.2",
+      "[noise]: key 'bias_coefficient' does not apply to kind centred_gaussian"),
+     ("converge", CONVERGE_CONFIG, "kind = centred_gaussian", "kind = shared_factor\nbias_mode = 1",
+      "[noise]: key 'bias_mode' does not apply to kind shared_factor"),
+     ("noise-check", NOISE_CONFIG, "kind = centred_gaussian", "kind = biased\nrho = 0.5",
+      "[noise]: key 'rho' does not apply to kind biased"),
+     ("converge", CONVERGE_CONFIG, "dimension = 4", "dimension = 64\nlambda_values = 1.0, 4.0",
+      "[problem]: key 'lambda_values' does not apply to lambda_spec laplacian_1d"),
+     ("converge", CONVERGE_CONFIG, "lambda_spec = laplacian_1d",
+      "lambda_spec = explicit\nlambda_values = 1.0, 4.0",
+      "[problem]: key 'dimension' does not apply to lambda_spec explicit"),
+     ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0\ndimension = 3",
+      "[bayes]: key 'dimension' does not apply to explicit lambda_values")],
+    ids=["method-coefficients", "noise-rho-and-bias-mode", "noise-bias-coefficient",
+         "noise-bias-mode", "noise-check-rho", "problem-lambda-values", "problem-dimension",
+         "bayes-dimension"],
+)
+def test_key_of_another_kind_exits_one(tmp_path, capsys, subcommand, text, old, new, message):
+    # a key that only another kind reads would be ignored; it is refused
+    assert text.count(old) == 1
+    bad = _write(tmp_path, text.replace(old, new))
+    assert main([subcommand, "--config", bad, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error in {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "subcommand, text, old, new, message",
+    [("converge", CONVERGE_CONFIG, "dimension = 4\n", "", "[problem]: dimension must be >= 1"),
+     ("noise-check", NOISE_CONFIG, "dimension = 6\n", "", "[problem]: dimension must be >= 1"),
+     ("converge", CONVERGE_CONFIG, "lambda_spec = laplacian_1d\ndimension = 4",
+      "lambda_spec = explicit", "[problem]: eigenvalues must be a non-empty 1-d array"),
+     ("converge", CONVERGE_CONFIG, "n_values = 4, 8, 16, 32\n", "",
+      "[grid_family]: n_values must list at least three distinct step counts")],
+    ids=["converge-dimension", "noise-check-dimension", "lambda-values", "n-values"],
+)
+def test_missing_key_without_a_default_exits_one_naming_it(tmp_path, capsys, subcommand, text,
+                                                           old, new, message):
+    # not a default, and not a TypeError or AttributeError on None
+    assert text.count(old) == 1
+    bad = _write(tmp_path, text.replace(old, new))
+    assert main([subcommand, "--config", bad, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error in {message}" in capsys.readouterr().err
+
+
+def test_noise_kind_none_ignores_the_other_noise_keys(tmp_path):
+    # one key turns noise off, whatever the rest of [noise] says
+    text = CONVERGE_CONFIG.replace("c_xi = 0.5", "c_xi = 0.5\nrho = 0.9\nbias_mode = 7").replace(
+        "kind = centred_gaussian", "kind = none")
+    assert load_config(_write(tmp_path, text)).noise is None
 
 
 def _subprocess_env():

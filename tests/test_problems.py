@@ -21,6 +21,7 @@ from randstep import (
     step,
 )
 from randstep import randomisation, sampler
+from randstep.problems import _check_steps
 
 
 def _reference_flow(problem, h, t, x):
@@ -120,6 +121,24 @@ class TestExactFlowExamples:
                      (0.0, -0.1), (0.0, 1.5)):
             with pytest.raises(ValueError, match=r"is empty or leaves \[0, 1.0\]"):
                 exact_flow(problem, h, t, np.zeros(2))
+
+    def test_slack_past_the_horizon_is_relative(self):
+        # an absolute slack of 1e-12 refused grids that build_grid made at
+        # large T (rounding of t_k + h_k passes T by ulps of T) and let a
+        # step end a thousand horizons past a tiny T
+        rng = np.random.default_rng(2024)
+        space = laplacian_1d(1)
+        cases = [(4.8544075795506295e+45, n, 1.6494038656249705) for n in (2, 4, 8)]
+        cases += [(10 ** rng.uniform(-20, 200), int(rng.integers(1, 65)), rng.uniform(1, 4))
+                  for _ in range(20000)]
+        for horizon, n, gamma in cases:
+            grid = build_grid(horizon, n, gamma)
+            _check_steps(Problem(space, horizon=horizon), grid.steps, grid.points[:-1])
+        tiny = heat_1d(2, horizon=1e-15)
+        with pytest.raises(ValueError, match=r"step 0 \[0.0, 1e-12\] is empty or leaves"):
+            exact_flow(tiny, 1e-12, 0.0, np.zeros(2))
+        with pytest.raises(ValueError, match=r"step 0 \[0.0, 1e-12\] is empty or leaves"):
+            step(implicit_euler(), tiny, 1e-12, 0.0, np.zeros(2))
 
     @pytest.mark.parametrize("h, t, end", [(math.nan, 0.0, "nan"), (0.1, math.nan, "nan"),
                                            (math.inf, 0.0, "inf"), (0.1, -math.inf, "-inf")])
