@@ -25,9 +25,10 @@ for a grid are a prefix of its draws for any longer grid, and a family
 of grids shapes each raw step once.
 
 One stream's draws (`sample_path_matrix`, `psi2_amplitude`, noise-check)
-are read by `_row_blocks`, whose at most three blocks held at once share
-one BLOCK_BYTES; an ensemble's by `_family_noise`, in chunks of at most a
-quarter of BLOCK_BYTES of raw normals.
+are read by `_row_blocks`, whose row buffers held at once (two, or three
+for the shared-factor and bounded kinds) share a quarter of BLOCK_BYTES;
+an ensemble's by `_family_noise`, in chunks of at most a quarter of
+BLOCK_BYTES of raw normals.
 
 The exponent p = -1/2 (diffusion-like scaling) is accepted for
 demonstration only; no convergence statement attaches to it.
@@ -66,9 +67,10 @@ _PSI2_SEED = 20_220_457  # fixed internal stream for the cached Orlicz estimate
 
 # Byte budget of a draw's working set, the one memory rule for draws.  A
 # `_row_blocks` reader (sample_path_matrix, psi2_amplitude, noise-check)
-# holds at most three blocks of its rows: raw normals, the shared factors
-# or the bounded kind's squares, and a reducer's squares (`_draw_norms`),
-# so each takes at most a quarter of it.  So does an ensemble's (B, S, W)
+# holds, per block of rows, its raw normals, a reducer's scratch
+# (`_draw_norms`) and, for the shared-factor and bounded kinds, their
+# factors or squares, and sizes its rows so that these buffers fit in a
+# quarter of it together.  So does an ensemble's (B, S, W)
 # chunk of raw normals, W = `_step_normals`: B is at most `_side`, about
 # sqrt(BLOCK_BYTES / (8 W)), which also caps the B generators a group
 # holds, and S, at most N, fills a quarter of BLOCK_BYTES with B rows.
@@ -148,8 +150,10 @@ def sample_path_matrix(model: NoiseModel, stream: np.random.Generator, steps: np
 
 def _row_blocks(model: NoiseModel, stream: np.random.Generator, steps, m: int):
     """Yield (start, xi): the draws xi_k(h_k) of rows start.. of m, shape
-    (count, N, J), at most a quarter of BLOCK_BYTES of raw normals (or one
-    row) each, so a reader's blocks fit in BLOCK_BYTES together.
+    (count, N, J), in blocks of as many rows (at least one) as keep the
+    row buffers alive at once within a quarter of BLOCK_BYTES: the raw
+    normals, a reducer's scratch and, for the shared-factor and bounded
+    kinds, their factors or squares, each counted at N W floats a row.
     The one reader of one stream: the shared-factor kind's m factors
     first (read in these blocks from a copy of the stream, which skips
     them by discarding them), then `_step_normals` normals per step, row
@@ -160,7 +164,9 @@ def _row_blocks(model: NoiseModel, stream: np.random.Generator, steps, m: int):
         raise ValueError(f"step {bad[0]} has size {steps.flat[bad[0]]}, expected positive and finite")
     if m < 1:
         raise ValueError(f"need at least one trajectory, got m = {m}")
-    size = min(m, max(1, (BLOCK_BYTES // 4) // (8 * max(1, steps.size) * _step_normals(model))))
+    buffers = 3 if model.kind in (SHARED_FACTOR, BOUNDED_UNIFORM) else 2
+    row = 8 * max(1, steps.size) * _step_normals(model)
+    size = min(m, max(1, (BLOCK_BYTES // (4 * buffers)) // row))
     buf, factors, shared = np.empty((size, steps.size, _step_normals(model))), None, None
     if model.kind == SHARED_FACTOR:
         factors, shared = copy.deepcopy(stream), np.empty((size, model.dimension))

@@ -56,10 +56,11 @@ only what its report reads (`ReducedEnsemble`): the rows' maxima of an
 sum_i (x_i / s_g)^R with s_g the group's largest norm.  So a study
 holds (M,) maxima and (tasks, N_g + 1) partials per grid, the (a, d) and
 scale tables, one chunk and blocks of at most side B norms.  With
-several workers, all groups of a study run as tasks in one pool of
-forked workers, which write their rows straight into these arrays in
-anonymous shared mappings made before the fork.  Neither S, D nor the
-task order changes a computed float.  B sets the tasks, so a study's
+several workers, the study forks min(workers, tasks) workers itself
+(`_fork_tasks`): worker w runs tasks w, w + count, ... and writes its
+rows straight into these arrays in anonymous shared mappings made
+before the fork, so nothing is pickled or gathered.  Neither S, D nor
+the task order changes a computed float.  B sets the tasks, so a study's
 per-step L^R norms, summed from the partials in task order, depend on B
 in the last bits, but never on the worker count; the norms and maxima do
 not depend on B.
@@ -68,6 +69,7 @@ not depend on B.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -294,25 +296,15 @@ def _keep_reduced(sink: tuple, task: tuple, start: int, block: np.ndarray) -> No
             np.add.reduce(np.power(block, r), axis=1, out=out[index, steps])
 
 
-# The study a pool worker runs, set once in each worker by `_attach`.  The
-# workers are forked, so they inherit it, sinks included, unpickled.
-_WORKER_STUDY = None
-
-
-def _attach(study: tuple) -> None:
-    global _WORKER_STUDY
-    _WORKER_STUDY = study
-
-
-def _run_task(task: tuple) -> None:
-    _run_group(_WORKER_STUDY, task)
-
-
 def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None) -> list:
     """The ensembles of M trajectories on each grid from its deviation
     table, in one pass of tasks, each one group on all grids: an Ensemble
     of each grid's norms, or, given the L^R orders, a ReducedEnsemble;
     see the memory model."""
+    if not isinstance(workers, (int, np.integer)):
+        raise ValueError(f"worker count must be an integer, got {workers!r}")
+    if workers < 1:
+        raise ValueError(f"worker count must be >= 1, got {workers}")
     rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
     tasks = list(enumerate(range(i, min(i + rows, m)) for i in range(0, m, rows)))
     pooled = workers > 1 and len(tasks) > 1
@@ -326,13 +318,7 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None) -> li
     scales = [_step_scales(noise, grid.steps) for grid in grids]
     study = (noise, master_seed, tables, scales, sinks)
     if pooled:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=get_context("fork"),
-                                 initializer=_attach, initargs=(study,)) as pool:
-            for _ in pool.map(_run_task, tasks):
-                pass
+        _fork_tasks(study, tasks, min(workers, len(tasks)))
     else:
         for task in tasks:
             _run_group(study, task)
@@ -342,9 +328,43 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None) -> li
             for grid, (_, (maxima, tops, sums, _)) in zip(grids, sinks)]
 
 
+def _fork_tasks(study: tuple, tasks: list, count: int) -> None:
+    """Run the tasks in count forked workers, worker w taking tasks w,
+    w + count, ...; they inherit the study, sinks included, and write
+    into its shared mappings.  Waits for every worker, then raises the
+    first failed worker's message, which it sends back over a pipe."""
+    children = []
+    try:
+        for w in range(count):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker: os._exit, so it never runs the parent's code
+                status = 1
+                try:
+                    for task in tasks[w::count]:
+                        _run_group(study, task)
+                    status = 0
+                except BaseException as exc:  # noqa: BLE001 - its message goes to the parent
+                    os.write(write, str(exc).encode(errors="replace"))
+                finally:
+                    os._exit(status)
+            os.close(write)
+            children.append((pid, os.fdopen(read, "rb")))
+    finally:
+        failures = []
+        for pid, pipe in children:
+            with pipe:
+                message = pipe.read().decode(errors="replace")
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            if code:
+                failures.append(message or f"ensemble worker exited with code {code}")
+    if failures:
+        raise RuntimeError(failures[0])
+
+
 def _shared_zeros(shape) -> np.ndarray:
     """A float array of zeros in an anonymous shared mapping, made before
-    the pool forks, so that its workers write into it."""
+    the workers fork, so that they write into it."""
     import mmap
 
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape))).reshape(shape)
@@ -370,8 +390,6 @@ def run_ensemble(
     _check_noise(noise)
     if m < 1:
         raise ValueError(f"ensemble size must be >= 1, got {m}")
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
     table, _ = _prepare(problem, method, grid, theta, noise)
     return _ensembles(noise, [grid], [table], m, master_seed, workers)[0]
 

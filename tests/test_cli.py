@@ -449,41 +449,37 @@ seed = 0
                                                                kind):
         # counts, not times: every kind draws each trajectory's noise once
         # for all G = 4 grids (M = 24 streams); with two workers and
-        # several groups the whole study runs in one pool; converge never
-        # calls run_ensemble
-        import concurrent.futures
-        from concurrent.futures import ProcessPoolExecutor
-
+        # several groups the whole study runs in one set of two forked
+        # workers, not one set per grid; converge never calls run_ensemble
         from randstep import randomisation, sampler
 
         text = CONVERGE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
         cfg = _write(tmp_path, text)
-        streams, pools = [], []
+        streams, forks = [], []
         trajectory_stream = sampler.trajectory_stream
+        fork = os.fork
 
         def counting_stream(master_seed, index):
             streams.append(index)
             return trajectory_stream(master_seed, index)
 
-        class CountingPool(ProcessPoolExecutor):
-            def __init__(self, *args, **kwargs):
-                pools.append(1)
-                super().__init__(*args, **kwargs)
+        def counting_fork():
+            forks.append(1)
+            return fork()
 
         def no_run_ensemble(*args, **kwargs):
             raise AssertionError("converge called run_ensemble")
 
         monkeypatch.setattr(sampler, "trajectory_stream", counting_stream)
-        # the pooled branch imports the executor when it runs
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountingPool)
+        monkeypatch.setattr(sampler.os, "fork", counting_fork)
         monkeypatch.setattr(sampler, "run_ensemble", no_run_ensemble)
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (4 + 2) * 4**2)  # B = 4: six groups
         assert main(["converge", "--config", cfg, "--out", str(tmp_path / "w1")]) == 0
         assert sorted(streams) == list(range(24))
-        assert pools == []
+        assert forks == []
         assert main(["converge", "--config", cfg, "--workers", "2",
                      "--out", str(tmp_path / "w2")]) == 0
-        assert pools == [1]
+        assert forks == [1, 1]
 
 
     @staticmethod
@@ -755,10 +751,11 @@ class TestChecks:
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_noise_check_output_does_not_depend_on_the_block_size(self, tmp_path, monkeypatch,
                                                                    kind):
-        # blocks of 500 rows of one step and 250 of two, a quarter of the
-        # budget (fewer for the bounded kind's J + 2 normals a step); a row
-        # kept as a view of the reused block buffer would read a later
-        # block's draws
+        # blocks of 250 rows of one step and 125 of two, whose two row
+        # buffers share a quarter of the budget (166 and 83 for the
+        # shared-factor kind's three, fewer for the bounded kind's J + 2
+        # normals a step); a row kept as a view of the reused block buffer
+        # would read a later block's draws
         from randstep import randomisation
 
         text = NOISE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
@@ -775,8 +772,9 @@ class TestChecks:
         # J = 64 one check's 100,000 draws take 51 MB at once.  In row
         # blocks a check holds at most three blocks (raw normals, squares
         # for the norms, and the shared factors or the bounded kind's
-        # squares for its unit draw), which share one BLOCK_BYTES, beside
-        # O(m) floats: the norms and the correlation row's one (m, 2) array
+        # squares for its unit draw), which share a quarter of
+        # BLOCK_BYTES, beside O(m) floats: the norms and the correlation
+        # row's one (m, 2) array
         from randstep import randomisation
 
         text = NOISE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
@@ -1126,7 +1124,8 @@ def test_affine_forced_converge_loads_no_scipy(tmp_path):
 
 
 def test_cli_import_loads_no_pool_and_no_scipy():
-    # only a pooled run (--workers > 1) needs the pool modules
+    # no import of the CLI needs the pool or scipy modules; a pooled run
+    # forks its workers directly
     probe = ("import json, sys, randstep.cli; print(json.dumps(sorted(m for m in sys.modules "
              "if m.split('.')[0] in ('multiprocessing', 'concurrent', 'scipy'))))")
     result = subprocess.run([sys.executable, "-c", probe], env=_subprocess_env(),
@@ -1196,3 +1195,35 @@ def test_overflowing_noise_fails_with_one_stderr_line(tmp_path, workers):
     assert result.returncode == 2
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("run failed:"), result.stderr
+
+
+def test_failed_worker_gives_one_stderr_line_and_leaves_no_child(tmp_path):
+    # B = 4 makes six groups of M = 24; of two forked workers, the second
+    # fails at its first task (task 1) while the first runs all of its own
+    probe = (
+        "import os, sys, randstep.cli\n"
+        "from randstep import randomisation, sampler\n"
+        "randomisation.BLOCK_BYTES = 8 * (4 + 2) * 4**2\n"
+        "run_group = sampler._run_group\n"
+        "def failing(study, task):\n"
+        "    if task[0] % 2:\n"
+        "        raise ValueError(f'task {task[0]} failed')\n"
+        "    run_group(study, task)\n"
+        "sampler._run_group = failing\n"
+        "code = randstep.cli.main(sys.argv[1:])\n"
+        "try:\n"
+        "    os.waitpid(-1, os.WNOHANG)\n"
+        "    print('a child is left')\n"
+        "except ChildProcessError:\n"
+        "    print('no child is left')\n"
+        "sys.exit(code)\n"
+    )
+    cfg = _write(tmp_path, CONVERGE_CONFIG)
+    result = subprocess.run(
+        [sys.executable, "-c", probe, "converge", "--config", cfg, "--workers", "2",
+         "--out", str(tmp_path / "out")],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.splitlines() == ["run failed: task 1 failed"]
+    assert result.stdout.splitlines()[-1] == "no child is left"

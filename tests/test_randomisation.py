@@ -253,8 +253,9 @@ class TestOrliczBound:
         model = NoiseModel(5, p=1.0, c_xi=0.8, kind=kind, bias_mode=2,
                            bias_coefficient=0.6, rho=0.3)
         samples = 3001
-        # about 700 rows a block (a reader's rows take a quarter of the
-        # budget): five blocks, the last one short
+        # 350 rows a block for two row buffers, 233 for three (a reader's
+        # buffers share a quarter of the budget): 9 or 13 blocks, the last
+        # one short
         monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", samples)
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 4 * 8 * 5 * 700)
         stream = np.random.default_rng(np.random.SeedSequence(randomisation._PSI2_SEED))
@@ -268,8 +269,8 @@ class TestOrliczBound:
         # J = 512 all 20,000 shared factors at once would take 82 MB; the
         # row blocks reuse one block each of normals, of rho-weighted
         # factors (or the bounded kind's squares) and of squares inside the
-        # norm, which share one BLOCK_BYTES, beside the (samples,) norms and
-        # the bisection's one (samples,) scratch in the 1 MB margin
+        # norm, which share a quarter of BLOCK_BYTES, beside the (samples,)
+        # norms and the bisection's one (samples,) scratch
         from randstep import randomisation
 
         monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", 20_000)
@@ -282,6 +283,27 @@ class TestOrliczBound:
         finally:
             tracemalloc.stop()
         assert peak < randomisation.BLOCK_BYTES + 2**20
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("dimension", [8, 128])
+    def test_psi2_amplitude_fits_its_norms_beside_a_quarter_block(self, kind, dimension):
+        # not a timing gate: numpy reports its buffers to tracemalloc.  The
+        # draw's row buffers share a quarter of BLOCK_BYTES beside the
+        # (m,) norms; the bisection then holds the norms and its one (m,)
+        # scratch, 16 m bytes in all
+        from randstep import randomisation
+
+        m = randomisation._PSI2_SAMPLES
+        model = NoiseModel(dimension, p=1.0, kind=kind, bias_mode=1, bias_coefficient=0.5,
+                           rho=0.4)
+        psi2_amplitude.__wrapped__(NoiseModel(2, kind=kind, rho=0.4))  # imports outside the trace
+        tracemalloc.start()
+        try:
+            psi2_amplitude.__wrapped__(model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * m + randomisation.BLOCK_BYTES // 4
 
     def test_degenerate_amplitude(self):
         model = centred_gaussian(3, c_xi=0.0)
@@ -299,11 +321,13 @@ class TestRowBlocks:
         model = NoiseModel(3, p=1.0, c_xi=0.8, kind=kind, bias_mode=1,
                            bias_coefficient=0.6, rho=0.3)
         steps = [0.5, 0.25][:n]
-        # blocks of 5 rows of n steps of raw normals, a quarter of the
-        # budget: one short block at m = 4, four full ones and a short one
-        # at m = 23
+        # blocks of 5 rows: the row buffers (raw normals and scratch, plus
+        # the shared factors or the bounded kind's squares), each of n
+        # steps of raw normals, fill a quarter of the budget: one short
+        # block at m = 4, four full ones and a short one at m = 23
         width = 5 if kind == "bounded_uniform" else 3
-        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 4 * 8 * n * width * 5 + 7)
+        buffers = 3 if kind in ("shared_factor", "bounded_uniform") else 2
+        monkeypatch.setattr(randomisation, "BLOCK_BYTES", 4 * buffers * 8 * n * width * 5 + 7)
         stream, reference = _rng(12), _rng(12)
         expected = _one_shot_reference(model, reference, steps, m)
         blocks = [(start, xi.copy()) for start, xi in

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -187,24 +188,23 @@ class TestEnsemble:
         assert two.error_h_norms().shape == (9, 8)
 
     def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch):
-        # the fork context starts every worker at once; B = 16 makes three
-        # tasks of M = 40, so five requested workers start three
-        import concurrent.futures
-        from concurrent.futures import ProcessPoolExecutor
+        # the pass forks every worker at once; B = 16 makes three tasks of
+        # M = 40, so five requested workers start three
+        from randstep import sampler
 
         started = []
+        fork = os.fork
 
-        class RecordingPool(ProcessPoolExecutor):
-            def __init__(self, max_workers, *args, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers, *args, **kwargs)
+        def recording_fork():
+            started.append(1)
+            return fork()
 
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(sampler.os, "fork", recording_fork)
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * 4 * 16**2)
         args = (heat_1d(4), implicit_euler(), centred_gaussian(4), build_grid(1.0, 6),
                 np.ones(4), 40, 5)
         pooled = run_ensemble(*args, workers=5)
-        assert started == [3]
+        assert len(started) == 3
         assert np.array_equal(pooled.error_h_norms(), run_ensemble(*args).error_h_norms())
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -242,6 +242,16 @@ class TestEnsemble:
             run_ensemble(
                 heat_1d(2), implicit_euler(), centred_gaussian(2), build_grid(1.0, 4),
                 np.ones(2), 4, 1, workers=0,
+            )
+
+    @pytest.mark.parametrize("workers", [2.5, "2", float("nan")])
+    def test_refuses_a_worker_count_that_is_not_an_integer(self, workers):
+        # none is a count; nan < 1 is false, so a comparison alone would
+        # let nan through
+        with pytest.raises(ValueError, match=f"worker count must be an integer, got {workers!r}"):
+            run_ensemble(
+                heat_1d(2), implicit_euler(), centred_gaussian(2), build_grid(1.0, 4),
+                np.ones(2), 40, 1, workers=workers,
             )
 
     def test_streamed_ensemble_keeps_only_norms(self):
