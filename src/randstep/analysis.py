@@ -183,6 +183,10 @@ def fit_rate(points) -> RateFit:
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] < 3:
         raise ValueError("need at least three (h, err) pairs")
     h, err = points[:, 0], points[:, 1]
+    for name, column in (("mesh", h), ("error", err)):
+        bad = np.flatnonzero(~np.isfinite(column))
+        if bad.size:
+            raise ValueError(f"{name} values must be finite, pair {bad[0]} has {column[bad[0]]}")
     ordered = np.sort(h)  # not np.unique, whose first call imports numpy.ma
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("mesh values must be distinct")

@@ -196,12 +196,8 @@ def _run_noise_check(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         raise EstimationError("a noise-model check failed its tolerance")
 
 
-# subcommand -> (what load_config must read, runner(cfg, out, workers))
-SUBCOMMANDS = {
-    "converge": ("converge", _run_converge),
-    "bayes": ("bayes", _run_bayes),
-    "noise-check": ("noise", _run_noise_check),
-}
+# subcommand -> runner(cfg, out, workers); load_config reads what the name needs
+SUBCOMMANDS = {"converge": _run_converge, "bayes": _run_bayes, "noise-check": _run_noise_check}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -216,9 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    require, run = SUBCOMMANDS[args.subcommand]
     try:
-        cfg = load_config(args.config, require, args.seed)
+        cfg = load_config(args.config, args.subcommand, args.seed)
         if args.workers < 1:
             raise ConfigError("ensemble", "worker count must be >= 1")
         out = Path(args.out)
@@ -226,7 +221,7 @@ def main(argv=None) -> int:
         # an overflow or NaN is reported once, by the finiteness check that
         # names its cause, not also as a numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            run(cfg, out, args.workers)
+            SUBCOMMANDS[args.subcommand](cfg, out, args.workers)
     except ConfigError as exc:
         print(f"config error in [{exc.section}]: {exc}", file=sys.stderr)
         return 1

@@ -1,14 +1,16 @@
 """Experiment configuration: sectioned key-value files, one experiment per file.
 
-The format is INI-style (configparser).  A converge experiment uses the
-sections [problem], [grid_family], [method], [noise], [ensemble] and
-[analysis]; noise-check uses [problem] (for J), [noise] and the
-[ensemble] seed; bayes uses [bayes] and the [ensemble] seed.  Each
-setting has one key in one section.  A key that no subcommand reads, or
-that only another kind reads (say `rho` beside a noise kind other than
-shared_factor), is refused.  Every read and check of a section runs
-inside `_reading`, so a bad value in any section raises a ConfigError
-that names the section.
+The format is INI-style (configparser), read once.  A line that starts
+with `#` or `;` is a comment, and ` #` starts an inline comment after a
+value; `;` inside a value only separates the rows of [problem] forcing.
+A converge experiment uses the sections [problem], [grid_family],
+[method], [noise], [ensemble] and [analysis]; noise-check uses [problem]
+(for J), [noise] and the [ensemble] seed; bayes uses [bayes] and the
+[ensemble] seed.  Each setting has one key in one section.  A key that
+no subcommand reads, or that only another kind reads (say `rho` beside
+a noise kind other than shared_factor), is refused.  Every read and
+check of a section runs inside `_reading`, so a bad value in any section
+raises a ConfigError that names the section.
 
 Example::
 
@@ -156,18 +158,7 @@ def _parse_theta(raw: str, dimension: int) -> np.ndarray:
     return values
 
 
-def _uncut_rows(cut: str, whole: str) -> str:
-    """whole, the forcing line before the inline-comment rule cut it at
-    " ;", if it holds ";"-separated rows of numbers, else cut."""
-    try:
-        rows = [_floats(part) for part in whole.split(";")]
-    except ValueError:
-        return cut
-    return whole if len(rows) > 1 else cut
-
-
-def _parse_problem(parser, uncut) -> tuple[Problem, np.ndarray]:
-    """[problem]; uncut is the file read without inline comments."""
+def _parse_problem(parser) -> tuple[Problem, np.ndarray]:
     sec = _section(parser, "problem")
     with _reading("problem"):
         horizon = sec.getfloat("horizon", 1.0)
@@ -185,22 +176,16 @@ def _parse_problem(parser, uncut) -> tuple[Problem, np.ndarray]:
             alpha_coeffs.append(0.0)
         if len(alpha_coeffs) != 2:
             raise ValueError("alpha takes one (constant) or two (affine) coefficients")
-        forcing_raw = _uncut_rows(sec.get("forcing", "none").strip(),
-                                  uncut.get("problem", "forcing", fallback="").strip())
-        if forcing_raw == "none":
-            forcing = None
-        elif ";" in forcing_raw:
-            rows = [_floats(row) for row in forcing_raw.split(";") if row.strip()]
-            if len(rows) != space.dimension or any(len(r) != 3 for r in rows):
+        raw, forcing = sec.get("forcing", "none").strip(), None
+        if raw != "none":
+            rows = [_floats(row) for row in raw.split(";") if row.strip()]
+            if len(rows) not in (1, space.dimension) or any(len(row) != 3 for row in rows):
                 raise ValueError(
-                    f"per-mode forcing needs {space.dimension} rows of three coefficients"
+                    "forcing takes one row of three polynomial coefficients for every mode, "
+                    f"or {space.dimension} such rows separated by ';', one per mode; got "
+                    f"{len(rows)} rows of {sorted({len(row) for row in rows})} coefficients"
                 )
-            forcing = np.array(rows)
-        else:
-            coeffs = _floats(forcing_raw)
-            if len(coeffs) != 3:
-                raise ValueError("forcing takes three polynomial coefficients per mode")
-            forcing = np.tile(coeffs, (space.dimension, 1))
+            forcing = np.tile(rows, (space.dimension // len(rows), 1))
         problem = Problem(space, tuple(alpha_coeffs), forcing, horizon)
         theta = _check_state(_parse_theta(sec.get("theta", "ones"), space.dimension),
                              space.dimension)
@@ -310,29 +295,28 @@ def _parse_ensemble(parser, required: bool, seed) -> tuple[int, int]:
         return m, own if seed is None else seed
 
 
-def load_config(path: str | Path, require: str = "converge",
+def load_config(path: str | Path, subcommand: str = "converge",
                 seed: int | None = None) -> ExperimentConfig:
-    """Parse and validate a config file for the given subcommand.
+    """Parse and validate a config file for the named subcommand.
 
-    require selects how much of the file must be present: "converge"
-    (all run sections), "noise" (the problem, its noise model and the
-    seed), or "bayes"; any other value is a ValueError.  seed, if given,
-    replaces the file's [ensemble] seed after both pass the same check.
+    subcommand selects how much of the file must be present: "converge"
+    (all run sections), "noise-check" (the problem, its noise model and
+    the seed), or "bayes"; any other value is a ValueError.  seed, if
+    given, replaces the file's [ensemble] seed after both pass the same
+    check.
     """
-    if require not in ("converge", "noise", "bayes"):
-        raise ValueError(f"unknown requirement {require!r}, "
-                         "expected one of converge, noise, bayes")
+    if subcommand not in ("converge", "noise-check", "bayes"):
+        raise ValueError(f"unknown subcommand {subcommand!r}, "
+                         "expected one of converge, noise-check, bayes")
     path = Path(path)
     try:
         text = path.read_text()
     except (OSError, UnicodeError) as exc:
         raise ConfigError("file", f"cannot read config {path}: {exc}") from exc
     fingerprint = hashlib.sha256(text.encode()).hexdigest()
-    parser = configparser.ConfigParser(inline_comment_prefixes=(";",))
-    uncut = configparser.ConfigParser(interpolation=None)
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)
-        uncut.read_string(text)
     except configparser.Error as exc:
         raise ConfigError("file", f"malformed config: {exc}") from exc
     for name in parser.sections():
@@ -341,15 +325,15 @@ def load_config(path: str | Path, require: str = "converge",
             what = f"key {unknown[0]!r} in" if name in _KEYS else "section"
             raise ConfigError(name, f"unknown {what} [{name}]")
 
-    if require == "bayes":
+    if subcommand == "bayes":
         model, delta_grid, noisy = _parse_bayes(parser)
         return ExperimentConfig(
             fingerprint, seed=_parse_ensemble(parser, False, seed)[1],
             bayes_model=model, bayes_delta_grid=delta_grid, bayes_noisy_data=noisy,
         )
-    problem, theta = _parse_problem(parser, uncut)
+    problem, theta = _parse_problem(parser)
     noise = _parse_noise(parser, problem.space.dimension)
-    if require == "noise":
+    if subcommand == "noise-check":
         if noise is None:
             raise ConfigError("noise", "noise-check needs a non-degenerate noise kind")
         return ExperimentConfig(fingerprint, noise=noise, seed=_parse_ensemble(parser, False, seed)[1])

@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spaces import _check_integer
+
 __all__ = ["TimeGrid", "build_grid"]
 
 
@@ -65,6 +67,7 @@ def build_grid(horizon: float, n: int, gamma: float = 1.0) -> TimeGrid:
     """
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
+    _check_integer(n, "step count n")
     if n < 1:
         raise ValueError(f"need at least one step, got n={n}")
     if not 1.0 <= gamma < math.inf:

@@ -44,7 +44,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import analysis
-from .spaces import _h_norm
+from .spaces import _check_integer, _h_norm
 
 __all__ = [
     "NoiseModel",
@@ -110,6 +110,8 @@ class NoiseModel:
     rho: float = 0.0
 
     def __post_init__(self):
+        _check_integer(self.dimension, "dimension")
+        _check_integer(self.bias_mode, "bias_mode")
         if self.dimension < 1:
             raise ValueError("dimension must be >= 1")
         for name in ("p", "c_xi", "s", "bias_coefficient", "rho"):

@@ -79,7 +79,7 @@ from .integrators import MethodConfig, step_table
 from .problems import Problem, flow_table
 from .randomisation import (NoiseModel, _chunk_shape, _family_noise, _noise, _side,
                             _step_scales, noise_path)
-from .spaces import _check_state, _h_norm
+from .spaces import _check_integer, _check_state, _h_norm
 
 __all__ = [
     "Trajectory",
@@ -165,6 +165,8 @@ def exact_states(problem: Problem, grid: TimeGrid, theta: np.ndarray) -> np.ndar
 
 def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     """Child stream for one trajectory, independent of worker placement."""
+    _check_integer(master_seed, "master seed")
+    _check_integer(index, "trajectory index")
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
@@ -301,8 +303,8 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None) -> li
     table, in one pass of tasks, each one group on all grids: an Ensemble
     of each grid's norms, or, given the L^R orders, a ReducedEnsemble;
     see the memory model."""
-    if not isinstance(workers, (int, np.integer)):
-        raise ValueError(f"worker count must be an integer, got {workers!r}")
+    _check_integer(master_seed, "master seed")
+    _check_integer(workers, "worker count")
     if workers < 1:
         raise ValueError(f"worker count must be >= 1, got {workers}")
     rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
@@ -388,6 +390,7 @@ def run_ensemble(
     trajectory i's arrays.  noise must not be None, as in run_randomised.
     """
     _check_noise(noise)
+    _check_integer(m, "ensemble size")
     if m < 1:
         raise ValueError(f"ensemble size must be >= 1, got {m}")
     table, _ = _prepare(problem, method, grid, theta, noise)

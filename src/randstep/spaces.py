@@ -45,8 +45,15 @@ class SpaceDescriptor:
         return self.eigenvalues.size
 
 
+def _check_integer(value, name: str) -> None:
+    """Refuse by name a count, index or seed that is not an int or numpy integer."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def laplacian_1d(dimension: int) -> SpaceDescriptor:
     """First `dimension` Dirichlet-Laplacian eigenvalues on (0, pi): j^2."""
+    _check_integer(dimension, "dimension")
     if dimension < 1:
         raise ValueError("dimension must be >= 1")
     j = np.arange(1, dimension + 1, dtype=float)

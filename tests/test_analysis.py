@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,19 @@ class TestFitRate:
             fit_rate([(0.1, 1.0), (0.05, 0.5), (0.05, 0.2)])
         with pytest.raises(ValueError):
             fit_rate([(0.1, 1.0), (0.05, 0.0), (0.025, 0.2)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("column, name", [(0, "mesh"), (1, "error")])
+    def test_non_finite_point_named(self, column, name, bad):
+        # a NaN or inf passes the sign checks and gave RateFit(nan, nan,
+        # nan) after a numpy RuntimeWarning
+        points = [[0.2, 0.4], [0.1, 0.2], [0.05, 0.1]]
+        points[1][column] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            message = f"^{name} values must be finite, pair 1 has {bad}$"
+            with pytest.raises(ValueError, match=message):
+                fit_rate(points)
 
 
 class TestGronwallUniform:

@@ -46,6 +46,8 @@ r = 2
 young = psi2
 """
 
+FORCING_ROWS = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.5, 0.5, 0.0]]
+
 NOISE_KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
 
 # the keys that each noise kind alone reads; another kind refuses them
@@ -292,27 +294,41 @@ seed = 0
         out = tmp_path / "out"
         assert main(["converge", "--config", _write(tmp_path, cfg), "--out", str(out)]) == 0
 
-    def test_per_mode_forcing_row_count_checked(self, tmp_path, capsys):
-        cfg = CONVERGE_CONFIG.replace("forcing = none", "forcing = 1, 0, 0; 0, 1, 0")
-        assert main(["converge", "--config", _write(tmp_path, cfg), "--out", str(tmp_path)]) == 1
-        assert "problem" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("dimension, rows", [(2, [[1.0, 0.0, 0.0], [0.0, 5.0, 0.0]]),
-                                                 (4, None)])
-    def test_spaced_per_mode_forcing(self, tmp_path, capsys, dimension, rows):
-        # " ;" starts an inline comment; a line whose parts all read as
-        # numbers is still rows, which must match the dimension
-        text = (CONVERGE_CONFIG.replace("dimension = 4", f"dimension = {dimension}")
-                .replace("forcing = none", "forcing = 1.0, 0.0, 0.0 ; 0.0, 5.0, 0.0"))
-        cfg = _write(tmp_path, text)
+    @pytest.mark.parametrize(
+        "forcing, rows",
+        [("1, 0.5, -0.25", [[1.0, 0.5, -0.25]] * 4),
+         ("1, 0.5, -0.25;", [[1.0, 0.5, -0.25]] * 4),
+         ("1,0,0;0,1,0;0,0,1;0.5,0.5,0", FORCING_ROWS),
+         ("1, 0, 0 ; 0, 1, 0 ; 0, 0, 1 ; 0.5, 0.5, 0", FORCING_ROWS),
+         ("1, 0, 0; 0, 1, 0", None),
+         ("1, 0, 0; 0, 1, 0; 0, 0, 1; 0.5, 0.5, 0; 1, 1, 1", None),
+         ("1, 0, 0; 0, 1; 0, 0, 1; 0.5, 0.5, 0", None),
+         ("1, 0, 0; 0, 1, 0, 0; 0, 0, 1; 0.5, 0.5, 0", None)],
+        ids=["one-row", "one-row-trailing-semicolon", "rows", "spaced-rows", "two-rows",
+             "five-rows", "ragged-short", "ragged-long"],
+    )
+    def test_forcing_rows(self, tmp_path, capsys, forcing, rows):
+        # one row serves every mode and J = 4 rows give one row per mode;
+        # any other count, or a row of other than three, is refused by the
+        # rule before numpy sees the rows
+        cfg = _write(tmp_path, CONVERGE_CONFIG.replace("forcing = none", f"forcing = {forcing}"))
         if rows is None:
-            assert main(["converge", "--config", cfg, "--out", str(tmp_path)]) == 1
-            assert "config error in [problem]" in capsys.readouterr().err
+            assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert ("config error in [problem]: forcing takes one row of three polynomial "
+                    "coefficients for every mode, or 4 such rows separated by ';'") in err
+            assert "inhomogeneous" not in err
         else:
             assert load_config(cfg).problem.forcing.tolist() == rows
 
-    def test_forcing_comment_after_semicolon(self, tmp_path):
+    def test_forcing_comment_after_semicolon(self, tmp_path, capsys):
+        # ";" only separates forcing rows, so a note after it is a bad row;
+        # "#" starts the inline comment
         text = CONVERGE_CONFIG.replace("forcing = none", "forcing = 1, 0, 0 ; every mode alike")
+        assert main(["converge", "--config", _write(tmp_path, text),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert "config error in [problem]" in capsys.readouterr().err
+        text = CONVERGE_CONFIG.replace("forcing = none", "forcing = 1, 0, 0 # every mode alike")
         assert load_config(_write(tmp_path, text)).problem.forcing.tolist() == [[1.0, 0.0, 0.0]] * 4
 
     def test_extra_orders_with_one_report_key_exit_one(self, tmp_path, capsys):
@@ -852,13 +868,14 @@ def test_readme_synopsis_lists_every_subcommand():
     assert tuple(synopsis.group(1).split(",")) == tuple(cli.SUBCOMMANDS)
 
 
-@pytest.mark.parametrize("require", ["gronwall", "check", ""])
-def test_load_config_refuses_an_unknown_requirement_by_name(tmp_path, require):
-    # not a fall-through to converge's "missing required section [problem]"
+@pytest.mark.parametrize("subcommand", ["gronwall", "check", "", "noise"])
+def test_load_config_refuses_an_unknown_requirement_by_name(tmp_path, subcommand):
+    # not a fall-through to converge's "missing required section [problem]";
+    # load_config takes the subcommand's own name, so "noise" is unknown
     cfg = _write(tmp_path, NOISE_CONFIG)
-    message = f"unknown requirement {require!r}, expected one of converge, noise, bayes"
+    message = f"unknown subcommand {subcommand!r}, expected one of converge, noise-check, bayes"
     with pytest.raises(ValueError, match=re.escape(message)):
-        load_config(cfg, require)
+        load_config(cfg, subcommand)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -963,6 +980,73 @@ def test_unknown_key_or_section_is_named(tmp_path, capsys, old, new, message):
     bad = _write(tmp_path, CONVERGE_CONFIG.replace(old, new))
     assert main(["converge", "--config", bad, "--out", str(tmp_path / "out")]) == 1
     assert f"config error in {message}" in capsys.readouterr().err
+
+
+# configs that between them set every key that converge or bayes reads: a
+# two-stage method, the biased and shared-factor kinds' keys, explicit
+# eigenvalues, and [bayes] with and without explicit lambda_values
+NOTE_CONFIGS = [
+    ("converge", CONVERGE_CONFIG),
+    ("converge", CONVERGE_CONFIG.replace(
+        "kind = implicit_euler",
+        "kind = two_stage\ncoefficients = 0.5, 0.5, 1.0, 1.0\nh_star = 0.5\ndeclared_order = 2",
+    ).replace("kind = centred_gaussian", _noise_kind("biased"))
+     .replace("n_values = 4, 8, 16, 32", "n_values = 16, 32, 64")),
+    ("converge", CONVERGE_CONFIG.replace(
+        "lambda_spec = laplacian_1d\ndimension = 4",
+        "lambda_spec = explicit\nlambda_values = 1, 4, 9, 16",
+    ).replace("kind = centred_gaussian", _noise_kind("shared_factor"))),
+    ("bayes", BAYES_CONFIG + "noisy_data = true\n\n[ensemble]\nseed = 3\n"),
+    ("bayes", BAYES_CONFIG.replace("lambda_values = 1.0", "dimension = 3")),
+]
+
+
+def _key_lines(text):
+    """(line index, section, key) of each key line of a config text."""
+    section = None
+    for index, line in enumerate(text.splitlines()):
+        if line.startswith("["):
+            section = line.strip("[]")
+        elif " = " in line:
+            yield index, section, line.split(" = ")[0]
+
+
+NOTE_CASES = [(subcommand, text, index, section)
+              for subcommand, text in NOTE_CONFIGS for index, section, _ in _key_lines(text)]
+NOTE_IDS = [f"{n}-{section}-{key}"
+            for n, (_, text) in enumerate(NOTE_CONFIGS) for _, section, key in _key_lines(text)]
+
+
+def test_note_configs_set_every_key_of_converge_and_bayes():
+    from randstep.config import _KEYS
+
+    keys = {(section, key) for _, text in NOTE_CONFIGS for _, section, key in _key_lines(text)}
+    assert keys == {(section, key) for section, names in _KEYS.items() for key in names}
+
+
+@pytest.mark.parametrize("subcommand, text", NOTE_CONFIGS,
+                         ids=[f"{n}-{sub}" for n, (sub, _) in enumerate(NOTE_CONFIGS)])
+def test_hash_note_after_every_value_loads(tmp_path, subcommand, text):
+    # " #" starts an inline comment in every section; the run writes what
+    # it writes without the notes
+    noted = "\n".join(line + " # note" if " = " in line else line for line in text.splitlines())
+    outs = [tmp_path / "plain", tmp_path / "noted"]
+    for body, out in zip((text, noted), outs):
+        assert main([subcommand, "--config", _write(tmp_path, body), "--out", str(out)]) == 0
+    assert (outs[0] / "series.csv").read_bytes() == (outs[1] / "series.csv").read_bytes()
+
+
+@pytest.mark.parametrize("subcommand, text, index, section", NOTE_CASES, ids=NOTE_IDS)
+def test_semicolon_note_after_a_value_exits_one_naming_its_section(tmp_path, capsys, subcommand,
+                                                                    text, index, section):
+    # ";" starts no inline comment, so the note stays in the value, which
+    # no key reads as valid: not a silently dropped comment
+    lines = text.splitlines()
+    lines[index] += " ; note"
+    bad = _write(tmp_path, "\n".join(lines))
+    assert main([subcommand, "--config", bad, "--out", str(tmp_path / "out")]) == 1
+    assert f"config error in [{section}]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -33,6 +35,16 @@ class TestBuildGrid:
     def test_zero_steps(self):
         with pytest.raises(ValueError):
             build_grid(1.0, 0)
+
+    @pytest.mark.parametrize("n", [2.5, "4", float("nan")])
+    def test_step_count_that_is_not_an_integer_named(self, n):
+        # 2.5 built a 3-step grid with steps 0.4, 0.4 and 0.2
+        message = f"step count n must be an integer, got {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_grid(1.0, n)
+
+    def test_numpy_integer_step_count(self):
+        assert build_grid(1.0, np.int64(4)).points.tolist() == build_grid(1.0, 4).points.tolist()
 
     def test_bad_grading(self):
         with pytest.raises(ValueError):

@@ -76,6 +76,23 @@ class TestValidation:
             NoiseModel(4, kind="shared_factor", rho=1.5)
 
     @pytest.mark.parametrize(
+        "kwargs, message",
+        [({"dimension": 2.5}, "dimension must be an integer, got 2.5"),
+         ({"dimension": 3, "kind": "biased", "bias_mode": 1.5},
+          "bias_mode must be an integer, got 1.5")],
+        ids=["dimension", "bias-mode"],
+    )
+    def test_integer_field_that_is_not_an_integer_named(self, kwargs, message):
+        # dimension 2.5 was reported beside a 3-mode spectrum; bias mode 1.5
+        # was accepted and raised a bare IndexError at the first draw
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            NoiseModel(**kwargs)
+
+    def test_numpy_integer_fields(self):
+        model = NoiseModel(np.int64(3), kind="biased", bias_mode=np.int64(1))
+        assert model.spectrum.size == 3
+
+    @pytest.mark.parametrize(
         "field,value",
         [("p", math.nan), ("c_xi", math.inf), ("c_xi", math.nan), ("s", math.nan),
          ("bias_coefficient", math.nan)],

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,30 @@ class TestEnsemble:
                 heat_1d(2), implicit_euler(), centred_gaussian(2), build_grid(1.0, 4),
                 np.ones(2), 40, 1, workers=workers,
             )
+
+    @pytest.mark.parametrize("m", [2.5, "3", float("nan")])
+    def test_refuses_an_ensemble_size_that_is_not_an_integer(self, m):
+        # range() raised a bare TypeError on each of these
+        message = f"ensemble size must be an integer, got {m!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_ensemble(
+                heat_1d(2), implicit_euler(), centred_gaussian(2), build_grid(1.0, 4),
+                np.ones(2), m, 1,
+            )
+
+    def test_refuses_a_seed_or_index_that_is_not_an_integer(self):
+        # int() truncated each to a valid seed: 1.5 drew seed 1's streams
+        with pytest.raises(ValueError, match="^master seed must be an integer, got 1.5$"):
+            trajectory_stream(1.5, 0)
+        with pytest.raises(ValueError, match="^trajectory index must be an integer, got 0.5$"):
+            trajectory_stream(1, 0.5)
+        with pytest.raises(ValueError, match="^master seed must be an integer, got 1.5$"):
+            run_ensemble(
+                heat_1d(2), implicit_euler(), centred_gaussian(2), build_grid(1.0, 4),
+                np.ones(2), 4, 1.5,
+            )
+        numpy_ints = trajectory_stream(np.int64(7), np.int64(3))
+        assert numpy_ints.random() == trajectory_stream(7, 3).random()
 
     def test_streamed_ensemble_keeps_only_norms(self):
         problem = heat_1d(3)

@@ -20,6 +20,12 @@ class TestSpaceDescriptor:
         with pytest.raises(ValueError, match="eigenvalues must be finite, entry 1"):
             SpaceDescriptor(np.array([1.0, bad]))
 
+    def test_laplacian_dimension_that_is_not_an_integer_named(self):
+        # 2.5 gave three modes
+        with pytest.raises(ValueError, match="^dimension must be an integer, got 2.5$"):
+            laplacian_1d(2.5)
+        assert laplacian_1d(np.int64(3)).eigenvalues.tolist() == [1.0, 4.0, 9.0]
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SpaceDescriptor(np.array([0.0, 1.0]))
