@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Problem, _check_steps, flow_table
+from .problems import Problem, _check_steps, _step_arrays, flow_table
 from .spaces import _check_dimension
 
 __all__ = [
@@ -145,12 +145,12 @@ def step_table(method: MethodConfig, problem: Problem, steps, points) -> tuple[n
     """The method's steps [t_k, t_k + h_k] as v -> a[k] * v + c[k], for h_k
     and t_k of shape (N,); a and c have shape (N, J).
 
-    Validates the whole grid once: finite steps in (0, h*] inside [0, T],
-    a non-singular implicit solve, and for the explicit kinds no mode
-    amplified (|a| > 1, or NaN from an overflow) where the flow contracts.
+    Validates the whole grid once: steps and points 1-d of one length,
+    finite steps in (0, h*] inside [0, T], a non-singular implicit solve,
+    and for the explicit kinds no mode amplified (|a| > 1, or NaN from an
+    overflow) where the flow contracts.
     """
-    steps, points = np.asarray(steps, dtype=float), np.asarray(points, dtype=float)
-    _check_steps(problem, steps, points)
+    steps, points = _step_arrays(problem, steps, points)
     if np.any(steps > method.h_star):
         raise ValueError(f"step {steps.max()} exceeds the admissible maximum h* = {method.h_star}")
     if method.kind == EXACT:

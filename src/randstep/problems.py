@@ -146,6 +146,17 @@ def _check_steps(problem: Problem, steps, points) -> None:
         raise ValueError(f"step {k} [{points[k]}, {ends[k]}] {fault}")
 
 
+def _step_arrays(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]:
+    """steps and points as float arrays of shape (N,), checked by
+    `_check_steps`: the grid of a table builder."""
+    steps, points = np.asarray(steps, dtype=float), np.asarray(points, dtype=float)
+    if steps.ndim != 1 or steps.shape != points.shape:
+        raise ValueError(f"steps and points must be 1-d arrays of one length, "
+                         f"got shapes {steps.shape} and {points.shape}")
+    _check_steps(problem, steps, points)
+    return steps, points
+
+
 def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]:
     """Exact flow over each step [t_k, t_k + h_k] as u -> E[k] * u + f[k], for
     h_k and t_k of shape (N,); E and f have shape (N, J).
@@ -153,12 +164,15 @@ def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]
     E = exp(-lam int alpha) is vectorised over steps; f (zero without
     forcing) comes from the closed-form response integrals, taken over
     blocks of whole steps of at most randomisation.BLOCK_BYTES / 256 flat
-    entries (or one step), so the response's few dozen flat temporaries,
-    those of the substeps included (see `_forcing_response`), fit in
-    BLOCK_BYTES beside E and f.
+    entries (or one step).  At the response's peak 6 flat arrays of the
+    block's entries (modes, step ends, beta, gamma, the response) are
+    alive beside those of the order group being summed: 26 on the finest
+    grid of perfbench's oracle-affine, where that group is 45% of the
+    block, and 20 where one group fills it (constant alpha).  So they fit
+    in BLOCK_BYTES beside E and f, the substeps' included (see
+    `_forcing_response`).
     """
-    steps, points = np.asarray(steps, dtype=float), np.asarray(points, dtype=float)
-    _check_steps(problem, steps, points)
+    steps, points = _step_arrays(problem, steps, points)
     ends = points + steps
     decay = np.exp(-problem.space.eigenvalues * problem.alpha_integral(points, ends)[:, None])
     if problem.forcing is None:
@@ -167,8 +181,10 @@ def flow_table(problem: Problem, steps, points) -> tuple[np.ndarray, np.ndarray]
     count = max(1, randomisation.BLOCK_BYTES // (8 * 32 * width))
     for start in range(0, len(steps), count):
         rows = response[start:start + count]
-        k, j = np.divmod(np.arange(rows.size) + start * width, width)  # flat entry k J + j
-        rows[:] = _forcing_response(problem, j, points[k], ends[k],
+        # flat entry i J + j is mode j of step start + i
+        rows[:] = _forcing_response(problem, np.tile(np.arange(width), len(rows)),
+                                    np.repeat(points[start:start + count], width),
+                                    np.repeat(ends[start:start + count], width),
                                     count * width).reshape(rows.shape)
     return decay, response
 
@@ -203,15 +219,19 @@ def _forcing_response(problem: Problem, j: np.ndarray, t: np.ndarray, t1: np.nda
     lam = problem.space.eigenvalues[j]
     a0, a1 = problem.alpha
     beta, gamma = lam * a0, 0.5 * lam * a1
-    h = t1 - t
+    del lam
     order = _series_order(beta, gamma, t, t1)
+    levels = np.flatnonzero(np.isin(np.arange(_ORDER_CAP + 1), order))  # not np.unique: numpy.ma
+    groups = [np.flatnonzero(order == n) for n in levels]
+    split = np.flatnonzero(order > _ORDER_CAP)
+    del order
     value = np.empty(j.size)
-    for n in np.flatnonzero(np.isin(np.arange(_ORDER_CAP + 1), order)):  # not np.unique: numpy.ma
-        group = np.flatnonzero(order == n)
+    for n in levels:
+        group = groups.pop(0)  # each group is freed once summed
         value[group] = _series_response(*problem.forcing[j[group]].T, beta[group], gamma[group],
                                         t[group], t1[group], int(n))
-    split = np.flatnonzero(order > _ORDER_CAP)
-    counts = np.ceil(np.sqrt(np.abs(gamma[split]) * h[split] ** 2)).astype(int)
+    h = t1[split] - t[split]
+    counts = np.ceil(np.sqrt(np.abs(gamma[split]) * h ** 2)).astype(int)
     bounds, stop = np.cumsum(counts), 0
     while stop < split.size:  # whole entries of at most room / 4 substeps, or one entry
         start, below = stop, bounds[stop] - counts[stop] + room // 4
@@ -219,10 +239,11 @@ def _forcing_response(problem: Problem, j: np.ndarray, t: np.ndarray, t1: np.nda
         group, count = split[start:stop], counts[start:stop]
         first, entry = np.cumsum(count) - count, np.repeat(group, count)
         index = np.arange(entry.size) - np.repeat(first, count)
+        length = np.repeat(h[start:stop], count)
         count = np.repeat(count, count)
         # both ends of the whole step are kept exact
-        lo = t[entry] + h[entry] * (index / count)
-        hi = t1[entry] - h[entry] * ((count - 1 - index) / count)
+        lo = t[entry] + length * (index / count)
+        hi = t1[entry] - length * ((count - 1 - index) / count)
         carry = np.exp((hi - t1[entry]) * (beta[entry] + gamma[entry] * (hi + t1[entry])))
         response = _forcing_response(problem, j[entry], lo, hi, room)
         value[group] = np.add.reduceat(response * carry, first)

@@ -9,11 +9,15 @@ one-step defect along the exact solution, plus the propagated error,
 plus the noise.  On these linear mode-diagonal problems both maps are
 per-mode affine, psi(h_k, t_k, v) = a_k * v + c_k and
 phi(h_k, t_k, v) = E_k * v + f_k.  A run builds, once per grid and
-before any stream draw, the tables (a, c) = integrators.step_table and
-(E, f) = problems.flow_table, shape (N, J) each (validating its grid
-there), the exact states u_(k+1) = E_k u_k + f_k, and the signed defects
+before any stream draw, first the table (E, f) = problems.flow_table
+and from it the exact states u_(k+1) = E_k u_k + f_k, then, with (E, f)
+let go, the table (a, c) = integrators.step_table, shape (N, J) each
+(each validating the grid), and the signed defects
 
     d_k = psi(h_k, t_k, u_k) - u_(k+1) = a_k u_k + c_k - u_(k+1).
+
+In that order (a, c) never sits beside the forcing response's
+temporaries, which set the build's peak memory.
 
 Every run then propagates the deviation r_k = U_k - u(t_k) = -e_k,
 
@@ -177,15 +181,16 @@ def _check_noise(noise) -> None:
 
 def _prepare(problem, method, grid, theta, noise):
     """Validate a run's inputs and build its tables before any stream draw:
-    the deviation table (a, d) and the exact states u."""
+    the exact states u, then, with (E, f) let go, the deviation table
+    (a, d) (see the module docstring)."""
     theta = _check_state(theta, problem.space.dimension)
     if noise is not None and noise.dimension != problem.space.dimension:
         raise ValueError(
             f"noise dimension {noise.dimension} does not match the problem "
             f"dimension {problem.space.dimension}"
         )
-    a, c = step_table(method, problem, grid.steps, grid.points[:-1])
     exact = _path(flow_table(problem, grid.steps, grid.points[:-1]), theta)
+    a, c = step_table(method, problem, grid.steps, grid.points[:-1])
     return (a, a * exact[:-1] + c - exact[1:]), exact
 
 

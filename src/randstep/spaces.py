@@ -46,8 +46,9 @@ class SpaceDescriptor:
 
 
 def _check_integer(value, name: str) -> None:
-    """Refuse by name a count, index or seed that is not an int or numpy integer."""
-    if not isinstance(value, (int, np.integer)):
+    """Refuse by name a count, index or seed that is not an int or numpy
+    integer; a bool is refused too, though `bool` subclasses `int`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 

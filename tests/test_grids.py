@@ -36,9 +36,10 @@ class TestBuildGrid:
         with pytest.raises(ValueError):
             build_grid(1.0, 0)
 
-    @pytest.mark.parametrize("n", [2.5, "4", float("nan")])
+    @pytest.mark.parametrize("n", [2.5, "4", float("nan"), True])
     def test_step_count_that_is_not_an_integer_named(self, n):
-        # 2.5 built a 3-step grid with steps 0.4, 0.4 and 0.2
+        # 2.5 built a 3-step grid with steps 0.4, 0.4 and 0.2, and True
+        # (bool subclasses int) a one-step grid
         message = f"step count n must be an integer, got {n!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             build_grid(1.0, n)

@@ -334,6 +334,21 @@ class TestStepTable:
 
     @pytest.mark.parametrize("method", [explicit_euler(), two_stage(*HEUN), implicit_euler(),
                                         exact_method()], ids=lambda m: m.kind)
+    @pytest.mark.parametrize("steps, points, shapes", [
+        ([0.1, 0.1], [0.0], r"\(2,\) and \(1,\)"),
+        (0.1, 0.0, r"\(\) and \(\)"),
+        ([[0.1]], [[0.0]], r"\(1, 1\) and \(1, 1\)"),
+    ], ids=["two-lengths", "scalars", "2-d"])
+    def test_refuses_steps_and_points_that_are_not_1d_of_one_length(self, method, steps, points,
+                                                                      shapes):
+        # two lengths gave two rows that both started at t = 0; scalars
+        # raised a bare IndexError
+        with pytest.raises(ValueError, match=f"^steps and points must be 1-d arrays of one length, "
+                                             f"got shapes {shapes}$"):
+            step_table(method, heat_1d(4), steps, points)
+
+    @pytest.mark.parametrize("method", [explicit_euler(), two_stage(*HEUN), implicit_euler(),
+                                        exact_method()], ids=lambda m: m.kind)
     @pytest.mark.parametrize("h, t, end", [(math.nan, 0.0, "nan"), (0.1, math.nan, "nan"),
                                            (math.inf, 0.0, "inf"), (0.1, math.inf, "inf")])
     def test_rejects_non_finite_steps(self, method, h, t, end):

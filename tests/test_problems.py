@@ -179,6 +179,31 @@ class TestProblemValidation:
             heat_1d(3, alpha=(1.0, -1.0))
 
 
+class TestTableGridShape:
+    """flow_table refuses steps and points that are not 1-d arrays of one
+    length, naming both shapes."""
+
+    FORCED = heat_1d(4, forcing=np.tile((1.0, 0.5, -0.25), (4, 1)))
+
+    @pytest.mark.parametrize("problem", [heat_1d(4), FORCED], ids=["unforced", "forced"])
+    def test_refuses_steps_and_points_of_two_lengths(self, problem):
+        # unforced, two rows both starting at t = 0 were returned; forced,
+        # a bare IndexError ("index 1 is out of bounds") was raised
+        message = r"^steps and points must be 1-d arrays of one length, got shapes \(2,\) and \(1,\)$"
+        with pytest.raises(ValueError, match=message):
+            flow_table(problem, [0.1, 0.1], [0.0])
+
+    @pytest.mark.parametrize("steps, points, shapes", [
+        (0.1, 0.0, r"\(\) and \(\)"),
+        ([[0.1]], [[0.0]], r"\(1, 1\) and \(1, 1\)"),
+    ], ids=["scalars", "2-d"])
+    def test_refuses_steps_and_points_that_are_not_1d(self, steps, points, shapes):
+        # scalars raised "invalid index to scalar variable"
+        with pytest.raises(ValueError, match=f"^steps and points must be 1-d arrays of one length, "
+                                             f"got shapes {shapes}$"):
+            flow_table(self.FORCED, steps, points)
+
+
 class TestFlowProperties:
     def test_cocycle(self):
         rng = np.random.default_rng(77)

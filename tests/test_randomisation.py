@@ -79,12 +79,16 @@ class TestValidation:
         "kwargs, message",
         [({"dimension": 2.5}, "dimension must be an integer, got 2.5"),
          ({"dimension": 3, "kind": "biased", "bias_mode": 1.5},
-          "bias_mode must be an integer, got 1.5")],
-        ids=["dimension", "bias-mode"],
+          "bias_mode must be an integer, got 1.5"),
+         ({"dimension": True}, "dimension must be an integer, got True"),
+         ({"dimension": 3, "kind": "biased", "bias_mode": False},
+          "bias_mode must be an integer, got False")],
+        ids=["dimension", "bias-mode", "dimension-bool", "bias-mode-bool"],
     )
     def test_integer_field_that_is_not_an_integer_named(self, kwargs, message):
         # dimension 2.5 was reported beside a 3-mode spectrum; bias mode 1.5
-        # was accepted and raised a bare IndexError at the first draw
+        # was accepted and raised a bare IndexError at the first draw; a
+        # dimension True was reported as True (bool subclasses int)
         with pytest.raises(ValueError, match=f"^{message}$"):
             NoiseModel(**kwargs)
 

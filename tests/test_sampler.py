@@ -98,6 +98,32 @@ class TestExactStates:
             assert np.allclose(states[k], direct, rtol=1e-11, atol=1e-14)
 
 
+class TestPrepareMemory:
+    # not a timing gate: numpy reports its buffers to tracemalloc
+    def test_method_table_waits_for_the_flow_table(self):
+        # perfbench's oracle-affine problem on its finest grid (n = 256,
+        # J = 128): the exact states are built and (E, f) let go before
+        # step_table runs, so (a, c) never sits beside the forcing
+        # response's temporaries; built first, they took the peak from
+        # flow_table's 3.39 MiB to 3.89 MiB
+        dim = 128
+        problem = heat_1d(dim, alpha=(1.0, 1.0), forcing=np.tile((1.0, 0.5, -0.25), (dim, 1)))
+        grid, method = build_grid(1.0, 256), implicit_euler()
+        theta = np.arange(1, dim + 1, dtype=float) ** -4.0
+        sampler._prepare(problem, method, build_grid(1.0, 2), theta, None)  # imports outside the trace
+        peaks = []
+        for build in (lambda: flow_table(problem, grid.steps, grid.points[:-1]),
+                      lambda: sampler._prepare(problem, method, grid, theta, None)):
+            tracemalloc.start()
+            try:
+                build()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        flow_peak, prepare_peak = peaks
+        assert prepare_peak <= flow_peak + (grid.num_steps + 1) * dim * 8  # beside the exact states
+
+
 class TestRandomised:
     def test_zero_amplitude_reduces_to_deterministic(self):
         problem = scalar_linear(-1.0)
@@ -278,6 +304,13 @@ class TestEnsemble:
             )
         numpy_ints = trajectory_stream(np.int64(7), np.int64(3))
         assert numpy_ints.random() == trajectory_stream(7, 3).random()
+
+    def test_refuses_a_bool_seed_or_index(self):
+        # trajectory_stream(True, False) drew seed 1's first stream
+        with pytest.raises(ValueError, match="^master seed must be an integer, got True$"):
+            trajectory_stream(True, 0)
+        with pytest.raises(ValueError, match="^trajectory index must be an integer, got False$"):
+            trajectory_stream(1, False)
 
     def test_streamed_ensemble_keeps_only_norms(self):
         problem = heat_1d(3)

@@ -26,6 +26,11 @@ class TestSpaceDescriptor:
             laplacian_1d(2.5)
         assert laplacian_1d(np.int64(3)).eigenvalues.tolist() == [1.0, 4.0, 9.0]
 
+    def test_laplacian_bool_dimension_named(self):
+        # True gave one mode, since bool subclasses int
+        with pytest.raises(ValueError, match="^dimension must be an integer, got True$"):
+            laplacian_1d(True)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             SpaceDescriptor(np.array([0.0, 1.0]))
