@@ -27,9 +27,9 @@ _EXPORTS = {
                     "step_table", "steklov_average", "two_stage", "validate_two_stage"),
     "problems": ("Problem", "exact_flow", "flow_table", "heat_1d", "scalar_linear"),
     "randomisation": ("NoiseModel", "centred_gaussian", "noise_path", "psi2_amplitude",
-                      "sample_noise_matrix", "sample_path_matrix", "theoretical_noise_norm"),
-    "sampler": ("Ensemble", "Trajectory", "exact_states", "measure_truncation_constant",
-                "run_deterministic", "run_ensemble", "run_randomised", "trajectory_stream"),
+                      "theoretical_noise_norm"),
+    "sampler": ("Ensemble", "exact_states", "measure_truncation_constant", "run_ensemble",
+                "trajectory_stream"),
     "spaces": ("SpaceDescriptor", "laplacian_1d", "norm"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -28,6 +28,7 @@ from . import analysis, bayes, randomisation, sampler
 from .analysis import EstimationError
 from .config import ConfigError, ExperimentConfig, _order_key, load_config
 from .randomisation import BOUNDED_UNIFORM, CENTRED_GAUSSIAN, SHARED_FACTOR
+from .spaces import _h_norm
 
 __all__ = ["main"]
 
@@ -87,7 +88,7 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     series, rows = [], []
     for grid, run in zip(cfg.grids, runs):
         if cfg.noise is None:
-            worst = float(run.error_h_norms().max())
+            worst = float(_h_norm(run).max())
             st = analysis.ErrorStatistics(grid.mesh, 1, cfg.r, worst, worst, None)
         else:
             st = analysis.error_statistics(run, cfg.r, cfg.young)

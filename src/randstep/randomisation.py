@@ -24,8 +24,8 @@ for the bounded kind, and offset_k = h_k^(p+1) b.  So a stream's draws
 for a grid are a prefix of its draws for any longer grid, and a family
 of grids shapes each raw step once.
 
-One stream's draws (`sample_path_matrix`, `psi2_amplitude`, noise-check)
-are read by `_row_blocks`, whose row buffers held at once (two, or three
+One stream's draws (`noise_path`, `psi2_amplitude`, noise-check) are
+read by `_row_blocks`, whose row buffers held at once (two, or three
 for the shared-factor and bounded kinds) share a quarter of BLOCK_BYTES;
 an ensemble's by `_family_noise`, in chunks of at most a quarter of
 BLOCK_BYTES of raw normals.
@@ -49,8 +49,6 @@ from .spaces import _check_integer, _h_norm
 __all__ = [
     "NoiseModel",
     "centred_gaussian",
-    "sample_noise_matrix",
-    "sample_path_matrix",
     "noise_path",
     "theoretical_noise_norm",
     "psi2_amplitude",
@@ -66,14 +64,14 @@ _PSI2_SAMPLES = 100_000
 _PSI2_SEED = 20_220_457  # fixed internal stream for the cached Orlicz estimate
 
 # Byte budget of a draw's working set, the one memory rule for draws.  A
-# `_row_blocks` reader (sample_path_matrix, psi2_amplitude, noise-check)
-# holds, per block of rows, its raw normals, a reducer's scratch
-# (`_draw_norms`) and, for the shared-factor and bounded kinds, their
-# factors or squares, and sizes its rows so that these buffers fit in a
-# quarter of it together.  So does an ensemble's (B, S, W)
-# chunk of raw normals, W = `_step_normals`: B is at most `_side`, about
-# sqrt(BLOCK_BYTES / (8 W)), which also caps the B generators a group
-# holds, and S, at most N, fills a quarter of BLOCK_BYTES with B rows.
+# `_row_blocks` reader (noise_path, psi2_amplitude, noise-check) holds,
+# per block of rows, its raw normals, a reducer's scratch (`_draw_norms`)
+# and, for the shared-factor and bounded kinds, their factors or squares,
+# and sizes its rows so that these buffers fit in a quarter of it
+# together.  So does an ensemble's (B, S, W) chunk of raw normals,
+# W = `_step_normals`: B is at most `_side`, about sqrt(BLOCK_BYTES /
+# (8 W)), which also caps the B generators a group holds, and S, at
+# most N, fills a quarter of BLOCK_BYTES with B rows.
 # The pass's norm blocks hold at most `_side` B norms, BLOCK_BYTES / W
 # bytes, so with W >= 4 its chunk, (B, J) scratch and norm blocks fit in
 # it together.  `problems.flow_table` takes its forcing response in blocks of
@@ -139,17 +137,6 @@ def centred_gaussian(dimension: int, p: float = 1.0, c_xi: float = 1.0, s: float
     return NoiseModel(dimension, p, c_xi, s)
 
 
-def sample_path_matrix(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray, m: int) -> np.ndarray:
-    """m independent trajectories of per-step draws xi_k(h_k), shape (m, N, J),
-    filled from `_row_blocks`; `_family_noise` draws one trajectory per
-    stream and consumes each as this does with m = 1."""
-    out = None
-    for start, block in _row_blocks(model, stream, steps, m):
-        out = np.empty((m,) + block.shape[1:]) if out is None else out
-        out[start:start + len(block)] = block
-    return out
-
-
 def _row_blocks(model: NoiseModel, stream: np.random.Generator, steps, m: int):
     """Yield (start, xi): the draws xi_k(h_k) of rows start.. of m, shape
     (count, N, J), in blocks of as many rows (at least one) as keep the
@@ -161,6 +148,8 @@ def _row_blocks(model: NoiseModel, stream: np.random.Generator, steps, m: int):
     them by discarding them), then `_step_normals` normals per step, row
     by row.  xi views a reused buffer: use it before the next block."""
     steps = np.asarray(steps, dtype=float)
+    if steps.ndim != 1:
+        raise ValueError(f"steps must be a 1-d array, got shape {steps.shape}")
     bad = np.flatnonzero(~((steps > 0.0) & (steps < math.inf)))
     if bad.size:
         raise ValueError(f"step {bad[0]} has size {steps.flat[bad[0]]}, expected positive and finite")
@@ -257,14 +246,10 @@ def _family_noise(model: NoiseModel, streams: list, n: int):
 
 
 def noise_path(model: NoiseModel, stream: np.random.Generator, steps: np.ndarray) -> np.ndarray:
-    """All per-step draws xi_k(h_k) of one trajectory, shape (N, J)."""
-    return sample_path_matrix(model, stream, steps, 1)[0]
-
-
-def sample_noise_matrix(model: NoiseModel, stream: np.random.Generator, h: float, m: int) -> np.ndarray:
-    """m independent draws of xi(h), shape (m, J), each distributed like one
-    per-step draw (the shared-factor kind's factor is drawn fresh per row)."""
-    return sample_path_matrix(model, stream, [h], m)[:, 0]
+    """All per-step draws xi_k(h_k) of one trajectory, shape (N, J): the
+    one row block of `_row_blocks`, copied out of its buffer."""
+    [(_, block)] = _row_blocks(model, stream, steps, 1)
+    return block[0].copy()
 
 
 def _l2_amplitude(model: NoiseModel) -> float:
@@ -277,8 +262,9 @@ def _l2_amplitude(model: NoiseModel) -> float:
 
 
 def _draw_norms(model: NoiseModel, stream: np.random.Generator, h: float, m: int) -> np.ndarray:
-    """|xi(h)|_H of sample_noise_matrix(model, stream, h, m), shape (m,),
-    reduced block by block (`_row_blocks`) through one reused scratch."""
+    """|xi(h)|_H of m independent draws of xi(h) from the stream, shape
+    (m,), reduced block by block (`_row_blocks`) through one reused
+    scratch."""
     norms, work = np.empty(m), None
     for start, block in _row_blocks(model, stream, [h], m):
         xi = block[:, 0]

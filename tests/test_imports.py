@@ -58,14 +58,13 @@ def test_analysis_imports_nothing_from_the_package():
 # name and the eight submodules that `import randstep` loaded
 STAR_NAMES = {
     "DiagonalGaussianModel", "Ensemble", "ErrorStatistics", "EstimationError", "MethodConfig",
-    "NoiseModel", "Problem", "RateFit", "SpaceDescriptor", "TimeGrid", "Trajectory", "analysis",
+    "NoiseModel", "Problem", "RateFit", "SpaceDescriptor", "TimeGrid", "analysis",
     "bayes", "biased_limit", "build_grid", "centred_gaussian", "error_statistics", "exact_flow",
     "exact_method", "exact_states", "explicit_euler", "fit_rate", "flow_table", "grids",
     "gronwall_nonuniform", "gronwall_special", "gronwall_uniform", "heat_1d", "implicit_euler",
     "integrators", "laplacian_1d", "lr_norm_estimate", "measure_truncation_constant",
     "noise_path", "norm", "orlicz_norm_estimate", "posterior", "problems", "psi2_amplitude",
-    "randomisation", "run_deterministic", "run_ensemble", "run_randomised",
-    "sample_noise_matrix", "sample_path_matrix", "sampler", "scalar_linear",
+    "randomisation", "run_ensemble", "sampler", "scalar_linear",
     "single_mode_model", "small_noise_sweep", "spaces", "steklov_average", "step", "step_table",
     "theoretical_bound", "theoretical_noise_norm", "trajectory_stream", "two_stage",
     "validate_two_stage",

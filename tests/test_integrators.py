@@ -17,7 +17,6 @@ from randstep import (
     heat_1d,
     implicit_euler,
     laplacian_1d,
-    run_deterministic,
     scalar_linear,
     step,
     step_table,
@@ -26,6 +25,7 @@ from randstep import (
     validate_two_stage,
 )
 from randstep import sampler
+from reference import run_deterministic
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
 EULER_MEMBER = (1.0, 0.0, 0.0, 0.0)
@@ -60,6 +60,16 @@ class TestStepExamples:
             step(implicit_euler(h_star=0.1), problem, 0.2, 0.0, np.zeros(2))
         with pytest.raises(ValueError):
             step(implicit_euler(), problem, 0.5, 0.8, np.zeros(2))
+
+    def test_refuses_a_scalar_state_and_steps_stacked_states(self):
+        # a 0-d state raised a bare IndexError: tuple index out of range
+        with pytest.raises(ValueError,
+                           match=r"^coefficients must have a last axis of length 1, got shape \(\)$"):
+            step(implicit_euler(), scalar_linear(-1.0), 0.1, 0.0, 1.0)
+        states = np.array([[1.0, -0.5], [0.25, 2.0], [0.0, 1.0]])
+        stacked = step(implicit_euler(), heat_1d(2), 0.1, 0.2, states)
+        assert np.array_equal(stacked, [step(implicit_euler(), heat_1d(2), 0.1, 0.2, x)
+                                        for x in states])
 
     @pytest.mark.parametrize("length", [1, 2, 4])
     def test_state_length_checked(self, length):

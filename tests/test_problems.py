@@ -158,6 +158,15 @@ class TestExactFlowExamples:
         with pytest.raises(ValueError, match="coefficient length 3 does not match space dimension 2"):
             exact_flow(heat_1d(2), h, 0.2, np.zeros(3))
 
+    def test_refuses_a_scalar_state_and_maps_stacked_states(self):
+        # a 0-d state raised a bare IndexError: tuple index out of range
+        with pytest.raises(ValueError,
+                           match=r"^coefficients must have a last axis of length 1, got shape \(\)$"):
+            exact_flow(scalar_linear(-1.0), 0.1, 0.0, 1.0)
+        states = np.array([[1.0, -0.5], [0.25, 2.0], [0.0, 1.0]])
+        stacked = exact_flow(heat_1d(2), 0.1, 0.2, states)
+        assert np.array_equal(stacked, [exact_flow(heat_1d(2), 0.1, 0.2, x) for x in states])
+
 
 class TestProblemValidation:
     @pytest.mark.parametrize("alpha", [(math.nan, 0.0), (1.0, math.inf)])

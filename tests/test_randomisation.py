@@ -11,10 +11,9 @@ from randstep import (
     noise_path,
     orlicz_norm_estimate,
     psi2_amplitude,
-    sample_noise_matrix,
-    sample_path_matrix,
     theoretical_noise_norm,
 )
+from reference import sample_noise_matrix, sample_path_matrix
 
 
 def _rng(seed=0):
@@ -112,17 +111,26 @@ class TestValidation:
 
     def test_nonpositive_step(self):
         with pytest.raises(ValueError):
-            sample_noise_matrix(centred_gaussian(2), _rng(), 0.0, 1)[0]
+            noise_path(centred_gaussian(2), _rng(), [0.0])
 
     def test_rejects_no_trajectories(self):
+        from randstep import randomisation
+
         with pytest.raises(ValueError, match="need at least one trajectory, got m = 0"):
-            sample_path_matrix(centred_gaussian(2), _rng(), [0.1, 0.1], 0)
+            next(randomisation._row_blocks(centred_gaussian(2), _rng(), [0.1, 0.1], 0))
+
+    @pytest.mark.parametrize("steps,shape", [(0.5, r"\(\)"), (np.full((2, 2), 0.1), r"\(2, 2\)")],
+                             ids=["scalar", "2-d"])
+    def test_refuses_steps_that_are_not_1d(self, steps, shape):
+        # each raised a bare IndexError from the scale table's indexing
+        with pytest.raises(ValueError, match=f"^steps must be a 1-d array, got shape {shape}$"):
+            noise_path(centred_gaussian(2), _rng(), steps)
 
     @pytest.mark.parametrize("h", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_rejects_non_positive_or_non_finite_step(self, h):
         model = centred_gaussian(2)
         with pytest.raises(ValueError, match=rf"step 1 has size {h}, expected positive and finite"):
-            sample_path_matrix(model, _rng(), [0.1, h], 1)
+            noise_path(model, _rng(), [0.1, h])
         for norm_kind in ("l2", "psi2"):
             with pytest.raises(ValueError, match=rf"step must be positive and finite, got {h}"):
                 theoretical_noise_norm(model, h, norm_kind)

@@ -23,9 +23,7 @@ from randstep import (
     implicit_euler,
     lr_norm_estimate,
     measure_truncation_constant,
-    run_deterministic,
     run_ensemble,
-    run_randomised,
     scalar_linear,
     step,
     step_table,
@@ -33,6 +31,7 @@ from randstep import (
     two_stage,
 )
 from randstep import analysis, randomisation, sampler
+from reference import run_deterministic, run_randomised
 
 HEUN = (0.5, 0.5, 1.0, 1.0)
 NOISE_KINDS = ["centred_gaussian", "biased", "shared_factor", "bounded_uniform"]
@@ -80,7 +79,7 @@ class TestDeterministic:
 
     def test_mesh_exceeding_h_star(self):
         with pytest.raises(ValueError):
-            run_deterministic(
+            measure_truncation_constant(
                 scalar_linear(-1.0), implicit_euler(h_star=0.05), build_grid(1.0, 10),
                 np.array([1.0]),
             )
@@ -312,6 +311,20 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="^trajectory index must be an integer, got False$"):
             trajectory_stream(1, False)
 
+    def test_refuses_a_negative_seed_or_index_before_any_fork(self, monkeypatch):
+        # numpy refused each with "expected non-negative integer"; a pooled
+        # run first forked its two workers, which both failed
+        with pytest.raises(ValueError, match="^master seed must be >= 0, got -1$"):
+            trajectory_stream(-1, 0)
+        with pytest.raises(ValueError, match="^trajectory index must be >= 0, got -2$"):
+            trajectory_stream(1, -2)
+        started = []
+        monkeypatch.setattr(sampler.os, "fork", lambda: started.append(1))
+        with pytest.raises(ValueError, match="^master seed must be >= 0, got -1$"):
+            run_ensemble(heat_1d(4), implicit_euler(), centred_gaussian(4), build_grid(1.0, 4),
+                         np.ones(4), 800, -1, workers=2)
+        assert started == []
+
     def test_streamed_ensemble_keeps_only_norms(self):
         problem = heat_1d(3)
         grid = build_grid(1.0, 6)
@@ -446,21 +459,27 @@ class TestEnsemble:
         noise = centred_gaussian(3)
         with pytest.raises(ValueError, match=r"noise dimension 3 .* problem dimension 4"):
             run_ensemble(problem, implicit_euler(), noise, grid, np.ones(4), 2, 1)
-        with pytest.raises(ValueError, match=r"noise dimension 3 .* problem dimension 4"):
-            run_randomised(
-                problem, implicit_euler(), noise, grid, np.ones(4), trajectory_stream(1, 0)
-            )
 
     def test_randomised_runs_refuse_missing_noise_model(self):
         problem = heat_1d(4)
         grid = build_grid(1.0, 4)
-        match = "randomised run needs a noise model; run_deterministic is noise-free"
+        match = "^a randomised run needs a noise model, got None$"
         with pytest.raises(ValueError, match=match):
             run_ensemble(problem, implicit_euler(), None, grid, np.ones(4), 2, 1)
+
+    @pytest.mark.parametrize("theta,shape", [(1.0, r"\(\)"), (np.ones((2, 4)), r"\(2, 4\)")],
+                             ids=["scalar", "2-d"])
+    def test_refuses_a_theta_that_is_not_a_vector(self, theta, shape):
+        # a scalar raised a bare IndexError; a (2, J) theta numpy's "could
+        # not broadcast input array from shape (2,4) into shape (2,)"
+        problem, grid, method = heat_1d(4), build_grid(1.0, 4), implicit_euler()
+        match = f"^initial state theta must be a 1-d array, got shape {shape}$"
         with pytest.raises(ValueError, match=match):
-            run_randomised(
-                problem, implicit_euler(), None, grid, np.ones(4), trajectory_stream(1, 0)
-            )
+            exact_states(problem, grid, theta)
+        with pytest.raises(ValueError, match=match):
+            run_ensemble(problem, method, centred_gaussian(4), grid, theta, 2, 1)
+        with pytest.raises(ValueError, match=match):
+            measure_truncation_constant(problem, method, grid, theta)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_theta(self, bad):
@@ -471,11 +490,9 @@ class TestEnsemble:
         with pytest.raises(ValueError, match="theta must be finite, entry 1"):
             run_ensemble(problem, implicit_euler(), noise, grid, theta, 2, 1)
         with pytest.raises(ValueError, match="theta must be finite, entry 1"):
-            run_randomised(
-                problem, implicit_euler(), noise, grid, theta, trajectory_stream(1, 0)
-            )
+            measure_truncation_constant(problem, implicit_euler(), grid, theta)
         with pytest.raises(ValueError, match="theta must be finite, entry 1"):
-            run_deterministic(problem, implicit_euler(), grid, theta)
+            exact_states(problem, grid, theta)
 
 
 def _table_lipschitz(method, problem, grid):
@@ -563,7 +580,8 @@ class TestFamilyPass:
         constants, lipschitz, runs = sampler._converge(problem, method, None, grids, theta,
                                                        5, 1, 1, ORDERS)
         for grid, constant, reading, run in zip(grids, constants, lipschitz, runs):
-            assert np.array_equal(run.errors, run_deterministic(problem, method, grid, theta).errors)
+            # the run is the deviation path r, whose errors are -r
+            assert np.array_equal(-run, run_deterministic(problem, method, grid, theta).errors)
             assert constant == measure_truncation_constant(problem, method, grid, theta)
             assert reading == _table_lipschitz(method, problem, grid)
 

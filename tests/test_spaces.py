@@ -57,6 +57,12 @@ class TestNorm:
         stacked = norm(np.array([[3.0, 0.0], [0.0, 4.0]]), space)
         assert np.allclose(stacked, [3.0, 4.0])
 
+    def test_refuses_a_scalar_by_shape(self):
+        # a 0-d input raised a bare IndexError: tuple index out of range
+        with pytest.raises(ValueError,
+                           match=r"^coefficients must have a last axis of length 1, got shape \(\)$"):
+            norm(1.0, laplacian_1d(1))
+
     def test_norm_consistency(self):
         rng = np.random.default_rng(5)
         x = rng.standard_normal(6)
