@@ -20,7 +20,7 @@ collapse onto the biased point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -43,42 +43,39 @@ SWEEP_COLUMNS = ("delta", "err_exact_mean", "err_tilde_mean_vs_biased_limit", "m
 
 @dataclass(frozen=True, eq=False)
 class DiagonalGaussianModel:
-    """Per-mode prior, observation and randomisation variances.
-
-    delta is the observation-noise scale swept towards zero; it may be
-    zero, in which case the formulas evaluate the small-noise limit
-    directly (the denominators stay positive).
-    """
+    """Per-mode prior, observation and randomisation variances, and the
+    read-only forward maps forward_exact and forward_euler, built once.
+    The noise scale delta is an argument of `posterior`."""
 
     eigenvalues: np.ndarray
     h: float
     p: float
-    delta: float
     prior_mean: np.ndarray
     prior_var: np.ndarray
     obs_var: np.ndarray
     rand_var: np.ndarray
     theta: np.ndarray
+    forward_exact: np.ndarray = field(init=False, repr=False)
+    forward_euler: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("h", "p", "delta"):
+        for name in ("h", "p"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.h > 0.0:
             raise ValueError("h must be positive")
         if self.p < 0.0:
             raise ValueError("p must be >= 0")
-        if self.delta < 0.0:
-            raise ValueError("delta must be >= 0")
         try:  # math.pow raises where numpy's power would give inf
             inflation = math.pow(self.h, 2.0 * self.p + 2.0)
         except OverflowError:
             raise ValueError(f"the inflation factor h^(2p + 2) overflows at h = {self.h}, "
                              f"p = {self.p}") from None
         object.__setattr__(self, "_inflation", inflation)
-        # the one step [0, h] of u' + A u = 0, whose tables are the forward maps
         space = SpaceDescriptor(np.atleast_1d(np.asarray(self.eigenvalues, dtype=float)))
-        object.__setattr__(self, "_step", Problem(space, horizon=self.h))
+        step = Problem(space, horizon=self.h)  # the one step [0, h] of u' + A u = 0
+        forward = {"forward_exact": flow_table(step, [self.h], [0.0])[0][0],
+                   "forward_euler": step_table(implicit_euler(), step, [self.h], [0.0])[0][0]}
         for name in ("eigenvalues", "prior_mean", "prior_var", "obs_var", "rand_var", "theta"):
             arr = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if arr.size != space.dimension:
@@ -87,44 +84,45 @@ class DiagonalGaussianModel:
                 raise ValueError(f"{name} must be finite, got {arr}")
             if name in ("prior_var", "obs_var", "rand_var") and np.any(arr <= 0.0):
                 raise ValueError(f"{name} must be strictly positive")
+            forward[name] = arr
+        for name, arr in forward.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    @property
-    def forward_exact(self) -> np.ndarray:
-        return flow_table(self._step, [self.h], [0.0])[0][0]
-
-    @property
-    def forward_euler(self) -> np.ndarray:
-        return step_table(implicit_euler(), self._step, [self.h], [0.0])[0][0]
 
 
 def single_mode_model(
     lam: float = 1.0,
     h: float = 0.1,
     p: float = 0.0,
-    delta: float = 1.0,
     prior_var: float = 1.0,
     obs_var: float = 1.0,
     rand_var: float = 1.0,
     prior_mean: float = 0.0,
     theta: float = 1.0,
 ) -> DiagonalGaussianModel:
-    return DiagonalGaussianModel(lam, h, p, delta, prior_mean, prior_var, obs_var, rand_var, theta)
+    return DiagonalGaussianModel(lam, h, p, prior_mean, prior_var, obs_var, rand_var, theta)
 
 
 def posterior(
-    model: DiagonalGaussianModel, y: np.ndarray, variant: str
+    model: DiagonalGaussianModel, y: np.ndarray, variant: str, delta: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and variance per mode for the chosen forward model."""
+    """Posterior mean and variance per mode for the chosen forward model
+    at noise scale delta >= 0: a scalar, or a (..., 1) array against
+    stacked (..., J) data y.  At delta = 0 the formulas give the
+    small-noise limit directly."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    delta = np.asarray(delta, dtype=float)
+    if not np.all(np.isfinite(delta)):
+        raise ValueError(f"delta must be finite, got {delta}")
+    if np.any(delta < 0.0):
+        raise ValueError("delta must be >= 0")
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    if y.size != model.eigenvalues.size:
-        raise ValueError(f"data length {y.size} does not match {model.eigenvalues.size} modes")
+    if y.shape[-1] != model.eigenvalues.size:
+        raise ValueError(f"data length {y.shape[-1]} does not match {model.eigenvalues.size} modes")
     g = model.forward_exact if variant == "exact" else model.forward_euler
     inflation = model._inflation * model.rand_var if variant == "randomised" else 0.0
-    denom = model.delta * model.obs_var + inflation + g * model.prior_var * g
+    denom = delta * model.obs_var + inflation + g * model.prior_var * g
     if np.any(denom <= 0.0):
         raise ValueError("degenerate posterior denominator")
     gain = model.prior_var * g / denom
@@ -173,19 +171,10 @@ def small_noise_sweep(
     noise_draw = np.zeros(j) if noise_draw is None else np.atleast_1d(np.asarray(noise_draw, dtype=float))
     if noise_draw.size != j:
         raise ValueError(f"noise draw length {noise_draw.size} does not match {j} modes")
-    g = model.forward_exact
-    tilde_target = biased_limit(model)
-    rows = np.empty((delta_grid.size, len(SWEEP_COLUMNS)))
-    for i, delta in enumerate(delta_grid):
-        snapshot = replace(model, delta=float(delta))
-        y = g * model.theta + np.sqrt(delta) * noise_draw
-        mean_exact, _ = posterior(snapshot, y, "exact")
-        mean_tilde, _ = posterior(snapshot, y, "discretised")
-        _, var_hat = posterior(snapshot, y, "randomised")
-        rows[i] = (
-            delta,
-            _h_norm(mean_exact - model.theta),
-            _h_norm(mean_tilde - tilde_target),
-            var_hat.min(),
-        )
-    return rows
+    delta = delta_grid[:, None]
+    y = model.forward_exact * model.theta + np.sqrt(delta) * noise_draw
+    mean_exact, _ = posterior(model, y, "exact", delta)
+    mean_tilde, _ = posterior(model, y, "discretised", delta)
+    _, var_hat = posterior(model, y, "randomised", delta)
+    return np.column_stack((delta_grid, _h_norm(mean_exact - model.theta),
+                            _h_norm(mean_tilde - biased_limit(model)), var_hat.min(axis=-1)))

@@ -258,24 +258,22 @@ def _parse_bayes(parser) -> tuple[DiagonalGaussianModel, np.ndarray, bool]:
             lam = laplacian_1d(sec.getint("dimension", 1)).eigenvalues
         j = lam.size
 
-        def per_mode(key: str, default: float) -> np.ndarray:
-            raw = sec.get(key, "").strip()
-            if not raw:
-                return np.full(j, default)
-            vals = _floats(raw)
-            return np.full(j, vals[0]) if len(vals) == 1 else np.array(vals)
+        def per_mode(key: str, default: str) -> np.ndarray:
+            vals = _floats(sec.get(key, default))
+            if len(vals) not in (1, j):
+                raise ValueError(f"{key} takes one value or one per mode ({j}), got {len(vals)}")
+            return np.tile(vals, j // len(vals))
 
         delta_grid = _check_delta_grid(_floats(sec.get("delta_grid", "1 0.1 0.01 0.001")))
         model = DiagonalGaussianModel(
             lam,
             h=sec.getfloat("h", 0.1),
             p=sec.getfloat("p", 0.0),
-            delta=float(delta_grid[0]),
-            prior_mean=per_mode("m0", 0.0),
-            prior_var=per_mode("gamma0", 1.0),
-            obs_var=per_mode("gamma_obs", 1.0),
-            rand_var=per_mode("gamma1", 1.0),
-            theta=per_mode("theta", 1.0),
+            prior_mean=per_mode("m0", "0"),
+            prior_var=per_mode("gamma0", "1"),
+            obs_var=per_mode("gamma_obs", "1"),
+            rand_var=per_mode("gamma1", "1"),
+            theta=per_mode("theta", "1"),
         )
         return model, delta_grid, sec.getboolean("noisy_data", False)
 

@@ -702,7 +702,8 @@ class TestBayes:
         cfg = load_config(path, "bayes")
         model = cfg.bayes_model
         assert model.eigenvalues.tolist() == [1.0, 4.0, 9.0]
-        assert (model.h, model.p, model.delta) == (0.1, 0.0, 1.0)
+        assert (model.h, model.p) == (0.1, 0.0)
+        assert not hasattr(model, "delta")  # delta is the sweep's, not the model's
         assert cfg.bayes_delta_grid.tolist() == [1.0, 0.1, 0.01, 0.001]
         assert model.prior_mean.tolist() == [0.0] * 3
         for per_mode in (model.prior_var, model.obs_var, model.rand_var, model.theta):
@@ -729,6 +730,27 @@ class TestBayes:
         assert "config error in [bayes]" in err and message in err
         with pytest.raises(ValueError, match=message):
             small_noise_sweep(single_mode_model(), _floats(grid))
+
+    @pytest.mark.parametrize("key", ["m0", "gamma0", "gamma_obs", "gamma1", "theta"])
+    @pytest.mark.parametrize("raw, count", [("1, 2", 2), ("1, 2, 3, 4", 4), ("", 0)],
+                             ids=["two", "four", "empty"])
+    def test_per_mode_key_refuses_a_count_other_than_one_or_j(self, tmp_path, capsys, key,
+                                                              raw, count):
+        # at J = 3 a per-mode key takes one value for every mode or three,
+        # one per mode; any other count, none included, is refused by key
+        text = f"[bayes]\ndimension = 3\n{key} = {raw}\n"
+        assert main(["bayes", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error in [bayes]" in err
+        assert f"{key} takes one value or one per mode (3), got {count}" in err
+
+    @pytest.mark.parametrize("key", ["m0", "gamma0", "gamma_obs", "gamma1", "theta"])
+    def test_per_mode_key_takes_one_value_or_one_per_mode(self, tmp_path, key):
+        field = {"m0": "prior_mean", "gamma0": "prior_var", "gamma_obs": "obs_var",
+                 "gamma1": "rand_var", "theta": "theta"}[key]
+        for raw, want in (("2.5", [2.5] * 3), ("0.5, 2, 3", [0.5, 2.0, 3.0])):
+            path = _write(tmp_path, f"[bayes]\ndimension = 3\n{key} = {raw}\n")
+            assert getattr(load_config(path, "bayes").bayes_model, field).tolist() == want
 
     def test_noisy_data_is_reproducible_per_seed(self, tmp_path):
         def sweep(text, name):
