@@ -72,7 +72,7 @@ def _write(out: Path, payload: dict, columns, rows) -> None:
 def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
     problem, method, theta = cfg.problem, cfg.method, cfg.theta
     if cfg.noise is None:
-        noise_p, amplitude, theory_slope = 0.0, lambda: 0.0, float(method.order)
+        noise_p, amplitude, theory_slope = 0.0, None, float(method.order)
     else:
         noise_p = cfg.noise.p
         norm_kind = "psi2" if cfg.young == "psi2" else "l2"
@@ -82,11 +82,12 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         gain = 0.5 if cfg.noise.kind in (CENTRED_GAUSSIAN, BOUNDED_UNIFORM) else 0.0
         theory_slope = min(method.order, noise_p + gain)
     # one build of each grid's tables; all ensembles come from one pass,
-    # which reduces them to the statistics' inputs at every reported order;
-    # the noise amplitude (psi2 draws it) comes first, or from worker 0
+    # which reduces them to the statistics' inputs at every reported order
+    # and first, after the tables, draws the noise amplitude (psi2 draws it)
     constants, lipschitz, runs, c_xi_amp = sampler._converge(
         problem, method, cfg.noise, cfg.grids, theta, cfg.ensemble_size, cfg.seed, workers,
         (cfg.r, *cfg.extra_r), amplitude)
+    c_xi_amp = 0.0 if cfg.noise is None else c_xi_amp
     c_meas, l_psi = max(0.0, *constants), max(0.0, *lipschitz)
     series, rows = [], []
     for grid, run in zip(cfg.grids, runs):

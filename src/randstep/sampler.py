@@ -64,17 +64,17 @@ scale tables, one chunk and blocks of at most side B norms.  With
 several workers, the study forks min(workers, tasks) workers itself
 (`_fork_tasks`): worker w runs tasks w, w + count, ... and writes its
 rows straight into these arrays in anonymous shared mappings made
-before the fork, so nothing is pickled or gathered.  Worker 0 first runs
-the study's noise amplitude job (`_converge`), whose draw would
-otherwise be the parent's, and writes its float into a shared (1,)
-slot, so the parent draws nothing and never imports numpy.random: on
-perfbench's ens-many-w2 (2 workers, numpy 2.4) the parent's peak RSS
-went from 37.2 to 34.2 MB and the largest worker's from 28.0 to
-30.0 MB.  Without a pool the job runs first, before any table.  Neither
-S, D nor the task order changes a computed float.  B sets the tasks, so
-a study's per-step L^R norms, summed from the partials in task order,
-depend on B in the last bits, but never on the worker count; the norms
-and maxima do not depend on B.
+before the fork, so nothing is pickled or gathered.  A study's noise
+amplitude job (`_converge`) runs after its tables as the pass's first
+job: in the study's process without a pool, else in worker 0, which
+writes its float into a shared (1,) slot, so the parent draws nothing
+and never imports numpy.random: on perfbench's ens-many-w2 (2 workers,
+numpy 2.4) the parent's peak RSS went from 37.2 to 34.2 MB and the
+largest worker's from 28.0 to 30.0 MB.  Neither S, D nor the task order
+changes a computed float.  B sets the tasks, so a study's per-step L^R
+norms, summed from the partials in task order, depend on B in the last
+bits, but never on the worker count; the norms and maxima do not depend
+on B.
 """
 
 from __future__ import annotations
@@ -254,25 +254,18 @@ def _keep_reduced(sink: tuple, task: tuple, start: int, block: np.ndarray) -> No
             np.add.reduce(np.power(block, r), axis=1, out=out[index, steps])
 
 
-def _tasks(noise, grids, m: int, workers: int) -> tuple[list, bool]:
-    """A pass's tasks, (index, rows) for each group of B of the M
-    trajectories (`_chunk_shape`), and whether they run pooled: on more
-    than one worker and in more than one task.  The one pooling rule,
-    which `_converge` reads before the tables and `_ensembles` in the pass."""
-    rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
-    tasks = list(enumerate(range(i, min(i + rows, m)) for i in range(0, m, rows)))
-    return tasks, workers > 1 and len(tasks) > 1
-
-
 def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None, first=None) -> tuple:
     """The ensembles of M trajectories on each grid from its deviation
-    table, in one pass of tasks, each one group on all grids: an Ensemble
-    of each grid's norms, or, given the L^R orders, a ReducedEnsemble;
-    see the memory model.  Also the float that the job first returns,
-    run before any group (worker 0's first job when pooled), or None."""
+    table, in one pass of tasks, each one group of B (`_chunk_shape`) on
+    all grids, pooled on more than one worker and task: an Ensemble of
+    each grid's norms, or, given the L^R orders, a ReducedEnsemble; see
+    the memory model.  Also the float that the job first returns, run
+    before any group (worker 0's first job when pooled), or None."""
     _check_integer(master_seed, "master seed", 0)
     _check_integer(workers, "worker count", 1)
-    tasks, pooled = _tasks(noise, grids, m, workers)
+    rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
+    tasks = list(enumerate(range(i, min(i + rows, m)) for i in range(0, m, rows)))
+    pooled = workers > 1 and len(tasks) > 1
     zeros = _shared_zeros if pooled else np.zeros
     if orders is None:
         sinks = [(_keep_norms, zeros((m, grid.num_steps + 1))) for grid in grids]
@@ -309,9 +302,10 @@ def _fork_tasks(study: tuple, tasks: list, count: int, job: tuple = ()) -> None:
     if given, writing first() into the shared slot: so a converge study's
     noise amplitude is drawn in worker 0 and the parent draws nothing
     (37.2 -> 34.2 MB parent peak RSS on ens-many-w2; see the memory
-    model).  Waits for every worker, then raises the first failed
-    worker's message, which it sends back over a pipe, so a failed job
-    is raised with its own message."""
+    model).  Waits for the workers in order, and once one has failed
+    kills each later one first, so a pass stops at its first failure;
+    then raises the lowest-index failure's message, which the worker
+    sends back over a pipe, so a failed job is raised with its own message."""
     children = []
     try:
         for w in range(count):
@@ -331,6 +325,9 @@ def _fork_tasks(study: tuple, tasks: list, count: int, job: tuple = ()) -> None:
     finally:
         failures = []
         for pid, pipe in children:
+            if failures:
+                from signal import SIGKILL
+                os.kill(pid, SIGKILL)
             with pipe:
                 message = pipe.read().decode(errors="replace")
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -408,20 +405,11 @@ def _converge(problem, method, noise, grids, theta, m, master_seed, workers, ord
     of each grid's tables: the ReducedEnsemble of the run_ensemble
     trajectories for the L^R orders, or, when noise is None, the
     noise-free deviation path r, shape (N + 1, J), whose errors are -r.
-    Last, the float of the job amplitude, or None without one: it runs
-    first, before any table, or, when the pass is pooled (`_tasks`), as
-    worker 0's first job, so that the parent draws nothing unless a table
-    fails (then it runs here, so that its own failure comes first)."""
-    pooled = noise is not None and _tasks(noise, grids, m, workers)[1]
-    value = None if pooled or amplitude is None else amplitude()
-    constants, lipschitz, tables, runs = [], [], [], []
+    Last, the float of the job amplitude, or None without one or without
+    noise: after every table, the pass's first job (`_ensembles`)."""
+    constants, lipschitz, tables, runs, value = [], [], [], [], None
     for grid in grids:
-        try:
-            table = _prepare(problem, method, grid, theta, noise)
-        except Exception:
-            if pooled and amplitude is not None:
-                amplitude()  # an amplitude that fails as well is named first, as unpooled
-            raise
+        table = _prepare(problem, method, grid, theta, noise)
         factors, defects = table
         constants.append(_truncation_constant(defects, grid.steps, method.order))
         lipschitz.append(_lipschitz_constant(factors, grid.steps))
@@ -430,7 +418,6 @@ def _converge(problem, method, noise, grids, theta, m, master_seed, workers, ord
         else:
             tables.append(table)
     if noise is not None:
-        runs, drawn = _ensembles(noise, grids, tables, m, master_seed, workers, orders,
-                                 amplitude if pooled else None)
-        value = drawn if pooled else value
+        runs, value = _ensembles(noise, grids, tables, m, master_seed, workers, orders,
+                                 amplitude)
     return constants, lipschitz, runs, value

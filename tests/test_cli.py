@@ -225,11 +225,11 @@ class TestConverge:
         assert "unstable" in capsys.readouterr().err
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_amplitude_fault_is_named_before_a_table_fault(self, tmp_path, capsys, workers):
+    def test_table_fault_is_named_before_an_amplitude_fault(self, tmp_path, capsys, workers):
         # the unstable explicit step above and amplitude draws beyond the
-        # largest double; M = 400 makes five tasks (B = 90 at J = 64).  The
-        # amplitude comes before the tables without a pool, so a pool,
-        # whose worker 0 would draw it after them, names it first too
+        # largest double; M = 400 makes five tasks (B = 90 at J = 64).  For
+        # any worker count the tables come first and the amplitude is the
+        # pass's first job, so the table fault is named before any worker forks
         bad = (
             CONVERGE_CONFIG.replace("dimension = 4", "dimension = 64")
             .replace("n_values = 4, 8, 16, 32", "n_values = 8, 16, 32")
@@ -242,7 +242,11 @@ class TestConverge:
                          "--out", str(out)])
         assert code == 2
         assert list(out.iterdir()) == []
-        assert capsys.readouterr().err == "run failed: noise amplitude draws must be finite\n"
+        assert capsys.readouterr().err == (
+            "run failed: unstable explicit step 0: mode 4 has h lam alpha = 3.125 and factor "
+            "-2.125, |factor| > 1 where the exact flow contracts; reduce the step\n")
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("n_values", ["8, 16", "8, 8, 16"])
     def test_too_few_distinct_step_counts_exit_one(self, tmp_path, capsys, n_values):
@@ -519,17 +523,19 @@ seed = 0
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_pooled_parent_draws_no_noise_amplitude(self, tmp_path, monkeypatch, kind):
-        # M = 400 makes two tasks for every kind (B <= 362 at J = 4).  With
-        # one worker the amplitude's one draw comes before any table; with
-        # two it is worker 0's first job, and a forked worker records only
-        # in its own memory, so this process records no draw.  The cache
-        # is cleared so that each run draws
+        # M = 400 makes two tasks for every kind (B <= 362 at J = 4).  The
+        # amplitude's one draw is the pass's first job, after every table:
+        # with one worker here, before the first group; with two in worker
+        # 0, and a forked worker records only in its own memory, so this
+        # process records neither a draw nor a group.  The cache is
+        # cleared so that each run draws
         from randstep import sampler
 
         text = CONVERGE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
         cfg = _write(tmp_path, text.replace("m = 24", "m = 400"))
         calls = []
         draw_norms, flow_table = randomisation._draw_norms, sampler.flow_table
+        run_group = sampler._run_group
 
         def recording_draw(*args):
             calls.append("draw")
@@ -539,8 +545,13 @@ seed = 0
             calls.append("flow")
             return flow_table(*args)
 
+        def recording_group(*args):
+            calls.append("group")
+            return run_group(*args)
+
         monkeypatch.setattr(randomisation, "_draw_norms", recording_draw)
         monkeypatch.setattr(sampler, "flow_table", recording_flow)
+        monkeypatch.setattr(sampler, "_run_group", recording_group)
         recorded = {}
         for workers in ("2", "1"):
             randomisation.psi2_amplitude.cache_clear()
@@ -548,7 +559,7 @@ seed = 0
             assert main(["converge", "--config", cfg, "--workers", workers,
                          "--out", str(tmp_path / f"w{workers}")]) == 0
             recorded[workers] = list(calls)
-        assert recorded == {"2": ["flow"] * 4, "1": ["draw"] + ["flow"] * 4}
+        assert recorded == {"2": ["flow"] * 4, "1": ["flow"] * 4 + ["draw", "group", "group"]}
         for name in ("report.json", "series.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
@@ -650,14 +661,28 @@ seed = 1
         assert all(math.isfinite(entry["err_l2_maxnorm"]) for entry in report["series"])
 
     @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_huge_finite_noise_gives_finite_report(self, tmp_path, workers):
+    def test_huge_finite_noise_gives_finite_report(self, tmp_path, monkeypatch, workers):
         # c_xi = 1e200: the squared sums behind the error norms and the
         # squares behind their L^2 norms overflow, but every number the
-        # report holds is a finite double, and the run gives it
-        text = self._small_ens_wide(("c_xi = 1.0", "c_xi = 1e200"))
-        out = tmp_path / "out"
-        assert main(["converge", "--config", _write(tmp_path, text), "--workers", workers,
-                     "--out", str(out)]) == 0
+        # report holds is a finite double, and the run gives it.  M = 100
+        # makes two tasks (B = 90 at J = 64), so two workers fork and the
+        # amplitude comes back through worker 0's shared slot, and the
+        # outputs are those of one worker
+        cfg = _write(tmp_path, self._small_ens_wide(("c_xi = 1.0", "c_xi = 1e200"), m=100))
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        for count in dict.fromkeys(("1", workers)):
+            assert main(["converge", "--config", cfg, "--workers", count,
+                         "--out", str(tmp_path / f"w{count}")]) == 0
+        assert forks == ([1, 1] if workers == "2" else [])
+        out = tmp_path / f"w{workers}"
+        for name in ("report.json", "series.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
         report = json.loads((out / "report.json").read_text())
         for entry in report["series"]:
             for key in ("err_l2_maxnorm", "err_l2_normmax", "err_psi2"):
@@ -1384,19 +1409,20 @@ def test_overflowing_noise_fails_with_one_stderr_line(tmp_path, workers):
     assert len(lines) == 1 and lines[0].startswith("run failed:"), result.stderr
 
 
-def test_failed_worker_gives_one_stderr_line_and_leaves_no_child(tmp_path):
-    # B = 4 makes six groups of M = 24; of two forked workers, the second
-    # fails at its first task (task 1) while the first runs all of its own
+def _run_pool_probe(tmp_path, text: str, odd_task: str, timeout: float):
+    """converge of config text in a fresh process with two workers and
+    B = 4, so six groups of M = 24, where each odd task first runs the
+    line odd_task; the probe prints whether a child is left."""
     probe = (
-        "import os, sys, randstep.cli\n"
+        "import os, sys, time, randstep.cli\n"
         "from randstep import randomisation, sampler\n"
         "randomisation.BLOCK_BYTES = 8 * (4 + 2) * 4**2\n"
         "run_group = sampler._run_group\n"
-        "def failing(study, task):\n"
+        "def odd_first(study, task):\n"
         "    if task[0] % 2:\n"
-        "        raise ValueError(f'task {task[0]} failed')\n"
+        f"        {odd_task}\n"
         "    run_group(study, task)\n"
-        "sampler._run_group = failing\n"
+        "sampler._run_group = odd_first\n"
         "code = randstep.cli.main(sys.argv[1:])\n"
         "try:\n"
         "    os.waitpid(-1, os.WNOHANG)\n"
@@ -1405,12 +1431,30 @@ def test_failed_worker_gives_one_stderr_line_and_leaves_no_child(tmp_path):
         "    print('no child is left')\n"
         "sys.exit(code)\n"
     )
-    cfg = _write(tmp_path, CONVERGE_CONFIG)
-    result = subprocess.run(
-        [sys.executable, "-c", probe, "converge", "--config", cfg, "--workers", "2",
-         "--out", str(tmp_path / "out")],
-        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    return subprocess.run(
+        [sys.executable, "-c", probe, "converge", "--config", _write(tmp_path, text),
+         "--workers", "2", "--out", str(tmp_path / "out")],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=timeout,
     )
+
+
+def test_failed_amplitude_stops_the_pool_at_once(tmp_path):
+    # worker 0 fails in its first job, the amplitude (c_xi = 1e308), while
+    # worker 1 would sleep 30 s in each of its three groups: the parent
+    # kills it and reports worker 0's failure well within the timeout
+    result = _run_pool_probe(tmp_path, CONVERGE_CONFIG.replace("c_xi = 0.5", "c_xi = 1e308"),
+                             "time.sleep(30)", timeout=15)
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.splitlines() == ["run failed: noise amplitude draws must be finite"]
+    assert result.stdout.splitlines()[-1] == "no child is left"
+    assert list((tmp_path / "out").iterdir()) == []
+
+
+def test_failed_worker_gives_one_stderr_line_and_leaves_no_child(tmp_path):
+    # of two forked workers, the second fails at its first task (task 1)
+    # while the first runs all of its own
+    result = _run_pool_probe(tmp_path, CONVERGE_CONFIG,
+                             "raise ValueError(f'task {task[0]} failed')", timeout=120)
     assert result.returncode == 2, result.stderr
     assert result.stderr.splitlines() == ["run failed: task 1 failed"]
     assert result.stdout.splitlines()[-1] == "no child is left"
