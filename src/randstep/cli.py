@@ -88,6 +88,8 @@ def _run_converge(cfg: ExperimentConfig, out: Path, workers: int) -> None:
         problem, method, cfg.noise, cfg.grids, theta, cfg.ensemble_size, cfg.seed, workers,
         (cfg.r, *cfg.extra_r), amplitude)
     c_xi_amp = 0.0 if cfg.noise is None else c_xi_amp
+    if cfg.noise is not None and cfg.young == "psi2":  # worker 0 drew it: keep it for later studies
+        randomisation._PSI2_AMPLITUDES[cfg.noise] = c_xi_amp
     c_meas, l_psi = max(0.0, *constants), max(0.0, *lipschitz)
     series, rows = [], []
     for grid, run in zip(cfg.grids, runs):
@@ -211,9 +213,9 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="experiment config file")
     parser.add_argument("--seed", type=int, default=None, help="override the config seed")
     parser.add_argument("--workers", type=int, default=1,
-                        help="ensemble worker count; with two or more workers and tasks, "
-                             "worker 0 also draws the noise amplitude and this process "
-                             "draws nothing")
+                        help="ensemble worker count; every worker, even one, is a forked "
+                             "process; worker 0 also draws the noise amplitude and this "
+                             "process draws nothing")
     parser.add_argument("--out", default="out", help="output directory (default: ./out)")
     return parser
 
@@ -226,9 +228,9 @@ def main(argv=None) -> int:
             raise ConfigError("ensemble", "worker count must be >= 1")
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        # an overflow or NaN is reported once, by the finiteness check that
-        # names its cause, not also as a numpy warning
-        with np.errstate(over="ignore", invalid="ignore"):
+        # an overflow, a division by zero or a NaN is reported once, by the
+        # finiteness check that names its cause, not also as a numpy warning
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             SUBCOMMANDS[args.subcommand](cfg, out, args.workers)
     except ConfigError as exc:
         print(f"config error in [{exc.section}]: {exc}", file=sys.stderr)

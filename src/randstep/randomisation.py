@@ -62,6 +62,7 @@ _KINDS = (CENTRED_GAUSSIAN, BIASED, SHARED_FACTOR, BOUNDED_UNIFORM)
 
 _PSI2_SAMPLES = 100_000
 _PSI2_SEED = 20_220_457  # fixed internal stream for the cached Orlicz estimate
+_PSI2_AMPLITUDES: dict = {}  # psi2_amplitude's estimates by model
 
 # Byte budget of a draw's working set, the one memory rule for draws.  A
 # `_row_blocks` reader (noise_path, psi2_amplitude, noise-check) holds,
@@ -273,16 +274,18 @@ def _draw_norms(model: NoiseModel, stream: np.random.Generator, h: float, m: int
     return norms
 
 
-@lru_cache(maxsize=64)
 def psi2_amplitude(model: NoiseModel) -> float:
-    """Orlicz (exp(z^2) - 1) norm of |xi(1)|_H, estimated once and cached
+    """Orlicz (exp(z^2) - 1) norm of |xi(1)|_H, estimated once per model
     from the `_draw_norms` of _PSI2_SAMPLES draws of a fixed internal
-    stream, so the cached value is reproducible."""
+    stream and kept in _PSI2_AMPLITUDES, where a converge run also keeps
+    the estimate its worker drew, so the kept value is reproducible."""
     if model.c_xi == 0.0 and model.kind != BIASED:
         return 0.0
-    stream = np.random.default_rng(np.random.SeedSequence(_PSI2_SEED))
-    return analysis.orlicz_norm_estimate(analysis._checked_samples(
-        _draw_norms(model, stream, 1.0, _PSI2_SAMPLES), what="noise amplitude draws"), "psi2")
+    if model not in _PSI2_AMPLITUDES:
+        stream = np.random.default_rng(np.random.SeedSequence(_PSI2_SEED))
+        _PSI2_AMPLITUDES[model] = analysis.orlicz_norm_estimate(analysis._checked_samples(
+            _draw_norms(model, stream, 1.0, _PSI2_SAMPLES), what="noise amplitude draws"), "psi2")
+    return _PSI2_AMPLITUDES[model]
 
 
 def theoretical_noise_norm(model: NoiseModel, h: float, norm_kind: str = "l2") -> float:

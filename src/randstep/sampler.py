@@ -59,22 +59,21 @@ the group's rows of the (M, N + 1) norms.  A convergence study keeps
 only what its report reads (`ReducedEnsemble`): the rows' maxima of an
 (M,) array per grid and, per order R, the task's partials of each step,
 sum_i (x_i / s_g)^R with s_g the group's largest norm.  So a study
-holds (M,) maxima and (tasks, N_g + 1) partials per grid, the (a, d) and
-scale tables, one chunk and blocks of at most side B norms.  With
-several workers, the study forks min(workers, tasks) workers itself
-(`_fork_tasks`): worker w runs tasks w, w + count, ... and writes its
-rows straight into these arrays in anonymous shared mappings made
-before the fork, so nothing is pickled or gathered.  A study's noise
-amplitude job (`_converge`) runs after its tables as the pass's first
-job: in the study's process without a pool, else in worker 0, which
-writes its float into a shared (1,) slot, so the parent draws nothing
-and never imports numpy.random: on perfbench's ens-many-w2 (2 workers,
-numpy 2.4) the parent's peak RSS went from 37.2 to 34.2 MB and the
-largest worker's from 28.0 to 30.0 MB.  Neither S, D nor the task order
-changes a computed float.  B sets the tasks, so a study's per-step L^R
-norms, summed from the partials in task order, depend on B in the last
-bits, but never on the worker count; the norms and maxima do not depend
-on B.
+holds (M,) maxima and (tasks, N_g + 1) partials per grid and the (a, d)
+and scale tables, and each worker one chunk and blocks of at most side
+B norms beside them.  The study forks min(workers, tasks) workers
+itself (`_fork_tasks`), one worker and one task included: worker w runs
+tasks w, w + count, ... and writes its rows straight into these arrays
+in anonymous shared mappings made before the fork, so nothing is
+pickled or gathered.  A study's noise amplitude job (`_converge`) runs
+after its tables as worker 0's first job, which writes its float into a
+shared (1,) slot.  So the study's process never draws, never holds a
+chunk and never imports numpy.random, and the worker that held the
+draw's working set has exited before the statistics run.  Neither S,
+D nor the task order changes a computed float.  B sets the tasks, so a
+study's per-step L^R norms, summed from the partials in task order,
+depend on B in the last bits, but never on the worker count; the norms
+and maxima do not depend on B.
 """
 
 from __future__ import annotations
@@ -257,29 +256,26 @@ def _keep_reduced(sink: tuple, task: tuple, start: int, block: np.ndarray) -> No
 def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None, first=None) -> tuple:
     """The ensembles of M trajectories on each grid from its deviation
     table, in one pass of tasks, each one group of B (`_chunk_shape`) on
-    all grids, pooled on more than one worker and task: an Ensemble of
-    each grid's norms, or, given the L^R orders, a ReducedEnsemble; see
-    the memory model.  Also the float that the job first returns, run
-    before any group (worker 0's first job when pooled), or None."""
+    all grids, run in min(workers, tasks) forked workers, one included
+    (`_fork_tasks`): an Ensemble of each grid's norms, or, given the L^R
+    orders, a ReducedEnsemble; see the memory model.  Also the float that
+    the job first returns, worker 0's first job, or None."""
     _check_integer(master_seed, "master seed", 0)
     _check_integer(workers, "worker count", 1)
     rows = _chunk_shape(noise, max(grid.num_steps for grid in grids), m)[0]
     tasks = list(enumerate(range(i, min(i + rows, m)) for i in range(0, m, rows)))
-    pooled = workers > 1 and len(tasks) > 1
-    zeros = _shared_zeros if pooled else np.zeros
     if orders is None:
-        sinks = [(_keep_norms, zeros((m, grid.num_steps + 1))) for grid in grids]
+        sinks = [(_keep_norms, _shared_zeros((m, grid.num_steps + 1))) for grid in grids]
     else:
-        sinks = [(_keep_reduced, (zeros((m,)), zeros((len(tasks), grid.num_steps + 1)),
-                                  zeros((len(orders), len(tasks), grid.num_steps + 1)), orders))
+        sinks = [(_keep_reduced, (_shared_zeros((m,)),
+                                  _shared_zeros((len(tasks), grid.num_steps + 1)),
+                                  _shared_zeros((len(orders), len(tasks), grid.num_steps + 1)),
+                                  orders))
                  for grid in grids]
-    job = () if first is None else (first, zeros((1,)))
+    job = () if first is None else (first, _shared_zeros((1,)))
     scales = [_step_scales(noise, grid.steps) for grid in grids]
     study = (noise, master_seed, tables, scales, sinks)
-    if pooled:
-        _fork_tasks(study, tasks, min(workers, len(tasks)), job)
-    else:
-        _run_tasks(study, tasks, *job)
+    _fork_tasks(study, tasks, min(workers, len(tasks)), job)
     value = None if first is None else float(job[1][0])
     if orders is None:
         return [Ensemble(grid, out) for grid, (_, out) in zip(grids, sinks)], value
@@ -288,7 +284,7 @@ def _ensembles(noise, grids, tables, m, master_seed, workers, orders=None, first
 
 
 def _run_tasks(study: tuple, tasks: list, first=None, slot=None) -> None:
-    """slot[0] = first(), given a job first, then `_run_group` of each task."""
+    """A worker's body: slot[0] = first(), given a job, then `_run_group` of each task."""
     if first is not None:
         slot[0] = first()
     for task in tasks:
@@ -296,16 +292,14 @@ def _run_tasks(study: tuple, tasks: list, first=None, slot=None) -> None:
 
 
 def _fork_tasks(study: tuple, tasks: list, count: int, job: tuple = ()) -> None:
-    """Run the tasks in count forked workers, worker w taking tasks w,
-    w + count, ...; they inherit the study, sinks included, and write
-    into its shared mappings.  Worker 0 first runs the job (first, slot),
-    if given, writing first() into the shared slot: so a converge study's
-    noise amplitude is drawn in worker 0 and the parent draws nothing
-    (37.2 -> 34.2 MB parent peak RSS on ens-many-w2; see the memory
-    model).  Waits for the workers in order, and once one has failed
-    kills each later one first, so a pass stops at its first failure;
-    then raises the lowest-index failure's message, which the worker
-    sends back over a pipe, so a failed job is raised with its own message."""
+    """Run the tasks in count forked workers, one included, worker w
+    taking tasks w, w + count, ...; they inherit the study, sinks
+    included, and write into its shared mappings.  Worker 0 first runs
+    the job (first, slot), if given, writing first() into the shared
+    slot.  Waits for the workers in order, and once one has failed kills
+    each later one first, so a pass stops at its first failure; then
+    raises the lowest-index failure's message, which the worker sends
+    back over a pipe."""
     children = []
     try:
         for w in range(count):

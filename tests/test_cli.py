@@ -98,6 +98,36 @@ def _write(tmp_path, text, name="exp.cfg"):
     return str(path)
 
 
+class _Log:
+    """Events appended to a file as (pid, event) lines, by this process and
+    by the ensemble workers it forks, whose own memory is gone when they
+    exit; each line is one small O_APPEND write, so lines do not mix."""
+
+    def __init__(self, path):
+        self.path = path
+        self.clear()
+
+    def clear(self):
+        self.path.write_text("")
+
+    def append(self, event):
+        with open(self.path, "a") as fh:
+            fh.write(f"{os.getpid()} {event}\n")
+
+    def read(self) -> list:
+        return [(int(pid), event) for pid, event in
+                (line.split(" ", 1) for line in self.path.read_text().splitlines())]
+
+    def by_worker(self) -> list:
+        """Each worker's events in order, these lists sorted, since workers
+        run at once; the events of this process are left out."""
+        workers = {}
+        for pid, event in self.read():
+            if pid != os.getpid():
+                workers.setdefault(pid, []).append(event)
+        return sorted(workers.values())
+
+
 class TestConverge:
     def test_runs_and_writes_artifacts(self, tmp_path):
         cfg = _write(tmp_path, CONVERGE_CONFIG)
@@ -488,14 +518,15 @@ seed = 0
     def test_one_stream_per_trajectory_and_one_pool_per_study(self, tmp_path, monkeypatch,
                                                                kind):
         # counts, not times: every kind draws each trajectory's noise once
-        # for all G = 4 grids (M = 24 streams); with two workers and
-        # several groups the whole study runs in one set of two forked
-        # workers, not one set per grid; converge never calls run_ensemble
+        # for all G = 4 grids (M = 24 streams), in the forked workers and
+        # never in this process; the whole study runs in one set of forked
+        # workers, not one set per grid: one worker for --workers 1, two
+        # for --workers 2 and six groups; converge never calls run_ensemble
         from randstep import randomisation, sampler
 
         text = CONVERGE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
         cfg = _write(tmp_path, text)
-        streams, forks = [], []
+        streams, forks = _Log(tmp_path / "streams.log"), []
         trajectory_stream = sampler.trajectory_stream
         fork = os.fork
 
@@ -514,55 +545,91 @@ seed = 0
         monkeypatch.setattr(sampler.os, "fork", counting_fork)
         monkeypatch.setattr(sampler, "run_ensemble", no_run_ensemble)
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 8 * (4 + 2) * 4**2)  # B = 4: six groups
-        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "w1")]) == 0
-        assert sorted(streams) == list(range(24))
-        assert forks == []
-        assert main(["converge", "--config", cfg, "--workers", "2",
-                     "--out", str(tmp_path / "w2")]) == 0
-        assert forks == [1, 1]
+        for workers in (1, 2):
+            streams.clear()
+            forks.clear()
+            assert main(["converge", "--config", cfg, "--workers", str(workers),
+                         "--out", str(tmp_path / f"w{workers}")]) == 0
+            assert sorted(int(index) for _, index in streams.read()) == list(range(24))
+            assert len(streams.by_worker()) == workers
+            assert forks == [1] * workers
 
     @pytest.mark.parametrize("kind", NOISE_KINDS)
     def test_pooled_parent_draws_no_noise_amplitude(self, tmp_path, monkeypatch, kind):
-        # M = 400 makes two tasks for every kind (B <= 362 at J = 4).  The
-        # amplitude's one draw is the pass's first job, after every table:
-        # with one worker here, before the first group; with two in worker
-        # 0, and a forked worker records only in its own memory, so this
-        # process records neither a draw nor a group.  The cache is
-        # cleared so that each run draws
+        # M = 400 makes two tasks for every kind (B <= 362 at J = 4).  This
+        # process builds the four grids' tables and draws nothing; the
+        # amplitude's one draw is worker 0's first job, after every table
+        # and before its first group, for one worker and for two.  The
+        # cache is cleared so that each run draws
         from randstep import sampler
 
         text = CONVERGE_CONFIG.replace("kind = centred_gaussian", _noise_kind(kind))
         cfg = _write(tmp_path, text.replace("m = 24", "m = 400"))
-        calls = []
+        log = _Log(tmp_path / "calls.log")
         draw_norms, flow_table = randomisation._draw_norms, sampler.flow_table
         run_group = sampler._run_group
 
         def recording_draw(*args):
-            calls.append("draw")
+            log.append("draw")
             return draw_norms(*args)
 
         def recording_flow(*args):
-            calls.append("flow")
+            log.append("flow")
             return flow_table(*args)
 
-        def recording_group(*args):
-            calls.append("group")
-            return run_group(*args)
+        def recording_group(study, task):
+            log.append(f"group {task[0]}")
+            return run_group(study, task)
 
         monkeypatch.setattr(randomisation, "_draw_norms", recording_draw)
         monkeypatch.setattr(sampler, "flow_table", recording_flow)
         monkeypatch.setattr(sampler, "_run_group", recording_group)
         recorded = {}
         for workers in ("2", "1"):
-            randomisation.psi2_amplitude.cache_clear()
-            calls.clear()
+            randomisation._PSI2_AMPLITUDES.clear()
+            log.clear()
             assert main(["converge", "--config", cfg, "--workers", workers,
                          "--out", str(tmp_path / f"w{workers}")]) == 0
-            recorded[workers] = list(calls)
-        assert recorded == {"2": ["flow"] * 4, "1": ["flow"] * 4 + ["draw", "group", "group"]}
+            calls = log.read()
+            assert calls[:4] == [(os.getpid(), "flow")] * 4
+            assert all(pid != os.getpid() for pid, _ in calls[4:])
+            recorded[workers] = log.by_worker()
+        assert recorded == {"2": [["draw", "group 0"], ["group 1"]],
+                            "1": [["draw", "group 0", "group 1"]]}
         for name in ("report.json", "series.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
 
+    @pytest.mark.parametrize("young", ["psi2", "none"])
+    def test_study_keeps_its_noise_amplitude_in_this_process(self, tmp_path, monkeypatch,
+                                                             young):
+        # worker 0 draws the psi2 amplitude; this process keeps the float it
+        # returns in psi2_amplitude's cache, so neither a later call here
+        # nor a later study of the model, in its workers, draws again.  The
+        # L^2 amplitude is exact, drawn by no one, and kept nowhere
+        cfg = _write(tmp_path, CONVERGE_CONFIG.replace("young = psi2", f"young = {young}"))
+        noise = load_config(cfg).noise
+        log = _Log(tmp_path / "draws.log")
+        draw_norms = randomisation._draw_norms
+
+        def recording_draw(*args):
+            log.append("draw")
+            return draw_norms(*args)
+
+        monkeypatch.setattr(randomisation, "_draw_norms", recording_draw)
+        randomisation._PSI2_AMPLITUDES.pop(noise, None)
+        assert main(["converge", "--config", cfg, "--out", str(tmp_path / "first")]) == 0
+        report = json.loads((tmp_path / "first" / "report.json").read_text())
+        assert log.by_worker() == ([["draw"]] if young == "psi2" else [])
+        assert (noise in randomisation._PSI2_AMPLITUDES) == (young == "psi2")
+        if young == "psi2":
+            log.clear()
+            assert randomisation.psi2_amplitude(noise) == report["noise_amplitude"]
+            assert main(["converge", "--config", cfg, "--workers", "2",
+                         "--out", str(tmp_path / "again")]) == 0
+            assert log.read() == []
+            for name in ("report.json", "series.csv"):
+                assert ((tmp_path / "again" / name).read_bytes()
+                        == (tmp_path / "first" / name).read_bytes())
 
     @staticmethod
     def _small_ens_wide(*changes, m=20) -> str:
@@ -665,21 +732,23 @@ seed = 1
         # c_xi = 1e200: the squared sums behind the error norms and the
         # squares behind their L^2 norms overflow, but every number the
         # report holds is a finite double, and the run gives it.  M = 100
-        # makes two tasks (B = 90 at J = 64), so two workers fork and the
-        # amplitude comes back through worker 0's shared slot, and the
-        # outputs are those of one worker
+        # makes two tasks (B = 90 at J = 64), so one worker forks for
+        # --workers 1 and two for --workers 2, the amplitude comes back
+        # through worker 0's shared slot, and the outputs are those of one
+        # worker
         cfg = _write(tmp_path, self._small_ens_wide(("c_xi = 1.0", "c_xi = 1e200"), m=100))
-        forks, fork = [], os.fork
+        forks, fork = {}, os.fork
 
         def counting_fork():
-            forks.append(1)
+            forks[count] += 1
             return fork()
 
         monkeypatch.setattr(os, "fork", counting_fork)
         for count in dict.fromkeys(("1", workers)):
+            forks[count] = 0
             assert main(["converge", "--config", cfg, "--workers", count,
                          "--out", str(tmp_path / f"w{count}")]) == 0
-        assert forks == ([1, 1] if workers == "2" else [])
+        assert forks == ({"1": 1, "2": 2} if workers == "2" else {"1": 1})
         out = tmp_path / f"w{workers}"
         for name in ("report.json", "series.csv"):
             assert (out / name).read_bytes() == (tmp_path / "w1" / name).read_bytes()
@@ -1392,6 +1461,48 @@ def test_pooled_converge_loads_no_numpy_random(tmp_path):
     if eager:
         pytest.skip("this numpy loads numpy.random with numpy itself")
     assert (code, loaded) == (0, False)
+
+
+def test_one_task_converge_forks_one_worker_and_loads_no_numpy_random(tmp_path):
+    # M = 24 is one task (B = 362 at J = 4): for --workers 1 and 2 alike
+    # the pass forks one worker, which draws the noise amplitude and every
+    # trajectory, so this process never loads numpy.random, where numpy
+    # itself loads it lazily (numpy >= 2)
+    cfg = _write(tmp_path, CONVERGE_CONFIG)
+    probe = ("import json, os, sys, numpy; eager = 'numpy.random' in sys.modules; "
+             "import randstep.cli; forks, fork = [], os.fork\n"
+             "def counting_fork():\n    forks.append(1)\n    return fork()\n"
+             "os.fork = counting_fork; codes = {}\n"
+             "for workers in ('1', '2'):\n"
+             "    codes[workers] = randstep.cli.main(['converge', '--config', sys.argv[1], "
+             "'--workers', workers, '--out', sys.argv[2] + workers]), len(forks)\n"
+             "    forks.clear()\n"
+             "print(json.dumps([eager, codes, 'numpy.random' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", probe, cfg, str(tmp_path / "out")],
+                            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    eager, codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == {"1": [0, 1], "2": [0, 1]}
+    for name in ("report.json", "series.csv"):
+        assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
+    if eager:
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert not loaded
+
+
+def test_huge_declared_order_fails_with_one_stderr_line(tmp_path):
+    # h^(q + 1) underflows to 0 at q = 1e6, so the truncation constant
+    # divides by zero; the bound's finiteness check alone speaks
+    cfg = _write(tmp_path, CONVERGE_CONFIG.replace(
+        "kind = implicit_euler", "kind = implicit_euler\ndeclared_order = 1e6"))
+    result = subprocess.run(
+        [sys.executable, "-m", "randstep.cli", "converge", "--config", str(cfg),
+         "--out", str(tmp_path / "out")],
+        env=_subprocess_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == ["run failed: bound constants must be finite"]
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

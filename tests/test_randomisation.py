@@ -287,10 +287,11 @@ class TestOrliczBound:
         # one short
         monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", samples)
         monkeypatch.setattr(randomisation, "BLOCK_BYTES", 4 * 8 * 5 * 700)
+        monkeypatch.setattr(randomisation, "_PSI2_AMPLITUDES", {})  # each call draws
         stream = np.random.default_rng(np.random.SeedSequence(randomisation._PSI2_SEED))
         xi = _one_shot_reference(model, stream, [1.0], samples)[:, 0]
         expected = orlicz_norm_estimate(np.sqrt(np.sum(xi * xi, axis=-1)), "psi2")
-        assert psi2_amplitude.__wrapped__(model) == expected
+        assert psi2_amplitude(model) == expected
 
     @pytest.mark.parametrize("kind", ["centred_gaussian", "shared_factor", "bounded_uniform"])
     def test_psi2_amplitude_memory_is_a_few_blocks(self, monkeypatch, kind):
@@ -303,11 +304,12 @@ class TestOrliczBound:
         from randstep import randomisation
 
         monkeypatch.setattr(randomisation, "_PSI2_SAMPLES", 20_000)
+        monkeypatch.setattr(randomisation, "_PSI2_AMPLITUDES", {})  # each call draws
         model = NoiseModel(512, p=1.0, kind=kind, rho=0.4)
-        psi2_amplitude.__wrapped__(NoiseModel(2, kind=kind, rho=0.4))  # imports outside the trace
+        psi2_amplitude(NoiseModel(2, kind=kind, rho=0.4))  # imports outside the trace
         tracemalloc.start()
         try:
-            psi2_amplitude.__wrapped__(model)
+            psi2_amplitude(model)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -315,7 +317,8 @@ class TestOrliczBound:
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("dimension", [8, 128])
-    def test_psi2_amplitude_fits_its_norms_beside_a_quarter_block(self, kind, dimension):
+    def test_psi2_amplitude_fits_its_norms_beside_a_quarter_block(self, monkeypatch, kind,
+                                                                  dimension):
         # not a timing gate: numpy reports its buffers to tracemalloc.  The
         # draw's row buffers share a quarter of BLOCK_BYTES beside the
         # (m,) norms; the bisection then holds the norms and its one (m,)
@@ -323,12 +326,13 @@ class TestOrliczBound:
         from randstep import randomisation
 
         m = randomisation._PSI2_SAMPLES
+        monkeypatch.setattr(randomisation, "_PSI2_AMPLITUDES", {})  # each call draws
         model = NoiseModel(dimension, p=1.0, kind=kind, bias_mode=1, bias_coefficient=0.5,
                            rho=0.4)
-        psi2_amplitude.__wrapped__(NoiseModel(2, kind=kind, rho=0.4))  # imports outside the trace
+        psi2_amplitude(NoiseModel(2, kind=kind, rho=0.4))  # imports outside the trace
         tracemalloc.start()
         try:
-            psi2_amplitude.__wrapped__(model)
+            psi2_amplitude(model)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -43,6 +43,19 @@ CHUNK_SHAPES = {n: [(1, (1, 1)), (16, (4, 1)), (100, (6, 4)), (400, (6, n))] for
 CHUNK_IDS = ["S1", "B4-S1", "S4", "SN"]
 
 
+def _in_process(study, tasks, count, job=()):
+    """`sampler._fork_tasks` without the fork: the one worker's body run
+    in this process, where tracemalloc sees its buffers."""
+    sampler._run_tasks(study, tasks, *job)
+
+
+def _mapping(array):
+    """The object whose buffer array views."""
+    while isinstance(array, np.ndarray):
+        array = array.base
+    return array.obj if isinstance(array, memoryview) else array
+
+
 def _randomised_norms(problem, method, noise, grid, theta, m, master_seed):
     """The per-index run_randomised norms, the reference for ensemble rows."""
     return np.stack([
@@ -376,8 +389,10 @@ class TestEnsemble:
         assert norms.shape == (m, grid.num_steps + 1)
         assert np.all(norms[:, 0] == 0.0) and np.all(norms[:, 1:] > 0.0)
 
-    def test_memory_stays_below_one_stacked_array(self):
-        # not a timing gate: numpy reports its buffers to tracemalloc
+    def test_memory_stays_below_one_stacked_array(self, monkeypatch):
+        # not a timing gate: numpy reports its buffers to tracemalloc, which
+        # sees a forked worker's buffers only when its body runs here
+        monkeypatch.setattr(sampler, "_fork_tasks", _in_process)
         m, n, j = 400, 256, 32
         problem = heat_1d(j)
         grid = build_grid(1.0, n)
@@ -415,43 +430,53 @@ class TestEnsemble:
         assert np.array_equal(ensemble.error_h_norms(), reference)
 
     @pytest.mark.parametrize("kind", ["centred_gaussian", "bounded_uniform"])
-    def test_memory_is_norms_plus_one_chunk(self, kind):
+    def test_memory_is_norms_plus_one_chunk(self, monkeypatch, kind):
         # not a timing gate: numpy reports its buffers to tracemalloc.  A
         # convergence study's pass holds no (M, N_g + 1) norms: per grid it
         # keeps (M,) maxima and, per order, (tasks, N_g + 1) partials and
-        # step maxima, beside one (B, S, W) raw chunk of at most a quarter
-        # of BLOCK_BYTES, W = J normals a step (J + 2 for the bounded kind).
-        # The 1 MB margin covers each grid's (a, d) tables (229 KB in all
-        # here), each grid's (N_g, J) scale table (115 KB in all), one
-        # group's generators (B = 128, about 0.9 KB each), its (B, J)
-        # deviations (32 KB per grid), two (B, J) scratch arrays, for the
-        # unit draws and xi_k, the grids' blocks of step norms (side B
-        # floats in all, side = B = 128 here, 128 KB) and the power of a
-        # full one (43 KB): about 0.83 MB traced beside the chunk.  A
-        # second chunk-sized buffer, such as shaping the raw chunk out of
-        # place, would pass the margin; so would a chunk-sized temporary of
-        # the bounded kind's per-step norms.  With one worker the kept
-        # arrays are ordinary arrays, which tracemalloc sees.
+        # step maxima, in shared mappings made before the fork, which
+        # tracemalloc does not see.  Its worker's body, traced here run in
+        # this process on the built study, holds one (B, S, W) raw chunk of
+        # at most a quarter of BLOCK_BYTES, W = J normals a step (J + 2 for
+        # the bounded kind).  The 1 MB margin covers one group's generators
+        # (B = 128, about 0.9 KB each), its (B, J) deviations (32 KB per
+        # grid), two (B, J) scratch arrays, for the unit draws and xi_k, the
+        # grids' blocks of step norms (side B floats in all, side = B = 128
+        # here, 128 KB) and the power of a full one (43 KB): about 0.48 MB
+        # traced beside the chunk.  A second
+        # chunk-sized buffer, such as shaping the raw chunk out of place,
+        # would pass the margin; so would a chunk-sized temporary of the
+        # bounded kind's per-step norms.
+        import mmap
+
         m, j, n_values, orders = 400, 32, (64, 256, 128), (2.0, 4.0)
         problem = heat_1d(j)
         noise = NoiseModel(j, p=1.0, kind=kind)
         args = (problem, implicit_euler(), noise)
+        peaks = []
+
+        def traced_body(study, tasks, count, job=()):
+            tracemalloc.start()
+            try:
+                _in_process(study, tasks, count, job)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+
+        monkeypatch.setattr(sampler, "_fork_tasks", traced_body)
         # imports outside the trace
         sampler._converge(*args, [build_grid(1.0, n) for n in (2, 8, 4)], np.ones(j), 2, 3, 1,
                           orders)
         grids = [build_grid(1.0, n) for n in n_values]
-        tracemalloc.start()
-        try:
-            _, _, runs, _ = sampler._converge(*args, grids, np.ones(j), m, 3, 1, orders)
-            current, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, _, runs, _ = sampler._converge(*args, grids, np.ones(j), m, 3, 1, orders)
         tasks = -(-m // randomisation._chunk_shape(noise, max(n_values), m)[0])
         kept = sum(8 * (m + (1 + len(orders)) * tasks * (n + 1)) for n in n_values)
         assert kept == sum(run.maxima.nbytes + run.tops.nbytes
                            + sum(s.nbytes for s in run.sums.values()) for run in runs)
-        assert current >= kept
-        assert peak < kept + randomisation.BLOCK_BYTES // 4 + 2**20
+        for run in runs:
+            for array in (run.maxima, run.tops, *run.sums.values()):
+                assert isinstance(_mapping(array), mmap.mmap)
+        assert peaks[-1] < randomisation.BLOCK_BYTES // 4 + 2**20
 
     def test_rejects_noise_dimension_mismatch(self):
         problem = heat_1d(4)
