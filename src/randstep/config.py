@@ -47,7 +47,6 @@ Example::
 from __future__ import annotations
 
 import configparser
-import hashlib
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -61,6 +60,19 @@ from .integrators import MethodConfig
 from .problems import Problem
 from .randomisation import BIASED, SHARED_FACTOR, NoiseModel
 from .spaces import SpaceDescriptor, _check_state, laplacian_1d
+
+# the config fingerprint's SHA-256 from CPython's built-in module (_sha2
+# from 3.12, _sha256 before), not hashlib, whose import loads OpenSSL
+# (about 3.5 MB resident): the hex digest is the same, and so the CLI
+# process, which leaves numpy.random (and its hashlib) to the workers,
+# never loads OpenSSL
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:  # an interpreter built without them
+        from hashlib import sha256
 
 __all__ = ["ConfigError", "ExperimentConfig", "load_config"]
 
@@ -311,7 +323,7 @@ def load_config(path: str | Path, subcommand: str = "converge",
         text = path.read_text()
     except (OSError, UnicodeError) as exc:
         raise ConfigError("file", f"cannot read config {path}: {exc}") from exc
-    fingerprint = hashlib.sha256(text.encode()).hexdigest()
+    fingerprint = sha256(text.encode()).hexdigest()
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
     try:
         parser.read_string(text)

@@ -67,10 +67,12 @@ tasks w, w + count, ... and writes its rows straight into these arrays
 in anonymous shared mappings made before the fork, so nothing is
 pickled or gathered.  A study's noise amplitude job (`_converge`) runs
 after its tables as worker 0's first job, which writes its float into a
-shared (1,) slot.  So the study's process never draws, never holds a
-chunk and never imports numpy.random, and the worker that held the
-draw's working set has exited before the statistics run.  Neither S,
-D nor the task order changes a computed float.  B sets the tasks, so a
+shared (1,) slot.  So the study's process never draws and never holds a
+chunk, and the worker that held the draw's working set has exited
+before the statistics run.  A convergence study's process never imports
+numpy.random either; `run_ensemble` imports it before the fork, so its
+caller's later studies do not import it again in each worker.  Neither
+S, D nor the task order changes a computed float.  B sets the tasks, so a
 study's per-step L^R norms, summed from the partials in task order,
 depend on B in the last bits, but never on the worker count; the norms
 and maxima do not depend on B.
@@ -296,10 +298,14 @@ def _fork_tasks(study: tuple, tasks: list, count: int, job: tuple = ()) -> None:
     taking tasks w, w + count, ...; they inherit the study, sinks
     included, and write into its shared mappings.  Worker 0 first runs
     the job (first, slot), if given, writing first() into the shared
-    slot.  Waits for the workers in order, and once one has failed kills
-    each later one first, so a pass stops at its first failure; then
-    raises the lowest-index failure's message, which the worker sends
-    back over a pipe."""
+    slot.  Waits for the workers as they finish, each by its pid, so no
+    other child of the caller's is reaped; at the first that has failed
+    it kills the rest, so a pass stops at its first failure, whichever
+    worker fails, and raises that worker's message, which it sends back
+    over a pipe."""
+    import selectors
+    from signal import SIGKILL
+
     children = []
     try:
         for w in range(count):
@@ -317,18 +323,24 @@ def _fork_tasks(study: tuple, tasks: list, count: int, job: tuple = ()) -> None:
             os.close(write)
             children.append((pid, os.fdopen(read, "rb")))
     finally:
-        failures = []
-        for pid, pipe in children:
-            if failures:
-                from signal import SIGKILL
-                os.kill(pid, SIGKILL)
-            with pipe:
-                message = pipe.read().decode(errors="replace")
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            if code:
-                failures.append(message or f"ensemble worker exited with code {code}")
-    if failures:
-        raise RuntimeError(failures[0])
+        failure = None
+        with selectors.DefaultSelector() as waiting:
+            for pid, pipe in children:
+                waiting.register(pipe, selectors.EVENT_READ, pid)
+            # a worker writes to its pipe only as it exits, so a ready
+            # pipe reads to its end at once
+            while waiting.get_map():
+                for key, _ in waiting.select():
+                    waiting.unregister(key.fileobj)
+                    with key.fileobj as pipe:
+                        message = pipe.read().decode(errors="replace")
+                    code = os.waitstatus_to_exitcode(os.waitpid(key.data, 0)[1])
+                    if code and failure is None:
+                        failure = message or f"ensemble worker exited with code {code}"
+                        for other in waiting.get_map().values():
+                            os.kill(other.data, SIGKILL)
+    if failure is not None:
+        raise RuntimeError(failure)
 
 
 def _shared_zeros(shape) -> np.ndarray:
@@ -359,6 +371,9 @@ def run_ensemble(
         raise ValueError("a randomised run needs a noise model, got None")
     _check_integer(m, "ensemble size", 1)
     table = _prepare(problem, method, grid, theta, noise)
+    # here, not in each forked worker, so a caller that runs many studies
+    # imports numpy.random once; `_converge`'s CLI process never does
+    import numpy.random  # noqa: F401
     return _ensembles(noise, [grid], [table], m, master_seed, workers)[0][0]
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -1463,6 +1464,43 @@ def test_pooled_converge_loads_no_numpy_random(tmp_path):
     assert (code, loaded) == (0, False)
 
 
+@pytest.mark.parametrize("name", ["ens-wide", "ens-many-w2", "oracle-affine", "non-ascii"])
+def test_fingerprint_is_the_sha256_of_the_config_text(tmp_path, name):
+    # the built-in SHA-256 gives hashlib's hex digest, so reports keep
+    # their fingerprints
+    if name == "non-ascii":
+        text = "# Konvergenzstudie, \u03b3 = 1 \u2014 \u00e9t\u00e9\n" + CONVERGE_CONFIG
+        config = _write(tmp_path, text)
+    else:
+        config = Path(__file__).resolve().parents[1] / "perfbench" / "workloads" / f"{name}.ini"
+        text = config.read_text()
+    assert load_config(config).fingerprint == hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_converge_never_loads_openssl(tmp_path):
+    # the config's fingerprint comes from CPython's built-in SHA-256 and
+    # the workers alone import numpy.random (whose secrets import loads
+    # hashlib), so this process never loads _hashlib, OpenSSL's binding
+    config = _write(tmp_path, CONVERGE_CONFIG.replace("m = 24", "m = 400"))
+    probe = ("import importlib.util, json, sys; eager = '_hashlib' in sys.modules; "
+             "builtin = any(map(importlib.util.find_spec, ('_sha2', '_sha256'))); "
+             "import randstep.cli; codes = {}\n"
+             "for workers in ('1', '2'):\n"
+             "    codes[workers] = randstep.cli.main(['converge', '--config', sys.argv[1], "
+             "'--workers', workers, '--out', sys.argv[2] + workers])\n"
+             "print(json.dumps([eager, builtin, codes, '_hashlib' in sys.modules]))")
+    result = subprocess.run([sys.executable, "-c", probe, config, str(tmp_path / "out")],
+                            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    eager, builtin, codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    assert codes == {"1": 0, "2": 0}
+    if eager:
+        pytest.skip("this interpreter loads _hashlib before randstep.cli")
+    if not builtin:
+        pytest.skip("this interpreter has no built-in SHA-256")
+    assert not loaded
+
+
 def test_one_task_converge_forks_one_worker_and_loads_no_numpy_random(tmp_path):
     # M = 24 is one task (B = 362 at J = 4): for --workers 1 and 2 alike
     # the pass forks one worker, which draws the noise amplitude and every
@@ -1520,10 +1558,11 @@ def test_overflowing_noise_fails_with_one_stderr_line(tmp_path, workers):
     assert len(lines) == 1 and lines[0].startswith("run failed:"), result.stderr
 
 
-def _run_pool_probe(tmp_path, text: str, odd_task: str, timeout: float):
+def _run_pool_probe(tmp_path, text: str, odd_task: str, timeout: float, even_task: str = "pass"):
     """converge of config text in a fresh process with two workers and
     B = 4, so six groups of M = 24, where each odd task first runs the
-    line odd_task; the probe prints whether a child is left."""
+    line odd_task and each even task the line even_task; the probe
+    prints whether a child is left."""
     probe = (
         "import os, sys, time, randstep.cli\n"
         "from randstep import randomisation, sampler\n"
@@ -1532,6 +1571,8 @@ def _run_pool_probe(tmp_path, text: str, odd_task: str, timeout: float):
         "def odd_first(study, task):\n"
         "    if task[0] % 2:\n"
         f"        {odd_task}\n"
+        "    else:\n"
+        f"        {even_task}\n"
         "    run_group(study, task)\n"
         "sampler._run_group = odd_first\n"
         "code = randstep.cli.main(sys.argv[1:])\n"
@@ -1569,3 +1610,17 @@ def test_failed_worker_gives_one_stderr_line_and_leaves_no_child(tmp_path):
     assert result.returncode == 2, result.stderr
     assert result.stderr.splitlines() == ["run failed: task 1 failed"]
     assert result.stdout.splitlines()[-1] == "no child is left"
+
+
+def test_a_later_worker_failure_stops_the_pool_at_once(tmp_path):
+    # worker 0 would sleep 30 s in each of its groups (tasks 0, 2, 4)
+    # while worker 1 fails at its first (task 1): the parent waits for
+    # the workers as they finish, not in order, so it kills worker 0 and
+    # reports worker 1's failure well within the timeout
+    result = _run_pool_probe(tmp_path, CONVERGE_CONFIG,
+                             "raise ValueError(f'task {task[0]} failed')", timeout=15,
+                             even_task="time.sleep(30)")
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.splitlines() == ["run failed: task 1 failed"]
+    assert result.stdout.splitlines()[-1] == "no child is left"
+    assert list((tmp_path / "out").iterdir()) == []
