@@ -65,7 +65,8 @@ from .spaces import SpaceDescriptor, _check_state, laplacian_1d
 # from 3.12, _sha256 before), not hashlib, whose import loads OpenSSL
 # (about 3.5 MB resident): the hex digest is the same, and so the CLI
 # process, which leaves numpy.random (and its hashlib) to the workers,
-# never loads OpenSSL
+# never loads OpenSSL where numpy imports numpy.random lazily (numpy >= 2;
+# numpy 1.x loads it, and so OpenSSL, with numpy itself)
 try:
     from _sha2 import sha256
 except ImportError:

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import sysconfig
 import tracemalloc
 from pathlib import Path
 
@@ -1477,37 +1478,16 @@ def test_fingerprint_is_the_sha256_of_the_config_text(tmp_path, name):
     assert load_config(config).fingerprint == hashlib.sha256(text.encode()).hexdigest()
 
 
-def test_converge_never_loads_openssl(tmp_path):
-    # the config's fingerprint comes from CPython's built-in SHA-256 and
-    # the workers alone import numpy.random (whose secrets import loads
-    # hashlib), so this process never loads _hashlib, OpenSSL's binding
-    config = _write(tmp_path, CONVERGE_CONFIG.replace("m = 24", "m = 400"))
-    probe = ("import importlib.util, json, sys; eager = '_hashlib' in sys.modules; "
-             "builtin = any(map(importlib.util.find_spec, ('_sha2', '_sha256'))); "
-             "import randstep.cli; codes = {}\n"
-             "for workers in ('1', '2'):\n"
-             "    codes[workers] = randstep.cli.main(['converge', '--config', sys.argv[1], "
-             "'--workers', workers, '--out', sys.argv[2] + workers])\n"
-             "print(json.dumps([eager, builtin, codes, '_hashlib' in sys.modules]))")
-    result = subprocess.run([sys.executable, "-c", probe, config, str(tmp_path / "out")],
-                            env=_subprocess_env(), capture_output=True, text=True, timeout=120)
-    assert result.returncode == 0, result.stderr
-    eager, builtin, codes, loaded = json.loads(result.stdout.splitlines()[-1])
-    assert codes == {"1": 0, "2": 0}
-    if eager:
-        pytest.skip("this interpreter loads _hashlib before randstep.cli")
-    if not builtin:
-        pytest.skip("this interpreter has no built-in SHA-256")
-    assert not loaded
-
-
 def test_one_task_converge_forks_one_worker_and_loads_no_numpy_random(tmp_path):
     # M = 24 is one task (B = 362 at J = 4): for --workers 1 and 2 alike
     # the pass forks one worker, which draws the noise amplitude and every
     # trajectory, so this process never loads numpy.random, where numpy
-    # itself loads it lazily (numpy >= 2)
+    # itself loads it lazily (numpy >= 2); and since the config's
+    # fingerprint comes from CPython's built-in SHA-256, it never loads
+    # _hashlib, OpenSSL's binding, either
     cfg = _write(tmp_path, CONVERGE_CONFIG)
-    probe = ("import json, os, sys, numpy; eager = 'numpy.random' in sys.modules; "
+    probe = ("import json, os, sys, numpy; "
+             "eager = ['numpy.random' in sys.modules, '_hashlib' in sys.modules]; "
              "import randstep.cli; forks, fork = [], os.fork\n"
              "def counting_fork():\n    forks.append(1)\n    return fork()\n"
              "os.fork = counting_fork; codes = {}\n"
@@ -1515,17 +1495,26 @@ def test_one_task_converge_forks_one_worker_and_loads_no_numpy_random(tmp_path):
              "    codes[workers] = randstep.cli.main(['converge', '--config', sys.argv[1], "
              "'--workers', workers, '--out', sys.argv[2] + workers]), len(forks)\n"
              "    forks.clear()\n"
-             "print(json.dumps([eager, codes, 'numpy.random' in sys.modules]))")
+             "print(json.dumps([eager, codes, "
+             "['numpy.random' in sys.modules, '_hashlib' in sys.modules]]))")
     result = subprocess.run([sys.executable, "-c", probe, cfg, str(tmp_path / "out")],
                             env=_subprocess_env(), capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
-    eager, codes, loaded = json.loads(result.stdout.splitlines()[-1])
+    (eager, eager_openssl), codes, (loaded, openssl) = json.loads(result.stdout.splitlines()[-1])
     assert codes == {"1": [0, 1], "2": [0, 1]}
     for name in ("report.json", "series.csv"):
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
     if eager:
         pytest.skip("this numpy loads numpy.random with numpy itself")
     assert not loaded
+    # only an interpreter built without a built-in SHA-256 may fall back to
+    # hashlib; a renamed built-in module fails here rather than skipping
+    builtin = sysconfig.get_config_var("PY_BUILTIN_HASHLIB_HASHES")
+    if eager_openssl:
+        pytest.skip("this interpreter loads _hashlib before randstep.cli")
+    if builtin is not None and not {"sha2", "sha256"} & set(builtin.strip('"').split(",")):
+        pytest.skip("this interpreter has no built-in SHA-256")
+    assert not openssl
 
 
 def test_huge_declared_order_fails_with_one_stderr_line(tmp_path):

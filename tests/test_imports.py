@@ -85,6 +85,18 @@ def test_package_import_loads_no_numpy():
     assert _fresh("import sys, randstep; print('numpy' in sys.modules)") == "False\n"
 
 
+def test_run_ensemble_imports_numpy_random_in_the_caller():
+    # the caller imports numpy.random before the pass forks, so its
+    # workers inherit it and a second study does not import it again
+    code = ("import sys, numpy as np\n"
+            "from randstep import build_grid, centred_gaussian, heat_1d, implicit_euler, "
+            "run_ensemble\n"
+            "run_ensemble(heat_1d(4), implicit_euler(), centred_gaussian(4), "
+            "build_grid(1.0, 6), np.ones(4), 10, 5)\n"
+            "print('numpy.random' in sys.modules)")
+    assert _fresh(code) == "True\n"
+
+
 def test_submodule_resolves_after_a_bare_import():
     code = "import sys, randstep; print(randstep.sampler is sys.modules['randstep.sampler'])"
     assert _fresh(code) == "True\n"

@@ -2,10 +2,7 @@ import dataclasses
 import math
 import os
 import re
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -228,23 +225,6 @@ class TestEnsemble:
         two = run_ensemble(*args, workers=2)
         assert np.array_equal(one.error_h_norms(), two.error_h_norms())
         assert two.error_h_norms().shape == (9, 8)
-
-    def test_run_ensemble_imports_numpy_random_in_the_caller(self):
-        # the caller imports numpy.random before the pass forks, so its
-        # workers inherit it and a second study does not import it again
-        probe = ("import sys, numpy as np\n"
-                 "from randstep import build_grid, centred_gaussian, heat_1d, implicit_euler, "
-                 "run_ensemble\n"
-                 "run_ensemble(heat_1d(4), implicit_euler(), centred_gaussian(4), "
-                 "build_grid(1.0, 6), np.ones(4), 10, 5)\n"
-                 "print('numpy.random' in sys.modules)")
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        result = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                text=True, timeout=120)
-        assert result.returncode == 0, result.stderr
-        assert result.stdout.split() == ["True"]
 
     def test_pool_starts_no_more_workers_than_tasks(self, monkeypatch):
         # the pass forks every worker at once; B = 16 makes three tasks of
