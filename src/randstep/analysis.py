@@ -14,6 +14,7 @@ ensemble pass keeps (`_pooled_lr_norms`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -119,7 +120,9 @@ def orlicz_norm_estimate(samples: np.ndarray, young: str = "psi2") -> float:
     # this brackets the crossing for any finite samples: at top / 50 the top
     # sample gives expm1(2500) = inf > 1, at 50 top each term is <= expm1(1 / 2500) < 1
     lo, hi = top / 50.0, top * 50.0
-    if not math.isfinite(hi):  # the norm is positively homogeneous
+    # the norm is positively homogeneous; below the normal range the width
+    # tolerance can underflow to 0, which no subnormal bracket meets
+    if not (math.isfinite(hi) and lo >= sys.float_info.min):
         return top * orlicz_norm_estimate(samples / top)
     z = np.empty_like(samples)  # one scratch for every step, laid out as x / k would be
     while (hi - lo) > _ORLICZ_REL_TOL * hi:
@@ -190,8 +193,10 @@ def fit_rate(points) -> RateFit:
     ordered = np.sort(h)  # not np.unique, whose first call imports numpy.ma
     if np.any(ordered[1:] == ordered[:-1]):
         raise ValueError("mesh values must be distinct")
-    if np.any(err <= 0.0) or np.any(h <= 0.0):
-        raise ValueError("mesh and error values must be positive")
+    bad = np.flatnonzero((h <= 0.0) | (err <= 0.0))
+    if bad.size:
+        raise ValueError(f"mesh and error values must be positive, pair {bad[0]} is "
+                         f"(h, err) = ({h[bad[0]]}, {err[bad[0]]})")
     x, y = np.log(h), np.log(err)
     dx, dy = x - x.mean(), y - y.mean()
     slope = float(np.sum(dx * dy) / np.sum(dx * dx))

@@ -223,14 +223,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config, args.subcommand, args.seed)
-        if args.workers < 1:
-            raise ConfigError("ensemble", "worker count must be >= 1")
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        # an overflow, a division by zero or a NaN is reported once, by the
-        # finiteness check that names its cause, not also as a numpy warning
+        # an overflow, a division by zero or a NaN, at load or in the run, is
+        # reported once, by the check that names its cause, not also as a
+        # numpy warning
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            cfg = load_config(args.config, args.subcommand, args.seed)
+            if args.workers < 1:
+                raise ConfigError("ensemble", "worker count must be >= 1")
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
             SUBCOMMANDS[args.subcommand](cfg, out, args.workers)
     except ConfigError as exc:
         print(f"config error in [{exc.section}]: {exc}", file=sys.stderr)

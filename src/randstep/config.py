@@ -5,12 +5,14 @@ with `#` or `;` is a comment, and ` #` starts an inline comment after a
 value; `;` inside a value only separates the rows of [problem] forcing.
 A converge experiment uses the sections [problem], [grid_family],
 [method], [noise], [ensemble] and [analysis]; noise-check uses [problem]
-(for J), [noise] and the [ensemble] seed; bayes uses [bayes] and the
-[ensemble] seed.  Each setting has one key in one section.  A key that
-no subcommand reads, or that only another kind reads (say `rho` beside
-a noise kind other than shared_factor), is refused.  Every read and
-check of a section runs inside `_reading`, so a bad value in any section
-raises a ConfigError that names the section.
+(for J), [noise] and the [ensemble] seed; bayes uses [problem] (for the
+eigenvalues and theta), [bayes] and the [ensemble] seed.  Each setting
+has one key in one section.  A key that no subcommand reads, or that
+only another kind reads (say `rho` beside a noise kind other than
+shared_factor), is refused.  Every read and check of a section runs
+inside `_reading`, so a bad value in any section raises a ConfigError
+that names the section; every typed value is read by `_get`, which names
+the key of a value that does not convert or fails its check.
 
 Example::
 
@@ -113,7 +115,7 @@ _KEYS = {name: set(keys.split()) for name, keys in [
     ("grid_family", "n_values gamma"), ("ensemble", "m seed"), ("analysis", "r young"),
     ("method", "kind coefficients h_star declared_order"),
     ("noise", "kind p c_xi s bias_mode bias_coefficient rho"),
-    ("bayes", "lambda_values dimension delta_grid h p m0 gamma0 gamma_obs gamma1 theta noisy_data"),
+    ("bayes", "delta_grid h p m0 gamma0 gamma_obs gamma1 noisy_data"),
 ]}
 
 
@@ -123,6 +125,24 @@ def _floats(raw: str) -> list[float]:
 
 def _ints(raw: str) -> list[int]:
     return [int(tok) for tok in raw.replace(",", " ").split()]
+
+
+def _bool(raw: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if raw.lower() not in states:
+        raise ValueError(f"not a boolean: {raw!r}")
+    return states[raw.lower()]
+
+
+def _get(sec: configparser.SectionProxy, key: str, convert, default: str | None):
+    """convert(sec[key]), or convert(default) when key is absent, None when
+    default is None too.  convert is int, float, _bool, _floats or _ints,
+    or one of them and a check; a value that it refuses names key."""
+    raw = sec.get(key, default)
+    try:
+        return None if raw is None else convert(raw)
+    except ValueError as exc:
+        raise ValueError(f"key {key!r}: {exc}") from None
 
 
 def _order_key(r: float) -> str:
@@ -152,64 +172,62 @@ def _reading(section: str):
     """Raise any failure of the block as a ConfigError naming section."""
     try:
         yield
-    except ConfigError:
-        raise
     except Exception as exc:
         raise ConfigError(section, str(exc)) from exc
 
 
 def _parse_theta(raw: str, dimension: int) -> np.ndarray:
-    raw = raw.strip()
+    """theta's values: ones, power:e (j^e on mode j = 1..J) or a list."""
     if raw == "ones":
         return np.ones(dimension)
     if raw.startswith("power:"):
-        exponent = float(raw.split(":", 1)[1])
-        return np.arange(1, dimension + 1, dtype=float) ** exponent
-    values = np.array(_floats(raw))
-    if values.size != dimension:
-        raise ValueError(f"theta has {values.size} entries, expected {dimension}")
-    return values
+        return np.arange(1, dimension + 1, dtype=float) ** float(raw.split(":", 1)[1])
+    return np.array(_floats(raw))
 
 
 def _parse_problem(parser) -> tuple[Problem, np.ndarray]:
     sec = _section(parser, "problem")
     with _reading("problem"):
-        horizon = sec.getfloat("horizon", 1.0)
-        family = sec.get("lambda_spec", "laplacian_1d").strip()
+        horizon = _get(sec, "horizon", float, "1.0")
+        family = sec.get("lambda_spec", "laplacian_1d")
         if family == "laplacian_1d":
             _refuse(sec, ["lambda_values"], f"lambda_spec {family}")
-            space = laplacian_1d(sec.getint("dimension", 0))
+            space = laplacian_1d(_get(sec, "dimension", int, "0"))
         elif family == "explicit":
             _refuse(sec, ["dimension"], f"lambda_spec {family}")
-            space = SpaceDescriptor(np.array(_floats(sec.get("lambda_values", ""))))
+            space = _get(sec, "lambda_values",
+                         lambda raw: SpaceDescriptor(np.array(_floats(raw))), "")
         else:
             raise ValueError(f"unknown lambda_spec {family!r}")
-        alpha_coeffs = _floats(sec.get("alpha", "1.0"))
+        j = space.dimension
+        alpha_coeffs = _get(sec, "alpha", _floats, "1.0")
         if len(alpha_coeffs) == 1:
             alpha_coeffs.append(0.0)
         if len(alpha_coeffs) != 2:
             raise ValueError("alpha takes one (constant) or two (affine) coefficients")
-        raw, forcing = sec.get("forcing", "none").strip(), None
-        if raw != "none":
-            rows = [_floats(row) for row in raw.split(";") if row.strip()]
-            if len(rows) not in (1, space.dimension) or any(len(row) != 3 for row in rows):
+        rows = _get(sec, "forcing", lambda raw: None if raw == "none" else
+                    [_floats(row) for row in raw.split(";") if row.strip()], "none")
+        if rows is not None:
+            if len(rows) not in (1, j) or any(len(row) != 3 for row in rows):
                 raise ValueError(
                     "forcing takes one row of three polynomial coefficients for every mode, "
-                    f"or {space.dimension} such rows separated by ';', one per mode; got "
+                    f"or {j} such rows separated by ';', one per mode; got "
                     f"{len(rows)} rows of {sorted({len(row) for row in rows})} coefficients"
                 )
-            forcing = np.tile(rows, (space.dimension // len(rows), 1))
-        problem = Problem(space, tuple(alpha_coeffs), forcing, horizon)
-        theta = _check_state(_parse_theta(sec.get("theta", "ones"), space.dimension),
-                             space.dimension)
+            rows = np.tile(rows, (j // len(rows), 1))
+        problem = Problem(space, tuple(alpha_coeffs), rows, horizon)
+        theta = _get(sec, "theta", lambda raw: _parse_theta(raw, j), "ones")
+        if theta.size not in (1, j):
+            raise ValueError(f"theta has {theta.size} entries, expected {j}")
+        theta = _check_state(np.tile(theta, j // theta.size), j)
     return problem, theta
 
 
 def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
     sec = _section(parser, "grid_family")
     with _reading("grid_family"):
-        n_values = _ints(sec.get("n_values", ""))
-        gamma = sec.getfloat("gamma", 1.0)
+        n_values = _get(sec, "n_values", _ints, "")
+        gamma = _get(sec, "gamma", float, "1.0")
         if len(set(n_values)) < 3 or len(set(n_values)) < len(n_values):
             raise ValueError(
                 "n_values must list at least three distinct step counts, each once (a "
@@ -221,18 +239,18 @@ def _parse_grids(parser, horizon: float) -> tuple[TimeGrid, ...]:
 def _parse_method(parser) -> MethodConfig:
     sec = _section(parser, "method")
     with _reading("method"):
-        kind = sec.get("kind", "").strip()
+        kind = sec.get("kind", "")
         if kind not in ("explicit_euler", "two_stage", "implicit_euler"):
             raise ValueError(f"unknown method kind {kind!r}")
         coeffs = []
         if kind == "two_stage":
-            coeffs = _floats(sec.get("coefficients", "0.5, 0.5, 1.0, 1.0"))
+            coeffs = _get(sec, "coefficients", _floats, "0.5, 0.5, 1.0, 1.0")
             if len(coeffs) != 4:
                 raise ValueError("two_stage needs four coefficients a1, a2, b1, b2")
         else:
             _refuse(sec, ["coefficients"], f"kind {kind}")
-        return MethodConfig(kind, *coeffs, h_star=sec.getfloat("h_star", math.inf),
-                            declared_order=sec.getfloat("declared_order", fallback=None))
+        return MethodConfig(kind, *coeffs, h_star=_get(sec, "h_star", float, "inf"),
+                            declared_order=_get(sec, "declared_order", float, None))
 
 
 def _parse_noise(parser, dimension: int) -> NoiseModel | None:
@@ -240,21 +258,21 @@ def _parse_noise(parser, dimension: int) -> NoiseModel | None:
     which turns noise off whatever the other keys say."""
     sec = _section(parser, "noise")
     with _reading("noise"):
-        kind = sec.get("kind", "centred_gaussian").strip()
+        kind = sec.get("kind", "centred_gaussian")
         if kind == "none":
             return None
-        p = sec.getfloat("p", 1.0)
+        p = _get(sec, "p", float, "1.0")
         if p < 0.0:
             raise ValueError("configured decay order p must be >= 0")
         model = NoiseModel(
             dimension,
             p=p,
-            c_xi=sec.getfloat("c_xi", 1.0),
-            s=sec.getfloat("s", 1.0),
+            c_xi=_get(sec, "c_xi", float, "1.0"),
+            s=_get(sec, "s", float, "1.0"),
             kind=kind,
-            bias_mode=sec.getint("bias_mode", 0),
-            bias_coefficient=sec.getfloat("bias_coefficient", 0.0),
-            rho=sec.getfloat("rho", 0.0),
+            bias_mode=_get(sec, "bias_mode", int, "0"),
+            bias_coefficient=_get(sec, "bias_coefficient", float, "0.0"),
+            rho=_get(sec, "rho", float, "0.0"),
         )
         readers = {"rho": SHARED_FACTOR, "bias_mode": BIASED, "bias_coefficient": BIASED}
         _refuse(sec, [key for key, reader in readers.items() if reader != kind], f"kind {kind}")
@@ -262,33 +280,34 @@ def _parse_noise(parser, dimension: int) -> NoiseModel | None:
 
 
 def _parse_bayes(parser) -> tuple[DiagonalGaussianModel, np.ndarray, bool]:
+    """The model on [problem]'s eigenvalues and theta, with [bayes]'s step,
+    variances and noise-scale grid."""
+    problem, theta = _parse_problem(parser)
     sec = _section(parser, "bayes")
     with _reading("bayes"):
-        if "lambda_values" in sec:
-            _refuse(sec, ["dimension"], "explicit lambda_values")
-            lam = np.array(_floats(sec.get("lambda_values")))
-        else:
-            lam = laplacian_1d(sec.getint("dimension", 1)).eigenvalues
-        j = lam.size
+        j = problem.space.dimension
 
-        def per_mode(key: str, default: str) -> np.ndarray:
-            vals = _floats(sec.get(key, default))
+        def per_mode(key: str, default: str, positive: bool = True) -> np.ndarray:
+            vals = _get(sec, key, _floats, default)
             if len(vals) not in (1, j):
                 raise ValueError(f"{key} takes one value or one per mode ({j}), got {len(vals)}")
+            if not all(math.isfinite(v) and (v > 0.0 or not positive) for v in vals):
+                raise ValueError(f"{key} must be finite{' and positive' * positive}, got {vals}")
             return np.tile(vals, j // len(vals))
 
-        delta_grid = _check_delta_grid(_floats(sec.get("delta_grid", "1 0.1 0.01 0.001")))
+        delta_grid = _get(sec, "delta_grid", lambda raw: _check_delta_grid(_floats(raw)),
+                          "1 0.1 0.01 0.001")
         model = DiagonalGaussianModel(
-            lam,
-            h=sec.getfloat("h", 0.1),
-            p=sec.getfloat("p", 0.0),
-            prior_mean=per_mode("m0", "0"),
+            problem.space.eigenvalues,
+            h=_get(sec, "h", float, "0.1"),
+            p=_get(sec, "p", float, "0.0"),
+            prior_mean=per_mode("m0", "0", positive=False),
             prior_var=per_mode("gamma0", "1"),
             obs_var=per_mode("gamma_obs", "1"),
             rand_var=per_mode("gamma1", "1"),
-            theta=per_mode("theta", "1"),
+            theta=theta,
         )
-        return model, delta_grid, sec.getboolean("noisy_data", False)
+        return model, delta_grid, _get(sec, "noisy_data", _bool, "false")
 
 
 def _parse_ensemble(parser, required: bool, seed) -> tuple[int, int]:
@@ -297,10 +316,10 @@ def _parse_ensemble(parser, required: bool, seed) -> tuple[int, int]:
     section is absent."""
     sec = _section(parser, "ensemble", required)
     with _reading("ensemble"):
-        m = sec.getint("m", 1) if required else 1
+        m = _get(sec, "m", int, "1") if required else 1
         if m < 1:
-            raise ValueError(f"ensemble size must be >= 1, got {m}")
-        own = sec.getint("seed", 0)
+            raise ValueError(f"ensemble size m must be >= 1, got {m}")
+        own = _get(sec, "seed", int, "0")
         if own < 0 or (seed is not None and seed < 0):
             raise ValueError("seed must be non-negative")
         return m, own if seed is None else seed
@@ -354,8 +373,8 @@ def load_config(path: str | Path, subcommand: str = "converge",
     m, seed = _parse_ensemble(parser, True, seed)
     sec = _section(parser, "analysis", False)
     with _reading("analysis"):
-        r_values = _floats(sec.get("r", "2.0"))
-        young = sec.get("young", "psi2").strip()
+        r_values = _get(sec, "r", _floats, "2.0")
+        young = sec.get("young", "psi2")
         if young == "none":
             young = None
         elif young != "psi2":
@@ -367,9 +386,13 @@ def load_config(path: str | Path, subcommand: str = "converge",
             raise ValueError(f"extra orders {r_values[1:]} repeat a report key, got keys {keys}")
     for grid in grids:
         if grid.mesh > method.h_star:
-            raise ConfigError(
-                "grid_family", f"mesh {grid.mesh} exceeds method h* = {method.h_star}"
-            )
+            raise ConfigError("grid_family", f"mesh {grid.mesh} of n = {grid.num_steps} "
+                              f"exceeds [method] h_star = {method.h_star}")
+        # the truncation constant divides by h^(q + 1) on every step h
+        step = float(grid.steps.min())
+        if method.declared_order is not None and step < 1.0 and step ** (method.order + 1) == 0:
+            raise ConfigError("method", f"declared_order = {method.order} makes h^(q + 1) "
+                              f"underflow to 0 on the step h = {step} of n = {grid.num_steps}")
     return ExperimentConfig(
         fingerprint, problem, theta, grids, method, noise, m, seed,
         r_values[0], young, tuple(r_values[1:]),

@@ -75,5 +75,8 @@ def build_grid(horizon: float, n: int, gamma: float = 1.0) -> TimeGrid:
     k = np.arange(n + 1, dtype=float)
     points = horizon * (k / n) ** gamma
     points[-1] = horizon
+    if np.any(points[1:] <= points[:-1]):
+        raise ValueError(f"a step of horizon {horizon} graded by gamma = {gamma} into n = {n} "
+                         "steps rounds to 0")
     return TimeGrid(points)
 

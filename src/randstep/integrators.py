@@ -119,7 +119,7 @@ def validate_two_stage(a1: float, a2: float, b1: float, b2: float) -> int:
     if min(a1, a2, b1, b2) < 0.0:
         raise ValueError("coefficients must be non-negative")
     if abs(a1 + a2 - 1.0) > _TWO_STAGE_TOL:
-        raise ValueError(f"inconsistent method: a1 + a2 = {a1 + a2} != 1")
+        raise ValueError(f"inconsistent method coefficients: a1 + a2 = {a1 + a2} != 1")
     if abs(a2 * b1 - 0.5) <= _TWO_STAGE_TOL and abs(a2 * b2 - 0.5) <= _TWO_STAGE_TOL:
         return 2
     return 1

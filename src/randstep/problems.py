@@ -77,7 +77,7 @@ class Problem:
         object.__setattr__(self, "alpha", (a0, a1))
         lo, hi = self.alpha_range()
         if lo == 0.0 and hi == 0.0:
-            raise ValueError("time scaling vanishes identically")
+            raise ValueError("time scaling alpha vanishes identically")
         if self.forcing is not None:
             forcing = np.atleast_2d(np.asarray(self.forcing, dtype=float))
             if forcing.shape != (self.space.dimension, 3):

@@ -125,9 +125,9 @@ class NoiseModel:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown noise kind {self.kind!r}, expected one of {_KINDS}")
         if self.kind == BIASED and not (0 <= self.bias_mode < self.dimension):
-            raise ValueError(f"bias mode {self.bias_mode} outside 0..{self.dimension - 1}")
+            raise ValueError(f"bias_mode {self.bias_mode} outside 0..{self.dimension - 1}")
         if self.kind == SHARED_FACTOR and not (0.0 <= self.rho <= 1.0):
-            raise ValueError(f"shared-factor weight must lie in [0, 1], got {self.rho}")
+            raise ValueError(f"shared-factor weight rho must lie in [0, 1], got {self.rho}")
 
     @property
     def spectrum(self) -> np.ndarray:

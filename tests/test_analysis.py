@@ -59,6 +59,13 @@ class TestLrNorm:
         with pytest.raises(ValueError):
             lr_norm_estimate(np.array([-1.0]), 2.0)
 
+    def test_subnormal_samples_end(self):
+        # below the normal range the bracket's width tolerance underflowed
+        # to 0 and the bisection never ended; the norm is homogeneous
+        est = orlicz_norm_estimate(np.array([1e-320, 5e-321]), "psi2")
+        assert est == pytest.approx(1e-320 * orlicz_norm_estimate(np.array([1.0, 0.5])),
+                                    rel=1e-3)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
@@ -218,6 +225,13 @@ class TestOrliczNorm:
         small = orlicz_norm_estimate(np.array([1e306, 5e305]), "psi2")
         assert est == pytest.approx(10.0 * small, rel=1e-12)
 
+    def test_subnormal_samples_end(self):
+        # below the normal range the bracket's width tolerance underflowed
+        # to 0 and the bisection never ended; the norm is homogeneous
+        est = orlicz_norm_estimate(np.array([1e-320, 5e-321]), "psi2")
+        assert est == pytest.approx(1e-320 * orlicz_norm_estimate(np.array([1.0, 0.5])),
+                                    rel=1e-3)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_sample_rejected(self, bad):
         with pytest.raises(ValueError, match="must be finite"):
@@ -267,6 +281,18 @@ class TestFitRate:
             message = f"^{name} values must be finite, pair 1 has {bad}$"
             with pytest.raises(ValueError, match=message):
                 fit_rate(points)
+
+
+    @pytest.mark.parametrize("bad", [0.0, -0.1])
+    @pytest.mark.parametrize("column", [0, 1], ids=["h", "err"])
+    def test_non_positive_point_named(self, column, bad):
+        # errors that underflow to 0 (a horizon of 1e-300) name their pair
+        points = [[0.2, 0.4], [0.1, 0.2], [0.05, 0.1]]
+        points[1][column] = bad
+        message = (f"mesh and error values must be positive, pair 1 is (h, err) = "
+                   f"({points[1][0]}, {points[1][1]})")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            fit_rate(points)
 
 
 class TestGronwallUniform:

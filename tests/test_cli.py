@@ -7,6 +7,7 @@ import subprocess
 import sys
 import sysconfig
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -63,8 +64,12 @@ def _noise_kind(kind):
 
 
 BAYES_CONFIG = """
-[bayes]
+[problem]
+lambda_spec = explicit
 lambda_values = 1.0
+theta = 1.0
+
+[bayes]
 h = 0.1
 p = 0.0
 delta_grid = 1.0, 0.1, 0.01, 0.0001, 0.0
@@ -72,7 +77,6 @@ gamma0 = 1.0
 gamma_obs = 1.0
 gamma1 = 1.0
 m0 = 0.0
-theta = 1.0
 """
 
 NOISE_CONFIG = """
@@ -404,6 +408,18 @@ seed = 0
         assert main(["converge", "--config", _write(tmp_path, bad), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "config error in [problem]" in err and "theta has 3 entries, expected 4" in err
+
+    def test_overflowing_power_theta_exits_one_with_one_stderr_line(self, tmp_path, capsys):
+        # 4^600 overflows at load; the finiteness check alone speaks, with
+        # no numpy warning before it
+        bad = CONVERGE_CONFIG.replace("theta = power:-2", "theta = power:600")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["converge", "--config", _write(tmp_path, bad), "--out",
+                         str(tmp_path / "out")]) == 1
+        assert caught == []
+        assert capsys.readouterr().err == (
+            "config error in [problem]: initial state theta must be finite, entry 3 is inf\n")
 
     def test_non_finite_theta_exits_one_naming_problem(self, tmp_path, capsys):
         bad = CONVERGE_CONFIG.replace("theta = power:-2", "theta = 1, 2, inf, 4")
@@ -856,7 +872,7 @@ class TestBayes:
         assert report["biased_limit"][0] == pytest.approx(1.1 * math.exp(-0.1), rel=1e-14)
 
     def test_dimension_alone_loads_laplacian_eigenvalues_and_defaults(self, tmp_path):
-        path = _write(tmp_path, "[bayes]\ndimension = 3\n")
+        path = _write(tmp_path, "[problem]\ndimension = 3\n\n[bayes]\n")
         cfg = load_config(path, "bayes")
         model = cfg.bayes_model
         assert model.eigenvalues.tolist() == [1.0, 4.0, 9.0]
@@ -889,6 +905,14 @@ class TestBayes:
         with pytest.raises(ValueError, match=message):
             small_noise_sweep(single_mode_model(), _floats(grid))
 
+    @staticmethod
+    def _per_mode_config(key, raw):
+        """A J = 3 bayes config that sets key, a [bayes] per-mode key or
+        [problem] theta, to raw."""
+        if key == "theta":
+            return f"[problem]\ndimension = 3\ntheta = {raw}\n\n[bayes]\n"
+        return f"[problem]\ndimension = 3\n\n[bayes]\n{key} = {raw}\n"
+
     @pytest.mark.parametrize("key", ["m0", "gamma0", "gamma_obs", "gamma1", "theta"])
     @pytest.mark.parametrize("raw, count", [("1, 2", 2), ("1, 2, 3, 4", 4), ("", 0)],
                              ids=["two", "four", "empty"])
@@ -896,18 +920,21 @@ class TestBayes:
                                                               raw, count):
         # at J = 3 a per-mode key takes one value for every mode or three,
         # one per mode; any other count, none included, is refused by key
-        text = f"[bayes]\ndimension = 3\n{key} = {raw}\n"
+        text = self._per_mode_config(key, raw)
         assert main(["bayes", "--config", _write(tmp_path, text), "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
-        assert "config error in [bayes]" in err
-        assert f"{key} takes one value or one per mode (3), got {count}" in err
+        if key == "theta":
+            assert f"config error in [problem]: theta has {count} entries, expected 3" in err
+        else:
+            assert "config error in [bayes]" in err
+            assert f"{key} takes one value or one per mode (3), got {count}" in err
 
     @pytest.mark.parametrize("key", ["m0", "gamma0", "gamma_obs", "gamma1", "theta"])
     def test_per_mode_key_takes_one_value_or_one_per_mode(self, tmp_path, key):
         field = {"m0": "prior_mean", "gamma0": "prior_var", "gamma_obs": "obs_var",
                  "gamma1": "rand_var", "theta": "theta"}[key]
         for raw, want in (("2.5", [2.5] * 3), ("0.5, 2, 3", [0.5, 2.0, 3.0])):
-            path = _write(tmp_path, f"[bayes]\ndimension = 3\n{key} = {raw}\n")
+            path = _write(tmp_path, self._per_mode_config(key, raw))
             assert getattr(load_config(path, "bayes").bayes_model, field).tolist() == want
 
     def test_noisy_data_is_reproducible_per_seed(self, tmp_path):
@@ -1098,7 +1125,7 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
         ("converge", CONVERGE_CONFIG, "kind = implicit_euler",
          "kind = implicit_euler\ndeclared_order = nan", "method"),
         ("bayes", BAYES_CONFIG, "p = 0.0", "p = nan", "bayes"),
-        ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0, inf", "bayes"),
+        ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0, inf", "problem"),
         ("converge", CONVERGE_CONFIG, "lambda_spec = laplacian_1d", "lambda_spec = bogus",
          "problem"),
         ("converge", CONVERGE_CONFIG, "alpha = 1.0", "alpha = 1.0, 0.5, 0.25", "problem"),
@@ -1120,13 +1147,13 @@ def test_write_refuses_a_non_finite_value_and_writes_nothing(tmp_path, bad):
         ("converge", CONVERGE_CONFIG, "dimension = 4", "dimension = 0", "problem"),
         ("converge", CONVERGE_CONFIG, "lambda_spec = laplacian_1d",
          "lambda_spec = explicit\nlambda_values =", "problem"),
-        ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0, -1.0", "bayes"),
+        ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0, -1.0", "problem"),
         ("bayes", BAYES_CONFIG, "h = 0.1", "h = 0", "bayes"),
         ("bayes", BAYES_CONFIG, "p = 0.0", "p = -1", "bayes"),
         ("converge", CONVERGE_CONFIG, "c_xi = 0.5", "cxi = 50.0", "noise"),
         ("converge", CONVERGE_CONFIG, "young = psi2", "young = psi2\n\n[anlysis]\nyoung = none",
          "anlysis"),
-        ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 4.0, 1.0", "bayes"),
+        ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 4.0, 1.0", "problem"),
         ("bayes", BAYES_CONFIG, "h = 0.1", "h = 1e160", "bayes"),
     ],
     ids=["problem", "grid_family", "method", "noise", "ensemble", "analysis",
@@ -1164,7 +1191,7 @@ def test_unknown_key_or_section_is_named(tmp_path, capsys, old, new, message):
 
 # configs that between them set every key that converge or bayes reads: a
 # two-stage method, the biased and shared-factor kinds' keys, explicit
-# eigenvalues, and [bayes] with and without explicit lambda_values
+# eigenvalues, and bayes on explicit and on Laplacian eigenvalues
 NOTE_CONFIGS = [
     ("converge", CONVERGE_CONFIG),
     ("converge", CONVERGE_CONFIG.replace(
@@ -1177,7 +1204,8 @@ NOTE_CONFIGS = [
         "lambda_spec = explicit\nlambda_values = 1, 4, 9, 16",
     ).replace("kind = centred_gaussian", _noise_kind("shared_factor"))),
     ("bayes", BAYES_CONFIG + "noisy_data = true\n\n[ensemble]\nseed = 3\n"),
-    ("bayes", BAYES_CONFIG.replace("lambda_values = 1.0", "dimension = 3")),
+    ("bayes", BAYES_CONFIG.replace("lambda_spec = explicit\nlambda_values = 1.0",
+                                   "dimension = 3")),
 ]
 
 
@@ -1256,9 +1284,15 @@ def test_negative_seed_override_exits_one_naming_the_seed_section(tmp_path, caps
       "[output]: unknown section [output]"),
      ("converge", CONVERGE_CONFIG, "young = psi2", "young = psi2\n\n[output]\ndir = elsewhere",
       "[output]: unknown section [output]"),
-     ("bayes", BAYES_CONFIG, "h = 0.1", "h = 0.1\nseed = 3", "[bayes]: unknown key 'seed'")],
+     ("bayes", BAYES_CONFIG, "h = 0.1", "h = 0.1\nseed = 3", "[bayes]: unknown key 'seed'"),
+     ("bayes", BAYES_CONFIG, "h = 0.1", "h = 0.1\ndimension = 3",
+      "[bayes]: unknown key 'dimension'"),
+     ("bayes", BAYES_CONFIG, "h = 0.1", "h = 0.1\nlambda_values = 1.0",
+      "[bayes]: unknown key 'lambda_values'"),
+     ("bayes", BAYES_CONFIG, "h = 0.1", "h = 0.1\ntheta = 1.0", "[bayes]: unknown key 'theta'")],
     ids=["problem-j", "problem-t", "method-method", "noise-dimension", "noise-check-dimension",
-         "output-formats", "output-dir", "bayes-seed"],
+         "output-formats", "output-dir", "bayes-seed", "bayes-dimension", "bayes-lambda-values",
+         "bayes-theta"],
 )
 def test_removed_key_exits_one_as_unknown(tmp_path, capsys, subcommand, text, old, new,
                                           message):
@@ -1287,12 +1321,9 @@ def test_removed_key_exits_one_as_unknown(tmp_path, capsys, subcommand, text, ol
       "[problem]: key 'lambda_values' does not apply to lambda_spec laplacian_1d"),
      ("converge", CONVERGE_CONFIG, "lambda_spec = laplacian_1d",
       "lambda_spec = explicit\nlambda_values = 1.0, 4.0",
-      "[problem]: key 'dimension' does not apply to lambda_spec explicit"),
-     ("bayes", BAYES_CONFIG, "lambda_values = 1.0", "lambda_values = 1.0\ndimension = 3",
-      "[bayes]: key 'dimension' does not apply to explicit lambda_values")],
+      "[problem]: key 'dimension' does not apply to lambda_spec explicit")],
     ids=["method-coefficients", "noise-rho-and-bias-mode", "noise-bias-coefficient",
-         "noise-bias-mode", "noise-check-rho", "problem-lambda-values", "problem-dimension",
-         "bayes-dimension"],
+         "noise-bias-mode", "noise-check-rho", "problem-lambda-values", "problem-dimension"],
 )
 def test_key_of_another_kind_exits_one(tmp_path, capsys, subcommand, text, old, new, message):
     # a key that only another kind reads would be ignored; it is refused
@@ -1307,7 +1338,8 @@ def test_key_of_another_kind_exits_one(tmp_path, capsys, subcommand, text, old, 
     [("converge", CONVERGE_CONFIG, "dimension = 4\n", "", "[problem]: dimension must be >= 1"),
      ("noise-check", NOISE_CONFIG, "dimension = 6\n", "", "[problem]: dimension must be >= 1"),
      ("converge", CONVERGE_CONFIG, "lambda_spec = laplacian_1d\ndimension = 4",
-      "lambda_spec = explicit", "[problem]: eigenvalues must be a non-empty 1-d array"),
+      "lambda_spec = explicit",
+      "[problem]: key 'lambda_values': eigenvalues must be a non-empty 1-d array"),
      ("converge", CONVERGE_CONFIG, "n_values = 4, 8, 16, 32\n", "",
       "[grid_family]: n_values must list at least three distinct step counts")],
     ids=["converge-dimension", "noise-check-dimension", "lambda-values", "n-values"],
@@ -1517,18 +1549,34 @@ def test_one_task_converge_forks_one_worker_and_loads_no_numpy_random(tmp_path):
     assert not openssl
 
 
-def test_huge_declared_order_fails_with_one_stderr_line(tmp_path):
-    # h^(q + 1) underflows to 0 at q = 1e6, so the truncation constant
-    # divides by zero; the bound's finiteness check alone speaks
-    cfg = _write(tmp_path, CONVERGE_CONFIG.replace(
-        "kind = implicit_euler", "kind = implicit_euler\ndeclared_order = 1e6"))
+@pytest.mark.parametrize("order", ["1e6", "1e308"])
+def test_huge_declared_order_fails_with_one_stderr_line(tmp_path, order):
+    # h^(q + 1) underflows to 0 on every step (h <= 1/4), so the truncation
+    # constant would divide by zero; the load refuses the order by its key,
+    # and q = 2 on the same grids loads
+    text = CONVERGE_CONFIG.replace("kind = implicit_euler",
+                                   "kind = implicit_euler\ndeclared_order = {order}")
+    assert load_config(_write(tmp_path, text.format(order=2), "two.cfg")).method.order == 2.0
+    cfg = _write(tmp_path, text.format(order=order))
     result = subprocess.run(
         [sys.executable, "-m", "randstep.cli", "converge", "--config", str(cfg),
          "--out", str(tmp_path / "out")],
         env=_subprocess_env(), capture_output=True, text=True, timeout=120,
     )
-    assert result.returncode == 2
-    assert result.stderr.splitlines() == ["run failed: bound constants must be finite"]
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"config error in [method]: declared_order = {float(order)} makes h^(q + 1) underflow "
+        "to 0 on the step h = 0.25 of n = 4"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_errors_that_underflow_to_zero_exit_two_naming_the_pair(tmp_path, capsys):
+    # at T = 1e-300 every error underflows to 0, which no rate fit takes
+    cfg = _write(tmp_path, CONVERGE_CONFIG.replace("horizon = 1.0", "horizon = 1e-300"))
+    assert main(["converge", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "run failed: mesh and error values must be positive, pair 0 is (h, err) = "
+        "(2.5000000000000005e-301, 0.0)\n")
     assert list((tmp_path / "out").iterdir()) == []
 
 

@@ -56,6 +56,14 @@ class TestBuildGrid:
         with pytest.raises(ValueError, match=f"grading exponent gamma must be >= 1 and finite, got {gamma}"):
             build_grid(1.0, 4, gamma)
 
+    @pytest.mark.parametrize("horizon, gamma", [(1.0, 1e308), (1e-323, 1.0)])
+    def test_step_that_rounds_to_zero_named(self, horizon, gamma):
+        # 0.25^1e308 underflows to 0, and 1e-323 / 4, half the least
+        # subnormal, rounds to 0; both inputs are named
+        message = f"a step of horizon {horizon} graded by gamma = {gamma} into n = 4 steps"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            build_grid(horizon, 4, gamma)
+
     def test_endpoints(self):
         grid = build_grid(3.0, 13, 1.7)
         assert grid.points[0] == 0.0
